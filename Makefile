@@ -12,18 +12,25 @@ CHAOS_SEED ?= 1
 CHAOS_DURATION ?= 5m
 CHAOS_INTENSITY ?= 2
 
-.PHONY: build test race vet bench bench-parallel bench-allocs bench-longwindow bench-cluster bench-rebalance bench-ingest cover fuzz-short crash-test lint-footprints chaos-short chaos
+.PHONY: build test test-bench race vet bench bench-parallel bench-allocs bench-longwindow bench-cluster bench-rebalance bench-ingest bench-e2e loc cover fuzz-short crash-test lint-footprints chaos-short chaos
 
 build:
 	$(GO) build ./...
 
-test: lint-footprints chaos-short bench-ingest
+test: lint-footprints chaos-short bench-ingest test-bench
 	$(GO) test ./...
 
+# The benchmark under bench/ is its own module (go test ./... at the root
+# does not descend into it) and is frozen between benchmark PRs, so it
+# compiles against this module's API as that API stood. Running its tests
+# here makes a change that breaks that surface fail locally.
+test-bench:
+	cd bench && $(GO) test ./...
+
 # Footprint convention gate: every registered prescriptive capability must
-# declare a non-empty write set (oda.LintFootprints), and no built-in may
-# still lean on the legacy Exclusive bit. Runs the dedicated tests only, so
-# it is cheap enough to front every test/race invocation.
+# declare a non-empty write set (oda.LintFootprints), and every built-in
+# must declare a footprint at all. Runs the dedicated tests only, so it is
+# cheap enough to front every test/race invocation.
 lint-footprints:
 	$(GO) test -run 'TestFootprintLint|TestFullGridDeclaresFootprints' .
 
@@ -128,24 +135,33 @@ bench-longwindow:
 			if (bad) exit 1; \
 			print "OK: planned path >= 50x and 0 allocs/op" }'
 
-# Series-ref ingest gate for the PR 9 fast path: the ref-addressed append
-# (resolved SeriesRefs, no key building / hashing / registry lookups) must
-# beat the keyed batch path by >= 2x and stay at exactly 0 allocs/op (see
-# BENCH_PR9.json for recorded numbers). Runs as part of `make test` so a
-# regression in the hot ingest loop fails the build.
+# Ingest allocation budget: the ref-addressed append (resolved SeriesRefs,
+# no key building / hashing / registry lookups) must stay at exactly
+# 0 allocs/op. Runs as part of `make test` so a regression in the hot ingest
+# loop fails the build; a missing benchmark fails it too.
 bench-ingest:
-	@out=$$($(GO) test -run xxx -bench 'BenchmarkIngestKeyed|BenchmarkIngestRefs' -benchmem -benchtime 2000x ./internal/timeseries); \
+	@out=$$($(GO) test -run xxx -bench 'BenchmarkIngestRefs' -benchmem -benchtime 2000x ./internal/timeseries); \
 	echo "$$out"; \
 	echo "$$out" | awk ' \
-		/^BenchmarkIngestKeyed/ { keyed=$$3 } \
-		/^BenchmarkIngestRefs/ { refs=$$3; if ($$(NF-1)+0 > 0) { printf "FAIL: ref ingest allocates %s allocs/op (budget 0)\n", $$(NF-1); bad=1 } } \
+		/^BenchmarkIngestRefs/ { seen=1; if ($$(NF-1)+0 > 0) { printf "FAIL: ref ingest allocates %s allocs/op (budget 0)\n", $$(NF-1); bad=1 } } \
 		END { \
-			if (keyed == "" || refs == "" || refs+0 == 0) { print "FAIL: ingest benchmarks missing from output"; exit 1 } \
-			ratio = keyed / refs; \
-			printf "ref ingest speedup: %.1fx (keyed %s ns/op / refs %s ns/op)\n", ratio, keyed, refs; \
-			if (ratio < 2) { printf "FAIL: speedup %.1fx below 2x floor\n", ratio; bad=1 } \
+			if (!seen) { print "FAIL: BenchmarkIngestRefs missing from output"; exit 1 } \
 			if (bad) exit 1; \
-			print "OK: ref ingest >= 2x keyed and 0 allocs/op" }'
+			print "OK: ref ingest at 0 allocs/op" }'
+
+# The end-to-end benchmark BENCHMARK.json declares: all four workloads, one
+# seed. Everything it builds and writes lands under .bench_build/.
+bench-e2e:
+	bash bench/run.sh --workload all --seed 1
+
+# Non-test lines in the telemetry stack's packages: the figure ROADMAP aim 2
+# tracks ("the same numbers and behaviour from the least code").
+LOC_DIRS = internal/timeseries internal/persist internal/wire internal/cluster internal/collector internal/oda internal/binenc cmd/odad
+loc:
+	@for d in $(LOC_DIRS); do \
+		printf '%6d %s\n' $$(cat $$(ls $$d/*.go | grep -v _test.go) | wc -l) $$d; \
+	done; \
+	printf '%6d total\n' $$(cat $$(ls $(addsuffix /*.go,$(LOC_DIRS)) | grep -v _test.go) | wc -l)
 
 # Distributed-query cost benchmark: the same scatter-gather ReduceMany
 # against a 1-node cluster (local fast-path) and a 3-node cluster over

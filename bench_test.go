@@ -368,7 +368,7 @@ func BenchmarkStoreQueryParallel(b *testing.B) {
 }
 
 // benchPassiveGrid registers the read-only capability subset (everything
-// not marked Exclusive), so iterations leave the shared archive untouched.
+// that declares no writes), so iterations leave the shared archive untouched.
 func benchPassiveGrid(b *testing.B) (*oda.Grid, *oda.RunContext) {
 	b.Helper()
 	ctx := benchCtx(b)
@@ -380,8 +380,8 @@ func benchPassiveGrid(b *testing.B) (*oda.Grid, *oda.RunContext) {
 		predictive.KPIForecast{}, predictive.SensorForecast{}, predictive.WorkloadForecast{},
 		predictive.JobDuration{Seed: 1}, predictive.PowerSpike{},
 	} {
-		if c.Meta().Exclusive {
-			b.Fatalf("%s is exclusive; passive bench grid must not mutate the archive", c.Meta().Name)
+		if m := c.Meta(); len(m.Writes) > 0 {
+			b.Fatalf("%s writes %v; passive bench grid must not mutate the archive", m.Name, m.Writes)
 		}
 		if err := g.Register(c); err != nil {
 			b.Fatal(err)
@@ -417,10 +417,10 @@ func BenchmarkGridRunAllSerial(b *testing.B) {
 
 // benchActuatorGrid models the 11-actuator prescriptive sweep: the same
 // capabilities and declared footprints as the real fleet, with each Run
-// replaced by a fixed 2ms stand-in for the control decision. legacy=true
-// reverts every actuator to the old Exclusive bit, which is exactly the
-// serial tail the footprint scheduler exists to shrink.
-func benchActuatorGrid(b *testing.B, legacy bool) *oda.Grid {
+// replaced by a fixed 2ms stand-in for the control decision. serial=true
+// makes every actuator a wildcard writer, which is exactly the serial tail
+// the footprint scheduler exists to shrink.
+func benchActuatorGrid(b *testing.B, serial bool) *oda.Grid {
 	b.Helper()
 	g := oda.NewGrid()
 	for _, c := range []oda.Capability{
@@ -432,8 +432,8 @@ func benchActuatorGrid(b *testing.B, legacy bool) *oda.Grid {
 		prescriptive.DemandResponse{},
 	} {
 		m := c.Meta()
-		if legacy {
-			m.Reads, m.Writes, m.Exclusive = nil, nil, true
+		if serial {
+			m.Reads, m.Writes = nil, []oda.Resource{oda.ResWildcard}
 		}
 		err := g.Register(oda.CapabilityFunc{M: m, Fn: func(ctx *oda.RunContext) (oda.Result, error) {
 			time.Sleep(2 * time.Millisecond)
@@ -447,9 +447,9 @@ func benchActuatorGrid(b *testing.B, legacy bool) *oda.Grid {
 	return g
 }
 
-// BenchmarkActuatorSweepExclusive is the legacy baseline: 11 exclusive
+// BenchmarkActuatorSweepSerial is the baseline: 11 wildcard-writing
 // actuators degenerate to 11 serial waves (~22ms per sweep).
-func BenchmarkActuatorSweepExclusive(b *testing.B) {
+func BenchmarkActuatorSweepSerial(b *testing.B) {
 	g := benchActuatorGrid(b, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -9,6 +9,19 @@ import (
 	"repro/internal/timeseries"
 )
 
+// newestSample returns the timestamp of the newest sample in store (0 for
+// an empty store): what the ingest watermark must start from after a
+// restart recovered an archive, before the first new batch moves it.
+func newestSample(store *timeseries.Store) int64 {
+	var newest int64
+	for _, id := range store.IDs() {
+		if sm, ok := store.Latest(id); ok {
+			newest = max(newest, sm.T)
+		}
+	}
+	return newest
+}
+
 // analyzeHandler runs one wave-scheduled sweep of the full capability grid
 // over the archived telemetry and returns every capability's summary and
 // values, the per-capability errors (capabilities that need a live system

@@ -7,6 +7,7 @@ import (
 
 	"repro"
 	"repro/internal/metric"
+	"repro/internal/persist"
 	"repro/internal/timeseries"
 )
 
@@ -68,5 +69,67 @@ func TestAnalyzeHandlerSmoke(t *testing.T) {
 	analyzeHandler(grid, store, latest)(rec, httptest.NewRequest("GET", "/analyze?window_hours=-1", nil))
 	if rec.Code != 400 {
 		t.Fatalf("negative window: status %d, want 400", rec.Code)
+	}
+}
+
+// TestAnalyzeWindowAfterRestart: a daemon restarted on a recovered archive
+// must sweep the window that ends at the archive's newest sample, not
+// [0, 1), before any new batch arrives. The watermark is seeded from
+// newestSample at start-up.
+func TestAnalyzeWindowAfterRestart(t *testing.T) {
+	dir := t.TempDir()
+	opts := persist.Options{ChunkSize: 64, Fsync: persist.FsyncNever}
+	d, err := persist.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pue := metric.ID{Name: "facility_pue", Labels: metric.NewLabels("site", "vdc")}
+	power := metric.ID{Name: "node_power_watts", Labels: metric.NewLabels("node", "n01")}
+	const newest = 9 * 3600 * 1000 // 9h of minutely PUE; the power series stops earlier
+	for ts := int64(60_000); ts <= newest; ts += 60_000 {
+		if err := d.Append(pue, metric.Gauge, metric.UnitNone, ts, 1.3); err != nil {
+			t.Fatal(err)
+		}
+		if ts <= newest/2 {
+			if err := d.Append(power, metric.Gauge, metric.UnitWatt, ts, 200); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	d.Crash()
+
+	re, err := persist.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Crash()
+	if got := newestSample(re.Store()); got != newest {
+		t.Fatalf("newestSample = %d, want %d", got, newest)
+	}
+	if got := newestSample(timeseries.NewStore(0)); got != 0 {
+		t.Fatalf("newestSample of an empty store = %d, want 0", got)
+	}
+	grid, err := repro.FullGrid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	latest := newestSample(re.Store())
+	rec := httptest.NewRecorder()
+	analyzeHandler(grid, re.Store(), func() int64 { return latest })(rec, httptest.NewRequest("GET", "/analyze?window_hours=6", nil))
+	if rec.Code != 200 {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	var got struct {
+		From, To int64
+		Results  map[string]json.RawMessage
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.To != newest+1 || got.From != newest+1-6*3600*1000 {
+		t.Fatalf("window [%d, %d), want [%d, %d)", got.From, got.To, newest+1-6*3600*1000, newest+1)
+	}
+	if _, ok := got.Results["pue-kpi"]; !ok {
+		t.Fatal("pue-kpi did not answer over the recovered archive")
 	}
 }

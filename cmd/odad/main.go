@@ -90,7 +90,6 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:9900", "wire-protocol ingest address")
 	httpAddr := flag.String("http", "127.0.0.1:9901", "HTTP query address")
 	chunkSize := flag.Int("chunk", 0, "TSDB samples per chunk (0 = default)")
-	retainHours := flag.Float64("retain", 0, "deprecated alias for -retain-raw")
 	retainRaw := flag.Float64("retain-raw", 0, "drop raw telemetry older than this many hours on each ingest (0 = keep all)")
 	retain1m := flag.Float64("retain-1m", 0, "drop 1m rollup windows older than this many hours (0 = keep all)")
 	retain1h := flag.Float64("retain-1h", 0, "drop 1h rollup windows older than this many hours (0 = keep all)")
@@ -104,15 +103,10 @@ func main() {
 	queryCacheTTL := flag.Duration("query-cache-ttl", 10*time.Second, "result cache staleness bound")
 	nodeID := flag.String("node-id", "", "this node's cluster identity (requires -peers)")
 	peersFlag := flag.String("peers", "", "initial cluster membership as id=host:port,... including this node; this node binds its own entry as the cluster listener (membership evolves at runtime via odactl cluster join/leave)")
-	replication := flag.Int("replication", 1, "deprecated alias for -rf")
-	rf := flag.Int("rf", 0, "cluster replication factor (WAL-shipped replicas per node; needs -data-dir to serve followers; 0 = -replication's value)")
+	rf := flag.Int("rf", 1, "cluster replication factor (WAL-shipped replicas per node; needs -data-dir to serve followers)")
 	vnodes := flag.Int("vnodes", 0, "virtual nodes per cluster member on the placement ring (0 = default 128; higher = smoother balance, more memory)")
-	legacyWire := flag.Bool("legacy-wire", false, "disable the series-ref ingest fast path: forward peer batches as v1 keyed frames and append locally by key")
 	flag.Parse()
 
-	if *rf == 0 {
-		*rf = *replication
-	}
 	if *rf < 1 {
 		log.Fatalf("odad: -rf must be >= 1, got %d", *rf)
 	}
@@ -120,9 +114,6 @@ func main() {
 		log.Fatalf("odad: -vnodes must be in [1, 4096] (or 0 for the default), got %d", *vnodes)
 	}
 
-	if *retainRaw == 0 {
-		*retainRaw = *retainHours
-	}
 	tierSteps, err := queryfront.ParseRollupSteps(*rollups)
 	if err != nil {
 		log.Fatalf("odad: -rollups: %v", err)
@@ -134,9 +125,11 @@ func main() {
 
 	// With -data-dir the durable store front-ends the TSDB: mutations go
 	// through the WAL, reads go straight to the recovered in-memory store.
+	// local is whichever of the two takes this node's appends.
 	var (
 		store   *timeseries.Store
 		durable *persist.DurableStore
+		local   timeseries.RefAppender
 	)
 	if *dataDir != "" {
 		policy, err := persist.ParseFsyncPolicy(*fsyncMode)
@@ -152,13 +145,14 @@ func main() {
 		if err != nil {
 			log.Fatalf("odad: open %s: %v", *dataDir, err)
 		}
-		store = durable.Store()
+		store, local = durable.Store(), durable
 		st := durable.Stats()
-		log.Printf("odad: recovered %s: snapshot=%v, %d WAL records replayed across %d segments, %d torn tails truncated (%d series, %d samples)",
-			*dataDir, st.SnapshotLoaded, st.ReplayedRecords, st.ReplayedSegments, st.TruncatedTails,
+		log.Printf("odad: recovered %s: snapshot=%v, %d WAL records replayed across %d segments, %d torn tails truncated, %d segments set aside (%d series, %d samples)",
+			*dataDir, st.SnapshotLoaded, st.ReplayedRecords, st.ReplayedSegments, st.TruncatedTails, st.LostSegments,
 			store.NumSeries(), store.NumSamples())
 	} else {
 		store = timeseries.NewStore(*chunkSize, storeOpts...)
+		local = store
 	}
 
 	// With -peers this node joins a static cluster: a Router places every
@@ -177,10 +171,6 @@ func main() {
 		if *nodeID == "" {
 			log.Fatalf("odad: -peers requires -node-id")
 		}
-		var local cluster.Appender = store
-		if durable != nil {
-			local = durable
-		}
 		router, err = cluster.New(cluster.Config{
 			Self:           *nodeID,
 			Peers:          peers,
@@ -190,7 +180,6 @@ func main() {
 			Store:          store,
 			Durable:        durable,
 			ReplicaOptions: storeOpts,
-			LegacyWire:     *legacyWire,
 		})
 		if err != nil {
 			log.Fatalf("odad: %v", err)
@@ -214,16 +203,16 @@ func main() {
 	// Single-node ingest goes through a ref cache: each series resolves to
 	// an interned handle once, then appends skip key building and map
 	// lookups entirely. Clustered nodes get the same treatment inside the
-	// router's local path.
-	var localRefs *timeseries.RefCache
-	if router == nil && !*legacyWire {
-		if durable != nil {
-			localRefs = timeseries.NewRefCache(durable)
-		} else {
-			localRefs = timeseries.NewRefCache(store)
-		}
+	// router's local path; the router also splits each batch, landing owned
+	// series locally and forwarding the rest to their owning peers.
+	ingest := timeseries.NewRefCache(local).AppendBatch
+	if router != nil {
+		ingest = router.AppendBatch
 	}
+	// The retention cutoffs and /analyze's window hang off the newest
+	// timestamp seen; a recovered archive already has one.
 	var latest atomic.Int64
+	latest.Store(newestSample(store))
 
 	srv, err := wire.NewServer(*listen, func(b *wire.Batch) {
 		var entries []timeseries.BatchEntry
@@ -241,19 +230,8 @@ func main() {
 			}
 		}
 		// Ingest errors (out-of-order duplicates from agent restarts) are
-		// tolerated; the server counts batches. In clustered mode the router
-		// splits the batch: owned series land locally, the rest forward to
-		// their owning peers.
-		switch {
-		case router != nil:
-			_, _ = router.AppendBatch(entries)
-		case localRefs != nil:
-			_, _ = localRefs.AppendBatch(entries)
-		case durable != nil:
-			_, _ = durable.AppendBatch(entries)
-		default:
-			_, _ = store.AppendBatch(entries)
-		}
+		// tolerated; the server counts batches.
+		_, _ = ingest(entries)
 		now := latest.Load()
 		if *retainRaw > 0 {
 			cutoff := now - int64(*retainRaw*3600*1000)

@@ -63,6 +63,7 @@ func statsPayload(store *timeseries.Store, srv *wire.Server, durable *persist.Du
 			"replayed_records":  st.ReplayedRecords,
 			"truncated_tails":   st.TruncatedTails,
 			"truncated_bytes":   st.TruncatedBytes,
+			"lost_segments":     st.LostSegments,
 		}
 	}
 	if qf != nil || len(store.TierSteps()) > 0 {

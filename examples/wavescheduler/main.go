@@ -2,7 +2,7 @@
 // concurrent sweep schedule. Every capability's Meta names the telemetry
 // regions it reads and the actuation surfaces it writes; the grid packs
 // write-disjoint capabilities into shared waves and orders conflicting
-// ones by registration, replacing the old Exclusive bit's global actuator
+// ones by registration, instead of holding every actuator behind one global
 // lock. The example prints the production schedule for the full 4x4 grid,
 // runs one sweep against a simulated center, and reports the scheduler's
 // observability counters.

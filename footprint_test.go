@@ -21,9 +21,8 @@ func TestFootprintLint(t *testing.T) {
 	}
 }
 
-// TestFullGridDeclaresFootprints: with every built-in capability migrated,
-// no capability should still rely on the legacy Exclusive bit, and every
-// capability should declare at least one read or write.
+// TestFullGridDeclaresFootprints: every built-in capability declares at
+// least one read or write.
 func TestFullGridDeclaresFootprints(t *testing.T) {
 	g, err := FullGrid()
 	if err != nil {
@@ -32,9 +31,6 @@ func TestFullGridDeclaresFootprints(t *testing.T) {
 	for _, name := range g.Names() {
 		c, _ := g.Get(name)
 		m := c.Meta()
-		if m.Exclusive {
-			t.Errorf("%s: still uses the legacy Exclusive bit; declare Writes instead", name)
-		}
 		if len(m.Reads) == 0 && len(m.Writes) == 0 {
 			t.Errorf("%s: declares no footprint at all", name)
 		}
@@ -97,7 +93,7 @@ func TestFullGridWaveEquivalence(t *testing.T) {
 // TestFullGridWaves sanity-checks the production schedule: multiple waves
 // (conflicting actuators are ordered), a first wave far wider than one
 // (read-only analytics overlap), and more than one writer sharing a wave
-// somewhere (the whole point of footprints over the Exclusive bit).
+// somewhere (the whole point of footprints over one global actuator lock).
 func TestFullGridWaves(t *testing.T) {
 	g, err := FullGrid()
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/binenc"
 	"repro/internal/wire"
 )
 
@@ -180,8 +181,8 @@ func (c *rpcClient) topoPush(t *Topology, timeout time.Duration) (uint64, error)
 	if err != nil {
 		return 0, err
 	}
-	p := &protoReader{buf: payload}
-	return p.uvarint()
+	p := binenc.NewReader(payload)
+	return p.Uvarint(), p.Err()
 }
 
 func (c *rpcClient) repair(q *repairRequest, timeout time.Duration) (*repairResponse, error) {

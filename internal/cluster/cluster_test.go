@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -137,7 +138,7 @@ func startCluster(t testing.TB, ids []string, rf int, durable bool, tweak func(*
 	nodes := make(map[string]*testNode, len(ids))
 	for _, id := range ids {
 		n := &testNode{id: id, addr: "mem://" + id}
-		var local Appender
+		var local timeseries.RefAppender
 		if durable {
 			d, err := persist.Open(t.TempDir(), persist.Options{ChunkSize: 16, Fsync: persist.FsyncAlways})
 			if err != nil {
@@ -852,5 +853,23 @@ func TestClusterConfigValidation(t *testing.T) {
 	bad.Local = nil
 	if _, err := New(bad); err == nil {
 		t.Fatal("nil Local must be rejected")
+	}
+}
+
+// TestRouterSurfacesClosedStore: a router whose local durable store has been
+// closed reports the refusal — wrapped timeseries.ErrStoreClosed — from
+// AppendBatch instead of trying another way in.
+func TestRouterSurfacesClosedStore(t *testing.T) {
+	nodes, _ := startCluster(t, []string{"n1"}, 1, true, nil)
+	n1 := nodes["n1"]
+	id := metric.ID{Name: "node_power_watts", Labels: metric.NewLabels("node", "n01")}
+	if n, err := n1.router.AppendBatch(entriesFor(id, []int64{1000}, 1)); n != 1 || err != nil {
+		t.Fatalf("append before close: %d, %v", n, err)
+	}
+	if err := n1.durable.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := n1.router.AppendBatch(entriesFor(id, []int64{2000}, 2)); n != 0 || !errors.Is(err, timeseries.ErrStoreClosed) {
+		t.Fatalf("append after close: %d, %v; want 0, ErrStoreClosed", n, err)
 	}
 }

@@ -95,7 +95,7 @@ func TestTopologyEncodeDecodeRoundTrip(t *testing.T) {
 func newSoloNode(t testing.TB, fabric *memNet, id string, durable bool) *testNode {
 	t.Helper()
 	n := &testNode{id: id, addr: "mem://" + id}
-	var local Appender
+	var local timeseries.RefAppender
 	if durable {
 		d, err := persist.Open(t.TempDir(), persist.Options{ChunkSize: 16, Fsync: persist.FsyncAlways})
 		if err != nil {

@@ -1,19 +1,16 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
-	"math"
 
+	"repro/internal/binenc"
 	"repro/internal/timeseries"
 )
 
 // Cluster RPC rides the wire package's frame layer (magic/version/CRC) with
 // its own frame types, so a cluster listener can also accept plain agent
 // FrameBatch traffic on the same port. Requests and responses are single
-// frames; payloads use the same uvarint/varint/8-byte-float conventions as
-// the batch codec.
+// frames; payloads are binenc primitives, like the batch codec's.
 const (
 	// FrameQueryReq asks a peer to execute a query op against its local
 	// store (or one of its replica stores) and return per-key results.
@@ -161,253 +158,91 @@ type repSnapResponse struct {
 	Lag           int64
 }
 
-// --- encode/decode helpers (same conventions as the wire batch codec) ---
-
-func appendUvarint(b []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	return append(b, tmp[:n]...)
-}
-
-func appendVarint(b []byte, v int64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(tmp[:], v)
-	return append(b, tmp[:n]...)
-}
-
-func appendString(b []byte, s string) []byte {
-	b = appendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendFloat(b []byte, v float64) []byte {
-	var tmp [8]byte
-	binary.BigEndian.PutUint64(tmp[:], math.Float64bits(v))
-	return append(b, tmp[:]...)
-}
-
-func appendBytes(b, p []byte) []byte {
-	b = appendUvarint(b, uint64(len(p)))
-	return append(b, p...)
-}
-
-type protoReader struct {
-	buf []byte
-	pos int
-}
-
-func (p *protoReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(p.buf[p.pos:])
-	if n <= 0 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	p.pos += n
-	return v, nil
-}
-
-func (p *protoReader) varint() (int64, error) {
-	v, n := binary.Varint(p.buf[p.pos:])
-	if n <= 0 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	p.pos += n
-	return v, nil
-}
-
-func (p *protoReader) count() (int, error) {
-	v, err := p.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	// Every counted element costs at least one byte, so a count larger than
-	// the remaining payload is corrupt — reject before allocating.
-	if v > uint64(len(p.buf)-p.pos) {
-		return 0, fmt.Errorf("cluster: implausible count %d", v)
-	}
-	return int(v), nil
-}
-
-func (p *protoReader) str() (string, error) {
-	n, err := p.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(len(p.buf)-p.pos) {
-		return "", io.ErrUnexpectedEOF
-	}
-	s := string(p.buf[p.pos : p.pos+int(n)])
-	p.pos += int(n)
-	return s, nil
-}
-
-func (p *protoReader) bytes() ([]byte, error) {
-	n, err := p.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(p.buf)-p.pos) {
-		return nil, io.ErrUnexpectedEOF
-	}
-	out := make([]byte, n)
-	copy(out, p.buf[p.pos:p.pos+int(n)])
-	p.pos += int(n)
-	return out, nil
-}
-
-func (p *protoReader) float() (float64, error) {
-	if p.pos+8 > len(p.buf) {
-		return 0, io.ErrUnexpectedEOF
-	}
-	v := math.Float64frombits(binary.BigEndian.Uint64(p.buf[p.pos:]))
-	p.pos += 8
-	return v, nil
-}
-
-func (p *protoReader) byteVal() (byte, error) {
-	if p.pos >= len(p.buf) {
-		return 0, io.ErrUnexpectedEOF
-	}
-	b := p.buf[p.pos]
-	p.pos++
-	return b, nil
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-func (p *protoReader) boolVal() (bool, error) {
-	b, err := p.byteVal()
-	return b != 0, err
-}
-
 // --- Partial / PartialPoint ---
 
 func appendPartial(b []byte, pa *timeseries.Partial) []byte {
-	b = appendVarint(b, pa.Count)
-	b = appendFloat(b, pa.Sum)
-	b = appendFloat(b, pa.Min)
-	b = appendFloat(b, pa.Max)
-	b = appendVarint(b, pa.FirstT)
-	b = appendFloat(b, pa.FirstV)
-	b = appendVarint(b, pa.LastT)
-	b = appendFloat(b, pa.LastV)
-	return b
+	b = binenc.AppendVarint(b, pa.Count)
+	b = binenc.AppendFloat(b, pa.Sum)
+	b = binenc.AppendFloat(b, pa.Min)
+	b = binenc.AppendFloat(b, pa.Max)
+	b = binenc.AppendVarint(b, pa.FirstT)
+	b = binenc.AppendFloat(b, pa.FirstV)
+	b = binenc.AppendVarint(b, pa.LastT)
+	return binenc.AppendFloat(b, pa.LastV)
 }
 
-func (p *protoReader) partial(pa *timeseries.Partial) error {
-	var err error
-	if pa.Count, err = p.varint(); err != nil {
-		return err
+func readPartial(p *binenc.Reader) timeseries.Partial {
+	return timeseries.Partial{
+		Count:  p.Varint(),
+		Sum:    p.Float(),
+		Min:    p.Float(),
+		Max:    p.Float(),
+		FirstT: p.Varint(),
+		FirstV: p.Float(),
+		LastT:  p.Varint(),
+		LastV:  p.Float(),
 	}
-	if pa.Sum, err = p.float(); err != nil {
-		return err
-	}
-	if pa.Min, err = p.float(); err != nil {
-		return err
-	}
-	if pa.Max, err = p.float(); err != nil {
-		return err
-	}
-	if pa.FirstT, err = p.varint(); err != nil {
-		return err
-	}
-	if pa.FirstV, err = p.float(); err != nil {
-		return err
-	}
-	if pa.LastT, err = p.varint(); err != nil {
-		return err
-	}
-	if pa.LastV, err = p.float(); err != nil {
-		return err
-	}
-	return nil
 }
+
+// partialLen is the smallest encoded Partial: three varints, five floats.
+const partialLen = 3 + 5*8
 
 // --- query request ---
 
 func encodeQueryRequest(q *queryRequest) []byte {
 	b := make([]byte, 0, 64)
 	b = append(b, byte(q.Op))
-	b = appendUvarint(b, q.Epoch)
-	b = appendString(b, q.ReplicaOf)
-	b = appendString(b, string(q.Fn))
-	b = appendVarint(b, q.From)
-	b = appendVarint(b, q.To)
-	b = appendVarint(b, q.Step)
-	b = appendUvarint(b, uint64(len(q.Keys)))
+	b = binenc.AppendUvarint(b, q.Epoch)
+	b = binenc.AppendString(b, q.ReplicaOf)
+	b = binenc.AppendString(b, string(q.Fn))
+	b = binenc.AppendVarint(b, q.From)
+	b = binenc.AppendVarint(b, q.To)
+	b = binenc.AppendVarint(b, q.Step)
+	b = binenc.AppendUvarint(b, uint64(len(q.Keys)))
 	for _, k := range q.Keys {
-		b = appendString(b, k)
+		b = binenc.AppendString(b, k)
 	}
 	return b
 }
 
 func decodeQueryRequest(payload []byte) (*queryRequest, error) {
-	p := &protoReader{buf: payload}
-	var q queryRequest
-	op, err := p.byteVal()
-	if err != nil {
-		return nil, err
+	p := binenc.NewReader(payload)
+	q := &queryRequest{
+		Op:        queryOp(p.Byte()),
+		Epoch:     p.Uvarint(),
+		ReplicaOf: p.Str(),
+		Fn:        timeseries.AggFunc(p.Str()),
+		From:      p.Varint(),
+		To:        p.Varint(),
+		Step:      p.Varint(),
 	}
-	q.Op = queryOp(op)
-	if q.Epoch, err = p.uvarint(); err != nil {
-		return nil, err
+	q.Keys = make([]string, p.Count(1))
+	for i := range q.Keys {
+		q.Keys[i] = p.Str()
 	}
-	if q.ReplicaOf, err = p.str(); err != nil {
-		return nil, err
-	}
-	fn, err := p.str()
-	if err != nil {
-		return nil, err
-	}
-	q.Fn = timeseries.AggFunc(fn)
-	if q.From, err = p.varint(); err != nil {
-		return nil, err
-	}
-	if q.To, err = p.varint(); err != nil {
-		return nil, err
-	}
-	if q.Step, err = p.varint(); err != nil {
-		return nil, err
-	}
-	nk, err := p.count()
-	if err != nil {
-		return nil, err
-	}
-	q.Keys = make([]string, 0, nk)
-	for i := 0; i < nk; i++ {
-		k, err := p.str()
-		if err != nil {
-			return nil, err
-		}
-		q.Keys = append(q.Keys, k)
-	}
-	return &q, nil
+	return q, p.Err()
 }
 
 // --- query response ---
 
 func encodeQueryResponse(op queryOp, resp *queryResponse) []byte {
 	b := make([]byte, 0, 64)
-	b = appendString(b, resp.Err)
+	b = binenc.AppendString(b, resp.Err)
 	if resp.Err != "" {
 		return b
 	}
-	b = appendBool(b, resp.EpochMismatch)
-	b = appendUvarint(b, resp.Epoch)
+	b = binenc.AppendBool(b, resp.EpochMismatch)
+	b = binenc.AppendUvarint(b, resp.Epoch)
 	if resp.EpochMismatch {
 		return b
 	}
-	b = appendBool(b, resp.Promoted)
-	b = appendUvarint(b, resp.ReplSeq)
-	b = appendVarint(b, resp.ReplOff)
-	b = appendUvarint(b, uint64(len(resp.Results)))
+	b = binenc.AppendBool(b, resp.Promoted)
+	b = binenc.AppendUvarint(b, resp.ReplSeq)
+	b = binenc.AppendVarint(b, resp.ReplOff)
+	b = binenc.AppendUvarint(b, uint64(len(resp.Results)))
 	for i := range resp.Results {
 		r := &resp.Results[i]
-		b = appendBool(b, r.Found)
+		b = binenc.AppendBool(b, r.Found)
 		if !r.Found {
 			continue
 		}
@@ -415,24 +250,24 @@ func encodeQueryResponse(op queryOp, resp *queryResponse) []byte {
 		case opReducePartial:
 			b = appendPartial(b, &r.Partial)
 		case opAggPartials:
-			b = appendUvarint(b, uint64(len(r.PPoints)))
+			b = binenc.AppendUvarint(b, uint64(len(r.PPoints)))
 			for j := range r.PPoints {
-				b = appendVarint(b, r.PPoints[j].Start)
+				b = binenc.AppendVarint(b, r.PPoints[j].Start)
 				b = appendPartial(b, &r.PPoints[j].Agg)
 			}
 		case opSeriesValues:
-			b = appendUvarint(b, uint64(len(r.Values)))
+			b = binenc.AppendUvarint(b, uint64(len(r.Values)))
 			for _, v := range r.Values {
-				b = appendFloat(b, v)
+				b = binenc.AppendFloat(b, v)
 			}
 		case opReduceFull:
-			b = appendFloat(b, r.Value)
-			b = appendVarint(b, r.Count)
+			b = binenc.AppendFloat(b, r.Value)
+			b = binenc.AppendVarint(b, r.Count)
 		case opAggFull:
-			b = appendUvarint(b, uint64(len(r.Points)))
+			b = binenc.AppendUvarint(b, uint64(len(r.Points)))
 			for j := range r.Points {
-				b = appendVarint(b, r.Points[j].Start)
-				b = appendFloat(b, r.Points[j].Value)
+				b = binenc.AppendVarint(b, r.Points[j].Start)
+				b = binenc.AppendFloat(b, r.Points[j].Value)
 			}
 		}
 	}
@@ -440,336 +275,197 @@ func encodeQueryResponse(op queryOp, resp *queryResponse) []byte {
 }
 
 func decodeQueryResponse(op queryOp, payload []byte) (*queryResponse, error) {
-	p := &protoReader{buf: payload}
-	var resp queryResponse
-	var err error
-	if resp.Err, err = p.str(); err != nil {
-		return nil, err
+	if op < opReducePartial || op > opAggFull {
+		return nil, fmt.Errorf("cluster: unknown query op %d", op)
 	}
-	if resp.Err != "" {
-		return &resp, nil
+	p := binenc.NewReader(payload)
+	resp := &queryResponse{Err: p.Str()}
+	if resp.Err != "" || p.Err() != nil {
+		return resp, p.Err()
 	}
-	if resp.EpochMismatch, err = p.boolVal(); err != nil {
-		return nil, err
+	resp.EpochMismatch = p.Bool()
+	resp.Epoch = p.Uvarint()
+	if resp.EpochMismatch || p.Err() != nil {
+		return resp, p.Err()
 	}
-	if resp.Epoch, err = p.uvarint(); err != nil {
-		return nil, err
-	}
-	if resp.EpochMismatch {
-		return &resp, nil
-	}
-	if resp.Promoted, err = p.boolVal(); err != nil {
-		return nil, err
-	}
-	if resp.ReplSeq, err = p.uvarint(); err != nil {
-		return nil, err
-	}
-	if resp.ReplOff, err = p.varint(); err != nil {
-		return nil, err
-	}
-	nr, err := p.count()
-	if err != nil {
-		return nil, err
-	}
-	resp.Results = make([]keyResult, nr)
-	for i := 0; i < nr; i++ {
+	resp.Promoted = p.Bool()
+	resp.ReplSeq = p.Uvarint()
+	resp.ReplOff = p.Varint()
+	resp.Results = make([]keyResult, p.Count(1))
+	for i := range resp.Results {
 		r := &resp.Results[i]
-		if r.Found, err = p.boolVal(); err != nil {
-			return nil, err
-		}
-		if !r.Found {
+		if r.Found = p.Bool(); !r.Found {
 			continue
 		}
 		switch op {
 		case opReducePartial:
-			if err := p.partial(&r.Partial); err != nil {
-				return nil, err
-			}
+			r.Partial = readPartial(&p)
 		case opAggPartials:
-			np, err := p.count()
-			if err != nil {
-				return nil, err
-			}
-			r.PPoints = make([]timeseries.PartialPoint, np)
-			for j := 0; j < np; j++ {
-				if r.PPoints[j].Start, err = p.varint(); err != nil {
-					return nil, err
-				}
-				if err := p.partial(&r.PPoints[j].Agg); err != nil {
-					return nil, err
-				}
+			r.PPoints = make([]timeseries.PartialPoint, p.Count(1+partialLen))
+			for j := range r.PPoints {
+				r.PPoints[j] = timeseries.PartialPoint{Start: p.Varint(), Agg: readPartial(&p)}
 			}
 		case opSeriesValues:
-			nv, err := p.count()
-			if err != nil {
-				return nil, err
-			}
-			r.Values = make([]float64, nv)
-			for j := 0; j < nv; j++ {
-				if r.Values[j], err = p.float(); err != nil {
-					return nil, err
-				}
+			r.Values = make([]float64, p.Count(8))
+			for j := range r.Values {
+				r.Values[j] = p.Float()
 			}
 		case opReduceFull:
-			if r.Value, err = p.float(); err != nil {
-				return nil, err
-			}
-			if r.Count, err = p.varint(); err != nil {
-				return nil, err
-			}
+			r.Value = p.Float()
+			r.Count = p.Varint()
 		case opAggFull:
-			np, err := p.count()
-			if err != nil {
-				return nil, err
+			r.Points = make([]timeseries.AggPoint, p.Count(9))
+			for j := range r.Points {
+				r.Points[j] = timeseries.AggPoint{Start: p.Varint(), Value: p.Float()}
 			}
-			r.Points = make([]timeseries.AggPoint, np)
-			for j := 0; j < np; j++ {
-				if r.Points[j].Start, err = p.varint(); err != nil {
-					return nil, err
-				}
-				if r.Points[j].Value, err = p.float(); err != nil {
-					return nil, err
-				}
-			}
-		default:
-			return nil, fmt.Errorf("cluster: unknown query op %d", op)
 		}
 	}
-	return &resp, nil
+	return resp, p.Err()
 }
 
 // --- replication pull ---
 
 func encodeReplPullRequest(q *replPullRequest) []byte {
 	b := make([]byte, 0, 32)
-	b = appendUvarint(b, q.Epoch)
-	b = appendBool(b, q.WantSnapshot)
-	b = appendUvarint(b, q.FromSeq)
-	b = appendVarint(b, q.FromOff)
-	b = appendVarint(b, q.MaxBytes)
-	return b
+	b = binenc.AppendUvarint(b, q.Epoch)
+	b = binenc.AppendBool(b, q.WantSnapshot)
+	b = binenc.AppendUvarint(b, q.FromSeq)
+	b = binenc.AppendVarint(b, q.FromOff)
+	return binenc.AppendVarint(b, q.MaxBytes)
 }
 
 func decodeReplPullRequest(payload []byte) (*replPullRequest, error) {
-	p := &protoReader{buf: payload}
-	var q replPullRequest
-	var err error
-	if q.Epoch, err = p.uvarint(); err != nil {
-		return nil, err
+	p := binenc.NewReader(payload)
+	q := &replPullRequest{
+		Epoch:        p.Uvarint(),
+		WantSnapshot: p.Bool(),
+		FromSeq:      p.Uvarint(),
+		FromOff:      p.Varint(),
+		MaxBytes:     p.Varint(),
 	}
-	if q.WantSnapshot, err = p.boolVal(); err != nil {
-		return nil, err
-	}
-	if q.FromSeq, err = p.uvarint(); err != nil {
-		return nil, err
-	}
-	if q.FromOff, err = p.varint(); err != nil {
-		return nil, err
-	}
-	if q.MaxBytes, err = p.varint(); err != nil {
-		return nil, err
-	}
-	return &q, nil
+	return q, p.Err()
 }
 
 func encodeReplPullResponse(r *replPullResponse) []byte {
 	b := make([]byte, 0, 64)
-	b = appendString(b, r.Err)
+	b = binenc.AppendString(b, r.Err)
 	if r.Err != "" {
 		return b
 	}
-	b = appendBool(b, r.EpochMismatch)
-	b = appendUvarint(b, r.Epoch)
+	b = binenc.AppendBool(b, r.EpochMismatch)
+	b = binenc.AppendUvarint(b, r.Epoch)
 	if r.EpochMismatch {
 		return b
 	}
-	b = appendBool(b, r.SegmentGone)
-	b = appendBytes(b, r.Snapshot)
-	b = appendUvarint(b, r.NextSeq)
-	b = appendVarint(b, r.NextOff)
-	b = appendVarint(b, r.LagBytes)
-	b = appendUvarint(b, uint64(len(r.Records)))
+	b = binenc.AppendBool(b, r.SegmentGone)
+	b = binenc.AppendBytes(b, r.Snapshot)
+	b = binenc.AppendUvarint(b, r.NextSeq)
+	b = binenc.AppendVarint(b, r.NextOff)
+	b = binenc.AppendVarint(b, r.LagBytes)
+	b = binenc.AppendUvarint(b, uint64(len(r.Records)))
 	for _, rec := range r.Records {
-		b = appendBytes(b, rec)
+		b = binenc.AppendBytes(b, rec)
 	}
 	return b
 }
 
 func decodeReplPullResponse(payload []byte) (*replPullResponse, error) {
-	p := &protoReader{buf: payload}
-	var r replPullResponse
-	var err error
-	if r.Err, err = p.str(); err != nil {
-		return nil, err
+	p := binenc.NewReader(payload)
+	r := &replPullResponse{Err: p.Str()}
+	if r.Err != "" || p.Err() != nil {
+		return r, p.Err()
 	}
-	if r.Err != "" {
-		return &r, nil
+	r.EpochMismatch = p.Bool()
+	r.Epoch = p.Uvarint()
+	if r.EpochMismatch || p.Err() != nil {
+		return r, p.Err()
 	}
-	if r.EpochMismatch, err = p.boolVal(); err != nil {
-		return nil, err
+	r.SegmentGone = p.Bool()
+	r.Snapshot = p.Bytes()
+	r.NextSeq = p.Uvarint()
+	r.NextOff = p.Varint()
+	r.LagBytes = p.Varint()
+	r.Records = make([][]byte, p.Count(1))
+	for i := range r.Records {
+		r.Records[i] = p.Bytes()
 	}
-	if r.Epoch, err = p.uvarint(); err != nil {
-		return nil, err
-	}
-	if r.EpochMismatch {
-		return &r, nil
-	}
-	if r.SegmentGone, err = p.boolVal(); err != nil {
-		return nil, err
-	}
-	if r.Snapshot, err = p.bytes(); err != nil {
-		return nil, err
-	}
-	if r.NextSeq, err = p.uvarint(); err != nil {
-		return nil, err
-	}
-	if r.NextOff, err = p.varint(); err != nil {
-		return nil, err
-	}
-	if r.LagBytes, err = p.varint(); err != nil {
-		return nil, err
-	}
-	nr, err := p.count()
-	if err != nil {
-		return nil, err
-	}
-	r.Records = make([][]byte, 0, nr)
-	for i := 0; i < nr; i++ {
-		rec, err := p.bytes()
-		if err != nil {
-			return nil, err
-		}
-		r.Records = append(r.Records, rec)
-	}
-	return &r, nil
+	return r, p.Err()
 }
 
 // --- read-repair ---
 
 func encodeRepairRequest(q *repairRequest) []byte {
 	b := make([]byte, 0, 32)
-	b = appendUvarint(b, q.Epoch)
-	b = appendString(b, q.Leader)
-	b = appendString(b, q.From)
-	return b
+	b = binenc.AppendUvarint(b, q.Epoch)
+	b = binenc.AppendString(b, q.Leader)
+	return binenc.AppendString(b, q.From)
 }
 
 func decodeRepairRequest(payload []byte) (*repairRequest, error) {
-	p := &protoReader{buf: payload}
-	var q repairRequest
-	var err error
-	if q.Epoch, err = p.uvarint(); err != nil {
-		return nil, err
-	}
-	if q.Leader, err = p.str(); err != nil {
-		return nil, err
-	}
-	if q.From, err = p.str(); err != nil {
-		return nil, err
-	}
-	return &q, nil
+	p := binenc.NewReader(payload)
+	q := &repairRequest{Epoch: p.Uvarint(), Leader: p.Str(), From: p.Str()}
+	return q, p.Err()
 }
 
 func encodeRepairResponse(r *repairResponse) []byte {
 	b := make([]byte, 0, 16)
-	b = appendString(b, r.Err)
-	b = appendBool(b, r.EpochMismatch)
-	b = appendUvarint(b, r.Epoch)
-	b = appendBool(b, r.Repaired)
-	return b
+	b = binenc.AppendString(b, r.Err)
+	b = binenc.AppendBool(b, r.EpochMismatch)
+	b = binenc.AppendUvarint(b, r.Epoch)
+	return binenc.AppendBool(b, r.Repaired)
 }
 
 func decodeRepairResponse(payload []byte) (*repairResponse, error) {
-	p := &protoReader{buf: payload}
-	var r repairResponse
-	var err error
-	if r.Err, err = p.str(); err != nil {
-		return nil, err
-	}
-	if r.EpochMismatch, err = p.boolVal(); err != nil {
-		return nil, err
-	}
-	if r.Epoch, err = p.uvarint(); err != nil {
-		return nil, err
-	}
-	if r.Repaired, err = p.boolVal(); err != nil {
-		return nil, err
-	}
-	return &r, nil
+	p := binenc.NewReader(payload)
+	r := &repairResponse{Err: p.Str(), EpochMismatch: p.Bool(), Epoch: p.Uvarint(), Repaired: p.Bool()}
+	return r, p.Err()
 }
 
 func encodeRepSnapRequest(q *repSnapRequest) []byte {
 	b := make([]byte, 0, 16)
-	b = appendUvarint(b, q.Epoch)
-	b = appendString(b, q.Leader)
-	return b
+	b = binenc.AppendUvarint(b, q.Epoch)
+	return binenc.AppendString(b, q.Leader)
 }
 
 func decodeRepSnapRequest(payload []byte) (*repSnapRequest, error) {
-	p := &protoReader{buf: payload}
-	var q repSnapRequest
-	var err error
-	if q.Epoch, err = p.uvarint(); err != nil {
-		return nil, err
-	}
-	if q.Leader, err = p.str(); err != nil {
-		return nil, err
-	}
-	return &q, nil
+	p := binenc.NewReader(payload)
+	q := &repSnapRequest{Epoch: p.Uvarint(), Leader: p.Str()}
+	return q, p.Err()
 }
 
 func encodeRepSnapResponse(r *repSnapResponse) []byte {
 	b := make([]byte, 0, 64)
-	b = appendString(b, r.Err)
+	b = binenc.AppendString(b, r.Err)
 	if r.Err != "" {
 		return b
 	}
-	b = appendBool(b, r.EpochMismatch)
-	b = appendUvarint(b, r.Epoch)
+	b = binenc.AppendBool(b, r.EpochMismatch)
+	b = binenc.AppendUvarint(b, r.Epoch)
 	if r.EpochMismatch {
 		return b
 	}
-	b = appendBytes(b, r.Snapshot)
-	b = appendUvarint(b, r.Seq)
-	b = appendVarint(b, r.Off)
-	b = appendUvarint(b, r.Records)
-	b = appendVarint(b, r.Lag)
-	return b
+	b = binenc.AppendBytes(b, r.Snapshot)
+	b = binenc.AppendUvarint(b, r.Seq)
+	b = binenc.AppendVarint(b, r.Off)
+	b = binenc.AppendUvarint(b, r.Records)
+	return binenc.AppendVarint(b, r.Lag)
 }
 
 func decodeRepSnapResponse(payload []byte) (*repSnapResponse, error) {
-	p := &protoReader{buf: payload}
-	var r repSnapResponse
-	var err error
-	if r.Err, err = p.str(); err != nil {
-		return nil, err
+	p := binenc.NewReader(payload)
+	r := &repSnapResponse{Err: p.Str()}
+	if r.Err != "" || p.Err() != nil {
+		return r, p.Err()
 	}
-	if r.Err != "" {
-		return &r, nil
+	r.EpochMismatch = p.Bool()
+	r.Epoch = p.Uvarint()
+	if r.EpochMismatch || p.Err() != nil {
+		return r, p.Err()
 	}
-	if r.EpochMismatch, err = p.boolVal(); err != nil {
-		return nil, err
-	}
-	if r.Epoch, err = p.uvarint(); err != nil {
-		return nil, err
-	}
-	if r.EpochMismatch {
-		return &r, nil
-	}
-	if r.Snapshot, err = p.bytes(); err != nil {
-		return nil, err
-	}
-	if r.Seq, err = p.uvarint(); err != nil {
-		return nil, err
-	}
-	if r.Off, err = p.varint(); err != nil {
-		return nil, err
-	}
-	if r.Records, err = p.uvarint(); err != nil {
-		return nil, err
-	}
-	if r.Lag, err = p.varint(); err != nil {
-		return nil, err
-	}
-	return &r, nil
+	r.Snapshot = p.Bytes()
+	r.Seq = p.Uvarint()
+	r.Off = p.Varint()
+	r.Records = p.Uvarint()
+	r.Lag = p.Varint()
+	return r, p.Err()
 }

@@ -13,12 +13,6 @@ import (
 	"repro/internal/wire"
 )
 
-// Appender is the local ingest sink a router writes owned samples to —
-// a bare timeseries.Store or a persist.DurableStore.
-type Appender interface {
-	AppendBatch(entries []timeseries.BatchEntry) (int, error)
-}
-
 // Peer names one cluster member: a stable node ID (the ring identity) and
 // the address of its cluster listener.
 type Peer struct {
@@ -41,8 +35,9 @@ type Config struct {
 	// fault-wrapped in-memory transports here.
 	Dial wire.Dialer
 	// Local receives samples this node owns (and forwarded samples from
-	// peers). Typically the DurableStore when one is configured.
-	Local Appender
+	// peers), through a RefCache: the DurableStore when one is configured,
+	// otherwise Store.
+	Local timeseries.RefAppender
 	// Store is this node's primary read store.
 	Store *timeseries.Store
 	// Durable, when set, lets this node serve WAL replication to followers.
@@ -51,9 +46,6 @@ type Config struct {
 	// store configuration — in particular rollup tiers — so planned queries
 	// against a replica behave like the leader's).
 	ReplicaOptions []timeseries.Option
-	// LegacyWire forwards peer batches with the v1 keyed frames instead of
-	// the v2 dictionary protocol — an escape hatch for mixed-version rings.
-	LegacyWire bool
 
 	// FlushEntries is the per-peer forward buffer size that triggers an
 	// automatic flush (0 = 256).
@@ -155,8 +147,8 @@ type Router struct {
 	// mu so the peer/replica maps always correspond to the stored value.
 	topo atomic.Pointer[Topology]
 
-	// refCache fronts the local appender with the series-ref fast path when
-	// the appender supports it (stores and durable stores both do).
+	// refCache fronts cfg.Local: every local append resolves each series
+	// to a ref once and then appends by ref.
 	refCache *timeseries.RefCache
 
 	// mu guards the membership-derived state below. Routing holds it for
@@ -214,8 +206,6 @@ type peer struct {
 	dial wire.Dialer
 
 	sendTimeout time.Duration
-
-	legacyWire bool
 
 	mu    sync.Mutex
 	wc    *wire.Client // lazy: the peer may be down at startup
@@ -299,12 +289,10 @@ func New(cfg Config) (*Router, error) {
 	r := &Router{
 		cfg:      cfg,
 		self:     cfg.Self,
+		refCache: timeseries.NewRefCache(cfg.Local),
 		peers:    make(map[string]*peer),
 		replicas: make(map[string]*replica),
 		stop:     make(chan struct{}),
-	}
-	if ra, ok := cfg.Local.(timeseries.RefAppender); ok {
-		r.refCache = timeseries.NewRefCache(ra)
 	}
 	r.applyTopology(t)
 	return r, nil
@@ -318,7 +306,6 @@ func (r *Router) newPeer(id, addr string) *peer {
 		self:        r.self,
 		dial:        r.cfg.Dial,
 		sendTimeout: r.cfg.sendTimeout(),
-		legacyWire:  r.cfg.LegacyWire,
 		rc:          newRPCClient(addr, r.cfg.Dial),
 	}
 	p.up.Store(true) // optimistic until a send or ping says otherwise
@@ -538,14 +525,10 @@ func (r *Router) route(entries []timeseries.BatchEntry, count bool) (int, error)
 	return accepted, firstErr
 }
 
-// appendLocal lands entries on this node's appender, through the series-ref
-// fast path when the appender supports it. keys[i], when non-nil, must be
-// entries[i].ID.Key() (the ring already serialized them for routing).
+// appendLocal lands entries on this node's appender. keys[i], when non-nil,
+// must be entries[i].ID.Key() (the ring already serialized them for routing).
 func (r *Router) appendLocal(entries []timeseries.BatchEntry, keys []string) (int, error) {
-	if r.refCache != nil {
-		return r.refCache.AppendBatchKeys(entries, keys)
-	}
-	return r.cfg.Local.AppendBatch(entries)
+	return r.refCache.AppendBatchKeys(entries, keys)
 }
 
 // Flush pushes every peer's pending forward buffer out now. Tests and the
@@ -569,9 +552,7 @@ func (p *peer) wireClientLocked() (*wire.Client, error) {
 		return nil, err
 	}
 	wc.SetTimeout(p.sendTimeout)
-	if !p.legacyWire {
-		wc.EnableDict()
-	}
+	wc.EnableDict()
 	p.wc = wc
 	return wc, nil
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/binenc"
 	"repro/internal/wire"
 )
 
@@ -198,7 +199,7 @@ func (s *Server) handleFrame(conn net.Conn, dict **wire.ConnDict, ft uint8, payl
 		}
 		s.router.applyTopology(t)
 		s.topoFrames.Add(1)
-		return wire.WriteFrame(conn, FrameTopoAck, appendUvarint(nil, s.router.Epoch()))
+		return wire.WriteFrame(conn, FrameTopoAck, binenc.AppendUvarint(nil, s.router.Epoch()))
 	case FrameRepairReq:
 		q, err := decodeRepairRequest(payload)
 		if err != nil {

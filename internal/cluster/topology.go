@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/binenc"
 )
 
 // Topology is the cluster membership as a first-class, epoch-versioned
@@ -134,46 +136,27 @@ func (t *Topology) WithLeft(id string) (*Topology, error) {
 // encodeTopology serializes a topology for FrameTopoResp / FrameTopoPush.
 func encodeTopology(t *Topology) []byte {
 	b := make([]byte, 0, 64)
-	b = appendUvarint(b, t.Epoch)
-	b = appendUvarint(b, uint64(t.VNodes))
-	b = appendUvarint(b, uint64(t.RF))
-	b = appendUvarint(b, uint64(len(t.Members)))
+	b = binenc.AppendUvarint(b, t.Epoch)
+	b = binenc.AppendUvarint(b, uint64(t.VNodes))
+	b = binenc.AppendUvarint(b, uint64(t.RF))
+	b = binenc.AppendUvarint(b, uint64(len(t.Members)))
 	for _, m := range t.Members {
-		b = appendString(b, m.ID)
-		b = appendString(b, m.Addr)
+		b = binenc.AppendString(b, m.ID)
+		b = binenc.AppendString(b, m.Addr)
 	}
 	return b
 }
 
 // decodeTopology parses an encodeTopology payload and rebuilds the ring.
 func decodeTopology(payload []byte) (*Topology, error) {
-	p := &protoReader{buf: payload}
-	epoch, err := p.uvarint()
-	if err != nil {
-		return nil, err
+	p := binenc.NewReader(payload)
+	epoch, vn, rf := p.Uvarint(), p.Uvarint(), p.Uvarint()
+	members := make([]Member, p.Count(2)) // an ID and an address each
+	for i := range members {
+		members[i] = Member{ID: p.Str(), Addr: p.Str()}
 	}
-	vn, err := p.uvarint()
-	if err != nil {
+	if err := p.Err(); err != nil {
 		return nil, err
-	}
-	rf, err := p.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	n, err := p.count()
-	if err != nil {
-		return nil, err
-	}
-	members := make([]Member, 0, n)
-	for i := 0; i < n; i++ {
-		var m Member
-		if m.ID, err = p.str(); err != nil {
-			return nil, err
-		}
-		if m.Addr, err = p.str(); err != nil {
-			return nil, err
-		}
-		members = append(members, m)
 	}
 	return NewTopology(epoch, members, int(vn), int(rf))
 }

@@ -73,30 +73,17 @@ func (e *RejectedError) Error() string {
 	return fmt.Sprintf("collector: sink rejected %d samples", e.N)
 }
 
-// BatchAppender is the slice of the TSDB ingest surface StoreSink needs.
-// Both *timeseries.Store and the durable wrapper (*persist.DurableStore)
-// implement it.
-type BatchAppender interface {
-	AppendBatch([]timeseries.BatchEntry) (int, error)
-}
-
-// StoreSink writes readings into a TSDB store (or a durable wrapper).
-//
-// When the store supports the ref ingest fast path
-// (timeseries.RefAppender — both *timeseries.Store and
-// *persist.DurableStore do), the sink resolves each series once and then
-// appends by interned ref, skipping per-sample key serialization, hashing
-// and map lookups. Sources hand back readings in a stable order, so the
-// ref cache is positional: cache slot i is validated against reading i by
-// name and label identity, which makes the steady-state scrape zero-
+// StoreSink writes readings into a TSDB store (*timeseries.Store) or its
+// durable wrapper (*persist.DurableStore): it resolves each series once and
+// then appends by interned ref, skipping per-sample key serialization,
+// hashing and map lookups. Sources hand back readings in a stable order, so
+// the ref cache is positional: cache slot i is validated against reading i
+// by name and label identity, which makes the steady-state scrape zero-
 // lookup as well as zero-alloc. The cache heals itself across ref epoch
-// bumps (Downsample/Retain/recovery swaps) and DisableRefs forces the
-// keyed path.
+// bumps (Downsample/Retain/recovery swaps).
 type StoreSink struct {
-	Store BatchAppender
-	// DisableRefs forces keyed AppendBatch even when Store supports refs.
-	DisableRefs bool
-	errs        atomic.Uint64
+	Store timeseries.RefAppender
+	errs  atomic.Uint64
 
 	mu       sync.Mutex
 	refEpoch uint64
@@ -114,43 +101,25 @@ type sinkRef struct {
 
 // Consume implements Sink; ingest errors are counted, not fatal, matching
 // monitoring-fabric behaviour where one bad sample must not stop the flow.
-// The whole scrape goes down as one AppendRefs/AppendBatch so the store
-// amortizes lock acquisition across the batch. Partial rejections are
-// reported as a *RejectedError so the agent can account for them in
+// The whole scrape goes down as one AppendRefs so the store amortizes lock
+// acquisition across the batch. Partial rejections are reported as a
+// *RejectedError so the agent can account for them in
 // Stats.RejectedSamples alongside every other sink's rejections — but a
-// store that refused the batch wholesale because it is closed or read-only
-// (a durable store after Close reports timeseries.ErrStoreClosed) is a hard
-// sink failure, not N per-sample rejections: it surfaces as the original
-// error so Stats.SinkErrors counts it and RejectedSamples stays honest.
+// store that refused the scrape wholesale (it would not resolve a series,
+// or it is closed: a durable store after Close reports
+// timeseries.ErrStoreClosed) is a hard sink failure, not N per-sample
+// rejections: it surfaces as the original error so Stats.SinkErrors counts
+// it and RejectedSamples stays honest.
 func (s *StoreSink) Consume(_ string, now int64, readings []Reading) error {
 	if len(readings) == 0 {
 		return nil
 	}
-	if !s.DisableRefs {
-		// Re-assert every call: harnesses swap Store after a crash
-		// recovery, and the fresh store's new epoch invalidates the cache.
-		if ra, ok := s.Store.(timeseries.RefAppender); ok {
-			if done, appended, err := s.consumeRefs(ra, now, readings); done {
-				return s.finish(len(readings), appended, err)
-			}
-		}
-	}
-	batch := make([]timeseries.BatchEntry, len(readings))
-	for i, r := range readings {
-		batch[i] = timeseries.BatchEntry{ID: r.ID, Kind: r.Kind, Unit: r.Unit, T: now, V: r.Value}
-	}
-	appended, err := s.Store.AppendBatch(batch)
-	return s.finish(len(readings), appended, err)
-}
-
-// consumeRefs runs one scrape through the ref fast path. done=false means
-// the fast path could not take the batch (a Resolve failed for a reason
-// other than closure) and the keyed path should decide.
-func (s *StoreSink) consumeRefs(ra timeseries.RefAppender, now int64, readings []Reading) (done bool, appended int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for attempt := 0; ; attempt++ {
-		epoch := ra.RefEpoch()
+		// Re-read every call: harnesses swap Store after a crash recovery,
+		// and the fresh store's new epoch invalidates the cache.
+		epoch := s.Store.RefEpoch()
 		if epoch != s.refEpoch {
 			for i := range s.cache {
 				s.cache[i].ok = false
@@ -165,18 +134,15 @@ func (s *StoreSink) consumeRefs(ra timeseries.RefAppender, now int64, readings [
 			r := &readings[i]
 			c := &s.cache[i]
 			if !c.ok || c.name != r.ID.Name || !c.labels.Equal(r.ID.Labels) {
-				ref, rerr := ra.Resolve(r.ID, r.Kind, r.Unit)
-				if rerr != nil {
-					if errors.Is(rerr, timeseries.ErrStoreClosed) {
-						return true, 0, rerr
-					}
-					return false, 0, nil
+				ref, err := s.Store.Resolve(r.ID, r.Kind, r.Unit)
+				if err != nil {
+					return err
 				}
 				c.name, c.labels, c.ref, c.ok = r.ID.Name, r.ID.Labels, ref, true
 			}
 			s.refBuf = append(s.refBuf, timeseries.RefEntry{Ref: c.ref, T: now, V: r.Value})
 		}
-		appended, err = ra.AppendRefs(s.refBuf)
+		appended, err := s.Store.AppendRefs(s.refBuf)
 		// A wholly-stale batch lost a race with an epoch bump between
 		// resolving and appending; one re-resolve retry is double-append
 		// safe because nothing landed. A mixed batch reports the skipped
@@ -185,21 +151,15 @@ func (s *StoreSink) consumeRefs(ra timeseries.RefAppender, now int64, readings [
 			s.refEpoch = 0 // 0 is never a live epoch: invalidates the cache
 			continue
 		}
-		return true, appended, err
+		if errors.Is(err, timeseries.ErrStoreClosed) {
+			return err
+		}
+		if rejected := len(readings) - appended; rejected > 0 {
+			s.errs.Add(uint64(rejected))
+			return &RejectedError{N: rejected}
+		}
+		return nil
 	}
-}
-
-// finish converts an append outcome into the sink contract (hard failure
-// for a closed store, *RejectedError for partial rejections).
-func (s *StoreSink) finish(offered, appended int, err error) error {
-	if err != nil && errors.Is(err, timeseries.ErrStoreClosed) {
-		return err
-	}
-	if rejected := offered - appended; rejected > 0 {
-		s.errs.Add(uint64(rejected))
-		return &RejectedError{N: rejected}
-	}
-	return nil
 }
 
 // Errors returns the number of rejected samples.

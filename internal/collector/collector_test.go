@@ -2,12 +2,14 @@ package collector
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/bus"
 	"repro/internal/metric"
+	"repro/internal/persist"
 	"repro/internal/timeseries"
 	"repro/internal/wire"
 )
@@ -163,16 +165,21 @@ func TestAgentConcurrentRegistration(t *testing.T) {
 	<-done
 }
 
-// closedAppender mimics a durable store after Close: every batch is refused
-// wholesale with ErrStoreClosed rather than rejected per-sample.
-type closedAppender struct{}
-
-func (closedAppender) AppendBatch([]timeseries.BatchEntry) (int, error) {
-	return 0, timeseries.ErrStoreClosed
-}
-
+// TestStoreSinkClosedStoreIsHardError: a durable store after Close refuses
+// the scrape wholesale with (wrapped) ErrStoreClosed. That is one sink
+// error, not N per-sample rejections.
 func TestStoreSinkClosedStoreIsHardError(t *testing.T) {
-	sink := &StoreSink{Store: closedAppender{}}
+	d, err := persist.Open(t.TempDir(), persist.Options{Fsync: persist.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sink := &StoreSink{Store: d}
+	if err := sink.Consume("a0", 1000, []Reading{{ID: metric.ID{Name: "power"}, Kind: metric.Gauge, Value: 1}}); !errors.Is(err, timeseries.ErrStoreClosed) {
+		t.Fatalf("Consume on a closed store = %v, want ErrStoreClosed", err)
+	}
 	agent := NewAgent("a0", time.Second)
 	agent.AddSource(constSource("power", 1))
 	agent.AddSink(sink)

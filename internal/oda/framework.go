@@ -147,12 +147,6 @@ type Meta struct {
 	// other's read+write sets run in the same parallel wave of RunAll;
 	// conflicting capabilities execute in registration order.
 	Writes []Resource
-	// Exclusive is the legacy coarse actuation bit. A capability that sets
-	// it without declaring Writes desugars to a wildcard write (Writes
-	// ["*"]): it never overlaps any other capability and keeps
-	// registration order, exactly the pre-footprint semantics. Migrated
-	// capabilities should declare Writes instead and drop this.
-	Exclusive bool
 }
 
 // Result is what a capability produces when run over a telemetry window.
@@ -381,8 +375,7 @@ func (g *Grid) LastWorkers() int {
 // conflict-free waves from the declared footprints (Meta.Reads /
 // Meta.Writes; see Resource and schedule.go): capabilities whose write
 // sets are disjoint from each other's read+write sets share a wave and
-// overlap, while conflicting capabilities — including legacy Exclusive
-// ones, which desugar to a wildcard write — execute in registration order
+// overlap, while conflicting capabilities execute in registration order
 // across waves. The schedule depends only on the registered set, so the
 // result and error maps and the final state of every declared actuation
 // surface are identical for every pool size.
@@ -525,7 +518,7 @@ func (p *Pipeline) Append(t Type, c Capability) error {
 	}
 	if n := len(p.stages); n > 0 {
 		prev := p.stages[n-1]
-		upWrites := effectiveFootprint(prev.cap.Meta()).writes
+		upWrites := prev.cap.Meta().Writes
 		if len(m.Reads) > 0 && len(upWrites) > 0 && !intersects(upWrites, m.Reads) {
 			p.warnings = append(p.warnings, fmt.Sprintf(
 				"stage %q reads none of the resources %q writes (reads %v, upstream writes %v)",

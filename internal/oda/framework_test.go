@@ -247,14 +247,14 @@ func TestRunContextCarriesStore(t *testing.T) {
 }
 
 // slowCap reports how many capabilities are in flight at once, so tests can
-// assert both real concurrency and exclusive serialization.
-func slowCap(name string, exclusive bool, inFlight, peak *atomic.Int32) Capability {
+// assert both real concurrency and wildcard-write serialization.
+func slowCap(name string, writes []Resource, inFlight, peak *atomic.Int32) Capability {
 	return CapabilityFunc{
 		M: Meta{
 			Name:        name,
 			Description: "test " + name,
 			Cells:       []Cell{{SystemHardware, Descriptive}},
-			Exclusive:   exclusive,
+			Writes:      writes,
 		},
 		Fn: func(ctx *RunContext) (Result, error) {
 			n := inFlight.Add(1)
@@ -316,23 +316,23 @@ func TestGridRunAllParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestGridRunAllExclusiveSerialized checks that Exclusive capabilities never
-// overlap each other or the concurrent sweep, while non-exclusive ones do
-// actually run concurrently when workers allow.
-func TestGridRunAllExclusiveSerialized(t *testing.T) {
+// TestGridRunAllWildcardSerialized checks that wildcard writers never
+// overlap each other or the concurrent sweep, while capabilities that
+// declare nothing do actually run concurrently when workers allow.
+func TestGridRunAllWildcardSerialized(t *testing.T) {
 	var (
 		concIn, concPeak atomic.Int32
 		exclIn, exclPeak atomic.Int32
 	)
 	g := NewGrid()
 	for i := 0; i < 8; i++ {
-		_ = g.Register(slowCap(fmt.Sprintf("conc%d", i), false, &concIn, &concPeak))
+		_ = g.Register(slowCap(fmt.Sprintf("conc%d", i), nil, &concIn, &concPeak))
 	}
 	var order []string
 	var orderMu sync.Mutex
 	for i := 0; i < 4; i++ {
 		name := fmt.Sprintf("excl%d", i)
-		inner := slowCap(name, true, &exclIn, &exclPeak)
+		inner := slowCap(name, []Resource{ResWildcard}, &exclIn, &exclPeak)
 		_ = g.Register(CapabilityFunc{
 			M: inner.Meta(),
 			Fn: func(ctx *RunContext) (Result, error) {
@@ -355,15 +355,15 @@ func TestGridRunAllExclusiveSerialized(t *testing.T) {
 		t.Fatalf("results = %d, want 12", len(results))
 	}
 	if exclPeak.Load() != 1 {
-		t.Fatalf("exclusive peak concurrency = %d, want 1", exclPeak.Load())
+		t.Fatalf("wildcard-writer peak concurrency = %d, want 1", exclPeak.Load())
 	}
 	want := []string{"excl0", "excl1", "excl2", "excl3"}
 	if len(order) != len(want) {
-		t.Fatalf("exclusive order = %v", order)
+		t.Fatalf("wildcard-writer order = %v", order)
 	}
 	for i := range want {
 		if order[i] != want[i] {
-			t.Fatalf("exclusive order = %v, want registration order %v", order, want)
+			t.Fatalf("wildcard-writer order = %v, want registration order %v", order, want)
 		}
 	}
 	if runtime.GOMAXPROCS(0) > 1 && concPeak.Load() < 2 {

@@ -18,8 +18,8 @@ type Resource string
 // simulation.DataCenter (see DataCenter.ActuatorState):
 const (
 	// ResWildcard declares the whole system: a wildcard write conflicts
-	// with every other capability, reproducing the legacy Exclusive
-	// serialization. A wildcard read conflicts with every writer.
+	// with every other capability, which serializes it against all of them
+	// in registration order. A wildcard read conflicts with every writer.
 	ResWildcard Resource = "*"
 	// ResCooling is the thermal plant: facility cooling mode, supply
 	// setpoint, and per-node fan duty (building-infrastructure pillar).
@@ -92,22 +92,9 @@ func (r Resource) overlaps(o Resource) bool {
 	return r == o
 }
 
-// footprint is a capability's effective resource declaration after the
-// legacy-Exclusive desugaring.
+// footprint is a capability's resource declaration.
 type footprint struct {
 	reads, writes []Resource
-}
-
-// effectiveFootprint desugars a Meta into its footprint: a capability
-// marked Exclusive that declares no writes gets a wildcard write, so
-// unmigrated capabilities keep the old "never overlaps anything, ordered
-// by registration" semantics bit-for-bit.
-func effectiveFootprint(m Meta) footprint {
-	fp := footprint{reads: m.Reads, writes: m.Writes}
-	if m.Exclusive && len(m.Writes) == 0 {
-		fp.writes = []Resource{ResWildcard}
-	}
-	return fp
 }
 
 // wildcardWrite reports whether the footprint writes the whole system.
@@ -134,8 +121,7 @@ func (fp footprint) touches() []Resource {
 // conflicts reports whether two capabilities may interfere: either one's
 // write set overlaps anything the other touches. Read-read overlap never
 // conflicts. A wildcard write conflicts with every capability, even one
-// that declares nothing — that is what preserves the legacy Exclusive
-// contract against unmigrated read-only capabilities.
+// that declares nothing.
 func (fp footprint) conflicts(other footprint) bool {
 	if fp.wildcardWrite() || other.wildcardWrite() {
 		return true

@@ -38,8 +38,7 @@ type ScheduleStats struct {
 	// forced the later capability into a later wave, cumulative per sweep.
 	ConflictsDeferred int64
 	// ActuatorsOverlapped counts writing capabilities that shared a wave
-	// with at least one other writer — the overlap the old Exclusive bit
-	// forbade.
+	// with at least one other writer.
 	ActuatorsOverlapped int64
 	// Panics counts capability panics recovered into errors.
 	Panics int64
@@ -85,7 +84,8 @@ func (g *Grid) plan() schedulePlan {
 	if g.schedPlan == nil {
 		fps := make(map[string]footprint, len(g.byName))
 		for name, c := range g.byName {
-			fps[name] = effectiveFootprint(c.Meta())
+			m := c.Meta()
+			fps[name] = footprint{reads: m.Reads, writes: m.Writes}
 		}
 		p := planWaves(g.order, fps)
 		g.schedPlan = &p
@@ -180,7 +180,7 @@ func (g *Grid) recordSweep(plan schedulePlan, panics int64, parallel bool) {
 		}
 		writers := 0
 		for _, name := range wave {
-			if len(effectiveFootprint(g.byName[name].Meta()).writes) > 0 {
+			if len(g.byName[name].Meta().Writes) > 0 {
 				writers++
 			}
 		}
@@ -191,9 +191,9 @@ func (g *Grid) recordSweep(plan schedulePlan, panics int64, parallel bool) {
 }
 
 // LintFootprints reports footprint-convention violations: every capability
-// covering a prescriptive cell must declare a non-empty write set (the
-// legacy Exclusive desugaring counts), because a prescription that
-// actuates nothing cannot be scheduled against the loops that do. Returns
+// covering a prescriptive cell must declare a non-empty write set, because
+// a prescription that actuates nothing cannot be scheduled against the
+// loops that do. Returns
 // one message per violation, empty when the grid is clean.
 func LintFootprints(g *Grid) []string {
 	var out []string
@@ -206,7 +206,7 @@ func LintFootprints(g *Grid) []string {
 				break
 			}
 		}
-		if prescriptive && len(effectiveFootprint(m).writes) == 0 {
+		if prescriptive && len(m.Writes) == 0 {
 			out = append(out, fmt.Sprintf("%s: prescriptive capability declares no write footprint", name))
 		}
 	}

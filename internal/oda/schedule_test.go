@@ -70,11 +70,10 @@ func (v *virtualSystem) state() map[Resource][]string {
 
 // fpSpec describes one randomized capability of the property test.
 type fpSpec struct {
-	name      string
-	reads     []Resource
-	writes    []Resource
-	exclusive bool
-	fails     bool
+	name   string
+	reads  []Resource
+	writes []Resource
+	fails  bool
 }
 
 // randomSpecs derives a deterministic capability population from a seed.
@@ -84,9 +83,7 @@ func randomSpecs(rng *rand.Rand, pool []Resource) []fpSpec {
 	for i := range specs {
 		s := fpSpec{name: fmt.Sprintf("cap-%02d", i)}
 		switch rng.Intn(10) {
-		case 0: // legacy exclusive, no declared footprint
-			s.exclusive = true
-		case 1: // explicit wildcard writer
+		case 0: // wildcard writer
 			s.writes = []Resource{ResWildcard}
 		default:
 			for _, r := range pool {
@@ -112,18 +109,17 @@ func specGrid(t *testing.T, specs []fpSpec, sys *virtualSystem) *Grid {
 		idx := float64(i)
 		err := g.Register(CapabilityFunc{
 			M: Meta{
-				Name:      s.name,
-				Cells:     []Cell{{Pillar: SystemHardware, Type: Diagnostic}},
-				Reads:     s.reads,
-				Writes:    s.writes,
-				Exclusive: s.exclusive,
+				Name:   s.name,
+				Cells:  []Cell{{Pillar: SystemHardware, Type: Diagnostic}},
+				Reads:  s.reads,
+				Writes: s.writes,
 			},
 			Fn: func(ctx *RunContext) (Result, error) {
 				if s.fails {
 					return Result{}, fmt.Errorf("synthetic failure in %s", s.name)
 				}
-				observed := sys.observe(effectiveFootprint(Meta{Reads: s.reads, Writes: s.writes, Exclusive: s.exclusive}).reads)
-				sys.write(s.name, effectiveFootprint(Meta{Writes: s.writes, Exclusive: s.exclusive}).writes)
+				observed := sys.observe(s.reads)
+				sys.write(s.name, s.writes)
 				return Result{Values: map[string]float64{"idx": idx, "observed": observed}}, nil
 			},
 		})
@@ -136,7 +132,7 @@ func specGrid(t *testing.T, specs []fpSpec, sys *virtualSystem) *Grid {
 
 // TestScheduleEquivalenceProperty is the determinism contract of the wave
 // scheduler: for randomized capability sets with randomized footprints
-// (including legacy Exclusive, wildcard writers and failing capabilities),
+// (including wildcard writers and failing capabilities),
 // the results map, the errors map and the per-resource final actuator
 // state are identical across workers 1, 2 and 8, over 100 seeds.
 func TestScheduleEquivalenceProperty(t *testing.T) {
@@ -182,7 +178,7 @@ func TestScheduleEquivalenceProperty(t *testing.T) {
 }
 
 // TestDisjointActuatorsOverlap is the dual of
-// TestGridRunAllExclusiveSerialized: two actuators with disjoint write
+// TestGridRunAllWildcardSerialized: two actuators with disjoint write
 // footprints (cooling vs node-dvfs) must actually run in the same wave,
 // proven by a rendezvous — each waits for the other before returning, so
 // the sweep can only finish if they overlap in time.
@@ -435,19 +431,16 @@ func TestPipelineFootprintWarnings(t *testing.T) {
 	if warns := clean.Warnings(); len(warns) != 0 {
 		t.Fatalf("clean chain warnings = %v, want none", warns)
 	}
-	// A legacy Exclusive upstream desugars to a wildcard write, which
-	// overlaps every read: never a mismatch.
-	var legacy Pipeline
-	if err := legacy.Append(Prescriptive, CapabilityFunc{
-		M: Meta{Name: "legacy", Cells: []Cell{cell}, Exclusive: true},
-	}); err != nil {
+	// A wildcard-writing upstream overlaps every read: never a mismatch.
+	var whole Pipeline
+	if err := whole.Append(Prescriptive, writer("whole-system", ResWildcard)); err != nil {
 		t.Fatal(err)
 	}
-	if err := legacy.Append(Prescriptive, reader("after-legacy", ResJobQueue)); err != nil {
+	if err := whole.Append(Prescriptive, reader("after-whole", ResJobQueue)); err != nil {
 		t.Fatal(err)
 	}
-	if warns := legacy.Warnings(); len(warns) != 0 {
-		t.Fatalf("legacy chain warnings = %v, want none", warns)
+	if warns := whole.Warnings(); len(warns) != 0 {
+		t.Fatalf("wildcard chain warnings = %v, want none", warns)
 	}
 }
 
@@ -484,8 +477,8 @@ func TestWavesKeepRegistrationOrderForConflicts(t *testing.T) {
 	}
 }
 
-// TestLintFootprints: a prescriptive capability with no effective writes is
-// flagged; declared and legacy-Exclusive writers pass.
+// TestLintFootprints: a prescriptive capability that declares no writes is
+// flagged; declared writers and non-prescriptive capabilities pass.
 func TestLintFootprints(t *testing.T) {
 	g := NewGrid()
 	pres := Cell{Pillar: SystemHardware, Type: Prescriptive}
@@ -497,7 +490,6 @@ func TestLintFootprints(t *testing.T) {
 		}
 	}
 	must(CapabilityFunc{M: Meta{Name: "good", Cells: []Cell{pres}, Writes: []Resource{ResCooling}}})
-	must(CapabilityFunc{M: Meta{Name: "legacy", Cells: []Cell{pres}, Exclusive: true}})
 	must(CapabilityFunc{M: Meta{Name: "read-only-diag", Cells: []Cell{diag}, Reads: []Resource{ResJobQueue}}})
 	must(CapabilityFunc{M: Meta{Name: "toothless", Cells: []Cell{pres}}})
 	got := LintFootprints(g)

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -48,13 +49,15 @@ type Stats struct {
 	Checkpoints   uint64
 	SnapshotBytes int64
 	// Recovery describes what Open found: whether a snapshot was restored,
-	// how many WAL segments and records were replayed on top of it, and how
-	// many torn tails were truncated.
+	// how many WAL segments and records were replayed on top of it, how
+	// many torn tails were truncated, and how many segments written after a
+	// tear were set aside as *.seg.lost instead of replayed over the gap.
 	SnapshotLoaded   bool
 	ReplayedSegments int
 	ReplayedRecords  uint64
 	TruncatedTails   int
 	TruncatedBytes   int64
+	LostSegments     int
 }
 
 // DurableStore wraps a timeseries.Store with write-ahead logging and
@@ -86,12 +89,13 @@ type DurableStore struct {
 	// life of a store instance — to the uvarint refs used in opDefine /
 	// opAppendRef records; a checkpoint clears it, so post-snapshot
 	// segments are self-contained (every ref they use is re-defined within
-	// them). refEnc/refRecs/refValid are reused encode scratch.
+	// them). refEnc/refRecs/refValid/refIn are reused scratch.
 	walRefs    map[uint32]uint64
 	nextWALRef uint64
 	refEnc     []byte
 	refRecs    []refSample
 	refValid   []timeseries.RefEntry
+	refIn      []timeseries.RefEntry // AppendBatch's resolved entries
 
 	ckptMu sync.Mutex // serializes whole checkpoints (ticker vs Close)
 
@@ -104,6 +108,7 @@ type DurableStore struct {
 		replayedRecords  uint64
 		truncatedTails   int
 		truncatedBytes   int64
+		lostSegments     int
 	}
 
 	stop chan struct{}
@@ -112,16 +117,18 @@ type DurableStore struct {
 
 // Open recovers (or creates) a durable store in dir: it loads the newest
 // valid snapshot, replays every newer WAL segment — truncating a torn tail
-// at the first corrupt record — and starts a fresh WAL segment for new
-// writes. Recovery is idempotent: reopening without writes replays to the
-// identical store.
+// at the first corrupt record and setting aside, as *.seg.lost, any segment
+// written after it — and starts a fresh WAL segment for new writes. Recovery
+// is idempotent: reopening without writes replays to the identical store.
+// Intact data in a format this version does not read is not a tear: Open
+// returns ErrUnsupportedFormat and changes nothing on disk.
 func Open(dir string, opts Options) (*DurableStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	d := &DurableStore{dir: dir, opts: opts, stop: make(chan struct{}), walRefs: make(map[uint32]uint64)}
 
-	// Newest valid snapshot wins; corrupt ones fall back to older, then to
+	// Newest valid snapshot wins; damaged ones fall back to older, then to
 	// an empty store with full WAL replay.
 	snaps, err := listSeqFiles(dir, "snap-", ".snap")
 	if err != nil {
@@ -130,6 +137,9 @@ func Open(dir string, opts Options) (*DurableStore, error) {
 	startSeq := uint64(0) // replay segments with seq >= startSeq
 	for i := len(snaps) - 1; i >= 0; i-- {
 		st, err := loadSnapshot(snaps[i].path, opts.StoreOptions)
+		if errors.Is(err, ErrUnsupportedFormat) {
+			return nil, err
+		}
 		if err != nil {
 			continue
 		}
@@ -146,14 +156,16 @@ func Open(dir string, opts Options) (*DurableStore, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The fresh segment sorts after every file already there, whether it is
+	// replayed, covered by the snapshot or set aside below.
 	maxSeq := startSeq
+	if n := len(segs); n > 0 && segs[n-1].seq > maxSeq {
+		maxSeq = segs[n-1].seq
+	}
 	// One RefTable spans the whole ordered replay: opDefine bindings carry
 	// across segment boundaries exactly as the writer laid them down.
 	rt := NewRefTable()
-	for _, sg := range segs {
-		if sg.seq > maxSeq {
-			maxSeq = sg.seq
-		}
+	for i, sg := range segs {
 		if sg.seq < startSeq {
 			continue // fully covered by the snapshot; GC'd at next checkpoint
 		}
@@ -161,19 +173,32 @@ func Open(dir string, opts Options) (*DurableStore, error) {
 		if err != nil {
 			return nil, err
 		}
-		res := replaySegment(data, func(rec walRecord) { rec.apply(d.store, rt) })
+		res, err := replaySegment(data, func(rec walRecord) { rec.apply(d.store, rt) })
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", filepath.Base(sg.path), err)
+		}
 		d.recovery.replayedSegments++
 		d.recovery.replayedRecords += res.records
-		if res.torn {
-			d.recovery.truncatedTails++
-			d.recovery.truncatedBytes += res.tornSize
-			if err := os.Truncate(sg.path, res.offset); err != nil {
-				return nil, fmt.Errorf("persist: truncate torn tail of %s: %w", sg.path, err)
-			}
-			// Anything in later segments was written after a record this
-			// log already lost; stop rather than replay over a gap.
-			break
+		if !res.torn {
+			continue
 		}
+		d.recovery.truncatedTails++
+		d.recovery.truncatedBytes += res.tornSize
+		if err := os.Truncate(sg.path, res.offset); err != nil {
+			return nil, fmt.Errorf("persist: truncate torn tail of %s: %w", sg.path, err)
+		}
+		// Later segments were written after a record this log just lost;
+		// replaying them would land data over the gap. They cannot stay
+		// either: the next Open finds this segment clean and would replay
+		// them, so recovery would not be idempotent. Set them aside under a
+		// name no listing matches, for an operator to inspect.
+		for _, lost := range segs[i+1:] {
+			if err := os.Rename(lost.path, lost.path+".lost"); err != nil {
+				return nil, fmt.Errorf("persist: set aside %s after torn %s: %w", lost.path, sg.path, err)
+			}
+			d.recovery.lostSegments++
+		}
+		break
 	}
 
 	d.wal, err = openWAL(dir, maxSeq+1, opts.SegmentSize)
@@ -218,64 +243,92 @@ func (d *DurableStore) runTicker(every time.Duration, fn func()) {
 // every change.
 func (d *DurableStore) Store() *timeseries.Store { return d.store }
 
-// logApply writes one WAL record and applies it under the op lock,
-// returning the record's append sequence for the fsync policy.
-func (d *DurableStore) logApply(payload []byte, apply func()) (uint64, error) {
+// begin enters a mutating operation: it takes the checkpoint lock shared and
+// the op lock, or fails with ErrStoreClosed holding neither. Every begin is
+// paired with an end; fsync (ack) happens after end.
+func (d *DurableStore) begin() error {
 	d.mu.RLock()
 	if d.closed {
 		d.mu.RUnlock()
-		return 0, fmt.Errorf("persist: %w", timeseries.ErrStoreClosed)
+		return fmt.Errorf("persist: %w", timeseries.ErrStoreClosed)
 	}
 	d.opMu.Lock()
+	return nil
+}
+
+func (d *DurableStore) end() {
+	d.opMu.Unlock()
+	d.mu.RUnlock()
+}
+
+// logApply writes one WAL record and applies it under the op lock,
+// returning the record's append sequence for the fsync policy.
+func (d *DurableStore) logApply(payload []byte, apply func()) (uint64, error) {
+	if err := d.begin(); err != nil {
+		return 0, err
+	}
+	defer d.end()
 	seq, _, err := d.wal.append(payload)
 	if err == nil {
 		apply()
 	}
-	d.opMu.Unlock()
-	d.mu.RUnlock()
 	return seq, err
 }
 
-// ack applies the fsync policy before an operation is acknowledged.
+// ack applies the fsync policy before an operation is acknowledged: under
+// FsyncAlways one syncTo covers every record the call logged (seq is the
+// last of them; 0 means nothing was logged).
 func (d *DurableStore) ack(seq uint64) error {
-	if d.opts.Fsync == FsyncAlways {
+	if seq != 0 && d.opts.Fsync == FsyncAlways {
 		return d.wal.syncTo(seq)
 	}
 	return nil
 }
 
-// AppendBatch logs and ingests a batch; semantics match
+// AppendBatch logs and ingests a keyed batch; semantics match
 // timeseries.Store.AppendBatch (per-sample rejections do not abort the
-// batch). Under FsyncAlways the call returns only after the batch is
-// durable.
+// batch). It is an adapter over the one logged append: under a single hold
+// of the op lock every entry is resolved — logging an opDefine for a series
+// with no live WAL binding — and the batch goes down as one opAppendRef.
+// Under FsyncAlways the call returns only after all of it is durable, with
+// one fsync.
 func (d *DurableStore) AppendBatch(entries []timeseries.BatchEntry) (int, error) {
 	if len(entries) == 0 {
 		return 0, nil
 	}
-	var n int
-	var appErr error
-	seq, err := d.logApply(encodeAppend(nil, entries), func() {
-		n, appErr = d.store.AppendBatch(entries)
-	})
-	if err != nil {
+	if err := d.begin(); err != nil {
 		return 0, err
 	}
-	if err := d.ack(seq); err != nil {
-		return n, err
+	n, seq, err := d.appendBatchLocked(entries)
+	d.end()
+	if aerr := d.ack(seq); aerr != nil {
+		return n, aerr
 	}
-	return n, appErr
+	return n, err
+}
+
+// appendBatchLocked resolves then appends; the caller is between begin and
+// end. seq is the last record logged (0 when none was).
+func (d *DurableStore) appendBatchLocked(entries []timeseries.BatchEntry) (int, uint64, error) {
+	var seq uint64
+	d.refIn = d.refIn[:0]
+	for i := range entries {
+		e := &entries[i]
+		sref, dseq, err := d.resolveLocked(e.ID, e.Kind, e.Unit)
+		if err != nil {
+			return 0, seq, err
+		}
+		seq = max(seq, dseq)
+		d.refIn = append(d.refIn, timeseries.RefEntry{Ref: sref, T: e.T, V: e.V})
+	}
+	n, aseq, err := d.appendRefsLocked(d.refIn)
+	return n, max(seq, aseq), err
 }
 
 // Append logs and ingests one sample.
 func (d *DurableStore) Append(id metric.ID, kind metric.Kind, unit metric.Unit, t int64, v float64) error {
-	n, err := d.AppendBatch([]timeseries.BatchEntry{{ID: id, Kind: kind, Unit: unit, T: t, V: v}})
-	if err != nil {
-		return err
-	}
-	if n == 0 {
-		return fmt.Errorf("timeseries: out-of-order sample for %s", id.Key())
-	}
-	return nil
+	_, err := d.AppendBatch([]timeseries.BatchEntry{{ID: id, Kind: kind, Unit: unit, T: t, V: v}})
+	return err
 }
 
 // RefEpoch reports the underlying store's ref generation (see
@@ -289,40 +342,28 @@ func (d *DurableStore) RefEpoch() uint64 { return d.store.RefEpoch() }
 // under FsyncAlways the call returns only after it is durable — the
 // created (possibly still empty) series is part of acknowledged state.
 func (d *DurableStore) Resolve(id metric.ID, kind metric.Kind, unit metric.Unit) (timeseries.SeriesRef, error) {
-	d.mu.RLock()
-	if d.closed {
-		d.mu.RUnlock()
-		return 0, fmt.Errorf("persist: %w", timeseries.ErrStoreClosed)
+	if err := d.begin(); err != nil {
+		return 0, err
 	}
-	d.opMu.Lock()
 	sref, seq, err := d.resolveLocked(id, kind, unit)
-	d.opMu.Unlock()
-	d.mu.RUnlock()
+	d.end()
 	if err != nil {
 		return 0, err
 	}
-	if seq != 0 {
-		if err := d.ack(seq); err != nil {
-			return sref, err
-		}
-	}
-	return sref, nil
+	return sref, d.ack(seq)
 }
 
 // resolveLocked hands out a ref for id, logging an opDefine when the
-// series has no live WAL-ref binding. The caller holds opMu and d.mu
-// (shared); seq is 0 when nothing was logged.
+// series has no live WAL-ref binding. The caller is between begin and end;
+// seq is 0 when nothing was logged.
 func (d *DurableStore) resolveLocked(id metric.ID, kind metric.Kind, unit metric.Unit) (timeseries.SeriesRef, uint64, error) {
 	if sref, ok := d.store.LookupRef(id); ok {
 		if _, bound := d.walRefs[sref.Slot()]; bound {
 			return sref, 0, nil
 		}
 	}
-	d.nextWALRef++
-	d.refEnc = encodeDefine(d.refEnc[:0], d.nextWALRef, id, kind, unit)
-	seq, _, err := d.wal.append(d.refEnc)
+	seq, err := d.defineLocked(id, kind, unit)
 	if err != nil {
-		d.nextWALRef--
 		return 0, 0, err
 	}
 	sref, err := d.store.Resolve(id, kind, unit)
@@ -333,84 +374,79 @@ func (d *DurableStore) resolveLocked(id metric.ID, kind metric.Kind, unit metric
 	return sref, seq, nil
 }
 
+// defineLocked logs an opDefine binding the next WAL ref to a series; on
+// success the binding is d.nextWALRef.
+func (d *DurableStore) defineLocked(id metric.ID, kind metric.Kind, unit metric.Unit) (uint64, error) {
+	d.refEnc = encodeDefine(d.refEnc[:0], d.nextWALRef+1, id, kind, unit)
+	seq, _, err := d.wal.append(d.refEnc)
+	if err == nil {
+		d.nextWALRef++
+	}
+	return seq, err
+}
+
 // AppendRefs logs and ingests ref-addressed samples; semantics match
 // timeseries.Store.AppendRefs. Stale refs are rejected before logging, so
 // the WAL carries only samples whose addressing the store accepts and
 // replay reproduces the same outcome; a valid ref with no live WAL
 // binding (possible after a checkpoint cleared the table) gets its
 // definition re-logged on the fly. The per-sample record cost is a small
-// ref uvarint + delta-t + value instead of a full re-encoded ID.
+// ref uvarint + delta-t + value.
 func (d *DurableStore) AppendRefs(entries []timeseries.RefEntry) (int, error) {
 	if len(entries) == 0 {
 		return 0, nil
 	}
-	d.mu.RLock()
-	if d.closed {
-		d.mu.RUnlock()
-		return 0, fmt.Errorf("persist: %w", timeseries.ErrStoreClosed)
+	if err := d.begin(); err != nil {
+		return 0, err
 	}
-	d.opMu.Lock()
+	n, seq, err := d.appendRefsLocked(entries)
+	d.end()
+	if aerr := d.ack(seq); aerr != nil {
+		return n, aerr
+	}
+	return n, err
+}
+
+// appendRefsLocked is the one logged append. The caller is between begin
+// and end; seq is the last record logged (0 when none was).
+func (d *DurableStore) appendRefsLocked(entries []timeseries.RefEntry) (n int, seq uint64, err error) {
 	epoch := d.store.RefEpoch()
-	var firstErr error
-	var lastSeq uint64
+	var staleErr error
 	d.refValid = d.refValid[:0]
 	d.refRecs = d.refRecs[:0]
 	for _, e := range entries {
 		if e.Ref.Epoch() != epoch {
-			if firstErr == nil {
-				firstErr = timeseries.ErrStaleRef
-			}
+			staleErr = timeseries.ErrStaleRef
 			continue
 		}
-		slot := e.Ref.Slot()
-		wr, bound := d.walRefs[slot]
+		wr, bound := d.walRefs[e.Ref.Slot()]
 		if !bound {
 			id, kind, unit, live := d.store.RefInfo(e.Ref)
 			if !live {
-				if firstErr == nil {
-					firstErr = timeseries.ErrStaleRef
-				}
+				staleErr = timeseries.ErrStaleRef
 				continue
 			}
-			d.nextWALRef++
-			wr = d.nextWALRef
-			d.refEnc = encodeDefine(d.refEnc[:0], wr, id, kind, unit)
-			seq, _, err := d.wal.append(d.refEnc)
-			if err != nil {
-				d.opMu.Unlock()
-				d.mu.RUnlock()
-				return 0, err
+			if seq, err = d.defineLocked(id, kind, unit); err != nil {
+				return 0, seq, err
 			}
-			d.walRefs[slot] = wr
-			lastSeq = seq
+			wr = d.nextWALRef
+			d.walRefs[e.Ref.Slot()] = wr
 		}
 		d.refValid = append(d.refValid, e)
 		d.refRecs = append(d.refRecs, refSample{ref: wr, t: e.T, v: e.V})
 	}
-	var n int
-	var appErr error
-	if len(d.refRecs) > 0 {
-		d.refEnc = encodeAppendRef(d.refEnc[:0], d.refRecs)
-		seq, _, err := d.wal.append(d.refEnc)
-		if err != nil {
-			d.opMu.Unlock()
-			d.mu.RUnlock()
-			return 0, err
-		}
-		lastSeq = seq
-		n, appErr = d.store.AppendRefs(d.refValid)
+	if len(d.refRecs) == 0 {
+		return 0, seq, staleErr
 	}
-	d.opMu.Unlock()
-	d.mu.RUnlock()
-	if lastSeq != 0 {
-		if err := d.ack(lastSeq); err != nil {
-			return n, err
-		}
+	d.refEnc = encodeAppendRef(d.refEnc[:0], d.refRecs)
+	if seq, _, err = d.wal.append(d.refEnc); err != nil {
+		return 0, seq, err
 	}
-	if appErr == nil {
-		appErr = firstErr
+	n, err = d.store.AppendRefs(d.refValid)
+	if err == nil {
+		err = staleErr
 	}
-	return n, appErr
+	return n, seq, err
 }
 
 // Downsample logs and applies a downsample; semantics match
@@ -577,6 +613,7 @@ func (d *DurableStore) Stats() Stats {
 		ReplayedRecords:  d.recovery.replayedRecords,
 		TruncatedTails:   d.recovery.truncatedTails,
 		TruncatedBytes:   d.recovery.truncatedBytes,
+		LostSegments:     d.recovery.lostSegments,
 	}
 	if segs, err := listSeqFiles(d.dir, "wal-", ".seg"); err == nil {
 		st.Segments = len(segs)

@@ -117,8 +117,10 @@ func TestRecoverFromSnapshotPlusWAL(t *testing.T) {
 	if !st.SnapshotLoaded {
 		t.Fatal("expected recovery to load the checkpoint snapshot")
 	}
-	if st.ReplayedRecords != 7 {
-		t.Fatalf("expected exactly the 7 post-checkpoint records replayed, got %d", st.ReplayedRecords)
+	// The checkpoint cleared the WAL-ref table, so the tail is one
+	// re-define of the series plus the 7 appends.
+	if st.ReplayedRecords != 8 {
+		t.Fatalf("expected exactly the 8 post-checkpoint records replayed, got %d", st.ReplayedRecords)
 	}
 }
 
@@ -192,6 +194,14 @@ func TestClosedStoreRefusesMutations(t *testing.T) {
 	if _, err := d.AppendBatch([]timeseries.BatchEntry{{ID: testID("m", "n"), T: 2, V: 2}}); !errors.Is(err, timeseries.ErrStoreClosed) {
 		t.Fatalf("append after close: want ErrStoreClosed, got %v", err)
 	}
+	// Through a RefCache too, for a series it has resolved before (AppendRefs
+	// refuses) and one it has not (Resolve refuses): no other path is tried.
+	rc := timeseries.NewRefCache(d)
+	for _, id := range []metric.ID{testID("m", "n"), testID("fresh", "n")} {
+		if n, err := rc.AppendBatch([]timeseries.BatchEntry{{ID: id, T: 3, V: 3}}); n != 0 || !errors.Is(err, timeseries.ErrStoreClosed) {
+			t.Fatalf("RefCache append of %s after close: %d, %v; want 0, ErrStoreClosed", id.Key(), n, err)
+		}
+	}
 	if _, err := d.Downsample(testID("m", "n"), 10); !errors.Is(err, timeseries.ErrStoreClosed) {
 		t.Fatalf("downsample after close: want ErrStoreClosed, got %v", err)
 	}
@@ -227,9 +237,10 @@ func TestCorruptNewestSnapshotFallsBack(t *testing.T) {
 	d.Crash()
 
 	// A later checkpoint "crashed": a higher-seq snapshot exists but is
-	// garbage. Recovery must fall back to the older valid snapshot and
-	// still replay the live WAL tail.
-	if _, err := writeSnapshot(dir, 99, 8, nil); err != nil {
+	// garbage (a flipped bit in its payload fails the checksum). Recovery
+	// must fall back to the older valid snapshot and still replay the live
+	// WAL tail.
+	if _, err := writeSnapshot(dir, 99, 8, want); err != nil {
 		t.Fatal(err)
 	}
 	corruptPath := dir + "/" + snapshotName(99)
@@ -276,8 +287,9 @@ func TestConcurrentAppendersGroupCommit(t *testing.T) {
 	wg.Wait()
 	want := d.Store().Dump()
 	st := d.Stats()
-	if st.WALRecords != workers*perWorker {
-		t.Fatalf("wal records = %d, want %d", st.WALRecords, workers*perWorker)
+	// One define per worker's series, one append record per call.
+	if st.WALRecords != workers+workers*perWorker {
+		t.Fatalf("wal records = %d, want %d", st.WALRecords, workers+workers*perWorker)
 	}
 	if st.Fsyncs+st.CoalescedSyncs < workers*perWorker {
 		t.Fatalf("every acknowledged append needs a covering fsync: fsyncs=%d coalesced=%d", st.Fsyncs, st.CoalescedSyncs)

@@ -16,14 +16,13 @@ import (
 // (RecordEntries never resolves store refs, so its definitions carry no
 // SeriesRef). Maintenance records (downsample/retention) return no entries:
 // the importing node applies its own retention policy to the imported data.
+// A record with a retired op code is ErrUnsupportedFormat, as in ApplyRecord.
 func RecordEntries(rt *RefTable, payload []byte) ([]timeseries.BatchEntry, error) {
 	rec, err := decodeRecord(payload)
 	if err != nil {
 		return nil, err
 	}
 	switch rec.op {
-	case opAppend:
-		return rec.entries, nil
 	case opDefine:
 		rt.defs[rec.ref] = refDef{id: rec.id, kind: rec.kind, unit: rec.unit}
 		return nil, nil

@@ -1,57 +1,23 @@
 package persist
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
-
-	"repro/internal/metric"
-	"repro/internal/timeseries"
 )
 
+// TestGenCorpus rewrites testdata/fuzz/FuzzWALReplay from walFuzzSeeds, so
+// the committed corpus and the in-code seeds cannot drift apart.
 func TestGenCorpus(t *testing.T) {
 	if os.Getenv("GEN_CORPUS") == "" {
 		t.Skip("set GEN_CORPUS=1 to regenerate the fuzz seed corpus")
-	}
-	frame := func(payloads ...[]byte) []byte {
-		buf := []byte(segMagic)
-		for _, p := range payloads {
-			var hdr [recordHeaderLen]byte
-			binary.BigEndian.PutUint32(hdr[0:4], uint32(len(p)))
-			binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(p, castagnoli))
-			buf = append(buf, hdr[:]...)
-			buf = append(buf, p...)
-		}
-		return buf
-	}
-	badCRC := frame(encodeRetain(nil, 42))
-	badCRC[len(segMagic)+4] ^= 0xFF
-	defV2, appV2, undefV2, reboundV2 := walRefSeedPayloads()
-	truncatedDef := frame(defV2)
-	truncatedDef = truncatedDef[:len(truncatedDef)-3]
-	seeds := map[string][]byte{
-		"seed-empty-segment":    {},
-		"seed-magic-only":       []byte(segMagic),
-		"seed-truncated-prefix": []byte(segMagic + "\x00\x00"),
-		"seed-bad-crc":          badCRC,
-		"seed-valid-multi": frame(
-			encodeRetain(nil, 9),
-			encodeDownsample(nil, metric.ID{Name: "power", Labels: metric.NewLabels("node", "n01")}, 60000),
-			encodeAppend(nil, []timeseries.BatchEntry{{ID: metric.ID{Name: "temp"}, Kind: metric.Gauge, Unit: metric.UnitCelsius, T: 1000, V: 21.5}}),
-		),
-		"seed-ref-define-append": frame(defV2, appV2),
-		"seed-ref-undefined":     frame(undefV2),
-		"seed-ref-rebound":       frame(defV2, reboundV2, appV2),
-		"seed-ref-torn-define":   truncatedDef,
 	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzWALReplay")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for name, data := range seeds {
+	for name, data := range walFuzzSeeds() {
 		body := "go test fuzz v1\n[]byte(" + strconv.QuoteToASCII(string(data)) + ")\n"
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
 			t.Fatal(err)

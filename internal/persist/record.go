@@ -7,7 +7,7 @@
 // On-disk layout inside the data directory (all integers big endian):
 //
 //	wal-%08d.seg    WAL segments: 8-byte magic "ODAWAL1\n", then records
-//	snap-%08d.snap  snapshots: 8-byte magic "ODASNP1\n", payload, CRC32C
+//	snap-%08d.snap  snapshots: 8-byte magic "ODASNP2\n", payload, CRC32C
 //
 // Each WAL record is length-prefixed and checksummed:
 //
@@ -15,32 +15,43 @@
 //	crc32c  uint32   Castagnoli checksum of the payload
 //	payload [length]byte, first byte = op code
 //
+// Samples have one logged form: an opDefine binds a small WAL ref to a full
+// series identity, and opAppendRef records address samples by that ref.
+// Every ingest entry point (Append, AppendBatch, AppendRefs) writes it.
+//
 // Replay tolerates torn tails: the first record whose length prefix,
 // checksum or payload decode fails marks the end of the recoverable prefix
 // and the segment is truncated there, exactly what a power cut mid-write
-// leaves behind.
+// leaves behind. What is intact but not ours fails loudly instead: a
+// complete foreign 8-byte magic on a segment or snapshot, or a CRC-valid
+// record carrying a retired op code, is ErrUnsupportedFormat — Open returns
+// it and leaves the directory untouched rather than truncating data another
+// version wrote.
 package persist
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
+	"repro/internal/binenc"
 	"repro/internal/metric"
 	"repro/internal/timeseries"
 )
 
 // Op codes, first payload byte of every WAL record.
 const (
-	opAppend     = 1 // an AppendBatch worth of samples
-	opDownsample = 2 // Downsample(id, step)
-	opRetain     = 3 // Retain(cutoff)
-	opRetainTier = 4 // RetainTier(step, cutoff)
-	opDefine     = 5 // bind a WAL series ref to a full series identity
-	opAppendRef  = 6 // an AppendRefs worth of samples, addressed by WAL ref
+	// opRetiredKeyed is reserved: it was the keyed append record (a full ID
+	// re-encoded per sample), whose writer and reader are gone. The code is
+	// never reused, so a log that holds one is recognised — and refused with
+	// ErrUnsupportedFormat — instead of being mistaken for a torn tail.
+	opRetiredKeyed = 1
+	opDownsample   = 2 // Downsample(id, step)
+	opRetain       = 3 // Retain(cutoff)
+	opRetainTier   = 4 // RetainTier(step, cutoff)
+	opDefine       = 5 // bind a WAL series ref to a full series identity
+	opAppendRef    = 6 // a batch of samples, addressed by WAL ref
 )
 
 // recordHeaderLen is the length + CRC prefix of every WAL record.
@@ -55,22 +66,22 @@ const MaxRecord = 32 << 20
 // amd64/arm64), the same checksum production storage engines use.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// errCorruptRecord marks a record whose payload decodes inconsistently even
-// though the checksum matched (impossible short of a codec bug, but replay
-// still degrades to truncation rather than panic).
-var errCorruptRecord = errors.New("persist: corrupt wal record")
+// ErrUnsupportedFormat reports intact data in a format this version does
+// not read: a segment or snapshot with a complete foreign magic, or a
+// checksummed WAL record with a retired op code. It is never returned for
+// damage (short header, bad checksum, undecodable payload) — that is a tear.
+var ErrUnsupportedFormat = errors.New("persist: unsupported on-disk format")
 
 // walRecord is one decoded WAL operation.
 type walRecord struct {
 	op         byte
-	entries    []timeseries.BatchEntry // opAppend
-	id         metric.ID               // opDownsample, opDefine
-	step       int64                   // opDownsample, opRetainTier
-	cutoff     int64                   // opRetain, opRetainTier
-	ref        uint64                  // opDefine
-	kind       metric.Kind             // opDefine
-	unit       metric.Unit             // opDefine
-	refEntries []refSample             // opAppendRef
+	id         metric.ID   // opDownsample, opDefine
+	step       int64       // opDownsample, opRetainTier
+	cutoff     int64       // opRetain, opRetainTier
+	ref        uint64      // opDefine
+	kind       metric.Kind // opDefine
+	unit       metric.Unit // opDefine
+	refEntries []refSample // opAppendRef
 }
 
 // refSample is one opAppendRef sample: a WAL series ref plus the sample.
@@ -86,8 +97,6 @@ type refSample struct {
 // are tolerated again, so replay reproduces the live store's state exactly.
 func (r *walRecord) apply(store *timeseries.Store, rt *RefTable) {
 	switch r.op {
-	case opAppend:
-		_, _ = store.AppendBatch(r.entries)
 	case opDownsample:
 		_, _ = store.Downsample(r.id, r.step)
 	case opRetain:
@@ -174,87 +183,30 @@ func (rt *RefTable) appendRefs(store *timeseries.Store, entries []refSample) {
 
 // --- payload encoding -------------------------------------------------
 
-func appendUvarint(b []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	return append(b, tmp[:n]...)
-}
-
-func appendVarint(b []byte, v int64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(tmp[:], v)
-	return append(b, tmp[:n]...)
-}
-
-func appendString(b []byte, s string) []byte {
-	b = appendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendID(b []byte, id metric.ID) []byte {
-	b = appendString(b, id.Name)
-	b = appendUvarint(b, uint64(len(id.Labels)))
-	for _, l := range id.Labels {
-		b = appendString(b, l.Key)
-		b = appendString(b, l.Value)
-	}
-	return b
-}
-
-// encodeAppend serializes an AppendBatch payload into buf. Timestamps are
-// delta-encoded against the previous entry (a scrape shares one timestamp,
-// so the common delta is a single zero byte).
-func encodeAppend(buf []byte, entries []timeseries.BatchEntry) []byte {
-	buf = append(buf, opAppend)
-	buf = appendUvarint(buf, uint64(len(entries)))
-	var prevT int64
-	for i := range entries {
-		e := &entries[i]
-		buf = appendID(buf, e.ID)
-		buf = append(buf, byte(e.Kind))
-		buf = appendString(buf, string(e.Unit))
-		if i == 0 {
-			buf = appendVarint(buf, e.T)
-		} else {
-			buf = appendVarint(buf, e.T-prevT)
-		}
-		prevT = e.T
-		var vb [8]byte
-		binary.BigEndian.PutUint64(vb[:], math.Float64bits(e.V))
-		buf = append(buf, vb[:]...)
-	}
-	return buf
-}
-
 // encodeDefine serializes an opDefine payload: the WAL ref binding plus
 // the full series identity it stands for from here on.
 func encodeDefine(buf []byte, ref uint64, id metric.ID, kind metric.Kind, unit metric.Unit) []byte {
 	buf = append(buf, opDefine)
-	buf = appendUvarint(buf, ref)
-	buf = appendID(buf, id)
+	buf = binenc.AppendUvarint(buf, ref)
+	buf = binenc.AppendID(buf, id)
 	buf = append(buf, byte(kind))
-	return appendString(buf, string(unit))
+	return binenc.AppendString(buf, string(unit))
 }
 
-// encodeAppendRef serializes an opAppendRef payload: per sample just a
-// WAL-ref uvarint, a delta-encoded timestamp and the value — the compact
-// form that replaces re-encoding the whole ID per opAppend entry.
+// encodeAppendRef serializes an opAppendRef payload: per sample a WAL-ref
+// uvarint, a timestamp varint (the first absolute, the rest deltas against
+// the previous entry — a scrape shares one timestamp, so the common delta
+// is a single zero byte) and the 8-byte value.
 func encodeAppendRef(buf []byte, entries []refSample) []byte {
 	buf = append(buf, opAppendRef)
-	buf = appendUvarint(buf, uint64(len(entries)))
+	buf = binenc.AppendUvarint(buf, uint64(len(entries)))
 	var prevT int64
 	for i := range entries {
 		e := &entries[i]
-		buf = appendUvarint(buf, e.ref)
-		if i == 0 {
-			buf = appendVarint(buf, e.t)
-		} else {
-			buf = appendVarint(buf, e.t-prevT)
-		}
+		buf = binenc.AppendUvarint(buf, e.ref)
+		buf = binenc.AppendVarint(buf, e.t-prevT)
 		prevT = e.t
-		var vb [8]byte
-		binary.BigEndian.PutUint64(vb[:], math.Float64bits(e.v))
-		buf = append(buf, vb[:]...)
+		buf = binenc.AppendFloat(buf, e.v)
 	}
 	return buf
 }
@@ -262,240 +214,65 @@ func encodeAppendRef(buf []byte, entries []refSample) []byte {
 // encodeDownsample serializes a Downsample payload into buf.
 func encodeDownsample(buf []byte, id metric.ID, step int64) []byte {
 	buf = append(buf, opDownsample)
-	buf = appendID(buf, id)
-	return appendVarint(buf, step)
+	buf = binenc.AppendID(buf, id)
+	return binenc.AppendVarint(buf, step)
 }
 
 // encodeRetain serializes a Retain payload into buf.
 func encodeRetain(buf []byte, cutoff int64) []byte {
 	buf = append(buf, opRetain)
-	return appendVarint(buf, cutoff)
+	return binenc.AppendVarint(buf, cutoff)
 }
 
 // encodeRetainTier serializes a RetainTier payload into buf.
 func encodeRetainTier(buf []byte, step, cutoff int64) []byte {
 	buf = append(buf, opRetainTier)
-	buf = appendVarint(buf, step)
-	return appendVarint(buf, cutoff)
+	buf = binenc.AppendVarint(buf, step)
+	return binenc.AppendVarint(buf, cutoff)
 }
 
 // --- payload decoding -------------------------------------------------
 
-type payloadReader struct {
-	buf []byte
-	pos int
-}
-
-func (p *payloadReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(p.buf[p.pos:])
-	if n <= 0 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	p.pos += n
-	return v, nil
-}
-
-func (p *payloadReader) varint() (int64, error) {
-	v, n := binary.Varint(p.buf[p.pos:])
-	if n <= 0 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	p.pos += n
-	return v, nil
-}
-
-func (p *payloadReader) str() (string, error) {
-	n, err := p.uvarint()
-	if err != nil {
-		return "", err
-	}
-	// Bounds-check before converting: a corrupt varint can exceed the
-	// buffer or overflow int, which must be an error, not a panic.
-	if n > uint64(len(p.buf)-p.pos) {
-		return "", io.ErrUnexpectedEOF
-	}
-	s := string(p.buf[p.pos : p.pos+int(n)])
-	p.pos += int(n)
-	return s, nil
-}
-
-func (p *payloadReader) byteVal() (byte, error) {
-	if p.pos >= len(p.buf) {
-		return 0, io.ErrUnexpectedEOF
-	}
-	b := p.buf[p.pos]
-	p.pos++
-	return b, nil
-}
-
-func (p *payloadReader) float() (float64, error) {
-	if p.pos+8 > len(p.buf) {
-		return 0, io.ErrUnexpectedEOF
-	}
-	v := math.Float64frombits(binary.BigEndian.Uint64(p.buf[p.pos:]))
-	p.pos += 8
-	return v, nil
-}
-
-func (p *payloadReader) id() (metric.ID, error) {
-	var id metric.ID
-	var err error
-	if id.Name, err = p.str(); err != nil {
-		return id, err
-	}
-	nlab, err := p.uvarint()
-	if err != nil {
-		return id, err
-	}
-	if nlab > uint64(len(p.buf)) {
-		return id, fmt.Errorf("persist: implausible label count %d", nlab)
-	}
-	if nlab > 0 {
-		kv := make([]string, 0, nlab*2)
-		for i := uint64(0); i < nlab; i++ {
-			k, err := p.str()
-			if err != nil {
-				return id, err
-			}
-			v, err := p.str()
-			if err != nil {
-				return id, err
-			}
-			kv = append(kv, k, v)
-		}
-		id.Labels = metric.NewLabels(kv...)
-	}
-	return id, nil
-}
-
-// decodeRecord parses one WAL payload.
+// decodeRecord parses one WAL payload (already checksum-verified by the
+// caller). A retired op code is ErrUnsupportedFormat; any other failure
+// means the bytes are not a record.
 func decodeRecord(payload []byte) (walRecord, error) {
 	var rec walRecord
 	if len(payload) == 0 {
 		return rec, io.ErrUnexpectedEOF
 	}
-	p := &payloadReader{buf: payload, pos: 1}
 	rec.op = payload[0]
+	p := binenc.NewReader(payload[1:])
 	switch rec.op {
-	case opAppend:
-		n, err := p.uvarint()
-		if err != nil {
-			return rec, err
-		}
-		// Every entry costs at least an ID byte, a kind, a timestamp byte
-		// and an 8-byte value; reject implausible counts before allocating.
-		if n > uint64(len(payload))/4 {
-			return rec, fmt.Errorf("persist: implausible entry count %d", n)
-		}
-		rec.entries = make([]timeseries.BatchEntry, 0, n)
-		var prevT int64
-		for i := uint64(0); i < n; i++ {
-			var e timeseries.BatchEntry
-			var err error
-			if e.ID, err = p.id(); err != nil {
-				return rec, err
-			}
-			kind, err := p.byteVal()
-			if err != nil {
-				return rec, err
-			}
-			e.Kind = metric.Kind(kind)
-			unit, err := p.str()
-			if err != nil {
-				return rec, err
-			}
-			e.Unit = metric.Unit(unit)
-			dt, err := p.varint()
-			if err != nil {
-				return rec, err
-			}
-			if i == 0 {
-				e.T = dt
-			} else {
-				e.T = prevT + dt
-			}
-			prevT = e.T
-			if e.V, err = p.float(); err != nil {
-				return rec, err
-			}
-			rec.entries = append(rec.entries, e)
-		}
+	case opRetiredKeyed:
+		return rec, fmt.Errorf("%w: wal record with retired op code %d (keyed append)", ErrUnsupportedFormat, rec.op)
 	case opDownsample:
-		var err error
-		if rec.id, err = p.id(); err != nil {
-			return rec, err
-		}
-		if rec.step, err = p.varint(); err != nil {
-			return rec, err
-		}
+		rec.id = p.ID()
+		rec.step = p.Varint()
 	case opRetain:
-		var err error
-		if rec.cutoff, err = p.varint(); err != nil {
-			return rec, err
-		}
+		rec.cutoff = p.Varint()
 	case opRetainTier:
-		var err error
-		if rec.step, err = p.varint(); err != nil {
-			return rec, err
-		}
-		if rec.cutoff, err = p.varint(); err != nil {
-			return rec, err
-		}
+		rec.step = p.Varint()
+		rec.cutoff = p.Varint()
 	case opDefine:
-		var err error
-		if rec.ref, err = p.uvarint(); err != nil {
-			return rec, err
-		}
-		if rec.id, err = p.id(); err != nil {
-			return rec, err
-		}
-		kind, err := p.byteVal()
-		if err != nil {
-			return rec, err
-		}
-		rec.kind = metric.Kind(kind)
-		unit, err := p.str()
-		if err != nil {
-			return rec, err
-		}
-		rec.unit = metric.Unit(unit)
+		rec.ref = p.Uvarint()
+		rec.id = p.ID()
+		rec.kind = metric.Kind(p.Byte())
+		rec.unit = metric.Unit(p.Str())
 	case opAppendRef:
-		n, err := p.uvarint()
-		if err != nil {
-			return rec, err
-		}
-		// Every ref sample costs at least a ref byte, a timestamp byte and
-		// an 8-byte value; reject implausible counts before allocating.
-		if n > uint64(len(payload))/10 {
-			return rec, fmt.Errorf("persist: implausible ref entry count %d", n)
-		}
-		rec.refEntries = make([]refSample, 0, n)
-		var prevT int64
-		for i := uint64(0); i < n; i++ {
-			var e refSample
-			if e.ref, err = p.uvarint(); err != nil {
-				return rec, err
-			}
-			dt, err := p.varint()
-			if err != nil {
-				return rec, err
-			}
-			if i == 0 {
-				e.t = dt
-			} else {
-				e.t = prevT + dt
-			}
-			prevT = e.t
-			if e.v, err = p.float(); err != nil {
-				return rec, err
-			}
-			rec.refEntries = append(rec.refEntries, e)
+		// A ref byte, a timestamp byte and an 8-byte value per sample.
+		rec.refEntries = make([]refSample, p.Count(10))
+		var t int64
+		for i := range rec.refEntries {
+			ref := p.Uvarint()
+			t += p.Varint()
+			rec.refEntries[i] = refSample{ref: ref, t: t, v: p.Float()}
 		}
 	default:
 		return rec, fmt.Errorf("persist: unknown op %d", rec.op)
 	}
-	if p.pos != len(payload) {
-		return rec, fmt.Errorf("%w: %d trailing bytes", errCorruptRecord, len(payload)-p.pos)
+	if err := p.Done(); err != nil {
+		return rec, fmt.Errorf("persist: wal record op %d: %w", rec.op, err)
 	}
 	return rec, nil
 }

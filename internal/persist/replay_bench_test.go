@@ -1,69 +1,41 @@
 package persist
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"testing"
 
 	"repro/internal/metric"
 	"repro/internal/timeseries"
 )
 
-// buildReplaySegment assembles an in-memory WAL segment carrying the same
-// 400-sample stream either as keyed append records or as define + ref
-// append records, so the two replay paths can be compared on equal work.
-func buildReplaySegment(refs bool) []byte {
-	frame := func(buf, payload []byte) []byte {
-		var hdr [recordHeaderLen]byte
-		binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-		return append(append(buf, hdr[:]...), payload...)
-	}
+// BenchmarkWALReplayRefs: crash-recovery speed for a 400-sample, 2-series
+// stream as the WAL holds it — two defines, then one ref append record per
+// scrape round.
+func BenchmarkWALReplayRefs(b *testing.B) {
 	ids := []metric.ID{
 		{Name: "node_power_watts", Labels: metric.NewLabels("node", "n042", "rack", "r02")},
 		{Name: "node_cpu_temp_celsius", Labels: metric.NewLabels("node", "n042", "rack", "r02")},
 	}
-	buf := []byte(segMagic)
-	if refs {
-		for i, id := range ids {
-			buf = frame(buf, encodeDefine(nil, uint64(i+1), id, metric.Gauge, metric.UnitWatt))
-		}
+	var payloads [][]byte
+	for i, id := range ids {
+		payloads = append(payloads, encodeDefine(nil, uint64(i+1), id, metric.Gauge, metric.UnitWatt))
 	}
 	for r := 0; r < 200; r++ {
 		now := int64(1000 + r*1000)
-		if refs {
-			buf = frame(buf, encodeAppendRef(nil, []refSample{
-				{ref: 1, t: now, v: float64(r)},
-				{ref: 2, t: now, v: float64(100 - r)},
-			}))
-		} else {
-			buf = frame(buf, encodeAppend(nil, []timeseries.BatchEntry{
-				{ID: ids[0], Kind: metric.Gauge, Unit: metric.UnitWatt, T: now, V: float64(r)},
-				{ID: ids[1], Kind: metric.Gauge, Unit: metric.UnitWatt, T: now, V: float64(100 - r)},
-			}))
-		}
+		payloads = append(payloads, encodeAppendRef(nil, []refSample{
+			{ref: 1, t: now, v: float64(r)},
+			{ref: 2, t: now, v: float64(100 - r)},
+		}))
 	}
-	return buf
-}
-
-func benchReplay(b *testing.B, refs bool) {
-	seg := buildReplaySegment(refs)
+	seg := frameSegment(payloads...)
 	b.SetBytes(int64(len(seg)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		store := timeseries.NewStore(64)
 		rt := NewRefTable()
-		res := replaySegment(seg, func(rec walRecord) { rec.apply(store, rt) })
+		res := mustReplay(b, seg, func(rec walRecord) { rec.apply(store, rt) })
 		if res.torn || res.records == 0 {
 			b.Fatalf("replay broke: torn=%v records=%d", res.torn, res.records)
 		}
 	}
 }
-
-// BenchmarkWALReplayKeyed / BenchmarkWALReplayRefs: crash-recovery speed
-// for the same sample stream logged keyed vs ref-based. The ref segment is
-// ~3.5x smaller and each sample skips ID decode + key hashing on replay,
-// so recovery must be no slower per stream (it is in fact faster).
-func BenchmarkWALReplayKeyed(b *testing.B) { benchReplay(b, false) }
-func BenchmarkWALReplayRefs(b *testing.B)  { benchReplay(b, true) }

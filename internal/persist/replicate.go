@@ -205,7 +205,8 @@ func (d *DurableStore) ReplicationSnapshot() (chunkSize int, dump []timeseries.S
 // of one ordered stream (use one RefTable per follower session, Reset on
 // re-bootstrap). Errors the original operation tolerated are tolerated
 // again, so a follower replaying a leader's log converges on the leader's
-// exact state.
+// exact state. A record with a retired op code is ErrUnsupportedFormat: the
+// leader runs a version whose log this follower cannot apply.
 func ApplyRecord(store *timeseries.Store, rt *RefTable, payload []byte) error {
 	rec, err := decodeRecord(payload)
 	if err != nil {
@@ -223,5 +224,5 @@ func EncodeDump(chunkSize int, dump []timeseries.SeriesDump) []byte {
 
 // DecodeDump parses a payload produced by EncodeDump.
 func DecodeDump(payload []byte) (int, []timeseries.SeriesDump, error) {
-	return decodeSnapshot(payload, 2)
+	return decodeSnapshot(payload)
 }

@@ -1,10 +1,6 @@
 package persist
 
 import (
-	"encoding/binary"
-	"hash/crc32"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -83,51 +79,5 @@ func TestDurableRollupLifecycle(t *testing.T) {
 	}
 	if sum != rawSum || n != rawN {
 		t.Fatalf("planned/raw disagree after recovery: (%v,%d) vs (%v,%d)", sum, n, rawSum, rawN)
-	}
-}
-
-// TestSnapshotV1StillLoads pins backward compatibility: a v1 snapshot
-// (pre-rollup layout, no tier section) must still load, with tiers rebuilt
-// empty for the configured resolutions.
-func TestSnapshotV1StillLoads(t *testing.T) {
-	store := timeseries.NewStore(8)
-	for i := 0; i < 30; i++ {
-		if err := store.Append(testID("load", "n01"), metric.Gauge, metric.UnitPercent, int64(1000+i*50), float64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dump := store.Dump()
-	// Hand-encode the v1 layout: identical to v2 minus the per-series tier
-	// section.
-	payload := appendUvarint(nil, uint64(store.ChunkSize()))
-	payload = appendUvarint(payload, uint64(len(dump)))
-	for _, sd := range dump {
-		payload = appendID(payload, sd.ID)
-		payload = append(payload, byte(sd.Kind))
-		payload = appendString(payload, string(sd.Unit))
-		payload = appendChunks(payload, sd.Chunks)
-	}
-	var trailer [4]byte
-	binary.BigEndian.PutUint32(trailer[:], crc32.Checksum(payload, castagnoli))
-	path := filepath.Join(t.TempDir(), snapshotName(0))
-	data := append([]byte(snapMagicV1), payload...)
-	data = append(data, trailer[:]...)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := loadSnapshot(path, []timeseries.Option{timeseries.WithRollups(timeseries.TierStep1m)})
-	if err != nil {
-		t.Fatalf("v1 snapshot rejected: %v", err)
-	}
-	if !reflect.DeepEqual(re.Dump()[0].Chunks, dump[0].Chunks) {
-		t.Fatal("v1 raw chunks diverged")
-	}
-	// The configured tier exists (fresh) and starts folding on new appends.
-	if err := re.Append(testID("load", "n01"), metric.Gauge, metric.UnitPercent, 1<<40, 5); err != nil {
-		t.Fatal(err)
-	}
-	if st := re.RollupStats(); st.Folds == 0 {
-		t.Fatal("restored v1 store is not folding new appends into tiers")
 	}
 }

@@ -4,22 +4,19 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 
+	"repro/internal/binenc"
 	"repro/internal/metric"
 	"repro/internal/timeseries"
 )
 
-// snapMagic heads every snapshot file. v2 added per-series rollup tiers
-// (sealed tier chunks plus the open-window accumulator); v1 snapshots from
-// older deployments still load, their tiers rebuilt empty and re-folded
-// from whatever the WAL replays.
-const (
-	snapMagic   = "ODASNP2\n"
-	snapMagicV1 = "ODASNP1\n"
-)
+// snapMagic heads every snapshot file. The digit is the format version: 2
+// added per-series rollup tiers (sealed tier chunks plus the open-window
+// accumulator). Any other complete 8-byte magic — the retired "ODASNP1\n"
+// included — is ErrUnsupportedFormat.
+const snapMagic = "ODASNP2\n"
 
 func snapshotName(seq uint64) string { return fmt.Sprintf("snap-%08d.snap", seq) }
 
@@ -37,16 +34,16 @@ func snapshotName(seq uint64) string { return fmt.Sprintf("snap-%08d.snap", seq)
 // not a re-encode, and is about the size of the resident compressed data.
 func encodeSnapshot(chunkSize int, dump []timeseries.SeriesDump) []byte {
 	buf := make([]byte, 0, 1024)
-	buf = appendUvarint(buf, uint64(chunkSize))
-	buf = appendUvarint(buf, uint64(len(dump)))
+	buf = binenc.AppendUvarint(buf, uint64(chunkSize))
+	buf = binenc.AppendUvarint(buf, uint64(len(dump)))
 	for _, sd := range dump {
-		buf = appendID(buf, sd.ID)
+		buf = binenc.AppendID(buf, sd.ID)
 		buf = append(buf, byte(sd.Kind))
-		buf = appendString(buf, string(sd.Unit))
+		buf = binenc.AppendString(buf, string(sd.Unit))
 		buf = appendChunks(buf, sd.Chunks)
-		buf = appendUvarint(buf, uint64(len(sd.Tiers)))
+		buf = binenc.AppendUvarint(buf, uint64(len(sd.Tiers)))
 		for _, td := range sd.Tiers {
-			buf = appendVarint(buf, td.Step)
+			buf = binenc.AppendVarint(buf, td.Step)
 			buf = appendAcc(buf, td.Acc)
 			buf = appendChunks(buf, td.Chunks)
 		}
@@ -55,169 +52,77 @@ func encodeSnapshot(chunkSize int, dump []timeseries.SeriesDump) []byte {
 }
 
 func appendChunks(buf []byte, chunks []timeseries.ChunkDump) []byte {
-	buf = appendUvarint(buf, uint64(len(chunks)))
+	buf = binenc.AppendUvarint(buf, uint64(len(chunks)))
 	for _, cd := range chunks {
-		buf = appendUvarint(buf, uint64(cd.Count))
-		buf = appendUvarint(buf, uint64(len(cd.Data)))
-		buf = append(buf, cd.Data...)
+		buf = binenc.AppendUvarint(buf, uint64(cd.Count))
+		buf = binenc.AppendBytes(buf, cd.Data)
 	}
 	return buf
-}
-
-func appendFloat(buf []byte, v float64) []byte {
-	var vb [8]byte
-	binary.BigEndian.PutUint64(vb[:], math.Float64bits(v))
-	return append(buf, vb[:]...)
 }
 
 // appendAcc serializes a tier's open-window accumulator; recovery must
 // resume folding exactly where the dumped store stopped.
 func appendAcc(buf []byte, a timeseries.RollupAcc) []byte {
-	active := byte(0)
-	if a.Active {
-		active = 1
-	}
-	buf = append(buf, active)
-	buf = appendVarint(buf, a.Start)
-	buf = appendVarint(buf, a.Count)
-	buf = appendFloat(buf, a.Sum)
-	buf = appendFloat(buf, a.Min)
-	buf = appendFloat(buf, a.Max)
-	buf = appendVarint(buf, a.FirstT)
-	buf = appendFloat(buf, a.FirstV)
-	buf = appendVarint(buf, a.LastT)
-	return appendFloat(buf, a.LastV)
+	buf = binenc.AppendBool(buf, a.Active)
+	buf = binenc.AppendVarint(buf, a.Start)
+	buf = binenc.AppendVarint(buf, a.Count)
+	buf = binenc.AppendFloat(buf, a.Sum)
+	buf = binenc.AppendFloat(buf, a.Min)
+	buf = binenc.AppendFloat(buf, a.Max)
+	buf = binenc.AppendVarint(buf, a.FirstT)
+	buf = binenc.AppendFloat(buf, a.FirstV)
+	buf = binenc.AppendVarint(buf, a.LastT)
+	return binenc.AppendFloat(buf, a.LastV)
 }
 
 // decodeSnapshot parses a snapshot payload (without magic or trailer).
-// version is the format the magic announced; v1 payloads carry no tiers.
-func decodeSnapshot(payload []byte, version int) (chunkSize int, dump []timeseries.SeriesDump, err error) {
-	p := &payloadReader{buf: payload}
-	cs, err := p.uvarint()
-	if err != nil {
-		return 0, nil, err
-	}
-	nser, err := p.uvarint()
-	if err != nil {
-		return 0, nil, err
-	}
-	if nser > uint64(len(payload)) {
-		return 0, nil, fmt.Errorf("persist: implausible series count %d", nser)
-	}
+func decodeSnapshot(payload []byte) (chunkSize int, dump []timeseries.SeriesDump, err error) {
+	p := binenc.NewReader(payload)
+	chunkSize = int(p.Uvarint())
+	// A series is at least a name, label count, kind, unit, chunk count and
+	// tier count, one byte each.
+	nser := p.Count(6)
 	dump = make([]timeseries.SeriesDump, 0, nser)
-	for i := uint64(0); i < nser; i++ {
-		var sd timeseries.SeriesDump
-		if sd.ID, err = p.id(); err != nil {
-			return 0, nil, err
-		}
-		kind, err := p.byteVal()
-		if err != nil {
-			return 0, nil, err
-		}
-		sd.Kind = metric.Kind(kind)
-		unit, err := p.str()
-		if err != nil {
-			return 0, nil, err
-		}
-		sd.Unit = metric.Unit(unit)
-		if sd.Chunks, err = p.chunks(); err != nil {
-			return 0, nil, err
-		}
-		if version >= 2 {
-			ntier, err := p.uvarint()
-			if err != nil {
-				return 0, nil, err
-			}
-			if ntier > uint64(len(payload)) {
-				return 0, nil, fmt.Errorf("persist: implausible tier count %d", ntier)
-			}
-			for t := uint64(0); t < ntier; t++ {
-				var td timeseries.TierDump
-				if td.Step, err = p.varint(); err != nil {
-					return 0, nil, err
-				}
-				if td.Acc, err = p.acc(); err != nil {
-					return 0, nil, err
-				}
-				if td.Chunks, err = p.chunks(); err != nil {
-					return 0, nil, err
-				}
-				sd.Tiers = append(sd.Tiers, td)
-			}
+	for i := 0; i < nser && p.Err() == nil; i++ {
+		sd := timeseries.SeriesDump{ID: p.ID(), Kind: metric.Kind(p.Byte()), Unit: metric.Unit(p.Str())}
+		sd.Chunks = readChunks(&p)
+		// A tier is at least a step, a 45-byte accumulator and a chunk count.
+		ntier := p.Count(47)
+		for t := 0; t < ntier && p.Err() == nil; t++ {
+			sd.Tiers = append(sd.Tiers, timeseries.TierDump{Step: p.Varint(), Acc: readAcc(&p), Chunks: readChunks(&p)})
 		}
 		dump = append(dump, sd)
 	}
-	if p.pos != len(payload) {
-		return 0, nil, fmt.Errorf("%w: %d trailing snapshot bytes", errCorruptRecord, len(payload)-p.pos)
+	if err := p.Done(); err != nil {
+		return 0, nil, fmt.Errorf("persist: snapshot payload: %w", err)
 	}
-	return int(cs), dump, nil
+	return chunkSize, dump, nil
 }
 
-// chunks decodes one chunk list as written by appendChunks.
-func (p *payloadReader) chunks() ([]timeseries.ChunkDump, error) {
-	nch, err := p.uvarint()
-	if err != nil {
-		return nil, err
+// readChunks decodes one chunk list as written by appendChunks.
+func readChunks(p *binenc.Reader) []timeseries.ChunkDump {
+	n := p.Count(2) // a sample count and a byte length each
+	out := make([]timeseries.ChunkDump, 0, n)
+	for i := 0; i < n && p.Err() == nil; i++ {
+		out = append(out, timeseries.ChunkDump{Count: int(p.Uvarint()), Data: p.Bytes()})
 	}
-	if nch > uint64(len(p.buf)) {
-		return nil, fmt.Errorf("persist: implausible chunk count %d", nch)
-	}
-	out := make([]timeseries.ChunkDump, 0, nch)
-	for c := uint64(0); c < nch; c++ {
-		cnt, err := p.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		blen, err := p.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if blen > uint64(len(p.buf)-p.pos) {
-			return nil, fmt.Errorf("persist: chunk payload overruns snapshot")
-		}
-		data := append([]byte(nil), p.buf[p.pos:p.pos+int(blen)]...)
-		p.pos += int(blen)
-		out = append(out, timeseries.ChunkDump{Count: int(cnt), Data: data})
-	}
-	return out, nil
+	return out
 }
 
-// acc decodes a rollup accumulator as written by appendAcc.
-func (p *payloadReader) acc() (timeseries.RollupAcc, error) {
-	var a timeseries.RollupAcc
-	active, err := p.byteVal()
-	if err != nil {
-		return a, err
+// readAcc decodes a rollup accumulator as written by appendAcc.
+func readAcc(p *binenc.Reader) timeseries.RollupAcc {
+	return timeseries.RollupAcc{
+		Active: p.Bool(),
+		Start:  p.Varint(),
+		Count:  p.Varint(),
+		Sum:    p.Float(),
+		Min:    p.Float(),
+		Max:    p.Float(),
+		FirstT: p.Varint(),
+		FirstV: p.Float(),
+		LastT:  p.Varint(),
+		LastV:  p.Float(),
 	}
-	a.Active = active != 0
-	if a.Start, err = p.varint(); err != nil {
-		return a, err
-	}
-	if a.Count, err = p.varint(); err != nil {
-		return a, err
-	}
-	if a.Sum, err = p.float(); err != nil {
-		return a, err
-	}
-	if a.Min, err = p.float(); err != nil {
-		return a, err
-	}
-	if a.Max, err = p.float(); err != nil {
-		return a, err
-	}
-	if a.FirstT, err = p.varint(); err != nil {
-		return a, err
-	}
-	if a.FirstV, err = p.float(); err != nil {
-		return a, err
-	}
-	if a.LastT, err = p.varint(); err != nil {
-		return a, err
-	}
-	if a.LastV, err = p.float(); err != nil {
-		return a, err
-	}
-	return a, nil
 }
 
 // writeSnapshot durably writes a snapshot covering WAL segments < seq:
@@ -258,35 +163,34 @@ func writeSnapshot(dir string, seq uint64, chunkSize int, dump []timeseries.Seri
 }
 
 // loadSnapshot reads and validates one snapshot file, rebuilding the store
-// it captured. Any inconsistency — bad magic, checksum mismatch, decode
-// failure, chunk re-encode divergence — is an error so Open can fall back
-// to an older snapshot.
+// it captured. A complete foreign magic is ErrUnsupportedFormat, which Open
+// refuses to step around; any other inconsistency — short file, checksum
+// mismatch, decode failure, chunk re-encode divergence — is damage, and Open
+// falls back to an older snapshot.
 func loadSnapshot(path string, storeOpts []timeseries.Option) (*timeseries.Store, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	version := 0
-	switch {
-	case len(data) >= len(snapMagic)+4 && string(data[:len(snapMagic)]) == snapMagic:
-		version = 2
-	case len(data) >= len(snapMagicV1)+4 && string(data[:len(snapMagicV1)]) == snapMagicV1:
-		version = 1
-	default:
-		return nil, fmt.Errorf("persist: %s: bad snapshot magic", filepath.Base(path))
+	name := filepath.Base(path)
+	if len(data) >= len(snapMagic) && string(data[:len(snapMagic)]) != snapMagic {
+		return nil, fmt.Errorf("%w: %s has magic %q, want %q", ErrUnsupportedFormat, name, data[:len(snapMagic)], snapMagic)
+	}
+	if len(data) < len(snapMagic)+4 {
+		return nil, fmt.Errorf("persist: %s: short snapshot", name)
 	}
 	payload := data[len(snapMagic) : len(data)-4]
 	want := binary.BigEndian.Uint32(data[len(data)-4:])
 	if crc32.Checksum(payload, castagnoli) != want {
-		return nil, fmt.Errorf("persist: %s: snapshot checksum mismatch", filepath.Base(path))
+		return nil, fmt.Errorf("persist: %s: snapshot checksum mismatch", name)
 	}
-	chunkSize, dump, err := decodeSnapshot(payload, version)
+	chunkSize, dump, err := decodeSnapshot(payload)
 	if err != nil {
-		return nil, fmt.Errorf("persist: %s: %w", filepath.Base(path), err)
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	store, err := timeseries.RestoreStore(chunkSize, dump, storeOpts...)
 	if err != nil {
-		return nil, fmt.Errorf("persist: %s: %w", filepath.Base(path), err)
+		return nil, fmt.Errorf("persist: %s: %w", name, err)
 	}
 	return store, nil
 }

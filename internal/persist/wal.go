@@ -2,6 +2,7 @@ package persist
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -317,17 +318,23 @@ type replayResult struct {
 // record in order. It stops at the first record whose length prefix,
 // checksum or payload decode fails — the torn tail a crash mid-write
 // leaves — and reports the clean prefix length so the caller can truncate.
-// An empty or header-only file is a valid empty segment.
-func replaySegment(data []byte, apply func(rec walRecord)) replayResult {
+// An empty or header-only file is a valid empty segment. Intact foreign
+// data — a complete magic that is not ours, a checksummed record with a
+// retired op code — is not a tear: replay stops there with
+// ErrUnsupportedFormat and the result describes the prefix before it.
+func replaySegment(data []byte, apply func(rec walRecord)) (replayResult, error) {
 	res := replayResult{}
 	if len(data) == 0 {
-		return res
+		return res, nil
 	}
-	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
-		// Header never made it to disk: nothing recoverable.
+	if len(data) < len(segMagic) {
+		// Header never made it to disk whole: nothing recoverable.
 		res.torn = true
 		res.tornSize = int64(len(data))
-		return res
+		return res, nil
+	}
+	if got := data[:len(segMagic)]; string(got) != segMagic {
+		return res, fmt.Errorf("%w: segment magic %q, want %q", ErrUnsupportedFormat, got, segMagic)
 	}
 	pos := int64(len(segMagic))
 	res.offset = pos
@@ -346,6 +353,9 @@ func replaySegment(data []byte, apply func(rec walRecord)) replayResult {
 			break // corrupt payload
 		}
 		rec, err := decodeRecord(payload)
+		if errors.Is(err, ErrUnsupportedFormat) {
+			return res, fmt.Errorf("record at offset %d: %w", pos, err)
+		}
 		if err != nil {
 			break // checksum matched but the payload is not a record
 		}
@@ -358,5 +368,5 @@ func replaySegment(data []byte, apply func(rec walRecord)) replayResult {
 		res.torn = true
 		res.tornSize = n - res.offset
 	}
-	return res
+	return res, nil
 }

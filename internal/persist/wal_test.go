@@ -17,19 +17,48 @@ func testID(name, node string) metric.ID {
 	return metric.ID{Name: name, Labels: metric.NewLabels("node", node)}
 }
 
+// frameSegment builds a WAL segment image: the magic, then each payload
+// length-prefixed and checksummed the way wal.append writes it.
+func frameSegment(payloads ...[]byte) []byte {
+	buf := []byte(segMagic)
+	for _, p := range payloads {
+		var hdr [recordHeaderLen]byte
+		binary.BigEndian.PutUint32(hdr[0:4], uint32(len(p)))
+		binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(p, castagnoli))
+		buf = append(append(buf, hdr[:]...), p...)
+	}
+	return buf
+}
+
+// mustReplay is replaySegment for inputs that hold nothing unsupported.
+func mustReplay(t testing.TB, data []byte, apply func(walRecord)) replayResult {
+	t.Helper()
+	res, err := replaySegment(data, apply)
+	if err != nil {
+		t.Fatalf("replaySegment: %v", err)
+	}
+	return res
+}
+
 func TestRecordRoundTrip(t *testing.T) {
-	entries := []timeseries.BatchEntry{
-		{ID: testID("power", "n01"), Kind: metric.Gauge, Unit: metric.UnitWatt, T: 1000, V: 220.5},
-		{ID: testID("power", "n02"), Kind: metric.Gauge, Unit: metric.UnitWatt, T: 1000, V: 198.25},
-		{ID: metric.ID{Name: "temp"}, Kind: metric.Counter, Unit: metric.UnitCelsius, T: -5000, V: math.Inf(1)},
+	entries := []refSample{
+		{ref: 1, t: 1000, v: 220.5},
+		{ref: 2, t: 1000, v: 198.25},
+		{ref: 1 << 40, t: -5000, v: math.Inf(1)},
 	}
 	cases := []struct {
 		name    string
 		payload []byte
 		check   func(t *testing.T, rec walRecord)
 	}{
-		{"append", encodeAppend(nil, entries), func(t *testing.T, rec walRecord) {
-			if rec.op != opAppend || !reflect.DeepEqual(rec.entries, entries) {
+		{"define", encodeDefine(nil, 7, testID("power", "n01"), metric.Counter, metric.UnitWatt), func(t *testing.T, rec walRecord) {
+			if rec.op != opDefine || rec.ref != 7 || !reflect.DeepEqual(rec.id, testID("power", "n01")) ||
+				rec.kind != metric.Counter || rec.unit != metric.UnitWatt {
+				t.Fatalf("define round trip mismatch: %+v", rec)
+			}
+		}},
+		{"append", encodeAppendRef(nil, entries), func(t *testing.T, rec walRecord) {
+			if rec.op != opAppendRef || !reflect.DeepEqual(rec.refEntries, entries) {
 				t.Fatalf("append round trip mismatch: %+v", rec)
 			}
 		}},
@@ -59,7 +88,7 @@ func TestDecodeRecordRejectsGarbage(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":          nil,
 		"unknown op":     {99, 1, 2, 3},
-		"truncated":      encodeAppend(nil, []timeseries.BatchEntry{{ID: testID("m", "n"), T: 1, V: 2}})[:5],
+		"truncated":      encodeAppendRef(nil, []refSample{{ref: 1, t: 1, v: 2}})[:5],
 		"trailing bytes": append(encodeRetain(nil, 7), 0xFF),
 	}
 	for name, payload := range cases {
@@ -98,7 +127,7 @@ func TestWALSegmentRotationAndReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := replaySegment(data, func(rec walRecord) { cutoffs = append(cutoffs, rec.cutoff) })
+		res := mustReplay(t, data, func(rec walRecord) { cutoffs = append(cutoffs, rec.cutoff) })
 		if res.torn {
 			t.Fatalf("segment %s unexpectedly torn", sg.path)
 		}
@@ -115,48 +144,39 @@ func TestWALSegmentRotationAndReplay(t *testing.T) {
 
 func TestReplayTornTailVariants(t *testing.T) {
 	valid := func() []byte {
-		buf := []byte(segMagic)
-		for i := 0; i < 3; i++ {
-			payload := encodeRetain(nil, int64(i))
-			var hdr [recordHeaderLen]byte
-			binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-			binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-			buf = append(buf, hdr[:]...)
-			buf = append(buf, payload...)
-		}
-		return buf
+		return frameSegment(encodeRetain(nil, 0), encodeRetain(nil, 1), encodeRetain(nil, 2))
 	}
 
 	t.Run("clean", func(t *testing.T) {
 		n := 0
-		res := replaySegment(valid(), func(walRecord) { n++ })
+		res := mustReplay(t, valid(), func(walRecord) { n++ })
 		if res.torn || n != 3 || res.records != 3 {
 			t.Fatalf("clean segment misread: torn=%v records=%d", res.torn, res.records)
 		}
 	})
 	t.Run("empty file", func(t *testing.T) {
-		res := replaySegment(nil, func(walRecord) { t.Fatal("applied record from empty file") })
+		res := mustReplay(t, nil, func(walRecord) { t.Fatal("applied record from empty file") })
 		if res.torn || res.records != 0 {
 			t.Fatalf("empty file should be a clean empty segment: %+v", res)
 		}
 	})
 	t.Run("header only", func(t *testing.T) {
-		res := replaySegment([]byte(segMagic), func(walRecord) { t.Fatal("applied record") })
+		res := mustReplay(t, []byte(segMagic), func(walRecord) { t.Fatal("applied record") })
 		if res.torn || res.records != 0 {
 			t.Fatalf("header-only file should be clean: %+v", res)
 		}
 	})
-	t.Run("bad magic", func(t *testing.T) {
-		res := replaySegment([]byte("NOTAWAL!rest"), func(walRecord) { t.Fatal("applied record") })
-		if !res.torn || res.records != 0 {
-			t.Fatalf("bad magic should be torn with no records: %+v", res)
+	t.Run("short magic", func(t *testing.T) {
+		res := mustReplay(t, []byte(segMagic[:5]), func(walRecord) { t.Fatal("applied record") })
+		if !res.torn || res.records != 0 || res.offset != 0 || res.tornSize != 5 {
+			t.Fatalf("a header cut short should be torn with no records: %+v", res)
 		}
 	})
 	t.Run("truncated mid-record", func(t *testing.T) {
 		data := valid()
 		cut := data[:len(data)-3]
 		n := 0
-		res := replaySegment(cut, func(walRecord) { n++ })
+		res := mustReplay(t, cut, func(walRecord) { n++ })
 		if !res.torn || n != 2 {
 			t.Fatalf("want torn tail with 2 clean records, got torn=%v n=%d", res.torn, n)
 		}
@@ -168,7 +188,7 @@ func TestReplayTornTailVariants(t *testing.T) {
 		data := valid()
 		data[len(data)-1] ^= 0x40 // corrupt the last record's payload
 		n := 0
-		res := replaySegment(data, func(walRecord) { n++ })
+		res := mustReplay(t, data, func(walRecord) { n++ })
 		if !res.torn || n != 2 {
 			t.Fatalf("want checksum to reject last record, got torn=%v n=%d", res.torn, n)
 		}
@@ -176,7 +196,7 @@ func TestReplayTornTailVariants(t *testing.T) {
 	t.Run("absurd length prefix", func(t *testing.T) {
 		data := append(valid(), 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0)
 		n := 0
-		res := replaySegment(data, func(walRecord) { n++ })
+		res := mustReplay(t, data, func(walRecord) { n++ })
 		if !res.torn || n != 3 {
 			t.Fatalf("want clean prefix then torn, got torn=%v n=%d", res.torn, n)
 		}
@@ -203,7 +223,7 @@ func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 		}
 	}
 	dump := store.Dump()
-	chunkSize, back, err := decodeSnapshot(encodeSnapshot(store.ChunkSize(), dump), 2)
+	chunkSize, back, err := decodeSnapshot(encodeSnapshot(store.ChunkSize(), dump))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,11 +379,11 @@ func TestSnapshotPayloadTruncationSweep(t *testing.T) {
 	}
 	payload := encodeSnapshot(store.ChunkSize(), store.Dump())
 	for cut := 0; cut < len(payload); cut++ {
-		if _, _, err := decodeSnapshot(payload[:cut], 2); err == nil {
+		if _, _, err := decodeSnapshot(payload[:cut]); err == nil {
 			t.Fatalf("truncation at %d/%d decoded without error", cut, len(payload))
 		}
 	}
-	if _, _, err := decodeSnapshot(payload, 2); err != nil {
+	if _, _, err := decodeSnapshot(payload); err != nil {
 		t.Fatalf("full payload failed: %v", err)
 	}
 }

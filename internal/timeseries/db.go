@@ -281,11 +281,6 @@ func (s *Store) Append(id metric.ID, kind metric.Kind, unit metric.Unit, t int64
 	return err
 }
 
-// AppendSample is Append for a metric.Sample.
-func (s *Store) AppendSample(id metric.ID, kind metric.Kind, unit metric.Unit, sm metric.Sample) error {
-	return s.Append(id, kind, unit, sm.T, sm.V)
-}
-
 // BatchEntry is one sample of an AppendBatch call.
 type BatchEntry struct {
 	ID   metric.ID
@@ -300,6 +295,11 @@ type BatchEntry struct {
 // collector's per-scrape fast path. Per-sample ingest errors (out-of-order
 // timestamps) do not abort the batch; AppendBatch returns how many samples
 // were accepted plus the first error encountered.
+//
+// The keyed loop is kept, not made an adapter over Resolve + AppendRefs: it
+// is the reference DESIGN §12's invariant and the parity/interleaving tests
+// in refs_test.go check the ref path against, so it must share no code with
+// that path above storedSeries.append.
 func (s *Store) AppendBatch(entries []BatchEntry) (int, error) {
 	appended := 0
 	var firstErr error

@@ -10,8 +10,8 @@ import (
 // pays one map probe per entry instead of hashing and shard-locking inside
 // the store, and — when the caller already has the keys in hand (the
 // cluster router computes them for ring placement) — nothing else. The
-// cache heals itself across epoch bumps and falls back to the keyed path
-// when the wrapped appender refuses to resolve (e.g. mid-close).
+// cache heals itself across epoch bumps; an appender that refuses to
+// resolve (closed, WAL error) refuses the batch.
 type RefCache struct {
 	mu    sync.Mutex
 	a     RefAppender
@@ -25,8 +25,8 @@ func NewRefCache(a RefAppender) *RefCache {
 	return &RefCache{a: a, refs: make(map[string]SeriesRef)}
 }
 
-// AppendBatch appends keyed entries through the ref fast path, with the
-// same (appended, first error) contract as the keyed AppendBatch.
+// AppendBatch appends keyed entries through the ref path, with the same
+// (appended, first error) contract as Store.AppendBatch.
 func (c *RefCache) AppendBatch(entries []BatchEntry) (int, error) {
 	return c.AppendBatchKeys(entries, nil)
 }
@@ -59,9 +59,7 @@ func (c *RefCache) AppendBatchKeys(entries []BatchEntry, keys []string) (int, er
 				var err error
 				ref, err = c.a.Resolve(e.ID, e.Kind, e.Unit)
 				if err != nil {
-					// Resolve refused (store closing, WAL error): hand the
-					// whole batch to the keyed path for its verdict.
-					return c.a.AppendBatch(entries)
+					return 0, err
 				}
 				c.refs[key] = ref
 			}

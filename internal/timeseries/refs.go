@@ -183,10 +183,12 @@ func (s *Store) RefStats() RefIngestStats {
 	}
 }
 
-// RefAppender is the optional ref fast-path ingest surface. Store and
-// persist.DurableStore implement it; keyed-path consumers (collector
-// sinks, the cluster router) type-assert for it and fall back to
-// AppendBatch when absent.
+// RefAppender is the one ingest contract below the wire decoder: resolve a
+// series to a handle once, then append by handle. Store and
+// persist.DurableStore implement it; StoreSink, RefCache and the cluster
+// router call nothing else. AppendBatch is in the method set only because
+// the frozen bench/trace forwards it through this interface; it leaves with
+// that forwarder (ROADMAP, "One ingest path").
 type RefAppender interface {
 	AppendBatch(entries []BatchEntry) (int, error)
 	Resolve(id metric.ID, kind metric.Kind, unit metric.Unit) (SeriesRef, error)

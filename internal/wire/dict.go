@@ -1,13 +1,10 @@
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 
-	"repro/internal/metric"
+	"repro/internal/binenc"
 )
 
 // Protocol v2: per-connection series dictionary.
@@ -43,21 +40,15 @@ var (
 	ErrDictRedefine = errors.New("wire: dictionary redefines existing series ref")
 )
 
-type dictDef struct {
-	id   metric.ID
-	kind metric.Kind
-	unit metric.Unit
-}
-
 // ConnDict is the receive side of the v2 dictionary: one per connection,
 // populated by FrameDict payloads and consumed by DecodeRefBatch. Not safe
 // for concurrent use; frames on one connection are handled sequentially.
 type ConnDict struct {
-	defs map[uint64]dictDef
+	defs map[uint64]Record // series identities; Samples is always nil
 }
 
 // NewConnDict returns an empty per-connection dictionary.
-func NewConnDict() *ConnDict { return &ConnDict{defs: make(map[uint64]dictDef)} }
+func NewConnDict() *ConnDict { return &ConnDict{defs: make(map[uint64]Record)} }
 
 // Len returns how many series the connection has defined.
 func (d *ConnDict) Len() int { return len(d.defs) }
@@ -65,168 +56,72 @@ func (d *ConnDict) Len() int { return len(d.defs) }
 // AddDefs decodes a FrameDict payload into the dictionary and returns how
 // many series it defined.
 func (d *ConnDict) AddDefs(payload []byte) (int, error) {
-	p := &payloadReader{buf: payload}
-	ndefs, err := p.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if ndefs > uint64(len(payload)) { // sanity: every def needs >= 1 byte
-		return 0, fmt.Errorf("wire: implausible definition count %d", ndefs)
-	}
-	for i := uint64(0); i < ndefs; i++ {
-		ref, err := p.uvarint()
-		if err != nil {
-			return 0, err
-		}
-		name, err := p.str()
-		if err != nil {
-			return 0, err
-		}
-		nlab, err := p.uvarint()
-		if err != nil {
-			return 0, err
-		}
-		if nlab > uint64(len(payload)) {
-			return 0, fmt.Errorf("wire: implausible label count %d", nlab)
-		}
-		var labels metric.Labels
-		if nlab > 0 {
-			kv := make([]string, 0, nlab*2)
-			for li := uint64(0); li < nlab; li++ {
-				k, err := p.str()
-				if err != nil {
-					return 0, err
-				}
-				v, err := p.str()
-				if err != nil {
-					return 0, err
-				}
-				kv = append(kv, k, v)
-			}
-			labels = metric.NewLabels(kv...)
-		}
-		if p.pos >= len(payload) {
-			return 0, io.ErrUnexpectedEOF
-		}
-		kind := metric.Kind(payload[p.pos])
-		p.pos++
-		unit, err := p.str()
-		if err != nil {
-			return 0, err
+	p := binenc.NewReader(payload)
+	// A definition is at least a ref plus a series identity (name, label
+	// count, kind, unit), one byte each.
+	ndefs := p.Count(5)
+	for i := 0; i < ndefs; i++ {
+		ref := p.Uvarint()
+		def := readSeries(&p)
+		if err := p.Err(); err != nil {
+			return 0, fmt.Errorf("wire: dictionary: %w", err)
 		}
 		if _, dup := d.defs[ref]; dup {
 			return 0, fmt.Errorf("%w: ref %d", ErrDictRedefine, ref)
 		}
 		// Intern the ID once per connection: every batch decoded against
 		// this def reuses the cached key on downstream keyed lookups.
-		d.defs[ref] = dictDef{id: metric.NewID(name, labels), kind: kind, unit: metric.Unit(unit)}
+		def.ID = def.ID.Interned()
+		d.defs[ref] = def
 	}
-	if p.pos != len(payload) {
-		return 0, fmt.Errorf("wire: %d trailing bytes after dictionary", len(payload)-p.pos)
+	if err := p.Done(); err != nil {
+		return 0, fmt.Errorf("wire: dictionary: %w", err)
 	}
-	return int(ndefs), nil
+	return ndefs, nil
 }
 
 // DecodeRefBatch parses a FrameRefBatch payload against the dictionary,
 // returning a Batch identical to what a v1 FrameBatch for the same samples
 // would decode to (record IDs come from the dictionary definitions).
 func (d *ConnDict) DecodeRefBatch(payload []byte) (*Batch, error) {
-	p := &payloadReader{buf: payload}
-	agent, err := p.str()
-	if err != nil {
-		return nil, err
-	}
-	nrec, err := p.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if nrec > uint64(len(payload)) {
-		return nil, fmt.Errorf("wire: implausible record count %d", nrec)
-	}
-	b := &Batch{Agent: agent, Records: make([]Record, 0, nrec)}
-	for ri := uint64(0); ri < nrec; ri++ {
-		ref, err := p.uvarint()
-		if err != nil {
-			return nil, err
+	p := binenc.NewReader(payload)
+	b := &Batch{Agent: p.Str()}
+	n := p.Count(2) // a ref and a sample count, one byte each
+	b.Records = make([]Record, 0, n)
+	for i := 0; i < n; i++ {
+		ref := p.Uvarint()
+		if p.Err() != nil {
+			break
 		}
-		def, ok := d.defs[ref]
+		r, ok := d.defs[ref]
 		if !ok {
 			return nil, fmt.Errorf("%w: ref %d", ErrUnknownRef, ref)
 		}
-		r := Record{ID: def.id, Kind: def.kind, Unit: def.unit}
-		nsm, err := p.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if nsm > uint64(len(payload)) {
-			return nil, fmt.Errorf("wire: implausible sample count %d", nsm)
-		}
-		if nsm > 0 {
-			r.Samples = make([]metric.Sample, 0, nsm)
-		}
-		var prevT int64
-		for si := uint64(0); si < nsm; si++ {
-			dt, err := p.varint()
-			if err != nil {
-				return nil, err
-			}
-			t := dt
-			if si > 0 {
-				t = prevT + dt
-			}
-			prevT = t
-			v, err := p.float()
-			if err != nil {
-				return nil, err
-			}
-			r.Samples = append(r.Samples, metric.Sample{T: t, V: v})
-		}
+		r.Samples = readSamples(&p)
 		b.Records = append(b.Records, r)
 	}
-	if p.pos != len(payload) {
-		return nil, fmt.Errorf("wire: %d trailing bytes after ref batch", len(payload)-p.pos)
+	if err := p.Done(); err != nil {
+		return nil, fmt.Errorf("wire: ref batch: %w", err)
 	}
 	return b, nil
 }
 
 // appendDef serializes one dictionary definition.
 func appendDef(dst []byte, ref uint64, r *Record) []byte {
-	dst = appendUvarint(dst, ref)
-	dst = appendString(dst, r.ID.Name)
-	dst = appendUvarint(dst, uint64(len(r.ID.Labels)))
-	for _, l := range r.ID.Labels {
-		dst = appendString(dst, l.Key)
-		dst = appendString(dst, l.Value)
-	}
-	dst = append(dst, byte(r.Kind))
-	dst = appendString(dst, string(r.Unit))
-	return dst
+	return appendSeries(binenc.AppendUvarint(dst, ref), r)
 }
 
 // appendRefBatch serializes a FrameRefBatch payload for b, with every
 // record's ref already present in refs (keyed by ID.Key()).
 func appendRefBatch(dst []byte, b *Batch, refs map[string]uint64) []byte {
-	out := dst
-	out = appendString(out, b.Agent)
-	out = appendUvarint(out, uint64(len(b.Records)))
+	dst = binenc.AppendString(dst, b.Agent)
+	dst = binenc.AppendUvarint(dst, uint64(len(b.Records)))
 	for i := range b.Records {
 		r := &b.Records[i]
-		out = appendUvarint(out, refs[r.ID.Key()])
-		out = appendUvarint(out, uint64(len(r.Samples)))
-		var prevT int64
-		for si, sm := range r.Samples {
-			if si == 0 {
-				out = appendVarint(out, sm.T)
-			} else {
-				out = appendVarint(out, sm.T-prevT)
-			}
-			prevT = sm.T
-			var vb [8]byte
-			binary.BigEndian.PutUint64(vb[:], math.Float64bits(sm.V))
-			out = append(out, vb[:]...)
-		}
+		dst = binenc.AppendUvarint(dst, refs[r.ID.Key()])
+		dst = appendSamples(dst, r.Samples)
 	}
-	return out
+	return dst
 }
 
 // clientDict is the send side of the v2 dictionary: per-connection ref
@@ -259,7 +154,7 @@ func (d *clientDict) sendDict(bw *BatchWriter, b *Batch) error {
 		ndefs++
 	}
 	if ndefs > 0 {
-		d.defs = appendUvarint(d.defs[:0], uint64(ndefs))
+		d.defs = binenc.AppendUvarint(d.defs[:0], uint64(ndefs))
 		d.defs = append(d.defs, d.body...)
 		if err := bw.writeFrame(Version2, FrameDict, d.defs); err != nil {
 			return err

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/binenc"
 	"repro/internal/metric"
 )
 
@@ -149,7 +150,7 @@ func TestDictDuplicateIDsInOneBatch(t *testing.T) {
 // (dropping the connection) instead of guessing.
 func TestConnDictProtocolErrors(t *testing.T) {
 	rec := &Record{ID: metric.ID{Name: "p", Labels: metric.NewLabels("n", "1")}, Kind: metric.Gauge, Unit: metric.UnitWatt}
-	def := appendDef(appendUvarint(nil, 1), 7, rec)
+	def := appendDef(binenc.AppendUvarint(nil, 1), 7, rec)
 
 	t.Run("redefine", func(t *testing.T) {
 		cd := NewConnDict()
@@ -183,7 +184,7 @@ func TestConnDictProtocolErrors(t *testing.T) {
 	})
 	t.Run("huge-count", func(t *testing.T) {
 		cd := NewConnDict()
-		if _, err := cd.AddDefs(appendUvarint(nil, 1<<40)); err == nil {
+		if _, err := cd.AddDefs(binenc.AppendUvarint(nil, 1<<40)); err == nil {
 			t.Fatal("implausible def count accepted")
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/binenc"
 	"repro/internal/metric"
 )
 
@@ -97,12 +98,12 @@ func dictFuzzSeeds() (defs, batch, dupDefs, undefBatch []byte) {
 		Kind: metric.Counter, Unit: metric.UnitCelsius,
 		Samples: []metric.Sample{{T: -5, V: math.NaN()}},
 	}
-	defs = appendUvarint(nil, 2)
+	defs = binenc.AppendUvarint(nil, 2)
 	defs = appendDef(defs, 1, &rec1)
 	defs = appendDef(defs, 2, &rec2)
 	refs := map[string]uint64{rec1.ID.Key(): 1, rec2.ID.Key(): 2}
 	batch = appendRefBatch(nil, &Batch{Agent: "n042", Records: []Record{rec1, rec2}}, refs)
-	dupDefs = appendUvarint(nil, 2)
+	dupDefs = binenc.AppendUvarint(nil, 2)
 	dupDefs = appendDef(dupDefs, 1, &rec1)
 	dupDefs = appendDef(dupDefs, 1, &rec2) // same ref twice: protocol error
 	undefBatch = appendRefBatch(nil, &Batch{Agent: "n042", Records: []Record{rec1}},

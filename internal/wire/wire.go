@@ -28,8 +28,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
+	"repro/internal/binenc"
 	"repro/internal/metric"
 )
 
@@ -84,24 +84,6 @@ type Batch struct {
 	Records []Record
 }
 
-// appendUvarint / appendVarint helpers over a byte slice.
-func appendUvarint(b []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	return append(b, tmp[:n]...)
-}
-
-func appendVarint(b []byte, v int64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(tmp[:], v)
-	return append(b, tmp[:n]...)
-}
-
-func appendString(b []byte, s string) []byte {
-	b = appendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
 // EncodeBatch serializes a batch payload (without frame header) into a
 // fresh buffer. Hot paths that encode repeatedly should use AppendBatch
 // with a reused buffer instead.
@@ -114,162 +96,72 @@ func EncodeBatch(b *Batch) []byte {
 // buffer across calls amortizes the encode allocation to zero once the
 // buffer has grown to the steady-state batch size.
 func AppendBatch(dst []byte, b *Batch) []byte {
-	out := dst
-	out = appendString(out, b.Agent)
-	out = appendUvarint(out, uint64(len(b.Records)))
-	for _, r := range b.Records {
-		out = appendString(out, r.ID.Name)
-		out = appendUvarint(out, uint64(len(r.ID.Labels)))
-		for _, l := range r.ID.Labels {
-			out = appendString(out, l.Key)
-			out = appendString(out, l.Value)
-		}
-		out = append(out, byte(r.Kind))
-		out = appendString(out, string(r.Unit))
-		out = appendUvarint(out, uint64(len(r.Samples)))
-		var prevT int64
-		for i, sm := range r.Samples {
-			if i == 0 {
-				out = appendVarint(out, sm.T)
-			} else {
-				out = appendVarint(out, sm.T-prevT)
-			}
-			prevT = sm.T
-			var vb [8]byte
-			binary.BigEndian.PutUint64(vb[:], math.Float64bits(sm.V))
-			out = append(out, vb[:]...)
-		}
+	dst = binenc.AppendString(dst, b.Agent)
+	dst = binenc.AppendUvarint(dst, uint64(len(b.Records)))
+	for i := range b.Records {
+		r := &b.Records[i]
+		dst = appendSeries(dst, r)
+		dst = appendSamples(dst, r.Samples)
 	}
-	return out
+	return dst
 }
 
-type payloadReader struct {
-	buf []byte
-	pos int
+// appendSeries serializes a record's identity: ID, kind byte, unit. A v1
+// record carries it inline; a v2 dictionary definition carries it once.
+func appendSeries(dst []byte, r *Record) []byte {
+	dst = binenc.AppendID(dst, r.ID)
+	dst = append(dst, byte(r.Kind))
+	return binenc.AppendString(dst, string(r.Unit))
 }
 
-func (p *payloadReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(p.buf[p.pos:])
-	if n <= 0 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	p.pos += n
-	return v, nil
+func readSeries(p *binenc.Reader) Record {
+	return Record{ID: p.ID(), Kind: metric.Kind(p.Byte()), Unit: metric.Unit(p.Str())}
 }
 
-func (p *payloadReader) varint() (int64, error) {
-	v, n := binary.Varint(p.buf[p.pos:])
-	if n <= 0 {
-		return 0, io.ErrUnexpectedEOF
+// appendSamples serializes a sample run, shared by v1 records and v2 ref
+// records: a count, then per sample a varint timestamp (the first absolute,
+// the rest deltas — a regular cadence costs one byte) and an 8-byte value.
+func appendSamples(dst []byte, samples []metric.Sample) []byte {
+	dst = binenc.AppendUvarint(dst, uint64(len(samples)))
+	var prevT int64
+	for _, sm := range samples {
+		dst = binenc.AppendVarint(dst, sm.T-prevT)
+		prevT = sm.T
+		dst = binenc.AppendFloat(dst, sm.V)
 	}
-	p.pos += n
-	return v, nil
+	return dst
 }
 
-func (p *payloadReader) str() (string, error) {
-	n, err := p.uvarint()
-	if err != nil {
-		return "", err
+// readSamples decodes a sample run (nil when empty).
+func readSamples(p *binenc.Reader) []metric.Sample {
+	n := p.Count(9) // a timestamp byte and an 8-byte value each
+	if n == 0 {
+		return nil
 	}
-	// Guard before converting to int: a corrupt varint can exceed the
-	// buffer (or even overflow int), which must be an error, not a panic.
-	if n > uint64(len(p.buf)-p.pos) {
-		return "", io.ErrUnexpectedEOF
+	samples := make([]metric.Sample, n)
+	var t int64
+	for i := range samples {
+		t += p.Varint()
+		samples[i] = metric.Sample{T: t, V: p.Float()}
 	}
-	s := string(p.buf[p.pos : p.pos+int(n)])
-	p.pos += int(n)
-	return s, nil
-}
-
-func (p *payloadReader) float() (float64, error) {
-	if p.pos+8 > len(p.buf) {
-		return 0, io.ErrUnexpectedEOF
-	}
-	v := math.Float64frombits(binary.BigEndian.Uint64(p.buf[p.pos:]))
-	p.pos += 8
-	return v, nil
+	return samples
 }
 
 // DecodeBatch parses a batch payload.
 func DecodeBatch(payload []byte) (*Batch, error) {
-	p := &payloadReader{buf: payload}
-	agent, err := p.str()
-	if err != nil {
-		return nil, err
-	}
-	nrec, err := p.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if nrec > uint64(len(payload)) { // sanity: every record needs >= 1 byte
-		return nil, fmt.Errorf("wire: implausible record count %d", nrec)
-	}
-	b := &Batch{Agent: agent, Records: make([]Record, 0, nrec)}
-	for ri := uint64(0); ri < nrec; ri++ {
-		var r Record
-		if r.ID.Name, err = p.str(); err != nil {
-			return nil, err
-		}
-		nlab, err := p.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if nlab > uint64(len(payload)) {
-			return nil, fmt.Errorf("wire: implausible label count %d", nlab)
-		}
-		if nlab > 0 {
-			kv := make([]string, 0, nlab*2)
-			for li := uint64(0); li < nlab; li++ {
-				k, err := p.str()
-				if err != nil {
-					return nil, err
-				}
-				v, err := p.str()
-				if err != nil {
-					return nil, err
-				}
-				kv = append(kv, k, v)
-			}
-			r.ID.Labels = metric.NewLabels(kv...)
-		}
-		if p.pos >= len(payload) {
-			return nil, io.ErrUnexpectedEOF
-		}
-		r.Kind = metric.Kind(payload[p.pos])
-		p.pos++
-		unit, err := p.str()
-		if err != nil {
-			return nil, err
-		}
-		r.Unit = metric.Unit(unit)
-		nsm, err := p.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if nsm > uint64(len(payload)) {
-			return nil, fmt.Errorf("wire: implausible sample count %d", nsm)
-		}
-		if nsm > 0 {
-			r.Samples = make([]metric.Sample, 0, nsm)
-		}
-		var prevT int64
-		for si := uint64(0); si < nsm; si++ {
-			dt, err := p.varint()
-			if err != nil {
-				return nil, err
-			}
-			t := dt
-			if si > 0 {
-				t = prevT + dt
-			}
-			prevT = t
-			v, err := p.float()
-			if err != nil {
-				return nil, err
-			}
-			r.Samples = append(r.Samples, metric.Sample{T: t, V: v})
-		}
+	p := binenc.NewReader(payload)
+	b := &Batch{Agent: p.Str()}
+	// A record is at least a name, a label count, a kind, a unit and a
+	// sample count, one byte each.
+	n := p.Count(5)
+	b.Records = make([]Record, 0, n)
+	for i := 0; i < n && p.Err() == nil; i++ {
+		r := readSeries(&p)
+		r.Samples = readSamples(&p)
 		b.Records = append(b.Records, r)
+	}
+	if err := p.Err(); err != nil {
+		return nil, fmt.Errorf("wire: batch: %w", err)
 	}
 	return b, nil
 }
