@@ -12,12 +12,12 @@ CHAOS_SEED ?= 1
 CHAOS_DURATION ?= 5m
 CHAOS_INTENSITY ?= 2
 
-.PHONY: build test test-bench race vet bench bench-parallel bench-allocs bench-longwindow bench-cluster bench-rebalance bench-ingest bench-e2e loc cover fuzz-short crash-test lint-footprints chaos-short chaos
+.PHONY: build test test-bench race vet bench bench-parallel bench-allocs bench-longwindow bench-cluster bench-rebalance bench-ingest bench-replay bench-e2e loc cover fuzz-short crash-test lint-footprints chaos-short chaos
 
 build:
 	$(GO) build ./...
 
-test: lint-footprints chaos-short bench-ingest test-bench
+test: lint-footprints chaos-short bench-ingest bench-replay test-bench
 	$(GO) test ./...
 
 # The benchmark under bench/ is its own module (go test ./... at the root
@@ -88,6 +88,7 @@ cover:
 # package, so the targets run back to back.
 fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzBitstreamRoundTrip -fuzztime $(FUZZTIME) ./internal/timeseries
+	$(GO) test -run xxx -fuzz FuzzBitWriterParity -fuzztime $(FUZZTIME) ./internal/timeseries
 	$(GO) test -run xxx -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzDictDecode -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/persist
@@ -148,6 +149,28 @@ bench-ingest:
 			if (!seen) { print "FAIL: BenchmarkIngestRefs missing from output"; exit 1 } \
 			if (bad) exit 1; \
 			print "OK: ref ingest at 0 allocs/op" }'
+
+# Recovery allocation budget: replaying the fleet WAL (4096 series, 32-sample
+# records, 10 s cadence, rollups 1m,1h — the shape of the end-to-end
+# benchmark's largest recovery) may allocate what building the same store by
+# direct AppendRefs allocates, plus one decode scratch per segment and the ref
+# table's one resolve buffer: nothing per record, nothing per sample (the
+# fleet WAL holds 49,152 records; the 8 on top absorbs the runtime's own
+# stray allocations, which land in either count). The budget is a count, so
+# it does not depend on how fast this box is today; ns/sample is printed for
+# the reader. A missing benchmark fails the gate.
+bench-replay:
+	@out=$$($(GO) test -run xxx -bench 'BenchmarkWALReplayFleet' -benchmem -benchtime 2x ./internal/persist); \
+	echo "$$out"; \
+	echo "$$out" | awk ' \
+		/^BenchmarkWALReplayFleet\/replay/ { replay=$$(NF-1); for (i=2; i<=NF; i++) if ($$i == "segments") segs=$$(i-1) } \
+		/^BenchmarkWALReplayFleet\/direct/ { direct=$$(NF-1) } \
+		END { \
+			if (replay == "" || direct == "" || segs == "") { print "FAIL: BenchmarkWALReplayFleet replay/direct missing from output"; exit 1 } \
+			budget = direct + segs + 1 + 8; \
+			printf "replay %d allocs/op, direct build %d, %d segments: budget %d\n", replay, direct, segs, budget; \
+			if (replay+0 > budget) { printf "FAIL: replay allocates %d allocs/op over its budget\n", replay - budget; exit 1 } \
+			print "OK: the decode-and-resolve loop allocates nothing per record or per sample" }'
 
 # The end-to-end benchmark BENCHMARK.json declares: all four workloads, one
 # seed. Everything it builds and writes lands under .bench_build/.

@@ -147,9 +147,14 @@ func main() {
 		}
 		store, local = durable.Store(), durable
 		st := durable.Stats()
-		log.Printf("odad: recovered %s: snapshot=%v, %d WAL records replayed across %d segments, %d torn tails truncated, %d segments set aside (%d series, %d samples)",
-			*dataDir, st.SnapshotLoaded, st.ReplayedRecords, st.ReplayedSegments, st.TruncatedTails, st.LostSegments,
-			store.NumSeries(), store.NumSamples())
+		var nsPerSample float64
+		if st.ReplayedSamples > 0 {
+			nsPerSample = float64(st.ReplayDuration.Nanoseconds()) / float64(st.ReplayedSamples)
+		}
+		log.Printf("odad: recovered %s: snapshot=%v in %.3fs, %d WAL records (%d samples) replayed across %d segments in %.3fs (%.0f ns/sample), %d torn tails truncated, %d segments set aside (%d series, %d samples)",
+			*dataDir, st.SnapshotLoaded, st.SnapshotLoadDuration.Seconds(),
+			st.ReplayedRecords, st.ReplayedSamples, st.ReplayedSegments, st.ReplayDuration.Seconds(), nsPerSample,
+			st.TruncatedTails, st.LostSegments, store.NumSeries(), store.NumSamples())
 	} else {
 		store = timeseries.NewStore(*chunkSize, storeOpts...)
 		local = store

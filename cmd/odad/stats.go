@@ -50,20 +50,23 @@ func statsPayload(store *timeseries.Store, srv *wire.Server, durable *persist.Du
 	if durable != nil {
 		st := durable.Stats()
 		stats["persist"] = map[string]any{
-			"segments":          st.Segments,
-			"segment_bytes":     st.SegmentBytes,
-			"wal_records":       st.WALRecords,
-			"wal_bytes":         st.WALBytes,
-			"fsyncs":            st.Fsyncs,
-			"coalesced_syncs":   st.CoalescedSyncs,
-			"checkpoints":       st.Checkpoints,
-			"snapshot_bytes":    st.SnapshotBytes,
-			"snapshot_loaded":   st.SnapshotLoaded,
-			"replayed_segments": st.ReplayedSegments,
-			"replayed_records":  st.ReplayedRecords,
-			"truncated_tails":   st.TruncatedTails,
-			"truncated_bytes":   st.TruncatedBytes,
-			"lost_segments":     st.LostSegments,
+			"segments":              st.Segments,
+			"segment_bytes":         st.SegmentBytes,
+			"wal_records":           st.WALRecords,
+			"wal_bytes":             st.WALBytes,
+			"fsyncs":                st.Fsyncs,
+			"coalesced_syncs":       st.CoalescedSyncs,
+			"checkpoints":           st.Checkpoints,
+			"snapshot_bytes":        st.SnapshotBytes,
+			"snapshot_loaded":       st.SnapshotLoaded,
+			"replayed_segments":     st.ReplayedSegments,
+			"replayed_records":      st.ReplayedRecords,
+			"replayed_samples":      st.ReplayedSamples,
+			"replay_seconds":        st.ReplayDuration.Seconds(),
+			"snapshot_load_seconds": st.SnapshotLoadDuration.Seconds(),
+			"truncated_tails":       st.TruncatedTails,
+			"truncated_bytes":       st.TruncatedBytes,
+			"lost_segments":         st.LostSegments,
 		}
 	}
 	if qf != nil || len(store.TierSteps()) > 0 {

@@ -8,6 +8,7 @@ import (
 	"repro"
 	"repro/internal/metric"
 	"repro/internal/oda"
+	"repro/internal/persist"
 	"repro/internal/timeseries"
 )
 
@@ -130,5 +131,51 @@ func TestStatsHandlerSchedulerSection(t *testing.T) {
 	}
 	if sched["waves"].(float64) < 2 {
 		t.Fatalf("waves = %v after one sweep, want >= 2", sched["waves"])
+	}
+}
+
+// TestStatsHandlerPersistRecovery: after a crash and a restart, /stats says
+// what recovery replayed and what it cost, beside the record count.
+func TestStatsHandlerPersistRecovery(t *testing.T) {
+	dir := t.TempDir()
+	d, err := persist.Open(dir, persist.Options{Fsync: persist.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := metric.ID{Name: "node_power_watts", Labels: metric.NewLabels("node", "n0")}
+	for i := int64(0); i < 50; i++ {
+		if err := d.Append(id, metric.Gauge, metric.UnitWatt, i*1000, float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Crash()
+	d, err = persist.Open(dir, persist.Options{Fsync: persist.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	rec := httptest.NewRecorder()
+	statsHandler(d.Store(), nil, d, nil, nil, nil)(rec, httptest.NewRequest("GET", "/stats", nil))
+	var got map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	ps, ok := got["persist"].(map[string]any)
+	if !ok {
+		t.Fatalf("missing persist section in %v", got)
+	}
+	if ps["replayed_samples"] != float64(50) {
+		t.Fatalf("replayed_samples = %v, want 50", ps["replayed_samples"])
+	}
+	if ps["replayed_records"] != float64(51) { // one define, fifty appends
+		t.Fatalf("replayed_records = %v, want 51", ps["replayed_records"])
+	}
+	if secs, _ := ps["replay_seconds"].(float64); secs <= 0 {
+		t.Fatalf("replay_seconds = %v, want > 0", ps["replay_seconds"])
+	}
+	// No snapshot was on disk, so loading one took no time.
+	if ps["snapshot_load_seconds"] != float64(0) {
+		t.Fatalf("snapshot_load_seconds = %v with no snapshot", ps["snapshot_load_seconds"])
 	}
 }

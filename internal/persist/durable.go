@@ -58,6 +58,14 @@ type Stats struct {
 	TruncatedTails   int
 	TruncatedBytes   int64
 	LostSegments     int
+	// What recovery cost: ReplayedSamples landed in the store from replayed
+	// records, ReplayDuration covers reading and replaying every segment
+	// (ReplayDuration / ReplayedSamples is the recovery cost per sample),
+	// and SnapshotLoadDuration covers finding, verifying and restoring the
+	// snapshot. Both are zero where that step had nothing to do.
+	ReplayedSamples      uint64
+	ReplayDuration       time.Duration
+	SnapshotLoadDuration time.Duration
 }
 
 // DurableStore wraps a timeseries.Store with write-ahead logging and
@@ -109,6 +117,9 @@ type DurableStore struct {
 		truncatedTails   int
 		truncatedBytes   int64
 		lostSegments     int
+		replayedSamples  uint64
+		replay           time.Duration
+		snapshotLoad     time.Duration
 	}
 
 	stop chan struct{}
@@ -135,6 +146,7 @@ func Open(dir string, opts Options) (*DurableStore, error) {
 		return nil, err
 	}
 	startSeq := uint64(0) // replay segments with seq >= startSeq
+	began := time.Now()
 	for i := len(snaps) - 1; i >= 0; i-- {
 		st, err := loadSnapshot(snaps[i].path, opts.StoreOptions)
 		if errors.Is(err, ErrUnsupportedFormat) {
@@ -147,6 +159,9 @@ func Open(dir string, opts Options) (*DurableStore, error) {
 		d.recovery.snapshotLoaded = true
 		startSeq = snaps[i].seq
 		break
+	}
+	if len(snaps) > 0 {
+		d.recovery.snapshotLoad = time.Since(began)
 	}
 	if d.store == nil {
 		d.store = timeseries.NewStore(opts.ChunkSize, opts.StoreOptions...)
@@ -165,6 +180,8 @@ func Open(dir string, opts Options) (*DurableStore, error) {
 	// One RefTable spans the whole ordered replay: opDefine bindings carry
 	// across segment boundaries exactly as the writer laid them down.
 	rt := NewRefTable()
+	apply := func(rec walRecord) { rec.apply(d.store, rt) }
+	began = time.Now()
 	for i, sg := range segs {
 		if sg.seq < startSeq {
 			continue // fully covered by the snapshot; GC'd at next checkpoint
@@ -173,7 +190,7 @@ func Open(dir string, opts Options) (*DurableStore, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := replaySegment(data, func(rec walRecord) { rec.apply(d.store, rt) })
+		res, err := replaySegment(data, apply)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", filepath.Base(sg.path), err)
 		}
@@ -199,6 +216,11 @@ func Open(dir string, opts Options) (*DurableStore, error) {
 			d.recovery.lostSegments++
 		}
 		break
+	}
+	if d.recovery.replayedSegments > 0 {
+		d.recovery.replay = time.Since(began)
+		// The store is new, so its ref-append counter is replay's alone.
+		d.recovery.replayedSamples = d.store.RefStats().RefSamples
 	}
 
 	d.wal, err = openWAL(dir, maxSeq+1, opts.SegmentSize)
@@ -614,6 +636,10 @@ func (d *DurableStore) Stats() Stats {
 		TruncatedTails:   d.recovery.truncatedTails,
 		TruncatedBytes:   d.recovery.truncatedBytes,
 		LostSegments:     d.recovery.lostSegments,
+
+		ReplayedSamples:      d.recovery.replayedSamples,
+		ReplayDuration:       d.recovery.replay,
+		SnapshotLoadDuration: d.recovery.snapshotLoad,
 	}
 	if segs, err := listSeqFiles(d.dir, "wal-", ".seg"); err == nil {
 		st.Segments = len(segs)

@@ -18,7 +18,7 @@ import (
 // the importing node applies its own retention policy to the imported data.
 // A record with a retired op code is ErrUnsupportedFormat, as in ApplyRecord.
 func RecordEntries(rt *RefTable, payload []byte) ([]timeseries.BatchEntry, error) {
-	rec, err := decodeRecord(payload)
+	rec, err := decodeRecord(payload, &rt.samples)
 	if err != nil {
 		return nil, err
 	}

@@ -36,6 +36,12 @@ func walFuzzSeeds() map[string][]byte {
 	app := encodeAppendRef(nil, []refSample{{ref: 1, t: 1000, v: 411.5}, {ref: 1, t: 2000, v: 417.25}})
 	undef := encodeAppendRef(nil, []refSample{{ref: 99, t: 1000, v: 1}})
 	rebound := encodeDefine(nil, 1, idB, metric.Counter, metric.UnitCelsius)
+	// More samples than the two-sample record before it: the segment's
+	// decode scratch must grow mid-stream without losing what it decodes.
+	grown := make([]refSample, 40)
+	for i := range grown {
+		grown[i] = refSample{ref: 1, t: int64(3000 + i*1000), v: float64(i)}
+	}
 
 	badCRC := frameSegment(encodeRetain(nil, 42))
 	badCRC[len(segMagic)+4] ^= 0xFF
@@ -52,10 +58,11 @@ func walFuzzSeeds() map[string][]byte {
 			def, app,
 		),
 		"seed-ref-define-append": frameSegment(def, app),
-		"seed-ref-undefined":     frameSegment(undef),                                // no define: refs skipped
-		"seed-ref-rebound":       frameSegment(def, rebound, app),                    // one WAL ref bound to a second series
-		"seed-ref-torn-define":   tornDefine[:len(tornDefine)-3],                     // tear inside a define record
-		"seed-retired-keyed":     frameSegment(def, app, retiredKeyedPayload(), app), // intact record, retired op code
+		"seed-ref-undefined":     frameSegment(undef),                                      // no define: refs skipped
+		"seed-ref-rebound":       frameSegment(def, rebound, app),                          // one WAL ref bound to a second series
+		"seed-ref-torn-define":   tornDefine[:len(tornDefine)-3],                           // tear inside a define record
+		"seed-ref-scratch-grows": frameSegment(def, app, encodeAppendRef(nil, grown), app), // count field past the scratch's capacity
+		"seed-retired-keyed":     frameSegment(def, app, retiredKeyedPayload(), app),       // intact record, retired op code
 		"seed-foreign-magic":     []byte("ODAWAL0\n\x00\x00\x00\x01"),
 	}
 }

@@ -120,11 +120,23 @@ func (r *walRecord) apply(store *timeseries.Store, rt *RefTable) {
 // a checkpoint or restart, so later segments may legitimately reuse small
 // refs); a ref that was never defined is skipped like any other tolerated
 // replay inconsistency. One RefTable serves one ordered replay stream.
+//
+// defs holds every definition. Writers hand refs out from 1 upwards, so the
+// per-sample lookup does not go through it: dense[ref] is the cached
+// SeriesRef of every ref below denseRefLimit (zero, never a valid
+// SeriesRef, where unbound), and only refs at or past the limit — which no
+// writer of ours produces before its millionth series — pay the map probe.
 type RefTable struct {
-	epoch uint64
-	defs  map[uint64]refDef
-	buf   []timeseries.RefEntry // scratch for appendRefs
+	epoch   uint64
+	defs    map[uint64]refDef
+	dense   []timeseries.SeriesRef
+	buf     []timeseries.RefEntry // scratch for appendRefs
+	samples []refSample           // decode scratch for ApplyRecord / RecordEntries
 }
+
+// denseRefLimit bounds RefTable.dense, so a corrupt or hostile ref can size
+// it to 8 MiB at most.
+const denseRefLimit = 1 << 20
 
 type refDef struct {
 	id   metric.ID
@@ -140,6 +152,7 @@ func NewRefTable() *RefTable { return &RefTable{defs: make(map[uint64]refDef)} }
 // re-bootstraps from a fresh snapshot).
 func (rt *RefTable) Reset() {
 	clear(rt.defs)
+	clear(rt.dense)
 	rt.epoch = 0
 }
 
@@ -152,6 +165,18 @@ func (rt *RefTable) define(store *timeseries.Store, ref uint64, id metric.ID, ki
 		rt.epoch = store.RefEpoch()
 	}
 	rt.defs[ref] = refDef{id: id, kind: kind, unit: unit, sref: sref}
+	rt.bind(ref, sref)
+}
+
+// bind caches a small ref's SeriesRef in the dense table.
+func (rt *RefTable) bind(ref uint64, sref timeseries.SeriesRef) {
+	if ref >= denseRefLimit {
+		return
+	}
+	if ref >= uint64(len(rt.dense)) {
+		rt.dense = append(rt.dense, make([]timeseries.SeriesRef, ref+1-uint64(len(rt.dense)))...)
+	}
+	rt.dense[ref] = sref
 }
 
 // refresh re-resolves every cached SeriesRef after a store epoch bump; the
@@ -161,6 +186,7 @@ func (rt *RefTable) refresh(store *timeseries.Store, cur uint64) {
 		if sref, err := store.Resolve(d.id, d.kind, d.unit); err == nil {
 			d.sref = sref
 			rt.defs[ref] = d
+			rt.bind(ref, sref)
 		}
 	}
 	rt.epoch = cur
@@ -170,13 +196,22 @@ func (rt *RefTable) appendRefs(store *timeseries.Store, entries []refSample) {
 	if cur := store.RefEpoch(); cur != rt.epoch {
 		rt.refresh(store, cur)
 	}
+	if cap(rt.buf) < len(entries) {
+		rt.buf = make([]timeseries.RefEntry, 0, len(entries))
+	}
 	rt.buf = rt.buf[:0]
-	for _, e := range entries {
-		d, ok := rt.defs[e.ref]
-		if !ok {
+	for i := range entries {
+		e := &entries[i]
+		var sref timeseries.SeriesRef
+		if e.ref < uint64(len(rt.dense)) {
+			sref = rt.dense[e.ref]
+		} else if e.ref >= denseRefLimit {
+			sref = rt.defs[e.ref].sref
+		}
+		if sref == 0 {
 			continue // undefined ref: tolerated, like an unknown series
 		}
-		rt.buf = append(rt.buf, timeseries.RefEntry{Ref: d.sref, T: e.t, V: e.v})
+		rt.buf = append(rt.buf, timeseries.RefEntry{Ref: sref, T: e.t, V: e.v})
 	}
 	_, _ = store.AppendRefs(rt.buf)
 }
@@ -235,8 +270,10 @@ func encodeRetainTier(buf []byte, step, cutoff int64) []byte {
 
 // decodeRecord parses one WAL payload (already checksum-verified by the
 // caller). A retired op code is ErrUnsupportedFormat; any other failure
-// means the bytes are not a record.
-func decodeRecord(payload []byte) (walRecord, error) {
+// means the bytes are not a record. An opAppendRef's samples are decoded
+// into *scratch, grown when the record holds more than it does: the
+// record's refEntries alias it and are valid until the stream's next decode.
+func decodeRecord(payload []byte, scratch *[]refSample) (walRecord, error) {
 	var rec walRecord
 	if len(payload) == 0 {
 		return rec, io.ErrUnexpectedEOF
@@ -261,7 +298,11 @@ func decodeRecord(payload []byte) (walRecord, error) {
 		rec.unit = metric.Unit(p.Str())
 	case opAppendRef:
 		// A ref byte, a timestamp byte and an 8-byte value per sample.
-		rec.refEntries = make([]refSample, p.Count(10))
+		n := p.Count(10)
+		if cap(*scratch) < n {
+			*scratch = make([]refSample, n)
+		}
+		rec.refEntries = (*scratch)[:n]
 		var t int64
 		for i := range rec.refEntries {
 			ref := p.Uvarint()

@@ -208,7 +208,7 @@ func (d *DurableStore) ReplicationSnapshot() (chunkSize int, dump []timeseries.S
 // exact state. A record with a retired op code is ErrUnsupportedFormat: the
 // leader runs a version whose log this follower cannot apply.
 func ApplyRecord(store *timeseries.Store, rt *RefTable, payload []byte) error {
-	rec, err := decodeRecord(payload)
+	rec, err := decodeRecord(payload, &rt.samples)
 	if err != nil {
 		return err
 	}

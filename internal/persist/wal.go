@@ -339,6 +339,7 @@ func replaySegment(data []byte, apply func(rec walRecord)) (replayResult, error)
 	pos := int64(len(segMagic))
 	res.offset = pos
 	n := int64(len(data))
+	var scratch []refSample // every record's samples decode into this
 	for pos < n {
 		if pos+recordHeaderLen > n {
 			break // torn header
@@ -352,7 +353,7 @@ func replaySegment(data []byte, apply func(rec walRecord)) (replayResult, error)
 		if crc32.Checksum(payload, castagnoli) != sum {
 			break // corrupt payload
 		}
-		rec, err := decodeRecord(payload)
+		rec, err := decodeRecord(payload, &scratch)
 		if errors.Is(err, ErrUnsupportedFormat) {
 			return res, fmt.Errorf("record at offset %d: %w", pos, err)
 		}

@@ -75,7 +75,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rec, err := decodeRecord(tc.payload)
+			rec, err := decodeRecord(tc.payload, new([]refSample))
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
@@ -92,7 +92,7 @@ func TestDecodeRecordRejectsGarbage(t *testing.T) {
 		"trailing bytes": append(encodeRetain(nil, 7), 0xFF),
 	}
 	for name, payload := range cases {
-		if _, err := decodeRecord(payload); err == nil {
+		if _, err := decodeRecord(payload, new([]refSample)); err == nil {
 			t.Errorf("%s: decode accepted garbage", name)
 		}
 	}

@@ -4,46 +4,56 @@
 // range queries, windowed aggregation, downsampling and retention.
 package timeseries
 
-import "errors"
+import (
+	"encoding/binary"
+	"errors"
+)
 
 // ErrEOS is returned by the bit reader at end of stream.
 var ErrEOS = errors.New("timeseries: end of stream")
 
-// bitWriter appends bits to a byte buffer, MSB first.
+// bitWriter appends bits to a byte buffer, MSB first. buf always holds every
+// bit written so far — there is no pending word to flush — so a reader that
+// copies buf under the series lock (cursor tails, dumps) sees a complete
+// stream.
 type bitWriter struct {
 	buf   []byte
-	nbits uint8 // bits already used in the last byte (0-7; 0 means full/empty)
+	nbits uint8 // bits still free in the last byte of buf (0-7)
 }
 
-func (w *bitWriter) writeBit(bit bool) {
-	if w.nbits == 0 {
-		w.buf = append(w.buf, 0)
-		w.nbits = 8
-	}
-	w.nbits--
-	if bit {
-		w.buf[len(w.buf)-1] |= 1 << w.nbits
-	}
-}
-
-// writeBits writes the lowest n bits of v, most significant first. It packs
-// up to a byte per step rather than looping bit by bit — this sits on the
-// ingest hot path of every sample append.
+// writeBits writes the lowest n bits of v (n <= 64), most significant first;
+// bits of v above n are ignored. It tops up the open byte, then stores the
+// rest as one left-justified big-endian word and keeps the bytes that hold
+// bits — at most two steps per call, however wide. This sits on the ingest
+// and recovery hot path of every sample; TestChunkBytesGolden and
+// FuzzBitWriterParity pin its output to the byte-at-a-time writer it
+// replaced.
 func (w *bitWriter) writeBits(v uint64, n uint8) {
-	for n > 0 {
-		if w.nbits == 0 {
-			w.buf = append(w.buf, 0)
-			w.nbits = 8
-		}
-		take := n
-		if take > w.nbits {
-			take = w.nbits
-		}
-		chunk := byte(v>>(n-take)) & (0xFF >> (8 - take))
-		w.buf[len(w.buf)-1] |= chunk << (w.nbits - take)
-		w.nbits -= take
-		n -= take
+	if n == 0 {
+		return
 	}
+	v &= 1<<n - 1 // n == 64 shifts to 0, so the mask is all ones
+	if w.nbits > 0 {
+		last := &w.buf[len(w.buf)-1]
+		if n <= w.nbits {
+			w.nbits -= n
+			*last |= byte(v << w.nbits)
+			return
+		}
+		n -= w.nbits
+		*last |= byte(v >> n)
+		w.nbits = 0
+	}
+	l := len(w.buf)
+	if cap(w.buf)-l < 8 {
+		w.buf = append(w.buf, make([]byte, 8)...)[:l]
+	}
+	// Byte-aligned: the word's low 64-n bits are zero, so the bytes past
+	// the ones kept are zero too and stay outside len(buf).
+	binary.BigEndian.PutUint64(w.buf[l:l+8], v<<(64-n))
+	used := (n + 7) / 8
+	w.buf = w.buf[:l+int(used)]
+	w.nbits = used*8 - n
 }
 
 // bytes returns the written stream.

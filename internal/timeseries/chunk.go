@@ -32,6 +32,41 @@ type Chunk struct {
 // NewChunk returns an empty chunk.
 func NewChunk() *Chunk { return &Chunk{} }
 
+// ErrFirstDelta is returned by Append when a chunk's second sample lies
+// 2^35 or more past its first: the first-delta field is 35 bits wide, and
+// writing the low bits of a wider one would decode as a different
+// timestamp. The chunk is unchanged; the store opens a fresh chunk, whose
+// header carries the full timestamp, and keeps the sample (nextChunk).
+var ErrFirstDelta = errors.New("timeseries: first delta does not fit the chunk's 35-bit field")
+
+// maxFirstDelta is the smallest first delta the codec cannot represent.
+const maxFirstDelta = 1 << 35
+
+// nextChunk returns the chunk of a chunk list that takes the next sample,
+// stamped t, and the list with it: a new chunk is opened when the list is
+// empty, the open chunk is full (limit samples), or it holds one sample and
+// t is too far past it for the first-delta field. The rule looks only at
+// data every replay sees, so recovery reproduces the same chunk boundaries.
+// A new chunk's buffer is sized from the bytes its predecessor needed: a
+// series' chunks are much the same size, and growing from nothing
+// reallocates seven times on the way to a kilobyte.
+func nextChunk(chunks []*Chunk, limit int, t int64) ([]*Chunk, *Chunk) {
+	n := len(chunks)
+	if n == 0 {
+		c := NewChunk()
+		return append(chunks, c), c
+	}
+	last := chunks[n-1]
+	// uint64 of the wrapped difference is the true gap when t > lastT.
+	wide := last.count == 1 && t > last.lastT && uint64(t-last.lastT) >= maxFirstDelta
+	if last.count < limit && !wide {
+		return chunks, last
+	}
+	c := NewChunk()
+	c.w.buf = make([]byte, 0, len(last.w.buf)+len(last.w.buf)/8+8)
+	return append(chunks, c), c
+}
+
 // Count returns the number of samples in the chunk.
 func (c *Chunk) Count() int { return c.count }
 
@@ -65,17 +100,19 @@ func (c *Chunk) Append(t int64, v float64) error {
 		if t <= c.lastT {
 			return errors.New("timeseries: out-of-order append")
 		}
-		c.delta = t - c.lastT
-		// First delta: 14-bit default would overflow for sparse series;
-		// use a 1+35-bit scheme: '0' for deltas < 2^14, '1' + 35 bits raw.
-		if c.delta < 1<<14 {
-			c.w.writeBit(false)
-			c.w.writeBits(uint64(c.delta), 14)
-		} else {
-			c.w.writeBit(true)
-			c.w.writeBits(uint64(c.delta), 35)
+		delta := t - c.lastT
+		// First delta: 14 bits would overflow for sparse series, so
+		// '0' + 14 bits for deltas < 2^14, else '1' + 35 bits. uint64 of
+		// the difference is the true gap even where it wraps an int64.
+		switch {
+		case uint64(delta) >= maxFirstDelta:
+			return ErrFirstDelta
+		case delta < 1<<14:
+			c.writeValue(uint64(delta), 15, v)
+		default:
+			c.writeValue(1<<35|uint64(delta), 36, v)
 		}
-		c.writeValue(v)
+		c.delta = delta
 	default:
 		if t <= c.lastT {
 			return errors.New("timeseries: out-of-order append")
@@ -85,21 +122,18 @@ func (c *Chunk) Append(t int64, v float64) error {
 		c.delta = delta
 		switch {
 		case dod == 0:
-			c.w.writeBit(false)
+			c.writeValue(0, 1, v)
 		case dod >= -63 && dod <= 64:
-			c.w.writeBits(0b10, 2)
-			c.w.writeBits(uint64(dod+63), 7)
+			c.writeValue(0b10<<7|uint64(dod+63), 9, v)
 		case dod >= -255 && dod <= 256:
-			c.w.writeBits(0b110, 3)
-			c.w.writeBits(uint64(dod+255), 9)
+			c.writeValue(0b110<<9|uint64(dod+255), 12, v)
 		case dod >= -2047 && dod <= 2048:
-			c.w.writeBits(0b1110, 4)
-			c.w.writeBits(uint64(dod+2047), 12)
+			c.writeValue(0b1110<<12|uint64(dod+2047), 16, v)
 		default:
 			c.w.writeBits(0b1111, 4)
 			c.w.writeBits(uint64(dod), 64)
+			c.writeValue(0, 0, v)
 		}
-		c.writeValue(v)
 	}
 	c.lastT = t
 	c.lastV = v
@@ -113,34 +147,77 @@ func (c *Chunk) Append(t int64, v float64) error {
 	return nil
 }
 
-func (c *Chunk) writeValue(v float64) {
+// trimIfFull reallocates the buffer of a chunk that has just taken its last
+// sample (its limit-th) at its exact length, giving back the slack the
+// presized or grown buffer still holds. The caller holds the series write
+// lock and calls it in the same critical section as the append: once the
+// lock drops, cursors read a full chunk's buffer without one.
+func (c *Chunk) trimIfFull(limit int) {
+	if c.count >= limit {
+		c.w.buf = append(make([]byte, 0, len(c.w.buf)), c.w.buf...)
+	}
+}
+
+// appendRun appends vals as consecutive samples stamped t0, t0+1, … — a
+// rollup window's column group — producing exactly the bytes len(vals)
+// Append calls would. The first two samples take the general path (a chunk
+// header or a delta-of-delta against what came before, then the delta of 1);
+// from the third on the delta-of-delta is zero, so each costs its '0' bit
+// fused into the value's encoding and no timestamp arithmetic.
+func (c *Chunk) appendRun(t0 int64, vals []float64) error {
+	head := min(len(vals), 2)
+	for i, v := range vals[:head] {
+		if err := c.Append(t0+int64(i), v); err != nil {
+			return err
+		}
+	}
+	for _, v := range vals[head:] {
+		c.writeValue(0, 1, v)
+		c.lastV = v
+		if v < c.minV {
+			c.minV = v
+		}
+		if v > c.maxV {
+			c.maxV = v
+		}
+	}
+	c.lastT += int64(len(vals) - head)
+	c.count += len(vals) - head
+	return nil
+}
+
+// writeValue appends the low npre bits of pre — the timestamp's control
+// prefix and payload, at most 36 bits — followed by v's XOR encoding, fusing
+// the prefix, the value's control bits and, where they fit in a word, its
+// significant bits into one writeBits call.
+func (c *Chunk) writeValue(pre uint64, npre uint8, v float64) {
 	xor := math.Float64bits(v) ^ math.Float64bits(c.lastV)
 	if xor == 0 {
-		c.w.writeBit(false)
+		c.w.writeBits(pre<<1, npre+1) // '0': value unchanged
 		return
 	}
-	c.w.writeBit(true)
 	leading := uint8(bits.LeadingZeros64(xor))
 	trailing := uint8(bits.TrailingZeros64(xor))
 	if leading > 31 { // cap so the 5-bit field fits
 		leading = 31
 	}
 	if c.hasWin && leading >= c.leading && trailing >= c.trailing {
-		// Reuse the previous window.
-		c.w.writeBit(false)
-		sig := 64 - c.leading - c.trailing
-		c.w.writeBits(xor>>c.trailing, sig)
+		// '1' '0': reuse the previous window.
+		pre, npre = pre<<2|0b10, npre+2
+	} else {
+		// '1' '1', 5 bits leading, 6 bits significant count (64 -> 0).
+		c.leading, c.trailing, c.hasWin = leading, trailing, true
+		sig := 64 - leading - trailing
+		pre, npre = pre<<13|0b11<<11|uint64(leading)<<6|uint64(sig&0x3F), npre+13
+	}
+	sig := 64 - c.leading - c.trailing
+	payload := xor >> c.trailing // < 2^sig: xor has at least c.leading leading zeros
+	if npre+sig <= 64 {
+		c.w.writeBits(pre<<sig|payload, npre+sig)
 		return
 	}
-	// New window: 5 bits leading, 6 bits significant count (64 -> 0).
-	c.leading = leading
-	c.trailing = trailing
-	c.hasWin = true
-	sig := 64 - leading - trailing
-	c.w.writeBit(true)
-	c.w.writeBits(uint64(leading), 5)
-	c.w.writeBits(uint64(sig&0x3F), 6)
-	c.w.writeBits(xor>>trailing, sig)
+	c.w.writeBits(pre, npre)
+	c.w.writeBits(payload, sig)
 }
 
 // Iter returns an iterator over the chunk's samples.

@@ -81,9 +81,11 @@ func (cur *Cursor) snapshotChunks(chunks []*Chunk, sealCap int) {
 			continue
 		}
 		cur.est += c.Count()
-		if c.Count() >= sealCap {
-			// Sealed: append never touches a full chunk again, so the
-			// pointer can be read lock-free for the cursor's lifetime.
+		if c.Count() >= sealCap || i < len(chunks)-1 {
+			// Sealed: append only ever touches the last chunk, and never
+			// once it is full, so the pointer can be read lock-free for
+			// the cursor's lifetime. (A chunk before the last is short
+			// only where nextChunk cut it after one sample.)
 			cur.sealed = append(cur.sealed, c)
 			continue
 		}

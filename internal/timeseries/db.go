@@ -247,22 +247,22 @@ func (s *Store) getOrCreate(key string, id metric.ID, kind metric.Kind, unit met
 }
 
 // append adds one sample and folds it into the series' rollup tiers; the
-// caller must hold ss.mu.
-func (ss *storedSeries) append(s *Store, t int64, v float64) error {
+// caller must hold ss.mu and settles tally with the store afterwards.
+func (ss *storedSeries) append(s *Store, t int64, v float64, tally *ingestTally) error {
 	if ss.hasLast && t <= ss.lastT {
 		return fmt.Errorf("timeseries: out-of-order sample for %s: %d <= %d", ss.id.Key(), t, ss.lastT)
 	}
-	if len(ss.chunks) == 0 || ss.chunks[len(ss.chunks)-1].Count() >= s.chunkSize {
-		ss.chunks = append(ss.chunks, NewChunk())
-	}
-	if err := ss.chunks[len(ss.chunks)-1].Append(t, v); err != nil {
+	chunks, c := nextChunk(ss.chunks, s.chunkSize, t)
+	ss.chunks = chunks
+	if err := c.Append(t, v); err != nil {
 		return err
 	}
+	c.trimIfFull(s.chunkSize)
 	ss.lastT = t
 	ss.last = metric.Sample{T: t, V: v}
 	ss.hasLast = true
 	for _, ts := range ss.tiers {
-		if err := ts.fold(s, t, v); err != nil {
+		if err := ts.fold(s, t, v, tally); err != nil {
 			return err
 		}
 	}
@@ -275,9 +275,11 @@ func (ss *storedSeries) append(s *Store, t int64, v float64) error {
 func (s *Store) Append(id metric.ID, kind metric.Kind, unit metric.Unit, t int64, v float64) error {
 	key := id.Key()
 	ss := s.getOrCreate(key, id, kind, unit)
+	var tally ingestTally
 	ss.mu.Lock()
-	err := ss.append(s, t, v)
+	err := ss.append(s, t, v, &tally)
 	ss.mu.Unlock()
+	s.settle(&tally)
 	return err
 }
 
@@ -305,6 +307,8 @@ func (s *Store) AppendBatch(entries []BatchEntry) (int, error) {
 	var firstErr error
 	var prevKey string
 	var prev *storedSeries
+	var tally ingestTally
+	defer s.settle(&tally)
 	for i := range entries {
 		e := &entries[i]
 		key := e.ID.Key()
@@ -314,7 +318,7 @@ func (s *Store) AppendBatch(entries []BatchEntry) (int, error) {
 			prevKey, prev = key, ss
 		}
 		ss.mu.Lock()
-		err := ss.append(s, e.T, e.V)
+		err := ss.append(s, e.T, e.V, &tally)
 		ss.mu.Unlock()
 		if err != nil {
 			if firstErr == nil {
@@ -680,8 +684,10 @@ func (s *Store) Downsample(id metric.ID, step int64) (int, error) {
 	for _, ts := range ss.tiers {
 		ts.reset()
 	}
+	var tally ingestTally
+	defer s.settle(&tally)
 	for _, p := range pts {
-		if err := ss.append(s, p.Start, p.Value); err != nil {
+		if err := ss.append(s, p.Start, p.Value, &tally); err != nil {
 			return 0, err
 		}
 	}

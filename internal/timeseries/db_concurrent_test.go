@@ -257,3 +257,60 @@ func TestStoreShardOptions(t *testing.T) {
 		t.Fatalf("single-shard Query = (%d samples, %v)", len(samples), err)
 	}
 }
+
+// TestCursorTailCopyUnderAppend: a reader copying the open chunk's bytes
+// while the writer appends must see whole samples — every prefix it decodes
+// is exactly the stream so far. The bit writer keeps no pending word outside
+// the buffer, so the copy taken under the read lock is complete; a deferred
+// flush would show here as a short or torn tail (and, under -race, as a
+// write from the reader's side of the lock). The rollup tier's open chunk is
+// read the same way through the planned path. Chunks roll over (and are
+// trimmed) many times during the run, so the sealed-pointer hand-off is
+// exercised too.
+func TestCursorTailCopyUnderAppend(t *testing.T) {
+	s := NewStore(16, WithRollups(4000), WithQueryCache(-1))
+	id := seriesID(0)
+	const n = 4000
+	value := func(k int) float64 { return float64(k%17) * 1.25 }
+	if err := s.Append(id, metric.Gauge, metric.UnitWatt, 0, value(0)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for k := 1; k < n; k++ {
+			if err := s.Append(id, metric.Gauge, metric.UnitWatt, int64(k)*1000, value(k)); err != nil {
+				t.Errorf("append %d: %v", k, err)
+				return
+			}
+		}
+	}()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false // one last pass over the finished series
+		default:
+		}
+		cur, err := s.Cursor(id, 0, n*1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := 0
+		for cur.Next() {
+			if sm := cur.At(); sm.T != int64(k)*1000 || sm.V != value(k) {
+				t.Fatalf("sample %d read as %v under a concurrent append", k, sm)
+			}
+			k++
+		}
+		if err := cur.Err(); err != nil {
+			t.Fatalf("cursor after %d samples: %v", k, err)
+		}
+		cur.Close()
+		if _, _, err := s.ReducePlanned(id, 0, n*1000, AggSum); err != nil {
+			t.Fatalf("planned reduce: %v", err)
+		}
+	}
+	if got := s.NumSamples(); got != n {
+		t.Fatalf("%d samples stored, want %d", got, n)
+	}
+}

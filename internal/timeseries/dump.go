@@ -164,6 +164,9 @@ func restoreChunk(key string, cd ChunkDump, lastT int64, hasLast bool) (*Chunk, 
 		return nil, 0, 0, nil
 	}
 	c := NewChunk()
+	// The re-encode must reproduce cd.Data, so its length is the buffer's;
+	// the word-wide writer wants eight bytes of room past the last bit.
+	c.w.buf = make([]byte, 0, len(cd.Data)+8)
 	it := NewChunkDataIter(cd.Data, cd.Count)
 	var lastV float64
 	for it.Next() {

@@ -11,8 +11,10 @@ import (
 // samplesFromBytes deterministically parses fuzz input into a strictly
 // increasing sample stream: 8 bytes of base timestamp (masked positive so
 // delta accumulation cannot overflow int64), then 11 bytes per sample —
-// 3 bytes of time delta (biased by +1 to stay strictly increasing) and
-// 8 bytes of raw float64 bits (any pattern, including NaN and infinities).
+// 3 bytes of time delta (biased by +1 to stay strictly increasing; a delta
+// with its top bit set is scaled by 2^13, so gaps reach past the 2^35 a
+// chunk's first-delta field holds) and 8 bytes of raw float64 bits (any
+// pattern, including NaN and infinities).
 func samplesFromBytes(data []byte) []metric.Sample {
 	if len(data) < 16 {
 		return nil
@@ -23,6 +25,9 @@ func samplesFromBytes(data []byte) []metric.Sample {
 	data = data[16:]
 	for len(data) >= 11 {
 		dt := 1 + (int64(data[0])<<16 | int64(data[1])<<8 | int64(data[2]))
+		if data[0]&0x80 != 0 {
+			dt <<= 13
+		}
 		t += dt
 		v = math.Float64frombits(binary.BigEndian.Uint64(data[3:11]))
 		out = append(out, metric.Sample{T: t, V: v})
@@ -64,36 +69,48 @@ func FuzzBitstreamRoundTrip(f *testing.F) {
 		binary.BigEndian.PutUint64(weird[off+3:off+11], vals[i])
 	}
 	f.Add(weird)
+	// A second sample 2^36 past the first — wider than the 35-bit first-delta
+	// field, which used to truncate it silently — then a regular third.
+	gap := make([]byte, 16+2*11)
+	binary.BigEndian.PutUint64(gap[8:16], math.Float64bits(1))
+	gap[16] = 0x80 // delta (0x800000+1)<<13
+	binary.BigEndian.PutUint64(gap[19:27], math.Float64bits(2))
+	gap[29] = 10
+	binary.BigEndian.PutUint64(gap[30:38], math.Float64bits(3))
+	f.Add(gap)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		samples := samplesFromBytes(data)
-		c := NewChunk()
+		// The parser guarantees strictly increasing timestamps, so every
+		// sample must land: in the open chunk, or — when that holds one
+		// sample and the gap does not fit its first-delta field — in a
+		// fresh one, which is the store's rule (nextChunk).
+		var chunks []*Chunk
 		for _, sm := range samples {
-			// The parser guarantees strictly increasing timestamps, so
-			// every append must be accepted.
+			var c *Chunk
+			chunks, c = nextChunk(chunks, len(samples), sm.T)
 			if err := c.Append(sm.T, sm.V); err != nil {
 				t.Fatalf("Append(%d, %x): %v", sm.T, math.Float64bits(sm.V), err)
 			}
 		}
-		if c.Count() != len(samples) {
-			t.Fatalf("count = %d, want %d", c.Count(), len(samples))
-		}
-		it := c.Iter()
 		i := 0
-		for it.Next() {
-			got := it.At()
-			if i >= len(samples) {
-				t.Fatalf("decoded more than %d samples", len(samples))
+		for _, c := range chunks {
+			it := c.Iter()
+			for it.Next() {
+				got := it.At()
+				if i >= len(samples) {
+					t.Fatalf("decoded more than %d samples", len(samples))
+				}
+				want := samples[i]
+				if got.T != want.T || math.Float64bits(got.V) != math.Float64bits(want.V) {
+					t.Fatalf("sample %d: got (%d, %016x), want (%d, %016x)",
+						i, got.T, math.Float64bits(got.V), want.T, math.Float64bits(want.V))
+				}
+				i++
 			}
-			want := samples[i]
-			if got.T != want.T || math.Float64bits(got.V) != math.Float64bits(want.V) {
-				t.Fatalf("sample %d: got (%d, %016x), want (%d, %016x)",
-					i, got.T, math.Float64bits(got.V), want.T, math.Float64bits(want.V))
+			if err := it.Err(); err != nil {
+				t.Fatalf("iterator error after %d samples: %v", i, err)
 			}
-			i++
-		}
-		if err := it.Err(); err != nil {
-			t.Fatalf("iterator error after %d samples: %v", i, err)
 		}
 		if i != len(samples) {
 			t.Fatalf("decoded %d of %d samples", i, len(samples))

@@ -131,36 +131,41 @@ func (s *Store) AppendRefs(entries []RefEntry) (int, error) {
 	}
 	epoch := s.refEpoch.Load()
 	refs := s.refSnapshot()
-	appended := 0
+	appended, stale := 0, 0
 	var firstErr error
-	var prev *storedSeries
-	var prevRef SeriesRef
-	for i := range entries {
-		e := &entries[i]
-		ss := prev
-		if ss == nil || e.Ref != prevRef {
-			ss = s.refLookup(e.Ref, epoch, refs)
-			if ss == nil {
-				s.staleRefs.Add(1)
-				if firstErr == nil {
-					firstErr = ErrStaleRef
-				}
-				prev = nil
-				continue
-			}
-			prev, prevRef = ss, e.Ref
+	var tally ingestTally
+	for i := 0; i < len(entries); {
+		ref := entries[i].Ref
+		// A run of consecutive entries for one series takes its lock once.
+		end := i + 1
+		for end < len(entries) && entries[end].Ref == ref {
+			end++
 		}
-		ss.mu.Lock()
-		err := ss.append(s, e.T, e.V)
-		ss.mu.Unlock()
-		if err != nil {
+		ss := s.refLookup(ref, epoch, refs)
+		if ss == nil {
+			stale += end - i
 			if firstErr == nil {
-				firstErr = err
+				firstErr = ErrStaleRef
 			}
+			i = end
 			continue
 		}
-		appended++
+		ss.mu.Lock()
+		for ; i < end; i++ {
+			if err := ss.append(s, entries[i].T, entries[i].V, &tally); err != nil {
+				if firstErr == nil {
+					firstErr = err
+				}
+				continue
+			}
+			appended++
+		}
+		ss.mu.Unlock()
 	}
+	if stale != 0 {
+		s.staleRefs.Add(uint64(stale))
+	}
+	s.settle(&tally)
 	s.refSamples.Add(uint64(appended))
 	return appended, firstErr
 }

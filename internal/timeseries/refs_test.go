@@ -52,13 +52,37 @@ func TestAppendRefsParity(t *testing.T) {
 			t.Fatalf("op %d: keyed (%d,%v) vs refs (%d,%v)", r, nk, errK, nr, errR)
 		}
 	}
+	// One more batch, shaped A A B A with the second A out of order: the ref
+	// path holds A's lock across the run of two, must reject the second
+	// sample inside that hold, and must come back to A after B.
+	late := int64(1000 + 200*500)
+	var batch []BatchEntry
+	var rents []RefEntry
+	for _, e := range []struct {
+		series int
+		t      int64
+	}{{0, late}, {0, late - 250}, {1, late}, {0, late + 250}} {
+		batch = append(batch, BatchEntry{ID: ids[e.series], Kind: metric.Gauge, Unit: metric.UnitWatt, T: e.t, V: 7})
+		rents = append(rents, RefEntry{Ref: refs[e.series], T: e.t, V: 7})
+	}
+	nk, errK := keyed.AppendBatch(batch)
+	nr, errR := refed.AppendRefs(rents)
+	if nk != 3 || nr != 3 || errK == nil || errR == nil || errK.Error() != errR.Error() {
+		t.Fatalf("A A B A: keyed (%d,%v) vs refs (%d,%v), want 3 appended and the same out-of-order error", nk, errK, nr, errR)
+	}
 	// Keyed path also registers the series lazily; both stores saw the same
 	// first-touch order, so the dumps must match in order and content.
 	if !reflect.DeepEqual(keyed.Dump(), refed.Dump()) {
 		t.Fatal("ref-ingested store dump differs from keyed-ingested store dump")
 	}
-	if got := refed.RefStats(); got.RefSamples != 200*uint64(len(ids)) || got.Resolves != uint64(len(ids)) {
+	if got := refed.RefStats(); got.RefSamples != 200*uint64(len(ids))+3 || got.Resolves != uint64(len(ids)) {
 		t.Fatalf("unexpected ref stats: %+v", got)
+	}
+	// The rollup counters are settled once per call on both paths; they
+	// must still count every fold and seal.
+	ks, rs := keyed.RollupStats(), refed.RollupStats()
+	if ks.Folds != rs.Folds || ks.Seals != rs.Seals || rs.Folds != 200*uint64(len(ids))+3 || rs.Seals == 0 {
+		t.Fatalf("rollup counters: keyed folds=%d seals=%d, refs folds=%d seals=%d", ks.Folds, ks.Seals, rs.Folds, rs.Seals)
 	}
 }
 

@@ -157,15 +157,31 @@ func (s *Store) countTierSeries(step int64) {
 	}
 }
 
+// ingestTally is what one ingest call owes the store's rollup counters. The
+// per-sample path adds to it under the series lock and the call settles it
+// once (Store.settle), instead of two or three locked adds per sample.
+type ingestTally struct {
+	folds, seals uint64
+}
+
+func (s *Store) settle(tally *ingestTally) {
+	if tally.folds != 0 {
+		s.rollupFolds.Add(tally.folds)
+	}
+	if tally.seals != 0 {
+		s.rollupSeals.Add(tally.seals)
+	}
+}
+
 // fold advances one tier's accumulator with a new raw sample; the caller
 // must hold the series write lock. Samples arrive in strictly increasing
 // timestamp order (the raw append path enforces it before folding), so a
 // sample either extends the open window or seals it and opens the next.
-func (ts *tierState) fold(s *Store, t int64, v float64) error {
-	win := floorDiv(t, ts.step) * ts.step
+func (ts *tierState) fold(s *Store, t int64, v float64, tally *ingestTally) error {
 	a := &ts.acc
 	if a.Active {
-		if win == a.Start {
+		// The common case needs no division: t is in the open window.
+		if d := t - a.Start; d >= 0 && d < ts.step {
 			a.Count++
 			a.Sum += v
 			if v < a.Min {
@@ -175,31 +191,34 @@ func (ts *tierState) fold(s *Store, t int64, v float64) error {
 				a.Max = v
 			}
 			a.LastT, a.LastV = t, v
-			s.rollupFolds.Add(1)
+			tally.folds++
 			return nil
 		}
-		if win < a.Start {
+		if t < a.Start {
 			// Unreachable on the monotonic append path; dropping is the
 			// deterministic degradation if it ever happens.
 			return nil
 		}
-		if err := ts.seal(s); err != nil {
+		if err := ts.seal(s, tally); err != nil {
 			return err
 		}
 	}
 	ts.acc = RollupAcc{
-		Active: true, Start: win, Count: 1,
+		Active: true, Start: floorDiv(t, ts.step) * ts.step, Count: 1,
 		Sum: v, Min: v, Max: v,
 		FirstT: t, FirstV: v, LastT: t, LastV: v,
 	}
-	s.rollupFolds.Add(1)
+	tally.folds++
 	return nil
 }
 
 // seal appends the open window's column group to the tier's chunk stream
 // and deactivates the accumulator; the caller must hold the series write
-// lock.
-func (ts *tierState) seal(s *Store) error {
+// lock. The group goes down as one run (Chunk.appendRun): its timestamps are
+// base, base+1, …, so past the second record every delta-of-delta is the
+// single '0' bit. A tier chunk's capacity is a whole number of groups, so
+// only a group's first record can open a chunk.
+func (ts *tierState) seal(s *Store, tally *ingestTally) error {
 	a := &ts.acc
 	vals := [rollupStride]float64{
 		colCount:  float64(a.Count),
@@ -212,17 +231,15 @@ func (ts *tierState) seal(s *Store) error {
 		colLastV:  a.LastV,
 	}
 	base := a.Start * rollupStride
-	cap := tierChunkCap(s.chunkSize)
-	for col, v := range vals {
-		if len(ts.chunks) == 0 || ts.chunks[len(ts.chunks)-1].Count() >= cap {
-			ts.chunks = append(ts.chunks, NewChunk())
-		}
-		if err := ts.chunks[len(ts.chunks)-1].Append(base+int64(col), v); err != nil {
-			return fmt.Errorf("timeseries: rollup seal: %w", err)
-		}
+	limit := tierChunkCap(s.chunkSize)
+	chunks, c := nextChunk(ts.chunks, limit, base)
+	ts.chunks = chunks
+	if err := c.appendRun(base, vals[:]); err != nil {
+		return fmt.Errorf("timeseries: rollup seal: %w", err)
 	}
+	c.trimIfFull(limit)
 	a.Active = false
-	s.rollupSeals.Add(1)
+	tally.seals++
 	return nil
 }
 

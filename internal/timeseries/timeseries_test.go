@@ -12,7 +12,7 @@ import (
 
 func TestBitStreamRoundTrip(t *testing.T) {
 	var w bitWriter
-	w.writeBit(true)
+	w.writeBits(1, 1)
 	w.writeBits(0b1011, 4)
 	w.writeBits(0xDEADBEEF, 32)
 	w.writeBits(1, 1)
