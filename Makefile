@@ -17,7 +17,7 @@ CHAOS_INTENSITY ?= 2
 build:
 	$(GO) build ./...
 
-test: lint-footprints chaos-short bench-ingest bench-replay test-bench
+test: lint-footprints chaos-short bench-allocs bench-longwindow bench-ingest bench-replay test-bench
 	$(GO) test ./...
 
 # The benchmark under bench/ is its own module (go test ./... at the root
@@ -96,6 +96,7 @@ fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzChaosScheduleParse -fuzztime $(FUZZTIME) ./internal/chaos
 	$(GO) test -run xxx -fuzz FuzzRingPlacement -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run xxx -fuzz FuzzTopologyTransition -fuzztime $(FUZZTIME) ./internal/cluster
+	$(GO) test -run xxx -fuzz FuzzQueryProto -fuzztime $(FUZZTIME) ./internal/cluster
 
 vet:
 	$(GO) vet ./...

@@ -401,28 +401,6 @@ func TestClusterQueryParityBitIdentical(t *testing.T) {
 				}
 			}
 
-			// Value sweeps route whole to the owner.
-			for _, key := range ds.keys {
-				id, _ := ref.IDForKey(key)
-				want, err := ref.SeriesValuesPlanned(id, w.from, w.to, step)
-				if err != nil {
-					t.Fatalf("ref values: %v", err)
-				}
-				got, found, partial, err := r.SeriesValues(key, w.from, w.to, step)
-				if err != nil || !found || partial {
-					t.Fatalf("[%s %s] SeriesValues(%q): %v found=%v partial=%v", w.name, coord, key, err, found, partial)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("[%s %s] SeriesValues(%q): %d values, want %d", w.name, coord, key, len(got), len(want))
-				}
-				for i := range got {
-					if !bitsEq(got[i], want[i]) {
-						t.Fatalf("[%s %s] SeriesValues(%q)[%d]: bits %016x vs %016x",
-							w.name, coord, key, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-					}
-				}
-			}
-
 			// Scatter-merged multi-series queries against the merge oracles.
 			for _, fn := range mergeableFns {
 				wantV, wantN, err := MergedReduce(ref, ds.keys, w.from, w.to, fn)

@@ -1,8 +1,13 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
+	"math"
+	"reflect"
 	"testing"
+
+	"repro/internal/timeseries"
 )
 
 // FuzzRingPlacement throws arbitrary key bytes and cluster shapes at the
@@ -192,4 +197,109 @@ func FuzzTopologyTransition(f *testing.F) {
 			}
 		}
 	})
+}
+
+// queryProtoSeeds are well-formed peer query frames: a request for every live
+// op, the retired op 3, and responses with found and not-found keys, a
+// non-zero tier step, an EpochMismatch refusal and a whole-request error.
+func queryProtoSeeds() (seeds []struct {
+	op      queryOp
+	payload []byte
+}) {
+	add := func(op queryOp, payload []byte) {
+		seeds = append(seeds, struct {
+			op      queryOp
+			payload []byte
+		}{op, payload})
+	}
+	pa := timeseries.Partial{Count: 3, Sum: 6.5, Min: -1, Max: 4, FirstT: 1000, FirstV: -1, LastT: 3000, LastV: 4}
+	results := map[queryOp]keyResult{
+		opReducePartial: {Found: true, TierStep: timeseries.TierStep1m, Partial: pa},
+		opAggPartials:   {Found: true, TierStep: timeseries.TierStep1h, PPoints: []timeseries.PartialPoint{{Start: 0, Agg: pa}, {Start: 60_000, Agg: pa}}},
+		opReduceFull:    {Found: true, Value: 2.25, Count: 3},
+		opAggFull:       {Found: true, Points: []timeseries.AggPoint{{Start: 0, Value: 1.5}, {Start: 60_000, Value: math.Inf(1)}}},
+	}
+	for _, op := range []queryOp{opReducePartial, opAggPartials, opReduceFull, opAggFull, 3} {
+		add(op, encodeQueryRequest(&queryRequest{
+			Op: op, Epoch: 7, ReplicaOf: "n2", Fn: timeseries.AggP95,
+			From: -5, To: 7_200_000, Step: 60_000, Keys: []string{"power{node=n0}", ""},
+		}))
+		if res, ok := results[op]; ok {
+			add(op, encodeQueryResponse(op, &queryResponse{Promoted: true, ReplSeq: 4, ReplOff: 99, Results: []keyResult{res, {}, res}}))
+		}
+	}
+	add(opReducePartial, encodeQueryResponse(opReducePartial, &queryResponse{EpochMismatch: true, Epoch: 9}))
+	add(opAggFull, encodeQueryResponse(opAggFull, &queryResponse{Err: "window too wide"}))
+	return seeds
+}
+
+// FuzzQueryProto feeds arbitrary bytes to the peer query codec, which parses
+// what another process sent: decoding never panics and never sizes a slice
+// past what the payload could hold, a retired or unknown op is an error on
+// both sides, and whatever decodes re-encodes to a fixed point that keeps
+// every key's tier step.
+func FuzzQueryProto(f *testing.F) {
+	for _, s := range queryProtoSeeds() {
+		f.Add(uint8(s.op), s.payload)
+	}
+	f.Fuzz(func(t *testing.T, opByte uint8, payload []byte) {
+		op := queryOp(opByte)
+		if q, err := decodeQueryRequest(payload); err == nil {
+			if checkOp(q.Op) != nil {
+				t.Fatalf("request decoded with op %d", q.Op)
+			}
+			if len(q.Keys) > len(payload) {
+				t.Fatalf("%d keys from %d bytes", len(q.Keys), len(payload))
+			}
+			again, err := decodeQueryRequest(encodeQueryRequest(q))
+			if err != nil || !reflect.DeepEqual(again, q) {
+				t.Fatalf("request round trip: %+v -> %+v (%v)", q, again, err)
+			}
+		}
+		resp, err := decodeQueryResponse(op, payload)
+		if checkOp(op) != nil {
+			if err == nil {
+				t.Fatalf("response decoded under op %d", op)
+			}
+			return
+		}
+		if err != nil {
+			return
+		}
+		held := len(resp.Results)
+		for i := range resp.Results {
+			held += len(resp.Results[i].PPoints) + len(resp.Results[i].Points)
+		}
+		if held > len(payload) {
+			t.Fatalf("%d decoded elements from %d bytes", held, len(payload))
+		}
+		// NaN payloads defeat DeepEqual, so compare encodings: one re-encode
+		// canonicalizes varints, a second must change nothing.
+		enc := encodeQueryResponse(op, resp)
+		again, err := decodeQueryResponse(op, enc)
+		if err != nil {
+			t.Fatalf("re-decode: %v", err)
+		}
+		if !bytes.Equal(encodeQueryResponse(op, again), enc) {
+			t.Fatal("response encoding is not a fixed point")
+		}
+		for i := range resp.Results {
+			if again.Results[i].TierStep != resp.Results[i].TierStep {
+				t.Fatalf("key %d: tier step %d -> %d", i, resp.Results[i].TierStep, again.Results[i].TierStep)
+			}
+		}
+	})
+}
+
+// TestQueryProtoRefusesRetiredOp pins op code 3 (the deleted raw-values sweep)
+// as reserved: neither side of the codec accepts it.
+func TestQueryProtoRefusesRetiredOp(t *testing.T) {
+	req := encodeQueryRequest(&queryRequest{Op: 3, From: 0, To: 10, Keys: []string{"k"}})
+	if q, err := decodeQueryRequest(req); err == nil {
+		t.Fatalf("request with op 3 decoded: %+v", q)
+	}
+	resp := encodeQueryResponse(3, &queryResponse{Results: []keyResult{{}}})
+	if r, err := decodeQueryResponse(3, resp); err == nil {
+		t.Fatalf("response under op 3 decoded: %+v", r)
+	}
 }

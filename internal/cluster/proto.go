@@ -54,10 +54,21 @@ type queryOp uint8
 const (
 	opReducePartial queryOp = 1 // Partial per key (mergeable reduce)
 	opAggPartials   queryOp = 2 // []PartialPoint per key (mergeable range)
-	opSeriesValues  queryOp = 3 // []float64 per key (SeriesValuesPlanned)
-	opReduceFull    queryOp = 4 // final (value, count) per key, fn on owner
-	opAggFull       queryOp = 5 // final []AggPoint per key, fn on owner
+	// 3 is retired and stays reserved: it shipped a series' raw values,
+	// unbounded for step <= 0 — the one op that broke "only fixed-size
+	// aggregates cross the network".
+	opReduceFull queryOp = 4 // final (value, count) per key, fn on owner
+	opAggFull    queryOp = 5 // final []AggPoint per key, fn on owner
 )
+
+// checkOp refuses an op code this version does not serve.
+func checkOp(op queryOp) error {
+	switch op {
+	case opReducePartial, opAggPartials, opReduceFull, opAggFull:
+		return nil
+	}
+	return fmt.Errorf("cluster: unknown or retired query op %d", op)
+}
 
 type queryRequest struct {
 	Op queryOp
@@ -77,13 +88,16 @@ type queryRequest struct {
 
 // keyResult is one key's answer; which fields are set depends on the op.
 type keyResult struct {
-	Found   bool
-	Partial timeseries.Partial
-	PPoints []timeseries.PartialPoint
-	Values  []float64
-	Value   float64
-	Count   int64
-	Points  []timeseries.AggPoint
+	Found bool
+	// TierStep is the rollup tier of the plan the answering store executed
+	// (0: a raw scan), so a coordinator reports the plan that ran, not one
+	// of its own.
+	TierStep int64
+	Partial  timeseries.Partial
+	PPoints  []timeseries.PartialPoint
+	Value    float64
+	Count    int64
+	Points   []timeseries.AggPoint
 }
 
 type queryResponse struct {
@@ -220,7 +234,10 @@ func decodeQueryRequest(payload []byte) (*queryRequest, error) {
 	for i := range q.Keys {
 		q.Keys[i] = p.Str()
 	}
-	return q, p.Err()
+	if err := p.Err(); err != nil {
+		return nil, err
+	}
+	return q, checkOp(q.Op)
 }
 
 // --- query response ---
@@ -246,6 +263,7 @@ func encodeQueryResponse(op queryOp, resp *queryResponse) []byte {
 		if !r.Found {
 			continue
 		}
+		b = binenc.AppendVarint(b, r.TierStep)
 		switch op {
 		case opReducePartial:
 			b = appendPartial(b, &r.Partial)
@@ -254,11 +272,6 @@ func encodeQueryResponse(op queryOp, resp *queryResponse) []byte {
 			for j := range r.PPoints {
 				b = binenc.AppendVarint(b, r.PPoints[j].Start)
 				b = appendPartial(b, &r.PPoints[j].Agg)
-			}
-		case opSeriesValues:
-			b = binenc.AppendUvarint(b, uint64(len(r.Values)))
-			for _, v := range r.Values {
-				b = binenc.AppendFloat(b, v)
 			}
 		case opReduceFull:
 			b = binenc.AppendFloat(b, r.Value)
@@ -275,8 +288,8 @@ func encodeQueryResponse(op queryOp, resp *queryResponse) []byte {
 }
 
 func decodeQueryResponse(op queryOp, payload []byte) (*queryResponse, error) {
-	if op < opReducePartial || op > opAggFull {
-		return nil, fmt.Errorf("cluster: unknown query op %d", op)
+	if err := checkOp(op); err != nil {
+		return nil, err
 	}
 	p := binenc.NewReader(payload)
 	resp := &queryResponse{Err: p.Str()}
@@ -297,6 +310,7 @@ func decodeQueryResponse(op queryOp, payload []byte) (*queryResponse, error) {
 		if r.Found = p.Bool(); !r.Found {
 			continue
 		}
+		r.TierStep = p.Varint()
 		switch op {
 		case opReducePartial:
 			r.Partial = readPartial(&p)
@@ -304,11 +318,6 @@ func decodeQueryResponse(op queryOp, payload []byte) (*queryResponse, error) {
 			r.PPoints = make([]timeseries.PartialPoint, p.Count(1+partialLen))
 			for j := range r.PPoints {
 				r.PPoints[j] = timeseries.PartialPoint{Start: p.Varint(), Agg: readPartial(&p)}
-			}
-		case opSeriesValues:
-			r.Values = make([]float64, p.Count(8))
-			for j := range r.Values {
-				r.Values[j] = p.Float()
 			}
 		case opReduceFull:
 			r.Value = p.Float()

@@ -57,10 +57,8 @@ func (r *Router) execQuery(q *queryRequest) *queryResponse {
 	} else {
 		st = r.cfg.Store
 	}
-	switch q.Op {
-	case opReducePartial, opAggPartials, opSeriesValues, opReduceFull, opAggFull:
-	default:
-		return &queryResponse{Err: fmt.Sprintf("unknown query op %d", q.Op)}
+	if err := checkOp(q.Op); err != nil {
+		return &queryResponse{Err: err.Error()}
 	}
 	resp.Results = make([]keyResult, len(q.Keys))
 	for i, key := range q.Keys {
@@ -70,13 +68,12 @@ func (r *Router) execQuery(q *queryRequest) *queryResponse {
 			continue // Found stays false: this peer has never seen the series
 		}
 		var err error
+		var plan timeseries.QueryPlan // the full ops scan raw: tier 0
 		switch q.Op {
 		case opReducePartial:
-			res.Partial, err = st.ReducePartial(id, q.From, q.To)
+			res.Partial, plan, err = st.ReducePartial(id, q.From, q.To)
 		case opAggPartials:
-			res.PPoints, err = st.AggregatePartials(id, q.From, q.To, q.Step)
-		case opSeriesValues:
-			res.Values, err = st.SeriesValuesPlanned(id, q.From, q.To, q.Step)
+			res.PPoints, plan, err = st.AggregatePartials(id, q.From, q.To, q.Step)
 		case opReduceFull:
 			var v float64
 			var n int
@@ -88,7 +85,7 @@ func (r *Router) execQuery(q *queryRequest) *queryResponse {
 		if err != nil {
 			return &queryResponse{Err: err.Error()}
 		}
-		res.Found = true
+		res.Found, res.TierStep = true, plan.TierStep
 	}
 	return resp
 }
@@ -195,141 +192,83 @@ func (r *Router) queryOwner(owner string, q *queryRequest) (results []keyResult,
 
 // --- single-series API (what the HTTP front door asks for) ---
 
-// Reduce answers a single-series reduction wherever the series lives.
-// partial=true means the answer came from a (possibly lagging) replica.
-// The tier step is a local-planner detail, reported only when the series is
-// served by this node's own store.
-//
-// Every public query entry point retries once when a topology epoch flipped
-// mid-query (errTopologyChanged): the retry re-derives placement from the
-// freshly adopted topology, so a query racing a join or leave lands on the
-// new owner instead of failing.
-func (r *Router) Reduce(key string, from, to int64, fn timeseries.AggFunc) (value float64, count int, tierStep int64, found, partial bool, err error) {
-	for attempt := 0; ; attempt++ {
-		value, count, tierStep, found, partial, err = r.reduceOnce(key, from, to, fn)
-		if errors.Is(err, errTopologyChanged) && attempt == 0 {
-			continue
-		}
-		return
+// retryTopology runs a query once more when a topology epoch flipped under it
+// (errTopologyChanged): the second run re-derives placement from the freshly
+// adopted topology, so a query racing a join or leave lands on the new owner
+// instead of failing.
+func retryTopology(once func() error) error {
+	err := once()
+	if errors.Is(err, errTopologyChanged) {
+		err = once()
 	}
+	return err
 }
 
-func (r *Router) reduceOnce(key string, from, to int64, fn timeseries.AggFunc) (value float64, count int, tierStep int64, found, partial bool, err error) {
-	q := &queryRequest{From: from, To: to, Keys: []string{key}}
-	if timeseries.MergeableAgg(fn) {
+// querySeries answers one series' reduction (step <= 0) or bucketed
+// aggregation wherever the series lives, finished: Value/Count or Points are
+// set whichever op ran, and TierStep is the plan the answering store
+// executed. Check Found before reading them. partial=true means the answer
+// came from a (possibly lagging) replica.
+func (r *Router) querySeries(key string, from, to, step int64, fn timeseries.AggFunc) (res *keyResult, partial bool, err error) {
+	q := &queryRequest{From: from, To: to, Step: step, Keys: []string{key}}
+	mergeable := timeseries.MergeableAgg(fn)
+	switch {
+	case mergeable && step > 0:
+		q.Op = opAggPartials
+	case mergeable:
 		q.Op = opReducePartial
-	} else {
-		q.Op = opReduceFull
-		q.Fn = fn
+	case step > 0:
+		q.Op, q.Fn = opAggFull, fn
+	default:
+		q.Op, q.Fn = opReduceFull, fn
 	}
-	owner := r.topo.Load().Ring().Primary(key)
-	if owner != r.self {
-		r.scatterQueries.Add(1)
-	}
-	results, fallback, err := r.queryOwner(owner, q)
+	err = retryTopology(func() error {
+		owner := r.topo.Load().Ring().Primary(key)
+		if owner != r.self {
+			r.scatterQueries.Add(1)
+		}
+		results, fallback, err := r.queryOwner(owner, q)
+		if err != nil {
+			return err
+		}
+		if fallback {
+			r.partialQueries.Add(1)
+		}
+		res, partial = &results[0], fallback
+		return nil
+	})
 	if err != nil {
-		return 0, 0, 0, false, false, err
+		return nil, false, err
 	}
-	if fallback {
-		r.partialQueries.Add(1)
+	switch q.Op {
+	case opReducePartial:
+		res.Value, res.Count = res.Partial.Value(fn), res.Partial.Count
+	case opAggPartials:
+		res.Points = timeseries.FinishPartials(res.PPoints, fn)
 	}
-	res := &results[0]
-	if !res.Found {
-		return 0, 0, 0, false, fallback, nil
+	return res, partial, nil
+}
+
+// Reduce answers a single-series reduction wherever the series lives.
+func (r *Router) Reduce(key string, from, to int64, fn timeseries.AggFunc) (value float64, count int, tierStep int64, found, partial bool, err error) {
+	res, partial, err := r.querySeries(key, from, to, 0, fn)
+	if err != nil || !res.Found {
+		return 0, 0, 0, false, partial, err
 	}
-	if owner == r.self {
-		if id, ok := r.cfg.Store.IDForKey(key); ok {
-			tierStep = r.cfg.Store.Plan(id, from, to, 0, fn).TierStep
-		}
-	}
-	if q.Op == opReducePartial {
-		if res.Partial.Count == 0 {
-			return 0, 0, tierStep, true, fallback, nil
-		}
-		return res.Partial.Value(fn), int(res.Partial.Count), tierStep, true, fallback, nil
-	}
-	return res.Value, int(res.Count), tierStep, true, fallback, nil
+	return res.Value, int(res.Count), res.TierStep, true, partial, nil
 }
 
 // AggregateRange answers a single-series bucketed aggregation wherever the
 // series lives; semantics mirror Reduce.
 func (r *Router) AggregateRange(key string, from, to, step int64, fn timeseries.AggFunc) (pts []timeseries.AggPoint, tierStep int64, found, partial bool, err error) {
-	for attempt := 0; ; attempt++ {
-		pts, tierStep, found, partial, err = r.aggregateRangeOnce(key, from, to, step, fn)
-		if errors.Is(err, errTopologyChanged) && attempt == 0 {
-			continue
-		}
-		return
-	}
-}
-
-func (r *Router) aggregateRangeOnce(key string, from, to, step int64, fn timeseries.AggFunc) (pts []timeseries.AggPoint, tierStep int64, found, partial bool, err error) {
 	if step <= 0 {
 		return nil, 0, false, false, fmt.Errorf("cluster: step must be positive")
 	}
-	q := &queryRequest{From: from, To: to, Step: step, Keys: []string{key}}
-	if timeseries.MergeableAgg(fn) {
-		q.Op = opAggPartials
-	} else {
-		q.Op = opAggFull
-		q.Fn = fn
+	res, partial, err := r.querySeries(key, from, to, step, fn)
+	if err != nil || !res.Found {
+		return nil, 0, false, partial, err
 	}
-	owner := r.topo.Load().Ring().Primary(key)
-	if owner != r.self {
-		r.scatterQueries.Add(1)
-	}
-	results, fallback, err := r.queryOwner(owner, q)
-	if err != nil {
-		return nil, 0, false, false, err
-	}
-	if fallback {
-		r.partialQueries.Add(1)
-	}
-	res := &results[0]
-	if !res.Found {
-		return nil, 0, false, fallback, nil
-	}
-	if owner == r.self {
-		if id, ok := r.cfg.Store.IDForKey(key); ok {
-			tierStep = r.cfg.Store.Plan(id, from, to, step, fn).TierStep
-		}
-	}
-	if q.Op == opAggPartials {
-		return finishPartialPoints(res.PPoints, fn), tierStep, true, fallback, nil
-	}
-	return res.Points, tierStep, true, fallback, nil
-}
-
-// SeriesValues answers a single-series value sweep (SeriesValuesPlanned)
-// wherever the series lives.
-func (r *Router) SeriesValues(key string, from, to, step int64) (vals []float64, found, partial bool, err error) {
-	for attempt := 0; ; attempt++ {
-		vals, found, partial, err = r.seriesValuesOnce(key, from, to, step)
-		if errors.Is(err, errTopologyChanged) && attempt == 0 {
-			continue
-		}
-		return
-	}
-}
-
-func (r *Router) seriesValuesOnce(key string, from, to, step int64) (vals []float64, found, partial bool, err error) {
-	q := &queryRequest{Op: opSeriesValues, From: from, To: to, Step: step, Keys: []string{key}}
-	owner := r.topo.Load().Ring().Primary(key)
-	if owner != r.self {
-		r.scatterQueries.Add(1)
-	}
-	results, fallback, err := r.queryOwner(owner, q)
-	if err != nil {
-		return nil, false, false, err
-	}
-	if fallback {
-		r.partialQueries.Add(1)
-	}
-	res := &results[0]
-	if !res.Found {
-		return nil, false, fallback, nil
-	}
-	return res.Values, true, fallback, nil
+	return res.Points, res.TierStep, true, partial, nil
 }
 
 // ReducePeers is Reduce with degraded-peer attribution: peers names each
@@ -360,16 +299,6 @@ func (r *Router) AggregateRangePeers(key string, from, to, step int64, fn timese
 // empty list means the answer is exact and bit-identical to MergedReduce
 // over a single store holding every series.
 func (r *Router) ReduceMany(keys []string, from, to int64, fn timeseries.AggFunc) (value float64, count int64, partialPeers []string, err error) {
-	for attempt := 0; ; attempt++ {
-		value, count, partialPeers, err = r.reduceManyOnce(keys, from, to, fn)
-		if errors.Is(err, errTopologyChanged) && attempt == 0 {
-			continue
-		}
-		return
-	}
-}
-
-func (r *Router) reduceManyOnce(keys []string, from, to int64, fn timeseries.AggFunc) (value float64, count int64, partialPeers []string, err error) {
 	if !timeseries.MergeableAgg(fn) {
 		return 0, 0, nil, fmt.Errorf("cluster: %s does not merge across peers (route per series instead)", fn)
 	}
@@ -384,25 +313,12 @@ func (r *Router) reduceManyOnce(keys []string, from, to int64, fn timeseries.Agg
 			total.Merge(p.Partial)
 		}
 	}
-	if total.Count == 0 {
-		return 0, 0, partialPeers, nil
-	}
 	return total.Value(fn), total.Count, partialPeers, nil
 }
 
 // AggregateMany buckets many series into shared step windows, merging
 // per-key partial buckets in sorted key order. Semantics as ReduceMany.
 func (r *Router) AggregateMany(keys []string, from, to, step int64, fn timeseries.AggFunc) (pts []timeseries.AggPoint, partialPeers []string, err error) {
-	for attempt := 0; ; attempt++ {
-		pts, partialPeers, err = r.aggregateManyOnce(keys, from, to, step, fn)
-		if errors.Is(err, errTopologyChanged) && attempt == 0 {
-			continue
-		}
-		return
-	}
-}
-
-func (r *Router) aggregateManyOnce(keys []string, from, to, step int64, fn timeseries.AggFunc) (pts []timeseries.AggPoint, partialPeers []string, err error) {
 	if !timeseries.MergeableAgg(fn) {
 		return nil, nil, fmt.Errorf("cluster: %s does not merge across peers (route per series instead)", fn)
 	}
@@ -427,7 +343,15 @@ func (r *Router) aggregateManyOnce(keys []string, from, to, step int64, fn times
 // per-key results. Owners that fail entirely have their keys skipped and
 // are reported in partialPeers (sorted), alongside owners served by
 // replica fallback.
-func (r *Router) scatterPartials(op queryOp, keys []string, from, to, step int64) (map[string]*keyResult, []string, error) {
+func (r *Router) scatterPartials(op queryOp, keys []string, from, to, step int64) (perKey map[string]*keyResult, partialPeers []string, err error) {
+	err = retryTopology(func() error {
+		perKey, partialPeers, err = r.scatterOnce(op, keys, from, to, step)
+		return err
+	})
+	return perKey, partialPeers, err
+}
+
+func (r *Router) scatterOnce(op queryOp, keys []string, from, to, step int64) (map[string]*keyResult, []string, error) {
 	groups := make(map[string][]string)
 	ring := r.topo.Load().Ring()
 	for _, k := range keys {
@@ -485,19 +409,6 @@ func (r *Router) scatterPartials(op queryOp, keys []string, from, to, step int64
 		r.partialQueries.Add(1)
 	}
 	return perKey, partialPeers, nil
-}
-
-// finishPartialPoints resolves bucketed partials under fn. Buckets arrive
-// with Count > 0 (empty buckets are omitted at the source).
-func finishPartialPoints(pp []timeseries.PartialPoint, fn timeseries.AggFunc) []timeseries.AggPoint {
-	if len(pp) == 0 {
-		return nil
-	}
-	out := make([]timeseries.AggPoint, len(pp))
-	for i := range pp {
-		out[i] = timeseries.AggPoint{Start: pp[i].Start, Value: pp[i].Agg.Value(fn)}
-	}
-	return out
 }
 
 // mergeAggregate merges per-key bucketed partials (already in sorted key
@@ -559,14 +470,11 @@ func MergedReduce(st *timeseries.Store, keys []string, from, to int64, fn timese
 		if !ok {
 			continue
 		}
-		p, err := st.ReducePartial(id, from, to)
+		p, _, err := st.ReducePartial(id, from, to)
 		if err != nil {
 			return 0, 0, err
 		}
 		total.Merge(p)
-	}
-	if total.Count == 0 {
-		return 0, 0, nil
 	}
 	return total.Value(fn), total.Count, nil
 }
@@ -585,7 +493,7 @@ func MergedAggregate(st *timeseries.Store, keys []string, from, to, step int64, 
 		if !ok {
 			continue
 		}
-		pp, err := st.AggregatePartials(id, from, to, step)
+		pp, _, err := st.AggregatePartials(id, from, to, step)
 		if err != nil {
 			return nil, err
 		}

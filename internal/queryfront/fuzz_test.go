@@ -9,7 +9,7 @@ import (
 // /query_range parameter parser and checks the contract the handlers rely
 // on: parsing never panics, and any accepted parameter set satisfies the
 // invariants the planner assumes (non-empty series, from < to, positive
-// step, a known aggregation function).
+// step, a bucketed range no wider than int64, a known aggregation function).
 func FuzzQueryRangeParse(f *testing.F) {
 	// Seeds mirror the committed corpus in testdata/fuzz/FuzzQueryRangeParse.
 	f.Add("series=node_power_watts{node=n0}&from=0&to=7200000&step=60000&fn=mean")
@@ -18,6 +18,7 @@ func FuzzQueryRangeParse(f *testing.F) {
 	f.Add("from=abc&to=10&step=60")
 	f.Add("series=x&from=9223372036854775807&to=-9223372036854775808&step=1")
 	f.Add("series=x&from=0&to=10&step=0&fn=p95")
+	f.Add("series=x&from=-9223372036854775808&to=9223372036854775807&step=60000&fn=mean")
 	f.Add("series=%zz&fn=&step=&&&=&")
 	f.Fuzz(func(t *testing.T, raw string) {
 		vals, err := url.ParseQuery(raw)
@@ -37,6 +38,9 @@ func FuzzQueryRangeParse(f *testing.F) {
 			}
 			if needStep && p.step <= 0 {
 				t.Fatalf("accepted non-positive step %d: %q", p.step, raw)
+			}
+			if needStep && p.to-p.from < 0 {
+				t.Fatalf("accepted a bucketed range wider than int64 [%d, %d): %q", p.from, p.to, raw)
 			}
 			if !needStep && p.step != 0 {
 				t.Fatalf("/query parse produced a step: %q", raw)

@@ -34,8 +34,8 @@ import (
 // error means the backend could not answer (a 503 — never an empty 200).
 // partial=true means the answer may be incomplete or stale (e.g. served by
 // a replica while the owner is down); it is surfaced to the client via the
-// X-ODA-Partial header and is never cached. tierStep reports the rollup
-// tier the local planner picked, or 0 when no local plan applies.
+// X-ODA-Partial header and is never cached. tierStep is the rollup tier of
+// the plan that produced the answer, wherever it ran; 0 is a raw scan.
 type Backend interface {
 	Reduce(key string, from, to int64, fn timeseries.AggFunc) (value float64, count int, tierStep int64, found, partial bool, err error)
 	AggregateRange(key string, from, to, step int64, fn timeseries.AggFunc) (pts []timeseries.AggPoint, tierStep int64, found, partial bool, err error)
@@ -54,7 +54,10 @@ type PeerBackend interface {
 }
 
 // storeBackend serves queries from one local store: the single-node
-// deployment and the reference behavior the cluster path must match.
+// deployment and the reference behavior the cluster path must match. For a
+// mergeable fn it finishes the store's Partials itself, so the tier step it
+// reports is the plan the answer came from; std and p95 need the
+// distribution, which only a raw scan (tier 0) has.
 type storeBackend struct{ store *timeseries.Store }
 
 // ForStore adapts a plain store into a query Backend.
@@ -65,12 +68,15 @@ func (sb storeBackend) Reduce(key string, from, to int64, fn timeseries.AggFunc)
 	if !ok {
 		return 0, 0, 0, false, false, nil
 	}
-	plan := sb.store.Plan(id, from, to, 0, fn)
-	v, n, err := sb.store.ReducePlanned(id, from, to, fn)
+	if !timeseries.MergeableAgg(fn) {
+		v, n, err := sb.store.ReducePlanned(id, from, to, fn)
+		return v, n, 0, err == nil, false, err
+	}
+	agg, plan, err := sb.store.ReducePartial(id, from, to)
 	if err != nil {
 		return 0, 0, 0, false, false, err
 	}
-	return v, n, plan.TierStep, true, false, nil
+	return agg.Value(fn), int(agg.Count), plan.TierStep, true, false, nil
 }
 
 func (sb storeBackend) AggregateRange(key string, from, to, step int64, fn timeseries.AggFunc) ([]timeseries.AggPoint, int64, bool, bool, error) {
@@ -78,12 +84,15 @@ func (sb storeBackend) AggregateRange(key string, from, to, step int64, fn times
 	if !ok {
 		return nil, 0, false, false, nil
 	}
-	plan := sb.store.Plan(id, from, to, step, fn)
-	pts, err := sb.store.AggregatePlanned(id, from, to, step, fn)
+	if !timeseries.MergeableAgg(fn) {
+		pts, err := sb.store.AggregatePlanned(id, from, to, step, fn)
+		return pts, 0, err == nil, false, err
+	}
+	pp, plan, err := sb.store.AggregatePartials(id, from, to, step)
 	if err != nil {
 		return nil, 0, false, false, err
 	}
-	return pts, plan.TierStep, true, false, nil
+	return timeseries.FinishPartials(pp, fn), plan.TierStep, true, false, nil
 }
 
 // Front serves /query and /query_range over a backend.
@@ -201,6 +210,11 @@ func parseQueryParams(vals url.Values, needStep bool) (queryParams, error) {
 		}
 		if p.step <= 0 {
 			return p, fmt.Errorf("step must be positive, got %d", p.step)
+		}
+		if p.to-p.from < 0 {
+			// Bucket starts are from + (T-from)/step*step: past this width
+			// the arithmetic wraps and the store refuses the window.
+			return p, fmt.Errorf("range [%d, %d) is wider than int64", p.from, p.to)
 		}
 	} else if vals.Get("step") != "" {
 		return p, fmt.Errorf("step is only valid on /query_range")

@@ -127,6 +127,70 @@ func TestQueryRangeEndpoint(t *testing.T) {
 	if rec.Code != 400 {
 		t.Fatalf("missing step: status %d", rec.Code)
 	}
+
+	// A window wider than int64 wraps the bucket arithmetic (it used to
+	// answer 200 with buckets 120 s apart on a 60 s step): refused, on the
+	// fold (mean) and on the distribution path (p95) alike.
+	for _, fn := range []string{"mean", "p95"} {
+		rec = httptest.NewRecorder()
+		target = "/query_range?series=" + url.QueryEscape(id.Key()) +
+			"&from=-9223372036854775808&to=9223372036854775807&step=60000&fn=" + fn
+		qf.HandleQueryRange(rec, httptest.NewRequest("GET", target, nil))
+		if rec.Code != 400 {
+			t.Fatalf("wide window, fn=%s: status %d, want 400: %s", fn, rec.Code, rec.Body.String())
+		}
+	}
+}
+
+// plans is how many planner decisions the store has counted.
+func plans(st *timeseries.Store) uint64 {
+	rs := st.RollupStats()
+	n := rs.RawPlans
+	for _, t := range rs.Tiers {
+		n += t.Picks
+	}
+	return n
+}
+
+// TestOnePlanPerQuery: every uncached request is one planner decision, and
+// the tier it reports is that decision (the front door used to plan once to
+// report and once more to execute).
+func TestOnePlanPerQuery(t *testing.T) {
+	store, id := queryTestStore(t)
+	qf := New(ForStore(store), 0, time.Minute, 1000, 1000) // cache off
+	series := url.QueryEscape(id.Key())
+	for _, tc := range []struct {
+		target string
+		tier   float64
+	}{
+		{"/query?series=" + series + "&from=0&to=7200000&fn=mean", timeseries.TierStep1h},
+		{"/query?series=" + series + "&from=0&to=7200000&fn=p95", 0},
+		{"/query_range?series=" + series + "&from=0&to=7200000&step=60000&fn=mean", timeseries.TierStep1m},
+		{"/query_range?series=" + series + "&from=0&to=7200000&step=60000&fn=p95", 0},
+		{"/query_range?series=" + series + "&from=0&to=7200000&step=90000&fn=sum", 0},
+	} {
+		before := plans(store)
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest("GET", tc.target, nil)
+		if req.URL.Path == "/query" {
+			qf.HandleQuery(rec, req)
+		} else {
+			qf.HandleQueryRange(rec, req)
+		}
+		if rec.Code != 200 {
+			t.Fatalf("%s: status %d: %s", tc.target, rec.Code, rec.Body.String())
+		}
+		if got := plans(store) - before; got != 1 {
+			t.Fatalf("%s: %d planner decisions, want 1", tc.target, got)
+		}
+		var body map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatal(err)
+		}
+		if body["tier_step"] != tc.tier {
+			t.Fatalf("%s: tier_step %v, want %v", tc.target, body["tier_step"], tc.tier)
+		}
+	}
 }
 
 func TestQueryQuota(t *testing.T) {

@@ -298,6 +298,12 @@ func (s *Store) Each(id metric.ID, from, to int64, fn func(metric.Sample) bool) 
 // online accumulator (numerically identical to the materializing path,
 // which uses the same accumulator), rate needs only the window's first and
 // last samples, and p95 gathers values in the cursor's pooled scratch.
+//
+// Reduce has two jobs left. It is the only reduction that sees the
+// distribution, so std and p95 end here whatever the entry point; and it is
+// the reference: the parity tests and the chaos campaign hold the planned
+// fold (ReducePlanned, ReducePartial) to its answers, which is why it shares
+// no code with the fold.
 func (s *Store) Reduce(id metric.ID, from, to int64, fn AggFunc) (float64, int, error) {
 	cur, err := s.Cursor(id, from, to)
 	if err != nil {
@@ -366,6 +372,9 @@ func rateOf(first, last metric.Sample, n int) float64 {
 // element-identical to aggregating a Query result. Empty buckets are
 // omitted.
 func aggregateCursor(cur *Cursor, base, step int64, fn AggFunc) ([]AggPoint, error) {
+	if err := checkBuckets(base, cur.to); err != nil {
+		return nil, err
+	}
 	var out []AggPoint
 	var start, end int64
 	var bFirst, bLast metric.Sample

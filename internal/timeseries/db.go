@@ -213,6 +213,14 @@ func (s *Store) lookup(key string) *storedSeries {
 	return ss
 }
 
+// series resolves id for a read, or reports it unknown.
+func (s *Store) series(id metric.ID) (*storedSeries, error) {
+	if ss := s.lookup(id.Key()); ss != nil {
+		return ss, nil
+	}
+	return nil, fmt.Errorf("timeseries: unknown series %s", id.Key())
+}
+
 // getOrCreate returns the series for key, creating and registering it on
 // first use. Registration (order, byName, the ref slot) happens before the
 // series is published in the shard map, so any series reachable via lookup
@@ -592,6 +600,10 @@ type AggPoint struct {
 // [from, to) and applies fn per bucket. Empty buckets are omitted. The
 // aggregation is pushed down into the cursor loop: bucket values accumulate
 // in the cursor's pooled scratch, so no sample slice is materialized.
+//
+// Like Reduce it has two jobs left: std and p95 per bucket (the distribution
+// only a raw scan has), and the reference the parity tests and the chaos
+// campaign hold AggregatePlanned and AggregatePartials to.
 func (s *Store) Aggregate(id metric.ID, from, to, step int64, fn AggFunc) ([]AggPoint, error) {
 	if step <= 0 {
 		return nil, errors.New("timeseries: step must be positive")

@@ -1,6 +1,7 @@
 package timeseries
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/metric"
@@ -37,23 +38,23 @@ type Partial struct {
 // single peer owning the series instead of merging partials.
 func MergeableAgg(fn AggFunc) bool { return rollupResolvable(fn) }
 
-// addPoint folds one sealed rollup window into the partial. Windows arrive
+// addWindow folds one sealed rollup window into the partial. Windows arrive
 // in time order on the planned path, matching the raw accumulation order.
-func (p *Partial) addPoint(rp *rollupPoint) {
+func (p *Partial) addWindow(w *Partial) {
 	if p.Count == 0 {
-		p.Min, p.Max = rp.Min, rp.Max
-		p.FirstT, p.FirstV = rp.FirstT, rp.FirstV
+		p.Min, p.Max = w.Min, w.Max
+		p.FirstT, p.FirstV = w.FirstT, w.FirstV
 	} else {
-		if rp.Min < p.Min {
-			p.Min = rp.Min
+		if w.Min < p.Min {
+			p.Min = w.Min
 		}
-		if rp.Max > p.Max {
-			p.Max = rp.Max
+		if w.Max > p.Max {
+			p.Max = w.Max
 		}
 	}
-	p.Count += rp.Count
-	p.Sum += rp.Sum
-	p.LastT, p.LastV = rp.LastT, rp.LastV
+	p.Count += w.Count
+	p.Sum += w.Sum
+	p.LastT, p.LastV = w.LastT, w.LastV
 }
 
 // AddSample folds one raw sample into the partial.
@@ -103,11 +104,15 @@ func (p *Partial) Merge(q Partial) {
 	p.Sum += q.Sum
 }
 
-// Value finishes the partial under fn. Only MergeableAgg functions resolve;
-// anything else returns 0 (callers gate on MergeableAgg first).
+// Value finishes the partial under fn; an empty partial finishes as 0. Only
+// MergeableAgg functions resolve; anything else returns 0 (callers gate on
+// MergeableAgg first).
 func (p *Partial) Value(fn AggFunc) float64 {
 	switch fn {
 	case AggMean:
+		if p.Count == 0 {
+			return 0
+		}
 		return p.Sum / float64(p.Count)
 	case AggSum:
 		return p.Sum
@@ -126,119 +131,196 @@ func (p *Partial) Value(fn AggFunc) float64 {
 	return 0
 }
 
-// ReducePartial reduces one series over [from, to) to its mergeable partial
-// aggregate, planned exactly like ReducePlanned: the sealed rollup prefix
-// merges pre-computed window groups and only the unsealed tail streams raw
-// samples. For any MergeableAgg fn, ReducePartial(...).Value(fn) is
-// bit-identical to ReducePlanned(id, from, to, fn).
-func (s *Store) ReducePartial(id metric.ID, from, to int64) (Partial, error) {
-	ss := s.lookup(id.Key())
-	if ss == nil {
-		return Partial{}, fmt.Errorf("timeseries: unknown series %s", id.Key())
-	}
-	// All mergeable functions share one plan: plan() only consults fn for
-	// rollup resolvability, which AggSum represents.
-	plan := s.plan(ss, from, to, 0, AggSum)
-	var agg Partial
-	tail := from
-	if plan.TierStep != 0 {
-		ts := ss.tierByStep(plan.TierStep)
-		tcur := s.newTierCursor(ss, ts, from, plan.TierTo)
-		var p rollupPoint
-		for {
-			ok, err := nextRollupPoint(tcur, &p)
-			if err != nil {
-				tcur.Close()
-				return Partial{}, err
-			}
-			if !ok {
-				break
-			}
-			agg.addPoint(&p)
-		}
-		tcur.Close()
-		tail = plan.TierTo
-	}
-	rcur := s.newCursor(ss, tail, to)
-	for rcur.Next() {
-		sm := rcur.At()
-		agg.AddSample(sm.T, sm.V)
-	}
-	err := rcur.Err()
-	rcur.Close()
-	if err != nil {
-		return Partial{}, err
-	}
-	return agg, nil
-}
-
 // PartialPoint is one step bucket's mergeable partial aggregate.
 type PartialPoint struct {
 	Start int64
 	Agg   Partial
 }
 
-// AggregatePartials buckets one series over [from, to) into step windows of
-// mergeable partial aggregates, planned exactly like AggregatePlanned. For
-// any MergeableAgg fn, finishing each bucket with Value(fn) reproduces
-// AggregatePlanned(id, from, to, step, fn) bit for bit; empty buckets are
-// omitted, matching the AggPoint contract.
-func (s *Store) AggregatePartials(id metric.ID, from, to, step int64) ([]PartialPoint, error) {
-	if step <= 0 {
-		return nil, fmt.Errorf("timeseries: step must be positive")
+// FinishPartials resolves bucketed partials under fn.
+func FinishPartials(pp []PartialPoint, fn AggFunc) []AggPoint {
+	if len(pp) == 0 {
+		return nil
 	}
-	ss := s.lookup(id.Key())
-	if ss == nil {
-		return nil, fmt.Errorf("timeseries: unknown series %s", id.Key())
+	out := make([]AggPoint, len(pp))
+	for i := range pp {
+		out[i] = AggPoint{Start: pp[i].Start, Value: pp[i].Agg.Value(fn)}
 	}
-	plan := s.plan(ss, from, to, step, AggSum)
-	var out []PartialPoint
-	var b plannedBucket
-	flush := func() {
-		if b.active && b.agg.Count > 0 {
-			out = append(out, PartialPoint{Start: b.start, Agg: b.agg})
+	return out
+}
+
+// --- the read fold -------------------------------------------------------
+
+// checkBuckets refuses a bucketed window too wide for int64. Bucket starts
+// are base + (T-base)/step*step; once T-base wraps, distinct buckets merge
+// into a wrong answer that looks like a right one.
+func checkBuckets(base, to int64) error {
+	if to > base && to-base < 0 {
+		return fmt.Errorf("timeseries: window [%d, %d) is wider than int64, bucket starts would wrap", base, to)
+	}
+	return nil
+}
+
+// fold is the one path from a query to its answer for every mergeable
+// function: it plans [from, to) once, streams the sealed-tier prefix as window
+// Partials and the raw tail as samples into step buckets, and hands each
+// non-empty bucket to emit in time order. step <= 0 is one bucket anchored at
+// from. A raw plan is tier 0 — no prefix, all tail. It returns the plan it
+// executed.
+//
+// Windows and samples arrive in time order and sums fold left to right, the
+// order stats.Online and stats.Mean keep, so on a raw plan a finished bucket
+// is bit-identical to what Reduce and Aggregate compute; a tier-served sum
+// adds the same terms grouped by window. Both cursors are pooled, and emit
+// takes the bucket by value so the accumulator stays on the stack: a fold
+// allocates nothing itself.
+func (s *Store) fold(ss *storedSeries, from, to, step int64, emit func(start int64, agg Partial)) (QueryPlan, error) {
+	if step > 0 {
+		if err := checkBuckets(from, to); err != nil {
+			return QueryPlan{}, err
 		}
-		b.active = false
+	}
+	// All mergeable functions share one plan: plan only consults fn for
+	// rollup resolvability, which AggSum represents.
+	plan, tier := s.plan(ss, from, to, step, AggSum)
+	var agg Partial
+	start := from
+	// enter makes the bucket holding t the open one, handing the finished
+	// bucket on. Only bucketed folds (step > 0) get here.
+	enter := func(t int64) {
+		if agg.Count > 0 {
+			emit(start, agg)
+			agg = Partial{}
+		}
+		start = from + (t-from)/step*step
 	}
 	tail := from
-	if plan.TierStep != 0 {
-		ts := ss.tierByStep(plan.TierStep)
-		tcur := s.newTierCursor(ss, ts, from, plan.TierTo)
-		var p rollupPoint
+	if tier != nil {
+		tail = plan.TierTo
+		tcur := s.newTierCursor(ss, tier, from, tail) // from is tier-aligned
+		var w Partial
 		for {
-			ok, err := nextRollupPoint(tcur, &p)
+			wStart, ok, err := nextRollupPoint(tcur, &w)
 			if err != nil {
 				tcur.Close()
-				return nil, err
+				return plan, err
 			}
 			if !ok {
 				break
 			}
-			bs := from + (p.Start-from)/step*step
-			if !b.active || bs != b.start {
-				flush()
-				b.open(bs)
+			if step > 0 && wStart-start >= step {
+				enter(wStart)
 			}
-			b.agg.addPoint(&p)
+			agg.addWindow(&w)
 		}
 		tcur.Close()
-		tail = plan.TierTo
 	}
 	rcur := s.newCursor(ss, tail, to)
 	for rcur.Next() {
-		sm := rcur.At()
-		bs := from + (sm.T-from)/step*step
-		if !b.active || bs != b.start {
-			flush()
-			b.open(bs)
+		sm := rcur.cur
+		if step > 0 && sm.T-start >= step {
+			enter(sm.T)
 		}
-		b.agg.AddSample(sm.T, sm.V)
+		agg.AddSample(sm.T, sm.V)
 	}
-	err := rcur.Err()
+	err := rcur.err
 	rcur.Close()
+	if err != nil {
+		return plan, err
+	}
+	if agg.Count > 0 {
+		emit(start, agg)
+	}
+	return plan, nil
+}
+
+// ReducePartial reduces one series over [from, to) to its mergeable partial
+// aggregate and reports the plan that produced it: the sealed rollup prefix
+// merges pre-computed window groups and only the unsealed tail streams raw
+// samples. For any MergeableAgg fn, ReducePartial(...).Value(fn) is
+// bit-identical to ReducePlanned(id, from, to, fn).
+func (s *Store) ReducePartial(id metric.ID, from, to int64) (agg Partial, plan QueryPlan, err error) {
+	ss, err := s.series(id)
+	if err != nil {
+		return Partial{}, QueryPlan{}, err
+	}
+	plan, err = s.fold(ss, from, to, 0, func(_ int64, b Partial) { agg = b })
+	return agg, plan, err
+}
+
+// ReducePlanned is Reduce served through the query planner: a single fused
+// aggregate over [from, to) and how many samples it covered. Mergeable
+// functions finish the fold's one bucket; std and p95 need the distribution
+// and go to Reduce, counted as the raw plan they are.
+func (s *Store) ReducePlanned(id metric.ID, from, to int64, fn AggFunc) (float64, int, error) {
+	ss, err := s.series(id)
+	if err != nil {
+		return 0, 0, err
+	}
+	return s.reducePlanned(ss, id, from, to, fn)
+}
+
+// reducePlanned is the handle-resolved planned reduction: everything past
+// the map lookup (building the key is the caller's amortizable cost, as with
+// the cursor sweeps), and the part `make bench-longwindow` gates at 0
+// allocs/op.
+func (s *Store) reducePlanned(ss *storedSeries, id metric.ID, from, to int64, fn AggFunc) (float64, int, error) {
+	if !rollupResolvable(fn) {
+		s.planRaw.Add(1)
+		return s.Reduce(id, from, to, fn)
+	}
+	var agg Partial
+	if _, err := s.fold(ss, from, to, 0, func(_ int64, b Partial) { agg = b }); err != nil {
+		return 0, 0, err
+	}
+	return agg.Value(fn), int(agg.Count), nil
+}
+
+// AggregatePartials buckets one series over [from, to) into step windows of
+// mergeable partial aggregates and reports the plan that produced them. For
+// any MergeableAgg fn, FinishPartials reproduces AggregatePlanned(id, from,
+// to, step, fn) bit for bit; empty buckets are omitted, matching the AggPoint
+// contract.
+func (s *Store) AggregatePartials(id metric.ID, from, to, step int64) ([]PartialPoint, QueryPlan, error) {
+	if step <= 0 {
+		return nil, QueryPlan{}, errors.New("timeseries: step must be positive")
+	}
+	ss, err := s.series(id)
+	if err != nil {
+		return nil, QueryPlan{}, err
+	}
+	var out []PartialPoint
+	plan, err := s.fold(ss, from, to, step, func(start int64, agg Partial) {
+		out = append(out, PartialPoint{Start: start, Agg: agg})
+	})
+	if err != nil {
+		return nil, plan, err
+	}
+	return out, plan, nil
+}
+
+// AggregatePlanned is Aggregate served through the query planner: buckets
+// covered by sealed rollup windows merge pre-computed column groups
+// (rollupStride records per tier window instead of every raw sample) and the
+// rest streams off the raw cursor. Std and p95 need the distribution and go
+// to Aggregate, counted as the raw plan they are.
+func (s *Store) AggregatePlanned(id metric.ID, from, to, step int64, fn AggFunc) ([]AggPoint, error) {
+	if step <= 0 {
+		return nil, errors.New("timeseries: step must be positive")
+	}
+	ss, err := s.series(id)
 	if err != nil {
 		return nil, err
 	}
-	flush()
+	if !rollupResolvable(fn) {
+		s.planRaw.Add(1)
+		return s.Aggregate(id, from, to, step, fn)
+	}
+	var out []AggPoint
+	if _, err := s.fold(ss, from, to, step, func(start int64, agg Partial) {
+		out = append(out, AggPoint{Start: start, Value: agg.Value(fn)})
+	}); err != nil {
+		return nil, err
+	}
 	return out, nil
 }

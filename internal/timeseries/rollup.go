@@ -104,8 +104,9 @@ func floorMod(a, b int64) int64 { return a - floorDiv(a, b)*b }
 // resolutions (milliseconds per window, e.g. TierStep1m, TierStep1h).
 // Every series created afterwards folds its appends into one accumulator
 // per tier; sealed windows become first-class shadow data served by the
-// query planner (Plan, AggregatePlanned, ReducePlanned). Steps are
-// deduplicated and kept sorted; non-positive steps are ignored.
+// query planner (AggregatePlanned, ReducePlanned and the Partial entry
+// points). Steps are deduplicated and kept sorted; non-positive steps are
+// ignored.
 func WithRollups(steps ...int64) Option {
 	return func(s *Store) {
 		var cleaned []int64
@@ -326,9 +327,9 @@ func rollupResolvable(fn AggFunc) bool {
 	return false
 }
 
-// Plan decides how the store would serve an aggregation of fn over
-// [from, to) at the given step (step <= 0 plans a single whole-window
-// reduction). The planner picks the coarsest tier that answers exactly:
+// plan decides how the store serves an aggregation of fn over [from, to) at
+// the given step (step <= 0 plans a single whole-window reduction), and counts
+// the decision. The planner picks the coarsest tier that answers exactly:
 //
 //   - fn must resolve from the rollup columns (mean/sum/min/max/count/rate);
 //   - from must sit on a tier window boundary, and for bucketed queries the
@@ -338,17 +339,11 @@ func rollupResolvable(fn AggFunc) bool {
 //     range past the last sealed window — the unsealed tail — falls back to
 //     the raw series.
 //
-// Any query the planner cannot prove exact plans as a raw scan, so planned
-// entry points are always numerically identical to the raw pushdown path.
-func (s *Store) Plan(id metric.ID, from, to, step int64, fn AggFunc) QueryPlan {
-	ss := s.lookup(id.Key())
-	if ss == nil {
-		return QueryPlan{}
-	}
-	return s.plan(ss, from, to, step, fn)
-}
-
-func (s *Store) plan(ss *storedSeries, from, to, step int64, fn AggFunc) QueryPlan {
+// Any query the planner cannot prove exact plans as a raw scan (tier 0). Only
+// fold calls it, once per query, so the counters in RollupStats count executed
+// queries and the plan an answer carries is the one that ran. The tier that
+// won comes back with the plan (nil for a raw scan).
+func (s *Store) plan(ss *storedSeries, from, to, step int64, fn AggFunc) (QueryPlan, *tierState) {
 	if rollupResolvable(fn) && to > from {
 		for i := len(ss.tiers) - 1; i >= 0; i-- {
 			ts := ss.tiers[i]
@@ -372,11 +367,11 @@ func (s *Store) plan(ss *storedSeries, from, to, step int64, fn AggFunc) QueryPl
 				continue
 			}
 			s.countTierPick(ts.step)
-			return QueryPlan{TierStep: ts.step, TierTo: cut}
+			return QueryPlan{TierStep: ts.step, TierTo: cut}, ts
 		}
 	}
 	s.planRaw.Add(1)
-	return QueryPlan{}
+	return QueryPlan{}, nil
 }
 
 // countTierPick bumps the planner counter of the tier that won.
@@ -387,17 +382,6 @@ func (s *Store) countTierPick(step int64) {
 			return
 		}
 	}
-}
-
-// tierByStep resolves a series' tier state; tiers are created with the
-// series and the slice is immutable afterwards, so no lock is needed.
-func (ss *storedSeries) tierByStep(step int64) *tierState {
-	for _, ts := range ss.tiers {
-		if ts.step == step {
-			return ts
-		}
-	}
-	return nil
 }
 
 // newTierCursor opens a pooled cursor over a tier's encoded chunk stream
@@ -414,203 +398,48 @@ func (s *Store) newTierCursor(ss *storedSeries, ts *tierState, winFrom, winTo in
 	return cur
 }
 
-// rollupPoint is one decoded sealed window.
-type rollupPoint struct {
-	Start  int64
-	Count  int64
-	Sum    float64
-	Min    float64
-	Max    float64
-	FirstT int64
-	FirstV float64
-	LastT  int64
-	LastV  float64
-}
-
-// nextRollupPoint decodes the next whole window group off a tier cursor
-// into p, returning false at the end of the window range.
-func nextRollupPoint(cur *Cursor, p *rollupPoint) (bool, error) {
+// nextRollupPoint decodes the next whole window group off a tier cursor into
+// w — a sealed window is a Partial on disk, column for column — returning
+// the window start, and ok=false at the end of the window range.
+func nextRollupPoint(cur *Cursor, w *Partial) (start int64, ok bool, err error) {
 	if !cur.Next() {
-		return false, cur.Err()
+		return 0, false, cur.Err()
 	}
 	sm := cur.At()
-	start := floorDiv(sm.T, rollupStride)
+	start = floorDiv(sm.T, rollupStride)
 	if sm.T != start*rollupStride {
-		return false, fmt.Errorf("timeseries: rollup stream misaligned at %d", sm.T)
+		return 0, false, fmt.Errorf("timeseries: rollup stream misaligned at %d", sm.T)
 	}
-	p.Start = start
-	p.Count = int64(sm.V)
+	w.Count = int64(sm.V)
 	for col := colSum; col < rollupStride; col++ {
 		if !cur.Next() {
 			if err := cur.Err(); err != nil {
-				return false, err
+				return 0, false, err
 			}
-			return false, fmt.Errorf("timeseries: truncated rollup group at window %d", start)
+			return 0, false, fmt.Errorf("timeseries: truncated rollup group at window %d", start)
 		}
 		sm = cur.At()
 		if sm.T != start*rollupStride+int64(col) {
-			return false, fmt.Errorf("timeseries: rollup stream misaligned at %d", sm.T)
+			return 0, false, fmt.Errorf("timeseries: rollup stream misaligned at %d", sm.T)
 		}
 		switch col {
 		case colSum:
-			p.Sum = sm.V
+			w.Sum = sm.V
 		case colMin:
-			p.Min = sm.V
+			w.Min = sm.V
 		case colMax:
-			p.Max = sm.V
+			w.Max = sm.V
 		case colFirstT:
-			p.FirstT = int64(sm.V)
+			w.FirstT = int64(sm.V)
 		case colFirstV:
-			p.FirstV = sm.V
+			w.FirstV = sm.V
 		case colLastT:
-			p.LastT = int64(sm.V)
+			w.LastT = int64(sm.V)
 		case colLastV:
-			p.LastV = sm.V
+			w.LastV = sm.V
 		}
 	}
-	return true, nil
-}
-
-// plannedBucket merges rollup windows and raw samples into one requested
-// aggregation bucket. The accumulation lives in a Partial (the exported
-// mergeable aggregate the cluster layer ships between peers), whose order
-// matches the raw pushdown path (windows and samples arrive in time order,
-// sums fold left to right), so the finished value is what the raw reducers
-// would have produced.
-type plannedBucket struct {
-	active bool
-	start  int64
-	agg    Partial
-}
-
-func (b *plannedBucket) open(start int64) {
-	*b = plannedBucket{active: true, start: start}
-}
-
-// AggregatePlanned is Aggregate served through the query planner: buckets
-// covered by sealed rollup windows merge pre-computed column groups
-// (rollupStride records per tier window instead of every raw sample) and
-// the unsealed tail streams off the raw cursor, with results numerically
-// identical to the raw pushdown path. Queries no tier can serve exactly
-// fall back to Aggregate's cursor loop unchanged.
-func (s *Store) AggregatePlanned(id metric.ID, from, to, step int64, fn AggFunc) ([]AggPoint, error) {
-	if step <= 0 {
-		return nil, fmt.Errorf("timeseries: step must be positive")
-	}
-	ss := s.lookup(id.Key())
-	if ss == nil {
-		return nil, fmt.Errorf("timeseries: unknown series %s", id.Key())
-	}
-	plan := s.plan(ss, from, to, step, fn)
-	if plan.TierStep == 0 {
-		cur := s.newCursor(ss, from, to)
-		defer cur.Close()
-		return aggregateCursor(cur, from, step, fn)
-	}
-	ts := ss.tierByStep(plan.TierStep)
-	var out []AggPoint
-	var b plannedBucket
-	flush := func() {
-		if b.active && b.agg.Count > 0 {
-			out = append(out, AggPoint{Start: b.start, Value: b.agg.Value(fn)})
-		}
-		b.active = false
-	}
-
-	tcur := s.newTierCursor(ss, ts, from, plan.TierTo) // from is tier-aligned
-	var p rollupPoint
-	for {
-		ok, err := nextRollupPoint(tcur, &p)
-		if err != nil {
-			tcur.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		bs := from + (p.Start-from)/step*step
-		if !b.active || bs != b.start {
-			flush()
-			b.open(bs)
-		}
-		b.agg.addPoint(&p)
-	}
-	tcur.Close()
-
-	rcur := s.newCursor(ss, plan.TierTo, to)
-	for rcur.Next() {
-		sm := rcur.At()
-		bs := from + (sm.T-from)/step*step
-		if !b.active || bs != b.start {
-			flush()
-			b.open(bs)
-		}
-		b.agg.AddSample(sm.T, sm.V)
-	}
-	err := rcur.Err()
-	rcur.Close()
-	if err != nil {
-		return nil, err
-	}
-	flush()
-	return out, nil
-}
-
-// ReducePlanned is Reduce served through the query planner: a single fused
-// aggregate over [from, to) where the sealed-window prefix merges rollup
-// column groups and only the unsealed tail streams raw samples. The planned
-// path allocates nothing (both cursors are pooled, the merge accumulator
-// lives on the stack); queries no tier serves exactly fall back to Reduce.
-func (s *Store) ReducePlanned(id metric.ID, from, to int64, fn AggFunc) (float64, int, error) {
-	ss := s.lookup(id.Key())
-	if ss == nil {
-		return 0, 0, fmt.Errorf("timeseries: unknown series %s", id.Key())
-	}
-	return s.reducePlanned(ss, id, from, to, fn)
-}
-
-// reducePlanned is the handle-resolved planned reduction: everything past
-// the map lookup (building the key is the caller's amortizable cost, as with
-// the cursor sweeps), and the part `make bench-longwindow` gates at 0
-// allocs/op.
-func (s *Store) reducePlanned(ss *storedSeries, id metric.ID, from, to int64, fn AggFunc) (float64, int, error) {
-	plan := s.plan(ss, from, to, 0, fn)
-	if plan.TierStep == 0 {
-		return s.Reduce(id, from, to, fn)
-	}
-	ts := ss.tierByStep(plan.TierStep)
-	var b plannedBucket
-	b.open(from)
-
-	tcur := s.newTierCursor(ss, ts, from, plan.TierTo)
-	var p rollupPoint
-	for {
-		ok, err := nextRollupPoint(tcur, &p)
-		if err != nil {
-			tcur.Close()
-			return 0, 0, err
-		}
-		if !ok {
-			break
-		}
-		b.agg.addPoint(&p)
-	}
-	tcur.Close()
-
-	rcur := s.newCursor(ss, plan.TierTo, to)
-	for rcur.Next() {
-		sm := rcur.At()
-		b.agg.AddSample(sm.T, sm.V)
-	}
-	err := rcur.Err()
-	rcur.Close()
-	if err != nil {
-		return 0, 0, err
-	}
-	if b.agg.Count == 0 {
-		return 0, 0, nil
-	}
-	return b.agg.Value(fn), int(b.agg.Count), nil
+	return start, true, nil
 }
 
 // SeriesValuesPlanned returns the values of a series over [from, to) at a

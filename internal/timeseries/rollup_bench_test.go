@@ -52,7 +52,7 @@ func benchLongWindow(b *testing.B, planned bool) {
 		b.Fatalf("warm: %d points, %v", len(pts), err)
 	}
 	if planned {
-		plan := s.Plan(longWindowID, 0, longWindowMsBench, 3_600_000, AggMean)
+		plan := planOf(s, longWindowID, 0, longWindowMsBench, 3_600_000, AggMean)
 		if plan.TierStep != TierStep1h {
 			b.Fatalf("planner chose tier %d, want 1h", plan.TierStep)
 		}

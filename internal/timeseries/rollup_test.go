@@ -11,6 +11,14 @@ import (
 // rollupAggFns are the aggregations the planner can serve from tiers.
 var rollupAggFns = []AggFunc{AggMean, AggSum, AggMin, AggMax, AggCount, AggRate}
 
+// planOf is the planner's decision for one query (the unexported planner on
+// the resolved series; a decision-table case counts as a plan, as it always
+// has).
+func planOf(s *Store, id metric.ID, from, to, step int64, fn AggFunc) QueryPlan {
+	plan, _ := s.plan(s.lookup(id.Key()), from, to, step, fn)
+	return plan
+}
+
 // fillRollupStore appends n integer-valued samples at the given cadence
 // starting at t0, so sums are exact in float64 and planned/raw results can
 // be compared with ==.
@@ -46,7 +54,7 @@ func TestRollupPlannedParity(t *testing.T) {
 		{"partial-tail", t0, t0 + 3*TierStep1h + 55_000, TierStep1m, TierStep1m},
 	} {
 		for _, fn := range rollupAggFns {
-			plan := s.Plan(id, tc.from, tc.to, tc.step, fn)
+			plan := planOf(s, id, tc.from, tc.to, tc.step, fn)
 			if plan.TierStep != tc.tier {
 				t.Fatalf("%s/%v: plan tier = %d, want %d", tc.name, fn, plan.TierStep, tc.tier)
 			}
@@ -65,7 +73,7 @@ func TestRollupPlannedParity(t *testing.T) {
 	}
 	// Std and P95 need the raw distribution and must always plan raw.
 	for _, fn := range []AggFunc{AggStd, AggP95} {
-		if plan := s.Plan(id, t0, t0+TierStep1h, TierStep1h, fn); plan.TierStep != 0 {
+		if plan := planOf(s, id, t0, t0+TierStep1h, TierStep1h, fn); plan.TierStep != 0 {
 			t.Fatalf("%v planned tier %d, want raw", fn, plan.TierStep)
 		}
 	}
@@ -105,7 +113,7 @@ func TestReduceAndSeriesValuesPlannedParity(t *testing.T) {
 			t.Fatalf("%v: ReducePlanned = (%v, %d), want (%v, %d)", fn, gotV, gotN, wantV, wantN)
 		}
 	}
-	if plan := s.Plan(id, t0, to, 0, AggMean); plan.TierStep != TierStep1m {
+	if plan := planOf(s, id, t0, to, 0, AggMean); plan.TierStep != TierStep1m {
 		t.Fatalf("reduce plan tier = %d, want %d", plan.TierStep, int64(TierStep1m))
 	}
 
@@ -149,16 +157,16 @@ func TestRetainTierIndependent(t *testing.T) {
 	if !reflect.DeepEqual(rawAfter, rawBefore) {
 		t.Fatal("RetainTier touched raw data")
 	}
-	if plan := s.Plan(id, 0, 3*TierStep1h, TierStep1h, AggMean); plan.TierStep != TierStep1h {
+	if plan := planOf(s, id, 0, 3*TierStep1h, TierStep1h, AggMean); plan.TierStep != TierStep1h {
 		t.Fatalf("hourly tier no longer serves from 0: plan tier %d", plan.TierStep)
 	}
 	// The minutely tier lost its prefix, so a query from 0 at minute step
 	// must fall back, while a query starting past the cutoff can still use it.
-	if plan := s.Plan(id, 0, 3*TierStep1h, TierStep1m, AggMean); plan.TierStep == TierStep1m {
+	if plan := planOf(s, id, 0, 3*TierStep1h, TierStep1m, AggMean); plan.TierStep == TierStep1m {
 		t.Fatal("minutely tier claimed a range it no longer covers")
 	}
 	from := cutoff // the whole-chunk drops stop exactly at the cutoff here
-	plan := s.Plan(id, from, 3*TierStep1h, TierStep1m, AggMean)
+	plan := planOf(s, id, from, 3*TierStep1h, TierStep1m, AggMean)
 	if plan.TierStep != TierStep1m {
 		t.Fatalf("minutely tier unusable after RetainTier: plan tier %d", plan.TierStep)
 	}
@@ -295,7 +303,7 @@ func TestRollupSurvivesRawRetention(t *testing.T) {
 	id := sid("power", "n0")
 	fillRollupStore(t, s, id, 0, 10_000, 2*360) // 2h
 
-	plan := s.Plan(id, 0, 2*TierStep1h, TierStep1m, AggSum)
+	plan := planOf(s, id, 0, 2*TierStep1h, TierStep1m, AggSum)
 	if plan.TierStep != TierStep1m {
 		t.Fatalf("plan tier = %d, want %d", plan.TierStep, int64(TierStep1m))
 	}
