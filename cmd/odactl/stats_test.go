@@ -17,7 +17,7 @@ func TestFetchAndRenderStats(t *testing.T) {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		_, _ = w.Write([]byte(`{
-			"samples": 1200, "series": 4,
+			"samples": 1200, "series": 4, "compressed_bytes": 7400, "resident_chunk_bytes": 12345,
 			"cursor_pool_gets": 37, "cursor_pool_reuse": 33,
 			"persist": {"wal_records": 9},
 			"scheduler": {
@@ -27,6 +27,7 @@ func TestFetchAndRenderStats(t *testing.T) {
 			"rollup": {
 				"folds": 480, "seals": 7, "raw_plans": 1,
 				"tier_60000ms_series": 4, "tier_60000ms_picks": 11,
+				"tier_60000ms_bytes": 4800, "tier_60000ms_windows": 120,
 				"result_cache_hits": 5, "quota_rejected": 2
 			},
 			"cluster": {
@@ -48,6 +49,7 @@ func TestFetchAndRenderStats(t *testing.T) {
 			"samples", "cursor_pool_gets", "cursor_pool_reuse", "persist.wal_records",
 			"scheduler.sweeps", "scheduler.max_wave_width", "scheduler.actuators_overlapped",
 			"rollup.folds", "rollup.tier_60000ms_picks", "rollup.result_cache_hits",
+			"resident_chunk_bytes         12345", "rollup.tier_60000ms_bytes    4800", "rollup.tier_60000ms_windows  120",
 			"rollup.quota_rejected",
 			"cluster.self", "cluster.peers.0.id", "cluster.peers.0.forwarded_entries",
 			"cluster.replicas.0.lag_bytes",

@@ -47,6 +47,7 @@ func TestStatsRollupSection(t *testing.T) {
 		"folds", "seals", "raw_plans",
 		fmt.Sprintf("tier_%dms_series", int64(timeseries.TierStep1m)),
 		fmt.Sprintf("tier_%dms_picks", int64(timeseries.TierStep1h)),
+		fmt.Sprintf("tier_%dms_bytes", int64(timeseries.TierStep1h)),
 		"result_cache_hits", "result_cache_misses", "result_cache_evictions", "result_cache_entries",
 		"quota_allowed", "quota_rejected", "quota_tenants",
 	} {
@@ -56,6 +57,15 @@ func TestStatsRollupSection(t *testing.T) {
 	}
 	if rollup["folds"].(float64) == 0 {
 		t.Fatal("no folds counted")
+	}
+	// What the tiers hold is visible: 730 samples at 10 s seal 121 minutes and
+	// 2 hours, and resident_chunk_bytes is the raw payload plus both tiers.
+	m1, h1 := rollup["tier_60000ms_bytes"].(float64), rollup["tier_3600000ms_bytes"].(float64)
+	if rollup["tier_60000ms_windows"].(float64) != 121 || rollup["tier_3600000ms_windows"].(float64) != 2 || m1 <= 0 || h1 <= 0 {
+		t.Fatalf("tier sizes: %v", rollup)
+	}
+	if raw := got["compressed_bytes"].(float64); raw <= 0 || got["resident_chunk_bytes"].(float64) != raw+m1+h1 {
+		t.Fatalf("resident_chunk_bytes = %v, want %v + %v + %v", got["resident_chunk_bytes"], raw, m1, h1)
 	}
 	if rollup["result_cache_hits"].(float64) != 1 || rollup["quota_allowed"].(float64) != 2 {
 		t.Fatalf("front door counters: hits=%v allowed=%v", rollup["result_cache_hits"], rollup["quota_allowed"])

@@ -22,16 +22,29 @@ import (
 func statsPayload(store *timeseries.Store, srv *wire.Server, durable *persist.DurableStore, grid *oda.Grid, qf *queryfront.Front, router *cluster.Router) map[string]any {
 	hits, misses := store.QueryCacheStats()
 	gets, news := store.CursorPoolStats()
+	// compressed_bytes and compression_ratio (16 B per sample over it) are the
+	// raw chunks alone; resident_chunk_bytes adds what the rollup tiers hold.
+	// Each figure is one walk over the series, and clients poll /stats.
+	rs := store.RollupStats()
+	samples, raw := store.NumSamples(), store.CompressedBytes()
+	ratio, resident := 0.0, raw
+	if raw > 0 {
+		ratio = float64(16*samples) / float64(raw)
+	}
+	for _, ts := range rs.Tiers {
+		resident += ts.Bytes
+	}
 	stats := map[string]any{
-		"series":             store.NumSeries(),
-		"samples":            store.NumSamples(),
-		"compressed_bytes":   store.CompressedBytes(),
-		"compression_ratio":  store.CompressionRatio(),
-		"query_cache_hits":   hits,
-		"query_cache_misses": misses,
-		"cursor_pool_gets":   gets,
-		"cursor_pool_news":   news,
-		"cursor_pool_reuse":  gets - news,
+		"series":               store.NumSeries(),
+		"samples":              samples,
+		"compressed_bytes":     raw,
+		"compression_ratio":    ratio,
+		"resident_chunk_bytes": resident,
+		"query_cache_hits":     hits,
+		"query_cache_misses":   misses,
+		"cursor_pool_gets":     gets,
+		"cursor_pool_news":     news,
+		"cursor_pool_reuse":    gets - news,
 	}
 	rf := store.RefStats()
 	stats["refs"] = map[string]any{
@@ -70,7 +83,6 @@ func statsPayload(store *timeseries.Store, srv *wire.Server, durable *persist.Du
 		}
 	}
 	if qf != nil || len(store.TierSteps()) > 0 {
-		rs := store.RollupStats()
 		rollup := map[string]any{
 			"folds":     rs.Folds,
 			"seals":     rs.Seals,
@@ -80,6 +92,8 @@ func statsPayload(store *timeseries.Store, srv *wire.Server, durable *persist.Du
 			prefix := fmt.Sprintf("tier_%dms_", ts.Step)
 			rollup[prefix+"series"] = ts.Series
 			rollup[prefix+"picks"] = ts.Picks
+			rollup[prefix+"bytes"] = ts.Bytes
+			rollup[prefix+"windows"] = ts.Windows
 		}
 		if qf != nil {
 			cs := qf.CacheStats()

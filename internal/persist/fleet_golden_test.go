@@ -10,7 +10,9 @@ import (
 // replaying the fleet WAL, recorded at the commit before the Gorilla bit
 // writer, the rollup seal and the replay loop were rewritten (PR 14). A
 // different value means recovery no longer rebuilds the bytes it used to.
-const fleetDumpSHA256 = "9dd8e36203a8fd39633fe322dc64419567fde3433776676de602a36df0f0ef3b"
+// Re-pinned by PR 16, the format change that moved tier chunks to the
+// column-predicted layout; the raw chunks in it are the bytes they were.
+const fleetDumpSHA256 = "25cd1e3ab38f2c2589c1509c208c7f1de7ccbaa7a5abafa9e79efcbe94ccf43e"
 
 func TestFleetReplayDumpGolden(t *testing.T) {
 	if testing.Short() {

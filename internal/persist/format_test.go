@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/binenc"
@@ -65,21 +66,30 @@ func TestOpenRefusesUnsupportedFormats(t *testing.T) {
 	def := encodeDefine(nil, 1, testID("power", "n01"), metric.Gauge, metric.UnitWatt)
 	app := encodeAppendRef(nil, []refSample{{ref: 1, t: 1000, v: 1}, {ref: 1, t: 2000, v: 2}})
 	good := frameSegment(def, app)
+	v2, err := os.ReadFile(v2Snapshot) // a file an older build really wrote
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name  string
 		files map[string][]byte
+		names string // what the error must say it found
 	}{
 		{"v1 snapshot", map[string][]byte{
 			snapshotName(1): v1Snapshot(t),
 			segmentName(1):  good,
-		}},
+		}, `"ODASNP1\n"`},
+		{"v2 snapshot", map[string][]byte{
+			snapshotName(1): v2,
+			segmentName(1):  good,
+		}, `"ODASNP2\n"`},
 		{"foreign segment magic", map[string][]byte{
 			segmentName(1): good,
 			segmentName(2): append([]byte("ODAWAL9\n"), good[len(segMagic):]...),
-		}},
+		}, `"ODAWAL9\n"`},
 		{"retired op record", map[string][]byte{
 			segmentName(1): frameSegment(def, app, retiredKeyedPayload(), app),
-		}},
+		}, "retired op code 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -96,6 +106,9 @@ func TestOpenRefusesUnsupportedFormats(t *testing.T) {
 					d.Crash()
 				}
 				t.Fatalf("Open = %v, want ErrUnsupportedFormat", err)
+			}
+			if !strings.Contains(err.Error(), tc.names) {
+				t.Fatalf("Open = %v, which does not name what it refused (%s)", err, tc.names)
 			}
 			if after := hashDir(t, dir); !reflect.DeepEqual(after, before) {
 				t.Fatalf("refused Open changed the directory:\nbefore %v\nafter  %v", before, after)

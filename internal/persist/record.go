@@ -7,7 +7,7 @@
 // On-disk layout inside the data directory (all integers big endian):
 //
 //	wal-%08d.seg    WAL segments: 8-byte magic "ODAWAL1\n", then records
-//	snap-%08d.snap  snapshots: 8-byte magic "ODASNP2\n", payload, CRC32C
+//	snap-%08d.snap  snapshots: 8-byte magic "ODASNP3\n", payload, CRC32C
 //
 // Each WAL record is length-prefixed and checksummed:
 //
@@ -23,8 +23,9 @@
 // checksum or payload decode fails marks the end of the recoverable prefix
 // and the segment is truncated there, exactly what a power cut mid-write
 // leaves behind. What is intact but not ours fails loudly instead: a
-// complete foreign 8-byte magic on a segment or snapshot, or a CRC-valid
-// record carrying a retired op code, is ErrUnsupportedFormat — Open returns
+// complete foreign 8-byte magic on a segment or snapshot (the v1 and v2
+// snapshots of earlier builds included), or a CRC-valid record carrying a
+// retired op code, is ErrUnsupportedFormat — Open returns
 // it and leaves the directory untouched rather than truncating data another
 // version wrote.
 package persist

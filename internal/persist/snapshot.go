@@ -12,11 +12,16 @@ import (
 	"repro/internal/timeseries"
 )
 
-// snapMagic heads every snapshot file. The digit is the format version: 2
-// added per-series rollup tiers (sealed tier chunks plus the open-window
-// accumulator). Any other complete 8-byte magic — the retired "ODASNP1\n"
-// included — is ErrUnsupportedFormat.
-const snapMagic = "ODASNP2\n"
+// snapMagic heads every snapshot file. The digit is the format version: 3
+// is the payload laid out below with rollup tier chunks in the column-predicted
+// layout (timeseries/rollup.go: window-index stamps, each record XOR-ed
+// against its column of the previous window, time columns relative to the
+// window start). Any other complete 8-byte magic — the retired "ODASNP1\n"
+// (no tiers) and "ODASNP2\n" (same payload, interleaved tier chunks) included
+// — is ErrUnsupportedFormat: a v2 file's tier chunks would not survive
+// RestoreStore's re-encode check anyway, and failing there would read as
+// damage and fall back past it to a WAL that no longer reaches back.
+const snapMagic = "ODASNP3\n"
 
 func snapshotName(seq uint64) string { return fmt.Sprintf("snap-%08d.snap", seq) }
 
@@ -28,6 +33,7 @@ func snapshotName(seq uint64) string { return fmt.Sprintf("snap-%08d.snap", seq)
 //	            chunkCount, per chunk: sampleCount uvarint, byteLen uvarint,
 //	            raw Gorilla bitstream,
 //	            tierCount, per tier: step varint, accumulator, chunk list
+//	            (tier chunks in the rollup group layout)
 //
 // followed by a CRC32C of everything after the magic. The chunk payloads
 // are the store's own compressed bitstreams, so a snapshot costs a copy,

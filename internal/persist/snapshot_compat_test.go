@@ -11,10 +11,16 @@ import (
 	"repro/internal/timeseries"
 )
 
-// parentSnapshot is a snapshot file written by the commit before PR 14
-// rewrote the chunk encoder (GEN_PARENT_SNAPSHOT=1 go test -run
-// TestSnapshotAcrossEncoderRewrite, at that commit, wrote it).
-const parentSnapshot = "testdata/snapshot-before-pr14.snap"
+// v3Snapshot is the snapshot file PR 16 — the commit that moved rollup tier
+// chunks to the column-predicted layout and the magic to "ODASNP3\n" — wrote
+// for compatStore (GEN_V3_SNAPSHOT=1 go test -run
+// TestSnapshotAcrossEncoderRewrite, at that commit, wrote it). v2Snapshot is
+// the file the commit before PR 14 wrote for the same input, in the format
+// this build refuses (TestOpenRefusesUnsupportedFormats).
+const (
+	v3Snapshot = "testdata/snapshot-v3.snap"
+	v2Snapshot = "testdata/snapshot-before-pr14.snap"
+)
 
 // compatStore ingests the store the snapshot holds: 24 fleet-style series
 // for 400 ticks under the 1m and 1h rollups, plus one series of values the
@@ -57,12 +63,13 @@ func onlySnapshot(t *testing.T, dir string) string {
 	return snaps[0].path
 }
 
-// TestSnapshotAcrossEncoderRewrite shows snapshots cross the encoder rewrite
-// in both directions. A snapshot the parent wrote loads here: loadSnapshot
-// runs RestoreStore, which re-encodes every chunk through the new writer and
-// refuses the file if one byte differs. And the snapshot this commit writes
-// for the same input is the parent's file byte for byte, so the parent —
-// whose own restore accepts what its own writer produced — loads it too.
+// TestSnapshotAcrossEncoderRewrite pins the snapshot format across encoder
+// rewrites in both directions. The committed v3 file loads here: loadSnapshot
+// runs RestoreStore, which re-encodes every chunk, raw and tier, through
+// today's writer and refuses the file if one byte differs. And the snapshot
+// this commit writes for the same input is that file byte for byte, so the
+// commit that wrote it — whose own restore accepts what its own writer
+// produced — loads ours too. A change that moves either is a new format.
 func TestSnapshotAcrossEncoderRewrite(t *testing.T) {
 	dir := t.TempDir()
 	compatStore(t, dir)
@@ -70,21 +77,21 @@ func TestSnapshotAcrossEncoderRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if os.Getenv("GEN_PARENT_SNAPSHOT") != "" {
-		if err := os.WriteFile(parentSnapshot, written, 0o644); err != nil {
+	if os.Getenv("GEN_V3_SNAPSHOT") != "" {
+		if err := os.WriteFile(v3Snapshot, written, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s (%d bytes)", parentSnapshot, len(written))
+		t.Logf("wrote %s (%d bytes)", v3Snapshot, len(written))
 	}
-	parent, err := os.ReadFile(parentSnapshot)
+	parent, err := os.ReadFile(v3Snapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(written, parent) {
-		t.Fatalf("this commit's snapshot (%d bytes) differs from the parent's (%d bytes) for the same input", len(written), len(parent))
+		t.Fatalf("this commit's snapshot (%d bytes) differs from the committed one (%d bytes) for the same input", len(written), len(parent))
 	}
 
-	// Load the parent's file through the whole of recovery, from a directory
+	// Load the committed file through the whole of recovery, from a directory
 	// that holds nothing else.
 	fromParent := t.TempDir()
 	if err := os.WriteFile(filepath.Join(fromParent, filepath.Base(onlySnapshot(t, dir))), parent, 0o644); err != nil {
@@ -92,11 +99,11 @@ func TestSnapshotAcrossEncoderRewrite(t *testing.T) {
 	}
 	re, err := Open(fromParent, Options{Fsync: FsyncNever})
 	if err != nil {
-		t.Fatalf("open on the parent's snapshot: %v", err)
+		t.Fatalf("open on the committed snapshot: %v", err)
 	}
 	defer re.Crash()
 	if st := re.Stats(); !st.SnapshotLoaded || st.SnapshotLoadDuration <= 0 {
-		t.Fatalf("parent snapshot not loaded: %+v", st)
+		t.Fatalf("committed snapshot not loaded: %+v", st)
 	}
 	mine, err := Open(dir, Options{Fsync: FsyncNever})
 	if err != nil {
@@ -106,6 +113,6 @@ func TestSnapshotAcrossEncoderRewrite(t *testing.T) {
 	// Compared encoded: the accumulators hold NaNs, which DeepEqual tells apart.
 	got, want := re.Store().Dump(), mine.Store().Dump()
 	if len(got) != 25 || !bytes.Equal(EncodeDump(120, got), EncodeDump(120, want)) {
-		t.Fatalf("store from the parent's snapshot (%d series) differs from this commit's (%d series)", len(got), len(want))
+		t.Fatalf("store from the committed snapshot (%d series) differs from this commit's (%d series)", len(got), len(want))
 	}
 }

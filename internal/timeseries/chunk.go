@@ -19,14 +19,23 @@ type Chunk struct {
 
 	firstT int64
 	lastT  int64
-	lastV  float64
 	delta  int64
+	x      xorState // the previous sample; unused by a tier chunk (appendGroup)
 
+	minV, maxV float64
+}
+
+// xorState is what one value column's next XOR is taken against: the column's
+// previous value and the leading/trailing-zero window its last '11' record
+// set. A raw chunk is one column. A rollup tier chunk is rollupStride of them
+// — a window's sum is predicted by the previous window's sum, not by the count
+// written beside it — and their state lives once per open tier (tierState),
+// not in the Chunk: a sealed chunk needs none.
+type xorState struct {
+	lastV    float64
 	leading  uint8
 	trailing uint8
 	hasWin   bool // whether a previous XOR window exists
-
-	minV, maxV float64
 }
 
 // NewChunk returns an empty chunk.
@@ -87,7 +96,10 @@ func (c *Chunk) Min() float64 { return c.minV }
 func (c *Chunk) Max() float64 { return c.maxV }
 
 // Append adds a sample; timestamps must strictly increase.
-func (c *Chunk) Append(t int64, v float64) error {
+func (c *Chunk) Append(t int64, v float64) error { return c.append(t, v, &c.x) }
+
+// append adds a sample whose value is XOR-ed against column state x.
+func (c *Chunk) append(t int64, v float64, x *xorState) error {
 	switch c.count {
 	case 0:
 		var hdr [16]byte
@@ -108,9 +120,9 @@ func (c *Chunk) Append(t int64, v float64) error {
 		case uint64(delta) >= maxFirstDelta:
 			return ErrFirstDelta
 		case delta < 1<<14:
-			c.writeValue(uint64(delta), 15, v)
+			c.writeValue(uint64(delta), 15, v, x)
 		default:
-			c.writeValue(1<<35|uint64(delta), 36, v)
+			c.writeValue(1<<35|uint64(delta), 36, v, x)
 		}
 		c.delta = delta
 	default:
@@ -122,21 +134,21 @@ func (c *Chunk) Append(t int64, v float64) error {
 		c.delta = delta
 		switch {
 		case dod == 0:
-			c.writeValue(0, 1, v)
+			c.writeValue(0, 1, v, x)
 		case dod >= -63 && dod <= 64:
-			c.writeValue(0b10<<7|uint64(dod+63), 9, v)
+			c.writeValue(0b10<<7|uint64(dod+63), 9, v, x)
 		case dod >= -255 && dod <= 256:
-			c.writeValue(0b110<<9|uint64(dod+255), 12, v)
+			c.writeValue(0b110<<9|uint64(dod+255), 12, v, x)
 		case dod >= -2047 && dod <= 2048:
-			c.writeValue(0b1110<<12|uint64(dod+2047), 16, v)
+			c.writeValue(0b1110<<12|uint64(dod+2047), 16, v, x)
 		default:
 			c.w.writeBits(0b1111, 4)
 			c.w.writeBits(uint64(dod), 64)
-			c.writeValue(0, 0, v)
+			c.writeValue(0, 0, v, x)
 		}
 	}
 	c.lastT = t
-	c.lastV = v
+	x.lastV = v
 	if v < c.minV {
 		c.minV = v
 	}
@@ -158,40 +170,36 @@ func (c *Chunk) trimIfFull(limit int) {
 	}
 }
 
-// appendRun appends vals as consecutive samples stamped t0, t0+1, … — a
-// rollup window's column group — producing exactly the bytes len(vals)
-// Append calls would. The first two samples take the general path (a chunk
-// header or a delta-of-delta against what came before, then the delta of 1);
-// from the third on the delta-of-delta is zero, so each costs its '0' bit
-// fused into the value's encoding and no timestamp arithmetic.
-func (c *Chunk) appendRun(t0 int64, vals []float64) error {
-	head := min(len(vals), 2)
-	for i, v := range vals[:head] {
-		if err := c.Append(t0+int64(i), v); err != nil {
+// appendGroup appends one rollup window: rollupStride records stamped t0,
+// t0+1, …, record col XOR-ed against pred[col] — exactly the bytes rollupStride
+// append calls would produce. The first two records take the general path (a
+// chunk header or a delta-of-delta against the previous window, then the delta
+// of 1); from the third on the delta-of-delta is zero, so each costs its '0'
+// bit fused into the value's encoding and no timestamp arithmetic. Min and Max
+// mean nothing over mixed columns and are not kept.
+func (c *Chunk) appendGroup(t0 int64, vals *[rollupStride]float64, pred *[rollupStride]xorState) error {
+	const head = 2
+	for col := 0; col < head; col++ {
+		if err := c.append(t0+int64(col), vals[col], &pred[col]); err != nil {
 			return err
 		}
 	}
-	for _, v := range vals[head:] {
-		c.writeValue(0, 1, v)
-		c.lastV = v
-		if v < c.minV {
-			c.minV = v
-		}
-		if v > c.maxV {
-			c.maxV = v
-		}
+	for col := head; col < rollupStride; col++ {
+		c.writeValue(0, 1, vals[col], &pred[col])
+		pred[col].lastV = vals[col]
 	}
-	c.lastT += int64(len(vals) - head)
-	c.count += len(vals) - head
+	c.lastT += rollupStride - head
+	c.count += rollupStride - head
 	return nil
 }
 
 // writeValue appends the low npre bits of pre — the timestamp's control
 // prefix and payload, at most 36 bits — followed by v's XOR encoding, fusing
 // the prefix, the value's control bits and, where they fit in a word, its
-// significant bits into one writeBits call.
-func (c *Chunk) writeValue(pre uint64, npre uint8, v float64) {
-	xor := math.Float64bits(v) ^ math.Float64bits(c.lastV)
+// significant bits into one writeBits call. x is the value's column state;
+// the caller stores v into it afterwards.
+func (c *Chunk) writeValue(pre uint64, npre uint8, v float64, x *xorState) {
+	xor := math.Float64bits(v) ^ math.Float64bits(x.lastV)
 	if xor == 0 {
 		c.w.writeBits(pre<<1, npre+1) // '0': value unchanged
 		return
@@ -201,17 +209,17 @@ func (c *Chunk) writeValue(pre uint64, npre uint8, v float64) {
 	if leading > 31 { // cap so the 5-bit field fits
 		leading = 31
 	}
-	if c.hasWin && leading >= c.leading && trailing >= c.trailing {
+	if x.hasWin && leading >= x.leading && trailing >= x.trailing {
 		// '1' '0': reuse the previous window.
 		pre, npre = pre<<2|0b10, npre+2
 	} else {
 		// '1' '1', 5 bits leading, 6 bits significant count (64 -> 0).
-		c.leading, c.trailing, c.hasWin = leading, trailing, true
+		x.leading, x.trailing, x.hasWin = leading, trailing, true
 		sig := 64 - leading - trailing
 		pre, npre = pre<<13|0b11<<11|uint64(leading)<<6|uint64(sig&0x3F), npre+13
 	}
-	sig := 64 - c.leading - c.trailing
-	payload := xor >> c.trailing // < 2^sig: xor has at least c.leading leading zeros
+	sig := 64 - x.leading - x.trailing
+	payload := xor >> x.trailing // < 2^sig: xor has at least x.leading leading zeros
 	if npre+sig <= 64 {
 		c.w.writeBits(pre<<sig|payload, npre+sig)
 		return
@@ -223,7 +231,7 @@ func (c *Chunk) writeValue(pre uint64, npre uint8, v float64) {
 // Iter returns an iterator over the chunk's samples.
 func (c *Chunk) Iter() *ChunkIter {
 	it := &ChunkIter{}
-	it.reset(c.w.bytes(), c.count)
+	it.reset(c.w.bytes(), c.count, false)
 	return it
 }
 
@@ -239,16 +247,23 @@ type ChunkIter struct {
 	v     float64
 	delta int64
 
-	leading  uint8
-	trailing uint8
+	// cols is the XOR state per value column and record idx belongs to column
+	// idx&mask: one column for a raw chunk (mask 0), rollupStride for a tier
+	// chunk, which always opens on a window's first record.
+	cols [rollupStride]xorState
+	mask int
 
 	err error
 }
 
-// reset points the iterator at a raw Gorilla bitstream holding count
-// samples, clearing all decode state so the iterator can be reused.
-func (it *ChunkIter) reset(buf []byte, count int) {
+// reset points the iterator at a Gorilla bitstream holding count records — a
+// raw chunk's, or a rollup tier chunk's when tier is set — clearing all decode
+// state so the iterator can be reused.
+func (it *ChunkIter) reset(buf []byte, count int, tier bool) {
 	*it = ChunkIter{r: bitReader{buf: buf}, remaining: count}
+	if tier {
+		it.mask = rollupStride - 1
+	}
 }
 
 // Next advances to the next sample, returning false at the end or on a
@@ -257,13 +272,14 @@ func (it *ChunkIter) Next() bool {
 	if it.remaining == 0 || it.err != nil {
 		return false
 	}
+	x := &it.cols[it.idx&it.mask]
 	if it.idx == 0 {
 		if it.r.pos+16 > len(it.r.buf) {
 			it.err = ErrEOS
 			return false
 		}
 		it.t = int64(binary.BigEndian.Uint64(it.r.buf[:8]))
-		it.v = math.Float64frombits(binary.BigEndian.Uint64(it.r.buf[8:16]))
+		x.lastV = math.Float64frombits(binary.BigEndian.Uint64(it.r.buf[8:16]))
 		it.r.pos = 16
 	} else if it.idx == 1 {
 		wide, err := it.r.readBit()
@@ -282,7 +298,7 @@ func (it *ChunkIter) Next() bool {
 		}
 		it.delta = int64(d)
 		it.t += it.delta
-		if !it.readValue() {
+		if !it.readValue(x) {
 			return false
 		}
 	} else {
@@ -292,10 +308,11 @@ func (it *ChunkIter) Next() bool {
 		}
 		it.delta += dod
 		it.t += it.delta
-		if !it.readValue() {
+		if !it.readValue(x) {
 			return false
 		}
 	}
+	it.v = x.lastV
 	it.idx++
 	it.remaining--
 	return true
@@ -342,7 +359,8 @@ func (it *ChunkIter) readDoD() (int64, bool) {
 	return int64(raw) - bias, true
 }
 
-func (it *ChunkIter) readValue() bool {
+// readValue decodes the next value of column x into x.lastV.
+func (it *ChunkIter) readValue(x *xorState) bool {
 	changed, err := it.r.readBit()
 	if err != nil {
 		it.err = err
@@ -371,17 +389,17 @@ func (it *ChunkIter) readValue() bool {
 		if sig == 0 {
 			sig = 64
 		}
-		it.leading = uint8(lead)
-		it.trailing = 64 - it.leading - sig
+		x.leading = uint8(lead)
+		x.trailing = 64 - x.leading - sig
 	}
-	sig := 64 - it.leading - it.trailing
+	sig := 64 - x.leading - x.trailing
 	raw, err := it.r.readBits(sig)
 	if err != nil {
 		it.err = err
 		return false
 	}
-	xor := raw << it.trailing
-	it.v = math.Float64frombits(math.Float64bits(it.v) ^ xor)
+	xor := raw << x.trailing
+	x.lastV = math.Float64frombits(math.Float64bits(x.lastV) ^ xor)
 	return true
 }
 

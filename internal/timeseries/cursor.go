@@ -27,6 +27,7 @@ type Cursor struct {
 	ss    *storedSeries
 	from  int64
 	to    int64
+	tier  bool // the chunks are a rollup tier's; from/to are record stamps
 
 	sealed    []*Chunk // immutable chunks overlapping the window, in order
 	est       int      // upper bound on matching samples (sum of chunk counts)
@@ -189,7 +190,7 @@ func (cur *Cursor) openNext() bool {
 				return true
 			}
 			s.cacheMisses.Add(1)
-			dec, err := decodeChunk(c)
+			dec, err := decodeChunk(c, cur.tier)
 			if err != nil {
 				cur.err = err
 				return false
@@ -198,13 +199,13 @@ func (cur *Cursor) openNext() bool {
 			cur.startDecoded(dec)
 			return true
 		}
-		cur.it.reset(c.w.bytes(), c.Count())
+		cur.it.reset(c.w.bytes(), c.Count(), cur.tier)
 		cur.streaming = true
 		return true
 	}
 	if cur.hasTail {
 		cur.hasTail = false
-		cur.it.reset(cur.tail, cur.tailCount)
+		cur.it.reset(cur.tail, cur.tailCount, cur.tier)
 		cur.streaming = true
 		return true
 	}

@@ -417,7 +417,10 @@ func (s *Store) NumSamples() int {
 	})
 }
 
-// CompressedBytes returns the total compressed payload size.
+// CompressedBytes returns the compressed payload size of the raw chunks alone
+// — what CompressionRatio sets against 16 bytes per raw sample. The rollup
+// tiers' payload is RollupStats().Tiers[i].Bytes; resident chunk bytes are
+// the sum.
 func (s *Store) CompressedBytes() int {
 	return s.sumSeries(func(ss *storedSeries) int {
 		n := 0
@@ -428,8 +431,8 @@ func (s *Store) CompressedBytes() int {
 	})
 }
 
-// CompressionRatio returns raw size (16 bytes per sample) over compressed
-// size, or 0 when empty.
+// CompressionRatio returns raw size (16 bytes per sample) over the raw
+// chunks' compressed size, or 0 when empty.
 func (s *Store) CompressionRatio() float64 {
 	comp := s.CompressedBytes()
 	if comp == 0 {
@@ -479,10 +482,11 @@ func (s *Store) Query(id metric.ID, from, to int64) ([]metric.Sample, error) {
 	return out, nil
 }
 
-// decodeChunk fully decodes one chunk.
-func decodeChunk(c *Chunk) ([]metric.Sample, error) {
+// decodeChunk fully decodes one chunk, raw or a rollup tier's.
+func decodeChunk(c *Chunk, tier bool) ([]metric.Sample, error) {
 	dec := make([]metric.Sample, 0, c.Count())
-	it := c.Iter()
+	var it ChunkIter
+	it.reset(c.w.bytes(), c.Count(), tier)
 	for it.Next() {
 		dec = append(dec, it.At())
 	}

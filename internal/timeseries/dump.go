@@ -80,7 +80,7 @@ func dumpChunks(chunks []*Chunk) []ChunkDump {
 // count samples without constructing a Chunk.
 func NewChunkDataIter(data []byte, count int) *ChunkIter {
 	it := &ChunkIter{}
-	it.reset(data, count)
+	it.reset(data, count, false)
 	return it
 }
 
@@ -100,7 +100,7 @@ func RestoreStore(chunkSize int, dump []SeriesDump, opts ...Option) (*Store, err
 		}
 		ss := s.getOrCreate(key, sd.ID, sd.Kind, sd.Unit)
 		for _, cd := range sd.Chunks {
-			c, lastT, n, err := restoreChunk(key, cd, ss.lastT, ss.hasLast)
+			c, lastT, n, err := restoreChunk(key, cd, ss.lastT, ss.hasLast, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -122,7 +122,7 @@ func RestoreStore(chunkSize int, dump []SeriesDump, opts ...Option) (*Store, err
 			var lastT int64
 			hasLast := false
 			for _, cd := range td.Chunks {
-				c, lt, _, err := restoreChunk(key+fmt.Sprintf("[tier %d]", td.Step), cd, lastT, hasLast)
+				c, lt, _, err := restoreChunk(key+fmt.Sprintf("[tier %d]", td.Step), cd, lastT, hasLast, &ts.pred)
 				if err != nil {
 					return nil, err
 				}
@@ -158,8 +158,14 @@ func RestoreStore(chunkSize int, dump []SeriesDump, opts ...Option) (*Store, err
 // restoreChunk rebuilds one dumped chunk through the codec, verifying the
 // re-encoded bytes match the dump and that timestamps continue the series'
 // monotonic order. Returns the chunk (nil for an empty dump), its last
-// timestamp and last value.
-func restoreChunk(key string, cd ChunkDump, lastT int64, hasLast bool) (*Chunk, int64, float64, error) {
+// timestamp and last value. A non-nil pred makes it a rollup tier's chunk:
+// whole window groups, each record re-encoded against its column of pred,
+// which is left as the chunk's closing predictor — the tier's, if this is its
+// last chunk. A tier chunk in the interleaved layout snapshot v2 held reads
+// here as other records, out of step with its own control bits, and fails one
+// of these checks; what names a layout for certain is the snapshot magic, and
+// the peers of a cluster run one build.
+func restoreChunk(key string, cd ChunkDump, lastT int64, hasLast bool, pred *[rollupStride]xorState) (*Chunk, int64, float64, error) {
 	if cd.Count == 0 {
 		return nil, 0, 0, nil
 	}
@@ -167,17 +173,31 @@ func restoreChunk(key string, cd ChunkDump, lastT int64, hasLast bool) (*Chunk, 
 	// The re-encode must reproduce cd.Data, so its length is the buffer's;
 	// the word-wide writer wants eight bytes of room past the last bit.
 	c.w.buf = make([]byte, 0, len(cd.Data)+8)
-	it := NewChunkDataIter(cd.Data, cd.Count)
-	var lastV float64
+	x := &c.x
+	if pred != nil {
+		if cd.Count%rollupStride != 0 {
+			return nil, 0, 0, fmt.Errorf("timeseries: restore %s: %d records are not whole window groups", key, cd.Count)
+		}
+		*pred = [rollupStride]xorState{}
+	}
+	var it ChunkIter
+	it.reset(cd.Data, cd.Count, pred != nil)
 	for it.Next() {
 		sm := it.At()
 		if hasLast && sm.T <= lastT {
 			return nil, 0, 0, fmt.Errorf("timeseries: restore %s: non-monotonic chunk sequence (%d <= %d)", key, sm.T, lastT)
 		}
-		if err := c.Append(sm.T, sm.V); err != nil {
+		if pred != nil {
+			col := c.count % rollupStride
+			if col == 0 && floorMod(sm.T, rollupStride) != 0 || col > 0 && sm.T != lastT+1 {
+				return nil, 0, 0, fmt.Errorf("timeseries: restore %s: rollup stream misaligned at %d", key, sm.T)
+			}
+			x = &pred[col]
+		}
+		if err := c.append(sm.T, sm.V, x); err != nil {
 			return nil, 0, 0, fmt.Errorf("timeseries: restore %s: %w", key, err)
 		}
-		lastT, lastV, hasLast = sm.T, sm.V, true
+		lastT, hasLast = sm.T, true
 	}
 	if err := it.Err(); err != nil {
 		return nil, 0, 0, fmt.Errorf("timeseries: restore %s: %w", key, err)
@@ -185,5 +205,5 @@ func restoreChunk(key string, cd ChunkDump, lastT int64, hasLast bool) (*Chunk, 
 	if c.Count() != cd.Count || !bytes.Equal(c.w.bytes(), cd.Data) {
 		return nil, 0, 0, fmt.Errorf("timeseries: restore %s: chunk re-encode mismatch (%d samples, %d bytes vs %d)", key, cd.Count, c.Bytes(), len(cd.Data))
 	}
-	return c, lastT, lastV, nil
+	return c, lastT, x.lastV, nil
 }

@@ -129,8 +129,9 @@ func TestChunkBytesGolden(t *testing.T) {
 // tierChunksSHA256 is the hash of every 1m and 1h tier chunk, in order, of a
 // series fed the "walk" stream for 25 hours — sealed window groups as the
 // rollup path writes them, including groups that open a chunk and groups
-// that follow one — recorded at the same commit.
-const tierChunksSHA256 = "31a999856a9bff2bcf5e5cd539ebf4bac2ce8ad8f9dbf49453389285d73273c7"
+// that follow one. Re-pinned by PR 16, the format change that moved tier chunks
+// to the column-predicted layout (snapshot v3).
+const tierChunksSHA256 = "b5dc72bf16213da606a13e0721f384cd30172b1afef03fad042f3de3492fc32d"
 
 func TestTierChunkBytesGolden(t *testing.T) {
 	s := NewStore(0, WithRollups(TierStep1m, TierStep1h))

@@ -200,7 +200,7 @@ func (s *Store) fold(ss *storedSeries, from, to, step int64, emit func(start int
 		tcur := s.newTierCursor(ss, tier, from, tail) // from is tier-aligned
 		var w Partial
 		for {
-			wStart, ok, err := nextRollupPoint(tcur, &w)
+			wStart, ok, err := nextRollupPoint(tcur, tier.step, &w)
 			if err != nil {
 				tcur.Close()
 				return plan, err

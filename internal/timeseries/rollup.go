@@ -11,11 +11,14 @@ import (
 // Rollup tiers give the store multi-resolution retention: every raw append
 // incrementally folds into per-tier window accumulators, and a sealed
 // window is appended to the tier's own Gorilla chunk list as a group of
-// rollupStride consecutive records — one per accumulator column — with
-// encoded timestamps winStart*rollupStride+col. Window starts are strictly
-// increasing and columns are appended in order, so the encoded stream is
-// strictly monotonic and compresses through the unmodified chunk codec
-// (the inter-column delta is 1, so delta-of-delta is almost always zero).
+// rollupStride consecutive records — one per accumulator column — stamped
+// (winStart/step)*rollupStride+col. Window starts are strictly increasing and
+// columns are appended in order, so the stamps are strictly monotonic, and
+// consecutive windows are contiguous: every delta-of-delta is the '0' bit.
+// A record's value is XOR-ed against the same column of the previous window
+// in the chunk (Chunk.appendGroup), so a count that repeats, a sum that
+// drifts and a first-sample offset that never moves each cost what they
+// change by, not what the unrelated column beside them holds.
 //
 // Because a tier is just another chunk list hanging off the series, every
 // existing mechanism applies unchanged: cursors snapshot sealed chunks by
@@ -42,9 +45,9 @@ const (
 	colSum          // sum of values (left-to-right, matching the raw path)
 	colMin
 	colMax
-	colFirstT // timestamp of the window's first sample (exact in float64)
+	colFirstT // the window's first sample, in ms past the window start
 	colFirstV
-	colLastT
+	colLastT // its last sample, likewise: constant under a regular cadence
 	colLastV
 	rollupStride
 )
@@ -73,6 +76,10 @@ type tierState struct {
 	step   int64
 	chunks []*Chunk
 	acc    RollupAcc
+	// pred is the column predictor of the tier's last chunk — what the next
+	// sealed window is XOR-ed against — and is zeroed when a chunk opens, so
+	// every chunk decodes on its own.
+	pred [rollupStride]xorState
 }
 
 // tierChunkCap is how many records a tier chunk holds before rolling over:
@@ -215,10 +222,8 @@ func (ts *tierState) fold(s *Store, t int64, v float64, tally *ingestTally) erro
 
 // seal appends the open window's column group to the tier's chunk stream
 // and deactivates the accumulator; the caller must hold the series write
-// lock. The group goes down as one run (Chunk.appendRun): its timestamps are
-// base, base+1, …, so past the second record every delta-of-delta is the
-// single '0' bit. A tier chunk's capacity is a whole number of groups, so
-// only a group's first record can open a chunk.
+// lock. The two time columns go down as offsets from the window start, which
+// are exact and, under a regular cadence, the same in every window.
 func (ts *tierState) seal(s *Store, tally *ingestTally) error {
 	a := &ts.acc
 	vals := [rollupStride]float64{
@@ -226,21 +231,36 @@ func (ts *tierState) seal(s *Store, tally *ingestTally) error {
 		colSum:    a.Sum,
 		colMin:    a.Min,
 		colMax:    a.Max,
-		colFirstT: float64(a.FirstT),
+		colFirstT: float64(a.FirstT - a.Start),
 		colFirstV: a.FirstV,
-		colLastT:  float64(a.LastT),
+		colLastT:  float64(a.LastT - a.Start),
 		colLastV:  a.LastV,
 	}
-	base := a.Start * rollupStride
-	limit := tierChunkCap(s.chunkSize)
-	chunks, c := nextChunk(ts.chunks, limit, base)
-	ts.chunks = chunks
-	if err := c.appendRun(base, vals[:]); err != nil {
+	if err := ts.appendWindow(tierChunkCap(s.chunkSize), a.Start/ts.step, &vals); err != nil {
 		return fmt.Errorf("timeseries: rollup seal: %w", err)
 	}
-	c.trimIfFull(limit)
 	a.Active = false
 	tally.seals++
+	return nil
+}
+
+// appendWindow writes window number win (its start over the tier step) as one
+// group stamped win*rollupStride+col, into the open chunk or a new one of
+// limit records. limit is a whole number of groups, so only a group's first
+// record can open a chunk — which is what lets a decoder tell a record's
+// column from its position — and a chunk that opens starts from a zero
+// predictor.
+func (ts *tierState) appendWindow(limit int, win int64, vals *[rollupStride]float64) error {
+	base := win * rollupStride
+	chunks, c := nextChunk(ts.chunks, limit, base)
+	ts.chunks = chunks
+	if c.count == 0 {
+		ts.pred = [rollupStride]xorState{}
+	}
+	if err := c.appendGroup(base, vals, &ts.pred); err != nil {
+		return err
+	}
+	c.trimIfFull(limit)
 	return nil
 }
 
@@ -253,6 +273,9 @@ func (ts *tierState) reset() {
 	ts.acc = RollupAcc{}
 }
 
+// windowOf is the start of the window a tier record stamp belongs to.
+func (ts *tierState) windowOf(stamp int64) int64 { return floorDiv(stamp, rollupStride) * ts.step }
+
 // sealedRange reports the first and last sealed window starts; the caller
 // must hold the series lock in either mode. ok is false when no window has
 // sealed yet.
@@ -264,9 +287,7 @@ func (ts *tierState) sealedRange() (first, last int64, ok bool) {
 	if n == 0 {
 		return 0, 0, false
 	}
-	first = floorDiv(ts.chunks[0].FirstTime(), rollupStride)
-	last = floorDiv(ts.chunks[n-1].LastTime(), rollupStride)
-	return first, last, true
+	return ts.windowOf(ts.chunks[0].FirstTime()), ts.windowOf(ts.chunks[n-1].LastTime()), true
 }
 
 // RetainTier drops sealed rollup windows of the given tier resolution whose
@@ -287,7 +308,7 @@ func (s *Store) RetainTier(step, cutoff int64) int {
 			}
 			keep := ts.chunks[:0]
 			for _, c := range ts.chunks {
-				if c.Count() > 0 && floorDiv(c.LastTime(), rollupStride) < cutoff {
+				if c.Count() > 0 && ts.windowOf(c.LastTime()) < cutoff {
 					partial[shard] += c.Count() / rollupStride
 					ss.cacheMu.Lock()
 					delete(ss.decoded, c)
@@ -385,31 +406,34 @@ func (s *Store) countTierPick(step int64) {
 }
 
 // newTierCursor opens a pooled cursor over a tier's encoded chunk stream
-// covering window starts in [winFrom, winTo). It shares everything with
-// raw cursors: the sealed-pointer/tail-copy snapshot, the pool, and the
-// decoded-chunk cache (tier chunks are cached under their own keys).
+// covering window starts in [winFrom, winTo), both multiples of the tier
+// step. It shares everything with raw cursors: the sealed-pointer/tail-copy
+// snapshot, the pool, and the decoded-chunk cache (tier chunks are cached
+// under their own keys).
 func (s *Store) newTierCursor(ss *storedSeries, ts *tierState, winFrom, winTo int64) *Cursor {
 	cur := s.getCursor()
-	cur.store, cur.ss = s, ss
-	cur.from, cur.to = winFrom*rollupStride, winTo*rollupStride
+	cur.store, cur.ss, cur.tier = s, ss, true
+	cur.from, cur.to = winFrom/ts.step*rollupStride, winTo/ts.step*rollupStride
 	ss.mu.RLock()
 	cur.snapshotChunks(ts.chunks, tierChunkCap(s.chunkSize))
 	ss.mu.RUnlock()
 	return cur
 }
 
-// nextRollupPoint decodes the next whole window group off a tier cursor into
-// w — a sealed window is a Partial on disk, column for column — returning
-// the window start, and ok=false at the end of the window range.
-func nextRollupPoint(cur *Cursor, w *Partial) (start int64, ok bool, err error) {
+// nextRollupPoint decodes the next whole window group off a cursor over a
+// tier of the given step into w — a sealed window is a Partial on disk, column
+// for column, its two timestamps relative to the window start — returning the
+// window start, and ok=false at the end of the window range.
+func nextRollupPoint(cur *Cursor, step int64, w *Partial) (start int64, ok bool, err error) {
 	if !cur.Next() {
 		return 0, false, cur.Err()
 	}
 	sm := cur.At()
-	start = floorDiv(sm.T, rollupStride)
-	if sm.T != start*rollupStride {
-		return 0, false, fmt.Errorf("timeseries: rollup stream misaligned at %d", sm.T)
+	base := sm.T
+	if floorMod(base, rollupStride) != 0 {
+		return 0, false, fmt.Errorf("timeseries: rollup stream misaligned at %d", base)
 	}
+	start = base / rollupStride * step
 	w.Count = int64(sm.V)
 	for col := colSum; col < rollupStride; col++ {
 		if !cur.Next() {
@@ -419,7 +443,7 @@ func nextRollupPoint(cur *Cursor, w *Partial) (start int64, ok bool, err error) 
 			return 0, false, fmt.Errorf("timeseries: truncated rollup group at window %d", start)
 		}
 		sm = cur.At()
-		if sm.T != start*rollupStride+int64(col) {
+		if sm.T != base+int64(col) {
 			return 0, false, fmt.Errorf("timeseries: rollup stream misaligned at %d", sm.T)
 		}
 		switch col {
@@ -430,11 +454,11 @@ func nextRollupPoint(cur *Cursor, w *Partial) (start int64, ok bool, err error) 
 		case colMax:
 			w.Max = sm.V
 		case colFirstT:
-			w.FirstT = int64(sm.V)
+			w.FirstT = start + int64(sm.V)
 		case colFirstV:
 			w.FirstV = sm.V
 		case colLastT:
-			w.LastT = int64(sm.V)
+			w.LastT = start + int64(sm.V)
 		case colLastV:
 			w.LastV = sm.V
 		}
@@ -467,9 +491,11 @@ func (s *Store) SeriesValuesPlanned(id metric.ID, from, to, step int64) ([]float
 
 // TierStat is one tier's instrumentation snapshot.
 type TierStat struct {
-	Step   int64  // window resolution in ms
-	Series uint64 // series carrying this tier
-	Picks  uint64 // planner decisions served by this tier
+	Step    int64  // window resolution in ms
+	Series  uint64 // series carrying this tier
+	Picks   uint64 // planner decisions served by this tier
+	Bytes   int    // compressed payload of the tier's sealed windows, resident now
+	Windows int    // sealed windows resident now
 }
 
 // RollupStats reports rollup maintenance and planner counters since the
@@ -482,19 +508,43 @@ type RollupStats struct {
 }
 
 // RollupStats returns the rollup fold/seal and planner tier-selection
-// counters.
+// counters, and what each tier holds in memory: one pass over the series,
+// each under its read lock, into a slot per shard (the walk may be parallel)
+// that is then summed in shard order.
 func (s *Store) RollupStats() RollupStats {
 	st := RollupStats{
 		Folds:    s.rollupFolds.Load(),
 		Seals:    s.rollupSeals.Load(),
 		RawPlans: s.planRaw.Load(),
 	}
-	for i, step := range s.tierSteps {
-		st.Tiers = append(st.Tiers, TierStat{
-			Step:   step,
-			Series: s.tierSeries[i].Load(),
-			Picks:  s.tierPicks[i].Load(),
+	n := len(s.tierSteps)
+	sizes := make([]struct{ bytes, records int }, len(s.shards)*n)
+	if n > 0 {
+		s.scanSeries(func(shard int, ss *storedSeries) {
+			ss.mu.RLock()
+			for _, ts := range ss.tiers {
+				for i, step := range s.tierSteps {
+					if step != ts.step {
+						continue
+					}
+					sz := &sizes[shard*n+i]
+					for _, c := range ts.chunks {
+						sz.bytes += c.Bytes()
+						sz.records += c.Count()
+					}
+				}
+			}
+			ss.mu.RUnlock()
 		})
+	}
+	for i, step := range s.tierSteps {
+		t := TierStat{Step: step, Series: s.tierSeries[i].Load(), Picks: s.tierPicks[i].Load()}
+		for shard := range s.shards {
+			t.Bytes += sizes[shard*n+i].bytes
+			t.Windows += sizes[shard*n+i].records
+		}
+		t.Windows /= rollupStride
+		st.Tiers = append(st.Tiers, t)
 	}
 	return st
 }
