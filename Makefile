@@ -12,12 +12,12 @@ CHAOS_SEED ?= 1
 CHAOS_DURATION ?= 5m
 CHAOS_INTENSITY ?= 2
 
-.PHONY: build test test-bench race vet bench bench-parallel bench-allocs bench-longwindow bench-cluster bench-rebalance bench-ingest bench-replay bench-e2e loc cover fuzz-short crash-test lint-footprints chaos-short chaos
+.PHONY: build test test-bench race vet bench bench-smoke bench-parallel bench-allocs bench-longwindow bench-cluster bench-rebalance bench-ingest bench-replay bench-e2e loc cover fuzz-short crash-test lint-footprints chaos-short chaos
 
 build:
 	$(GO) build ./...
 
-test: lint-footprints chaos-short bench-allocs bench-longwindow bench-ingest bench-replay test-bench
+test: lint-footprints chaos-short bench-allocs bench-longwindow bench-ingest bench-replay bench-smoke test-bench
 	$(GO) test ./...
 
 # The benchmark under bench/ is its own module (go test ./... at the root
@@ -35,15 +35,15 @@ lint-footprints:
 	$(GO) test -run 'TestFootprintLint|TestFullGridDeclaresFootprints' .
 
 # Race-detector pass over every package with shared-state concurrency:
-# the sharded TSDB (cursor pool + decoded-chunk cache), the grid worker
-# pool and tuner, the pub/sub bus, the parallel simulation stepper, the
-# async collection pipeline (slow-sink / backpressure stress lives in
-# collector's pipeline tests), the wire server/client, the par primitives,
-# the query front door and the cluster router (scatter goroutines, hint
-# queues, replication pump). go vet runs first as a cheap gate; the chaos
-# package's race pass lives in chaos-short.
+# the striped TSDB (cursor pool + decoded-chunk cache), the grid's explicit
+# worker pool, the pub/sub bus, the simulation (its agent scrapes sources
+# concurrently), the async collection pipeline (slow-sink / backpressure
+# stress lives in collector's pipeline tests) and the scrape fan-out, the
+# wire server/client, the query front door and the cluster router (scatter
+# goroutines, hint queues, replication pump). go vet runs first as a cheap
+# gate; the chaos package's race pass lives in chaos-short.
 race: vet lint-footprints chaos-short
-	$(GO) test -race ./internal/timeseries ./internal/oda ./internal/bus ./internal/simulation ./internal/collector ./internal/persist ./internal/wire ./internal/par ./internal/resultcache ./internal/quota ./internal/queryfront ./internal/cluster ./cmd/odad
+	$(GO) test -race ./internal/timeseries ./internal/oda ./internal/bus ./internal/simulation ./internal/collector ./internal/persist ./internal/wire ./internal/resultcache ./internal/quota ./internal/queryfront ./internal/cluster ./cmd/odad
 
 # Seeded short chaos campaigns under the race detector: the deterministic
 # fault-injection harness (internal/chaos) runs 30s-virtual-time campaigns
@@ -104,6 +104,12 @@ vet:
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1s ./...
+
+# Every root benchmark, one iteration each (~2 s): a benchmark that b.Fatals
+# fails the build here instead of rotting unnoticed — the two grid sweeps did
+# for eleven PRs. Part of `make test`; it checks that they run, not how fast.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # Allocation budget gate for the PR 4 streaming query engine: the cursor
 # sweeps and the pooled wire encode path must stay at exactly 0 allocs/op
@@ -202,8 +208,10 @@ bench-cluster:
 bench-rebalance:
 	$(GO) test -run xxx -bench 'BenchmarkJoinHandoff|BenchmarkEpochFlip' -benchmem -benchtime 20x ./internal/cluster
 
-# The PR 1 contention benches; -cpu 1,4 exposes lock-contention scaling
-# (see BENCH_PR1.json for recorded before/after numbers).
+# What concurrency buys, by core count: the PR 1 lock-contention benches
+# (striped store against the global-lock reference; BENCH_PR1.json has the
+# recorded numbers), and the grid sweep with its explicit pool against the
+# serial default, on CPU-bound capabilities and on blocking stand-ins.
 bench-parallel:
-	$(GO) test -run xxx -bench 'BenchmarkStoreQueryParallel|BenchmarkGridRunAll|BenchmarkSimulation_StepThroughput' -cpu 1,4 -benchtime 2s ./
-	$(GO) test -run xxx -bench 'BenchmarkStoreMixedParallel' -cpu 1,4 -benchtime 2s ./internal/timeseries/
+	$(GO) test -run xxx -bench 'BenchmarkStoreQueryParallel|BenchmarkGridRunAll|BenchmarkActuatorSweep' -cpu 1,2,4 -benchtime 2s ./
+	$(GO) test -run xxx -bench 'BenchmarkStoreMixedParallel' -cpu 1,2,4 -benchtime 2s ./internal/timeseries/

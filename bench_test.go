@@ -8,6 +8,7 @@ package repro
 // alternatives (compression, policies, forecasters, collection paths).
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -369,12 +370,13 @@ func BenchmarkStoreQueryParallel(b *testing.B) {
 
 // benchPassiveGrid registers the read-only capability subset (everything
 // that declares no writes), so iterations leave the shared archive untouched.
+// descriptive.Slowdown is not in it: it declares a job-queue write.
 func benchPassiveGrid(b *testing.B) (*oda.Grid, *oda.RunContext) {
 	b.Helper()
 	ctx := benchCtx(b)
 	g := oda.NewGrid()
 	for _, c := range []oda.Capability{
-		descriptive.PUE{}, descriptive.SIE{}, descriptive.Slowdown{}, descriptive.Roofline{},
+		descriptive.PUE{}, descriptive.SIE{}, descriptive.Roofline{},
 		diagnostic.InfraAnomaly{}, diagnostic.NodeAnomaly{}, diagnostic.RogueProcess{},
 		diagnostic.AppFingerprint{Seed: 1},
 		predictive.KPIForecast{}, predictive.SensorForecast{}, predictive.WorkloadForecast{},
@@ -390,11 +392,12 @@ func benchPassiveGrid(b *testing.B) (*oda.Grid, *oda.RunContext) {
 	return g, ctx
 }
 
-// BenchmarkGridRunAllParallel sweeps the passive capability subset with the
-// worker pool; compare against BenchmarkGridRunAllSerial for the speedup.
+// BenchmarkGridRunAllParallel sweeps the passive capability subset with a
+// pool of one worker per logical CPU; compare against
+// BenchmarkGridRunAllSerial, the default, for what the pool buys.
 func BenchmarkGridRunAllParallel(b *testing.B) {
 	g, ctx := benchPassiveGrid(b)
-	g.SetWorkers(0) // one worker per logical CPU
+	g.SetWorkers(runtime.GOMAXPROCS(0))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, errs := g.RunAll(ctx); len(errs) != 0 {
@@ -403,10 +406,9 @@ func BenchmarkGridRunAllParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkGridRunAllSerial is the single-worker baseline for the sweep.
+// BenchmarkGridRunAllSerial is the default sweep: registration order, no pool.
 func BenchmarkGridRunAllSerial(b *testing.B) {
 	g, ctx := benchPassiveGrid(b)
-	g.SetWorkers(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, errs := g.RunAll(ctx); len(errs) != 0 {
@@ -469,18 +471,5 @@ func BenchmarkActuatorSweepFootprints(b *testing.B) {
 		if _, errs := g.RunAll(&oda.RunContext{}); len(errs) != 0 {
 			b.Fatalf("errors: %v", errs)
 		}
-	}
-}
-
-// BenchmarkSimulation_StepThroughputParallel is the worker-pool variant of
-// BenchmarkSimulation_StepThroughput (same 64-node model, Workers=0).
-func BenchmarkSimulation_StepThroughputParallel(b *testing.B) {
-	cfg := simulation.DefaultConfig(1)
-	cfg.Nodes = 64
-	cfg.Workers = 0
-	dc := simulation.New(cfg)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dc.Step()
 	}
 }

@@ -124,7 +124,6 @@ func statsPayload(store *timeseries.Store, srv *wire.Server, durable *persist.Du
 			"conflicts_deferred":   st.ConflictsDeferred,
 			"actuators_overlapped": st.ActuatorsOverlapped,
 			"panics":               st.Panics,
-			"last_workers":         grid.LastWorkers(),
 		}
 	}
 	return stats

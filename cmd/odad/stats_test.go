@@ -106,7 +106,7 @@ func TestStatsHandlerSchedulerSection(t *testing.T) {
 	sched := fetch()
 	for _, key := range []string{
 		"capabilities", "planned_waves", "sweeps", "waves", "max_wave_width",
-		"conflicts_deferred", "actuators_overlapped", "panics", "last_workers",
+		"conflicts_deferred", "actuators_overlapped", "panics",
 	} {
 		if _, ok := sched[key]; !ok {
 			t.Fatalf("missing scheduler key %q in %v", key, sched)
@@ -121,8 +121,8 @@ func TestStatsHandlerSchedulerSection(t *testing.T) {
 
 	// One parallel sweep over the (empty) archive: the counters must
 	// advance even though most capabilities error out for lack of
-	// telemetry. Workers are pinned so the sweep takes the wave path
-	// regardless of what the auto-tuner would pick on this machine.
+	// telemetry. Workers are pinned so the sweep takes the wave path: the
+	// default sweep is serial and books one wave.
 	grid.SetWorkers(4)
 	grid.RunAll(&oda.RunContext{Store: store, From: 0, To: 1})
 	sched = fetch()

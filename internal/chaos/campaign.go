@@ -304,7 +304,6 @@ func runSimLeg(cfg Config, sched Schedule, res *Result) (injected int, fp string
 	simCfg := simulation.DefaultConfig(cfg.Seed)
 	simCfg.Nodes = cfg.Nodes
 	simCfg.RepairHours = 0.05
-	simCfg.Workers = 1
 	dc := simulation.New(simCfg)
 	defer dc.Close()
 

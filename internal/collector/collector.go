@@ -13,13 +13,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/bus"
 	"repro/internal/metric"
-	"repro/internal/par"
 	"repro/internal/timeseries"
 	"repro/internal/wire"
 )
@@ -352,6 +352,34 @@ func (a *Agent) deliver(s Sink, b batchItem) {
 	a.sinkErrs.Add(1)
 }
 
+// ranges splits [0, n) into up to workers contiguous ranges and calls
+// fn(lo, hi) for each, returning when all have; with one worker or one item
+// the single range runs on the calling goroutine. It is the scrape's fan-out
+// and nothing else's: a real source blocks on I/O (a BMC, a PDU, a socket),
+// which is the case where goroutines pay on any core count.
+func ranges(n, workers int, fn func(lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		fn(0, n)
+		return
+	}
+	chunk := (n + workers - 1) / workers
+	var wg sync.WaitGroup
+	for lo := 0; lo < n; lo += chunk {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			fn(lo, hi)
+		}(lo, min(lo+chunk, n))
+	}
+	wg.Wait()
+}
+
 // Tick performs one collection round at virtual time now, returning the
 // number of readings gathered.
 func (a *Agent) Tick(now int64) int {
@@ -360,26 +388,23 @@ func (a *Agent) Tick(now int64) int {
 	sinks := append([]*sinkEntry(nil), a.sinks...)
 	a.mu.Unlock()
 
-	var all []Reading
-	if w := par.Workers(a.Workers); w > 1 && len(sources) > 1 {
-		bySrc := make([][]Reading, len(sources))
-		par.Ranges(len(sources), w, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				bySrc[i] = sources[i].Collect(now)
-			}
-		})
-		total := 0
-		for _, rs := range bySrc {
-			total += len(rs)
+	workers := a.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	bySrc := make([][]Reading, len(sources))
+	ranges(len(sources), workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			bySrc[i] = sources[i].Collect(now)
 		}
-		all = make([]Reading, 0, total)
-		for _, rs := range bySrc {
-			all = append(all, rs...)
-		}
-	} else {
-		for _, src := range sources {
-			all = append(all, src.Collect(now)...)
-		}
+	})
+	total := 0
+	for _, rs := range bySrc {
+		total += len(rs)
+	}
+	all := make([]Reading, 0, total)
+	for _, rs := range bySrc {
+		all = append(all, rs...)
 	}
 	// The readings slice is shared read-only across every sink's queue;
 	// sinks never mutate batches, so no per-sink copy is needed.

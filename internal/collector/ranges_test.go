@@ -1,28 +1,15 @@
-package par
+package collector
 
 import (
-	"runtime"
 	"sync/atomic"
 	"testing"
 )
-
-func TestWorkersResolution(t *testing.T) {
-	if got := Workers(4); got != 4 {
-		t.Fatalf("Workers(4) = %d", got)
-	}
-	if got := Workers(0); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Workers(0) = %d, want GOMAXPROCS", got)
-	}
-	if got := Workers(-3); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Workers(-3) = %d, want GOMAXPROCS", got)
-	}
-}
 
 func TestRangesCoversEveryIndexExactlyOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 7, 16, 100} {
 		for _, n := range []int{0, 1, 2, 5, 16, 63, 64, 65, 1000} {
 			hits := make([]int32, n)
-			Ranges(n, workers, func(lo, hi int) {
+			ranges(n, workers, func(lo, hi int) {
 				if lo < 0 || hi > n || lo > hi {
 					t.Errorf("bad range [%d,%d) for n=%d", lo, hi, n)
 				}
@@ -41,7 +28,7 @@ func TestRangesCoversEveryIndexExactlyOnce(t *testing.T) {
 
 func TestRangesSerialRunsInline(t *testing.T) {
 	var calls int
-	Ranges(10, 1, func(lo, hi int) {
+	ranges(10, 1, func(lo, hi int) {
 		calls++
 		if lo != 0 || hi != 10 {
 			t.Fatalf("expected single [0,10) range, got [%d,%d)", lo, hi)
@@ -53,18 +40,18 @@ func TestRangesSerialRunsInline(t *testing.T) {
 }
 
 func TestRangesDeterministicReduce(t *testing.T) {
-	// The pattern every hot path uses: parallel fill of index-addressed
-	// slots, serial reduce. The reduce must not depend on worker count.
+	// The scrape's pattern: parallel fill of index-addressed slots, serial
+	// reduce. The reduce must not depend on worker count.
 	n := 257
 	ref := make([]float64, n)
-	Ranges(n, 1, func(lo, hi int) {
+	ranges(n, 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ref[i] = float64(i) * 1.000001
 		}
 	})
 	for _, workers := range []int{2, 4, 8} {
 		buf := make([]float64, n)
-		Ranges(n, workers, func(lo, hi int) {
+		ranges(n, workers, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				buf[i] = float64(i) * 1.000001
 			}

@@ -117,7 +117,16 @@ func (n *Network) Step(dt float64) map[string]float64 {
 		load  float64
 	}
 	var contribs []contrib
-	for id, fl := range n.flows {
+	// Flows load the uplinks in job-ID order, not map order: float addition
+	// does not associate, so a map-ordered sum moved the last bit of an
+	// edge's load from run to run under the same seed.
+	ids := make([]string, 0, len(n.flows))
+	for id := range n.flows {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		fl := n.flows[id]
 		perEdge := make(map[int]int)
 		for _, node := range fl.nodes {
 			perEdge[node/n.cfg.EdgeRadix]++

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -138,5 +139,25 @@ func TestReassignReplacesFootprint(t *testing.T) {
 	n.Step(1)
 	if u := n.UplinkUtilization()[0]; u != 0 {
 		t.Fatalf("stale footprint: %v", u)
+	}
+}
+
+// TestUplinkLoadIndependentOfMapOrder: many flows with demands that do not
+// sum exactly share one uplink; the load must be the same on every rebuild,
+// whatever order the flow map iterates in.
+func TestUplinkLoadIndependentOfMapOrder(t *testing.T) {
+	load := func() float64 {
+		n := New(DefaultConfig(32))
+		for j := 0; j < 24; j++ {
+			n.Assign(fmt.Sprintf("job%02d", j), []int{j % 16, 16 + j%16}, 1e9/float64(3+j))
+		}
+		n.Step(1)
+		return n.UplinkUtilization()[0]
+	}
+	want := load()
+	for i := 0; i < 50; i++ {
+		if got := load(); got != want {
+			t.Fatalf("rebuild %d: uplink utilization %v, first build %v", i, got, want)
+		}
 	}
 }

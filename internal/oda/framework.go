@@ -16,7 +16,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/par"
 	"repro/internal/timeseries"
 )
 
@@ -213,14 +212,7 @@ type Grid struct {
 	byCell  map[Cell][]Capability
 	byName  map[string]Capability
 	order   []string
-	workers int // RunAll pool size: 0 = auto-tuned, 1 = serial
-
-	// tuner sizes the auto pool (workers == 0) from the EWMA of observed
-	// per-capability cost, so sweeps of cheap analytics skip goroutine
-	// fan-out entirely; lastWorkers records the most recent sizing.
-	tuner       par.Tuner
-	tunerMu     sync.Mutex
-	lastWorkers int
+	workers int // RunAll pool size: 0 or 1 = serial (see SetWorkers)
 
 	// schedMu guards the cached wave plan (invalidated by Register) and
 	// the cumulative scheduler counters.
@@ -346,23 +338,13 @@ func (g *Grid) MultiType() []Capability {
 	return out
 }
 
-// SetWorkers bounds the RunAll worker pool: 0 restores the default
-// (auto-tuned from observed per-capability cost, up to one worker per
-// logical CPU), 1 opts out of concurrency entirely and runs every
-// capability serially in registration order.
+// SetWorkers sizes the RunAll worker pool. The default, 0, and 1 run every
+// capability serially in registration order. n > 1 is an explicit pool of n
+// goroutines over the footprint waves, for grids whose capabilities block
+// (an actuator call, a remote model): the built-in analytics are CPU-bound
+// and one of them dominates the sweep, so a pool buys them nothing.
 func (g *Grid) SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	g.workers = n
-}
-
-// LastWorkers reports the pool size the most recent RunAll used (0 before
-// the first sweep) — observability for the auto-tuning path.
-func (g *Grid) LastWorkers() int {
-	g.tunerMu.Lock()
-	defer g.tunerMu.Unlock()
-	return g.lastWorkers
+	g.workers = max(n, 0)
 }
 
 // RunAll executes every capability against the context, returning results
@@ -371,35 +353,19 @@ func (g *Grid) LastWorkers() int {
 // product. A capability that panics is recovered into an error wrapping
 // ErrCapabilityPanic; the pool stays healthy.
 //
-// Capabilities run on a bounded worker pool (see SetWorkers) scheduled in
-// conflict-free waves from the declared footprints (Meta.Reads /
-// Meta.Writes; see Resource and schedule.go): capabilities whose write
-// sets are disjoint from each other's read+write sets share a wave and
-// overlap, while conflicting capabilities execute in registration order
-// across waves. The schedule depends only on the registered set, so the
-// result and error maps and the final state of every declared actuation
-// surface are identical for every pool size.
+// By default capabilities run one after another in registration order.
+// Given a worker pool (see SetWorkers) they are scheduled in conflict-free
+// waves from the declared footprints (Meta.Reads / Meta.Writes; see Resource
+// and schedule.go): capabilities whose write sets are disjoint from each
+// other's read+write sets share a wave and overlap, while conflicting
+// capabilities execute in registration order across waves. The schedule
+// depends only on the registered set, so the result and error maps and the
+// final state of every declared actuation surface are identical for every
+// pool size, the serial default included.
 func (g *Grid) RunAll(ctx *RunContext) (map[string]Result, map[string]error) {
 	results := make(map[string]Result, len(g.byName))
 	errs := make(map[string]error)
-	workers := g.workers
-	auto := workers <= 0
-	if auto {
-		// Auto mode sizes the pool from the EWMA of past sweeps' observed
-		// per-capability cost; the first sweep (no history) saturates the
-		// CPUs, matching the historical default.
-		workers = g.tuner.Recommend(len(g.order))
-	}
-	if workers > len(g.order) {
-		workers = len(g.order)
-	}
-	g.tunerMu.Lock()
-	g.lastWorkers = workers
-	g.tunerMu.Unlock()
-	if auto && len(g.order) > 0 {
-		start := time.Now()
-		defer func() { g.tuner.Observe(len(g.order), time.Since(start)) }()
-	}
+	workers := min(g.workers, len(g.order))
 	var panics int64
 	collect := func(name string, res Result, err error) {
 		if err != nil {

@@ -3,6 +3,7 @@ package oda
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -397,25 +398,56 @@ func TestGridRunAllConcurrentInvocations(t *testing.T) {
 	wg.Wait()
 }
 
-// TestGridAutoTuneCollapsesToSerial seeds the auto-tuner with a cheap
-// observation and checks the next auto-sized sweep runs serially, while an
-// explicit SetWorkers still pins the pool.
-func TestGridAutoTuneCollapsesToSerial(t *testing.T) {
+// TestGridDefaultIsSerial: with no SetWorkers call a sweep runs one capability
+// at a time in registration order; SetWorkers(4) overlaps the same
+// footprint-free capabilities (they block, so they overlap on one CPU too),
+// and SetWorkers(0) afterwards restores the serial default.
+func TestGridDefaultIsSerial(t *testing.T) {
 	g := NewGrid()
-	for i := 0; i < 6; i++ {
-		_ = g.Register(cap1(fmt.Sprintf("cheap%d", i), Cell{SystemHardware, Descriptive}))
+	var in, peak atomic.Int32
+	var mu sync.Mutex
+	var order []string
+	var want []string
+	for i := 0; i < 8; i++ {
+		name := fmt.Sprintf("c%d", i)
+		want = append(want, name)
+		inner := slowCap(name, nil, &in, &peak)
+		_ = g.Register(CapabilityFunc{
+			M: inner.Meta(),
+			Fn: func(ctx *RunContext) (Result, error) {
+				mu.Lock()
+				order = append(order, name)
+				mu.Unlock()
+				return inner.Run(ctx)
+			},
+		})
 	}
-	// 100ns per item, far below the fork-join spawn cost: the next auto
-	// sweep must take the serial path.
-	g.tuner.Observe(1000, 100*time.Microsecond)
-	g.RunAll(&RunContext{})
-	if got := g.LastWorkers(); got != 1 {
-		t.Fatalf("cheap sweep used %d workers, want 1 (serial)", got)
+	sweep := func() (int32, []string) {
+		peak.Store(0)
+		order = nil
+		if _, errs := g.RunAll(&RunContext{}); len(errs) != 0 {
+			t.Fatalf("unexpected errors: %v", errs)
+		}
+		return peak.Load(), order
 	}
-	// Explicit worker counts bypass the tuner entirely.
+	checkSerial := func(when string) {
+		t.Helper()
+		p, got := sweep()
+		if p != 1 {
+			t.Fatalf("%s: peak concurrency %d, want 1", when, p)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: order %v, want registration order", when, got)
+		}
+	}
+	checkSerial("default")
+	if st := g.ScheduleStats(); st.Waves != 1 || st.MaxWaveWidth != 0 {
+		t.Fatalf("default sweep booked %d waves, width %d: want one serial wave, nothing overlapped", st.Waves, st.MaxWaveWidth)
+	}
 	g.SetWorkers(4)
-	g.RunAll(&RunContext{})
-	if got := g.LastWorkers(); got != 4 {
-		t.Fatalf("pinned sweep used %d workers, want 4", got)
+	if p, _ := sweep(); p < 2 {
+		t.Fatalf("SetWorkers(4): peak concurrency %d, want the pool to overlap blocking capabilities", p)
 	}
+	g.SetWorkers(0)
+	checkSerial("SetWorkers(0) after SetWorkers(4)")
 }

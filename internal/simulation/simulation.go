@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"time"
 
 	"repro/internal/bus"
 	"repro/internal/collector"
@@ -22,16 +21,10 @@ import (
 	"repro/internal/hardware"
 	"repro/internal/metric"
 	"repro/internal/network"
-	"repro/internal/par"
 	"repro/internal/scheduler"
 	"repro/internal/timeseries"
 	"repro/internal/workload"
 )
-
-// minParallelNodes is the fleet size below which the per-node loops stay
-// serial: under ~tens of nodes the fork-join overhead exceeds the physics
-// work itself.
-const minParallelNodes = 48
 
 // Config describes the virtual data center.
 type Config struct {
@@ -61,15 +54,6 @@ type Config struct {
 	// bytes/second (0 keeps the default 40 GB/s); experiments shrink it to
 	// study contention.
 	UplinkCapacity float64
-	// Workers bounds the worker pool the per-node physics and collection
-	// loops fan out on: 0 auto-tunes the pool from an EWMA of observed
-	// per-node step cost (starting at one worker per logical CPU and
-	// collapsing to serial when the physics is too cheap to fan out),
-	// 1 forces fully serial stepping, and any explicit value pins the pool.
-	// Telemetry is byte-identical for every setting: each node owns a
-	// seed-derived RNG stream, parallel loops write into node-indexed
-	// buffers, and reductions run serially in node order.
-	Workers int
 }
 
 // DefaultConfig returns a 64-node virtual center.
@@ -144,10 +128,6 @@ type DataCenter struct {
 
 	rng *rand.Rand
 
-	workers    int                       // resolved worker-pool size (pinned when Cfg.Workers != 0)
-	autoTune   bool                      // Cfg.Workers == 0: size per-node loops from observed cost
-	tuner      par.Tuner                 // EWMA of per-node physics cost feeding stepWorkers
-	powerBuf   []float64                 // node-indexed scratch for parallel power sums
 	nodeByName map[string]*hardware.Node // name -> node fast path
 }
 
@@ -195,9 +175,6 @@ func New(cfg Config) *DataCenter {
 		anomalies:  make(map[int]string),
 		allocByJob: make(map[string]*AllocationRecord),
 		rng:        rand.New(rand.NewSource(cfg.Seed + 2)),
-		workers:    par.Workers(cfg.Workers),
-		autoTune:   cfg.Workers == 0,
-		powerBuf:   make([]float64, cfg.Nodes),
 		nodeByName: make(map[string]*hardware.Node, cfg.Nodes),
 	}
 	// The engine's own sinks stay synchronous (queue depth 0): controllers
@@ -207,7 +184,6 @@ func New(cfg Config) *DataCenter {
 	// them with AddSinkQueued so network latency never stalls the step
 	// loop, and call Close to drain them.
 	dc.Agent = collector.NewAgent("vdc-agent", 0)
-	dc.Agent.Workers = dc.workers
 	dc.Agent.AddSink(&collector.StoreSink{Store: dc.Store})
 	dc.Agent.AddSink(&collector.BusSink{Bus: dc.Bus, Prefix: "vdc"})
 
@@ -266,44 +242,8 @@ func (dc *DataCenter) AddController(c Controller) {
 // Now returns the current virtual time in Unix milliseconds.
 func (dc *DataCenter) Now() int64 { return dc.now }
 
-// stepWorkers returns the pool size for per-node loops: 1 (serial) unless
-// the fleet is big enough to pay off and either an explicit Config.Workers
-// pins a pool or (auto mode) the tuner's observed per-node cost justifies
-// fanning out. Before the first observation the auto path matches the
-// historical default of one worker per logical CPU.
-func (dc *DataCenter) stepWorkers() int {
-	if len(dc.Nodes) < minParallelNodes {
-		return 1
-	}
-	if dc.autoTune {
-		return dc.tuner.Recommend(len(dc.Nodes))
-	}
-	if dc.workers > 1 {
-		return dc.workers
-	}
-	return 1
-}
-
-// ITPower returns the current total IT draw in watts. The parallel path
-// fills a node-indexed buffer and reduces serially in node order, so the
-// result is byte-identical to the serial loop.
-//
-// ITPower is not safe to call concurrently with itself or Step (it shares
-// the engine's scratch buffer); controllers and capabilities run serially
-// with respect to the engine, so this only matters for external callers.
+// ITPower returns the current total IT draw in watts, summed in node order.
 func (dc *DataCenter) ITPower() float64 {
-	if w := dc.stepWorkers(); w > 1 {
-		par.Ranges(len(dc.Nodes), w, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				dc.powerBuf[i] = dc.Nodes[i].Power()
-			}
-		})
-		var p float64
-		for _, v := range dc.powerBuf {
-			p += v
-		}
-		return p
-	}
 	var p float64
 	for _, n := range dc.Nodes {
 		p += n.Power()
@@ -387,15 +327,11 @@ func (dc *DataCenter) Step() {
 		}
 		dc.Net.Assign(alloc.Job.ID, alloc.Nodes, ph.NetDemand)
 	}
-	// busyNodes is read-only from here on, so the idle-reset writes are
-	// per-node disjoint and safe to fan out.
-	par.Ranges(len(dc.Nodes), dc.stepWorkers(), func(lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			if !busyNodes[idx] {
-				dc.Nodes[idx].SetLoad(hardware.Load{})
-			}
+	for idx, n := range dc.Nodes {
+		if !busyNodes[idx] {
+			n.SetLoad(hardware.Load{})
 		}
-	})
+	}
 	dc.applyAnomalies()
 	dc.Net.Step(dt)
 
@@ -404,29 +340,11 @@ func (dc *DataCenter) Step() {
 	if supply == 0 {
 		supply = dc.Facility.Setpoint()
 	}
-	// Each node's physics step is independent (per-node RNG streams derived
-	// from the seed), so the loop fans out across the worker pool; the power
-	// sum reduces serially in node order afterwards, keeping itPower — and
-	// with it every downstream telemetry byte — identical to serial stepping.
-	physW := dc.stepWorkers()
-	var physStart time.Time
-	if dc.autoTune {
-		physStart = time.Now()
-	}
-	par.Ranges(len(dc.Nodes), physW, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dc.powerBuf[i] = dc.Nodes[i].Step(dt, supply)
-		}
-	})
-	if dc.autoTune {
-		// Scale wall time by the pool width so the EWMA tracks serial
-		// per-node cost regardless of how wide this batch ran; otherwise a
-		// wide pool makes the work look cheap and the sizing oscillates.
-		dc.tuner.Observe(len(dc.Nodes), time.Since(physStart)*time.Duration(physW))
-	}
+	// The power sum accumulates in node order: itPower feeds the facility
+	// model, so its float association is part of the telemetry's bytes.
 	var itPower float64
-	for _, v := range dc.powerBuf {
-		itPower += v
+	for _, n := range dc.Nodes {
+		itPower += n.Step(dt, supply)
 	}
 	for _, alloc := range running {
 		var progress float64

@@ -1,9 +1,7 @@
 package simulation
 
 import (
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/metric"
 	"repro/internal/scheduler"
@@ -300,113 +298,6 @@ func TestTraceReplay(t *testing.T) {
 		if j.DoneWork != j.TotalWork && j.EndTime == 0 && j.StartTime == 0 {
 			t.Fatal("trace job looks reset — deep copy missing?")
 		}
-	}
-}
-
-// TestParallelStepDeterminism is the acceptance test for parallel stepping:
-// the same seed must produce byte-identical telemetry regardless of the
-// worker count, because parallel loops only fill node-indexed buffers and
-// all reductions happen serially in node order.
-func TestParallelStepDeterminism(t *testing.T) {
-	mk := func(workers int) *DataCenter {
-		cfg := DefaultConfig(42)
-		cfg.Nodes = 64 // above minParallelNodes so the parallel path engages
-		cfg.Workload.MeanInterarrival = 90
-		cfg.Workers = workers
-		return New(cfg)
-	}
-	serial := mk(1)
-	parallel := mk(4)
-	if parallel.stepWorkers() <= 1 {
-		t.Fatal("parallel datacenter did not engage the worker pool")
-	}
-	serial.RunFor(2 * 3600)
-	parallel.RunFor(2 * 3600)
-
-	if s, p := serial.Store.NumSamples(), parallel.Store.NumSamples(); s != p {
-		t.Fatalf("NumSamples: serial %d vs parallel %d", s, p)
-	}
-	if s, p := serial.SubmittedJobs, parallel.SubmittedJobs; s != p {
-		t.Fatalf("SubmittedJobs: serial %d vs parallel %d", s, p)
-	}
-	if s, p := serial.ITPower(), parallel.ITPower(); s != p {
-		t.Fatalf("ITPower: serial %v vs parallel %v", s, p)
-	}
-
-	// Spot-check whole series byte-for-byte: per-node stochastic sensors,
-	// the facility aggregate and scheduler counters.
-	power := serial.Store.Select("node_power_watts", nil)
-	temps := serial.Store.Select("node_cpu_temp_celsius", nil)
-	if len(power) != 64 || len(temps) != 64 {
-		t.Fatalf("series: %d power, %d temp, want 64 each", len(power), len(temps))
-	}
-	spot := []metric.ID{power[0], power[63], temps[17]}
-	spot = append(spot, serial.Store.Select("facility_pue", nil)...)
-	spot = append(spot, serial.Store.Select("sched_running_jobs", nil)...)
-	if len(spot) < 5 {
-		t.Fatalf("spot-check set too small: %d series", len(spot))
-	}
-	for _, id := range spot {
-		ss, err := serial.Store.QueryAll(id)
-		if err != nil {
-			t.Fatalf("serial QueryAll(%s): %v", id.Key(), err)
-		}
-		ps, err := parallel.Store.QueryAll(id)
-		if err != nil {
-			t.Fatalf("parallel QueryAll(%s): %v", id.Key(), err)
-		}
-		if len(ss) == 0 {
-			t.Fatalf("no samples for %s", id.Key())
-		}
-		if len(ss) != len(ps) {
-			t.Fatalf("%s: %d vs %d samples", id.Key(), len(ss), len(ps))
-		}
-		for i := range ss {
-			if ss[i] != ps[i] {
-				t.Fatalf("%s[%d]: serial %+v vs parallel %+v", id.Key(), i, ss[i], ps[i])
-			}
-		}
-	}
-}
-
-// TestStepWorkersAutoTune checks the auto path (Workers == 0) collapses the
-// per-node loops to serial once the tuner has seen cheap physics steps,
-// while explicit worker counts stay pinned and ignore the tuner.
-func TestStepWorkersAutoTune(t *testing.T) {
-	cfg := DefaultConfig(7)
-	cfg.Nodes = 64 // above minParallelNodes so sizing is down to the tuner
-	auto := New(cfg)
-	if !auto.autoTune {
-		t.Fatal("Workers == 0 should enable auto-tuning")
-	}
-	if w, want := auto.stepWorkers(), auto.tuner.Recommend(64); w != want {
-		t.Fatalf("pre-observation stepWorkers = %d, want historical default %d", w, want)
-	}
-	// 100ns per node, far below the spawn cost: per-node loops go serial.
-	auto.tuner.Observe(1000, 100*time.Microsecond)
-	if w := auto.stepWorkers(); w != 1 {
-		t.Fatalf("cheap steps: stepWorkers = %d, want 1 (serial)", w)
-	}
-	// Expensive physics pulls the EWMA back up and re-engages the pool.
-	auto.tuner.Observe(10, time.Second)
-	if w, max := auto.stepWorkers(), runtime.GOMAXPROCS(0); max > 1 && w <= 1 {
-		t.Fatalf("expensive steps: stepWorkers = %d with %d CPUs, want > 1", w, max)
-	}
-
-	cfg.Workers = 4
-	pinned := New(cfg)
-	if pinned.autoTune {
-		t.Fatal("explicit Workers should disable auto-tuning")
-	}
-	pinned.tuner.Observe(1000, 100*time.Microsecond) // must be ignored
-	if w := pinned.stepWorkers(); w != 4 {
-		t.Fatalf("pinned stepWorkers = %d, want 4", w)
-	}
-
-	// Tiny fleets stay serial regardless of tuning or pinning.
-	small := New(smallConfig(7))
-	if w := small.stepWorkers(); w != 1 {
-		t.Fatalf("small fleet stepWorkers = %d, want 1", w)
 	}
 }
 

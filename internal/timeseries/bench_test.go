@@ -178,10 +178,6 @@ func BenchmarkStoreMixedParallel_GlobalLock(b *testing.B) {
 	benchMixedParallel(b, globalAdapter{newGlobalLockStore()})
 }
 
-func BenchmarkStoreMixedParallel_SingleShard(b *testing.B) {
-	benchMixedParallel(b, shardedAdapter{NewStore(0, WithShards(1))})
-}
-
 func BenchmarkStoreMixedParallel_Sharded(b *testing.B) {
 	benchMixedParallel(b, shardedAdapter{NewStore(0)})
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/metric"
-	"repro/internal/par"
 	"repro/internal/stats"
 )
 
@@ -420,50 +419,24 @@ func aggregateCursor(cur *Cursor, base, step int64, fn AggFunc) ([]AggPoint, err
 	return out, nil
 }
 
-// scanFanoutThreshold is the batch width at which Scan fans the per-series
-// visits out across a worker pool; below it the walk stays serial and
-// allocation-free. A variable so tests exercise both paths.
-var scanFanoutThreshold = 8
-
 // Scan opens one cursor per id over [from, to) and invokes visit(i, cur)
 // for every series that exists (unknown ids are skipped — sweeps routinely
-// select names some shards have never seen). Wide batches are walked in
-// parallel: workers own disjoint, contiguous index ranges, so callers that
-// write index-addressed slots get deterministic output for any worker
-// count, and visit must be safe for concurrent calls with distinct i. The
-// cursor is only valid inside visit. Scan returns the lowest-index error.
+// select names some shards have never seen), in index order. An error from
+// visit does not stop the walk; Scan returns the lowest-index one. The
+// cursor is only valid inside visit.
 func (s *Store) Scan(ids []metric.ID, from, to int64, visit func(i int, cur *Cursor) error) error {
-	if len(ids) == 0 {
-		return nil
-	}
-	one := func(i int) error {
-		ss := s.lookup(ids[i].Key())
+	var firstErr error
+	for i, id := range ids {
+		ss := s.lookup(id.Key())
 		if ss == nil {
-			return nil
+			continue
 		}
 		cur := s.newCursor(ss, from, to)
-		defer cur.Close()
-		return visit(i, cur)
-	}
-	if len(ids) < scanFanoutThreshold {
-		var firstErr error
-		for i := range ids {
-			if err := one(i); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
-	errs := make([]error, len(ids))
-	par.Ranges(len(ids), par.Workers(0), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			errs[i] = one(i)
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
+		err := visit(i, cur)
+		cur.Close()
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
-	return nil
+	return firstErr
 }

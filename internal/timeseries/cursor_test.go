@@ -239,6 +239,9 @@ func TestAggregateRateBuckets(t *testing.T) {
 	}
 }
 
+// TestScanDeterministicBothPaths: both ways through the walk — a known id is
+// visited with its own index, an unknown one is skipped without an error —
+// leave index-addressed output exactly where the caller expects it.
 func TestScanDeterministicBothPaths(t *testing.T) {
 	s := NewStore(8)
 	var ids []metric.ID
@@ -253,35 +256,28 @@ func TestScanDeterministicBothPaths(t *testing.T) {
 	}
 	// Interleave unknown ids: Scan must skip them without error.
 	withGaps := append([]metric.ID{{Name: "ghost"}}, ids...)
-
-	run := func(threshold int) []float64 {
-		old := scanFanoutThreshold
-		scanFanoutThreshold = threshold
-		defer func() { scanFanoutThreshold = old }()
-		sums := make([]float64, len(withGaps))
-		err := s.Scan(withGaps, 0, 100, func(i int, cur *Cursor) error {
-			for cur.Next() {
-				sums[i] += cur.At().V
-			}
-			return cur.Err()
-		})
-		if err != nil {
-			t.Fatalf("scan: %v", err)
+	sums := make([]float64, len(withGaps))
+	err := s.Scan(withGaps, 0, 100, func(i int, cur *Cursor) error {
+		for cur.Next() {
+			sums[i] += cur.At().V
 		}
-		return sums
+		return cur.Err()
+	})
+	if err != nil {
+		t.Fatalf("scan: %v", err)
 	}
-	serial := run(1 << 30)
-	parallel := run(1)
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("slot %d: serial %v != parallel %v", i, serial[i], parallel[i])
-		}
-	}
-	if serial[0] != 0 {
+	if sums[0] != 0 {
 		t.Fatal("ghost series should have contributed nothing")
+	}
+	for n := 0; n < 20; n++ {
+		if want := float64(30*n*100 + 435); sums[n+1] != want { // 435 = 0+1+…+29
+			t.Fatalf("slot %d: sum %v, want %v", n+1, sums[n+1], want)
+		}
 	}
 }
 
+// TestScanErrorPropagation: an error from visit does not stop the walk, and
+// the lowest-index one is what Scan returns.
 func TestScanErrorPropagation(t *testing.T) {
 	s := NewStore(8)
 	var ids []metric.ID
@@ -292,20 +288,23 @@ func TestScanErrorPropagation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	boom := errors.New("boom")
-	for _, threshold := range []int{1, 1 << 30} {
-		old := scanFanoutThreshold
-		scanFanoutThreshold = threshold
-		err := s.Scan(ids, 0, 10, func(i int, cur *Cursor) error {
-			if i == 7 {
-				return boom
-			}
-			return nil
-		})
-		scanFanoutThreshold = old
-		if !errors.Is(err, boom) {
-			t.Fatalf("threshold %d: err = %v, want boom", threshold, err)
+	boom, later := errors.New("boom"), errors.New("later")
+	visited := 0
+	err := s.Scan(ids, 0, 10, func(i int, cur *Cursor) error {
+		visited++
+		switch i {
+		case 7:
+			return boom
+		case 9:
+			return later
 		}
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the lowest-index error", err)
+	}
+	if visited != len(ids) {
+		t.Fatalf("visited %d of %d series", visited, len(ids))
 	}
 	if err := s.Scan(nil, 0, 10, func(int, *Cursor) error { return nil }); err != nil {
 		t.Fatalf("empty scan: %v", err)

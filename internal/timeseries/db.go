@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/metric"
-	"repro/internal/par"
 	"repro/internal/stats"
 )
 
@@ -22,27 +21,20 @@ var ErrStoreClosed = errors.New("timeseries: store closed")
 // started; 120 follows the Gorilla paper's two-hour blocks at 60 s cadence.
 const DefaultChunkSize = 120
 
-// DefaultShards is the default lock-stripe count. Sixteen stripes keep
-// shard-map contention negligible up to dozens of cores while costing a few
-// hundred bytes on small stores.
-const DefaultShards = 16
+// numShards is the lock-stripe count: a power of two, so the key hash picks a
+// stripe by mask. Sixteen stripes keep shard-map contention negligible up to
+// dozens of cores while costing a few hundred bytes on small stores.
+const numShards = 16
 
 // DefaultQueryCacheChunks is the default per-series bound on cached decoded
 // chunks (see WithQueryCache).
 const DefaultQueryCacheChunks = 64
 
-// parallelScanThreshold is the series count at which whole-store scans
-// (NumSamples, CompressedBytes, Retain, Snapshot) fan out across shards;
-// below it a sequential walk wins because fork/join overhead exceeds the
-// scan itself. A variable, not a const, so tests can exercise both paths
-// without building 10k-series stores.
-var parallelScanThreshold = 8192
-
 // Store is a concurrency-safe in-memory TSDB holding Gorilla-compressed
 // series keyed by metric ID.
 //
 // Concurrency model: the store is lock-striped. Series are spread across
-// power-of-two shards by FNV-1a hash of their key; a shard's RWMutex guards
+// numShards shards by FNV-1a hash of their key; a shard's RWMutex guards
 // only its key→series map, and every series carries its own RWMutex
 // guarding the chunk data. A reader decompressing one series therefore
 // never serializes readers or writers of any other series, and appends to
@@ -51,8 +43,7 @@ var parallelScanThreshold = 8192
 // is only taken when a series is first created.
 type Store struct {
 	chunkSize  int
-	mask       uint32
-	shards     []storeShard
+	shards     [numShards]storeShard
 	cacheLimit int // max cached decoded chunks per series (<= 0 disables)
 
 	regMu  sync.RWMutex
@@ -122,23 +113,6 @@ type storedSeries struct {
 // Option tunes a Store at construction.
 type Option func(*Store)
 
-// WithShards sets the lock-stripe count (rounded up to a power of two;
-// n <= 0 keeps DefaultShards). One shard degenerates to a single-striped
-// store, which the ablation benchmarks use as a baseline.
-func WithShards(n int) Option {
-	return func(s *Store) {
-		if n <= 0 {
-			n = DefaultShards
-		}
-		pow := 1
-		for pow < n {
-			pow <<= 1
-		}
-		s.shards = make([]storeShard, pow)
-		s.mask = uint32(pow - 1)
-	}
-}
-
 // WithQueryCache bounds the decoded-chunk cache: each series memoizes up to
 // n fully-decoded immutable chunks so repeated range queries skip the
 // Gorilla decode. n < 0 disables the cache entirely (every query decodes);
@@ -169,7 +143,6 @@ func NewStore(chunkSize int, opts ...Option) *Store {
 		byName:     make(map[string][]metric.ID),
 	}
 	s.refEpoch.Store(newRefEpoch())
-	WithShards(DefaultShards)(s)
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -178,9 +151,6 @@ func NewStore(chunkSize int, opts ...Option) *Store {
 	}
 	return s
 }
-
-// NumShards returns the lock-stripe count.
-func (s *Store) NumShards() int { return len(s.shards) }
 
 // ChunkSize returns the samples-per-chunk setting; durability layers
 // persist it so recovery rebuilds identical chunk boundaries.
@@ -201,7 +171,7 @@ func fnv32a(key string) uint32 {
 }
 
 func (s *Store) shardFor(key string) *storeShard {
-	return &s.shards[fnv32a(key)&s.mask]
+	return &s.shards[fnv32a(key)&(numShards-1)]
 }
 
 // lookup returns the series for key, or nil when absent.
@@ -346,14 +316,11 @@ func (s *Store) NumSeries() int {
 	return len(s.order)
 }
 
-// scanSeries walks every shard, invoking visit per series (without taking
-// the series lock — visit picks its own lock mode). Once the store holds
-// parallelScanThreshold series the shards are walked by a bounded worker
-// pool over disjoint shard ranges, so visit must be safe for concurrent
-// calls on series of distinct shards; below the threshold the walk is
-// sequential and allocates no goroutines.
-func (s *Store) scanSeries(visit func(shard int, ss *storedSeries)) {
-	walk := func(i int) {
+// scanSeries walks every shard in order, invoking visit per series (without
+// taking the series lock — visit picks its own lock mode). A shard's lock is
+// held only while its series are copied out, never across visit.
+func (s *Store) scanSeries(visit func(ss *storedSeries)) {
+	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		batch := make([]*storedSeries, 0, len(sh.series))
@@ -362,47 +329,19 @@ func (s *Store) scanSeries(visit func(shard int, ss *storedSeries)) {
 		}
 		sh.mu.RUnlock()
 		for _, ss := range batch {
-			visit(i, ss)
+			visit(ss)
 		}
 	}
-	if s.NumSeries() < parallelScanThreshold {
-		for i := range s.shards {
-			walk(i)
-		}
-		return
-	}
-	par.Ranges(len(s.shards), par.Workers(0), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			walk(i)
-		}
-	})
 }
 
-// forEachSeries invokes fn on every series under that series' read lock;
-// fn must tolerate concurrent invocation on large stores (see scanSeries).
-func (s *Store) forEachSeries(fn func(ss *storedSeries)) {
-	s.scanSeries(func(_ int, ss *storedSeries) {
-		ss.mu.RLock()
-		fn(ss)
-		ss.mu.RUnlock()
-	})
-}
-
-// sumSeries reduces fn over every series under its read lock. Partial sums
-// accumulate per shard (workers own disjoint shard ranges) and combine
-// serially, so the result is deterministic for any worker count.
+// sumSeries sums fn over every series, each under its read lock.
 func (s *Store) sumSeries(fn func(ss *storedSeries) int) int {
-	partial := make([]int, len(s.shards))
-	s.scanSeries(func(shard int, ss *storedSeries) {
-		ss.mu.RLock()
-		v := fn(ss)
-		ss.mu.RUnlock()
-		partial[shard] += v
-	})
 	total := 0
-	for _, v := range partial {
-		total += v
-	}
+	s.scanSeries(func(ss *storedSeries) {
+		ss.mu.RLock()
+		total += fn(ss)
+		ss.mu.RUnlock()
+	})
 	return total
 }
 
@@ -715,17 +654,16 @@ func (s *Store) Downsample(id metric.ID, step int64) (int, error) {
 // untouched — they are the long-horizon memory that outlives raw samples
 // (age them separately with RetainTier) — and only the retired raw chunks'
 // decoded-cache entries are invalidated, so cached tier decodes keep
-// serving planned queries. Large stores scan shards in parallel (see
-// scanSeries); the per-shard drop counts reduce serially.
+// serving planned queries.
 func (s *Store) Retain(cutoff int64) int {
 	s.bumpRefEpoch() // chunks retire under outstanding refs; force re-resolve
-	partial := make([]int, len(s.shards))
-	s.scanSeries(func(shard int, ss *storedSeries) {
+	dropped := 0
+	s.scanSeries(func(ss *storedSeries) {
 		ss.mu.Lock()
 		keep := ss.chunks[:0]
 		for _, c := range ss.chunks {
 			if c.Count() > 0 && c.LastTime() < cutoff {
-				partial[shard] += c.Count()
+				dropped += c.Count()
 				ss.cacheMu.Lock()
 				delete(ss.decoded, c)
 				ss.cacheMu.Unlock()
@@ -739,10 +677,6 @@ func (s *Store) Retain(cutoff int64) int {
 		}
 		ss.mu.Unlock()
 	})
-	dropped := 0
-	for _, v := range partial {
-		dropped += v
-	}
 	return dropped
 }
 
@@ -767,28 +701,13 @@ func (s *Store) SeriesValues(id metric.ID, from, to int64) ([]float64, error) {
 
 // Snapshot returns the latest value of every series matching the selector,
 // ordered by series key: the "current system state vector" diagnostic
-// analytics consumes. Wide selections gather latest samples in parallel
-// (workers fill disjoint index ranges, so output is deterministic).
+// analytics consumes.
 func (s *Store) Snapshot(name string, sel metric.Labels) []SnapshotEntry {
 	ids := s.Select(name, sel)
-	entries := make([]SnapshotEntry, len(ids))
-	ok := make([]bool, len(ids))
-	collect := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if sm, found := s.Latest(ids[i]); found {
-				entries[i], ok[i] = SnapshotEntry{ID: ids[i], Sample: sm}, true
-			}
-		}
-	}
-	if len(ids) >= parallelScanThreshold {
-		par.Ranges(len(ids), par.Workers(0), collect)
-	} else {
-		collect(0, len(ids))
-	}
 	out := make([]SnapshotEntry, 0, len(ids))
-	for i := range entries {
-		if ok[i] {
-			out = append(out, entries[i])
+	for _, id := range ids {
+		if sm, found := s.Latest(id); found {
+			out = append(out, SnapshotEntry{ID: id, Sample: sm})
 		}
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].ID.Key() < out[b].ID.Key() })

@@ -229,35 +229,6 @@ func TestStoreAppendBatch(t *testing.T) {
 	}
 }
 
-// TestStoreShardOptions checks shard-count rounding and that a single-shard
-// store behaves identically in content.
-func TestStoreShardOptions(t *testing.T) {
-	if got := NewStore(0).NumShards(); got != DefaultShards {
-		t.Fatalf("default shards = %d, want %d", got, DefaultShards)
-	}
-	if got := NewStore(0, WithShards(5)).NumShards(); got != 8 {
-		t.Fatalf("WithShards(5) rounded to %d, want 8", got)
-	}
-	one := NewStore(0, WithShards(1))
-	if got := one.NumShards(); got != 1 {
-		t.Fatalf("WithShards(1) = %d shards", got)
-	}
-	for i := 0; i < 16; i++ {
-		for k := 0; k < 50; k++ {
-			if err := one.Append(seriesID(i), metric.Gauge, metric.UnitWatt, int64(k)*1000, float64(k)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if got := one.NumSamples(); got != 800 {
-		t.Fatalf("single-shard NumSamples = %d, want 800", got)
-	}
-	samples, err := one.Query(seriesID(3), 10_000, 20_000)
-	if err != nil || len(samples) != 10 {
-		t.Fatalf("single-shard Query = (%d samples, %v)", len(samples), err)
-	}
-}
-
 // TestCursorTailCopyUnderAppend: a reader copying the open chunk's bytes
 // while the writer appends must see whole samples — every prefix it decodes
 // is exactly the stream so far. The bit writer keeps no pending word outside

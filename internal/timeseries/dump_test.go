@@ -3,6 +3,7 @@ package timeseries
 import (
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/metric"
@@ -167,10 +168,11 @@ func TestQueryCacheDisabledAndBounded(t *testing.T) {
 	}
 }
 
+// TestScanSeriesParallelMatchesSequential: the whole-store walks (NumSamples,
+// CompressedBytes, Snapshot, Retain) give the same answers to callers running
+// in parallel — a /stats poll beside a replica status — as to one caller
+// alone, and those answers are the ones the appended data implies.
 func TestScanSeriesParallelMatchesSequential(t *testing.T) {
-	old := parallelScanThreshold
-	defer func() { parallelScanThreshold = old }()
-
 	build := func() *Store {
 		s := NewStore(16)
 		for n := 0; n < 300; n++ {
@@ -183,30 +185,53 @@ func TestScanSeriesParallelMatchesSequential(t *testing.T) {
 		}
 		return s
 	}
+	s := build()
+	seqSamples, seqBytes := s.NumSamples(), s.CompressedBytes()
+	seqSnap := s.Snapshot("power", nil)
+	if seqSamples != 300*33 {
+		t.Fatalf("NumSamples = %d, want %d", seqSamples, 300*33)
+	}
+	if len(seqSnap) != 300 {
+		t.Fatalf("Snapshot holds %d entries, want 300", len(seqSnap))
+	}
+	for i, e := range seqSnap {
+		if i > 0 && seqSnap[i-1].ID.Key() >= e.ID.Key() {
+			t.Fatalf("Snapshot not ordered by key at %d", i)
+		}
+		if e.Sample.T != 32_000 {
+			t.Fatalf("Snapshot entry %s is not the latest sample: t=%d", e.ID.Key(), e.Sample.T)
+		}
+	}
 
-	parallelScanThreshold = 1 << 30 // force sequential
-	seq := build()
-	seqSamples, seqBytes := seq.NumSamples(), seq.CompressedBytes()
-	seqSnap := seq.Snapshot("power", nil)
-	seqDropped := seq.Retain(20_000)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if n := s.NumSamples(); n != seqSamples {
+				t.Errorf("parallel NumSamples %d != sequential %d", n, seqSamples)
+			}
+			if b := s.CompressedBytes(); b != seqBytes {
+				t.Errorf("parallel CompressedBytes %d != sequential %d", b, seqBytes)
+			}
+			if snap := s.Snapshot("power", nil); !reflect.DeepEqual(snap, seqSnap) {
+				t.Errorf("parallel Snapshot diverged: %d vs %d entries", len(snap), len(seqSnap))
+			}
+		}()
+	}
+	wg.Wait()
 
-	parallelScanThreshold = 1 // force parallel
-	par := build()
-	if n := par.NumSamples(); n != seqSamples {
-		t.Fatalf("parallel NumSamples %d != sequential %d", n, seqSamples)
+	// Chunks hold 16 samples: Retain(20 s) retires each series' first chunk
+	// (t = 0…15 s) and nothing else, the same on every build.
+	other := build()
+	dropped := s.Retain(20_000)
+	if dropped != 300*16 {
+		t.Fatalf("Retain dropped %d, want %d", dropped, 300*16)
 	}
-	if b := par.CompressedBytes(); b != seqBytes {
-		t.Fatalf("parallel CompressedBytes %d != sequential %d", b, seqBytes)
+	if n := other.Retain(20_000); n != dropped {
+		t.Fatalf("second build's Retain dropped %d, first dropped %d", n, dropped)
 	}
-	parSnap := par.Snapshot("power", nil)
-	if !reflect.DeepEqual(parSnap, seqSnap) {
-		t.Fatalf("parallel Snapshot diverged: %d vs %d entries", len(parSnap), len(seqSnap))
-	}
-	parDropped := par.Retain(20_000)
-	if parDropped != seqDropped {
-		t.Fatalf("parallel Retain dropped %d, sequential dropped %d", parDropped, seqDropped)
-	}
-	if !reflect.DeepEqual(par.Dump(), seq.Dump()) {
-		t.Fatal("stores diverged after parallel vs sequential retention")
+	if !reflect.DeepEqual(other.Dump(), s.Dump()) {
+		t.Fatal("identical stores diverged after retention")
 	}
 }

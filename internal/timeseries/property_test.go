@@ -420,34 +420,29 @@ func TestCursorPushdownEquivalenceProperty(t *testing.T) {
 			}
 		}
 
-		// Scan matches per-series oracles on both the serial and parallel
-		// paths, including an unknown id in the batch.
+		// Scan matches per-series oracles, including an unknown id in the
+		// batch.
 		scanIDs := append(append([]metric.ID{}, ids...), metric.ID{Name: "ghost"})
-		for _, threshold := range []int{1 << 30, 1} {
-			old := scanFanoutThreshold
-			scanFanoutThreshold = threshold
-			rows := make([][]metric.Sample, len(scanIDs))
-			err := s.Scan(scanIDs, 0, 1<<62, func(i int, cur *Cursor) error {
-				for cur.Next() {
-					rows[i] = append(rows[i], cur.At())
-				}
-				return cur.Err()
-			})
-			scanFanoutThreshold = old
-			if err != nil {
-				t.Logf("Scan: %v", err)
+		rows := make([][]metric.Sample, len(scanIDs))
+		err := s.Scan(scanIDs, 0, 1<<62, func(i int, cur *Cursor) error {
+			for cur.Next() {
+				rows[i] = append(rows[i], cur.At())
+			}
+			return cur.Err()
+		})
+		if err != nil {
+			t.Logf("Scan: %v", err)
+			return false
+		}
+		for i, id := range ids {
+			if !sameSamples(rows[i], legacyWindow(t, s, id, 0, 1<<62)) {
+				t.Logf("Scan row %d diverges from oracle", i)
 				return false
 			}
-			for i, id := range ids {
-				if !sameSamples(rows[i], legacyWindow(t, s, id, 0, 1<<62)) {
-					t.Logf("Scan(threshold %d) row %d diverges from oracle", threshold, i)
-					return false
-				}
-			}
-			if rows[len(scanIDs)-1] != nil {
-				t.Log("Scan visited an unknown series")
-				return false
-			}
+		}
+		if rows[len(scanIDs)-1] != nil {
+			t.Log("Scan visited an unknown series")
+			return false
 		}
 		return true
 	}

@@ -299,8 +299,8 @@ func (ts *tierState) sealedRange() (first, last int64, ok bool) {
 // weeks, hourly years.
 func (s *Store) RetainTier(step, cutoff int64) int {
 	s.bumpRefEpoch() // tier chunks retire under outstanding refs; force re-resolve
-	partial := make([]int, len(s.shards))
-	s.scanSeries(func(shard int, ss *storedSeries) {
+	dropped := 0
+	s.scanSeries(func(ss *storedSeries) {
 		ss.mu.Lock()
 		for _, ts := range ss.tiers {
 			if ts.step != step {
@@ -309,7 +309,7 @@ func (s *Store) RetainTier(step, cutoff int64) int {
 			keep := ts.chunks[:0]
 			for _, c := range ts.chunks {
 				if c.Count() > 0 && ts.windowOf(c.LastTime()) < cutoff {
-					partial[shard] += c.Count() / rollupStride
+					dropped += c.Count() / rollupStride
 					ss.cacheMu.Lock()
 					delete(ss.decoded, c)
 					ss.cacheMu.Unlock()
@@ -321,10 +321,6 @@ func (s *Store) RetainTier(step, cutoff int64) int {
 		}
 		ss.mu.Unlock()
 	})
-	dropped := 0
-	for _, v := range partial {
-		dropped += v
-	}
 	return dropped
 }
 
@@ -509,25 +505,23 @@ type RollupStats struct {
 
 // RollupStats returns the rollup fold/seal and planner tier-selection
 // counters, and what each tier holds in memory: one pass over the series,
-// each under its read lock, into a slot per shard (the walk may be parallel)
-// that is then summed in shard order.
+// each under its read lock.
 func (s *Store) RollupStats() RollupStats {
 	st := RollupStats{
 		Folds:    s.rollupFolds.Load(),
 		Seals:    s.rollupSeals.Load(),
 		RawPlans: s.planRaw.Load(),
 	}
-	n := len(s.tierSteps)
-	sizes := make([]struct{ bytes, records int }, len(s.shards)*n)
-	if n > 0 {
-		s.scanSeries(func(shard int, ss *storedSeries) {
+	sizes := make([]struct{ bytes, records int }, len(s.tierSteps))
+	if len(sizes) > 0 {
+		s.scanSeries(func(ss *storedSeries) {
 			ss.mu.RLock()
 			for _, ts := range ss.tiers {
 				for i, step := range s.tierSteps {
 					if step != ts.step {
 						continue
 					}
-					sz := &sizes[shard*n+i]
+					sz := &sizes[i]
 					for _, c := range ts.chunks {
 						sz.bytes += c.Bytes()
 						sz.records += c.Count()
@@ -538,12 +532,8 @@ func (s *Store) RollupStats() RollupStats {
 		})
 	}
 	for i, step := range s.tierSteps {
-		t := TierStat{Step: step, Series: s.tierSeries[i].Load(), Picks: s.tierPicks[i].Load()}
-		for shard := range s.shards {
-			t.Bytes += sizes[shard*n+i].bytes
-			t.Windows += sizes[shard*n+i].records
-		}
-		t.Windows /= rollupStride
+		t := TierStat{Step: step, Series: s.tierSeries[i].Load(), Picks: s.tierPicks[i].Load(),
+			Bytes: sizes[i].bytes, Windows: sizes[i].records / rollupStride}
 		st.Tiers = append(st.Tiers, t)
 	}
 	return st
