@@ -112,17 +112,22 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # Allocation budget gate for the PR 4 streaming query engine: the cursor
-# sweeps and the pooled wire encode path must stay at exactly 0 allocs/op
-# (see BENCH_PR4.json for recorded before/after numbers). Any regression —
-# a scratch buffer that stops being reused, a closure that starts
-# escaping — fails the build here rather than showing up as GC pressure
-# in production sweeps.
+# sweeps and the pooled wire encode paths (v1 and ref frames) must stay at
+# exactly 0 allocs/op (see BENCH_PR4.json for recorded before/after
+# numbers). Any regression — a scratch buffer that stops being reused, a
+# closure that starts escaping — fails the build here rather than showing
+# up as GC pressure in production sweeps. The ref-frame decoder allocates
+# per frame, never per record or per sample: its allocs/op must be one
+# constant (<= 4) at 32 and at 925 records a frame.
 bench-allocs:
 	@out=$$($(GO) test -run xxx -bench 'BenchmarkStoreCursorSweep' -benchmem -benchtime 50x ./internal/timeseries; \
-	        $(GO) test -run xxx -bench 'BenchmarkAppendBatchReuse|BenchmarkBatchWriterSend' -benchmem -benchtime 1000x ./internal/wire); \
+	        $(GO) test -run xxx -bench 'BenchmarkAppendBatchReuse|BenchmarkBatchWriterSend|BenchmarkEncodeRefBatch|BenchmarkDecodeRefBatch' -benchmem -benchtime 1000x ./internal/wire); \
 	echo "$$out"; \
-	echo "$$out" | awk '/^Benchmark/ { if ($$(NF-1)+0 > 0) { printf "FAIL: %s allocates %s allocs/op (budget 0)\n", $$1, $$(NF-1); bad=1 } } \
-		END { if (bad) exit 1; print "OK: streaming paths within 0 allocs/op budget" }'
+	echo "$$out" | awk '/^BenchmarkDecodeRefBatch/ { n++; if (n == 1) per_frame = $$(NF-1); \
+			if ($$(NF-1) != per_frame || per_frame+0 > 4) { printf "FAIL: %s allocates %s allocs/op (budget: one constant <= 4 per frame)\n", $$1, $$(NF-1); bad=1 }; next } \
+		/^Benchmark/ { if ($$(NF-1)+0 > 0) { printf "FAIL: %s allocates %s allocs/op (budget 0)\n", $$1, $$(NF-1); bad=1 } } \
+		END { if (n != 2) { print "FAIL: BenchmarkDecodeRefBatch missing from output"; bad=1 } \
+			if (bad) exit 1; print "OK: streaming paths within 0 allocs/op budget, ref decode " per_frame " allocs/frame" }'
 
 # Rollup-tier planner gate for the PR 6 long-window workload: the planned
 # 30-day/1h-step aggregation must beat the raw scan by >= 50x, and the

@@ -51,6 +51,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -220,18 +221,25 @@ func main() {
 	latest.Store(newestSample(store))
 
 	srv, err := wire.NewServer(*listen, func(b *wire.Batch) {
-		var entries []timeseries.BatchEntry
+		n := 0
+		for i := range b.Records {
+			n += len(b.Records[i].Samples)
+		}
+		entries := make([]timeseries.BatchEntry, 0, n)
+		newest := int64(math.MinInt64)
 		for _, rec := range b.Records {
 			for _, sm := range rec.Samples {
 				entries = append(entries, timeseries.BatchEntry{
 					ID: rec.ID, Kind: rec.Kind, Unit: rec.Unit, T: sm.T, V: sm.V,
 				})
-				for {
-					cur := latest.Load()
-					if sm.T <= cur || latest.CompareAndSwap(cur, sm.T) {
-						break
-					}
-				}
+				newest = max(newest, sm.T)
+			}
+		}
+		// Publish the batch's newest timestamp once, not per sample.
+		for {
+			cur := latest.Load()
+			if newest <= cur || latest.CompareAndSwap(cur, newest) {
+				break
 			}
 		}
 		// Ingest errors (out-of-order duplicates from agent restarts) are

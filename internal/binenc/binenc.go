@@ -168,8 +168,11 @@ func (r *Reader) Bytes() []byte { return append([]byte(nil), r.take(r.Uvarint())
 
 // Count reads an element count and rejects — before the caller allocates for
 // it — one that the bytes left could not hold at minBytes per element.
-func (r *Reader) Count(minBytes int) int {
-	n := r.Uvarint()
+func (r *Reader) Count(minBytes int) int { return r.Fit(r.Uvarint(), minBytes) }
+
+// Fit is Count's check for a count the caller already holds (a sum of counts
+// read earlier, say).
+func (r *Reader) Fit(n uint64, minBytes int) int {
 	if n > uint64(r.left()/minBytes) {
 		r.fail(errCount)
 		return 0

@@ -152,7 +152,7 @@ func Run(cfg Config, dir string) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chaos: dial wire leg: %w", err)
 	}
-	// Speak the v2 dictionary protocol so the campaign exercises ref frames
+	// Speak the dictionary protocol so the campaign exercises ref frames
 	// under faults: every redial renegotiates the dictionary from scratch.
 	client.EnableDict()
 	ws := &collector.WireSink{

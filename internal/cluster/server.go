@@ -116,7 +116,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 	r := bufio.NewReader(conn)
-	var dict *wire.ConnDict // lazy: only dict-speaking peers pay for one
+	var dict wire.ConnDict // empty until a dict-speaking peer defines a series
 	for {
 		ft, payload, err := ReadFrame(r)
 		if err == nil {
@@ -135,7 +135,7 @@ func (s *Server) serveConn(conn net.Conn) {
 // ReadFrame re-exported for symmetry in tests.
 func ReadFrame(r io.Reader) (uint8, []byte, error) { return wire.ReadFrame(r) }
 
-func (s *Server) handleFrame(conn net.Conn, dict **wire.ConnDict, ft uint8, payload []byte) error {
+func (s *Server) handleFrame(conn net.Conn, dict *wire.ConnDict, ft uint8, payload []byte) error {
 	switch ft {
 	case wire.FramePing:
 		if err := wire.WriteFrame(conn, wire.FramePong, payload); err != nil {
@@ -152,20 +152,14 @@ func (s *Server) handleFrame(conn net.Conn, dict **wire.ConnDict, ft uint8, payl
 		s.batches.Add(1)
 		return nil
 	case wire.FrameDict:
-		if *dict == nil {
-			*dict = wire.NewConnDict()
-		}
-		n, err := (*dict).AddDefs(payload)
+		n, err := dict.AddDefs(payload)
 		if err != nil {
 			return err
 		}
 		s.dictDefs.Add(uint64(n))
 		return nil
 	case wire.FrameRefBatch:
-		if *dict == nil {
-			return wire.ErrUnknownRef
-		}
-		b, err := (*dict).DecodeRefBatch(payload)
+		b, err := dict.DecodeRefBatch(payload)
 		if err != nil {
 			return err
 		}

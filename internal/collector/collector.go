@@ -237,14 +237,13 @@ func (s *WireSink) Retries() uint64 { return s.retries.Load() }
 
 // Consume implements Sink.
 func (s *WireSink) Consume(agent string, now int64, readings []Reading) error {
-	b := &wire.Batch{Agent: agent, Records: make([]wire.Record, 0, len(readings))}
-	for _, r := range readings {
-		b.Records = append(b.Records, wire.Record{
-			ID:      r.ID,
-			Kind:    r.Kind,
-			Unit:    r.Unit,
-			Samples: []metric.Sample{{T: now, V: r.Value}},
-		})
+	// One backing array for the round's samples, each record a cap-1 window
+	// of it: Send encodes synchronously and keeps nothing of the batch.
+	b := &wire.Batch{Agent: agent, Records: make([]wire.Record, len(readings))}
+	samples := make([]metric.Sample, len(readings))
+	for i, r := range readings {
+		samples[i] = metric.Sample{T: now, V: r.Value}
+		b.Records[i] = wire.Record{ID: r.ID, Kind: r.Kind, Unit: r.Unit, Samples: samples[i : i+1 : i+1]}
 	}
 	if s.SendDeadline > 0 {
 		s.Client.SetTimeout(s.SendDeadline)

@@ -1,6 +1,8 @@
 package collector
 
 import (
+	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -472,6 +474,43 @@ func TestPipelineStressRace(t *testing.T) {
 		}
 		if ss.Queued != 0 {
 			t.Fatalf("%s: %d batches left after Close", ss.Sink, ss.Queued)
+		}
+	}
+}
+
+// discardConn is a net.Conn whose writes succeed and vanish.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error)      { return len(p), nil }
+func (discardConn) Close() error                     { return nil }
+func (discardConn) SetWriteDeadline(time.Time) error { return nil }
+
+// BenchmarkWireSinkConsume is one agent's round — 32 readings — through the
+// sink into a dictionary client, the series already defined: what every
+// monitored node pays per interval. allocs/op is the batch, its records and
+// its one sample array, not one slice per reading.
+func BenchmarkWireSinkConsume(b *testing.B) {
+	client, err := wire.DialWith(func(string) (net.Conn, error) { return discardConn{}, nil }, "discard")
+	if err != nil {
+		b.Fatal(err)
+	}
+	client.EnableDict()
+	sink := &WireSink{Client: client}
+	readings := make([]Reading, 32)
+	for i := range readings {
+		readings[i] = Reading{
+			ID:   metric.NewID(fmt.Sprintf("sensor_%02d", i), metric.NewLabels("node", "n0042", "rack", "r02")),
+			Kind: metric.Gauge, Unit: metric.UnitWatt, Value: float64(i),
+		}
+	}
+	if err := sink.Consume("a0042", 0, readings); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sink.Consume("a0042", int64(i)*10_000, readings); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -5,17 +5,19 @@ import (
 	"fmt"
 
 	"repro/internal/binenc"
+	"repro/internal/metric"
 )
 
-// Protocol v2: per-connection series dictionary.
+// Protocol v3: per-connection series dictionary, columnar ref batches.
 //
-// A v2 sender defines each series once on a connection with a FrameDict
+// A sender defines each series once on a connection with a FrameDict
 // payload, then ships FrameRefBatch payloads that address series by the
 // small uint64 ref it assigned — no per-sample (or even per-batch) name,
-// label or unit re-encoding. Dictionary state is strictly per connection:
-// a redial starts from an empty dictionary on both ends and the client
+// label or unit re-encoding. The dictionary is the only per-connection
+// state: a redial starts from an empty one on both ends and the client
 // re-defines series as it first uses them again, so renegotiation is
-// implicit in the framing. v1 FrameBatch senders interoperate unchanged.
+// implicit in the framing, and a ref batch decodes from its own bytes and
+// the dictionary alone. v1 FrameBatch senders interoperate unchanged.
 //
 // FrameDict payload:
 //
@@ -23,35 +25,54 @@ import (
 //	per def: ref uvarint, name str, nlabels uvarint, {key str, value str}*,
 //	         kind byte, unit str
 //
-// FrameRefBatch payload:
+// FrameRefBatch payload, a header and then whole columns (an agent's round —
+// consecutive refs, one sample each, one timestamp — is a ref byte and a
+// value per sample; a router's forward buffer across ticks carries the
+// optional columns it needs):
 //
 //	agent    str
 //	nrecords uvarint
-//	per record: ref uvarint, nsamples uvarint,
-//	            samples: varint t (first absolute, then deltas) + 8-byte value
+//	shape    byte    bit 0: counts present; bit 1: times present; the rest
+//	                 reserved, refused unless zero
+//	baseT    varint  the first sample's timestamp (0 if there is none)
+//	refs     nrecords × varint   delta from the previous record's ref
+//	counts   nrecords × uvarint  samples per record; absent = 1 each
+//	times    nsamples × varint   delta from the previous sample in frame
+//	                             order (wrapping); absent = all at baseT
+//	values   nsamples × 8 bytes  big-endian float64
 //
-// Defining a ref twice on one connection and referencing an undefined ref
-// are both protocol errors that drop the connection — a correct client can
-// do neither, so tolerating them would only mask corruption.
+// Defining a ref twice, defining one at or past dictRefLimit and referencing
+// an undefined ref are protocol errors that drop the connection — a correct
+// client can do none of them, so tolerating them would only mask corruption.
+
+// Shape bits of a FrameRefBatch payload.
+const (
+	shapeCounts byte = 1 << iota
+	shapeTimes
+)
+
+// dictRefLimit bounds one connection's refs, so a hostile definition can size
+// ConnDict's table to 8 MiB at most and series churn grows neither end without
+// limit: the sender redials before assigning this ref, the receiver refuses it.
+const dictRefLimit = 1 << 20
 
 // Dictionary protocol errors.
 var (
 	ErrUnknownRef   = errors.New("wire: ref batch references undefined series ref")
 	ErrDictRedefine = errors.New("wire: dictionary redefines existing series ref")
+	ErrDictFull     = errors.New("wire: series ref exceeds the per-connection dictionary bound")
 )
 
-// ConnDict is the receive side of the v2 dictionary: one per connection,
-// populated by FrameDict payloads and consumed by DecodeRefBatch. Not safe
-// for concurrent use; frames on one connection are handled sequentially.
+// ConnDict is the receive side of the dictionary: one per connection,
+// populated by FrameDict payloads and consumed by DecodeRefBatch. The zero
+// value is an empty dictionary, against which every ref is undefined. Not
+// safe for concurrent use; frames on one connection are handled sequentially.
 type ConnDict struct {
-	defs map[uint64]Record // series identities; Samples is always nil
+	defs []*Record // indexed by ref, nil = undefined; Samples is always nil
 }
 
 // NewConnDict returns an empty per-connection dictionary.
-func NewConnDict() *ConnDict { return &ConnDict{defs: make(map[uint64]Record)} }
-
-// Len returns how many series the connection has defined.
-func (d *ConnDict) Len() int { return len(d.defs) }
+func NewConnDict() *ConnDict { return &ConnDict{} }
 
 // AddDefs decodes a FrameDict payload into the dictionary and returns how
 // many series it defined.
@@ -60,19 +81,26 @@ func (d *ConnDict) AddDefs(payload []byte) (int, error) {
 	// A definition is at least a ref plus a series identity (name, label
 	// count, kind, unit), one byte each.
 	ndefs := p.Count(5)
-	for i := 0; i < ndefs; i++ {
+	defs := make([]Record, ndefs)
+	for i := range defs {
 		ref := p.Uvarint()
-		def := readSeries(&p)
+		defs[i] = readSeries(&p)
 		if err := p.Err(); err != nil {
 			return 0, fmt.Errorf("wire: dictionary: %w", err)
 		}
-		if _, dup := d.defs[ref]; dup {
+		if ref >= dictRefLimit {
+			return 0, fmt.Errorf("%w: ref %d", ErrDictFull, ref)
+		}
+		if ref >= uint64(len(d.defs)) {
+			d.defs = append(d.defs, make([]*Record, ref+1-uint64(len(d.defs)))...)
+		}
+		if d.defs[ref] != nil {
 			return 0, fmt.Errorf("%w: ref %d", ErrDictRedefine, ref)
 		}
 		// Intern the ID once per connection: every batch decoded against
 		// this def reuses the cached key on downstream keyed lookups.
-		def.ID = def.ID.Interned()
-		d.defs[ref] = def
+		defs[i].ID = defs[i].ID.Interned()
+		d.defs[ref] = &defs[i]
 	}
 	if err := p.Done(); err != nil {
 		return 0, fmt.Errorf("wire: dictionary: %w", err)
@@ -82,26 +110,61 @@ func (d *ConnDict) AddDefs(payload []byte) (int, error) {
 
 // DecodeRefBatch parses a FrameRefBatch payload against the dictionary,
 // returning a Batch identical to what a v1 FrameBatch for the same samples
-// would decode to (record IDs come from the dictionary definitions).
+// would decode to (record IDs come from the dictionary definitions). It
+// allocates per frame, not per record: one []Record and one []metric.Sample
+// that the records sub-slice.
 func (d *ConnDict) DecodeRefBatch(payload []byte) (*Batch, error) {
 	p := binenc.NewReader(payload)
 	b := &Batch{Agent: p.Str()}
-	n := p.Count(2) // a ref and a sample count, one byte each
-	b.Records = make([]Record, 0, n)
-	for i := 0; i < n; i++ {
-		ref := p.Uvarint()
+	n := p.Count(2) // a ref byte, and a count byte or a value, per record
+	shape := p.Byte()
+	if shape&^(shapeCounts|shapeTimes) != 0 {
+		return nil, fmt.Errorf("wire: ref batch: reserved shape bits %#02x", shape)
+	}
+	t := p.Varint()
+	b.Records = make([]Record, n)
+	var ref uint64
+	for i := range b.Records {
+		ref += uint64(p.Varint())
 		if p.Err() != nil {
 			break
 		}
-		r, ok := d.defs[ref]
-		if !ok {
+		if ref >= uint64(len(d.defs)) || d.defs[ref] == nil {
 			return nil, fmt.Errorf("%w: ref %d", ErrUnknownRef, ref)
 		}
-		r.Samples = readSamples(&p)
-		b.Records = append(b.Records, r)
+		b.Records[i] = *d.defs[ref]
+	}
+	// The count column is read twice: summed here, so the one sample slice is
+	// checked against the bytes left before it is made, then again to cut it up.
+	total, counts := uint64(n), p
+	if shape&shapeCounts != 0 {
+		total = 0
+		for range b.Records {
+			total += uint64(p.Count(8))
+		}
+	}
+	samples := make([]metric.Sample, p.Fit(total, 8)) // a sample is at least its value
+	for i := range samples {
+		if shape&shapeTimes != 0 {
+			t += p.Varint()
+		}
+		samples[i].T = t
+	}
+	for i := range samples {
+		samples[i].V = p.Float()
 	}
 	if err := p.Done(); err != nil {
 		return nil, fmt.Errorf("wire: ref batch: %w", err)
+	}
+	for i, lo := 0, 0; i < n; i++ {
+		c := 1
+		if shape&shapeCounts != 0 {
+			c = int(counts.Uvarint())
+		}
+		if c > 0 { // an empty record keeps nil Samples, as DecodeBatch leaves it
+			b.Records[i].Samples = samples[lo : lo+c : lo+c]
+		}
+		lo += c
 	}
 	return b, nil
 }
@@ -114,17 +177,57 @@ func appendDef(dst []byte, ref uint64, r *Record) []byte {
 // appendRefBatch serializes a FrameRefBatch payload for b, with every
 // record's ref already present in refs (keyed by ID.Key()).
 func appendRefBatch(dst []byte, b *Batch, refs map[string]uint64) []byte {
+	// Which columns the batch needs: counts unless every record holds one
+	// sample, times unless every sample carries the first one's timestamp.
+	var shape byte
+	var baseT int64
+	first := true
+	for i := range b.Records {
+		samples := b.Records[i].Samples
+		if len(samples) != 1 {
+			shape |= shapeCounts
+		}
+		for _, sm := range samples {
+			if first {
+				baseT, first = sm.T, false
+			} else if sm.T != baseT {
+				shape |= shapeTimes
+			}
+		}
+	}
 	dst = binenc.AppendString(dst, b.Agent)
 	dst = binenc.AppendUvarint(dst, uint64(len(b.Records)))
+	dst = append(dst, shape)
+	dst = binenc.AppendVarint(dst, baseT)
+	var prevRef uint64
 	for i := range b.Records {
-		r := &b.Records[i]
-		dst = binenc.AppendUvarint(dst, refs[r.ID.Key()])
-		dst = appendSamples(dst, r.Samples)
+		ref := refs[b.Records[i].ID.Key()]
+		dst = binenc.AppendVarint(dst, int64(ref-prevRef))
+		prevRef = ref
+	}
+	if shape&shapeCounts != 0 {
+		for i := range b.Records {
+			dst = binenc.AppendUvarint(dst, uint64(len(b.Records[i].Samples)))
+		}
+	}
+	if shape&shapeTimes != 0 {
+		prevT := baseT
+		for i := range b.Records {
+			for _, sm := range b.Records[i].Samples {
+				dst = binenc.AppendVarint(dst, sm.T-prevT)
+				prevT = sm.T
+			}
+		}
+	}
+	for i := range b.Records {
+		for _, sm := range b.Records[i].Samples {
+			dst = binenc.AppendFloat(dst, sm.V)
+		}
 	}
 	return dst
 }
 
-// clientDict is the send side of the v2 dictionary: per-connection ref
+// clientDict is the send side of the dictionary: per-connection ref
 // assignments plus reused encode scratch, reset on redial.
 type clientDict struct {
 	refs map[string]uint64
@@ -148,6 +251,11 @@ func (d *clientDict) sendDict(bw *BatchWriter, b *Batch) error {
 		if _, ok := d.refs[key]; ok {
 			continue // already defined (possibly earlier in this batch)
 		}
+		if d.next+1 >= dictRefLimit {
+			// The caller marks the connection broken; its redial starts an
+			// empty dictionary, which is how a churning sender sheds old refs.
+			return ErrDictFull
+		}
 		d.next++
 		d.refs[key] = d.next
 		d.body = appendDef(d.body, d.next, r)
@@ -156,12 +264,12 @@ func (d *clientDict) sendDict(bw *BatchWriter, b *Batch) error {
 	if ndefs > 0 {
 		d.defs = binenc.AppendUvarint(d.defs[:0], uint64(ndefs))
 		d.defs = append(d.defs, d.body...)
-		if err := bw.writeFrame(Version2, FrameDict, d.defs); err != nil {
+		if err := bw.writeFrame(FrameDict, d.defs); err != nil {
 			return err
 		}
 	}
 	d.recs = appendRefBatch(d.recs[:0], b, d.refs)
-	if err := bw.writeFrame(Version2, FrameRefBatch, d.recs); err != nil {
+	if err := bw.writeFrame(FrameRefBatch, d.recs); err != nil {
 		return err
 	}
 	return bw.flush()

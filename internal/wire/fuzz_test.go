@@ -85,9 +85,16 @@ func FuzzWireDecode(f *testing.F) {
 	})
 }
 
-// dictFuzzSeeds builds the deterministic v2 seed payloads shared by the
-// fuzz target and the committed corpus (gen_corpus_test.go).
-func dictFuzzSeeds() (defs, batch, dupDefs, undefBatch []byte) {
+// dictSeed is one (dictionary, ref batch) payload pair of the fuzz corpus.
+type dictSeed struct {
+	name        string
+	defs, batch []byte
+	decodes     bool // AddDefs and DecodeRefBatch both accept it
+}
+
+// dictFuzzSeeds builds the deterministic dictionary-protocol seed payloads
+// shared by the fuzz target and the committed corpus (gen_corpus_test.go).
+func dictFuzzSeeds() []dictSeed {
 	rec1 := Record{
 		ID:   metric.ID{Name: "node_power_watts", Labels: metric.NewLabels("node", "n042")},
 		Kind: metric.Gauge, Unit: metric.UnitWatt,
@@ -98,34 +105,70 @@ func dictFuzzSeeds() (defs, batch, dupDefs, undefBatch []byte) {
 		Kind: metric.Counter, Unit: metric.UnitCelsius,
 		Samples: []metric.Sample{{T: -5, V: math.NaN()}},
 	}
-	defs = binenc.AppendUvarint(nil, 2)
+	defs := binenc.AppendUvarint(nil, 2)
 	defs = appendDef(defs, 1, &rec1)
 	defs = appendDef(defs, 2, &rec2)
 	refs := map[string]uint64{rec1.ID.Key(): 1, rec2.ID.Key(): 2}
-	batch = appendRefBatch(nil, &Batch{Agent: "n042", Records: []Record{rec1, rec2}}, refs)
-	dupDefs = binenc.AppendUvarint(nil, 2)
+	// Mixed timestamps and several samples a record: both optional columns.
+	batch := appendRefBatch(nil, &Batch{Agent: "n042", Records: []Record{rec1, rec2}}, refs)
+	// One agent's round: one sample a record, one timestamp, neither column.
+	round := appendRefBatch(nil, &Batch{Agent: "n042", Records: []Record{
+		{ID: rec2.ID, Samples: []metric.Sample{{T: 1_700_000_000_000, V: 61}}},
+		{ID: rec1.ID, Samples: []metric.Sample{{T: 1_700_000_000_000, V: 411.5}}},
+	}}, refs)
+	dupDefs := binenc.AppendUvarint(nil, 2)
 	dupDefs = appendDef(dupDefs, 1, &rec1)
 	dupDefs = appendDef(dupDefs, 1, &rec2) // same ref twice: protocol error
-	undefBatch = appendRefBatch(nil, &Batch{Agent: "n042", Records: []Record{rec1}},
+	undefBatch := appendRefBatch(nil, &Batch{Agent: "n042", Records: []Record{rec1}},
 		map[string]uint64{rec1.ID.Key(): 99})
-	return
+	// Three records claiming two samples each over three values: every count
+	// fits the bytes left on its own, their sum does not.
+	overCount := binenc.AppendUvarint(binenc.AppendString(nil, "n042"), 3)
+	overCount = binenc.AppendVarint(append(overCount, shapeCounts), 1_700_000_000_000)
+	overCount = append(overCount, 2, 2, 1) // refs 1, 2, 1 as zig-zag deltas +1, +1, -1
+	overCount = append(overCount, 2, 2, 2) // counts
+	overCount = append(overCount, make([]byte, 3*8)...)
+	badShape := append([]byte(nil), round...)
+	badShape[len("n042")+2] |= 0x04 // a reserved shape bit
+	return []dictSeed{
+		{"seed-valid-dict", defs, batch, true},
+		{"seed-one-round", defs, round, true},
+		{"seed-undefined-ref", []byte{}, undefBatch, false},
+		{"seed-duplicate-define", dupDefs, batch, false},
+		{"seed-truncated-dict", defs[:len(defs)/2], batch, false},
+		{"seed-truncated-batch", defs, batch[:len(batch)/2], false},
+		{"seed-count-sum-overruns", defs, overCount, false},
+		{"seed-reserved-shape-bit", defs, badShape, false},
+		{"seed-huge-count-varint", []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, batch, false},
+	}
+}
+
+// TestDictFuzzSeeds pins what each corpus seed is for: the valid ones decode,
+// every other one is refused by AddDefs or DecodeRefBatch.
+func TestDictFuzzSeeds(t *testing.T) {
+	for _, sd := range dictFuzzSeeds() {
+		cd := NewConnDict()
+		_, err := cd.AddDefs(sd.defs)
+		if err == nil {
+			_, err = cd.DecodeRefBatch(sd.batch)
+		}
+		if (err == nil) != sd.decodes {
+			t.Errorf("%s: decodes = %v (%v), want %v", sd.name, err == nil, err, sd.decodes)
+		}
+	}
 }
 
 // FuzzDictDecode throws arbitrary (dictionary, ref batch) payload pairs at
-// the v2 decoder. Properties: neither AddDefs nor DecodeRefBatch ever
+// the dictionary decoder. Properties: neither AddDefs nor DecodeRefBatch ever
 // panics — undefined refs, duplicate defines, truncated dictionaries and
 // implausible counts must all surface as errors — and any batch that does
 // decode is inside the v1 encoder's domain (it re-encodes and re-decodes
 // cleanly).
 func FuzzDictDecode(f *testing.F) {
-	defs, batch, dupDefs, undefBatch := dictFuzzSeeds()
 	// Seeds mirror the committed corpus in testdata/fuzz/FuzzDictDecode.
-	f.Add(defs, batch)                                                               // valid define + ref batch
-	f.Add([]byte{}, undefBatch)                                                      // undefined ref
-	f.Add(dupDefs, batch)                                                            // duplicate define
-	f.Add(defs[:len(defs)/2], batch)                                                 // truncated dictionary
-	f.Add(defs, batch[:len(batch)/2])                                                // truncated ref batch
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, batch) // huge count varint
+	for _, sd := range dictFuzzSeeds() {
+		f.Add(sd.defs, sd.batch)
+	}
 
 	f.Fuzz(func(t *testing.T, defPayload, batchPayload []byte) {
 		cd := NewConnDict()

@@ -11,23 +11,15 @@ func TestGenCorpus(t *testing.T) {
 	if os.Getenv("GEN_CORPUS") == "" {
 		t.Skip("set GEN_CORPUS=1 to regenerate the fuzz seed corpus")
 	}
-	defs, batch, dupDefs, undefBatch := dictFuzzSeeds()
-	seeds := map[string][2][]byte{
-		"seed-valid-dict":       {defs, batch},
-		"seed-undefined-ref":    {{}, undefBatch},
-		"seed-duplicate-define": {dupDefs, batch},
-		"seed-truncated-dict":   {defs[:len(defs)/2], batch},
-		"seed-truncated-batch":  {defs, batch[:len(batch)/2]},
-	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzDictDecode")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for name, pair := range seeds {
+	for _, sd := range dictFuzzSeeds() {
 		body := "go test fuzz v1\n" +
-			"[]byte(" + strconv.QuoteToASCII(string(pair[0])) + ")\n" +
-			"[]byte(" + strconv.QuoteToASCII(string(pair[1])) + ")\n"
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			"[]byte(" + strconv.QuoteToASCII(string(sd.defs)) + ")\n" +
+			"[]byte(" + strconv.QuoteToASCII(string(sd.batch)) + ")\n"
+		if err := os.WriteFile(filepath.Join(dir, sd.name), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -76,11 +76,11 @@ func (s *Server) Errors() uint64 { return s.errors.Load() }
 // Pings returns the number of ping frames answered.
 func (s *Server) Pings() uint64 { return s.pings.Load() }
 
-// DictDefs returns how many v2 dictionary series definitions have been
+// DictDefs returns how many dictionary series definitions have been
 // received across all connections.
 func (s *Server) DictDefs() uint64 { return s.dictDefs.Load() }
 
-// RefBatches returns how many batches arrived as v2 ref batches (also
+// RefBatches returns how many batches arrived as ref batches (also
 // counted in Batches).
 func (s *Server) RefBatches() uint64 { return s.refBatches.Load() }
 
@@ -100,10 +100,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
 	r := bufio.NewReader(conn)
-	// The v2 series dictionary is per connection, allocated on first use so
-	// v1-only agents pay nothing. It dies with the connection: a redialing
-	// client starts a fresh dictionary and re-defines series as it goes.
-	var dict *ConnDict
+	// The series dictionary is per connection (empty costs nothing, so
+	// v1-only agents pay nothing) and dies with it: a redialing client starts
+	// a fresh dictionary and re-defines series as it goes.
+	var dict ConnDict
 	for {
 		ft, payload, err := ReadFrame(r)
 		if err == nil && ft == FramePing {
@@ -117,9 +117,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			continue
 		}
 		if err == nil && ft == FrameDict {
-			if dict == nil {
-				dict = NewConnDict()
-			}
 			var n int
 			if n, err = dict.AddDefs(payload); err == nil {
 				s.dictDefs.Add(uint64(n))
@@ -131,10 +128,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			switch ft {
 			case FrameBatch:
 				b, err = DecodeBatch(payload)
-			case FrameRefBatch:
-				if dict == nil {
-					err = fmt.Errorf("wire: ref batch before any dictionary frame")
-				} else if b, err = dict.DecodeRefBatch(payload); err == nil {
+			case FrameRefBatch: // before any dictionary frame, every ref is undefined
+				if b, err = dict.DecodeRefBatch(payload); err == nil {
 					s.refBatches.Add(1)
 				}
 			default:
@@ -182,9 +177,9 @@ type Client struct {
 	redials atomic.Uint64
 	pingSeq uint64 // nonce for Ping frames, guarded by mu
 
-	// useDict switches Sends to protocol v2; dict is the per-connection
-	// send-side dictionary, discarded on redial so the new connection
-	// renegotiates from scratch. Both guarded by mu.
+	// useDict switches Sends to the dictionary protocol; dict is the
+	// per-connection send-side dictionary, discarded on redial so the new
+	// connection renegotiates from scratch. Both guarded by mu.
 	useDict bool
 	dict    *clientDict
 
@@ -214,11 +209,11 @@ func DialWith(dial Dialer, addr string) (*Client, error) {
 // Redials returns how many reconnects Sends have performed.
 func (c *Client) Redials() uint64 { return c.redials.Load() }
 
-// EnableDict switches subsequent Sends to the v2 dictionary protocol:
-// each series is defined once per connection, then shipped as compact
-// ref+delta-t+value records. Redials renegotiate automatically (the fresh
+// EnableDict switches subsequent Sends to the v3 dictionary protocol:
+// each series is defined once per connection, then shipped as columnar ref
+// batches (dict.go). Redials renegotiate automatically (the fresh
 // connection starts with an empty dictionary on both ends). The far end
-// must understand v2 — all in-repo servers do; leave it off to talk to a
+// must understand v3 — all in-repo servers do; leave it off to talk to a
 // v1-only endpoint. Safe for concurrent use with Send.
 func (c *Client) EnableDict() {
 	c.mu.Lock()

@@ -15,10 +15,13 @@
 // length-prefixed with uvarints; integers use varints so the common case
 // (regular cadence, small deltas) stays compact on the wire.
 //
-// Protocol v2 adds a per-connection series dictionary (see dict.go): a
-// FrameDict defines each series once, and FrameRefBatch frames then ship
-// ref + delta-t + value records with no per-sample ID re-encoding. v1
-// frames still decode on a v2 server.
+// Protocol v3 is the per-connection series dictionary (see dict.go): a
+// FrameDict defines each series once, and FrameRefBatch frames then ship a
+// batch as columns — delta-coded refs, counts and timestamps only where they
+// say something, raw 8-byte values. Those two frame types travel as version
+// 3, every other type as version 1, and ReadFrame refuses any other pairing:
+// version 2 was a row-oriented ref batch that content cannot tell from the
+// columnar one, so an old peer fails at its first frame with ErrBadVersion.
 package wire
 
 import (
@@ -37,9 +40,10 @@ import (
 const (
 	Magic   uint16 = 0x0DA7
 	Version uint8  = 1
-	// Version2 marks frames that participate in the per-connection series
-	// dictionary (FrameDict / FrameRefBatch). Readers accept both versions.
-	Version2 uint8 = 2
+	// Version3 marks the frames of the per-connection series dictionary
+	// (FrameDict / FrameRefBatch). Version 2, their row-oriented
+	// predecessor, is refused.
+	Version3 uint8 = 3
 
 	// FrameBatch carries a telemetry Batch.
 	FrameBatch uint8 = 1
@@ -50,10 +54,10 @@ const (
 	FramePing uint8 = 2
 	// FramePong is the server's echo reply to a FramePing.
 	FramePong uint8 = 3
-	// FrameDict defines series in the connection's dictionary (v2).
+	// FrameDict defines series in the connection's dictionary (v3).
 	FrameDict uint8 = 4
 	// FrameRefBatch carries a batch whose records address series by
-	// dictionary ref (v2).
+	// dictionary ref (v3).
 	FrameRefBatch uint8 = 5
 
 	headerLen = 12
@@ -107,7 +111,7 @@ func AppendBatch(dst []byte, b *Batch) []byte {
 }
 
 // appendSeries serializes a record's identity: ID, kind byte, unit. A v1
-// record carries it inline; a v2 dictionary definition carries it once.
+// record carries it inline; a dictionary definition carries it once.
 func appendSeries(dst []byte, r *Record) []byte {
 	dst = binenc.AppendID(dst, r.ID)
 	dst = append(dst, byte(r.Kind))
@@ -118,9 +122,9 @@ func readSeries(p *binenc.Reader) Record {
 	return Record{ID: p.ID(), Kind: metric.Kind(p.Byte()), Unit: metric.Unit(p.Str())}
 }
 
-// appendSamples serializes a sample run, shared by v1 records and v2 ref
-// records: a count, then per sample a varint timestamp (the first absolute,
-// the rest deltas — a regular cadence costs one byte) and an 8-byte value.
+// appendSamples serializes a v1 record's sample run: a count, then per
+// sample a varint timestamp (the first absolute, the rest deltas — a regular
+// cadence costs one byte) and an 8-byte value.
 func appendSamples(dst []byte, samples []metric.Sample) []byte {
 	dst = binenc.AppendUvarint(dst, uint64(len(samples)))
 	var prevT int64
@@ -166,24 +170,24 @@ func DecodeBatch(payload []byte) (*Batch, error) {
 	return b, nil
 }
 
-// putFrameHeader fills hdr for a payload of the given version and type.
-// The caller has already checked the MaxPayload bound.
-func putFrameHeader(hdr *[headerLen]byte, version, frameType uint8, payload []byte) {
+// putFrameHeader fills hdr for a payload of the given type. The caller has
+// already checked the MaxPayload bound.
+func putFrameHeader(hdr *[headerLen]byte, frameType uint8, payload []byte) {
 	binary.BigEndian.PutUint16(hdr[0:2], Magic)
-	hdr[2] = version
+	hdr[2] = versionFor(frameType)
 	hdr[3] = frameType
 	binary.BigEndian.PutUint32(hdr[4:8], uint32(len(payload)))
 	binary.BigEndian.PutUint32(hdr[8:12], crc32.ChecksumIEEE(payload))
 }
 
 // WriteFrame writes a framed payload to w. Dictionary frame types are
-// stamped v2, everything else v1, so callers never pick a version by hand.
+// stamped v3, everything else v1, so callers never pick a version by hand.
 func WriteFrame(w io.Writer, frameType uint8, payload []byte) error {
 	if len(payload) > MaxPayload {
 		return ErrTooLarge
 	}
 	var hdr [headerLen]byte
-	putFrameHeader(&hdr, versionFor(frameType), frameType, payload)
+	putFrameHeader(&hdr, frameType, payload)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -198,10 +202,10 @@ func WriteFrame(w io.Writer, frameType uint8, payload []byte) error {
 	return err
 }
 
-// versionFor maps a frame type to the protocol version it was introduced in.
+// versionFor maps a frame type to the one protocol version it travels under.
 func versionFor(frameType uint8) uint8 {
 	if frameType == FrameDict || frameType == FrameRefBatch {
-		return Version2
+		return Version3
 	}
 	return Version
 }
@@ -216,10 +220,10 @@ func ReadFrame(r io.Reader) (frameType uint8, payload []byte, err error) {
 	if binary.BigEndian.Uint16(hdr[0:2]) != Magic {
 		return 0, nil, ErrBadMagic
 	}
-	if hdr[2] != Version && hdr[2] != Version2 {
+	frameType = hdr[3]
+	if hdr[2] != versionFor(frameType) {
 		return 0, nil, ErrBadVersion
 	}
-	frameType = hdr[3]
 	length := binary.BigEndian.Uint32(hdr[4:8])
 	if length > MaxPayload {
 		return 0, nil, ErrTooLarge
@@ -270,7 +274,7 @@ func NewBatchWriter(w io.Writer) *BatchWriter {
 // Send frames, writes and flushes one batch.
 func (bw *BatchWriter) Send(b *Batch) error {
 	bw.buf = AppendBatch(bw.buf[:0], b)
-	if err := bw.writeFrame(Version, FrameBatch, bw.buf); err != nil {
+	if err := bw.writeFrame(FrameBatch, bw.buf); err != nil {
 		return err
 	}
 	return bw.w.Flush()
@@ -278,11 +282,11 @@ func (bw *BatchWriter) Send(b *Batch) error {
 
 // writeFrame buffers one framed payload without flushing, so a dictionary
 // frame and its ref batch coalesce into a single flush (dict.go).
-func (bw *BatchWriter) writeFrame(version, frameType uint8, payload []byte) error {
+func (bw *BatchWriter) writeFrame(frameType uint8, payload []byte) error {
 	if len(payload) > MaxPayload {
 		return ErrTooLarge
 	}
-	putFrameHeader(&bw.hdr, version, frameType, payload)
+	putFrameHeader(&bw.hdr, frameType, payload)
 	if _, err := bw.w.Write(bw.hdr[:]); err != nil {
 		return err
 	}

@@ -108,6 +108,28 @@ func TestFrameValidation(t *testing.T) {
 		t.Fatalf("version: %v", err)
 	}
 
+	// Version 2 was the row-oriented dictionary protocol: refused on both of
+	// its frame types, as is any version/type pairing WriteFrame never stamps.
+	for _, ft := range []uint8{FrameDict, FrameRefBatch} {
+		var v bytes.Buffer
+		_ = WriteFrame(&v, ft, []byte("payload"))
+		if v.Bytes()[2] != Version3 {
+			t.Fatalf("frame type %d stamped version %d, want %d", ft, v.Bytes()[2], Version3)
+		}
+		for _, version := range []uint8{2, Version} {
+			bad = append([]byte(nil), v.Bytes()...)
+			bad[2] = version
+			if _, _, err := ReadFrame(bytes.NewReader(bad)); err != ErrBadVersion {
+				t.Fatalf("frame type %d at version %d: %v", ft, version, err)
+			}
+		}
+	}
+	bad = append([]byte(nil), raw...)
+	bad[2] = Version3 // a v1 frame type under the dictionary's version
+	if _, _, err := ReadFrame(bytes.NewReader(bad)); err != ErrBadVersion {
+		t.Fatalf("batch frame at version 3: %v", err)
+	}
+
 	bad = append([]byte(nil), raw...)
 	bad[len(bad)-1] ^= 0x01 // corrupt payload
 	if _, _, err := ReadFrame(bytes.NewReader(bad)); err != ErrBadChecksum {
