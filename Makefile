@@ -35,15 +35,15 @@ lint-footprints:
 	$(GO) test -run 'TestFootprintLint|TestFullGridDeclaresFootprints' .
 
 # Race-detector pass over every package with shared-state concurrency:
-# the striped TSDB (cursor pool + decoded-chunk cache), the grid's explicit
-# worker pool, the pub/sub bus, the simulation (its agent scrapes sources
-# concurrently), the async collection pipeline (slow-sink / backpressure
-# stress lives in collector's pipeline tests) and the scrape fan-out, the
+# the striped TSDB (and its cursor pool), the grid's explicit worker pool,
+# the simulation (its agent scrapes sources concurrently), the async
+# collection pipeline (slow-sink / backpressure stress lives in collector's
+# pipeline tests) and the scrape fan-out, the
 # wire server/client, the query front door and the cluster router (scatter
 # goroutines, hint queues, replication pump). go vet runs first as a cheap
 # gate; the chaos package's race pass lives in chaos-short.
 race: vet lint-footprints chaos-short
-	$(GO) test -race ./internal/timeseries ./internal/oda ./internal/bus ./internal/simulation ./internal/collector ./internal/persist ./internal/wire ./internal/resultcache ./internal/quota ./internal/queryfront ./internal/cluster ./cmd/odad
+	$(GO) test -race ./internal/timeseries ./internal/oda ./internal/simulation ./internal/collector ./internal/persist ./internal/wire ./internal/resultcache ./internal/quota ./internal/queryfront ./internal/cluster ./cmd/odad
 
 # Seeded short chaos campaigns under the race detector: the deterministic
 # fault-injection harness (internal/chaos) runs 30s-virtual-time campaigns
@@ -111,22 +111,25 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
-# Allocation budget gate for the PR 4 streaming query engine: the cursor
-# sweeps and the pooled wire encode paths (v1 and ref frames) must stay at
-# exactly 0 allocs/op (see BENCH_PR4.json for recorded before/after
-# numbers). Any regression — a scratch buffer that stops being reused, a
-# closure that starts escaping — fails the build here rather than showing
-# up as GC pressure in production sweeps. The ref-frame decoder allocates
-# per frame, never per record or per sample: its allocs/op must be one
-# constant (<= 4) at 32 and at 925 records a frame.
+# Allocation budget gate: the cursor sweep and the pooled wire encode paths
+# must stay at exactly 0 allocs/op. Any regression — a scratch buffer that
+# stops being reused, a closure that starts escaping — fails the build here
+# rather than showing up as GC pressure in production sweeps. The ref-frame
+# decoder allocates per frame, never per record or per sample: its allocs/op
+# must be one constant (<= 4) at 32 and at 925 records a frame. Every gated
+# benchmark must appear in the output: a renamed or deleted one fails the
+# gate instead of passing it vacuously.
 bench-allocs:
-	@out=$$($(GO) test -run xxx -bench 'BenchmarkStoreCursorSweep' -benchmem -benchtime 50x ./internal/timeseries; \
+	@out=$$($(GO) test -run xxx -bench 'BenchmarkStoreCursorSweep$$' -benchmem -benchtime 50x ./internal/timeseries; \
 	        $(GO) test -run xxx -bench 'BenchmarkAppendBatchReuse|BenchmarkBatchWriterSend|BenchmarkEncodeRefBatch|BenchmarkDecodeRefBatch' -benchmem -benchtime 1000x ./internal/wire); \
 	echo "$$out"; \
-	echo "$$out" | awk '/^BenchmarkDecodeRefBatch/ { n++; if (n == 1) per_frame = $$(NF-1); \
+	echo "$$out" | awk '/^Benchmark/ { name = $$1; sub(/[\/-].*/, "", name); seen[name]++ } \
+		/^BenchmarkDecodeRefBatch/ { if (seen[name] == 1) per_frame = $$(NF-1); \
 			if ($$(NF-1) != per_frame || per_frame+0 > 4) { printf "FAIL: %s allocates %s allocs/op (budget: one constant <= 4 per frame)\n", $$1, $$(NF-1); bad=1 }; next } \
 		/^Benchmark/ { if ($$(NF-1)+0 > 0) { printf "FAIL: %s allocates %s allocs/op (budget 0)\n", $$1, $$(NF-1); bad=1 } } \
-		END { if (n != 2) { print "FAIL: BenchmarkDecodeRefBatch missing from output"; bad=1 } \
+		END { n = split("BenchmarkStoreCursorSweep BenchmarkAppendBatchReuse BenchmarkBatchWriterSend BenchmarkEncodeRefBatch", gated, " "); \
+			for (i = 1; i <= n; i++) if (!seen[gated[i]]) { printf "FAIL: %s missing from output\n", gated[i]; bad=1 } \
+			if (seen["BenchmarkDecodeRefBatch"] != 2) { print "FAIL: BenchmarkDecodeRefBatch missing from output"; bad=1 } \
 			if (bad) exit 1; print "OK: streaming paths within 0 allocs/op budget, ref decode " per_frame " allocs/frame" }'
 
 # Rollup-tier planner gate for the PR 6 long-window workload: the planned

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bus"
 	"repro/internal/collector"
 	"repro/internal/descriptive"
 	"repro/internal/diagnostic"
@@ -277,21 +276,6 @@ func BenchmarkCollector_LocalTick(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		agent.Tick(int64(i) * 1000)
-	}
-}
-
-func BenchmarkCollector_BusPublish(b *testing.B) {
-	bs := bus.New()
-	defer bs.Close()
-	sub := bs.Subscribe("hw.*", 1<<16)
-	go func() {
-		for range sub.C() {
-		}
-	}()
-	msg := bus.Message{Topic: "hw.n0.power", Sample: metric.Sample{T: 1, V: 2}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bs.Publish(msg)
 	}
 }
 

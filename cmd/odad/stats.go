@@ -14,16 +14,15 @@ import (
 )
 
 // statsPayload assembles the /stats document: store shape, ingest counters,
-// the query-side pool/cache effectiveness counters the streaming engine
-// exposes, (when durable) persistence statistics, (when an analysis grid is
-// mounted) the wave scheduler's cumulative counters, and (when the query
-// front door is mounted or rollups configured) the rollup tier, planner,
-// result-cache and quota counters.
+// the cursor pool's reuse counters, (when durable) persistence statistics,
+// (when an analysis grid is mounted) the wave scheduler's cumulative
+// counters, and (when the query front door is mounted or rollups configured)
+// the rollup tier, planner, result-cache and quota counters.
 func statsPayload(store *timeseries.Store, srv *wire.Server, durable *persist.DurableStore, grid *oda.Grid, qf *queryfront.Front, router *cluster.Router) map[string]any {
-	hits, misses := store.QueryCacheStats()
 	gets, news := store.CursorPoolStats()
 	// compressed_bytes and compression_ratio (16 B per sample over it) are the
-	// raw chunks alone; resident_chunk_bytes adds what the rollup tiers hold.
+	// raw chunks alone; resident_chunk_bytes adds what the rollup tiers hold,
+	// and a read keeps nothing else, so it is all the sample data in memory.
 	// Each figure is one walk over the series, and clients poll /stats.
 	rs := store.RollupStats()
 	samples, raw := store.NumSamples(), store.CompressedBytes()
@@ -40,8 +39,6 @@ func statsPayload(store *timeseries.Store, srv *wire.Server, durable *persist.Du
 		"compressed_bytes":     raw,
 		"compression_ratio":    ratio,
 		"resident_chunk_bytes": resident,
-		"query_cache_hits":     hits,
-		"query_cache_misses":   misses,
 		"cursor_pool_gets":     gets,
 		"cursor_pool_news":     news,
 		"cursor_pool_reuse":    gets - news,

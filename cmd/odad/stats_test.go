@@ -13,18 +13,18 @@ import (
 )
 
 // TestStatsHandlerSmoke exercises the /stats endpoint against a live store:
-// after a few queries the payload must report the series/sample shape and
-// show the cursor pool recycling allocations.
+// after a few queries the payload must report the series/sample shape, the
+// resident bytes as raw plus tier chunks, and the cursor pool recycling
+// allocations.
 func TestStatsHandlerSmoke(t *testing.T) {
-	store := timeseries.NewStore(8)
+	store := timeseries.NewStore(8, timeseries.WithRollups(timeseries.TierStep1m))
 	id := metric.ID{Name: "node_power_watts", Labels: metric.NewLabels("node", "n0")}
 	for i := int64(0); i < 100; i++ {
 		if err := store.Append(id, metric.Gauge, metric.UnitWatt, i*1000, float64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Repeated queries cycle cursors through the pool and warm the
-	// decoded-chunk cache.
+	// Repeated queries cycle cursors through the pool.
 	for i := 0; i < 16; i++ {
 		if _, err := store.Query(id, 0, 100_000); err != nil {
 			t.Fatal(err)
@@ -47,13 +47,21 @@ func TestStatsHandlerSmoke(t *testing.T) {
 		t.Fatalf("shape: series=%v samples=%v", got["series"], got["samples"])
 	}
 	for _, key := range []string{
-		"compressed_bytes", "compression_ratio",
-		"query_cache_hits", "query_cache_misses",
+		"compressed_bytes", "compression_ratio", "resident_chunk_bytes",
 		"cursor_pool_gets", "cursor_pool_news", "cursor_pool_reuse",
 	} {
 		if _, ok := got[key]; !ok {
 			t.Fatalf("missing %q in payload %v", key, got)
 		}
+	}
+	for _, key := range []string{"query_cache_hits", "query_cache_misses"} {
+		if _, ok := got[key]; ok {
+			t.Fatalf("%q reported: the store keeps no decoded chunks to count", key)
+		}
+	}
+	tier := got["rollup"].(map[string]any)["tier_60000ms_bytes"].(float64)
+	if raw := got["compressed_bytes"].(float64); tier <= 0 || got["resident_chunk_bytes"].(float64) != raw+tier {
+		t.Fatalf("resident_chunk_bytes = %v, want raw %v + tier %v", got["resident_chunk_bytes"], raw, tier)
 	}
 	gets := got["cursor_pool_gets"].(float64)
 	news := got["cursor_pool_news"].(float64)

@@ -42,7 +42,7 @@ var errTopologyChanged = errors.New("cluster: topology changed; retry against ne
 func (r *Router) resolveEpochMismatch(p *peer, peerEpoch uint64) error {
 	mine := r.topo.Load()
 	if peerEpoch > mine.Epoch {
-		t, err := p.rc.topo(r.cfg.rpcTimeout())
+		t, err := p.rc.topo(rpcTimeout)
 		if err != nil {
 			return err
 		}
@@ -51,7 +51,7 @@ func (r *Router) resolveEpochMismatch(p *peer, peerEpoch uint64) error {
 		}
 		return nil
 	}
-	_, err := p.rc.topoPush(mine, r.cfg.rpcTimeout())
+	_, err := p.rc.topoPush(mine, rpcTimeout)
 	return err
 }
 
@@ -99,10 +99,9 @@ func (r *Router) JoinCluster(seedAddr string) error {
 	if !ok {
 		return fmt.Errorf("cluster: node %s has no advertised address", r.self)
 	}
-	timeout := r.cfg.rpcTimeout()
 	seed := newRPCClient(seedAddr, r.cfg.Dial)
 	defer seed.Close()
-	t, err := seed.topo(timeout)
+	t, err := seed.topo(rpcTimeout)
 	if err != nil {
 		return fmt.Errorf("cluster: fetch topology from seed %s: %w", seedAddr, err)
 	}
@@ -140,7 +139,7 @@ func (r *Router) JoinCluster(seedAddr string) error {
 	for _, m := range t.Members {
 		d := &donorState{id: m.ID, rc: newRPCClient(m.Addr, r.cfg.Dial), rt: persist.NewRefTable()}
 		donors = append(donors, d)
-		resp, err := d.rc.replPull(&replPullRequest{WantSnapshot: true}, timeout)
+		resp, err := d.rc.replPull(&replPullRequest{WantSnapshot: true}, rpcTimeout)
 		if err != nil {
 			return fmt.Errorf("cluster: snapshot from %s: %w", m.ID, err)
 		}
@@ -157,7 +156,7 @@ func (r *Router) JoinCluster(seedAddr string) error {
 
 	r.applyTopology(next)
 	for i, m := range t.Members {
-		if _, err := donors[i].rc.topoPush(next, timeout); err != nil {
+		if _, err := donors[i].rc.topoPush(next, rpcTimeout); err != nil {
 			return fmt.Errorf("cluster: push epoch %d to %s: %w", next.Epoch, m.ID, err)
 		}
 	}
@@ -210,13 +209,12 @@ func (r *Router) importOwed(ring *Ring, snapshot []byte) error {
 // tailOwed pulls a donor's WAL from its cursor to the writing edge,
 // importing the entries this node owns under ring and advancing the cursor.
 func (r *Router) tailOwed(ring *Ring, d *donorState) error {
-	timeout := r.cfg.rpcTimeout()
 	for {
 		resp, err := d.rc.replPull(&replPullRequest{
 			FromSeq:  d.seq,
 			FromOff:  d.off,
-			MaxBytes: r.cfg.replPullBytes(),
-		}, timeout)
+			MaxBytes: replPullBytes,
+		}, rpcTimeout)
 		if err != nil {
 			return err
 		}
@@ -277,7 +275,7 @@ func (r *Router) LeaveCluster() error {
 		if p == nil {
 			continue
 		}
-		if _, err := p.rc.topoPush(next, r.cfg.rpcTimeout()); err != nil {
+		if _, err := p.rc.topoPush(next, rpcTimeout); err != nil {
 			return fmt.Errorf("cluster: push epoch %d to %s: %w", next.Epoch, m.ID, err)
 		}
 	}

@@ -118,7 +118,7 @@ func (r *Router) queryOwner(owner string, q *queryRequest) (results []keyResult,
 			// The topology moved under us between placement and dispatch.
 			return nil, false, errTopologyChanged
 		}
-		resp, qerr := p.rc.query(q, r.cfg.rpcTimeout())
+		resp, qerr := p.rc.query(q, rpcTimeout)
 		var em *epochMismatchError
 		if errors.As(qerr, &em) {
 			if rerr := r.resolveEpochMismatch(p, em.peerEpoch); rerr != nil {
@@ -129,7 +129,7 @@ func (r *Router) queryOwner(owner string, q *queryRequest) (results []keyResult,
 				// through to the replica fallback below.
 			} else {
 				q.Epoch = r.Epoch()
-				resp, qerr = p.rc.query(q, r.cfg.rpcTimeout())
+				resp, qerr = p.rc.query(q, rpcTimeout)
 			}
 		}
 		if qerr == nil {
@@ -159,7 +159,7 @@ func (r *Router) queryOwner(owner string, q *queryRequest) (results []keyResult,
 		if p == nil {
 			continue
 		}
-		resp, qerr := p.rc.query(&fq, r.cfg.rpcTimeout())
+		resp, qerr := p.rc.query(&fq, rpcTimeout)
 		if qerr == nil {
 			outs = append(outs, followerResult{id: f, resp: resp})
 		}

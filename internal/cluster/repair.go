@@ -28,14 +28,13 @@ func cursorBehind(aSeq uint64, aOff int64, bSeq uint64, bOff int64) bool {
 // the stale node is this one, it pulls the snapshot itself; otherwise it
 // asks the stale peer to pull from the fresh peer.
 func (r *Router) repairReplica(leader, staleID, freshID string) {
-	timeout := r.cfg.rpcTimeout()
 	epoch := r.Epoch()
 	if staleID == r.self {
 		fp := r.peer(freshID)
 		if fp == nil {
 			return
 		}
-		snap, err := fp.rc.repSnap(&repSnapRequest{Epoch: epoch, Leader: leader}, timeout)
+		snap, err := fp.rc.repSnap(&repSnapRequest{Epoch: epoch, Leader: leader}, rpcTimeout)
 		if err != nil {
 			return
 		}
@@ -48,7 +47,7 @@ func (r *Router) repairReplica(leader, staleID, freshID string) {
 	if sp == nil {
 		return
 	}
-	resp, err := sp.rc.repair(&repairRequest{Epoch: epoch, Leader: leader, From: freshID}, timeout)
+	resp, err := sp.rc.repair(&repairRequest{Epoch: epoch, Leader: leader, From: freshID}, rpcTimeout)
 	if err == nil && resp.Repaired {
 		r.readRepairs.Add(1)
 	}
@@ -66,7 +65,7 @@ func (r *Router) serveRepair(q *repairRequest) *repairResponse {
 	if fp == nil {
 		return &repairResponse{Err: fmt.Sprintf("node %s has no peer %s to repair from", r.self, q.From)}
 	}
-	snap, err := fp.rc.repSnap(&repSnapRequest{Epoch: q.Epoch, Leader: q.Leader}, r.cfg.rpcTimeout())
+	snap, err := fp.rc.repSnap(&repSnapRequest{Epoch: q.Epoch, Leader: q.Leader}, rpcTimeout)
 	if err != nil {
 		return &repairResponse{Err: err.Error()}
 	}

@@ -106,7 +106,6 @@ func (r *Router) pumpReplica(rep *replica) error {
 	if p == nil {
 		return fmt.Errorf("cluster: no peer for leader %s", rep.leader)
 	}
-	timeout := r.cfg.rpcTimeout()
 	epoch := r.Epoch()
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
@@ -115,7 +114,7 @@ func (r *Router) pumpReplica(rep *replica) error {
 	// not, so the first pump after the leader heals restarts from a fresh
 	// leader snapshot.
 	if !rep.bootstrapped || rep.repaired {
-		resp, err := p.rc.replPull(&replPullRequest{Epoch: epoch, WantSnapshot: true}, timeout)
+		resp, err := p.rc.replPull(&replPullRequest{Epoch: epoch, WantSnapshot: true}, rpcTimeout)
 		if err != nil {
 			var em *epochMismatchError
 			if errors.As(err, &em) {
@@ -151,8 +150,8 @@ func (r *Router) pumpReplica(rep *replica) error {
 			Epoch:    epoch,
 			FromSeq:  rep.seq,
 			FromOff:  rep.off,
-			MaxBytes: r.cfg.replPullBytes(),
-		}, timeout)
+			MaxBytes: replPullBytes,
+		}, rpcTimeout)
 		if err != nil {
 			var em *epochMismatchError
 			if errors.As(err, &em) {

@@ -47,20 +47,9 @@ type Config struct {
 	// against a replica behave like the leader's).
 	ReplicaOptions []timeseries.Option
 
-	// FlushEntries is the per-peer forward buffer size that triggers an
-	// automatic flush (0 = 256).
-	FlushEntries int
 	// MaxHintBatches bounds the per-peer hinted-handoff queue (0 = 4096);
 	// overflow drops the newest data and counts it.
 	MaxHintBatches int
-	// PingTimeout bounds failure-detector probes (0 = 2s).
-	PingTimeout time.Duration
-	// SendTimeout bounds batch forwards (0 = 5s).
-	SendTimeout time.Duration
-	// RPCTimeout bounds query/replication round trips (0 = 5s).
-	RPCTimeout time.Duration
-	// ReplPullBytes is the per-pull WAL byte budget (0 = 1MiB).
-	ReplPullBytes int64
 
 	// SuspectAfter is how many consecutive missed probes turn a peer from
 	// "down" into "suspect" in the failure detector's hysteresis (0 = 2).
@@ -71,46 +60,22 @@ type Config struct {
 	PromoteAfter int
 }
 
-func (c *Config) flushEntries() int {
-	if c.FlushEntries <= 0 {
-		return 256
-	}
-	return c.FlushEntries
-}
+const (
+	// flushEntries is the per-peer forward buffer size that triggers an
+	// automatic flush.
+	flushEntries = 256
+	pingTimeout  = 2 * time.Second // bounds failure-detector probes
+	sendTimeout  = 5 * time.Second // bounds batch forwards
+	rpcTimeout   = 5 * time.Second // bounds query/replication round trips
+	// replPullBytes is the per-pull WAL byte budget.
+	replPullBytes = 1 << 20
+)
 
 func (c *Config) maxHintBatches() int {
 	if c.MaxHintBatches <= 0 {
 		return 4096
 	}
 	return c.MaxHintBatches
-}
-
-func (c *Config) pingTimeout() time.Duration {
-	if c.PingTimeout <= 0 {
-		return 2 * time.Second
-	}
-	return c.PingTimeout
-}
-
-func (c *Config) sendTimeout() time.Duration {
-	if c.SendTimeout <= 0 {
-		return 5 * time.Second
-	}
-	return c.SendTimeout
-}
-
-func (c *Config) rpcTimeout() time.Duration {
-	if c.RPCTimeout <= 0 {
-		return 5 * time.Second
-	}
-	return c.RPCTimeout
-}
-
-func (c *Config) replPullBytes() int64 {
-	if c.ReplPullBytes <= 0 {
-		return 1 << 20
-	}
-	return c.ReplPullBytes
 }
 
 func (c *Config) suspectAfter() int {
@@ -204,8 +169,6 @@ type peer struct {
 	addr string
 	self string // this node's ID, stamped as wire agent on forwards
 	dial wire.Dialer
-
-	sendTimeout time.Duration
 
 	mu    sync.Mutex
 	wc    *wire.Client // lazy: the peer may be down at startup
@@ -301,12 +264,11 @@ func New(cfg Config) (*Router, error) {
 // newPeer builds the router's handle for one remote member.
 func (r *Router) newPeer(id, addr string) *peer {
 	p := &peer{
-		id:          id,
-		addr:        addr,
-		self:        r.self,
-		dial:        r.cfg.Dial,
-		sendTimeout: r.cfg.sendTimeout(),
-		rc:          newRPCClient(addr, r.cfg.Dial),
+		id:   id,
+		addr: addr,
+		self: r.self,
+		dial: r.cfg.Dial,
+		rc:   newRPCClient(addr, r.cfg.Dial),
 	}
 	p.up.Store(true) // optimistic until a send or ping says otherwise
 	return p
@@ -509,11 +471,10 @@ func (r *Router) route(entries []timeseries.BatchEntry, count bool) (int, error)
 		accepted += n
 		firstErr = err
 	}
-	threshold := r.cfg.flushEntries()
 	for p, g := range groups {
 		p.mu.Lock()
 		p.buf = append(p.buf, g...)
-		if len(p.buf) >= threshold {
+		if len(p.buf) >= flushEntries {
 			p.flushLocked(r.cfg.maxHintBatches())
 		}
 		p.mu.Unlock()
@@ -551,7 +512,7 @@ func (p *peer) wireClientLocked() (*wire.Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	wc.SetTimeout(p.sendTimeout)
+	wc.SetTimeout(sendTimeout)
 	wc.EnableDict()
 	p.wc = wc
 	return wc, nil
@@ -783,7 +744,7 @@ func (r *Router) checkPeer(p *peer) {
 		p.mu.Unlock()
 		return
 	}
-	rtt, err := wc.Ping(r.cfg.pingTimeout())
+	rtt, err := wc.Ping(pingTimeout)
 	if err != nil {
 		p.misses++
 		p.up.Store(false)
@@ -839,7 +800,7 @@ func (r *Router) updateLeases() {
 // syncTopology exchanges topologies with a peer: adopt theirs if newer,
 // push ours if theirs is older.
 func (r *Router) syncTopology(p *peer) {
-	t, err := p.rc.topo(r.cfg.rpcTimeout())
+	t, err := p.rc.topo(rpcTimeout)
 	if err != nil {
 		return
 	}
@@ -848,7 +809,7 @@ func (r *Router) syncTopology(p *peer) {
 	case t.Epoch > mine.Epoch:
 		r.applyTopology(t)
 	case t.Epoch < mine.Epoch:
-		_, _ = p.rc.topoPush(mine, r.cfg.rpcTimeout())
+		_, _ = p.rc.topoPush(mine, rpcTimeout)
 	}
 }
 

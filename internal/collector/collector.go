@@ -1,6 +1,6 @@
 // Package collector implements the data-acquisition layer of the ODA stack:
 // sources expose instantaneous readings, agents sample them on a cadence and
-// dispatch the batches to sinks (the TSDB, the pub/sub bus, a wire client).
+// dispatch the batches to sinks (the TSDB, a wire client).
 //
 // Agents support two drive modes. Tick(now) lets the discrete-event
 // simulator advance collection on virtual time; Run(ctx) samples on wall
@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bus"
 	"repro/internal/metric"
 	"repro/internal/timeseries"
 	"repro/internal/wire"
@@ -165,26 +164,6 @@ func (s *StoreSink) Consume(_ string, now int64, readings []Reading) error {
 // Errors returns the number of rejected samples.
 func (s *StoreSink) Errors() uint64 { return s.errs.Load() }
 
-// BusSink publishes readings on a message bus under the given topic prefix.
-type BusSink struct {
-	Bus    *bus.Bus
-	Prefix string
-}
-
-// Consume implements Sink.
-func (s *BusSink) Consume(_ string, now int64, readings []Reading) error {
-	for _, r := range readings {
-		s.Bus.Publish(bus.Message{
-			Topic:  bus.TopicFor(s.Prefix, r.ID),
-			ID:     r.ID,
-			Kind:   r.Kind,
-			Unit:   r.Unit,
-			Sample: metric.Sample{T: now, V: r.Value},
-		})
-	}
-	return nil
-}
-
 // WireSink pushes readings to a remote telemetry server over the wire
 // protocol, one batch per collection round. Sends can be bounded by a
 // deadline and retried with jittered exponential backoff, so a flaky
@@ -270,7 +249,7 @@ func (s *WireSink) Consume(agent string, now int64, readings []Reading) error {
 // batch every sink sees is byte-identical to a fully serial scrape.
 //
 // Sinks come in two flavours. AddSink registers a synchronous sink: Tick
-// calls Consume inline, and store content / bus message order match the
+// calls Consume inline, and store content and delivery order match the
 // pre-pipeline agent exactly. AddSinkQueued registers a sink behind a
 // bounded queue with its own pump goroutine (see pipeline.go): Tick
 // enqueues the batch and returns without waiting on sink latency, so one

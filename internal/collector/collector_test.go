@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bus"
 	"repro/internal/metric"
 	"repro/internal/persist"
 	"repro/internal/timeseries"
@@ -70,21 +69,16 @@ func TestStoreSinkCountsIngestErrors(t *testing.T) {
 	}
 }
 
-func TestAgentToBus(t *testing.T) {
-	b := bus.New()
-	defer b.Close()
-	sub := b.Subscribe("hw.*", 100)
+func TestAgentToRecordingSink(t *testing.T) {
+	rec := &recordSink{}
 	agent := NewAgent("a0", time.Second)
 	agent.AddSource(constSource("power", 250))
-	agent.AddSink(&BusSink{Bus: b, Prefix: "hw"})
+	agent.AddSink(rec)
 	agent.Tick(5000)
-	select {
-	case m := <-sub.C():
-		if m.Topic != "hw.n0.power" || m.Sample.V != 250 || m.Sample.T != 5000 {
-			t.Fatalf("message = %+v", m)
-		}
-	default:
-		t.Fatal("no bus message")
+	got := rec.readings()
+	want := recorded{"power{node=n0}", metric.Sample{T: 5000, V: 250}}
+	if len(got) != 1 || got[0] != want {
+		t.Fatalf("sink saw %+v, want one reading %+v", got, want)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bus"
 	"repro/internal/metric"
 	"repro/internal/timeseries"
 	"repro/internal/wire"
@@ -55,6 +54,33 @@ func (g *gatedSink) waitStarted(t *testing.T) {
 
 // releaseAll lets every pending and future Consume finish immediately.
 func (g *gatedSink) releaseAll() { close(g.release) }
+
+// recordSink keeps every reading it is handed, in delivery order: the
+// "second sink" the ordering tests compare against the store.
+type recordSink struct {
+	mu  sync.Mutex
+	got []recorded
+}
+
+type recorded struct {
+	key    string
+	sample metric.Sample
+}
+
+func (s *recordSink) Consume(_ string, now int64, readings []Reading) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, r := range readings {
+		s.got = append(s.got, recorded{r.ID.Key(), metric.Sample{T: now, V: r.Value}})
+	}
+	return nil
+}
+
+func (s *recordSink) readings() []recorded {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]recorded(nil), s.got...)
+}
 
 // sleepSink simulates a slow consumer: every batch costs `delay`.
 type sleepSink struct {
@@ -274,17 +300,15 @@ func TestQueuedMatchesSynchronous(t *testing.T) {
 	}
 	type fixture struct {
 		store *timeseries.Store
-		bus   *bus.Bus
-		sub   *bus.Subscription
+		rec   *recordSink
 		agent *Agent
 	}
 	mk := func(cfg QueueConfig) *fixture {
-		f := &fixture{store: timeseries.NewStore(0), bus: bus.New()}
-		f.sub = f.bus.Subscribe("vdc.*", 4096)
+		f := &fixture{store: timeseries.NewStore(0), rec: &recordSink{}}
 		f.agent = NewAgent("a0", time.Second)
 		mkSources(f.agent)
 		f.agent.AddSinkQueued(&StoreSink{Store: f.store}, cfg)
-		f.agent.AddSinkQueued(&BusSink{Bus: f.bus, Prefix: "vdc"}, cfg)
+		f.agent.AddSinkQueued(f.rec, cfg)
 		return f
 	}
 
@@ -306,20 +330,9 @@ func TestQueuedMatchesSynchronous(t *testing.T) {
 		}
 	}
 
-	drain := func(sub *bus.Subscription) []bus.Message {
-		var out []bus.Message
-		for {
-			select {
-			case m := <-sub.C():
-				out = append(out, m)
-			default:
-				return out
-			}
-		}
-	}
-	wantMsgs := drain(sync0.sub)
+	wantMsgs := sync0.rec.readings()
 	if len(wantMsgs) != 600 { // 100 rounds x 6 readings
-		t.Fatalf("sync bus stream = %d messages, want 600", len(wantMsgs))
+		t.Fatalf("sync second-sink stream = %d readings, want 600", len(wantMsgs))
 	}
 
 	ids := sync0.store.IDs()
@@ -352,14 +365,14 @@ func TestQueuedMatchesSynchronous(t *testing.T) {
 				}
 			}
 		}
-		// Bus message order is preserved per sink.
-		gotMsgs := drain(other.sub)
+		// Delivery order is preserved per sink.
+		gotMsgs := other.rec.readings()
 		if len(gotMsgs) != len(wantMsgs) {
-			t.Fatalf("bus stream: %d vs %d messages", len(gotMsgs), len(wantMsgs))
+			t.Fatalf("second-sink stream: %d vs %d readings", len(gotMsgs), len(wantMsgs))
 		}
 		for i := range wantMsgs {
-			if gotMsgs[i].Topic != wantMsgs[i].Topic || gotMsgs[i].Sample != wantMsgs[i].Sample {
-				t.Fatalf("bus message %d differs: %+v vs %+v", i, gotMsgs[i], wantMsgs[i])
+			if gotMsgs[i] != wantMsgs[i] {
+				t.Fatalf("second-sink reading %d differs: %+v vs %+v", i, gotMsgs[i], wantMsgs[i])
 			}
 		}
 	}

@@ -19,7 +19,7 @@ type Options struct {
 	// timeseries default). When a snapshot exists its recorded chunk size
 	// wins, because replay must rebuild identical chunk boundaries.
 	ChunkSize int
-	// StoreOptions tune the underlying store (shard count, query cache).
+	// StoreOptions tune the underlying store (the rollup tiers).
 	StoreOptions []timeseries.Option
 	// SegmentSize rotates WAL segments at this byte size (0 = 8 MiB).
 	SegmentSize int64

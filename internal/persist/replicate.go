@@ -165,15 +165,6 @@ func (r *SegmentReader) TailBytes(seq uint64, off int64) (int64, error) {
 // can stream its WAL from.
 func (d *DurableStore) Dir() string { return d.dir }
 
-// WALPosition returns the live WAL write position: the current segment
-// sequence and the byte offset one past the last complete record. A
-// follower whose cursor equals this position has applied everything.
-func (d *DurableStore) WALPosition() (seq uint64, off int64) {
-	d.wal.mu.Lock()
-	defer d.wal.mu.Unlock()
-	return d.wal.seq, d.wal.size
-}
-
 // ReplicationSnapshot captures a point-in-time dump of the store together
 // with the WAL position the dump corresponds to: replaying the records at
 // or after (seq, off) on top of the dump reproduces the leader exactly.

@@ -4,7 +4,7 @@
 // the paper's ODA use cases consume.
 //
 // The engine advances physics on a fixed step, runs collection agents on
-// their own cadence into a TSDB and a message bus, and invokes registered
+// their own cadence into a TSDB, and invokes registered
 // controllers (the prescriptive ODA hook) on a control cadence. Everything
 // is deterministic under a seed.
 package simulation
@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/bus"
 	"repro/internal/collector"
 	"repro/internal/events"
 	"repro/internal/facility"
@@ -101,7 +100,6 @@ type DataCenter struct {
 	Gen      *workload.Generator
 
 	Store  *timeseries.Store
-	Bus    *bus.Bus
 	Agent  *collector.Agent
 	Events *events.Log
 
@@ -169,7 +167,6 @@ func New(cfg Config) *DataCenter {
 		Cluster:    scheduler.NewCluster(cfg.Nodes, cfg.Policy),
 		Gen:        workload.NewGenerator(cfg.Workload),
 		Store:      timeseries.NewStore(0, timeseries.WithRollups(timeseries.TierStep1m, timeseries.TierStep1h)),
-		Bus:        bus.New(),
 		Events:     events.NewLog(1 << 16),
 		repairAt:   make(map[int]int64),
 		anomalies:  make(map[int]string),
@@ -185,7 +182,6 @@ func New(cfg Config) *DataCenter {
 	// loop, and call Close to drain them.
 	dc.Agent = collector.NewAgent("vdc-agent", 0)
 	dc.Agent.AddSink(&collector.StoreSink{Store: dc.Store})
-	dc.Agent.AddSink(&collector.BusSink{Bus: dc.Bus, Prefix: "vdc"})
 
 	for i := 0; i < cfg.Nodes; i++ {
 		name := fmt.Sprintf("n%03d", i)
@@ -430,8 +426,8 @@ func (dc *DataCenter) RunUntil(t int64) {
 }
 
 // Close shuts the data center's collection pipeline down, draining any
-// queued sinks attached to the agent (the built-in store/bus sinks are
-// synchronous and never hold a backlog). Call it when a run finishes so
+// queued sinks attached to the agent (the built-in store sink is
+// synchronous and never holds a backlog). Call it when a run finishes so
 // externally attached sinks — a wire push to an aggregation daemon, say —
 // flush every batch they accepted.
 func (dc *DataCenter) Close() {

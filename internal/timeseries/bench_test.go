@@ -182,14 +182,10 @@ func BenchmarkStoreMixedParallel_Sharded(b *testing.B) {
 	benchMixedParallel(b, shardedAdapter{NewStore(0)})
 }
 
-// --- Query-cache ablation (PR 3) ---
-//
-// Repeated range sweeps over history dominate analytics workloads (grid
-// sweeps re-query the same windows every evaluation). The cache memoizes
-// decoded full chunks so only the open chunk pays Gorilla decode on a
-// repeat sweep.
-
-func benchQuerySweep(b *testing.B, s *Store) {
+// BenchmarkStoreQuerySweep is the materializing read: every sweep decodes
+// the whole 50k-sample window into one fresh slice.
+func BenchmarkStoreQuerySweep(b *testing.B) {
+	s := NewStore(0)
 	id := metric.ID{Name: "power", Labels: metric.NewLabels("node", "n01")}
 	for i := 0; i < 50_000; i++ {
 		if err := s.Append(id, metric.Gauge, metric.UnitWatt, int64(i)*1000, 55+math.Sin(float64(i)/50)); err != nil {
@@ -209,22 +205,14 @@ func benchQuerySweep(b *testing.B, s *Store) {
 	}
 }
 
-func BenchmarkStoreQuerySweepUncached(b *testing.B) {
-	benchQuerySweep(b, NewStore(0, WithQueryCache(-1)))
-}
-
-func BenchmarkStoreQuerySweepCached(b *testing.B) {
-	benchQuerySweep(b, NewStore(0, WithQueryCache(512)))
-}
-
 // --- Streaming cursor engine (PR 4) ---
 //
 // The cursor is the allocation-free read path under every pushdown
 // reducer. The sweep resolves the series handle once (building the map
 // key is the caller's amortizable cost) and then must not allocate at
-// all; `make bench-allocs` gates these at 0 allocs/op.
-
-func benchCursorSweep(b *testing.B, s *Store) {
+// all; `make bench-allocs` gates it at 0 allocs/op.
+func BenchmarkStoreCursorSweep(b *testing.B) {
+	s := NewStore(0)
 	id := metric.ID{Name: "power", Labels: metric.NewLabels("node", "n01")}
 	for i := 0; i < 50_000; i++ {
 		if err := s.Append(id, metric.Gauge, metric.UnitWatt, int64(i)*1000, 55+math.Sin(float64(i)/50)); err != nil {
@@ -235,7 +223,7 @@ func benchCursorSweep(b *testing.B, s *Store) {
 	if ss == nil {
 		b.Fatal("series missing")
 	}
-	cur := s.newCursor(ss, 0, 1<<60) // warm pool and cache
+	cur := s.newCursor(ss, 0, 1<<60) // warm the pool
 	for cur.Next() {
 	}
 	cur.Close()
@@ -254,19 +242,11 @@ func benchCursorSweep(b *testing.B, s *Store) {
 	}
 }
 
-func BenchmarkStoreCursorSweepUncached(b *testing.B) {
-	benchCursorSweep(b, NewStore(0, WithQueryCache(-1)))
-}
-
-func BenchmarkStoreCursorSweepCached(b *testing.B) {
-	benchCursorSweep(b, NewStore(0, WithQueryCache(512)))
-}
-
 // BenchmarkStoreReduceSweep is the pushdown counterpart of the Query
-// sweeps: the same 50k-sample window folded to a mean without ever
+// sweep: the same 50k-sample window folded to a mean without ever
 // materializing the series.
 func BenchmarkStoreReduceSweep(b *testing.B) {
-	s := NewStore(0, WithQueryCache(512))
+	s := NewStore(0)
 	id := metric.ID{Name: "power", Labels: metric.NewLabels("node", "n01")}
 	for i := 0; i < 50_000; i++ {
 		if err := s.Append(id, metric.Gauge, metric.UnitWatt, int64(i)*1000, 55+math.Sin(float64(i)/50)); err != nil {

@@ -236,7 +236,7 @@ func (c *Chunk) Iter() *ChunkIter {
 }
 
 // ChunkIter decodes a chunk sample by sample. The bit reader is embedded by
-// value so a reset iterator (the cursor's streaming path) performs zero
+// value so a reset iterator (the cursor's read path) performs zero
 // allocations per chunk.
 type ChunkIter struct {
 	r         bitReader

@@ -14,16 +14,13 @@ import (
 // (they are immutable once full), the open chunk as a private byte copy —
 // and then decodes lock-free, so a long scan never blocks appends.
 //
-// Decoding strategy per sealed chunk: when the store's query cache is
-// enabled the cursor walks the memoized decode (populating it on a miss,
-// exactly as Query always did), so repeated sweeps cost no Gorilla work;
-// with the cache disabled it streams the bitstream through an embedded,
-// reusable iterator and allocates nothing. Cursors are pooled per store —
-// call Close to recycle one (using a cursor after Close is a no-op, not a
-// crash). A Cursor must not be shared across goroutines.
+// Every chunk, sealed or tail, raw or tier, streams its bitstream through
+// one embedded, reusable iterator, so a scan allocates nothing and leaves
+// nothing decoded behind. Cursors are pooled per store — call Close to
+// recycle one (using a cursor after Close is a no-op, not a crash). A
+// Cursor must not be shared across goroutines.
 type Cursor struct {
 	store *Store
-	ss    *storedSeries
 	from  int64
 	to    int64
 	tier  bool // the chunks are a rollup tier's; from/to are record stamps
@@ -34,11 +31,8 @@ type Cursor struct {
 	tailCount int
 	hasTail   bool
 
-	pos       int             // next sealed chunk to open
-	dec       []metric.Sample // cached decode being walked (nil when streaming)
-	di        int
-	it        ChunkIter // streaming decoder over the current chunk
-	streaming bool
+	pos int       // next sealed chunk to open
+	it  ChunkIter // streaming decoder over the current chunk
 
 	vals []float64 // pushdown scratch: bucket values for Reduce/Aggregate
 
@@ -60,7 +54,7 @@ func (s *Store) Cursor(id metric.ID, from, to int64) (*Cursor, error) {
 // newCursor snapshots the raw chunk window of a resolved series.
 func (s *Store) newCursor(ss *storedSeries, from, to int64) *Cursor {
 	cur := s.getCursor()
-	cur.store, cur.ss, cur.from, cur.to = s, ss, from, to
+	cur.store, cur.from, cur.to = s, from, to
 	ss.mu.RLock()
 	cur.snapshotChunks(ss.chunks, s.chunkSize)
 	ss.mu.RUnlock()
@@ -113,8 +107,8 @@ func (cur *Cursor) Close() {
 	if s == nil {
 		return
 	}
-	// Drop object references so pooled cursors pin neither chunks nor
-	// cached decodes; slice capacity is what the pool exists to reuse.
+	// Drop object references so pooled cursors pin no chunks; slice
+	// capacity is what the pool exists to reuse.
 	for i := range cur.sealed {
 		cur.sealed[i] = nil
 	}
@@ -133,37 +127,22 @@ func (cur *Cursor) Next() bool {
 		return false
 	}
 	for {
-		if cur.dec != nil {
-			if cur.di < len(cur.dec) {
-				sm := cur.dec[cur.di]
-				if sm.T >= cur.to {
-					cur.done = true
-					return false
-				}
-				cur.di++
-				cur.cur = sm
-				return true
+		for cur.it.Next() { // a fresh cursor's zero iterator yields nothing
+			sm := cur.it.At()
+			if sm.T < cur.from {
+				continue
 			}
-			cur.dec = nil
-		} else if cur.streaming {
-			for cur.it.Next() {
-				sm := cur.it.At()
-				if sm.T < cur.from {
-					continue
-				}
-				if sm.T >= cur.to {
-					cur.done = true
-					return false
-				}
-				cur.cur = sm
-				return true
-			}
-			if err := cur.it.Err(); err != nil {
-				cur.err = err
+			if sm.T >= cur.to {
 				cur.done = true
 				return false
 			}
-			cur.streaming = false
+			cur.cur = sm
+			return true
+		}
+		if err := cur.it.Err(); err != nil {
+			cur.err = err
+			cur.done = true
+			return false
 		}
 		if !cur.openNext() {
 			cur.done = true
@@ -172,96 +151,21 @@ func (cur *Cursor) Next() bool {
 	}
 }
 
-// openNext arms the next chunk in the window: a sealed chunk (via the
-// decoded-chunk cache when enabled, streaming otherwise) or the tail copy.
+// openNext arms the next chunk in the window: a sealed chunk or the tail
+// copy.
 func (cur *Cursor) openNext() bool {
-	if cur.err != nil {
-		return false
-	}
 	if cur.pos < len(cur.sealed) {
 		c := cur.sealed[cur.pos]
 		cur.pos++
-		s := cur.store
-		if s.cacheLimit > 0 {
-			if dec := cur.ss.cachedChunk(c); dec != nil {
-				s.cacheHits.Add(1)
-				cur.startDecoded(dec)
-				return true
-			}
-			s.cacheMisses.Add(1)
-			dec, err := decodeChunk(c, cur.tier)
-			if err != nil {
-				cur.err = err
-				return false
-			}
-			cur.ss.storeCachedChunk(c, dec, s.cacheLimit)
-			cur.startDecoded(dec)
-			return true
-		}
 		cur.it.reset(c.w.bytes(), c.Count(), cur.tier)
-		cur.streaming = true
 		return true
 	}
 	if cur.hasTail {
 		cur.hasTail = false
 		cur.it.reset(cur.tail, cur.tailCount, cur.tier)
-		cur.streaming = true
 		return true
 	}
 	return false
-}
-
-// drainAppend appends every remaining sample in the window to out — the
-// materializing fast path behind Query. Decoded (cached) chunks append as
-// whole ranges instead of stepping Next per sample, which keeps warm
-// repeat sweeps at memmove speed. Only valid on a fresh cursor; it leaves
-// the cursor exhausted.
-func (cur *Cursor) drainAppend(out []metric.Sample) ([]metric.Sample, error) {
-	for {
-		if cur.dec != nil {
-			dec := cur.dec
-			end := len(dec)
-			if end > 0 && dec[end-1].T >= cur.to {
-				end = sort.Search(len(dec), func(k int) bool { return dec[k].T >= cur.to })
-			}
-			if cur.di < end {
-				out = append(out, dec[cur.di:end]...)
-			}
-			hitBound := end < len(dec)
-			cur.dec, cur.di = nil, 0
-			if hitBound {
-				cur.done = true
-				return out, nil // chunks are time-ordered: nothing later matches
-			}
-		} else if cur.streaming {
-			for cur.it.Next() {
-				sm := cur.it.At()
-				if sm.T < cur.from {
-					continue
-				}
-				if sm.T >= cur.to {
-					cur.done = true
-					return out, nil
-				}
-				out = append(out, sm)
-			}
-			if err := cur.it.Err(); err != nil {
-				cur.err = err
-				return out, err
-			}
-			cur.streaming = false
-		}
-		if !cur.openNext() {
-			cur.done = true
-			return out, cur.err
-		}
-	}
-}
-
-// startDecoded positions the cursor inside a memoized chunk decode.
-func (cur *Cursor) startDecoded(dec []metric.Sample) {
-	cur.di = sort.Search(len(dec), func(k int) bool { return dec[k].T >= cur.from })
-	cur.dec = dec
 }
 
 // At returns the current sample.

@@ -4,14 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/metric"
 )
 
-func cursorTestStore(t *testing.T, opts ...Option) (*Store, metric.ID) {
+func cursorTestStore(t *testing.T) (*Store, metric.ID) {
 	t.Helper()
-	s := NewStore(8, opts...)
+	s := NewStore(8)
 	id := metric.ID{Name: "power", Labels: metric.NewLabels("node", "n0")}
 	for i := 0; i < 100; i++ {
 		if err := s.Append(id, metric.Gauge, metric.UnitWatt, int64(i*10), float64(i%13)+0.25); err != nil {
@@ -34,30 +35,28 @@ func collectCursor(t *testing.T, cur *Cursor) []metric.Sample {
 }
 
 func TestCursorMatchesQueryWindows(t *testing.T) {
-	for _, cache := range []int{-1, 0} { // disabled and default
-		s, id := cursorTestStore(t, WithQueryCache(cache))
-		windows := [][2]int64{
-			{0, 1000}, {-50, 2000}, {35, 615}, {40, 41}, {990, 2000},
-			{1000, 2000}, {-100, 0}, {500, 500}, {700, 10},
+	s, id := cursorTestStore(t)
+	windows := [][2]int64{
+		{0, 1000}, {-50, 2000}, {35, 615}, {40, 41}, {990, 2000},
+		{1000, 2000}, {-100, 0}, {500, 500}, {700, 10},
+	}
+	for _, w := range windows {
+		want, err := s.Query(id, w[0], w[1])
+		if err != nil {
+			t.Fatalf("query: %v", err)
 		}
-		for _, w := range windows {
-			want, err := s.Query(id, w[0], w[1])
-			if err != nil {
-				t.Fatalf("query: %v", err)
-			}
-			cur, err := s.Cursor(id, w[0], w[1])
-			if err != nil {
-				t.Fatalf("cursor: %v", err)
-			}
-			got := collectCursor(t, cur)
-			cur.Close()
-			if len(got) != len(want) {
-				t.Fatalf("cache=%d window %v: cursor %d samples, query %d", cache, w, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("cache=%d window %v sample %d: cursor %v, query %v", cache, w, i, got[i], want[i])
-				}
+		cur, err := s.Cursor(id, w[0], w[1])
+		if err != nil {
+			t.Fatalf("cursor: %v", err)
+		}
+		got := collectCursor(t, cur)
+		cur.Close()
+		if len(got) != len(want) {
+			t.Fatalf("window %v: cursor %d samples, query %d", w, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("window %v sample %d: cursor %v, query %v", w, i, got[i], want[i])
 			}
 		}
 	}
@@ -315,12 +314,11 @@ func TestCursorStreamingAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector randomizes sync.Pool reuse and instruments allocations")
 	}
-	// With the query cache disabled, a warmed cursor walk over sealed
-	// chunks must not allocate: the pooled cursor carries its scratch and
-	// the chunk iterator is embedded by value. The series is resolved once
-	// up front — building the ID's key string is the caller's amortizable
-	// cost, not the engine's.
-	s, id := cursorTestStore(t, WithQueryCache(-1))
+	// A warmed cursor walk over sealed chunks must not allocate: the pooled
+	// cursor carries its scratch and the chunk iterator is embedded by
+	// value. The series is resolved once up front — building the ID's key
+	// string is the caller's amortizable cost, not the engine's.
+	s, id := cursorTestStore(t)
 	ss := s.lookup(id.Key())
 	if ss == nil {
 		t.Fatal("series missing")
@@ -342,27 +340,6 @@ func TestCursorStreamingAllocs(t *testing.T) {
 	_ = sum
 }
 
-func TestCursorCachedPathAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector randomizes sync.Pool reuse and instruments allocations")
-	}
-	// With the cache warm, walking memoized decodes is also allocation-free.
-	s, id := cursorTestStore(t)
-	ss := s.lookup(id.Key())
-	if _, err := s.Query(id, 0, 1000); err != nil { // warm the cache
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		cur := s.newCursor(ss, 0, 1000)
-		for cur.Next() {
-		}
-		cur.Close()
-	})
-	if allocs > 0 {
-		t.Fatalf("cached cursor sweep allocated %.1f objects/op, want 0", allocs)
-	}
-}
-
 func TestCursorEstUpperBound(t *testing.T) {
 	s, id := cursorTestStore(t)
 	cur, err := s.Cursor(id, 35, 615)
@@ -374,5 +351,47 @@ func TestCursorEstUpperBound(t *testing.T) {
 	cur.Close()
 	if est < got {
 		t.Fatalf("Est() = %d below actual yield %d", est, got)
+	}
+}
+
+// TestReadsLeaveNothingResident: a sample is resident once, compressed. One
+// full-window pass of every read entry point over every series — 307,200
+// samples, 4.9 MB decoded — must leave the heap where it found it; a store
+// that kept what it decoded would hold at least 16 B a sample.
+func TestReadsLeaveNothingResident(t *testing.T) {
+	const nSeries, chunksPerSeries = 64, 40
+	s := NewStore(0, WithRollups(TierStep1m, TierStep1h))
+	ids := make([]metric.ID, nSeries)
+	for i := range ids {
+		ids[i] = sid("power", fmt.Sprintf("n%02d", i))
+		fillRollupStore(t, s, ids[i], 0, 10_000, chunksPerSeries*DefaultChunkSize)
+	}
+	const to = chunksPerSeries * DefaultChunkSize * 10_000
+	heap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := heap()
+	for _, id := range ids {
+		if out, err := s.Query(id, 0, to); err != nil || len(out) != chunksPerSeries*DefaultChunkSize {
+			t.Fatalf("Query: %d samples, %v", len(out), err)
+		}
+		if _, _, err := s.Reduce(id, 0, to, AggMean); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.ReducePlanned(id, 0, to, AggMean); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.AggregatePlanned(id, 0, to, TierStep1m, AggMax); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.SeriesValues(id, 0, to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grew := heap() - before; grew > 1<<20 {
+		t.Fatalf("reads left %d bytes resident (%d samples read), want <= 1 MiB", grew, s.NumSamples())
 	}
 }

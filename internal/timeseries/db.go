@@ -26,10 +26,6 @@ const DefaultChunkSize = 120
 // dozens of cores while costing a few hundred bytes on small stores.
 const numShards = 16
 
-// DefaultQueryCacheChunks is the default per-series bound on cached decoded
-// chunks (see WithQueryCache).
-const DefaultQueryCacheChunks = 64
-
 // Store is a concurrency-safe in-memory TSDB holding Gorilla-compressed
 // series keyed by metric ID.
 //
@@ -42,9 +38,8 @@ const DefaultQueryCacheChunks = 64
 // Registration order and the name index live behind a separate mutex that
 // is only taken when a series is first created.
 type Store struct {
-	chunkSize  int
-	shards     [numShards]storeShard
-	cacheLimit int // max cached decoded chunks per series (<= 0 disables)
+	chunkSize int
+	shards    [numShards]storeShard
 
 	regMu  sync.RWMutex
 	order  []metric.ID            // first-ingest order, for IDs/Select
@@ -60,9 +55,6 @@ type Store struct {
 	resolves   atomic.Uint64
 	refSamples atomic.Uint64
 	staleRefs  atomic.Uint64
-
-	cacheHits   atomic.Uint64
-	cacheMisses atomic.Uint64
 
 	// Rollup tier configuration and counters (see rollup.go). tierSteps is
 	// immutable after construction; the counter slices parallel it.
@@ -100,36 +92,10 @@ type storedSeries struct {
 	// ascending by step. The slice is fixed at series creation (or restore);
 	// tier contents are guarded by mu like the raw chunks.
 	tiers []*tierState
-
-	// decoded memoizes fully-decoded immutable (full) chunks for repeated
-	// range queries. Guarded by cacheMu, a leaf lock: it is taken while
-	// holding mu in either mode but never the other way round. Entries are
-	// keyed by chunk pointer — append never touches a full chunk, and
-	// Downsample/Retain drop or clear entries as they retire chunks.
-	cacheMu sync.Mutex
-	decoded map[*Chunk][]metric.Sample
 }
 
 // Option tunes a Store at construction.
 type Option func(*Store)
-
-// WithQueryCache bounds the decoded-chunk cache: each series memoizes up to
-// n fully-decoded immutable chunks so repeated range queries skip the
-// Gorilla decode. n < 0 disables the cache entirely (every query decodes);
-// n == 0 keeps DefaultQueryCacheChunks. The mutable tail chunk is never
-// cached, and Downsample/Retain invalidate entries as chunks retire.
-func WithQueryCache(n int) Option {
-	return func(s *Store) {
-		switch {
-		case n < 0:
-			s.cacheLimit = 0
-		case n == 0:
-			s.cacheLimit = DefaultQueryCacheChunks
-		default:
-			s.cacheLimit = n
-		}
-	}
-}
 
 // NewStore returns an empty store with the given samples-per-chunk (0 uses
 // DefaultChunkSize) and optional tuning.
@@ -138,9 +104,8 @@ func NewStore(chunkSize int, opts ...Option) *Store {
 		chunkSize = DefaultChunkSize
 	}
 	s := &Store{
-		chunkSize:  chunkSize,
-		cacheLimit: DefaultQueryCacheChunks,
-		byName:     make(map[string][]metric.ID),
+		chunkSize: chunkSize,
+		byName:    make(map[string][]metric.ID),
 	}
 	s.refEpoch.Store(newRefEpoch())
 	for _, opt := range opts {
@@ -408,63 +373,17 @@ func (s *Store) Query(id metric.ID, from, to int64) ([]metric.Sample, error) {
 		return nil, err
 	}
 	defer cur.Close()
-	if cur.est == 0 {
-		return nil, nil
+	out := make([]metric.Sample, 0, cur.est)
+	for cur.Next() {
+		out = append(out, cur.cur)
 	}
-	out, err := cur.drainAppend(make([]metric.Sample, 0, cur.est))
-	if err != nil {
-		return nil, err
+	if cur.err != nil {
+		return nil, cur.err
 	}
 	if len(out) == 0 {
 		return nil, nil
 	}
 	return out, nil
-}
-
-// decodeChunk fully decodes one chunk, raw or a rollup tier's.
-func decodeChunk(c *Chunk, tier bool) ([]metric.Sample, error) {
-	dec := make([]metric.Sample, 0, c.Count())
-	var it ChunkIter
-	it.reset(c.w.bytes(), c.Count(), tier)
-	for it.Next() {
-		dec = append(dec, it.At())
-	}
-	if err := it.Err(); err != nil {
-		return nil, err
-	}
-	return dec, nil
-}
-
-// cachedChunk returns the memoized decode of c, or nil when absent.
-func (ss *storedSeries) cachedChunk(c *Chunk) []metric.Sample {
-	ss.cacheMu.Lock()
-	dec := ss.decoded[c]
-	ss.cacheMu.Unlock()
-	return dec
-}
-
-// storeCachedChunk memoizes a decoded chunk, evicting an arbitrary entry
-// when the per-series bound is reached (sweeps are sequential, so any
-// eviction victim is equally good on average).
-func (ss *storedSeries) storeCachedChunk(c *Chunk, dec []metric.Sample, limit int) {
-	ss.cacheMu.Lock()
-	if ss.decoded == nil {
-		ss.decoded = make(map[*Chunk][]metric.Sample)
-	}
-	if len(ss.decoded) >= limit {
-		for victim := range ss.decoded {
-			delete(ss.decoded, victim)
-			break
-		}
-	}
-	ss.decoded[c] = dec
-	ss.cacheMu.Unlock()
-}
-
-// QueryCacheStats reports decoded-chunk cache hits and misses since the
-// store was created.
-func (s *Store) QueryCacheStats() (hits, misses uint64) {
-	return s.cacheHits.Load(), s.cacheMisses.Load()
 }
 
 // CursorPoolStats reports cursor acquisitions and pool misses since the
@@ -627,9 +546,6 @@ func (s *Store) Downsample(id metric.ID, step int64) (int, error) {
 	s.bumpRefEpoch()
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	ss.cacheMu.Lock()
-	ss.decoded = nil // raw and tier chunks all retire; drop every memoized decode
-	ss.cacheMu.Unlock()
 	ss.chunks = nil
 	ss.lastT = 0
 	ss.hasLast = false
@@ -652,9 +568,7 @@ func (s *Store) Downsample(id metric.ID, step int64) (int, error) {
 // Retain drops whole raw chunks whose newest sample is older than cutoff,
 // returning how many samples were discarded. Rollup tiers are deliberately
 // untouched — they are the long-horizon memory that outlives raw samples
-// (age them separately with RetainTier) — and only the retired raw chunks'
-// decoded-cache entries are invalidated, so cached tier decodes keep
-// serving planned queries.
+// (age them separately with RetainTier).
 func (s *Store) Retain(cutoff int64) int {
 	s.bumpRefEpoch() // chunks retire under outstanding refs; force re-resolve
 	dropped := 0
@@ -664,9 +578,6 @@ func (s *Store) Retain(cutoff int64) int {
 		for _, c := range ss.chunks {
 			if c.Count() > 0 && c.LastTime() < cutoff {
 				dropped += c.Count()
-				ss.cacheMu.Lock()
-				delete(ss.decoded, c)
-				ss.cacheMu.Unlock()
 				continue
 			}
 			keep = append(keep, c)

@@ -239,7 +239,7 @@ func TestStoreAppendBatch(t *testing.T) {
 // trimmed) many times during the run, so the sealed-pointer hand-off is
 // exercised too.
 func TestCursorTailCopyUnderAppend(t *testing.T) {
-	s := NewStore(16, WithRollups(4000), WithQueryCache(-1))
+	s := NewStore(16, WithRollups(4000))
 	id := seriesID(0)
 	const n = 4000
 	value := func(k int) float64 { return float64(k%17) * 1.25 }

@@ -76,14 +76,6 @@ func dumpChunks(chunks []*Chunk) []ChunkDump {
 	return out
 }
 
-// NewChunkDataIter decodes a raw chunk payload (as produced by Dump) of
-// count samples without constructing a Chunk.
-func NewChunkDataIter(data []byte, count int) *ChunkIter {
-	it := &ChunkIter{}
-	it.reset(data, count, false)
-	return it
-}
-
 // RestoreStore rebuilds a store from a dump. Each chunk is decoded and
 // re-encoded through the same Gorilla codec, and the re-encoded bytes are
 // compared against the dump payload — a dump that decodes but would not

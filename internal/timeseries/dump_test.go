@@ -67,107 +67,6 @@ func TestRestoreStoreRejectsCorruptChunk(t *testing.T) {
 	}
 }
 
-func TestQueryCacheHitsAndInvalidation(t *testing.T) {
-	s := NewStore(8)
-	id := sid("power", "n0")
-	for i := 0; i < 40; i++ { // 5 full chunks
-		if err := s.Append(id, metric.Gauge, metric.UnitWatt, int64(i)*1000, float64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := s.Query(id, 0, 1<<60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h, m := s.QueryCacheStats(); h != 0 || m == 0 {
-		t.Fatalf("first sweep should be all misses: hits=%d misses=%d", h, m)
-	}
-	got, err := s.Query(id, 0, 1<<60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("cached query diverged from decoded query")
-	}
-	h1, _ := s.QueryCacheStats()
-	if h1 == 0 {
-		t.Fatal("second sweep over immutable chunks should hit the cache")
-	}
-
-	// Appends that seal a chunk make it cacheable; the open chunk never is.
-	if err := s.Append(id, metric.Gauge, metric.UnitWatt, 40_000, 40); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Query(id, 0, 1<<60); err != nil {
-		t.Fatal(err)
-	}
-
-	// Downsample rewrites chunks and must drop every cached decode.
-	if _, err := s.Downsample(id, 2000); err != nil {
-		t.Fatal(err)
-	}
-	after, err := s.Query(id, 0, 1<<60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sm := range after {
-		if sm.T%2000 != 0 {
-			t.Fatalf("stale cached sample %v survived downsample", sm)
-		}
-	}
-
-	// Retain drops whole chunks; the cache must not resurrect them.
-	s.Retain(30_000)
-	kept, err := s.Query(id, 0, 1<<60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sm := range kept {
-		if sm.T < 30_000-16_000 { // retain keeps whole chunks, so allow one chunk of slack
-			t.Fatalf("sample %v should have been retired", sm)
-		}
-	}
-}
-
-func TestQueryCacheDisabledAndBounded(t *testing.T) {
-	disabled := NewStore(8, WithQueryCache(-1))
-	id := sid("power", "n0")
-	for i := 0; i < 24; i++ {
-		if err := disabled.Append(id, metric.Gauge, metric.UnitWatt, int64(i)*1000, float64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for k := 0; k < 3; k++ {
-		if _, err := disabled.Query(id, 0, 1<<60); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if h, m := disabled.QueryCacheStats(); h != 0 || m != 0 {
-		t.Fatalf("disabled cache recorded traffic: hits=%d misses=%d", h, m)
-	}
-
-	bounded := NewStore(4, WithQueryCache(2)) // room for 2 decoded chunks
-	for i := 0; i < 40; i++ {                 // 10 chunks
-		if err := bounded.Append(id, metric.Gauge, metric.UnitWatt, int64(i)*1000, float64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	first, err := bounded.Query(id, 0, 1<<60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := bounded.Query(id, 0, 1<<60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatal("bounded cache changed query results")
-	}
-	if len(first) != 40 {
-		t.Fatalf("query returned %d samples, want 40", len(first))
-	}
-}
-
 // TestScanSeriesParallelMatchesSequential: the whole-store walks (NumSamples,
 // CompressedBytes, Snapshot, Retain) give the same answers to callers running
 // in parallel — a /stats poll beside a replica status — as to one caller

@@ -226,7 +226,7 @@ func TestStoreAppendModelProperty(t *testing.T) {
 
 // legacyWindow is the pre-cursor oracle: materialize [from, to) by walking
 // every chunk iterator directly under the series lock, with none of the
-// cursor, pooling or decoded-chunk-cache machinery in the read path.
+// cursor or pooling machinery in the read path.
 func legacyWindow(t *testing.T, s *Store, id metric.ID, from, to int64) []metric.Sample {
 	t.Helper()
 	ss := s.lookup(id.Key())
@@ -278,7 +278,7 @@ func legacyAggregate(samples []metric.Sample, base, step int64, fn AggFunc) ([]A
 }
 
 // TestCursorPushdownEquivalenceProperty drives random stores (random chunk
-// sizes, cache settings, windows and steps) and checks every streaming read
+// sizes, windows and steps) and checks every streaming read
 // path — Query, Each, Reduce, Aggregate, SeriesValues and Scan — bit-for-bit
 // against the legacy oracle that materializes chunks directly.
 func TestCursorPushdownEquivalenceProperty(t *testing.T) {
@@ -286,13 +286,7 @@ func TestCursorPushdownEquivalenceProperty(t *testing.T) {
 	aggs := []AggFunc{AggMean, AggSum, AggMin, AggMax, AggCount, AggStd, AggP95, AggRate}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		// Half the runs disable the decoded-chunk cache so both the cached
-		// and pure-streaming cursor paths face the oracle.
-		cache := -1
-		if rng.Intn(2) == 0 {
-			cache = 0
-		}
-		s := NewStore(2+rng.Intn(40), WithQueryCache(cache))
+		s := NewStore(2 + rng.Intn(40))
 		clock := make([]int64, len(ids))
 		for op := 0; op < 30; op++ {
 			si := rng.Intn(len(ids))

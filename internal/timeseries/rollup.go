@@ -22,10 +22,9 @@ import (
 //
 // Because a tier is just another chunk list hanging off the series, every
 // existing mechanism applies unchanged: cursors snapshot sealed chunks by
-// pointer and copy the open tail, the decoded-chunk cache memoizes tier
-// chunks under their own pointer keys (independent of raw retirement),
-// Dump/RestoreStore carry tiers with the same re-encode byte verification,
-// and the persistence layer snapshots them like any other compressed data.
+// pointer and copy the open tail, Dump/RestoreStore carry tiers with the
+// same re-encode byte verification, and the persistence layer snapshots
+// them like any other compressed data.
 //
 // The columns are chosen so the windowed aggregations the pushdown engine
 // supports (mean, sum, min, max, count, rate) all resolve exactly from
@@ -266,8 +265,7 @@ func (ts *tierState) appendWindow(limit int, win int64, vals *[rollupStride]floa
 
 // reset clears a tier's sealed windows and accumulator (Downsample rewrites
 // the raw series, so its tiers re-fold from the rewritten stream); the
-// caller must hold the series write lock and has already invalidated the
-// decoded-chunk cache entries.
+// caller must hold the series write lock.
 func (ts *tierState) reset() {
 	ts.chunks = nil
 	ts.acc = RollupAcc{}
@@ -293,8 +291,7 @@ func (ts *tierState) sealedRange() (first, last int64, ok bool) {
 // RetainTier drops sealed rollup windows of the given tier resolution whose
 // window start is older than cutoff, across every series, returning how
 // many windows were discarded. Like raw Retain it drops whole chunks (a
-// tier chunk always holds whole window groups) and invalidates only the
-// retired tier chunks' decoded-cache entries — raw data and other tiers
+// tier chunk always holds whole window groups); raw data and other tiers
 // are untouched, so the tiers age out independently: raw days, minutely
 // weeks, hourly years.
 func (s *Store) RetainTier(step, cutoff int64) int {
@@ -310,9 +307,6 @@ func (s *Store) RetainTier(step, cutoff int64) int {
 			for _, c := range ts.chunks {
 				if c.Count() > 0 && ts.windowOf(c.LastTime()) < cutoff {
 					dropped += c.Count() / rollupStride
-					ss.cacheMu.Lock()
-					delete(ss.decoded, c)
-					ss.cacheMu.Unlock()
 					continue
 				}
 				keep = append(keep, c)
@@ -404,11 +398,10 @@ func (s *Store) countTierPick(step int64) {
 // newTierCursor opens a pooled cursor over a tier's encoded chunk stream
 // covering window starts in [winFrom, winTo), both multiples of the tier
 // step. It shares everything with raw cursors: the sealed-pointer/tail-copy
-// snapshot, the pool, and the decoded-chunk cache (tier chunks are cached
-// under their own keys).
+// snapshot, the pool and the streaming decoder.
 func (s *Store) newTierCursor(ss *storedSeries, ts *tierState, winFrom, winTo int64) *Cursor {
 	cur := s.getCursor()
-	cur.store, cur.ss, cur.tier = s, ss, true
+	cur.store, cur.tier = s, true
 	cur.from, cur.to = winFrom/ts.step*rollupStride, winTo/ts.step*rollupStride
 	ss.mu.RLock()
 	cur.snapshotChunks(ts.chunks, tierChunkCap(s.chunkSize))

@@ -145,17 +145,19 @@ func FuzzTierGroupRoundTrip(f *testing.F) {
 		// Record by record, chunk by chunk.
 		i := 0
 		for _, c := range ts.chunks {
-			dec, err := decodeChunk(c, true)
-			if err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			for _, sm := range dec {
+			var it ChunkIter
+			it.reset(c.w.bytes(), c.Count(), true)
+			for it.Next() {
+				sm := it.At()
 				g, col := i/rollupStride, i%rollupStride
 				want := groups[g].vals[col]
 				if sm.T != wins[g]*rollupStride+int64(col) || math.Float64bits(sm.V) != math.Float64bits(want) {
 					t.Fatalf("record %d: got (%d, %016x), want (%d, %016x)", i, sm.T, math.Float64bits(sm.V), wins[g]*rollupStride+int64(col), math.Float64bits(want))
 				}
 				i++
+			}
+			if err := it.Err(); err != nil {
+				t.Fatalf("decode: %v", err)
 			}
 		}
 		if i != len(groups)*rollupStride {

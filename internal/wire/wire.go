@@ -238,23 +238,6 @@ func ReadFrame(r io.Reader) (frameType uint8, payload []byte, err error) {
 	return frameType, payload, nil
 }
 
-// WriteBatch frames and writes a batch.
-func WriteBatch(w io.Writer, b *Batch) error {
-	return WriteFrame(w, FrameBatch, EncodeBatch(b))
-}
-
-// ReadBatch reads one frame and decodes it as a batch.
-func ReadBatch(r io.Reader) (*Batch, error) {
-	ft, payload, err := ReadFrame(r)
-	if err != nil {
-		return nil, err
-	}
-	if ft != FrameBatch {
-		return nil, fmt.Errorf("wire: unexpected frame type %d", ft)
-	}
-	return DecodeBatch(payload)
-}
-
 // BatchWriter wraps a stream with buffering for repeated batch sends. The
 // encode buffer persists across Sends, so steady-state sends allocate
 // nothing. Not safe for concurrent use; callers that share one (like
