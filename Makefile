@@ -1,7 +1,9 @@
 GO ?= go
 
-# Coverage floor: the seed baseline measured at 85.3% total statements;
-# `make cover` fails if the tree regresses below this.
+# Coverage floor over every package under internal/ (the library the mains
+# wrap; examples/ and cmd/ mains are exercised by running them, not by unit
+# tests). Measured 89.3% (88.9% before the v1 wire codec was deleted);
+# `make cover` fails if the tree regresses below the floor.
 COVER_MIN ?= 85.0
 
 # How long `make fuzz-short` runs each fuzz target.
@@ -72,11 +74,10 @@ chaos:
 crash-test:
 	$(GO) test -race -v -run 'TestTornWrite|TestKillAndRecover|TestConcurrentAppendersGroupCommit|TestCorruptNewestSnapshot|TestAcknowledgedAppends' ./internal/persist
 
-# Coverage report with a regression gate: prints per-function coverage for
-# the total and fails when total statement coverage drops below COVER_MIN
-# (the seed baseline).
+# Coverage report with a regression gate: prints the total statement
+# coverage of ./internal/... and fails when it drops below COVER_MIN.
 cover:
-	$(GO) test -coverprofile=cover.out ./...
+	$(GO) test -coverprofile=cover.out ./internal/...
 	@$(GO) tool cover -func=cover.out | tail -1
 	@total=$$($(GO) tool cover -func=cover.out | awk '/^total:/ {gsub("%","",$$3); print $$3}'); \
 	awk -v t=$$total -v min=$(COVER_MIN) 'BEGIN { \
@@ -90,7 +91,6 @@ fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzBitstreamRoundTrip -fuzztime $(FUZZTIME) ./internal/timeseries
 	$(GO) test -run xxx -fuzz FuzzBitWriterParity -fuzztime $(FUZZTIME) ./internal/timeseries
 	$(GO) test -run xxx -fuzz FuzzTierGroupRoundTrip -fuzztime $(FUZZTIME) ./internal/timeseries
-	$(GO) test -run xxx -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzDictDecode -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/persist
 	$(GO) test -run xxx -fuzz FuzzQueryRangeParse -fuzztime $(FUZZTIME) ./internal/queryfront
@@ -111,8 +111,8 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
-# Allocation budget gate: the cursor sweep and the pooled wire encode paths
-# must stay at exactly 0 allocs/op. Any regression — a scratch buffer that
+# Allocation budget gate: the cursor sweep and the wire send path (encode,
+# frame and flush of a ref batch) must stay at exactly 0 allocs/op. Any regression — a scratch buffer that
 # stops being reused, a closure that starts escaping — fails the build here
 # rather than showing up as GC pressure in production sweeps. The ref-frame
 # decoder allocates per frame, never per record or per sample: its allocs/op
@@ -121,13 +121,13 @@ bench-smoke:
 # gate instead of passing it vacuously.
 bench-allocs:
 	@out=$$($(GO) test -run xxx -bench 'BenchmarkStoreCursorSweep$$' -benchmem -benchtime 50x ./internal/timeseries; \
-	        $(GO) test -run xxx -bench 'BenchmarkAppendBatchReuse|BenchmarkBatchWriterSend|BenchmarkEncodeRefBatch|BenchmarkDecodeRefBatch' -benchmem -benchtime 1000x ./internal/wire); \
+	        $(GO) test -run xxx -bench 'BenchmarkEncodeRefBatch|BenchmarkDecodeRefBatch' -benchmem -benchtime 1000x ./internal/wire); \
 	echo "$$out"; \
 	echo "$$out" | awk '/^Benchmark/ { name = $$1; sub(/[\/-].*/, "", name); seen[name]++ } \
 		/^BenchmarkDecodeRefBatch/ { if (seen[name] == 1) per_frame = $$(NF-1); \
 			if ($$(NF-1) != per_frame || per_frame+0 > 4) { printf "FAIL: %s allocates %s allocs/op (budget: one constant <= 4 per frame)\n", $$1, $$(NF-1); bad=1 }; next } \
 		/^Benchmark/ { if ($$(NF-1)+0 > 0) { printf "FAIL: %s allocates %s allocs/op (budget 0)\n", $$1, $$(NF-1); bad=1 } } \
-		END { n = split("BenchmarkStoreCursorSweep BenchmarkAppendBatchReuse BenchmarkBatchWriterSend BenchmarkEncodeRefBatch", gated, " "); \
+		END { n = split("BenchmarkStoreCursorSweep BenchmarkEncodeRefBatch", gated, " "); \
 			for (i = 1; i <= n; i++) if (!seen[gated[i]]) { printf "FAIL: %s missing from output\n", gated[i]; bad=1 } \
 			if (seen["BenchmarkDecodeRefBatch"] != 2) { print "FAIL: BenchmarkDecodeRefBatch missing from output"; bad=1 } \
 			if (bad) exit 1; print "OK: streaming paths within 0 allocs/op budget, ref decode " per_frame " allocs/frame" }'

@@ -371,10 +371,12 @@ func main() {
 	signal.Notify(sig, os.Interrupt)
 	<-sig
 	fmt.Println("odad: shutting down")
-	// Drain order matters: close the ingest side first — wire.Server.Close
-	// stops accepting and waits for every in-flight connection, so batches
-	// agents already pushed are archived before anything else shuts down.
-	// Then checkpoint the drained store (persist.Close writes a final
+	// Drain order matters: close the ingest side first. wire.Server.Close
+	// stops accepting, reads every connection whose agent has hung up to its
+	// end, and closes any still open after a bounded drain, so an idle agent
+	// cannot hold shutdown hostage. An agent that closes its client before
+	// the signal has every batch it sent archived before anything else shuts
+	// down. Then checkpoint the drained store (persist.Close writes a final
 	// snapshot, so the next start recovers replay-free) and finally let
 	// HTTP requests finish (bounded), so an operator mid-query sees the
 	// fully drained store rather than a connection reset.

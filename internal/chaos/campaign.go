@@ -152,9 +152,8 @@ func Run(cfg Config, dir string) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chaos: dial wire leg: %w", err)
 	}
-	// Speak the dictionary protocol so the campaign exercises ref frames
-	// under faults: every redial renegotiates the dictionary from scratch.
-	client.EnableDict()
+	// The client speaks the dictionary protocol, so the campaign exercises ref
+	// frames under faults: every redial renegotiates the dictionary from scratch.
 	ws := &collector.WireSink{
 		Client:       client,
 		MaxRetries:   2,

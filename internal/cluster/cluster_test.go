@@ -1,14 +1,21 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"log"
 	"math"
 	"math/rand"
 	"net"
+	"os"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/binenc"
 	"repro/internal/metric"
 	"repro/internal/persist"
 	"repro/internal/timeseries"
@@ -850,4 +857,60 @@ func TestRouterSurfacesClosedStore(t *testing.T) {
 	if n, err := n1.router.AppendBatch(entriesFor(id, []int64{2000}, 2)); n != 0 || !errors.Is(err, timeseries.ErrStoreClosed) {
 		t.Fatalf("append after close: %d, %v; want 0, ErrStoreClosed", n, err)
 	}
+}
+
+// TestServerRefusesV1Batch: a peer still sending the retired v1 batch frame
+// fails at its first frame — the connection drops, the log names the frame —
+// and nothing it carried is applied.
+func TestServerRefusesV1Batch(t *testing.T) {
+	nodes, fabric := startCluster(t, []string{"n1"}, 1, false, nil)
+	var logged lockedLog
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+
+	conn, err := fabric.dialer()(nodes["n1"].addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// A one-record v1 batch: agent, record count, then the record inline.
+	payload := binenc.AppendUvarint(binenc.AppendString(nil, "old-agent"), 1)
+	payload = binenc.AppendID(payload, metric.ID{Name: "node_power_watts"})
+	payload = binenc.AppendString(append(payload, byte(metric.Gauge)), string(metric.UnitWatt))
+	payload = binenc.AppendFloat(binenc.AppendVarint(binenc.AppendUvarint(payload, 1), 1000), 42)
+	var frame bytes.Buffer
+	if err := wire.WriteFrame(&frame, wire.FrameBatch, payload); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(frame.Bytes()); err != nil { // one write: the server reads it whole
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("server kept a v1 connection open: %v", err)
+	}
+	if line := logged.String(); !strings.Contains(line, "dropped") || !strings.Contains(line, wire.ErrBatchFrameRetired.Error()) {
+		t.Fatalf("log line for the refused frame: %q", line)
+	}
+	if n := nodes["n1"].store.NumSamples(); n != 0 {
+		t.Fatalf("a refused v1 batch applied %d samples", n)
+	}
+}
+
+// lockedLog is a log sink the server's goroutines and the test share.
+type lockedLog struct {
+	mu  sync.Mutex
+	buf strings.Builder
+}
+
+func (l *lockedLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+func (l *lockedLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
 }

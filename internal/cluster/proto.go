@@ -9,7 +9,7 @@ import (
 
 // Cluster RPC rides the wire package's frame layer (magic/version/CRC) with
 // its own frame types, so a cluster listener can also accept plain agent
-// FrameBatch traffic on the same port. Requests and responses are single
+// dictionary traffic on the same port. Requests and responses are single
 // frames; payloads are binenc primitives, like the batch codec's.
 const (
 	// FrameQueryReq asks a peer to execute a query op against its local

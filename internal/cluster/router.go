@@ -513,7 +513,6 @@ func (p *peer) wireClientLocked() (*wire.Client, error) {
 		return nil, err
 	}
 	wc.SetTimeout(sendTimeout)
-	wc.EnableDict()
 	p.wc = wc
 	return wc, nil
 }

@@ -15,9 +15,10 @@ import (
 )
 
 // Server is a node's cluster listener: one port accepting peer traffic of
-// every kind — forwarded ingest batches (wire.FrameBatch), liveness pings,
-// query scatter requests, and replication pulls. Frames on one connection
-// are handled sequentially, so a peer's RPC responses can never interleave.
+// every kind — forwarded ingest batches (wire dictionary frames), liveness
+// pings, query scatter requests, and replication pulls. Frames on one
+// connection are handled sequentially, so a peer's RPC responses can never
+// interleave.
 type Server struct {
 	router *Router
 	ln     net.Listener
@@ -26,16 +27,6 @@ type Server struct {
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
-
-	batches    atomic.Uint64
-	refBatches atomic.Uint64
-	dictDefs   atomic.Uint64
-	queries    atomic.Uint64
-	replPulls  atomic.Uint64
-	pings      atomic.Uint64
-	topoFrames atomic.Uint64
-	repairs    atomic.Uint64
-	errors     atomic.Uint64
 }
 
 // NewServer serves cluster traffic for router on an injected listener
@@ -58,34 +49,6 @@ func Listen(addr string, router *Router) (*Server, error) {
 
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Batches returns forwarded ingest batches applied.
-func (s *Server) Batches() uint64 { return s.batches.Load() }
-
-// RefBatches returns forwarded batches that arrived dictionary-encoded.
-func (s *Server) RefBatches() uint64 { return s.refBatches.Load() }
-
-// DictDefs returns series definitions accepted into per-connection
-// dictionaries.
-func (s *Server) DictDefs() uint64 { return s.dictDefs.Load() }
-
-// Queries returns query requests served.
-func (s *Server) Queries() uint64 { return s.queries.Load() }
-
-// ReplPulls returns replication pulls served.
-func (s *Server) ReplPulls() uint64 { return s.replPulls.Load() }
-
-// Pings returns liveness probes answered.
-func (s *Server) Pings() uint64 { return s.pings.Load() }
-
-// TopoFrames returns topology fetches and pushes served.
-func (s *Server) TopoFrames() uint64 { return s.topoFrames.Load() }
-
-// Repairs returns read-repair requests served.
-func (s *Server) Repairs() uint64 { return s.repairs.Load() }
-
-// Errors returns connections dropped due to protocol errors.
-func (s *Server) Errors() uint64 { return s.errors.Load() }
 
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
@@ -118,13 +81,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	var dict wire.ConnDict // empty until a dict-speaking peer defines a series
 	for {
-		ft, payload, err := ReadFrame(r)
+		ft, payload, err := wire.ReadFrame(r)
 		if err == nil {
 			err = s.handleFrame(conn, &dict, ft, payload)
 		}
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !s.closed.Load() {
-				s.errors.Add(1)
 				log.Printf("cluster: connection from %s dropped: %v", conn.RemoteAddr(), err)
 			}
 			return
@@ -132,40 +94,19 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// ReadFrame re-exported for symmetry in tests.
-func ReadFrame(r io.Reader) (uint8, []byte, error) { return wire.ReadFrame(r) }
-
 func (s *Server) handleFrame(conn net.Conn, dict *wire.ConnDict, ft uint8, payload []byte) error {
 	switch ft {
 	case wire.FramePing:
-		if err := wire.WriteFrame(conn, wire.FramePong, payload); err != nil {
-			return err
-		}
-		s.pings.Add(1)
-		return nil
-	case wire.FrameBatch:
-		b, err := wire.DecodeBatch(payload)
-		if err != nil {
-			return err
-		}
-		s.router.applyForwarded(b)
-		s.batches.Add(1)
-		return nil
+		return wire.WriteFrame(conn, wire.FramePong, payload)
 	case wire.FrameDict:
-		n, err := dict.AddDefs(payload)
-		if err != nil {
-			return err
-		}
-		s.dictDefs.Add(uint64(n))
-		return nil
+		_, err := dict.AddDefs(payload)
+		return err
 	case wire.FrameRefBatch:
 		b, err := dict.DecodeRefBatch(payload)
 		if err != nil {
 			return err
 		}
 		s.router.applyForwarded(b)
-		s.batches.Add(1)
-		s.refBatches.Add(1)
 		return nil
 	case FrameQueryReq:
 		q, err := decodeQueryRequest(payload)
@@ -173,7 +114,6 @@ func (s *Server) handleFrame(conn net.Conn, dict *wire.ConnDict, ft uint8, paylo
 			return err
 		}
 		resp := s.router.execQuery(q)
-		s.queries.Add(1)
 		return wire.WriteFrame(conn, FrameQueryResp, encodeQueryResponse(q.Op, resp))
 	case FrameReplPull:
 		q, err := decodeReplPullRequest(payload)
@@ -181,10 +121,8 @@ func (s *Server) handleFrame(conn net.Conn, dict *wire.ConnDict, ft uint8, paylo
 			return err
 		}
 		resp := s.router.serveReplPull(q)
-		s.replPulls.Add(1)
 		return wire.WriteFrame(conn, FrameReplResp, encodeReplPullResponse(resp))
 	case FrameTopoReq:
-		s.topoFrames.Add(1)
 		return wire.WriteFrame(conn, FrameTopoResp, encodeTopology(s.router.Topology()))
 	case FrameTopoPush:
 		t, err := decodeTopology(payload)
@@ -192,7 +130,6 @@ func (s *Server) handleFrame(conn net.Conn, dict *wire.ConnDict, ft uint8, paylo
 			return err
 		}
 		s.router.applyTopology(t)
-		s.topoFrames.Add(1)
 		return wire.WriteFrame(conn, FrameTopoAck, binenc.AppendUvarint(nil, s.router.Epoch()))
 	case FrameRepairReq:
 		q, err := decodeRepairRequest(payload)
@@ -200,7 +137,6 @@ func (s *Server) handleFrame(conn net.Conn, dict *wire.ConnDict, ft uint8, paylo
 			return err
 		}
 		resp := s.router.serveRepair(q)
-		s.repairs.Add(1)
 		return wire.WriteFrame(conn, FrameRepairResp, encodeRepairResponse(resp))
 	case FrameRepSnapReq:
 		q, err := decodeRepSnapRequest(payload)

@@ -507,7 +507,6 @@ func BenchmarkWireSinkConsume(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	client.EnableDict()
 	sink := &WireSink{Client: client}
 	readings := make([]Reading, 32)
 	for i := range readings {

@@ -7,63 +7,21 @@ import (
 	"testing"
 )
 
-func BenchmarkEncodeBatch(b *testing.B) {
-	batch := sampleBatch()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if out := EncodeBatch(batch); len(out) == 0 {
-			b.Fatal("empty payload")
-		}
-	}
-}
-
-func BenchmarkAppendBatchReuse(b *testing.B) {
-	batch := sampleBatch()
-	buf := AppendBatch(nil, batch) // pre-grow to steady state
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = AppendBatch(buf[:0], batch)
-		if len(buf) == 0 {
-			b.Fatal("empty payload")
-		}
-	}
-}
-
-func BenchmarkBatchWriterSend(b *testing.B) {
-	batch := sampleBatch()
-	bw := NewBatchWriter(io.Discard)
-	if err := bw.Send(batch); err != nil { // warm the encode buffer
+func BenchmarkFrameRoundTrip(b *testing.B) {
+	var stream bytes.Buffer
+	if err := newClientDict(&stream).send(sampleBatch()); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := bw.Send(batch); err != nil {
-			b.Fatal(err)
-		}
+	_, _, _ = ReadFrame(&stream) // the dictionary frame
+	_, payload, err := ReadFrame(&stream)
+	if err != nil {
+		b.Fatal(err)
 	}
-}
-
-func BenchmarkDecodeBatch(b *testing.B) {
-	payload := EncodeBatch(sampleBatch())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeBatch(payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFrameRoundTrip(b *testing.B) {
-	payload := EncodeBatch(sampleBatch())
 	var buf bytes.Buffer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := WriteFrame(&buf, FrameBatch, payload); err != nil {
+		if err := WriteFrame(&buf, FrameRefBatch, payload); err != nil {
 			b.Fatal(err)
 		}
 		if _, _, err := ReadFrame(&buf); err != nil {
@@ -80,7 +38,7 @@ func BenchmarkDecodeRefBatch(b *testing.B) {
 		b.Run(fmt.Sprintf("records=%d", records), func(b *testing.B) {
 			batch := fleetRound(1, records, synthT0)[0]
 			var buf bytes.Buffer
-			if err := newClientDict().sendDict(NewBatchWriter(&buf), batch); err != nil {
+			if err := newClientDict(&buf).send(batch); err != nil {
 				b.Fatal(err)
 			}
 			_, defs, _ := ReadFrame(&buf)
@@ -105,19 +63,19 @@ func BenchmarkDecodeRefBatch(b *testing.B) {
 }
 
 // BenchmarkEncodeRefBatch is the send side of the same two frames, dictionary
-// already negotiated: steady state allocates nothing.
+// already negotiated: encode, frame and flush. Steady state allocates nothing.
 func BenchmarkEncodeRefBatch(b *testing.B) {
 	for _, records := range []int{32, 925} {
 		b.Run(fmt.Sprintf("records=%d", records), func(b *testing.B) {
 			batch := fleetRound(1, records, synthT0)[0]
-			bw, d := NewBatchWriter(io.Discard), newClientDict()
-			if err := d.sendDict(bw, batch); err != nil { // define the series, grow the scratch
+			d := newClientDict(io.Discard)
+			if err := d.send(batch); err != nil { // define the series, grow the scratch
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := d.sendDict(bw, batch); err != nil {
+				if err := d.send(batch); err != nil {
 					b.Fatal(err)
 				}
 			}

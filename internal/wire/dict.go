@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"io"
 
 	"repro/internal/binenc"
 	"repro/internal/metric"
@@ -17,7 +19,8 @@ import (
 // state: a redial starts from an empty one on both ends and the client
 // re-defines series as it first uses them again, so renegotiation is
 // implicit in the framing, and a ref batch decodes from its own bytes and
-// the dictionary alone. v1 FrameBatch senders interoperate unchanged.
+// the dictionary alone. It is the only way a batch travels: every Client
+// sends it, and every server refuses the v1 FrameBatch it replaced.
 //
 // FrameDict payload:
 //
@@ -109,10 +112,10 @@ func (d *ConnDict) AddDefs(payload []byte) (int, error) {
 }
 
 // DecodeRefBatch parses a FrameRefBatch payload against the dictionary,
-// returning a Batch identical to what a v1 FrameBatch for the same samples
-// would decode to (record IDs come from the dictionary definitions). It
-// allocates per frame, not per record: one []Record and one []metric.Sample
-// that the records sub-slice.
+// returning the Batch that was sent (record IDs come from the dictionary
+// definitions; an empty record has nil Samples). It allocates per frame, not
+// per record: one []Record and one []metric.Sample that the records
+// sub-slice.
 func (d *ConnDict) DecodeRefBatch(payload []byte) (*Batch, error) {
 	p := binenc.NewReader(payload)
 	b := &Batch{Agent: p.Str()}
@@ -161,7 +164,7 @@ func (d *ConnDict) DecodeRefBatch(payload []byte) (*Batch, error) {
 		if shape&shapeCounts != 0 {
 			c = int(counts.Uvarint())
 		}
-		if c > 0 { // an empty record keeps nil Samples, as DecodeBatch leaves it
+		if c > 0 { // an empty record keeps nil Samples
 			b.Records[i].Samples = samples[lo : lo+c : lo+c]
 		}
 		lo += c
@@ -227,9 +230,14 @@ func appendRefBatch(dst []byte, b *Batch, refs map[string]uint64) []byte {
 	return dst
 }
 
-// clientDict is the send side of the dictionary: per-connection ref
-// assignments plus reused encode scratch, reset on redial.
+// clientDict is the send side of one connection: its buffered writer, the
+// ref assignments of its dictionary and reused encode scratch. A redial
+// replaces it whole, so the new connection starts from an empty dictionary.
 type clientDict struct {
+	w *bufio.Writer
+	// hdr is frame-header scratch: a stack header would escape through the
+	// io.Writer interface and cost one alloc per send.
+	hdr  [headerLen]byte
 	refs map[string]uint64
 	next uint64
 	body []byte // definition-body scratch (defs minus the count prefix)
@@ -237,12 +245,14 @@ type clientDict struct {
 	recs []byte // FrameRefBatch payload scratch
 }
 
-func newClientDict() *clientDict { return &clientDict{refs: make(map[string]uint64)} }
+func newClientDict(w io.Writer) *clientDict {
+	return &clientDict{w: bufio.NewWriter(w), refs: make(map[string]uint64)}
+}
 
-// sendDict encodes b as (optional) dictionary definitions plus a ref
-// batch on bw, coalescing both frames into one flush. Steady state — all
-// series already defined on this connection — allocates nothing.
-func (d *clientDict) sendDict(bw *BatchWriter, b *Batch) error {
+// send encodes b as (optional) dictionary definitions plus a ref batch,
+// coalescing both frames into one flush. Steady state — all series already
+// defined on this connection — allocates nothing.
+func (d *clientDict) send(b *Batch) error {
 	ndefs := 0
 	d.body = d.body[:0]
 	for i := range b.Records {
@@ -264,13 +274,26 @@ func (d *clientDict) sendDict(bw *BatchWriter, b *Batch) error {
 	if ndefs > 0 {
 		d.defs = binenc.AppendUvarint(d.defs[:0], uint64(ndefs))
 		d.defs = append(d.defs, d.body...)
-		if err := bw.writeFrame(FrameDict, d.defs); err != nil {
+		if err := d.writeFrame(FrameDict, d.defs); err != nil {
 			return err
 		}
 	}
 	d.recs = appendRefBatch(d.recs[:0], b, d.refs)
-	if err := bw.writeFrame(FrameRefBatch, d.recs); err != nil {
+	if err := d.writeFrame(FrameRefBatch, d.recs); err != nil {
 		return err
 	}
-	return bw.flush()
+	return d.w.Flush()
+}
+
+// writeFrame buffers one framed payload without flushing.
+func (d *clientDict) writeFrame(frameType uint8, payload []byte) error {
+	if len(payload) > MaxPayload {
+		return ErrTooLarge
+	}
+	putFrameHeader(&d.hdr, frameType, payload)
+	if _, err := d.w.Write(d.hdr[:]); err != nil {
+		return err
+	}
+	_, err := d.w.Write(payload)
+	return err
 }

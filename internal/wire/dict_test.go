@@ -47,15 +47,14 @@ func batchesEqual(a, b *Batch) bool {
 
 // TestDictRoundTrip drives the client encoder against the server decoder
 // directly: the first batch defines every series, the second defines none,
-// and both decode to batches identical to their v1 counterparts.
+// and both decode to batches identical to what was sent.
 func TestDictRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	bw := NewBatchWriter(&buf)
-	d := newClientDict()
+	d := newClientDict(&buf)
 	in := sampleBatch()
 	for round := 0; round < 2; round++ {
 		buf.Reset()
-		if err := d.sendDict(bw, in); err != nil {
+		if err := d.send(in); err != nil {
 			t.Fatal(err)
 		}
 		cd := NewConnDict()
@@ -86,9 +85,7 @@ func TestDictRoundTrip(t *testing.T) {
 					// Fresh decoder each round: replay round 0's defs first,
 					// the way a real connection's dictionary accumulates.
 					var dbuf bytes.Buffer
-					dbw := NewBatchWriter(&dbuf)
-					d0 := newClientDict()
-					if err := d0.sendDict(dbw, in); err != nil {
+					if err := newClientDict(&dbuf).send(in); err != nil {
 						t.Fatal(err)
 					}
 					ft0, defs0, err := ReadFrame(bytes.NewReader(dbuf.Bytes()))
@@ -126,9 +123,7 @@ func TestDictDuplicateIDsInOneBatch(t *testing.T) {
 		},
 	}
 	var buf bytes.Buffer
-	bw := NewBatchWriter(&buf)
-	d := newClientDict()
-	if err := d.sendDict(bw, in); err != nil {
+	if err := newClientDict(&buf).send(in); err != nil {
 		t.Fatal(err)
 	}
 	cd := NewConnDict()
@@ -280,7 +275,8 @@ func TestConnDictProtocolErrors(t *testing.T) {
 // TestRefBatchMatchesV1Property: whatever batch goes in — records with no,
 // one or many samples, refs in any order, a series twice, timestamps whose
 // deltas wrap int64, NaN payloads, -0 — the ref frame decodes to what the v1
-// frame decodes to, bit for bit, and the generator reaches all four shapes.
+// frame it replaced decoded to: the input batch bit for bit, an empty record
+// with nil Samples. The generator reaches all four shapes.
 func TestRefBatchMatchesV1Property(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	edgeT := []int64{math.MinInt64, math.MinInt64 + 1, math.MaxInt64 - 1, math.MaxInt64, -1, 0, 1, 1_700_000_000_000}
@@ -339,12 +335,14 @@ func TestRefBatchMatchesV1Property(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iteration %d: %v", iter, err)
 		}
-		want, err := DecodeBatch(EncodeBatch(in))
-		if err != nil {
-			t.Fatal(err)
+		want := &Batch{Agent: in.Agent, Records: append([]Record(nil), in.Records...)}
+		for i := range want.Records {
+			if len(want.Records[i].Samples) == 0 {
+				want.Records[i].Samples = nil
+			}
 		}
 		if !batchesEqual(want, got) {
-			t.Fatalf("iteration %d: ref frame and v1 frame decode differently:\n ref %+v\n v1  %+v", iter, got, want)
+			t.Fatalf("iteration %d: ref frame decodes differently from its input:\n got  %+v\n want %+v", iter, got, want)
 		}
 		for i := range want.Records {
 			if (want.Records[i].Samples == nil) != (got.Records[i].Samples == nil) {
@@ -398,12 +396,11 @@ func TestRefBatchWireSize(t *testing.T) {
 		{1, 925, 9.1},   // analyze_grid: one simulated centre, one batch a round
 	} {
 		var buf bytes.Buffer
-		bw := NewBatchWriter(&buf)
-		d := newClientDict()
+		d := newClientDict(&buf)
 		for tick := int64(0); tick < 2; tick++ {
 			buf.Reset() // keep the second round: no dictionary frames left in it
 			for _, b := range fleetRound(tc.agents, tc.sensors, synthT0+tick*10_000) {
-				if err := d.sendDict(bw, b); err != nil {
+				if err := d.send(b); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -416,9 +413,9 @@ func TestRefBatchWireSize(t *testing.T) {
 	}
 }
 
-// TestDictClientServerEndToEnd runs the v2 protocol through the real server:
-// a dict-enabled client's batches arrive at the handler identical to v1
-// batches, the server counts defs and ref batches, and a redial implicitly
+// TestDictClientServerEndToEnd runs the dictionary protocol through the real
+// server: a client's batches arrive at the handler identical to what was
+// sent, the server counts defs and ref batches, and a redial implicitly
 // renegotiates (the series re-define on the new connection).
 func TestDictClientServerEndToEnd(t *testing.T) {
 	var mu sync.Mutex
@@ -438,7 +435,6 @@ func TestDictClientServerEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cl.EnableDict()
 	cl.SetTimeout(5 * time.Second)
 
 	in := sampleBatch()
@@ -596,7 +592,6 @@ func TestDictFullRedials(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cl.EnableDict()
 
 	first, churned := sampleBatch(), sampleBatch()
 	churned.Agent = "churned"
@@ -657,48 +652,43 @@ func TestDictFullRedials(t *testing.T) {
 	}
 }
 
-// TestV1ClientStillWorks: a v1 client against the same server decodes
-// unchanged — the two protocols coexist per connection.
-func TestV1ClientStillWorks(t *testing.T) {
-	var mu sync.Mutex
-	var got []*Batch
-	srv, err := NewServer("127.0.0.1:0", func(b *Batch) {
-		mu.Lock()
-		got = append(got, b)
-		mu.Unlock()
-	})
+// TestV1BatchFrameRefused: a peer still sending the retired v1 batch frame
+// fails at its first frame — the connection drops, the error is counted and
+// the log names the frame — and nothing reaches the handler.
+func TestV1BatchFrameRefused(t *testing.T) {
+	var handled atomic.Uint64
+	srv, err := NewServer("127.0.0.1:0", func(*Batch) { handled.Add(1) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cl, err := Dial(srv.Addr())
+	var logged lockedBuffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+
+	raw, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-	in := sampleBatch()
-	if err := cl.Send(in); err != nil {
+	defer raw.Close()
+	var frame bytes.Buffer
+	if err := WriteFrame(&frame, FrameBatch, appendV1Batch(nil, sampleBatch())); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		have := len(got)
-		mu.Unlock()
-		if have == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("batch never arrived")
-		}
-		time.Sleep(5 * time.Millisecond)
+	// One write: the server reads the whole frame before it hangs up, so the
+	// close is a clean EOF rather than a reset over unread bytes.
+	if _, err := raw.Write(frame.Bytes()); err != nil {
+		t.Fatal(err)
 	}
-	if srv.DictDefs() != 0 || srv.RefBatches() != 0 {
-		t.Fatal("v1 client produced v2 counters")
+	_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := raw.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("server kept a v1 connection open: %v", err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if !batchesEqual(in, got[0]) {
-		t.Fatal("v1 batch changed in transit")
+	if srv.Errors() != 1 || srv.Batches() != 0 || handled.Load() != 0 {
+		t.Fatalf("errors %d, batches %d, handled %d: want the connection dropped and nothing delivered",
+			srv.Errors(), srv.Batches(), handled.Load())
+	}
+	if line := logged.String(); !strings.Contains(line, "dropped") || !strings.Contains(line, ErrBatchFrameRetired.Error()) {
+		t.Fatalf("log line for the refused frame: %q", line)
 	}
 }

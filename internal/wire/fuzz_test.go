@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"math"
 	"sort"
 	"testing"
@@ -8,82 +9,6 @@ import (
 	"repro/internal/binenc"
 	"repro/internal/metric"
 )
-
-// FuzzWireDecode throws arbitrary bytes at the batch decoder. Two
-// guarantees are enforced: DecodeBatch never panics (corrupt lengths,
-// truncated varints and implausible counts must all surface as errors), and
-// anything that does decode re-encodes into a payload that decodes to the
-// same batch — the decoder's output is always within the encoder's domain.
-func FuzzWireDecode(f *testing.F) {
-	// Seed with a real batch, its truncations and a corruption, so the
-	// fuzzer starts inside the interesting part of the input space.
-	seed := EncodeBatch(&Batch{
-		Agent: "n042",
-		Records: []Record{
-			{
-				ID:   metric.ID{Name: "node_power_watts", Labels: metric.NewLabels("node", "n042", "rack", "r02")},
-				Kind: metric.Gauge,
-				Unit: metric.UnitWatt,
-				Samples: []metric.Sample{
-					{T: 1_700_000_000_000, V: 411.5},
-					{T: 1_700_000_060_000, V: 417.25},
-					{T: 1_700_000_120_000, V: math.Inf(1)},
-				},
-			},
-			{
-				ID:      metric.ID{Name: "node_cpu_temp_celsius"},
-				Kind:    metric.Counter,
-				Unit:    metric.UnitCelsius,
-				Samples: []metric.Sample{{T: -5, V: math.NaN()}},
-			},
-		},
-	})
-	f.Add(seed)
-	f.Add(seed[:len(seed)/2])
-	f.Add(seed[:1])
-	f.Add([]byte{})
-	corrupt := append([]byte(nil), seed...)
-	corrupt[0] = 0xFF // agent-name length varint becomes huge
-	f.Add(corrupt)
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := DecodeBatch(data)
-		if err != nil {
-			return // rejected input: the absence of a panic is the property
-		}
-		re := EncodeBatch(b)
-		b2, err := DecodeBatch(re)
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded batch failed: %v", err)
-		}
-		if b2.Agent != b.Agent || len(b2.Records) != len(b.Records) {
-			t.Fatalf("round trip changed shape: %q/%d vs %q/%d",
-				b2.Agent, len(b2.Records), b.Agent, len(b.Records))
-		}
-		for i := range b.Records {
-			r, r2 := b.Records[i], b2.Records[i]
-			if r2.ID.Name != r.ID.Name || r2.Kind != r.Kind || r2.Unit != r.Unit {
-				t.Fatalf("record %d header changed: %+v vs %+v", i, r2, r)
-			}
-			// NewLabels sorts by key only (unstable among duplicate keys),
-			// so compare labels as fully ordered (key, value) multisets.
-			if !sameLabelSet(r.ID.Labels, r2.ID.Labels) {
-				t.Fatalf("record %d labels changed: %v vs %v", i, r2.ID.Labels, r.ID.Labels)
-			}
-			if len(r2.Samples) != len(r.Samples) {
-				t.Fatalf("record %d: %d vs %d samples", i, len(r2.Samples), len(r.Samples))
-			}
-			for j := range r.Samples {
-				if r2.Samples[j].T != r.Samples[j].T ||
-					math.Float64bits(r2.Samples[j].V) != math.Float64bits(r.Samples[j].V) {
-					t.Fatalf("record %d sample %d changed: %+v vs %+v",
-						i, j, r2.Samples[j], r.Samples[j])
-				}
-			}
-		}
-	})
-}
 
 // dictSeed is one (dictionary, ref batch) payload pair of the fuzz corpus.
 type dictSeed struct {
@@ -162,8 +87,8 @@ func TestDictFuzzSeeds(t *testing.T) {
 // the dictionary decoder. Properties: neither AddDefs nor DecodeRefBatch ever
 // panics — undefined refs, duplicate defines, truncated dictionaries and
 // implausible counts must all surface as errors — and any batch that does
-// decode is inside the v1 encoder's domain (it re-encodes and re-decodes
-// cleanly).
+// decode re-encodes through the client's encoder onto a fresh connection and
+// decodes there to the same batch.
 func FuzzDictDecode(f *testing.F) {
 	// Seeds mirror the committed corpus in testdata/fuzz/FuzzDictDecode.
 	for _, sd := range dictFuzzSeeds() {
@@ -177,9 +102,51 @@ func FuzzDictDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re := EncodeBatch(b)
-		if _, err := DecodeBatch(re); err != nil {
-			t.Fatalf("decoded ref batch is outside the v1 encoder domain: %v", err)
+		// The client's dictionary keys a series by ID alone, so a batch that
+		// names one ID under two kinds or units is outside its domain.
+		series := map[string]Record{}
+		for _, r := range b.Records {
+			if prev, ok := series[r.ID.Key()]; ok && (prev.Kind != r.Kind || prev.Unit != r.Unit) {
+				return
+			}
+			series[r.ID.Key()] = r
+		}
+		var stream bytes.Buffer
+		if err := newClientDict(&stream).send(b); err != nil {
+			t.Fatalf("re-encoding a decoded batch: %v", err)
+		}
+		var again ConnDict
+		var b2 *Batch
+		for stream.Len() > 0 {
+			ft, payload, err := ReadFrame(&stream)
+			if err == nil && ft == FrameDict {
+				_, err = again.AddDefs(payload)
+			} else if err == nil {
+				b2, err = again.DecodeRefBatch(payload)
+			}
+			if err != nil {
+				t.Fatalf("re-decoding a re-encoded batch: %v", err)
+			}
+		}
+		if b2 == nil || b2.Agent != b.Agent || len(b2.Records) != len(b.Records) {
+			t.Fatalf("round trip changed the batch: %+v vs %+v", b2, b)
+		}
+		for i := range b.Records {
+			r, r2 := &b.Records[i], &b2.Records[i]
+			// NewLabels sorts by key only (unstable among duplicate keys),
+			// so compare labels as fully ordered (key, value) multisets.
+			if r2.ID.Name != r.ID.Name || !sameLabelSet(r.ID.Labels, r2.ID.Labels) || r2.Kind != r.Kind || r2.Unit != r.Unit {
+				t.Fatalf("record %d series changed: %+v vs %+v", i, r2, r)
+			}
+			if len(r2.Samples) != len(r.Samples) || (r.Samples == nil) != (r2.Samples == nil) {
+				t.Fatalf("record %d: %d vs %d samples", i, len(r2.Samples), len(r.Samples))
+			}
+			for j := range r.Samples {
+				if r2.Samples[j].T != r.Samples[j].T ||
+					math.Float64bits(r2.Samples[j].V) != math.Float64bits(r.Samples[j].V) {
+					t.Fatalf("record %d sample %d changed: %+v vs %+v", i, j, r2.Samples[j], r.Samples[j])
+				}
+			}
 		}
 	})
 }

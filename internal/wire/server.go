@@ -24,6 +24,10 @@ type Dialer func(addr string) (net.Conn, error)
 
 func tcpDial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 
+// closeDrain bounds how long Close lets open connections keep sending before
+// it closes them under their readers.
+const closeDrain = time.Second
+
 // Server accepts TCP connections from collection agents and dispatches each
 // received batch to the handler. It is the aggregation endpoint of the
 // push-mode collection fabric.
@@ -32,6 +36,9 @@ type Server struct {
 	handler Handler
 	wg      sync.WaitGroup
 	closed  atomic.Bool
+
+	connMu sync.Mutex
+	conns  map[net.Conn]struct{}
 
 	batches    atomic.Uint64
 	samples    atomic.Uint64
@@ -55,7 +62,7 @@ func NewServer(addr string, handler Handler) (*Server, error) {
 // owns it until Close. It is how tests and chaos harnesses run a server
 // over in-memory connections — no real sockets involved.
 func NewServerListener(ln net.Listener, handler Handler) *Server {
-	s := &Server{ln: ln, handler: handler}
+	s := &Server{ln: ln, handler: handler, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
@@ -91,6 +98,14 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		s.connMu.Lock()
+		if s.closed.Load() {
+			s.connMu.Unlock()
+			conn.Close()
+			continue
+		}
+		s.conns[conn] = struct{}{}
+		s.connMu.Unlock()
 		s.wg.Add(1)
 		go s.serveConn(conn)
 	}
@@ -98,11 +113,15 @@ func (s *Server) acceptLoop() {
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
-	defer conn.Close()
+	defer func() {
+		s.connMu.Lock()
+		delete(s.conns, conn)
+		s.connMu.Unlock()
+		conn.Close()
+	}()
 	r := bufio.NewReader(conn)
-	// The series dictionary is per connection (empty costs nothing, so
-	// v1-only agents pay nothing) and dies with it: a redialing client starts
-	// a fresh dictionary and re-defines series as it goes.
+	// The series dictionary is per connection and dies with it: a redialing
+	// client starts a fresh dictionary and re-defines series as it goes.
 	var dict ConnDict
 	for {
 		ft, payload, err := ReadFrame(r)
@@ -124,17 +143,14 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 		}
 		var b *Batch
-		if err == nil {
-			switch ft {
-			case FrameBatch:
-				b, err = DecodeBatch(payload)
-			case FrameRefBatch: // before any dictionary frame, every ref is undefined
-				if b, err = dict.DecodeRefBatch(payload); err == nil {
-					s.refBatches.Add(1)
-				}
-			default:
-				err = fmt.Errorf("wire: unexpected frame type %d", ft)
+		switch {
+		case err != nil:
+		case ft == FrameRefBatch: // before any dictionary frame, every ref is undefined
+			if b, err = dict.DecodeRefBatch(payload); err == nil {
+				s.refBatches.Add(1)
 			}
+		default:
+			err = fmt.Errorf("wire: unexpected frame type %d", ft)
 		}
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !s.closed.Load() {
@@ -153,22 +169,42 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// Close stops accepting and waits for in-flight connections to finish.
+// Close stops accepting and lets open connections drain: a client that has
+// hung up is read to its end, and any connection still open after closeDrain
+// is closed under its reader. Close returns once every frame already read
+// has been handed to the handler, so on an accepted connection a batch sent
+// before its client's Close is applied before a Close that follows it
+// returns.
 func (s *Server) Close() error {
 	s.closed.Store(true)
 	err := s.ln.Close()
-	s.wg.Wait()
+	done := make(chan struct{})
+	go func() {
+		s.wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+		return err
+	case <-time.After(closeDrain):
+	}
+	s.connMu.Lock()
+	for conn := range s.conns {
+		conn.Close()
+	}
+	s.connMu.Unlock()
+	<-done
 	return err
 }
 
-// Client is an agent-side connection that pushes batches to a server. A
-// send that fails marks the connection broken; the next Send transparently
-// redials through the client's dialer, so an agent rides out server
-// restarts and transient partitions without being rebuilt (pair with
-// retry/backoff at the sink layer for in-batch recovery).
+// Client is an agent-side connection that pushes batches to a server as v3
+// dictionary frames (dict.go). A send that fails marks the connection
+// broken; the next Send transparently redials through the client's dialer,
+// so an agent rides out server restarts and transient partitions without
+// being rebuilt (pair with retry/backoff at the sink layer for in-batch
+// recovery).
 type Client struct {
 	conn net.Conn
-	bw   *BatchWriter
 	mu   sync.Mutex
 
 	addr    string
@@ -177,11 +213,10 @@ type Client struct {
 	redials atomic.Uint64
 	pingSeq uint64 // nonce for Ping frames, guarded by mu
 
-	// useDict switches Sends to the dictionary protocol; dict is the
-	// per-connection send-side dictionary, discarded on redial so the new
-	// connection renegotiates from scratch. Both guarded by mu.
-	useDict bool
-	dict    *clientDict
+	// dict is the connection's send side — buffered writer and series
+	// dictionary — replaced on redial so the new connection renegotiates
+	// from scratch. Guarded by mu.
+	dict *clientDict
 
 	timeout     time.Duration
 	deadlineSet bool
@@ -203,23 +238,15 @@ func DialWith(dial Dialer, addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, bw: NewBatchWriter(conn), addr: addr, dial: dial}, nil
+	return &Client{conn: conn, dict: newClientDict(conn), addr: addr, dial: dial}, nil
 }
 
 // Redials returns how many reconnects Sends have performed.
 func (c *Client) Redials() uint64 { return c.redials.Load() }
 
-// EnableDict switches subsequent Sends to the v3 dictionary protocol:
-// each series is defined once per connection, then shipped as columnar ref
-// batches (dict.go). Redials renegotiate automatically (the fresh
-// connection starts with an empty dictionary on both ends). The far end
-// must understand v3 — all in-repo servers do; leave it off to talk to a
-// v1-only endpoint. Safe for concurrent use with Send.
-func (c *Client) EnableDict() {
-	c.mu.Lock()
-	c.useDict = true
-	c.mu.Unlock()
-}
+// EnableDict does nothing: every Client speaks the v3 dictionary protocol.
+// It exists only for bench/trace, which still calls it.
+func (c *Client) EnableDict() {}
 
 // SetTimeout bounds each subsequent Send with a write deadline of d,
 // counted from the moment the send starts (0 disables the deadline again).
@@ -240,8 +267,7 @@ func (c *Client) redialLocked() error {
 		return err
 	}
 	c.conn = conn
-	c.bw = NewBatchWriter(conn)
-	c.dict = nil // dictionary state is per connection: renegotiate from empty
+	c.dict = newClientDict(conn) // renegotiate from an empty dictionary
 	c.deadlineSet = false
 	c.broken = false
 	c.redials.Add(1)
@@ -273,17 +299,7 @@ func (c *Client) Send(b *Batch) error {
 		}
 		c.deadlineSet = false
 	}
-	if c.useDict {
-		if c.dict == nil {
-			c.dict = newClientDict()
-		}
-		if err := c.dict.sendDict(c.bw, b); err != nil {
-			c.broken = true
-			return err
-		}
-		return nil
-	}
-	if err := c.bw.Send(b); err != nil {
+	if err := c.dict.send(b); err != nil {
 		c.broken = true
 		return err
 	}

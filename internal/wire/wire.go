@@ -4,31 +4,27 @@
 // Frame layout (big endian):
 //
 //	magic   uint16  0x0DA7
-//	version uint8   1
+//	version uint8   3 for dictionary frames, 1 for everything else
 //	type    uint8   frame type
 //	length  uint32  payload byte count
 //	crc32   uint32  IEEE checksum of the payload
 //	payload [length]byte
 //
-// The v1 payload is a Batch: a set of records, each carrying a metric ID,
-// kind, unit and a run of (delta-encoded) samples. Strings are
-// length-prefixed with uvarints; integers use varints so the common case
-// (regular cadence, small deltas) stays compact on the wire.
-//
-// Protocol v3 is the per-connection series dictionary (see dict.go): a
-// FrameDict defines each series once, and FrameRefBatch frames then ship a
-// batch as columns — delta-coded refs, counts and timestamps only where they
-// say something, raw 8-byte values. Those two frame types travel as version
-// 3, every other type as version 1, and ReadFrame refuses any other pairing:
-// version 2 was a row-oriented ref batch that content cannot tell from the
-// columnar one, so an old peer fails at its first frame with ErrBadVersion.
+// Batches travel as protocol v3, the per-connection series dictionary (see
+// dict.go): a FrameDict defines each series once, and FrameRefBatch frames
+// then ship a batch as columns — delta-coded refs, counts and timestamps only
+// where they say something, raw 8-byte values. Strings are length-prefixed
+// with uvarints; integers use varints. Those two frame types travel as
+// version 3, every other type as version 1, and ReadFrame refuses any other
+// pairing: version 2 was a row-oriented ref batch that content cannot tell
+// from the columnar one, so an old peer fails at its first frame with
+// ErrBadVersion. The v1 batch frame, which re-sent every series name and
+// label set in every batch, is refused the same way with ErrBatchFrameRetired.
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"io"
 
@@ -45,7 +41,9 @@ const (
 	// predecessor, is refused.
 	Version3 uint8 = 3
 
-	// FrameBatch carries a telemetry Batch.
+	// FrameBatch is the retired v1 batch frame's type number, reserved so
+	// nothing reuses it: ReadFrame refuses it with ErrBatchFrameRetired. The
+	// name exists only for bench/trace, which still switches on it.
 	FrameBatch uint8 = 1
 	// FramePing is a liveness probe: the server echoes the payload back in
 	// a FramePong. It exists so a failure detector can distinguish a slow
@@ -72,6 +70,9 @@ var (
 	ErrBadVersion  = errors.New("wire: unsupported version")
 	ErrBadChecksum = errors.New("wire: checksum mismatch")
 	ErrTooLarge    = errors.New("wire: frame exceeds MaxPayload")
+	// ErrBatchFrameRetired refuses a v1 FrameBatch: a sender must define its
+	// series with FrameDict and ship FrameRefBatch.
+	ErrBatchFrameRetired = errors.New("wire: v1 batch frame (type 1) is retired; send dictionary ref batches")
 )
 
 // Record is one series' worth of samples in a batch.
@@ -88,30 +89,8 @@ type Batch struct {
 	Records []Record
 }
 
-// EncodeBatch serializes a batch payload (without frame header) into a
-// fresh buffer. Hot paths that encode repeatedly should use AppendBatch
-// with a reused buffer instead.
-func EncodeBatch(b *Batch) []byte {
-	return AppendBatch(make([]byte, 0, 64), b)
-}
-
-// AppendBatch serializes a batch payload onto dst and returns the extended
-// slice (append semantics, like strconv.AppendInt). Reusing the returned
-// buffer across calls amortizes the encode allocation to zero once the
-// buffer has grown to the steady-state batch size.
-func AppendBatch(dst []byte, b *Batch) []byte {
-	dst = binenc.AppendString(dst, b.Agent)
-	dst = binenc.AppendUvarint(dst, uint64(len(b.Records)))
-	for i := range b.Records {
-		r := &b.Records[i]
-		dst = appendSeries(dst, r)
-		dst = appendSamples(dst, r.Samples)
-	}
-	return dst
-}
-
-// appendSeries serializes a record's identity: ID, kind byte, unit. A v1
-// record carries it inline; a dictionary definition carries it once.
+// appendSeries serializes a record's identity: ID, kind byte, unit. A
+// dictionary definition carries it once per connection.
 func appendSeries(dst []byte, r *Record) []byte {
 	dst = binenc.AppendID(dst, r.ID)
 	dst = append(dst, byte(r.Kind))
@@ -122,53 +101,9 @@ func readSeries(p *binenc.Reader) Record {
 	return Record{ID: p.ID(), Kind: metric.Kind(p.Byte()), Unit: metric.Unit(p.Str())}
 }
 
-// appendSamples serializes a v1 record's sample run: a count, then per
-// sample a varint timestamp (the first absolute, the rest deltas — a regular
-// cadence costs one byte) and an 8-byte value.
-func appendSamples(dst []byte, samples []metric.Sample) []byte {
-	dst = binenc.AppendUvarint(dst, uint64(len(samples)))
-	var prevT int64
-	for _, sm := range samples {
-		dst = binenc.AppendVarint(dst, sm.T-prevT)
-		prevT = sm.T
-		dst = binenc.AppendFloat(dst, sm.V)
-	}
-	return dst
-}
-
-// readSamples decodes a sample run (nil when empty).
-func readSamples(p *binenc.Reader) []metric.Sample {
-	n := p.Count(9) // a timestamp byte and an 8-byte value each
-	if n == 0 {
-		return nil
-	}
-	samples := make([]metric.Sample, n)
-	var t int64
-	for i := range samples {
-		t += p.Varint()
-		samples[i] = metric.Sample{T: t, V: p.Float()}
-	}
-	return samples
-}
-
-// DecodeBatch parses a batch payload.
-func DecodeBatch(payload []byte) (*Batch, error) {
-	p := binenc.NewReader(payload)
-	b := &Batch{Agent: p.Str()}
-	// A record is at least a name, a label count, a kind, a unit and a
-	// sample count, one byte each.
-	n := p.Count(5)
-	b.Records = make([]Record, 0, n)
-	for i := 0; i < n && p.Err() == nil; i++ {
-		r := readSeries(&p)
-		r.Samples = readSamples(&p)
-		b.Records = append(b.Records, r)
-	}
-	if err := p.Err(); err != nil {
-		return nil, fmt.Errorf("wire: batch: %w", err)
-	}
-	return b, nil
-}
+// DecodeBatch refuses every payload with ErrBatchFrameRetired. It exists
+// only for bench/trace, which still routes FrameBatch frames to it.
+func DecodeBatch([]byte) (*Batch, error) { return nil, ErrBatchFrameRetired }
 
 // putFrameHeader fills hdr for a payload of the given type. The caller has
 // already checked the MaxPayload bound.
@@ -211,7 +146,8 @@ func versionFor(frameType uint8) uint8 {
 }
 
 // ReadFrame reads one framed payload from r, validating magic, version,
-// size bound and checksum.
+// size bound and checksum. A v1 FrameBatch is refused at its header, so
+// every reader of the protocol refuses it the same way.
 func ReadFrame(r io.Reader) (frameType uint8, payload []byte, err error) {
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -223,6 +159,9 @@ func ReadFrame(r io.Reader) (frameType uint8, payload []byte, err error) {
 	frameType = hdr[3]
 	if hdr[2] != versionFor(frameType) {
 		return 0, nil, ErrBadVersion
+	}
+	if frameType == FrameBatch {
+		return 0, nil, ErrBatchFrameRetired
 	}
 	length := binary.BigEndian.Uint32(hdr[4:8])
 	if length > MaxPayload {
@@ -237,44 +176,3 @@ func ReadFrame(r io.Reader) (frameType uint8, payload []byte, err error) {
 	}
 	return frameType, payload, nil
 }
-
-// BatchWriter wraps a stream with buffering for repeated batch sends. The
-// encode buffer persists across Sends, so steady-state sends allocate
-// nothing. Not safe for concurrent use; callers that share one (like
-// Client) must serialize Sends themselves.
-type BatchWriter struct {
-	w   *bufio.Writer
-	buf []byte          // reused encode scratch
-	hdr [headerLen]byte // reused frame-header scratch (a stack header would
-	// escape through the io.Writer interface and cost one alloc per send)
-}
-
-// NewBatchWriter returns a buffered batch writer over w.
-func NewBatchWriter(w io.Writer) *BatchWriter {
-	return &BatchWriter{w: bufio.NewWriter(w)}
-}
-
-// Send frames, writes and flushes one batch.
-func (bw *BatchWriter) Send(b *Batch) error {
-	bw.buf = AppendBatch(bw.buf[:0], b)
-	if err := bw.writeFrame(FrameBatch, bw.buf); err != nil {
-		return err
-	}
-	return bw.w.Flush()
-}
-
-// writeFrame buffers one framed payload without flushing, so a dictionary
-// frame and its ref batch coalesce into a single flush (dict.go).
-func (bw *BatchWriter) writeFrame(frameType uint8, payload []byte) error {
-	if len(payload) > MaxPayload {
-		return ErrTooLarge
-	}
-	putFrameHeader(&bw.hdr, frameType, payload)
-	if _, err := bw.w.Write(bw.hdr[:]); err != nil {
-		return err
-	}
-	_, err := bw.w.Write(payload)
-	return err
-}
-
-func (bw *BatchWriter) flush() error { return bw.w.Flush() }

@@ -2,15 +2,17 @@ package wire
 
 import (
 	"bytes"
-	"io"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
 	"math"
-	"math/rand"
-	"reflect"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"testing/quick"
 	"time"
 
+	"repro/internal/binenc"
 	"repro/internal/metric"
 )
 
@@ -43,57 +45,43 @@ func sampleBatch() *Batch {
 	}
 }
 
-func TestBatchRoundTrip(t *testing.T) {
-	in := sampleBatch()
-	payload := EncodeBatch(in)
-	out, err := DecodeBatch(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in.Agent, out.Agent) {
-		t.Fatalf("agent %q vs %q", in.Agent, out.Agent)
-	}
-	if len(out.Records) != len(in.Records) {
-		t.Fatalf("records = %d", len(out.Records))
-	}
-	for i := range in.Records {
-		a, b := in.Records[i], out.Records[i]
-		if a.ID.Key() != b.ID.Key() || a.Kind != b.Kind || a.Unit != b.Unit {
-			t.Fatalf("record %d header mismatch: %+v vs %+v", i, a, b)
-		}
-		if len(a.Samples) != len(b.Samples) {
-			t.Fatalf("record %d sample count", i)
-		}
-		for j := range a.Samples {
-			if a.Samples[j].T != b.Samples[j].T {
-				t.Fatalf("record %d sample %d T", i, j)
-			}
-			av, bv := a.Samples[j].V, b.Samples[j].V
-			if av != bv && !(math.IsNaN(av) && math.IsNaN(bv)) {
-				t.Fatalf("record %d sample %d V: %v vs %v", i, j, av, bv)
-			}
+// appendV1Batch is the retired v1 batch encoder, kept to hand-build the
+// frames a peer from before the dictionary protocol sends.
+func appendV1Batch(dst []byte, b *Batch) []byte {
+	dst = binenc.AppendString(dst, b.Agent)
+	dst = binenc.AppendUvarint(dst, uint64(len(b.Records)))
+	for i := range b.Records {
+		r := &b.Records[i]
+		dst = appendSeries(dst, r)
+		dst = binenc.AppendUvarint(dst, uint64(len(r.Samples)))
+		var prevT int64
+		for _, sm := range r.Samples {
+			dst = binenc.AppendVarint(dst, sm.T-prevT)
+			prevT = sm.T
+			dst = binenc.AppendFloat(dst, sm.V)
 		}
 	}
+	return dst
 }
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello telemetry")
-	if err := WriteFrame(&buf, FrameBatch, payload); err != nil {
+	if err := WriteFrame(&buf, FrameRefBatch, payload); err != nil {
 		t.Fatal(err)
 	}
 	ft, got, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ft != FrameBatch || !bytes.Equal(got, payload) {
+	if ft != FrameRefBatch || !bytes.Equal(got, payload) {
 		t.Fatalf("frame = %d %q", ft, got)
 	}
 }
 
 func TestFrameValidation(t *testing.T) {
 	var buf bytes.Buffer
-	_ = WriteFrame(&buf, FrameBatch, []byte("payload"))
+	_ = WriteFrame(&buf, FramePing, []byte("payload"))
 	raw := buf.Bytes()
 
 	bad := append([]byte(nil), raw...)
@@ -127,7 +115,20 @@ func TestFrameValidation(t *testing.T) {
 	bad = append([]byte(nil), raw...)
 	bad[2] = Version3 // a v1 frame type under the dictionary's version
 	if _, _, err := ReadFrame(bytes.NewReader(bad)); err != ErrBadVersion {
-		t.Fatalf("batch frame at version 3: %v", err)
+		t.Fatalf("ping frame at version 3: %v", err)
+	}
+
+	// The v1 batch frame is retired: refused at its header, whatever follows.
+	var v1 bytes.Buffer
+	_ = WriteFrame(&v1, FrameBatch, appendV1Batch(nil, sampleBatch()))
+	if v1.Bytes()[2] != Version {
+		t.Fatalf("batch frame stamped version %d, want %d", v1.Bytes()[2], Version)
+	}
+	if _, _, err := ReadFrame(&v1); !errors.Is(err, ErrBatchFrameRetired) {
+		t.Fatalf("v1 batch frame: %v", err)
+	}
+	if _, err := DecodeBatch(nil); !errors.Is(err, ErrBatchFrameRetired) {
+		t.Fatalf("DecodeBatch: %v", err)
 	}
 
 	bad = append([]byte(nil), raw...)
@@ -142,58 +143,8 @@ func TestFrameValidation(t *testing.T) {
 		t.Fatalf("length: %v", err)
 	}
 
-	if err := WriteFrame(&buf, FrameBatch, make([]byte, MaxPayload+1)); err != ErrTooLarge {
+	if err := WriteFrame(&buf, FrameRefBatch, make([]byte, MaxPayload+1)); err != ErrTooLarge {
 		t.Fatalf("oversize write: %v", err)
-	}
-}
-
-func TestDecodeTruncated(t *testing.T) {
-	payload := EncodeBatch(sampleBatch())
-	for cut := 0; cut < len(payload); cut += 3 {
-		if _, err := DecodeBatch(payload[:cut]); err == nil && cut < len(payload) {
-			// Some prefixes may decode as a smaller valid batch only if the
-			// structure allows; with our layout a strict prefix must fail
-			// except for the complete payload.
-			t.Fatalf("truncated payload at %d decoded successfully", cut)
-		}
-	}
-}
-
-func TestDecodeGarbage(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 200; i++ {
-		junk := make([]byte, rng.Intn(200))
-		rng.Read(junk)
-		// Must not panic; error or lucky success are both fine.
-		_, _ = DecodeBatch(junk)
-	}
-}
-
-func TestBatchRoundTripProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		b := &Batch{Agent: "agent"}
-		for r := 0; r < 1+rng.Intn(5); r++ {
-			rec := Record{
-				ID:   metric.ID{Name: "m", Labels: metric.NewLabels("node", string(rune('a'+rng.Intn(26))))},
-				Kind: metric.Kind(rng.Intn(2)),
-				Unit: metric.UnitWatt,
-			}
-			tcur := rng.Int63n(1 << 40)
-			for s := 0; s < rng.Intn(50); s++ {
-				tcur += int64(rng.Intn(100000))
-				rec.Samples = append(rec.Samples, metric.Sample{T: tcur, V: rng.NormFloat64() * 1e3})
-			}
-			b.Records = append(b.Records, rec)
-		}
-		out, err := DecodeBatch(EncodeBatch(b))
-		if err != nil {
-			return false
-		}
-		return reflect.DeepEqual(b, out)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -242,6 +193,11 @@ func TestServerClientEndToEnd(t *testing.T) {
 	if srv.Samples() != clients*perClient*4 {
 		t.Fatalf("server got %d samples", srv.Samples())
 	}
+	// Every batch arrived as a ref batch, and each connection defined the
+	// batch's three series once.
+	if srv.RefBatches() != clients*perClient || srv.DictDefs() != clients*3 {
+		t.Fatalf("server got %d ref batches and %d definitions", srv.RefBatches(), srv.DictDefs())
+	}
 	mu.Lock()
 	defer mu.Unlock()
 	if len(received) != clients*perClient {
@@ -273,51 +229,136 @@ func TestServerRejectsGarbageConnection(t *testing.T) {
 	}
 }
 
-func TestDecodeHugeVarintLength(t *testing.T) {
-	// A payload whose string length varint far exceeds the buffer (and
-	// would overflow int if converted blindly) must error, not panic.
-	payload := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}
-	if _, err := DecodeBatch(payload); err == nil {
-		t.Fatal("huge length should error")
-	}
-}
-
-// TestAppendBatchMatchesEncodeBatch pins the append-style encoder to the
-// allocate-per-call one: same bytes, dst extended in place.
-func TestAppendBatchMatchesEncodeBatch(t *testing.T) {
-	batch := sampleBatch()
-	want := EncodeBatch(batch)
-	got := AppendBatch(nil, batch)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("AppendBatch(nil) diverges from EncodeBatch:\n  got  %x\n  want %x", got, want)
-	}
-	prefix := []byte{0xde, 0xad}
-	ext := AppendBatch(prefix, batch)
-	if !bytes.Equal(ext[:2], prefix) || !bytes.Equal(ext[2:], want) {
-		t.Fatal("AppendBatch must append after existing dst contents")
-	}
-}
-
-// TestAppendBatchZeroSteadyStateAllocs is the perf contract for the pooled
-// encode path: once the reused buffer has grown to batch size, encoding
-// (and a full BatchWriter send to a discarding stream) allocates nothing.
-func TestAppendBatchZeroSteadyStateAllocs(t *testing.T) {
-	batch := sampleBatch()
-	buf := AppendBatch(nil, batch)
-	if n := testing.AllocsPerRun(200, func() {
-		buf = AppendBatch(buf[:0], batch)
-	}); n != 0 {
-		t.Fatalf("AppendBatch reuse: %.1f allocs/op, want 0", n)
-	}
-	bw := NewBatchWriter(io.Discard)
-	if err := bw.Send(batch); err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		if err := bw.Send(batch); err != nil {
+// TestServerCloseDrains: Close neither hangs on a client that stays connected
+// and idle nor loses what a client sent before hanging up. The second part is
+// the shutdown contract odad's SIGINT path keeps: on a connection the server
+// is serving, client Close, then server Close, and every batch sent is
+// applied by the time Close returns.
+func TestServerCloseDrains(t *testing.T) {
+	t.Run("idle-client", func(t *testing.T) {
+		srv, err := NewServer("127.0.0.1:0", nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}); n != 0 {
-		t.Fatalf("BatchWriter.Send steady state: %.1f allocs/op, want 0", n)
+		cl, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		if _, err := cl.Ping(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		closed := make(chan error, 1)
+		start := time.Now()
+		go func() { closed <- srv.Close() }()
+		select {
+		case err := <-closed:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(closeDrain + 2*time.Second):
+			t.Fatalf("Close still blocked %v after it was called, with one idle client", time.Since(start))
+		}
+		if srv.Errors() != 0 {
+			t.Fatalf("closing an idle connection counted %d protocol errors", srv.Errors())
+		}
+	})
+	t.Run("batches-before-hangup", func(t *testing.T) {
+		var handled atomic.Uint64
+		srv, err := NewServer("127.0.0.1:0", func(*Batch) {
+			time.Sleep(time.Millisecond) // a slow store: frames queue behind it
+			handled.Add(1)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The pong proves the server accepted the connection: one still in the
+		// listener's backlog when Close runs is never served.
+		if _, err := cl.Ping(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		const sent = 50
+		for i := 0; i < sent; i++ {
+			if err := cl.Send(sampleBatch()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := handled.Load(); n != sent || srv.Batches() != sent {
+			t.Fatalf("handler saw %d and server counted %d of %d batches when Close returned", n, srv.Batches(), sent)
+		}
+	})
+}
+
+// captureConn is a net.Conn that records what a client writes.
+type captureConn struct {
+	net.Conn
+	buf bytes.Buffer
+}
+
+func (c *captureConn) Write(p []byte) (int, error)      { return c.buf.Write(p) }
+func (c *captureConn) Close() error                     { return nil }
+func (c *captureConn) SetWriteDeadline(time.Time) error { return nil }
+
+// goldenBatches are five sends over one connection: ref-frame shapes 0, 1,
+// 2, 3 and 0 again, the last with every series already defined.
+func goldenBatches() []*Batch {
+	at := func(name string, samples ...metric.Sample) Record {
+		return Record{ID: metric.NewID(name, metric.NewLabels("node", "n1")), Kind: metric.Gauge, Unit: metric.UnitWatt, Samples: samples}
+	}
+	s := func(t int64, v float64) metric.Sample { return metric.Sample{T: t, V: v} }
+	return []*Batch{
+		{Agent: "n1", Records: []Record{at("a", s(100, 1)), at("b", s(100, 2)), at("c", s(100, 3))}},
+		{Agent: "n1", Records: []Record{at("a", s(200, 4), s(200, 5)), at("d"), at("b", s(200, 6))}},
+		{Agent: "n1", Records: []Record{at("c", s(300, 7)), at("a", s(310, 8)), at("b", s(290, 9))}},
+		sampleBatch(),
+		{Agent: "n1", Records: []Record{at("a", s(400, 10)), at("b", s(400, 11)), at("c", s(400, 12))}},
+	}
+}
+
+// TestRefBatchGoldenBytes pins the bytes a fresh Client writes — dictionary
+// and ref frames, headers included. The hash was taken from a client that
+// had opted into the dictionary protocol when it was still opt-in, so a plain
+// DialWith speaking it by default moved no byte.
+func TestRefBatchGoldenBytes(t *testing.T) {
+	const golden = "7b257f6725f1ac58198fe49c521fac6831af9c165524fe15c0df75aea1230755"
+	conn := &captureConn{}
+	cl, err := DialWith(func(string) (net.Conn, error) { return conn, nil }, "capture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range goldenBatches() {
+		if err := cl.Send(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stream := conn.buf.Bytes()
+	var shapes []byte
+	for r := bytes.NewReader(stream); r.Len() > 0; {
+		ft, payload, err := ReadFrame(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ft == FrameRefBatch {
+			p := binenc.NewReader(payload)
+			_, _ = p.Str(), p.Uvarint()
+			shapes = append(shapes, p.Byte())
+		}
+	}
+	if !bytes.Equal(shapes, []byte{0, 1, 2, 3, 0}) {
+		t.Fatalf("ref frame shapes %v, want 0 1 2 3 0", shapes)
+	}
+	sum := sha256.Sum256(stream)
+	if got := hex.EncodeToString(sum[:]); got != golden {
+		t.Fatalf("client byte stream (%d bytes) hashes to %s, want %s", len(stream), got, golden)
 	}
 }
