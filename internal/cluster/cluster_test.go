@@ -560,34 +560,39 @@ func TestClusterHintedHandoffDrainsInOrder(t *testing.T) {
 }
 
 func TestClusterHintOverflowDropsNewest(t *testing.T) {
-	nodes, fabric := startCluster(t, []string{"n1", "n2", "n3"}, 1, false, func(c *Config) {
-		c.MaxHintBatches = 2
-	})
+	nodes, fabric := startCluster(t, []string{"n1", "n2", "n3"}, 1, false, nil)
 	n1, n2 := nodes["n1"], nodes["n2"]
 	id := keyOwnedBy(t, n1.router.Ring(), "n2")
 
+	// Two parks more than the queue holds: one sample each, except the
+	// newest batch, which carries three.
 	n2.kill(fabric)
-	for i, ts := range [][]int64{{1000, 1100}, {2000, 2100}, {3000, 3100, 3200}} {
+	parks := maxHintBatches + 2
+	for i := 0; i < parks; i++ {
+		ts := []int64{int64(1000 * (i + 1))}
+		if i == parks-1 {
+			ts = append(ts, ts[0]+100, ts[0]+200)
+		}
 		if _, err := n1.router.AppendBatch(entriesFor(id, ts, float64(i))); err != nil {
 			t.Fatal(err)
 		}
 		n1.router.Flush()
 	}
-	// Queue holds the two oldest batches; the third (newest, 3 entries) was
-	// dropped and counted.
-	if hints := n1.router.PendingHints(); hints != 2 {
-		t.Fatalf("pending hints = %d, want 2", hints)
+	// Queue holds the oldest maxHintBatches batches; the two newest (four
+	// entries) were dropped and counted.
+	if hints := n1.router.PendingHints(); hints != maxHintBatches {
+		t.Fatalf("pending hints = %d, want %d", hints, maxHintBatches)
 	}
-	if dropped := n1.router.DroppedHintEntries(); dropped != 3 {
-		t.Fatalf("dropped entries = %d, want 3 (the newest batch)", dropped)
+	if dropped := n1.router.DroppedHintEntries(); dropped != 4 {
+		t.Fatalf("dropped entries = %d, want 4 (the two newest batches)", dropped)
 	}
 
 	n2.revive(fabric, t)
 	n1.router.CheckPeers()
 	n1.router.CheckPeers() // ping barrier: drained batches fully applied
-	// The two oldest batches (4 samples, t=1000..2100) survived.
-	if got := n2.store.NumSamples(); got != 4 {
-		t.Fatalf("after drain: %d samples, want 4 (oldest data must survive overflow)", got)
+	// The oldest batches (one sample each) survived.
+	if got := n2.store.NumSamples(); got != maxHintBatches {
+		t.Fatalf("after drain: %d samples, want %d (oldest data must survive overflow)", got, maxHintBatches)
 	}
 }
 
@@ -705,6 +710,21 @@ func TestClusterReplicationAndFailover(t *testing.T) {
 	}
 }
 
+// resetReplica discards r's replica of leader, simulating a follower crash
+// (replicas are memory-only); the next pump re-bootstraps from a snapshot.
+func resetReplica(r *Router, leader string) bool {
+	rep := r.replicaFor(leader)
+	if rep == nil {
+		return false
+	}
+	rep.mu.Lock()
+	rep.store, rep.rt = nil, nil
+	rep.bootstrapped, rep.promoted, rep.repaired = false, false, false
+	rep.seq, rep.off, rep.records = 0, 0, 0
+	rep.mu.Unlock()
+	return true
+}
+
 func TestClusterReplicaResetRebootstrapsAndSegmentGone(t *testing.T) {
 	ids := []string{"n1", "n2", "n3"}
 	nodes, _ := startCluster(t, ids, 2, true, nil)
@@ -727,7 +747,7 @@ func TestClusterReplicaResetRebootstrapsAndSegmentGone(t *testing.T) {
 
 	// A reset replica reports lag -1 (not following) and re-bootstraps from
 	// a fresh snapshot on the next pump.
-	if !fr.ResetReplica(leader) {
+	if !resetReplica(fr, leader) {
 		t.Fatalf("%s should hold a replica of %s", follower, leader)
 	}
 	if lag := fr.ReplicationLag(leader); lag != -1 {

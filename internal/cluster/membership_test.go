@@ -335,15 +335,13 @@ func TestClusterLeaveStreamsDataOut(t *testing.T) {
 }
 
 // TestClusterLeaderDeathPromotesAndDemotes drives the lease state machine:
-// below PromoteAfter consecutive misses the replica answer stays partial; at
-// the threshold the follower is promoted and answers authoritatively and
-// bit-exactly; one clean heartbeat after the leader heals it demotes.
+// below promoteAfter (5) consecutive misses the replica answer stays
+// partial; at the threshold the follower is promoted and answers
+// authoritatively and bit-exactly; one clean heartbeat after the leader
+// heals it demotes.
 func TestClusterLeaderDeathPromotesAndDemotes(t *testing.T) {
 	ids := []string{"n1", "n2", "n3"}
-	nodes, fabric := startCluster(t, ids, 2, true, func(c *Config) {
-		c.SuspectAfter = 2
-		c.PromoteAfter = 3
-	})
+	nodes, fabric := startCluster(t, ids, 2, true, nil)
 	ds := makeDataset(24, 24, 11)
 	ref := timeseries.NewStore(16)
 	if _, err := ref.AppendBatch(ds.entries); err != nil {
@@ -404,11 +402,12 @@ func TestClusterLeaderDeathPromotesAndDemotes(t *testing.T) {
 	coord := nodes[coordID].router
 	fr := nodes[follower].router
 
-	// Misses 1 and 2: suspicion, not promotion — answers are flagged partial.
-	for i := 0; i < 2; i++ {
+	// Misses 1 to 4: down, then suspect, never promoted — answers are
+	// flagged partial.
+	for i := 0; i < 4; i++ {
 		fr.CheckPeers()
 		if promotedOn(fr) {
-			t.Fatalf("follower promoted after %d misses, threshold is 3", i+1)
+			t.Fatalf("follower promoted after %d misses, threshold is 5", i+1)
 		}
 		gotV, gotN, _, found, partial, err := coord.Reduce(key, ds.from, ds.to, timeseries.AggSum)
 		if err != nil || !found {
@@ -422,11 +421,11 @@ func TestClusterLeaderDeathPromotesAndDemotes(t *testing.T) {
 		}
 	}
 
-	// Miss 3 crosses PromoteAfter: the follower holds the read lease and its
+	// Miss 5 crosses promoteAfter: the follower holds the read lease and its
 	// answer is authoritative.
 	fr.CheckPeers()
 	if !promotedOn(fr) {
-		t.Fatal("follower not promoted after PromoteAfter consecutive misses")
+		t.Fatal("follower not promoted after promoteAfter consecutive misses")
 	}
 	if fr.Stats().Promotions == 0 {
 		t.Fatal("promotions counter did not advance")
@@ -699,20 +698,21 @@ func TestHintOverflowAccounting(t *testing.T) {
 	// Every interned entry after the first saves key+unit+kind against the
 	// 4-byte ref.
 	perEntry := uint64(len(id.Key()) + len(metric.UnitWatt) + 1 - 4)
-	const maxHints = 2
+	// Empty placeholder batches leave room for exactly two more.
+	p.hints = make([]hintBatch, maxHintBatches-2)
 
-	p.hintLocked(mk(5, 0), false, maxHints) // batch A: defines the series, 4 entries save
+	p.hintLocked(mk(5, 0), false) // batch A: defines the series, 4 entries save
 	if got, want := p.hintSavedBytes, 4*perEntry; got != want {
 		t.Fatalf("after batch A: saved %d, want %d", got, want)
 	}
-	p.hintLocked(mk(5, 100), false, maxHints) // batch B: all 5 entries save
+	p.hintLocked(mk(5, 100), false) // batch B: all 5 entries save
 	if got, want := p.hintSavedBytes, 9*perEntry; got != want {
 		t.Fatalf("after batch B: saved %d, want %d", got, want)
 	}
 
 	// Queue full + non-front arrival: the incoming batch drops before it is
 	// ever packed, so the savings gauge must not move.
-	p.hintLocked(mk(5, 200), false, maxHints)
+	p.hintLocked(mk(5, 200), false)
 	if got, want := p.hintSavedBytes, 9*perEntry; got != want {
 		t.Fatalf("non-front overflow changed savings: %d, want %d", got, want)
 	}
@@ -723,15 +723,15 @@ func TestHintOverflowAccounting(t *testing.T) {
 	// Queue full + front arrival (a failed send): batch B (newest queued)
 	// drops and its 5*perEntry savings are reversed; the front batch packs
 	// with the series already interned, adding 5*perEntry of its own.
-	p.hintLocked(mk(5, 300), true, maxHints)
+	p.hintLocked(mk(5, 300), true)
 	if got, want := p.hintSavedBytes, 9*perEntry; got != want {
 		t.Fatalf("front overflow drop did not reverse the dropped batch's savings: %d, want %d", got, want)
 	}
 	if p.droppedHintEntries != 10 {
 		t.Fatalf("dropped entries = %d, want 10", p.droppedHintEntries)
 	}
-	if len(p.hints) != maxHints {
-		t.Fatalf("hint queue length %d, want %d", len(p.hints), maxHints)
+	if len(p.hints) != maxHintBatches {
+		t.Fatalf("hint queue length %d, want %d", len(p.hints), maxHintBatches)
 	}
 	// FIFO contract: the failed send is OLDER than everything queued, so it
 	// must sit at the front.

@@ -191,25 +191,6 @@ func (r *Router) ReplicaOf(leader string) (*timeseries.Store, bool) {
 	return st, st != nil
 }
 
-// ResetReplica discards a replica's state, simulating a follower crash
-// (replicas are memory-only); the next pump re-bootstraps from a snapshot.
-func (r *Router) ResetReplica(leader string) bool {
-	rep := r.replicaFor(leader)
-	if rep == nil {
-		return false
-	}
-	rep.mu.Lock()
-	rep.store = nil
-	rep.rt = nil
-	rep.bootstrapped = false
-	rep.promoted = false
-	rep.repaired = false
-	rep.seq, rep.off = 0, 0
-	rep.records = 0
-	rep.mu.Unlock()
-	return true
-}
-
 // ReplicationLag reports the last observed byte lag behind leader, or -1 if
 // this node does not follow it (or has not bootstrapped yet).
 func (r *Router) ReplicationLag(leader string) int64 {

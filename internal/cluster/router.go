@@ -46,51 +46,28 @@ type Config struct {
 	// store configuration — in particular rollup tiers — so planned queries
 	// against a replica behave like the leader's).
 	ReplicaOptions []timeseries.Option
-
-	// MaxHintBatches bounds the per-peer hinted-handoff queue (0 = 4096);
-	// overflow drops the newest data and counts it.
-	MaxHintBatches int
-
-	// SuspectAfter is how many consecutive missed probes turn a peer from
-	// "down" into "suspect" in the failure detector's hysteresis (0 = 2).
-	SuspectAfter int
-	// PromoteAfter is how many consecutive missed probes of a leader let a
-	// caught-up follower promote its replica to read-primary (0 = 5). It
-	// must exceed SuspectAfter so transient blips never promote.
-	PromoteAfter int
 }
 
 const (
 	// flushEntries is the per-peer forward buffer size that triggers an
 	// automatic flush.
 	flushEntries = 256
+	// maxHintBatches bounds the per-peer hinted-handoff queue; overflow
+	// drops the newest data and counts it.
+	maxHintBatches = 4096
+	// suspectAfter is how many consecutive missed probes turn a peer from
+	// "down" into "suspect" in the failure detector's hysteresis.
+	suspectAfter = 2
+	// promoteAfter is how many consecutive missed probes of a leader let a
+	// caught-up follower promote its replica to read-primary. It exceeds
+	// suspectAfter so transient blips never promote.
+	promoteAfter = 5
 	pingTimeout  = 2 * time.Second // bounds failure-detector probes
 	sendTimeout  = 5 * time.Second // bounds batch forwards
 	rpcTimeout   = 5 * time.Second // bounds query/replication round trips
 	// replPullBytes is the per-pull WAL byte budget.
 	replPullBytes = 1 << 20
 )
-
-func (c *Config) maxHintBatches() int {
-	if c.MaxHintBatches <= 0 {
-		return 4096
-	}
-	return c.MaxHintBatches
-}
-
-func (c *Config) suspectAfter() int {
-	if c.SuspectAfter <= 0 {
-		return 2
-	}
-	return c.SuspectAfter
-}
-
-func (c *Config) promoteAfter() int {
-	if c.PromoteAfter <= 0 {
-		return 5
-	}
-	return c.PromoteAfter
-}
 
 // Router is the cluster brain of one node: it places series on the ring,
 // forwards foreign appends to their owners (parking them in a hinted-handoff
@@ -405,13 +382,16 @@ func (r *Router) applyTopology(t *Topology) bool {
 	r.peers, r.peerList, r.replicas = newPeers, newList, newReps
 	r.topo.Store(t)
 	r.epochFlips.Add(1)
+	// Re-route before releasing mu: a concurrent AppendBatch would otherwise
+	// buffer newer samples of a stolen series ahead of the older ones, and
+	// the owner would reject the older ones as out of order.
+	if len(stolen) > 0 {
+		r.reroutedEntries.Add(uint64(len(stolen)))
+		_, _ = r.routeLocked(stolen, false)
+	}
 	r.mu.Unlock()
 	for _, p := range departed {
 		p.closeClients()
-	}
-	if len(stolen) > 0 {
-		r.reroutedEntries.Add(uint64(len(stolen)))
-		_, _ = r.route(stolen, false)
 	}
 	return true
 }
@@ -435,6 +415,11 @@ func (r *Router) AppendBatch(entries []timeseries.BatchEntry) (int, error) {
 func (r *Router) route(entries []timeseries.BatchEntry, count bool) (int, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	return r.routeLocked(entries, count)
+}
+
+// routeLocked is route with r.mu already held, in either mode.
+func (r *Router) routeLocked(entries []timeseries.BatchEntry, count bool) (int, error) {
 	if len(r.peers) == 0 {
 		n, err := r.appendLocal(entries, nil)
 		if count {
@@ -475,7 +460,7 @@ func (r *Router) route(entries []timeseries.BatchEntry, count bool) (int, error)
 		p.mu.Lock()
 		p.buf = append(p.buf, g...)
 		if len(p.buf) >= flushEntries {
-			p.flushLocked(r.cfg.maxHintBatches())
+			p.flushLocked()
 		}
 		p.mu.Unlock()
 		accepted += len(g)
@@ -495,10 +480,9 @@ func (r *Router) appendLocal(entries []timeseries.BatchEntry, keys []string) (in
 // Flush pushes every peer's pending forward buffer out now. Tests and the
 // shutdown path call it directly; the background loop calls it on a timer.
 func (r *Router) Flush() {
-	maxHints := r.cfg.maxHintBatches()
 	for _, p := range r.peersSnapshot() {
 		p.mu.Lock()
-		p.flushLocked(maxHints)
+		p.flushLocked()
 		p.mu.Unlock()
 	}
 }
@@ -530,28 +514,28 @@ func (p *peer) sendLocked(entries []timeseries.BatchEntry) error {
 // must never overtake parked data, or a series' timestamps would arrive out
 // of order and be rejected. A failed send parks its batch at the FRONT of
 // the queue, since it is older than everything already hinted.
-func (p *peer) flushLocked(maxHints int) {
+func (p *peer) flushLocked() {
 	if len(p.buf) == 0 {
 		return
 	}
 	entries := p.buf
 	p.buf = nil
 	if !p.up.Load() || len(p.hints) > 0 {
-		p.hintLocked(entries, false, maxHints)
+		p.hintLocked(entries, false)
 		return
 	}
 	if err := p.sendLocked(entries); err != nil {
 		p.failedSends++
 		p.up.Store(false)
-		p.hintLocked(entries, true, maxHints)
+		p.hintLocked(entries, true)
 		return
 	}
 	p.forwardedBatches++
 	p.forwardedEntries += uint64(len(entries))
 }
 
-func (p *peer) hintLocked(entries []timeseries.BatchEntry, front bool, maxHints int) {
-	if len(p.hints) >= maxHints {
+func (p *peer) hintLocked(entries []timeseries.BatchEntry, front bool) {
+	if len(p.hints) >= maxHintBatches {
 		if !front {
 			p.droppedHintEntries += uint64(len(entries))
 			return
@@ -720,7 +704,7 @@ func (r *Router) deliverForwarded(entries []timeseries.BatchEntry) {
 // hinted batches drain in FIFO order and, once the queue is empty, it is
 // marked up so fresh traffic flows directly again. A peer that does not
 // answer is marked down and accrues a miss; consecutive misses escalate
-// down → suspect (SuspectAfter) → dead (PromoteAfter), at which point
+// down → suspect (suspectAfter) → dead (promoteAfter), at which point
 // updateLeases lets a caught-up follower promote its replica of the dead
 // leader to read-primary. A peer recovering from misses also exchanges
 // topologies (anti-entropy), so a node that slept through a membership
@@ -764,7 +748,7 @@ func (r *Router) checkPeer(p *peer) {
 }
 
 // updateLeases promotes and demotes replicas from the miss counters: a
-// bootstrapped replica of a leader missing PromoteAfter consecutive probes
+// bootstrapped replica of a leader missing promoteAfter consecutive probes
 // becomes read-primary (queries served from it stop being partial); the
 // first successful probe of the leader demotes it again.
 func (r *Router) updateLeases() {
@@ -775,7 +759,6 @@ func (r *Router) updateLeases() {
 	}
 	peers := r.peers
 	r.mu.RUnlock()
-	promoteAfter := r.cfg.promoteAfter()
 	for leader, rep := range reps {
 		p := peers[leader]
 		if p == nil {
@@ -945,7 +928,6 @@ func (r *Router) Stats() Stats {
 		Promotions:       r.promotions.Load(),
 		HandoffEntries:   r.handoffEntries.Load(),
 	}
-	suspectAfter, promoteAfter := r.cfg.suspectAfter(), r.cfg.promoteAfter()
 	for _, p := range r.peersSnapshot() {
 		p.mu.Lock()
 		state := "up"

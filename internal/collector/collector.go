@@ -78,8 +78,10 @@ func (e *RejectedError) Error() string {
 // hashing and map lookups. Sources hand back readings in a stable order, so
 // the ref cache is positional: cache slot i is validated against reading i
 // by name and label identity, which makes the steady-state scrape zero-
-// lookup as well as zero-alloc. The cache heals itself across ref epoch
-// bumps (Downsample/Retain/recovery swaps).
+// lookup as well as zero-alloc. Refs live as long as the store that minted
+// them, so the cache survives retention; it starts over when Store is
+// swapped for another instance (a harness recovering from a crash), which
+// the up-front RefEpoch compare notices.
 type StoreSink struct {
 	Store timeseries.RefAppender
 	errs  atomic.Uint64
@@ -115,50 +117,39 @@ func (s *StoreSink) Consume(_ string, now int64, readings []Reading) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for attempt := 0; ; attempt++ {
-		// Re-read every call: harnesses swap Store after a crash recovery,
-		// and the fresh store's new epoch invalidates the cache.
-		epoch := s.Store.RefEpoch()
-		if epoch != s.refEpoch {
-			for i := range s.cache {
-				s.cache[i].ok = false
-			}
-			s.refEpoch = epoch
+	// Re-read every call: harnesses swap Store after a crash recovery, and
+	// the fresh store's new epoch invalidates the cache.
+	if epoch := s.Store.RefEpoch(); epoch != s.refEpoch {
+		for i := range s.cache {
+			s.cache[i].ok = false
 		}
-		for len(s.cache) < len(readings) {
-			s.cache = append(s.cache, sinkRef{})
-		}
-		s.refBuf = s.refBuf[:0]
-		for i := range readings {
-			r := &readings[i]
-			c := &s.cache[i]
-			if !c.ok || c.name != r.ID.Name || !c.labels.Equal(r.ID.Labels) {
-				ref, err := s.Store.Resolve(r.ID, r.Kind, r.Unit)
-				if err != nil {
-					return err
-				}
-				c.name, c.labels, c.ref, c.ok = r.ID.Name, r.ID.Labels, ref, true
-			}
-			s.refBuf = append(s.refBuf, timeseries.RefEntry{Ref: c.ref, T: now, V: r.Value})
-		}
-		appended, err := s.Store.AppendRefs(s.refBuf)
-		// A wholly-stale batch lost a race with an epoch bump between
-		// resolving and appending; one re-resolve retry is double-append
-		// safe because nothing landed. A mixed batch reports the skipped
-		// entries as rejections, like out-of-order samples.
-		if err != nil && appended == 0 && errors.Is(err, timeseries.ErrStaleRef) && attempt == 0 {
-			s.refEpoch = 0 // 0 is never a live epoch: invalidates the cache
-			continue
-		}
-		if errors.Is(err, timeseries.ErrStoreClosed) {
-			return err
-		}
-		if rejected := len(readings) - appended; rejected > 0 {
-			s.errs.Add(uint64(rejected))
-			return &RejectedError{N: rejected}
-		}
-		return nil
+		s.refEpoch = epoch
 	}
+	for len(s.cache) < len(readings) {
+		s.cache = append(s.cache, sinkRef{})
+	}
+	s.refBuf = s.refBuf[:0]
+	for i := range readings {
+		r := &readings[i]
+		c := &s.cache[i]
+		if !c.ok || c.name != r.ID.Name || !c.labels.Equal(r.ID.Labels) {
+			ref, err := s.Store.Resolve(r.ID, r.Kind, r.Unit)
+			if err != nil {
+				return err
+			}
+			c.name, c.labels, c.ref, c.ok = r.ID.Name, r.ID.Labels, ref, true
+		}
+		s.refBuf = append(s.refBuf, timeseries.RefEntry{Ref: c.ref, T: now, V: r.Value})
+	}
+	appended, err := s.Store.AppendRefs(s.refBuf)
+	if errors.Is(err, timeseries.ErrStoreClosed) {
+		return err
+	}
+	if rejected := len(readings) - appended; rejected > 0 {
+		s.errs.Add(uint64(rejected))
+		return &RejectedError{N: rejected}
+	}
+	return nil
 }
 
 // Errors returns the number of rejected samples.

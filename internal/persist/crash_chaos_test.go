@@ -53,10 +53,6 @@ func TestChaosScheduledCrashRecovery(t *testing.T) {
 			for r := 0; r < ops; r++ {
 				now := int64(1000 + r*1000)
 				switch {
-				case r%9 == 4:
-					if _, err := d.Downsample(ids[r%len(ids)], 3000); err != nil {
-						t.Fatalf("op %d downsample: %v", r, err)
-					}
 				case r%9 == 7:
 					if _, err := d.Retain(now - 12000); err != nil {
 						t.Fatalf("op %d retain: %v", r, err)

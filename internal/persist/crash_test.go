@@ -109,11 +109,6 @@ func TestTornWriteRecoversExactPrefix(t *testing.T) {
 					now := int64(1000 + r*1000)
 					bumped := false
 					switch {
-					case r%10 == 7:
-						if _, err := d.Downsample(ids[0], 4000); err != nil {
-							t.Fatal(err)
-						}
-						bumped = true
 					case r%10 == 9:
 						if _, err := d.Retain(now - 6000); err != nil {
 							t.Fatal(err)
@@ -135,7 +130,7 @@ func TestTornWriteRecoversExactPrefix(t *testing.T) {
 					}
 					recordState()
 					if bumped {
-						resolve() // epoch bumped: re-resolve, logging fresh defines
+						resolve() // refs outlive retention: still bound, no define logged
 					}
 				}
 				d.Crash()

@@ -261,8 +261,8 @@ func (d *DurableStore) runTicker(every time.Duration, fn func()) {
 }
 
 // Store exposes the underlying TSDB for queries. Do not mutate it
-// directly — use the wrapper's Append/Downsample/Retain so the WAL sees
-// every change.
+// directly — use the wrapper's Append/AppendRefs/Retain/RetainTier so the
+// WAL sees every change.
 func (d *DurableStore) Store() *timeseries.Store { return d.store }
 
 // begin enters a mutating operation: it takes the checkpoint lock shared and
@@ -353,7 +353,7 @@ func (d *DurableStore) Append(id metric.ID, kind metric.Kind, unit metric.Unit, 
 	return err
 }
 
-// RefEpoch reports the underlying store's ref generation (see
+// RefEpoch reports the underlying store's epoch (see
 // timeseries.Store.RefEpoch).
 func (d *DurableStore) RefEpoch() uint64 { return d.store.RefEpoch() }
 
@@ -408,7 +408,8 @@ func (d *DurableStore) defineLocked(id metric.ID, kind metric.Kind, unit metric.
 }
 
 // AppendRefs logs and ingests ref-addressed samples; semantics match
-// timeseries.Store.AppendRefs. Stale refs are rejected before logging, so
+// timeseries.Store.AppendRefs. Stale refs (minted by another store
+// instance) are rejected before logging, so
 // the WAL carries only samples whose addressing the store accepts and
 // replay reproduces the same outcome; a valid ref with no live WAL
 // binding (possible after a checkpoint cleared the table) gets its
@@ -469,23 +470,6 @@ func (d *DurableStore) appendRefsLocked(entries []timeseries.RefEntry) (n int, s
 		err = staleErr
 	}
 	return n, seq, err
-}
-
-// Downsample logs and applies a downsample; semantics match
-// timeseries.Store.Downsample.
-func (d *DurableStore) Downsample(id metric.ID, step int64) (int, error) {
-	var n int
-	var dsErr error
-	seq, err := d.logApply(encodeDownsample(nil, id, step), func() {
-		n, dsErr = d.store.Downsample(id, step)
-	})
-	if err != nil {
-		return 0, err
-	}
-	if err := d.ack(seq); err != nil {
-		return n, err
-	}
-	return n, dsErr
 }
 
 // Retain logs and applies retention; semantics match

@@ -13,8 +13,8 @@ import (
 )
 
 // applyWorkload drives a representative op mix through a durable store:
-// regular appends across several series, an out-of-order rejection, a
-// downsample and a retention pass.
+// regular appends across several series, an out-of-order rejection and a
+// retention pass.
 func applyWorkload(t *testing.T, d *DurableStore, rounds int) {
 	t.Helper()
 	ids := []metric.ID{testID("power", "n01"), testID("power", "n02"), testID("temp", "n01")}
@@ -35,10 +35,6 @@ func applyWorkload(t *testing.T, d *DurableStore, rounds int) {
 			// Duplicate timestamp: rejected live, rejected again at replay.
 			if n, err := d.AppendBatch(batch[:1]); err == nil || n != 0 {
 				t.Fatalf("duplicate batch accepted: %d, %v", n, err)
-			}
-		case r == rounds/3:
-			if _, err := d.Downsample(ids[2], 2000); err != nil {
-				t.Fatalf("downsample: %v", err)
 			}
 		case r == 2*rounds/3:
 			if _, err := d.Retain(int64(1000 + (r-5)*1000)); err != nil {
@@ -201,9 +197,6 @@ func TestClosedStoreRefusesMutations(t *testing.T) {
 		if n, err := rc.AppendBatch([]timeseries.BatchEntry{{ID: id, T: 3, V: 3}}); n != 0 || !errors.Is(err, timeseries.ErrStoreClosed) {
 			t.Fatalf("RefCache append of %s after close: %d, %v; want 0, ErrStoreClosed", id.Key(), n, err)
 		}
-	}
-	if _, err := d.Downsample(testID("m", "n"), 10); !errors.Is(err, timeseries.ErrStoreClosed) {
-		t.Fatalf("downsample after close: want ErrStoreClosed, got %v", err)
 	}
 	if _, err := d.Retain(0); !errors.Is(err, timeseries.ErrStoreClosed) {
 		t.Fatalf("retain after close: want ErrStoreClosed, got %v", err)

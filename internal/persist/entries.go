@@ -14,7 +14,7 @@ import (
 // stream so ref-addressed appends resolve to full identities; use one
 // dedicated RefTable per stream and do not share it with ApplyRecord
 // (RecordEntries never resolves store refs, so its definitions carry no
-// SeriesRef). Maintenance records (downsample/retention) return no entries:
+// SeriesRef). Maintenance records (retention) return no entries:
 // the importing node applies its own retention policy to the imported data.
 // A record with a retired op code is ErrUnsupportedFormat, as in ApplyRecord.
 func RecordEntries(rt *RefTable, payload []byte) ([]timeseries.BatchEntry, error) {

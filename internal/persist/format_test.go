@@ -90,6 +90,9 @@ func TestOpenRefusesUnsupportedFormats(t *testing.T) {
 		{"retired op record", map[string][]byte{
 			segmentName(1): frameSegment(def, app, retiredKeyedPayload(), app),
 		}, "retired op code 1"},
+		{"retired downsample record", map[string][]byte{
+			segmentName(1): frameSegment(def, app, retiredOp2Payload(), app),
+		}, "retired op code 2"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -118,12 +121,14 @@ func TestOpenRefusesUnsupportedFormats(t *testing.T) {
 }
 
 // TestShippedRetiredRecordRefused: the replication and join-import decoders
-// refuse a shipped record with the retired op code the same way.
+// refuse a shipped record with a retired op code the same way.
 func TestShippedRetiredRecordRefused(t *testing.T) {
-	if err := ApplyRecord(timeseries.NewStore(8), NewRefTable(), retiredKeyedPayload()); !errors.Is(err, ErrUnsupportedFormat) {
-		t.Fatalf("ApplyRecord = %v, want ErrUnsupportedFormat", err)
-	}
-	if _, err := RecordEntries(NewRefTable(), retiredKeyedPayload()); !errors.Is(err, ErrUnsupportedFormat) {
-		t.Fatalf("RecordEntries = %v, want ErrUnsupportedFormat", err)
+	for _, payload := range [][]byte{retiredKeyedPayload(), retiredOp2Payload()} {
+		if err := ApplyRecord(timeseries.NewStore(8), NewRefTable(), payload); !errors.Is(err, ErrUnsupportedFormat) {
+			t.Fatalf("op %d: ApplyRecord = %v, want ErrUnsupportedFormat", payload[0], err)
+		}
+		if _, err := RecordEntries(NewRefTable(), payload); !errors.Is(err, ErrUnsupportedFormat) {
+			t.Fatalf("op %d: RecordEntries = %v, want ErrUnsupportedFormat", payload[0], err)
+		}
 	}
 }

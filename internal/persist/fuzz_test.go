@@ -27,6 +27,15 @@ func retiredKeyedPayload() []byte {
 	return binenc.AppendFloat(b, 21.5)
 }
 
+// retiredOp2Payload is a record as the retired downsample writer laid
+// it out (op code 2: the series ID, then the window step). Like the keyed
+// record, the op byte alone must get it refused.
+func retiredOp2Payload() []byte {
+	b := []byte{opRetiredDownsample}
+	b = binenc.AppendID(b, metric.ID{Name: "power", Labels: metric.NewLabels("node", "n01")})
+	return binenc.AppendVarint(b, 60000)
+}
+
 // walFuzzSeeds are the FuzzWALReplay seeds, by corpus file name: the fuzz
 // target adds them and TestGenCorpus writes them to testdata/fuzz.
 func walFuzzSeeds() map[string][]byte {
@@ -53,17 +62,17 @@ func walFuzzSeeds() map[string][]byte {
 		"seed-bad-crc":          badCRC,
 		"seed-valid-multi": frameSegment(
 			encodeRetain(nil, 9),
-			encodeDownsample(nil, metric.ID{Name: "power", Labels: metric.NewLabels("node", "n01")}, 60000),
 			encodeRetainTier(nil, 60000, 5),
 			def, app,
 		),
-		"seed-ref-define-append": frameSegment(def, app),
-		"seed-ref-undefined":     frameSegment(undef),                                      // no define: refs skipped
-		"seed-ref-rebound":       frameSegment(def, rebound, app),                          // one WAL ref bound to a second series
-		"seed-ref-torn-define":   tornDefine[:len(tornDefine)-3],                           // tear inside a define record
-		"seed-ref-scratch-grows": frameSegment(def, app, encodeAppendRef(nil, grown), app), // count field past the scratch's capacity
-		"seed-retired-keyed":     frameSegment(def, app, retiredKeyedPayload(), app),       // intact record, retired op code
-		"seed-foreign-magic":     []byte("ODAWAL0\n\x00\x00\x00\x01"),
+		"seed-ref-define-append":  frameSegment(def, app),
+		"seed-ref-undefined":      frameSegment(undef),                                      // no define: refs skipped
+		"seed-ref-rebound":        frameSegment(def, rebound, app),                          // one WAL ref bound to a second series
+		"seed-ref-torn-define":    tornDefine[:len(tornDefine)-3],                           // tear inside a define record
+		"seed-ref-scratch-grows":  frameSegment(def, app, encodeAppendRef(nil, grown), app), // count field past the scratch's capacity
+		"seed-retired-keyed":      frameSegment(def, app, retiredKeyedPayload(), app),       // intact record, retired op code
+		"seed-retired-downsample": frameSegment(def, app, retiredOp2Payload(), app),         // likewise, the other retired op
+		"seed-foreign-magic":      []byte("ODAWAL0\n\x00\x00\x00\x01"),
 	}
 }
 
@@ -110,7 +119,8 @@ func FuzzWALReplay(f *testing.F) {
 			rest := data[res.offset:]
 			length := binary.BigEndian.Uint32(rest[0:4])
 			payload := rest[recordHeaderLen : recordHeaderLen+length]
-			if payload[0] != opRetiredKeyed || crc32.Checksum(payload, castagnoli) != binary.BigEndian.Uint32(rest[4:8]) {
+			retired := payload[0] == opRetiredKeyed || payload[0] == opRetiredDownsample
+			if !retired || crc32.Checksum(payload, castagnoli) != binary.BigEndian.Uint32(rest[4:8]) {
 				t.Fatalf("offset %d does not hold an intact retired-op record", res.offset)
 			}
 		case !res.torn && len(data) > 0 && res.offset != int64(len(data)):

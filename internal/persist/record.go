@@ -48,11 +48,13 @@ const (
 	// never reused, so a log that holds one is recognised — and refused with
 	// ErrUnsupportedFormat — instead of being mistaken for a torn tail.
 	opRetiredKeyed = 1
-	opDownsample   = 2 // Downsample(id, step)
-	opRetain       = 3 // Retain(cutoff)
-	opRetainTier   = 4 // RetainTier(step, cutoff)
-	opDefine       = 5 // bind a WAL series ref to a full series identity
-	opAppendRef    = 6 // a batch of samples, addressed by WAL ref
+	// opRetiredDownsample is reserved the same way: it rewrote one series
+	// as window means, an operation the rollup tiers replaced.
+	opRetiredDownsample = 2
+	opRetain            = 3 // Retain(cutoff)
+	opRetainTier        = 4 // RetainTier(step, cutoff)
+	opDefine            = 5 // bind a WAL series ref to a full series identity
+	opAppendRef         = 6 // a batch of samples, addressed by WAL ref
 )
 
 // recordHeaderLen is the length + CRC prefix of every WAL record.
@@ -76,8 +78,8 @@ var ErrUnsupportedFormat = errors.New("persist: unsupported on-disk format")
 // walRecord is one decoded WAL operation.
 type walRecord struct {
 	op         byte
-	id         metric.ID   // opDownsample, opDefine
-	step       int64       // opDownsample, opRetainTier
+	id         metric.ID   // opDefine
+	step       int64       // opRetainTier
 	cutoff     int64       // opRetain, opRetainTier
 	ref        uint64      // opDefine
 	kind       metric.Kind // opDefine
@@ -98,8 +100,6 @@ type refSample struct {
 // are tolerated again, so replay reproduces the live store's state exactly.
 func (r *walRecord) apply(store *timeseries.Store, rt *RefTable) {
 	switch r.op {
-	case opDownsample:
-		_, _ = store.Downsample(r.id, r.step)
 	case opRetain:
 		store.Retain(r.cutoff)
 	case opRetainTier:
@@ -113,14 +113,13 @@ func (r *walRecord) apply(store *timeseries.Store, rt *RefTable) {
 
 // RefTable is replay-side WAL-ref state: it maps the uvarint refs that
 // opDefine records bind to full series identities, caching the live
-// store's SeriesRef per definition. The cache is epoch-checked against the
-// store before every use — a replayed Downsample/Retain bumps the store
-// epoch mid-stream and the table lazily re-resolves, so ref-based records
-// land on the right series no matter how invalidations interleave.
-// Redefining a ref simply rebinds it (writers re-number from scratch after
-// a checkpoint or restart, so later segments may legitimately reuse small
-// refs); a ref that was never defined is skipped like any other tolerated
-// replay inconsistency. One RefTable serves one ordered replay stream.
+// store's SeriesRef per definition. Refs stay valid for the life of a
+// store (retention never invalidates them), so one table serves one
+// ordered replay stream into one store; whoever swaps the store starts a
+// fresh table or Resets this one. Redefining a ref simply rebinds it
+// (writers re-number from scratch after a checkpoint or restart, so later
+// segments may legitimately reuse small refs); a ref that was never
+// defined is skipped like any other tolerated replay inconsistency.
 //
 // defs holds every definition. Writers hand refs out from 1 upwards, so the
 // per-sample lookup does not go through it: dense[ref] is the cached
@@ -128,7 +127,6 @@ func (r *walRecord) apply(store *timeseries.Store, rt *RefTable) {
 // SeriesRef, where unbound), and only refs at or past the limit — which no
 // writer of ours produces before its millionth series — pay the map probe.
 type RefTable struct {
-	epoch   uint64
 	defs    map[uint64]refDef
 	dense   []timeseries.SeriesRef
 	buf     []timeseries.RefEntry // scratch for appendRefs
@@ -154,16 +152,12 @@ func NewRefTable() *RefTable { return &RefTable{defs: make(map[uint64]refDef)} }
 func (rt *RefTable) Reset() {
 	clear(rt.defs)
 	clear(rt.dense)
-	rt.epoch = 0
 }
 
 func (rt *RefTable) define(store *timeseries.Store, ref uint64, id metric.ID, kind metric.Kind, unit metric.Unit) {
 	sref, err := store.Resolve(id, kind, unit)
 	if err != nil {
 		return
-	}
-	if len(rt.defs) == 0 {
-		rt.epoch = store.RefEpoch()
 	}
 	rt.defs[ref] = refDef{id: id, kind: kind, unit: unit, sref: sref}
 	rt.bind(ref, sref)
@@ -180,23 +174,7 @@ func (rt *RefTable) bind(ref uint64, sref timeseries.SeriesRef) {
 	rt.dense[ref] = sref
 }
 
-// refresh re-resolves every cached SeriesRef after a store epoch bump; the
-// caller has observed cur != rt.epoch.
-func (rt *RefTable) refresh(store *timeseries.Store, cur uint64) {
-	for ref, d := range rt.defs {
-		if sref, err := store.Resolve(d.id, d.kind, d.unit); err == nil {
-			d.sref = sref
-			rt.defs[ref] = d
-			rt.bind(ref, sref)
-		}
-	}
-	rt.epoch = cur
-}
-
 func (rt *RefTable) appendRefs(store *timeseries.Store, entries []refSample) {
-	if cur := store.RefEpoch(); cur != rt.epoch {
-		rt.refresh(store, cur)
-	}
 	if cap(rt.buf) < len(entries) {
 		rt.buf = make([]timeseries.RefEntry, 0, len(entries))
 	}
@@ -247,13 +225,6 @@ func encodeAppendRef(buf []byte, entries []refSample) []byte {
 	return buf
 }
 
-// encodeDownsample serializes a Downsample payload into buf.
-func encodeDownsample(buf []byte, id metric.ID, step int64) []byte {
-	buf = append(buf, opDownsample)
-	buf = binenc.AppendID(buf, id)
-	return binenc.AppendVarint(buf, step)
-}
-
 // encodeRetain serializes a Retain payload into buf.
 func encodeRetain(buf []byte, cutoff int64) []byte {
 	buf = append(buf, opRetain)
@@ -284,9 +255,8 @@ func decodeRecord(payload []byte, scratch *[]refSample) (walRecord, error) {
 	switch rec.op {
 	case opRetiredKeyed:
 		return rec, fmt.Errorf("%w: wal record with retired op code %d (keyed append)", ErrUnsupportedFormat, rec.op)
-	case opDownsample:
-		rec.id = p.ID()
-		rec.step = p.Varint()
+	case opRetiredDownsample:
+		return rec, fmt.Errorf("%w: wal record with retired op code %d (downsample)", ErrUnsupportedFormat, rec.op)
 	case opRetain:
 		rec.cutoff = p.Varint()
 	case opRetainTier:

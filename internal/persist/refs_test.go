@@ -10,8 +10,8 @@ import (
 )
 
 // refIngest drives a mixed ref-path workload against a durable store:
-// resolve, append by ref, re-resolve across epoch bumps from Downsample and
-// Retain — the exact sequence a collector sink produces in production.
+// resolve, append by ref, Retain and re-resolve — the sequence a collector
+// sink produces in production.
 func refIngest(t *testing.T, d *DurableStore, ops int) {
 	t.Helper()
 	ids := []metric.ID{testID("power", "n01"), testID("temp", "n02")}
@@ -29,11 +29,6 @@ func refIngest(t *testing.T, d *DurableStore, ops int) {
 	for r := 0; r < ops; r++ {
 		now := int64(1000 + r*1000)
 		switch {
-		case r%10 == 7:
-			if _, err := d.Downsample(ids[0], 4000); err != nil {
-				t.Fatal(err)
-			}
-			resolve() // epoch bumped: old refs are stale
 		case r%10 == 9:
 			if _, err := d.Retain(now - 6000); err != nil {
 				t.Fatal(err)
@@ -52,7 +47,7 @@ func refIngest(t *testing.T, d *DurableStore, ops int) {
 }
 
 // TestRefIngestCrashRecovery: a store fed purely through the ref fast path
-// (opDefine + opAppendRef records, with epoch bumps interleaved) recovers
+// (opDefine + opAppendRef records, with retention interleaved) recovers
 // byte-identical after a crash — the same guarantee keyed ingest has.
 func TestRefIngestCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
@@ -181,7 +176,7 @@ func TestWALBytesPerSample(t *testing.T) {
 
 // TestCheckpointRebindsWALRefs: a checkpoint clears the WAL-ref table so
 // post-snapshot segments are self-contained. Outstanding SeriesRefs stay
-// valid (no epoch bump), the next AppendRefs re-defines them on the fly,
+// valid (same store instance), the next AppendRefs re-defines them on the fly,
 // and recovery from snapshot + post-cut WAL is exact.
 func TestCheckpointRebindsWALRefs(t *testing.T) {
 	dir := t.TempDir()
@@ -221,9 +216,10 @@ func TestCheckpointRebindsWALRefs(t *testing.T) {
 	}
 }
 
-// TestStaleRefsNeverLogged: entries the live store would reject as stale
-// are filtered before logging, so replay cannot resurrect them. A wholly
-// stale batch logs nothing at all.
+// TestStaleRefsNeverLogged: entries the live store would reject as stale —
+// refs minted by the store instance a crash recovery replaced — are
+// filtered before logging, so replay cannot resurrect them. A wholly stale
+// batch logs nothing at all.
 func TestStaleRefsNeverLogged(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{ChunkSize: 8, Fsync: FsyncAlways}
@@ -239,7 +235,9 @@ func TestStaleRefsNeverLogged(t *testing.T) {
 	if n, err := d.AppendRefs([]timeseries.RefEntry{{Ref: ref, T: 1000, V: 1}}); n != 1 || err != nil {
 		t.Fatalf("seed append: %d, %v", n, err)
 	}
-	if _, err := d.Retain(0); err != nil { // bumps the ref epoch
+	d.Crash()
+	// Recovery builds a new store instance: the ref above names the old one.
+	if d, err = Open(dir, opts); err != nil {
 		t.Fatal(err)
 	}
 	before := d.Stats().WALRecords
@@ -265,7 +263,7 @@ func TestStaleRefsNeverLogged(t *testing.T) {
 // TestSegmentStreamReplaysRefRecords: a follower applying the leader's raw
 // record stream (SegmentReader + ApplyRecord with a RefTable) converges on
 // the leader's exact store — including opDefine/opAppendRef records and the
-// epoch bumps interleaved between them.
+// retention records interleaved between them.
 func TestSegmentStreamReplaysRefRecords(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(dir, Options{ChunkSize: 8, Fsync: FsyncAlways})
@@ -294,4 +292,125 @@ func TestSegmentStreamReplaysRefRecords(t *testing.T) {
 		t.Fatal("follower diverged from ref-ingesting leader")
 	}
 	d.Crash()
+}
+
+// countingAppender counts the Resolve calls that reach the appender it
+// wraps, including a DurableStore's, which re-hands a bound ref without
+// touching the store's own counter.
+type countingAppender struct {
+	timeseries.RefAppender
+	resolves int
+}
+
+func (c *countingAppender) Resolve(id metric.ID, kind metric.Kind, unit metric.Unit) (timeseries.SeriesRef, error) {
+	c.resolves++
+	return c.RefAppender.Resolve(id, kind, unit)
+}
+
+// TestRetainKeepsRefsLive: retention never invalidates a ref. On a plain
+// Store and on a DurableStore, by ref and through a RefCache, refs resolved
+// before Retain and RetainTier — each called once dropping chunks and once
+// dropping nothing — keep landing: no entry goes stale and no series is
+// resolved again.
+func TestRetainKeepsRefsLive(t *testing.T) {
+	ids := []metric.ID{testID("power", "n01"), testID("temp", "n01")}
+	opts := []timeseries.Option{timeseries.WithRollups(4000)}
+	type subject struct {
+		app        timeseries.RefAppender
+		store      *timeseries.Store
+		retain     func(cutoff int64) int
+		retainTier func(step, cutoff int64) int
+	}
+	subjects := []struct {
+		name string
+		open func(t *testing.T) subject
+	}{
+		{"store", func(t *testing.T) subject {
+			s := timeseries.NewStore(8, opts...)
+			return subject{s, s, s.Retain, s.RetainTier}
+		}},
+		{"durable", func(t *testing.T) subject {
+			d, err := Open(t.TempDir(), Options{ChunkSize: 8, Fsync: FsyncNever, StoreOptions: opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(d.Crash)
+			must := func(n int, err error) int {
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+			return subject{d, d.Store(),
+				func(cutoff int64) int { return must(d.Retain(cutoff)) },
+				func(step, cutoff int64) int { return must(d.RetainTier(step, cutoff)) }}
+		}},
+	}
+	for _, sj := range subjects {
+		for _, cached := range []bool{false, true} {
+			name := sj.name
+			if cached {
+				name += "/refcache"
+			}
+			t.Run(name, func(t *testing.T) {
+				sub := sj.open(t)
+				app := &countingAppender{RefAppender: sub.app}
+				cache := timeseries.NewRefCache(app)
+				refs := make([]timeseries.SeriesRef, len(ids))
+				for i, id := range ids {
+					var err error
+					if refs[i], err = app.Resolve(id, metric.Gauge, metric.UnitWatt); err != nil {
+						t.Fatal(err)
+					}
+				}
+				now := int64(0)
+				appendRound := func() {
+					now += 1000
+					var n int
+					var err error
+					if cached {
+						batch := make([]timeseries.BatchEntry, len(ids))
+						for i, id := range ids {
+							batch[i] = timeseries.BatchEntry{ID: id, Kind: metric.Gauge, Unit: metric.UnitWatt, T: now, V: float64(i)}
+						}
+						n, err = cache.AppendBatch(batch)
+					} else {
+						entries := make([]timeseries.RefEntry, len(ids))
+						for i := range ids {
+							entries[i] = timeseries.RefEntry{Ref: refs[i], T: now, V: float64(i)}
+						}
+						n, err = app.AppendRefs(entries)
+					}
+					if n != len(ids) || err != nil {
+						t.Fatalf("append at %d: %d of %d, %v", now, n, len(ids), err)
+					}
+				}
+				for r := 0; r < 40; r++ {
+					appendRound()
+				}
+				before, resolves := sub.store.RefStats(), app.resolves
+				steps := []struct {
+					name  string
+					call  func() int
+					drops bool
+				}{
+					{"retain", func() int { return sub.retain(now - 10_000) }, true},
+					{"retain nothing", func() int { return sub.retain(0) }, false},
+					{"retain-tier", func() int { return sub.retainTier(4000, now-10_000) }, true},
+					{"retain-tier nothing", func() int { return sub.retainTier(4000, 0) }, false},
+				}
+				for _, st := range steps {
+					if n := st.call(); (n > 0) != st.drops {
+						t.Fatalf("%s dropped %d", st.name, n)
+					}
+					appendRound()
+				}
+				after := sub.store.RefStats()
+				if after.StaleRefs != 0 || after.Resolves != before.Resolves || app.resolves != resolves {
+					t.Fatalf("refs did not survive retention: before %+v, after %+v, %d resolves through the appender",
+						before, after, app.resolves-resolves)
+				}
+			})
+		}
+	}
 }

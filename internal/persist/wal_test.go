@@ -62,11 +62,6 @@ func TestRecordRoundTrip(t *testing.T) {
 				t.Fatalf("append round trip mismatch: %+v", rec)
 			}
 		}},
-		{"downsample", encodeDownsample(nil, testID("power", "n01"), 60000), func(t *testing.T, rec walRecord) {
-			if rec.op != opDownsample || rec.step != 60000 || rec.id.Key() != testID("power", "n01").Key() {
-				t.Fatalf("downsample round trip mismatch: %+v", rec)
-			}
-		}},
 		{"retain", encodeRetain(nil, -123456), func(t *testing.T, rec walRecord) {
 			if rec.op != opRetain || rec.cutoff != -123456 {
 				t.Fatalf("retain round trip mismatch: %+v", rec)

@@ -1,7 +1,9 @@
 // Package timeseries implements the embedded time-series database the ODA
 // stack archives telemetry into: Gorilla-compressed chunks (delta-of-delta
 // timestamps, XOR floats), a concurrency-safe store keyed by metric ID,
-// range queries, windowed aggregation, downsampling and retention.
+// range queries, windowed aggregation, rollup tiers and retention. Series
+// are append-only: the tiers keep long histories cheap, and retention drops
+// whole chunks without rewriting a series.
 package timeseries
 
 import (

@@ -48,10 +48,11 @@ type Store struct {
 	// refSeries maps ref slots (SeriesRef low bits, minus one) to live
 	// series; guarded by regMu, append-only, elements immutable once set, so
 	// a slice-header snapshot stays valid after regMu is released. refEpoch
-	// is the store's current ref generation (see refs.go); resolves,
-	// refSamples and staleRefs feed RefIngestStats.
+	// names this store instance in every ref it mints (see refs.go); it is
+	// drawn once by NewStore and never changes. resolves, refSamples and
+	// staleRefs feed RefIngestStats.
 	refSeries  []*storedSeries
-	refEpoch   atomic.Uint64
+	refEpoch   uint64
 	resolves   atomic.Uint64
 	refSamples atomic.Uint64
 	staleRefs  atomic.Uint64
@@ -84,7 +85,6 @@ type storedSeries struct {
 	unit    metric.Unit
 	refIdx  uint32 // slot in Store.refSeries; set once under regMu at registration
 	chunks  []*Chunk
-	lastT   int64
 	last    metric.Sample // cached most recent sample, valid when hasLast
 	hasLast bool
 
@@ -106,8 +106,8 @@ func NewStore(chunkSize int, opts ...Option) *Store {
 	s := &Store{
 		chunkSize: chunkSize,
 		byName:    make(map[string][]metric.ID),
+		refEpoch:  newRefEpoch(),
 	}
-	s.refEpoch.Store(newRefEpoch())
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -192,8 +192,8 @@ func (s *Store) getOrCreate(key string, id metric.ID, kind metric.Kind, unit met
 // append adds one sample and folds it into the series' rollup tiers; the
 // caller must hold ss.mu and settles tally with the store afterwards.
 func (ss *storedSeries) append(s *Store, t int64, v float64, tally *ingestTally) error {
-	if ss.hasLast && t <= ss.lastT {
-		return fmt.Errorf("timeseries: out-of-order sample for %s: %d <= %d", ss.id.Key(), t, ss.lastT)
+	if ss.hasLast && t <= ss.last.T {
+		return fmt.Errorf("timeseries: out-of-order sample for %s: %d <= %d", ss.id.Key(), t, ss.last.T)
 	}
 	chunks, c := nextChunk(ss.chunks, s.chunkSize, t)
 	ss.chunks = chunks
@@ -201,7 +201,6 @@ func (ss *storedSeries) append(s *Store, t int64, v float64, tally *ingestTally)
 		return err
 	}
 	c.trimIfFull(s.chunkSize)
-	ss.lastT = t
 	ss.last = metric.Sample{T: t, V: v}
 	ss.hasLast = true
 	for _, ts := range ss.tiers {
@@ -502,75 +501,13 @@ func applyAgg(vals []float64, fn AggFunc) (float64, error) {
 	}
 }
 
-// Downsample rewrites a series as window means with the given step,
-// returning the new sample count. Windows are aligned to multiples of step.
-// It is the store's retention-friendly way to keep long histories cheap, as
-// the paper's descriptive tier requires.
-func (s *Store) Downsample(id metric.ID, step int64) (int, error) {
-	if step <= 0 {
-		return 0, errors.New("timeseries: step must be positive")
-	}
-	ss := s.lookup(id.Key())
-	if ss == nil {
-		return 0, fmt.Errorf("timeseries: unknown series %s", id.Key())
-	}
-	// Align buckets to step multiples: anchor at the first sample's
-	// timestamp rounded down. Only the first chunk's header is read — the
-	// mean of each window then streams off a cursor, never materializing
-	// the series.
-	var base int64
-	hasBase := false
-	ss.mu.RLock()
-	if len(ss.chunks) > 0 && ss.chunks[0].Count() > 0 {
-		base = ss.chunks[0].FirstTime()
-		hasBase = true
-	}
-	ss.mu.RUnlock()
-	var pts []AggPoint
-	if hasBase {
-		if base >= 0 {
-			base = base / step * step
-		} else {
-			base = (base - step + 1) / step * step
-		}
-		cur := s.newCursor(ss, -1<<62, 1<<62)
-		var err error
-		pts, err = aggregateCursor(cur, base, step, AggMean)
-		cur.Close()
-		if err != nil {
-			return 0, err
-		}
-	}
-	// The rewrite retires chunks out from under any outstanding series
-	// refs; bump the epoch so AppendRefs callers re-resolve (refs.go).
-	s.bumpRefEpoch()
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	ss.chunks = nil
-	ss.lastT = 0
-	ss.hasLast = false
-	// The raw stream is being rewritten, so the tiers re-fold from the
-	// rewritten points — rollups always mirror the series as stored, and
-	// WAL replay of the same Downsample reproduces them byte-identically.
-	for _, ts := range ss.tiers {
-		ts.reset()
-	}
-	var tally ingestTally
-	defer s.settle(&tally)
-	for _, p := range pts {
-		if err := ss.append(s, p.Start, p.Value, &tally); err != nil {
-			return 0, err
-		}
-	}
-	return len(pts), nil
-}
-
 // Retain drops whole raw chunks whose newest sample is older than cutoff,
 // returning how many samples were discarded. Rollup tiers are deliberately
 // untouched — they are the long-horizon memory that outlives raw samples
-// (age them separately with RetainTier).
+// (age them separately with RetainTier). Long histories stay cheap this
+// way, as the paper's descriptive tier requires: no series is ever
+// rewritten, so outstanding refs stay valid.
 func (s *Store) Retain(cutoff int64) int {
-	s.bumpRefEpoch() // chunks retire under outstanding refs; force re-resolve
 	dropped := 0
 	s.scanSeries(func(ss *storedSeries) {
 		ss.mu.Lock()

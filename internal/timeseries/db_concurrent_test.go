@@ -115,8 +115,8 @@ func TestStoreQueryChunkSeek(t *testing.T) {
 	}
 }
 
-// TestStoreLatestIsCached verifies Latest reflects appends, downsampling
-// and retention without decoding chunks.
+// TestStoreLatestIsCached verifies Latest reflects appends and retention
+// without decoding chunks.
 func TestStoreLatestIsCached(t *testing.T) {
 	s := NewStore(4)
 	id := seriesID(1)
@@ -131,14 +131,6 @@ func TestStoreLatestIsCached(t *testing.T) {
 		if !ok || sm.T != int64(i)*1000 || sm.V != float64(i*i) {
 			t.Fatalf("after append %d: Latest = %+v ok=%v", i, sm, ok)
 		}
-	}
-	// Downsample rewrites the series; the cache must follow.
-	if _, err := s.Downsample(id, 5000); err != nil {
-		t.Fatal(err)
-	}
-	sm, ok := s.Latest(id)
-	if !ok || sm.T != 5000 {
-		t.Fatalf("after downsample: Latest = %+v ok=%v", sm, ok)
 	}
 	// Retaining everything away must clear the cache, like the seed
 	// behaviour of an empty chunk list.

@@ -92,7 +92,7 @@ func RestoreStore(chunkSize int, dump []SeriesDump, opts ...Option) (*Store, err
 		}
 		ss := s.getOrCreate(key, sd.ID, sd.Kind, sd.Unit)
 		for _, cd := range sd.Chunks {
-			c, lastT, n, err := restoreChunk(key, cd, ss.lastT, ss.hasLast, nil)
+			c, lastT, n, err := restoreChunk(key, cd, ss.last.T, ss.hasLast, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -100,7 +100,6 @@ func RestoreStore(chunkSize int, dump []SeriesDump, opts ...Option) (*Store, err
 				continue
 			}
 			ss.chunks = append(ss.chunks, c)
-			ss.lastT = lastT
 			ss.last = metric.Sample{T: lastT, V: n}
 			ss.hasLast = true
 		}

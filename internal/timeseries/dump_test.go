@@ -19,9 +19,6 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, err := s.Downsample(ids[2], 1000); err != nil {
-		t.Fatal(err)
-	}
 	dump := s.Dump()
 	re, err := RestoreStore(s.ChunkSize(), dump)
 	if err != nil {

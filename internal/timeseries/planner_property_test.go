@@ -9,24 +9,19 @@ import (
 	"repro/internal/metric"
 )
 
-// The property test drives randomized interleavings of appends, downsamples
-// and retentions against a rollup-tiered store and checks, after every few
+// The property test drives randomized interleavings of appends and
+// retentions against a rollup-tiered store and checks, after every few
 // operations and across Dump/Restore crash boundaries, that the planned
 // query path is numerically IDENTICAL to the brute-force raw reduction —
 // not merely close: the same float64 bits.
 //
-// Exactness is arranged, not hoped for: samples are integers, the test's
-// downsample step (2000 ms over a 1000 ms cadence) only ever produces
-// 1- or 2-sample buckets, and at most three downsample passes run per seed,
-// so every value in the store is a multiple of 1/8 with small magnitude.
-// Every sum either path can form is then exact in float64, which makes the
-// comparison independent of summation order — the one way the planned path
-// (per-window sums merged left to right) differs from the raw scan.
+// Exactness is arranged, not hoped for: samples are integers of small
+// magnitude, so every sum either path can form is exact in float64, which
+// makes the comparison independent of summation order — the one way the
+// planned path (per-window sums merged left to right) differs from the raw
+// scan.
 
-const (
-	propCadence = 1000 // raw append cadence, ms
-	propDown    = 2000 // downsample step: 1-2 samples per bucket, dyadic means
-)
+const propCadence = 1000 // raw append cadence, ms
 
 var propTierSteps = []int64{4000, 16000}
 
@@ -92,17 +87,8 @@ func TestPlannerPropertyParity(t *testing.T) {
 				{Name: "prop_b", Labels: metric.NewLabels("node", "n1")},
 			}
 			var now, minFrom int64
-			downsamples := 0
 			for op := 0; op < 80; op++ {
 				switch k := r.Intn(12); {
-				case k == 8 && downsamples < 3:
-					// Rewrite both series as bucket means; tiers refold.
-					downsamples++
-					for _, id := range ids {
-						if _, err := s.Downsample(id, propDown); err != nil {
-							t.Fatal(err)
-						}
-					}
 				case k == 9 && now > 0:
 					// Tier retention: the planner must fall back to raw for
 					// windows a pruned tier no longer covers.
@@ -125,8 +111,7 @@ func TestPlannerPropertyParity(t *testing.T) {
 					s = restored
 				default:
 					// A block of 8 integer samples per series keeps now on
-					// 8000 ms boundaries, so downsample buckets never start
-					// mid-block.
+					// 8000 ms boundaries.
 					for i := 0; i < 8; i++ {
 						for _, id := range ids {
 							v := float64(r.Intn(101) - 50)

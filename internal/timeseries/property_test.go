@@ -19,7 +19,7 @@ func propertyIDs() []metric.ID {
 }
 
 // TestStoreInvariantsProperty drives random interleavings of Append,
-// AppendBatch, Downsample and Retain through a store (random chunk sizes,
+// AppendBatch and Retain through a store (random chunk sizes,
 // occasional out-of-order and duplicate timestamps) and asserts the query
 // invariants every analytics tier relies on after each operation:
 //
@@ -30,7 +30,6 @@ func propertyIDs() []metric.ID {
 //   - Immediately after Retain(cutoff), a series is either empty or its
 //     newest sample is at or past the cutoff (chunk-granularity retention
 //     can keep older samples, but never leave only-stale series behind).
-//   - Downsample reports exactly the sample count it left, aligned to step.
 //
 // Mirrors the style of internal/scheduler/property_test.go.
 func TestStoreInvariantsProperty(t *testing.T) {
@@ -72,7 +71,7 @@ func TestStoreInvariantsProperty(t *testing.T) {
 		for op := 0; op < 150; op++ {
 			si := rng.Intn(len(ids))
 			id := ids[si]
-			switch rng.Intn(4) {
+			switch rng.Intn(3) {
 			case 0: // single append; ~1 in 5 is stale/duplicate and must be rejected
 				ts := clock[si] + int64(rng.Intn(5000)) - 800
 				_ = s.Append(id, metric.Gauge, metric.UnitWatt, ts, rng.NormFloat64()*100)
@@ -95,30 +94,7 @@ func TestStoreInvariantsProperty(t *testing.T) {
 				if ts > clock[si] {
 					clock[si] = ts
 				}
-			case 2: // downsample to a random step
-				step := int64(1+rng.Intn(10)) * 500
-				n, err := s.Downsample(id, step)
-				if err == nil {
-					samples, qerr := s.QueryAll(id)
-					if qerr != nil || len(samples) != n {
-						t.Logf("%s: Downsample reported %d, query has %d (err %v)", id.Key(), n, len(samples), qerr)
-						return false
-					}
-					for _, sm := range samples {
-						if sm.T%step != 0 {
-							t.Logf("%s: downsampled ts %d not aligned to %d", id.Key(), sm.T, step)
-							return false
-						}
-					}
-				}
-				// The series now ends at the last window start; rewind the
-				// model clock so later appends track reality.
-				if last, ok := s.Latest(id); ok {
-					clock[si] = last.T
-				} else {
-					clock[si] = 0
-				}
-			case 3: // retain up to a random cutoff
+			case 2: // retain up to a random cutoff
 				cutoff := clock[si] - int64(rng.Intn(200_000)) + 50_000
 				s.Retain(cutoff)
 				for qi, qid := range ids {

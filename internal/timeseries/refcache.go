@@ -1,17 +1,16 @@
 package timeseries
 
-import (
-	"errors"
-	"sync"
-)
+import "sync"
 
 // RefCache adapts keyed batches onto the ref fast path: it memoizes
 // Resolve per series key, so a steady-state AppendBatch through the cache
 // pays one map probe per entry instead of hashing and shard-locking inside
 // the store, and — when the caller already has the keys in hand (the
-// cluster router computes them for ring placement) — nothing else. The
-// cache heals itself across epoch bumps; an appender that refuses to
-// resolve (closed, WAL error) refuses the batch.
+// cluster router computes them for ring placement) — nothing else. Refs
+// stay valid for the life of the store behind the appender, so the cache
+// survives retention; it starts over only when the appender reports a
+// different store epoch. An appender that refuses to resolve (closed, WAL
+// error) refuses the batch.
 type RefCache struct {
 	mu    sync.Mutex
 	a     RefAppender
@@ -39,41 +38,29 @@ func (c *RefCache) AppendBatchKeys(entries []BatchEntry, keys []string) (int, er
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for attempt := 0; ; attempt++ {
-		epoch := c.a.RefEpoch()
-		if epoch != c.epoch {
-			clear(c.refs)
-			c.epoch = epoch
-		}
-		c.buf = c.buf[:0]
-		for i := range entries {
-			e := &entries[i]
-			key := ""
-			if keys != nil {
-				key = keys[i]
-			} else {
-				key = e.ID.Key()
-			}
-			ref, ok := c.refs[key]
-			if !ok {
-				var err error
-				ref, err = c.a.Resolve(e.ID, e.Kind, e.Unit)
-				if err != nil {
-					return 0, err
-				}
-				c.refs[key] = ref
-			}
-			c.buf = append(c.buf, RefEntry{Ref: ref, T: e.T, V: e.V})
-		}
-		n, err := c.a.AppendRefs(c.buf)
-		// A wholly-stale batch (appended==0) lost a race with an epoch bump
-		// and is safe to retry once after re-resolving; a mixed batch means
-		// the bump landed mid-append and the skipped entries report as
-		// rejections, exactly like out-of-order samples.
-		if err != nil && n == 0 && errors.Is(err, ErrStaleRef) && attempt == 0 {
-			c.epoch = 0 // 0 is never a live epoch: forces re-resolve above
-			continue
-		}
-		return n, err
+	if epoch := c.a.RefEpoch(); epoch != c.epoch {
+		clear(c.refs)
+		c.epoch = epoch
 	}
+	c.buf = c.buf[:0]
+	for i := range entries {
+		e := &entries[i]
+		key := ""
+		if keys != nil {
+			key = keys[i]
+		} else {
+			key = e.ID.Key()
+		}
+		ref, ok := c.refs[key]
+		if !ok {
+			var err error
+			ref, err = c.a.Resolve(e.ID, e.Kind, e.Unit)
+			if err != nil {
+				return 0, err
+			}
+			c.refs[key] = ref
+		}
+		c.buf = append(c.buf, RefEntry{Ref: ref, T: e.T, V: e.V})
+	}
+	return c.a.AppendRefs(c.buf)
 }

@@ -15,30 +15,31 @@ import (
 //
 // Coherence: a ref packs the store's ref epoch in its high 32 bits and a
 // series slot (index into Store.refSeries, plus one so the zero SeriesRef
-// is never valid) in its low 32 bits. Any operation that retires chunks out
-// from under callers — Downsample, Retain, RetainTier — bumps the store
-// epoch, instantly invalidating every outstanding ref; dump-restore builds
-// a new store, which draws a fresh epoch from the same global counter, so
-// refs can never be replayed across a restore either. AppendRefs rejects
-// stale refs with ErrStaleRef and the caller re-resolves — slots themselves
-// are stable for the life of a store, so re-resolving is cheap and the new
-// ref addresses the same series.
+// is never valid) in its low 32 bits. The epoch names a store instance:
+// NewStore draws it once from a process-global counter and it never
+// changes. Series are append-only — retention drops whole chunks under the
+// series lock, which serialises them against ref appends exactly as it
+// does keyed ones, and a slot never moves — so a ref stays valid for the
+// life of its store. A ref goes stale only when its store does: a
+// dump-restore (or any other swap) builds a new store with a new epoch, and
+// AppendRefs rejects the old store's refs with ErrStaleRef; the caller
+// re-resolves against the store it now holds.
 
-// ErrStaleRef reports that a SeriesRef predates an epoch bump (Downsample,
-// Retain, RetainTier or restore) and must be re-resolved.
+// ErrStaleRef reports that a SeriesRef was minted by a different store
+// instance (one since restored or swapped out) and must be re-resolved.
 var ErrStaleRef = errors.New("timeseries: stale series ref")
 
 // SeriesRef is a stable interned handle for one series in one store:
 // epoch<<32 | slot+1. The zero value is never a valid ref.
 type SeriesRef uint64
 
-// Epoch returns the store ref generation the handle was minted under.
+// Epoch returns the epoch of the store instance that minted the handle.
 func (r SeriesRef) Epoch() uint64 { return uint64(r) >> 32 }
 
 // Slot returns the series' registration slot plus one. Slots are assigned
-// in first-ingest order and remain stable across epoch bumps (but not
+// in first-ingest order and are stable for the life of a store (but not
 // across restores), which lets durability layers key per-series state by
-// slot while still honoring epoch invalidation for appends.
+// slot.
 func (r SeriesRef) Slot() uint32 { return uint32(r) }
 
 // RefEntry is one sample addressed by ref instead of by metric ID.
@@ -51,20 +52,18 @@ type RefEntry struct {
 // refEpochCounter is process-global so every store — including one built by
 // RestoreStore — draws a distinct epoch; refs are therefore never valid
 // across store instances. Epochs are truncated to 32 bits; a collision
-// would need 2^32 invalidations between minting and using a ref.
+// would need 2^32 stores built between minting and using a ref.
 var refEpochCounter atomic.Uint64
 
 func newRefEpoch() uint64 { return refEpochCounter.Add(1) & 0xFFFFFFFF }
 
-func (s *Store) bumpRefEpoch() { s.refEpoch.Store(newRefEpoch()) }
-
-// RefEpoch returns the store's current ref generation. Callers that cache
-// refs (collector sinks, the cluster router, WAL replay) compare it against
-// the epoch they resolved under to detect invalidation in O(1).
-func (s *Store) RefEpoch() uint64 { return s.refEpoch.Load() }
+// RefEpoch returns the epoch naming this store instance. Callers that cache
+// refs across a possible store swap (the collector's StoreSink) compare it
+// against the epoch they resolved under to notice the swap in O(1).
+func (s *Store) RefEpoch() uint64 { return s.refEpoch }
 
 func (s *Store) refFor(ss *storedSeries) SeriesRef {
-	return SeriesRef(s.refEpoch.Load()<<32 | (uint64(ss.refIdx) + 1))
+	return SeriesRef(s.refEpoch<<32 | (uint64(ss.refIdx) + 1))
 }
 
 // Resolve interns id and returns a stable ref for its series, creating the
@@ -89,7 +88,7 @@ func (s *Store) LookupRef(id metric.ID) (SeriesRef, bool) {
 // RefInfo returns the identity of the series a ref addresses, or ok=false
 // when the ref is stale or out of range.
 func (s *Store) RefInfo(ref SeriesRef) (metric.ID, metric.Kind, metric.Unit, bool) {
-	ss := s.refLookup(ref, s.refEpoch.Load(), s.refSnapshot())
+	ss := s.refLookup(ref, s.refSnapshot())
 	if ss == nil {
 		return metric.ID{}, 0, "", false
 	}
@@ -108,8 +107,8 @@ func (s *Store) refSnapshot() []*storedSeries {
 	return refs
 }
 
-func (s *Store) refLookup(ref SeriesRef, epoch uint64, refs []*storedSeries) *storedSeries {
-	if ref.Epoch() != epoch {
+func (s *Store) refLookup(ref SeriesRef, refs []*storedSeries) *storedSeries {
+	if ref.Epoch() != s.refEpoch {
 		return nil
 	}
 	slot := ref.Slot()
@@ -122,14 +121,12 @@ func (s *Store) refLookup(ref SeriesRef, epoch uint64, refs []*storedSeries) *st
 // AppendRefs appends samples by ref, skipping key building, hashing and map
 // lookups entirely. It returns how many samples were appended; stale or
 // malformed refs and out-of-order samples are skipped and the first error
-// is returned (errors.Is(err, ErrStaleRef) identifies invalidation — the
-// caller re-resolves and retries; a stale batch with appended==0 is safe to
-// retry wholesale). Steady-state appends perform zero allocations.
+// is returned (errors.Is(err, ErrStaleRef) identifies a ref from another
+// store instance). Steady-state appends perform zero allocations.
 func (s *Store) AppendRefs(entries []RefEntry) (int, error) {
 	if len(entries) == 0 {
 		return 0, nil
 	}
-	epoch := s.refEpoch.Load()
 	refs := s.refSnapshot()
 	appended, stale := 0, 0
 	var firstErr error
@@ -141,7 +138,7 @@ func (s *Store) AppendRefs(entries []RefEntry) (int, error) {
 		for end < len(entries) && entries[end].Ref == ref {
 			end++
 		}
-		ss := s.refLookup(ref, epoch, refs)
+		ss := s.refLookup(ref, refs)
 		if ss == nil {
 			stale += end - i
 			if firstErr == nil {
@@ -175,7 +172,7 @@ type RefIngestStats struct {
 	Resolves   uint64 // Resolve calls (series interned or re-interned)
 	RefSamples uint64 // samples appended through AppendRefs
 	StaleRefs  uint64 // entries rejected for stale/malformed refs
-	Epoch      uint64 // current ref generation
+	Epoch      uint64 // the store instance's epoch
 }
 
 // RefStats returns the ref fast-path counters.
@@ -184,7 +181,7 @@ func (s *Store) RefStats() RefIngestStats {
 		Resolves:   s.resolves.Load(),
 		RefSamples: s.refSamples.Load(),
 		StaleRefs:  s.staleRefs.Load(),
-		Epoch:      s.RefEpoch(),
+		Epoch:      s.refEpoch,
 	}
 }
 

@@ -109,20 +109,20 @@ func TestAppendRefsRejectsLikeKeyed(t *testing.T) {
 	}
 }
 
-// TestRefsStaleAfterEpochBump: every chunk-retiring operation invalidates
-// outstanding refs; re-resolving yields a fresh, working ref for the same
-// series.
+// TestRefsStaleAfterEpochBump: a ref goes stale only when its store does.
+// Retention leaves it live; a dump-restore builds a new store instance with
+// a new epoch, where the old ref is refused and re-resolving yields a fresh,
+// working ref for the same series at the same slot.
 func TestRefsStaleAfterEpochBump(t *testing.T) {
 	id := refTestIDs()[0]
-	bumps := []struct {
-		name string
-		bump func(s *Store)
+	retentions := []struct {
+		name   string
+		retain func(s *Store)
 	}{
-		{"downsample", func(s *Store) { _, _ = s.Downsample(id, 1000) }},
 		{"retain", func(s *Store) { s.Retain(0) }},
 		{"retain-tier", func(s *Store) { s.RetainTier(4000, 0) }},
 	}
-	for _, tc := range bumps {
+	for _, tc := range retentions {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewStore(8, WithRollups(4000))
 			ref, err := s.Resolve(id, metric.Gauge, metric.UnitWatt)
@@ -130,10 +130,17 @@ func TestRefsStaleAfterEpochBump(t *testing.T) {
 				t.Fatal(err)
 			}
 			if n, err := s.AppendRefs([]RefEntry{{Ref: ref, T: 1000, V: 1}}); n != 1 || err != nil {
-				t.Fatalf("pre-bump append: %d, %v", n, err)
+				t.Fatalf("first append: %d, %v", n, err)
 			}
-			tc.bump(s)
-			n, err := s.AppendRefs([]RefEntry{{Ref: ref, T: 2000, V: 2}})
+			tc.retain(s)
+			if n, err := s.AppendRefs([]RefEntry{{Ref: ref, T: 2000, V: 2}}); n != 1 || err != nil {
+				t.Fatalf("append after %s: %d, %v", tc.name, n, err)
+			}
+			s, err = RestoreStore(s.ChunkSize(), s.Dump(), WithRollups(4000))
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := s.AppendRefs([]RefEntry{{Ref: ref, T: 3000, V: 3}})
 			if n != 0 || !errors.Is(err, ErrStaleRef) {
 				t.Fatalf("stale ref accepted: %d, %v", n, err)
 			}
@@ -148,10 +155,10 @@ func TestRefsStaleAfterEpochBump(t *testing.T) {
 				t.Fatal("re-resolve returned the invalidated ref")
 			}
 			if ref2.Slot() != ref.Slot() {
-				t.Fatalf("slot changed across epoch bump: %d vs %d", ref2.Slot(), ref.Slot())
+				t.Fatalf("slot changed across restore: %d vs %d", ref2.Slot(), ref.Slot())
 			}
-			if n, err := s.AppendRefs([]RefEntry{{Ref: ref2, T: 2000, V: 2}}); n != 1 || err != nil {
-				t.Fatalf("post-bump append: %d, %v", n, err)
+			if n, err := s.AppendRefs([]RefEntry{{Ref: ref2, T: 3000, V: 3}}); n != 1 || err != nil {
+				t.Fatalf("append after re-resolve: %d, %v", n, err)
 			}
 		})
 	}
@@ -181,7 +188,7 @@ func TestRefsNeverCrossStores(t *testing.T) {
 
 // TestRefIngestInterleavingsProperty is the tentpole parity property: random
 // interleavings of keyed appends, batch appends and ref appends — with
-// Downsample, Retain, RetainTier and full dump-restore cycles mixed in —
+// Retain, RetainTier and full dump-restore cycles mixed in —
 // leave a mixed-path store byte-identical (DeepEqual on dumps) to a store
 // driven purely through the keyed path, with identical accept counts.
 func TestRefIngestInterleavingsProperty(t *testing.T) {
@@ -197,22 +204,14 @@ func TestRefIngestInterleavingsProperty(t *testing.T) {
 		mixed := NewStore(chunk, opts...)
 
 		// Mixed-path ref cache, healed exactly the way real callers heal it:
-		// on epoch change, drop everything and re-resolve on demand.
+		// on epoch change (a restore), drop everything and re-resolve on
+		// demand.
 		refs := make(map[string]SeriesRef)
 		epoch := mixed.RefEpoch()
 		clock := make([]int64, len(ids))
 
 		for op := 0; op < 120; op++ {
 			switch r := rng.Intn(20); {
-			case r == 0:
-				step := int64(1000 * (1 + rng.Intn(4)))
-				id := ids[rng.Intn(len(ids))]
-				nk, _ := keyed.Downsample(id, step)
-				nm, _ := mixed.Downsample(id, step)
-				if nk != nm {
-					t.Logf("op %d: downsample kept %d vs %d", op, nk, nm)
-					return false
-				}
 			case r == 1:
 				cutoff := clock[rng.Intn(len(ids))] - int64(rng.Intn(10000))
 				keyed.Retain(cutoff)
@@ -303,9 +302,9 @@ func TestRefIngestInterleavingsProperty(t *testing.T) {
 }
 
 // TestResolveAppendRefsConcurrent hammers Resolve and AppendRefs from many
-// goroutines while another goroutine bumps the ref epoch via Downsample and
-// Retain — the invariants (under -race): no data race, no panic, no sample
-// accepted through a stale ref, and every accepted sample is attributable.
+// goroutines while another goroutine runs Retain — the invariants (under
+// -race): no data race, no panic, no ref goes stale, and every accepted
+// sample is attributable.
 func TestResolveAppendRefsConcurrent(t *testing.T) {
 	ids := refTestIDs()
 	s := NewStore(16)
@@ -347,11 +346,7 @@ func TestResolveAppendRefsConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 500; i++ {
-			if i%2 == 0 {
-				_, _ = s.Downsample(ids[0], 1000)
-			} else {
-				s.Retain(0)
-			}
+			s.Retain(0)
 		}
 	}()
 	wg.Wait()
@@ -363,15 +358,22 @@ func TestResolveAppendRefsConcurrent(t *testing.T) {
 	if st.RefSamples != total {
 		t.Fatalf("store counted %d ref samples, workers accepted %d", st.RefSamples, total)
 	}
+	if st.StaleRefs != 0 {
+		t.Fatalf("%d entries went stale under retention", st.StaleRefs)
+	}
 }
+
+// swapAppender is a RefAppender whose store can be replaced mid-stream, the
+// way a harness swaps in a recovered store.
+type swapAppender struct{ *Store }
 
 // TestRefCacheParityAndHealing: RefCache must be a drop-in for keyed
 // AppendBatch — same accepted counts, same final state — and must heal
-// transparently across epoch bumps.
+// transparently when the store behind its appender is swapped.
 func TestRefCacheParityAndHealing(t *testing.T) {
 	ids := refTestIDs()
 	plain := NewStore(8)
-	cached := NewStore(8)
+	cached := &swapAppender{NewStore(8)}
 	cache := NewRefCache(cached)
 	for r := 0; r < 50; r++ {
 		now := int64(1000 + r*500)
@@ -384,17 +386,22 @@ func TestRefCacheParityAndHealing(t *testing.T) {
 		if np != nc || err != nil {
 			t.Fatalf("op %d: plain %d vs cache %d (%v)", r, np, nc, err)
 		}
-		if r%10 == 9 {
-			// Invalidate every cached ref on both stores; the cache must
-			// re-resolve silently on the next batch.
+		if r%10 == 4 {
+			// Swap in a restored copy: every cached ref names the old store,
+			// and the cache must re-resolve silently on the next batch.
 			plain.Retain(now - 3000)
 			cached.Retain(now - 3000)
+			restored, err := RestoreStore(8, cached.Dump())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cached.Store = restored
 		}
 	}
 	if !reflect.DeepEqual(plain.Dump(), cached.Dump()) {
 		t.Fatal("RefCache-driven store diverged from keyed store")
 	}
-	if st := cached.RefStats(); st.Resolves < uint64(len(ids))*2 {
-		t.Fatalf("cache never re-resolved after invalidation: %+v", st)
+	if st := cached.RefStats(); st.Resolves != uint64(len(ids)) || st.StaleRefs != 0 {
+		t.Fatalf("cache did not re-resolve each series once on the swapped-in store: %+v", st)
 	}
 }

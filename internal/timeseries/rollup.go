@@ -263,14 +263,6 @@ func (ts *tierState) appendWindow(limit int, win int64, vals *[rollupStride]floa
 	return nil
 }
 
-// reset clears a tier's sealed windows and accumulator (Downsample rewrites
-// the raw series, so its tiers re-fold from the rewritten stream); the
-// caller must hold the series write lock.
-func (ts *tierState) reset() {
-	ts.chunks = nil
-	ts.acc = RollupAcc{}
-}
-
 // windowOf is the start of the window a tier record stamp belongs to.
 func (ts *tierState) windowOf(stamp int64) int64 { return floorDiv(stamp, rollupStride) * ts.step }
 
@@ -295,7 +287,6 @@ func (ts *tierState) sealedRange() (first, last int64, ok bool) {
 // are untouched, so the tiers age out independently: raw days, minutely
 // weeks, hourly years.
 func (s *Store) RetainTier(step, cutoff int64) int {
-	s.bumpRefEpoch() // tier chunks retire under outstanding refs; force re-resolve
 	dropped := 0
 	s.scanSeries(func(ss *storedSeries) {
 		ss.mu.Lock()

@@ -1,7 +1,6 @@
 package timeseries
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -244,53 +243,6 @@ func TestRestoreRejectsCorruptTierChunk(t *testing.T) {
 	dump[0].Tiers[0].Chunks[0].Data[3] ^= 0x20
 	if _, err := RestoreStore(s.ChunkSize(), dump); err == nil {
 		t.Fatal("RestoreStore accepted a corrupted tier bitstream")
-	}
-}
-
-func TestDownsampleRefoldsTiers(t *testing.T) {
-	s := NewStore(32, WithRollups(TierStep1m))
-	id := sid("power", "n0")
-	fillRollupStore(t, s, id, 0, 2_000, 1800) // 1h at 2s cadence
-	if _, err := s.Downsample(id, 30_000); err != nil {
-		t.Fatal(err)
-	}
-	// A fresh store fed the downsampled stream must fold identical tiers.
-	pts, err := s.Query(id, 0, 1<<60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := NewStore(32, WithRollups(TierStep1m))
-	for _, p := range pts {
-		if err := fresh.Append(id, metric.Gauge, metric.UnitWatt, p.T, p.V); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !reflect.DeepEqual(s.Dump(), fresh.Dump()) {
-		t.Fatal("tiers diverged from the downsampled stream")
-	}
-	// Planned queries stay in parity over the rewritten series (downsampled
-	// means are non-integer, so compare with a relative tolerance for the
-	// regrouped sums and exactly for the rest).
-	for _, fn := range rollupAggFns {
-		want, err := s.Aggregate(id, 0, TierStep1h, 5*TierStep1m, fn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := s.AggregatePlanned(id, 0, TierStep1h, 5*TierStep1m, fn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%v: %d buckets, want %d", fn, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Start != want[i].Start {
-				t.Fatalf("%v bucket %d: start %d, want %d", fn, i, got[i].Start, want[i].Start)
-			}
-			if d := math.Abs(got[i].Value - want[i].Value); d > 1e-9*math.Max(1, math.Abs(want[i].Value)) {
-				t.Fatalf("%v bucket %d: %v, want %v", fn, i, got[i].Value, want[i].Value)
-			}
-		}
 	}
 }
 

@@ -365,34 +365,6 @@ func TestStoreAggregate(t *testing.T) {
 	}
 }
 
-func TestStoreDownsample(t *testing.T) {
-	s := NewStore(0)
-	id := sid("power", "n0")
-	for i := 0; i < 600; i++ {
-		_ = s.Append(id, metric.Gauge, metric.UnitWatt, int64(i)*1000, float64(i%10))
-	}
-	n, err := s.Downsample(id, 10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 60 || s.NumSamples() != 60 {
-		t.Fatalf("downsampled to %d (store has %d)", n, s.NumSamples())
-	}
-	all, _ := s.QueryAll(id)
-	for _, sm := range all {
-		if sm.V != 4.5 {
-			t.Fatalf("downsampled mean = %v", sm.V)
-		}
-	}
-	// Store remains appendable past the downsampled history.
-	if err := s.Append(id, metric.Gauge, metric.UnitWatt, 600_000, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Downsample(sid("power", "zz"), 1000); err == nil {
-		t.Fatal("unknown series should error")
-	}
-}
-
 func TestStoreRetain(t *testing.T) {
 	s := NewStore(50)
 	id := sid("power", "n0")
