@@ -184,39 +184,3 @@ func (c *rpcClient) topoPush(t *Topology, timeout time.Duration) (uint64, error)
 	p := binenc.NewReader(payload)
 	return p.Uvarint(), p.Err()
 }
-
-func (c *rpcClient) repair(q *repairRequest, timeout time.Duration) (*repairResponse, error) {
-	payload, err := c.roundTrip(FrameRepairReq, encodeRepairRequest(q), FrameRepairResp, timeout)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := decodeRepairResponse(payload)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("cluster: repair failed: %s", resp.Err)
-	}
-	if resp.EpochMismatch {
-		return nil, &epochMismatchError{peerEpoch: resp.Epoch}
-	}
-	return resp, nil
-}
-
-func (c *rpcClient) repSnap(q *repSnapRequest, timeout time.Duration) (*repSnapResponse, error) {
-	payload, err := c.roundTrip(FrameRepSnapReq, encodeRepSnapRequest(q), FrameRepSnapResp, timeout)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := decodeRepSnapResponse(payload)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("cluster: replica snapshot failed: %s", resp.Err)
-	}
-	if resp.EpochMismatch {
-		return nil, &epochMismatchError{peerEpoch: resp.Epoch}
-	}
-	return resp, nil
-}

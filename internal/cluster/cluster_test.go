@@ -408,7 +408,7 @@ func TestClusterQueryParityBitIdentical(t *testing.T) {
 				}
 			}
 
-			// Scatter-merged multi-series queries against the merge oracles.
+			// Scatter-merged multi-series reductions against the merge oracle.
 			for _, fn := range mergeableFns {
 				wantV, wantN, err := MergedReduce(ref, ds.keys, w.from, w.to, fn)
 				if err != nil {
@@ -426,19 +426,6 @@ func TestClusterQueryParityBitIdentical(t *testing.T) {
 						w.name, coord, fn, gotV, gotN, wantV, wantN,
 						math.Float64bits(gotV), math.Float64bits(wantV))
 				}
-
-				wantPts, err := MergedAggregate(ref, ds.keys, w.from, w.to, step, fn)
-				if err != nil {
-					t.Fatalf("MergedAggregate: %v", err)
-				}
-				gotPts, partialPeers, err := r.AggregateMany(ds.keys, w.from, w.to, step, fn)
-				if err != nil {
-					t.Fatalf("[%s %s %s] AggregateMany: %v", w.name, coord, fn, err)
-				}
-				if len(partialPeers) != 0 {
-					t.Fatalf("[%s %s %s] AggregateMany degraded: %v", w.name, coord, fn, partialPeers)
-				}
-				comparePoints(t, fmt.Sprintf("[%s %s %s] AggregateMany", w.name, coord, fn), gotPts, wantPts)
 			}
 		}
 	}
@@ -719,7 +706,7 @@ func resetReplica(r *Router, leader string) bool {
 	}
 	rep.mu.Lock()
 	rep.store, rep.rt = nil, nil
-	rep.bootstrapped, rep.promoted, rep.repaired = false, false, false
+	rep.bootstrapped, rep.promoted = false, false
 	rep.seq, rep.off, rep.records = 0, 0, 0
 	rep.mu.Unlock()
 	return true
@@ -914,6 +901,43 @@ func TestServerRefusesV1Batch(t *testing.T) {
 	}
 	if n := nodes["n1"].store.NumSamples(); n != 0 {
 		t.Fatalf("a refused v1 batch applied %d samples", n)
+	}
+}
+
+// TestServerRefusesRetiredFrames: frame types 24–27 (read repair) are
+// reserved. A peer still sending one — here the shape of the old repair and
+// replica-snapshot requests — gets no response: the connection drops and the
+// log names the frame type.
+func TestServerRefusesRetiredFrames(t *testing.T) {
+	nodes, fabric := startCluster(t, []string{"n1"}, 1, false, nil)
+	var logged lockedLog
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+
+	// Epoch 0, leader n1, donor n1.
+	payload := binenc.AppendString(binenc.AppendString(binenc.AppendUvarint(nil, 0), "n1"), "n1")
+	for ft := uint8(24); ft <= 27; ft++ {
+		func() {
+			conn, err := fabric.dialer()(nodes["n1"].addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			var frame bytes.Buffer
+			if err := wire.WriteFrame(&frame, ft, payload); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := conn.Write(frame.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+				t.Fatalf("frame type %d: read %d bytes, %v; want the connection dropped unanswered", ft, n, err)
+			}
+			if want := fmt.Sprintf("unexpected frame type %d", ft); !strings.Contains(logged.String(), want) {
+				t.Fatalf("frame type %d: log %q does not name it", ft, logged.String())
+			}
+		}()
 	}
 }
 

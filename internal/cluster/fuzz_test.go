@@ -200,8 +200,9 @@ func FuzzTopologyTransition(f *testing.F) {
 }
 
 // queryProtoSeeds are well-formed peer query frames: a request for every live
-// op, the retired op 3, and responses with found and not-found keys, a
-// non-zero tier step, an EpochMismatch refusal and a whole-request error.
+// op and each retired op (2, 3), responses with found and not-found keys and
+// a non-zero tier step under every op, an EpochMismatch refusal and a
+// whole-request error.
 func queryProtoSeeds() (seeds []struct {
 	op      queryOp
 	payload []byte
@@ -215,18 +216,20 @@ func queryProtoSeeds() (seeds []struct {
 	pa := timeseries.Partial{Count: 3, Sum: 6.5, Min: -1, Max: 4, FirstT: 1000, FirstV: -1, LastT: 3000, LastV: 4}
 	results := map[queryOp]keyResult{
 		opReducePartial: {Found: true, TierStep: timeseries.TierStep1m, Partial: pa},
-		opAggPartials:   {Found: true, TierStep: timeseries.TierStep1h, PPoints: []timeseries.PartialPoint{{Start: 0, Agg: pa}, {Start: 60_000, Agg: pa}}},
-		opReduceFull:    {Found: true, Value: 2.25, Count: 3},
+		opReduceFull:    {Found: true, TierStep: timeseries.TierStep1h, Value: 2.25, Count: 3},
 		opAggFull:       {Found: true, Points: []timeseries.AggPoint{{Start: 0, Value: 1.5}, {Start: 60_000, Value: math.Inf(1)}}},
+		// A retired op's response carries only the common prefix here; the
+		// decoder must refuse it before reading any of it.
+		2: {Found: true, TierStep: timeseries.TierStep1h},
+		3: {Found: true},
 	}
-	for _, op := range []queryOp{opReducePartial, opAggPartials, opReduceFull, opAggFull, 3} {
+	for _, op := range []queryOp{opReducePartial, 2, opReduceFull, opAggFull, 3} {
 		add(op, encodeQueryRequest(&queryRequest{
 			Op: op, Epoch: 7, ReplicaOf: "n2", Fn: timeseries.AggP95,
 			From: -5, To: 7_200_000, Step: 60_000, Keys: []string{"power{node=n0}", ""},
 		}))
-		if res, ok := results[op]; ok {
-			add(op, encodeQueryResponse(op, &queryResponse{Promoted: true, ReplSeq: 4, ReplOff: 99, Results: []keyResult{res, {}, res}}))
-		}
+		res := results[op]
+		add(op, encodeQueryResponse(op, &queryResponse{Promoted: true, ReplSeq: 4, ReplOff: 99, Results: []keyResult{res, {}, res}}))
 	}
 	add(opReducePartial, encodeQueryResponse(opReducePartial, &queryResponse{EpochMismatch: true, Epoch: 9}))
 	add(opAggFull, encodeQueryResponse(opAggFull, &queryResponse{Err: "window too wide"}))
@@ -268,7 +271,7 @@ func FuzzQueryProto(f *testing.F) {
 		}
 		held := len(resp.Results)
 		for i := range resp.Results {
-			held += len(resp.Results[i].PPoints) + len(resp.Results[i].Points)
+			held += len(resp.Results[i].Points)
 		}
 		if held > len(payload) {
 			t.Fatalf("%d decoded elements from %d bytes", held, len(payload))
@@ -291,15 +294,18 @@ func FuzzQueryProto(f *testing.F) {
 	})
 }
 
-// TestQueryProtoRefusesRetiredOp pins op code 3 (the deleted raw-values sweep)
-// as reserved: neither side of the codec accepts it.
+// TestQueryProtoRefusesRetiredOp pins op codes 2 (the deleted bucketed-partials
+// scatter) and 3 (the deleted raw-values sweep) as reserved: neither side of
+// the codec accepts them.
 func TestQueryProtoRefusesRetiredOp(t *testing.T) {
-	req := encodeQueryRequest(&queryRequest{Op: 3, From: 0, To: 10, Keys: []string{"k"}})
-	if q, err := decodeQueryRequest(req); err == nil {
-		t.Fatalf("request with op 3 decoded: %+v", q)
-	}
-	resp := encodeQueryResponse(3, &queryResponse{Results: []keyResult{{}}})
-	if r, err := decodeQueryResponse(3, resp); err == nil {
-		t.Fatalf("response under op 3 decoded: %+v", r)
+	for _, op := range []queryOp{2, 3} {
+		req := encodeQueryRequest(&queryRequest{Op: op, From: 0, To: 10, Step: 5, Keys: []string{"k"}})
+		if q, err := decodeQueryRequest(req); err == nil {
+			t.Fatalf("request with op %d decoded: %+v", op, q)
+		}
+		resp := encodeQueryResponse(op, &queryResponse{Results: []keyResult{{}}})
+		if r, err := decodeQueryResponse(op, resp); err == nil {
+			t.Fatalf("response under op %d decoded: %+v", op, r)
+		}
 	}
 }

@@ -550,11 +550,12 @@ func TestClusterEpochMismatchConvergence(t *testing.T) {
 	}
 }
 
-// TestClusterReadRepairBackfillsStaleReplica: with RF=3, two followers hold
-// replicas of a dead owner at different cursors. A query must answer from the
-// freshest, back-fill the stale replica (read repair), and once the leader
-// heals the repaired replica re-bootstraps to cursor parity.
-func TestClusterReadRepairBackfillsStaleReplica(t *testing.T) {
+// TestClusterFallbackAnswersFromFreshestFollower: with RF=3, two followers
+// hold replicas of a dead owner at different cursors. A query coordinated by
+// either follower answers from the freshest replica, flagged partial; the
+// stale replica is left as it is, and once the leader heals it catches up
+// from the leader alone.
+func TestClusterFallbackAnswersFromFreshestFollower(t *testing.T) {
 	ids := []string{"n1", "n2", "n3"}
 	nodes, fabric := startCluster(t, ids, 3, true, nil)
 	ds := makeDataset(18, 20, 5)
@@ -623,57 +624,47 @@ func TestClusterReadRepairBackfillsStaleReplica(t *testing.T) {
 		t.Fatalf("oracle reduce: %v", err)
 	}
 
-	coord := nodes[fresh].router
-	gotV, gotN, _, found, partial, err := coord.Reduce(key, ds.from, extraTo, timeseries.AggSum)
-	if err != nil || !found {
-		t.Fatalf("fallback query: found=%v err=%v", found, err)
-	}
-	if !partial {
-		t.Fatal("unpromoted replica answer must be partial")
-	}
-	if !bitsEq(gotV, wantV) || gotN != wantN {
-		t.Fatalf("query answered from a stale replica: (%v, %d), want freshest (%v, %d)",
-			gotV, gotN, wantV, wantN)
-	}
-	if coord.Stats().ReadRepairs == 0 {
-		t.Fatal("diverging follower cursors did not trigger a read repair")
+	// Whichever follower coordinates, the freshest replica answers.
+	for _, coord := range []string{fresh, stale} {
+		gotV, gotN, _, found, partial, err := nodes[coord].router.Reduce(key, ds.from, extraTo, timeseries.AggSum)
+		if err != nil || !found {
+			t.Fatalf("coordinator %s: fallback query: found=%v err=%v", coord, found, err)
+		}
+		if !partial {
+			t.Fatalf("coordinator %s: unpromoted replica answer must be partial", coord)
+		}
+		if !bitsEq(gotV, wantV) || gotN != wantN {
+			t.Fatalf("coordinator %s: query answered from a stale replica: (%v, %d), want freshest (%v, %d)",
+				coord, gotV, gotN, wantV, wantN)
+		}
 	}
 
-	// The stale replica now holds the back-filled samples…
+	// The stale replica was not back-filled: it still lacks the extra samples.
 	st, ok := nodes[stale].router.ReplicaOf(victim)
 	if !ok {
 		t.Fatalf("%s holds no replica of %s", stale, victim)
 	}
 	sID, ok := st.IDForKey(key)
 	if !ok {
-		t.Fatalf("repaired replica lost key %q", key)
+		t.Fatalf("stale replica lost key %q", key)
 	}
-	rV, rN, err := st.ReducePlanned(sID, ds.from, extraTo, timeseries.AggSum)
-	if err != nil {
-		t.Fatalf("repaired replica reduce: %v", err)
-	}
-	if !bitsEq(rV, wantV) || rN != wantN {
-		t.Fatalf("repaired replica = (%v, %d), want (%v, %d)", rV, rN, wantV, wantN)
-	}
-	// …and a query coordinated by the previously-stale node agrees bit-
-	// exactly without further repair.
-	gotV, gotN, _, found, partial, err = nodes[stale].router.Reduce(key, ds.from, extraTo, timeseries.AggSum)
-	if err != nil || !found || !partial {
-		t.Fatalf("post-repair query: found=%v partial=%v err=%v", found, partial, err)
-	}
-	if !bitsEq(gotV, wantV) || gotN != wantN {
-		t.Fatalf("post-repair query = (%v, %d), want (%v, %d)", gotV, gotN, wantV, wantN)
+	if _, rN, err := st.ReducePlanned(sID, ds.from, extraTo, timeseries.AggSum); err != nil || rN != wantN-len(extra) {
+		t.Fatalf("stale replica holds %d samples (%v), want %d: a query back-filled it", rN, err, wantN-len(extra))
 	}
 
-	// Heal: the repaired replica re-bootstraps from its leader (fresh
-	// RefTable lineage) and catches up to lag 0.
+	// Heal: the stale replica catches up from its leader to lag 0.
 	nodes[victim].revive(fabric, t)
 	nodes[stale].router.CheckPeers()
 	for i := 0; i < 3; i++ {
 		nodes[stale].router.PumpReplication()
 	}
 	if lag := nodes[stale].router.ReplicationLag(victim); lag != 0 {
-		t.Fatalf("repaired replica lag %d after heal, want 0", lag)
+		t.Fatalf("stale replica lag %d after heal, want 0", lag)
+	}
+	st, _ = nodes[stale].router.ReplicaOf(victim)
+	sID, _ = st.IDForKey(key)
+	if rV, rN, err := st.ReducePlanned(sID, ds.from, extraTo, timeseries.AggSum); err != nil || !bitsEq(rV, wantV) || rN != wantN {
+		t.Fatalf("healed replica = (%v, %d, %v), want (%v, %d)", rV, rN, err, wantV, wantN)
 	}
 }
 

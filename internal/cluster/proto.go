@@ -33,30 +33,22 @@ const (
 	FrameTopoPush uint8 = 22
 	// FrameTopoAck answers a push with the peer's resulting epoch.
 	FrameTopoAck uint8 = 23
-	// FrameRepairReq asks a follower to back-fill its stale replica of a
-	// leader from a fresher follower (read-repair).
-	FrameRepairReq uint8 = 24
-	// FrameRepairResp reports the repair outcome.
-	FrameRepairResp uint8 = 25
-	// FrameRepSnapReq asks a follower for a snapshot of its replica store
-	// of a leader, pinned to its replication cursor.
-	FrameRepSnapReq uint8 = 26
-	// FrameRepSnapResp carries the replica snapshot + cursor.
-	FrameRepSnapResp uint8 = 27
+	// 24–27 are retired and stay reserved: they carried read repair (a
+	// coordinator had a stale follower install a fresher follower's replica
+	// dump). A peer that still sends one is refused like any unknown frame.
 )
 
-// queryOp selects what a peer computes per key. Mergeable functions ship
-// fixed-size partial aggregates and the coordinator finishes them; the two
-// "full" ops exist for std/p95, which need the raw distribution and are
-// therefore computed entirely on the one peer owning the series.
+// queryOp selects what a peer computes per key. The single-series ops are
+// answered whole on the owner (fn runs there); the scatter op ships
+// fixed-size partial aggregates the coordinator merges across owners.
 type queryOp uint8
 
 const (
-	opReducePartial queryOp = 1 // Partial per key (mergeable reduce)
-	opAggPartials   queryOp = 2 // []PartialPoint per key (mergeable range)
-	// 3 is retired and stays reserved: it shipped a series' raw values,
-	// unbounded for step <= 0 — the one op that broke "only fixed-size
-	// aggregates cross the network".
+	opReducePartial queryOp = 1 // Partial per key (ReduceMany's scatter)
+	// 2 and 3 are retired and stay reserved: 2 shipped bucketed partials for
+	// a multi-series range scatter no caller used, and 3 shipped a series'
+	// raw values, unbounded for step <= 0 — the one op that broke "only
+	// fixed-size aggregates cross the network".
 	opReduceFull queryOp = 4 // final (value, count) per key, fn on owner
 	opAggFull    queryOp = 5 // final []AggPoint per key, fn on owner
 )
@@ -64,7 +56,7 @@ const (
 // checkOp refuses an op code this version does not serve.
 func checkOp(op queryOp) error {
 	switch op {
-	case opReducePartial, opAggPartials, opReduceFull, opAggFull:
+	case opReducePartial, opReduceFull, opAggFull:
 		return nil
 	}
 	return fmt.Errorf("cluster: unknown or retired query op %d", op)
@@ -94,7 +86,6 @@ type keyResult struct {
 	// of its own.
 	TierStep int64
 	Partial  timeseries.Partial
-	PPoints  []timeseries.PartialPoint
 	Value    float64
 	Count    int64
 	Points   []timeseries.AggPoint
@@ -112,8 +103,7 @@ type queryResponse struct {
 	// death, so the answer is authoritative, not partial.
 	Promoted bool
 	// ReplSeq/ReplOff (replica queries only): the follower's replication
-	// cursor, letting a coordinator detect divergent replicas and trigger
-	// read-repair.
+	// cursor, letting a coordinator answer from the freshest follower.
 	ReplSeq uint64
 	ReplOff int64
 	Results []keyResult
@@ -139,40 +129,7 @@ type replPullResponse struct {
 	Records       [][]byte
 }
 
-// repairRequest asks a follower holding a stale replica of Leader to
-// back-fill it from the fresher follower From (read-repair).
-type repairRequest struct {
-	Epoch  uint64
-	Leader string
-	From   string
-}
-
-type repairResponse struct {
-	Err           string
-	EpochMismatch bool
-	Epoch         uint64
-	Repaired      bool
-}
-
-// repSnapRequest asks a follower for a snapshot of its replica store of
-// Leader, pinned to its replication cursor — the donor side of read-repair.
-type repSnapRequest struct {
-	Epoch  uint64
-	Leader string
-}
-
-type repSnapResponse struct {
-	Err           string
-	EpochMismatch bool
-	Epoch         uint64
-	Snapshot      []byte
-	Seq           uint64
-	Off           int64
-	Records       uint64
-	Lag           int64
-}
-
-// --- Partial / PartialPoint ---
+// --- Partial ---
 
 func appendPartial(b []byte, pa *timeseries.Partial) []byte {
 	b = binenc.AppendVarint(b, pa.Count)
@@ -197,9 +154,6 @@ func readPartial(p *binenc.Reader) timeseries.Partial {
 		LastV:  p.Float(),
 	}
 }
-
-// partialLen is the smallest encoded Partial: three varints, five floats.
-const partialLen = 3 + 5*8
 
 // --- query request ---
 
@@ -267,12 +221,6 @@ func encodeQueryResponse(op queryOp, resp *queryResponse) []byte {
 		switch op {
 		case opReducePartial:
 			b = appendPartial(b, &r.Partial)
-		case opAggPartials:
-			b = binenc.AppendUvarint(b, uint64(len(r.PPoints)))
-			for j := range r.PPoints {
-				b = binenc.AppendVarint(b, r.PPoints[j].Start)
-				b = appendPartial(b, &r.PPoints[j].Agg)
-			}
 		case opReduceFull:
 			b = binenc.AppendFloat(b, r.Value)
 			b = binenc.AppendVarint(b, r.Count)
@@ -314,11 +262,6 @@ func decodeQueryResponse(op queryOp, payload []byte) (*queryResponse, error) {
 		switch op {
 		case opReducePartial:
 			r.Partial = readPartial(&p)
-		case opAggPartials:
-			r.PPoints = make([]timeseries.PartialPoint, p.Count(1+partialLen))
-			for j := range r.PPoints {
-				r.PPoints[j] = timeseries.PartialPoint{Start: p.Varint(), Agg: readPartial(&p)}
-			}
 		case opReduceFull:
 			r.Value = p.Float()
 			r.Count = p.Varint()
@@ -398,83 +341,5 @@ func decodeReplPullResponse(payload []byte) (*replPullResponse, error) {
 	for i := range r.Records {
 		r.Records[i] = p.Bytes()
 	}
-	return r, p.Err()
-}
-
-// --- read-repair ---
-
-func encodeRepairRequest(q *repairRequest) []byte {
-	b := make([]byte, 0, 32)
-	b = binenc.AppendUvarint(b, q.Epoch)
-	b = binenc.AppendString(b, q.Leader)
-	return binenc.AppendString(b, q.From)
-}
-
-func decodeRepairRequest(payload []byte) (*repairRequest, error) {
-	p := binenc.NewReader(payload)
-	q := &repairRequest{Epoch: p.Uvarint(), Leader: p.Str(), From: p.Str()}
-	return q, p.Err()
-}
-
-func encodeRepairResponse(r *repairResponse) []byte {
-	b := make([]byte, 0, 16)
-	b = binenc.AppendString(b, r.Err)
-	b = binenc.AppendBool(b, r.EpochMismatch)
-	b = binenc.AppendUvarint(b, r.Epoch)
-	return binenc.AppendBool(b, r.Repaired)
-}
-
-func decodeRepairResponse(payload []byte) (*repairResponse, error) {
-	p := binenc.NewReader(payload)
-	r := &repairResponse{Err: p.Str(), EpochMismatch: p.Bool(), Epoch: p.Uvarint(), Repaired: p.Bool()}
-	return r, p.Err()
-}
-
-func encodeRepSnapRequest(q *repSnapRequest) []byte {
-	b := make([]byte, 0, 16)
-	b = binenc.AppendUvarint(b, q.Epoch)
-	return binenc.AppendString(b, q.Leader)
-}
-
-func decodeRepSnapRequest(payload []byte) (*repSnapRequest, error) {
-	p := binenc.NewReader(payload)
-	q := &repSnapRequest{Epoch: p.Uvarint(), Leader: p.Str()}
-	return q, p.Err()
-}
-
-func encodeRepSnapResponse(r *repSnapResponse) []byte {
-	b := make([]byte, 0, 64)
-	b = binenc.AppendString(b, r.Err)
-	if r.Err != "" {
-		return b
-	}
-	b = binenc.AppendBool(b, r.EpochMismatch)
-	b = binenc.AppendUvarint(b, r.Epoch)
-	if r.EpochMismatch {
-		return b
-	}
-	b = binenc.AppendBytes(b, r.Snapshot)
-	b = binenc.AppendUvarint(b, r.Seq)
-	b = binenc.AppendVarint(b, r.Off)
-	b = binenc.AppendUvarint(b, r.Records)
-	return binenc.AppendVarint(b, r.Lag)
-}
-
-func decodeRepSnapResponse(payload []byte) (*repSnapResponse, error) {
-	p := binenc.NewReader(payload)
-	r := &repSnapResponse{Err: p.Str()}
-	if r.Err != "" || p.Err() != nil {
-		return r, p.Err()
-	}
-	r.EpochMismatch = p.Bool()
-	r.Epoch = p.Uvarint()
-	if r.EpochMismatch || p.Err() != nil {
-		return r, p.Err()
-	}
-	r.Snapshot = p.Bytes()
-	r.Seq = p.Uvarint()
-	r.Off = p.Varint()
-	r.Records = p.Uvarint()
-	r.Lag = p.Varint()
 	return r, p.Err()
 }

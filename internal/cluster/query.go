@@ -6,27 +6,33 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/queryfront"
 	"repro/internal/timeseries"
 )
 
 // The distributed query path. Two shapes:
 //
-//   - single-series: route the whole query to the series' owner. Mergeable
-//     functions ship a Partial back and finish at the coordinator;
-//     non-mergeable ones (std/p95 need the raw distribution) compute the
-//     final value on the owner. If the owner is unreachable the query falls
-//     back to a follower's replica store of that owner and the result is
-//     flagged partial (a replica may lag the leader).
+//   - single-series: route the whole query to the series' owner, which
+//     answers it finished through queryfront.ForStore — the very code a
+//     single node runs — so the value, and the tier step it reports, match a
+//     single node by construction. If the owner is unreachable the query
+//     falls back to a follower's replica store of that owner and the result
+//     is flagged partial (a replica may lag the leader).
 //
-//   - scatter (multi-series): group keys by owner, fan out one request per
+//   - scatter (ReduceMany): group keys by owner, fan out one request per
 //     peer, and merge per-key partials at the coordinator IN SORTED KEY
 //     ORDER. That fixed fold order is what makes the distributed answer
 //     bit-identical to a single store holding all the data (see
-//     MergedReduce/MergedAggregate, the reference implementations).
+//     MergedReduce, the reference implementation).
 //
 // Peers that stay unreachable after replica fallback degrade the scatter to
 // a partial result: their keys are skipped and the peer is reported, never
 // silently absorbed.
+
+// var _ pins the front door's attribution contract: if ReducePeers or
+// AggregateRangePeers drifted, odad's runtime assertion would quietly fail
+// and X-ODA-Partial would degrade to a bare "true".
+var _ queryfront.PeerBackend = (*Router)(nil)
 
 // execQuery runs a query op against this node's primary store or one of its
 // replica stores. It is the single execution path: the server invokes it
@@ -60,34 +66,40 @@ func (r *Router) execQuery(q *queryRequest) *queryResponse {
 	if err := checkOp(q.Op); err != nil {
 		return &queryResponse{Err: err.Error()}
 	}
+	be := queryfront.ForStore(st)
 	resp.Results = make([]keyResult, len(q.Keys))
 	for i, key := range q.Keys {
 		res := &resp.Results[i]
-		id, ok := st.IDForKey(key)
-		if !ok {
-			continue // Found stays false: this peer has never seen the series
-		}
 		var err error
-		var plan timeseries.QueryPlan // the full ops scan raw: tier 0
 		switch q.Op {
 		case opReducePartial:
+			id, ok := st.IDForKey(key)
+			if !ok {
+				continue // Found stays false: this store never saw the series
+			}
+			var plan timeseries.QueryPlan
 			res.Partial, plan, err = st.ReducePartial(id, q.From, q.To)
-		case opAggPartials:
-			res.PPoints, plan, err = st.AggregatePartials(id, q.From, q.To, q.Step)
+			res.Found, res.TierStep = true, plan.TierStep
 		case opReduceFull:
-			var v float64
 			var n int
-			v, n, err = st.ReducePlanned(id, q.From, q.To, q.Fn)
-			res.Value, res.Count = v, int64(n)
+			res.Value, n, res.TierStep, res.Found, _, err = be.Reduce(key, q.From, q.To, q.Fn)
+			res.Count = int64(n)
 		case opAggFull:
-			res.Points, err = st.AggregatePlanned(id, q.From, q.To, q.Step, q.Fn)
+			res.Points, res.TierStep, res.Found, _, err = be.AggregateRange(key, q.From, q.To, q.Step, q.Fn)
 		}
 		if err != nil {
 			return &queryResponse{Err: err.Error()}
 		}
-		res.Found, res.TierStep = true, plan.TierStep
 	}
 	return resp
+}
+
+// cursorBehind reports whether replication cursor a trails cursor b.
+func cursorBehind(aSeq uint64, aOff int64, bSeq uint64, bOff int64) bool {
+	if aSeq != bSeq {
+		return aSeq < bSeq
+	}
+	return aOff < bOff
 }
 
 // queryOwner executes q against the node owning its keys: locally when the
@@ -95,9 +107,9 @@ func (r *Router) execQuery(q *queryRequest) *queryResponse {
 // followers is asked against their replica-of-owner store and the one with
 // the most advanced replication cursor answers; a promoted follower (the
 // failure detector granted it the read lease) answers authoritatively,
-// otherwise fallback=true so the caller can flag the result partial. When
-// the follower cursors disagree, the trailing replicas are back-filled from
-// the freshest one (read repair) so subsequent scatters stop diverging.
+// otherwise fallback=true so the caller can flag the result partial. A
+// trailing follower is left as it is: replicas catch up only from their
+// leader, by WAL shipping.
 //
 // An epoch-mismatch rejection from the owner triggers a topology exchange:
 // if that adopts a newer topology the query returns errTopologyChanged and
@@ -139,55 +151,36 @@ func (r *Router) queryOwner(owner string, q *queryRequest) (results []keyResult,
 	}
 	fq := *q
 	fq.ReplicaOf = owner
-	type followerResult struct {
-		id   string
-		resp *queryResponse
-	}
-	var outs []followerResult
+	var best *queryResponse
 	for _, f := range r.topo.Load().Ring().Followers(owner) {
-		if f == owner {
+		var resp *queryResponse
+		switch {
+		case f == owner:
 			continue
-		}
-		if f == r.self {
-			resp := r.execQuery(&fq)
-			if resp.Err == "" && !resp.EpochMismatch {
-				outs = append(outs, followerResult{id: f, resp: resp})
+		case f == r.self:
+			if resp = r.execQuery(&fq); resp.Err != "" || resp.EpochMismatch {
+				continue
 			}
-			continue
+		default:
+			p := r.peer(f)
+			if p == nil {
+				continue
+			}
+			var qerr error
+			if resp, qerr = p.rc.query(&fq, rpcTimeout); qerr != nil {
+				continue
+			}
 		}
-		p := r.peer(f)
-		if p == nil {
-			continue
-		}
-		resp, qerr := p.rc.query(&fq, rpcTimeout)
-		if qerr == nil {
-			outs = append(outs, followerResult{id: f, resp: resp})
+		if best == nil || cursorBehind(best.ReplSeq, best.ReplOff, resp.ReplSeq, resp.ReplOff) {
+			best = resp
 		}
 	}
-	if len(outs) == 0 {
+	if best == nil {
 		return nil, false, primaryErr
 	}
-	best := 0
-	for i := 1; i < len(outs); i++ {
-		if cursorBehind(outs[best].resp.ReplSeq, outs[best].resp.ReplOff, outs[i].resp.ReplSeq, outs[i].resp.ReplOff) {
-			best = i
-		}
-	}
-	for i := range outs {
-		if i == best {
-			continue
-		}
-		if cursorBehind(outs[i].resp.ReplSeq, outs[i].resp.ReplOff, outs[best].resp.ReplSeq, outs[best].resp.ReplOff) {
-			r.repairReplica(owner, outs[i].id, outs[best].id)
-		}
-	}
-	bestResp := outs[best].resp
-	if bestResp.Promoted {
-		// The lease holder's answer is authoritative, not partial: the
-		// leader has been dead long enough that this replica IS the data.
-		return bestResp.Results, false, nil
-	}
-	return bestResp.Results, true, nil
+	// The lease holder's answer is authoritative, not partial: the leader
+	// has been dead long enough that this replica IS the data.
+	return best.Results, !best.Promoted, nil
 }
 
 // --- single-series API (what the HTTP front door asks for) ---
@@ -205,22 +198,14 @@ func retryTopology(once func() error) error {
 }
 
 // querySeries answers one series' reduction (step <= 0) or bucketed
-// aggregation wherever the series lives, finished: Value/Count or Points are
-// set whichever op ran, and TierStep is the plan the answering store
-// executed. Check Found before reading them. partial=true means the answer
-// came from a (possibly lagging) replica.
+// aggregation wherever the series lives, finished by the answering store:
+// Value/Count or Points are set whichever op ran, and TierStep is the plan
+// that store executed. Check Found before reading them. partial=true means
+// the answer came from a (possibly lagging) replica.
 func (r *Router) querySeries(key string, from, to, step int64, fn timeseries.AggFunc) (res *keyResult, partial bool, err error) {
-	q := &queryRequest{From: from, To: to, Step: step, Keys: []string{key}}
-	mergeable := timeseries.MergeableAgg(fn)
-	switch {
-	case mergeable && step > 0:
-		q.Op = opAggPartials
-	case mergeable:
-		q.Op = opReducePartial
-	case step > 0:
-		q.Op, q.Fn = opAggFull, fn
-	default:
-		q.Op, q.Fn = opReduceFull, fn
+	q := &queryRequest{Op: opReduceFull, Fn: fn, From: from, To: to, Step: step, Keys: []string{key}}
+	if step > 0 {
+		q.Op = opAggFull
 	}
 	err = retryTopology(func() error {
 		owner := r.topo.Load().Ring().Primary(key)
@@ -237,16 +222,7 @@ func (r *Router) querySeries(key string, from, to, step int64, fn timeseries.Agg
 		res, partial = &results[0], fallback
 		return nil
 	})
-	if err != nil {
-		return nil, false, err
-	}
-	switch q.Op {
-	case opReducePartial:
-		res.Value, res.Count = res.Partial.Value(fn), res.Partial.Count
-	case opAggPartials:
-		res.Points = timeseries.FinishPartials(res.PPoints, fn)
-	}
-	return res, partial, nil
+	return res, partial, err
 }
 
 // Reduce answers a single-series reduction wherever the series lives.
@@ -303,7 +279,7 @@ func (r *Router) ReduceMany(keys []string, from, to int64, fn timeseries.AggFunc
 		return 0, 0, nil, fmt.Errorf("cluster: %s does not merge across peers (route per series instead)", fn)
 	}
 	keys = sortedUnique(keys)
-	perKey, partialPeers, err := r.scatterPartials(opReducePartial, keys, from, to, 0)
+	perKey, partialPeers, err := r.scatterPartials(keys, from, to)
 	if err != nil {
 		return 0, 0, nil, err
 	}
@@ -316,42 +292,19 @@ func (r *Router) ReduceMany(keys []string, from, to int64, fn timeseries.AggFunc
 	return total.Value(fn), total.Count, partialPeers, nil
 }
 
-// AggregateMany buckets many series into shared step windows, merging
-// per-key partial buckets in sorted key order. Semantics as ReduceMany.
-func (r *Router) AggregateMany(keys []string, from, to, step int64, fn timeseries.AggFunc) (pts []timeseries.AggPoint, partialPeers []string, err error) {
-	if !timeseries.MergeableAgg(fn) {
-		return nil, nil, fmt.Errorf("cluster: %s does not merge across peers (route per series instead)", fn)
-	}
-	if step <= 0 {
-		return nil, nil, fmt.Errorf("cluster: step must be positive")
-	}
-	keys = sortedUnique(keys)
-	perKey, partialPeers, err := r.scatterPartials(opAggPartials, keys, from, to, step)
-	if err != nil {
-		return nil, nil, err
-	}
-	ordered := make([][]timeseries.PartialPoint, 0, len(keys))
-	for _, k := range keys {
-		if p, ok := perKey[k]; ok {
-			ordered = append(ordered, p.PPoints)
-		}
-	}
-	return mergeAggregate(ordered, fn), partialPeers, nil
-}
-
-// scatterPartials fans one op out to every owner concurrently and gathers
-// per-key results. Owners that fail entirely have their keys skipped and
-// are reported in partialPeers (sorted), alongside owners served by
-// replica fallback.
-func (r *Router) scatterPartials(op queryOp, keys []string, from, to, step int64) (perKey map[string]*keyResult, partialPeers []string, err error) {
+// scatterPartials fans opReducePartial out to every owner concurrently and
+// gathers per-key partials. Owners that fail entirely have their keys
+// skipped and are reported in partialPeers (sorted), alongside owners served
+// by replica fallback.
+func (r *Router) scatterPartials(keys []string, from, to int64) (perKey map[string]*keyResult, partialPeers []string, err error) {
 	err = retryTopology(func() error {
-		perKey, partialPeers, err = r.scatterOnce(op, keys, from, to, step)
+		perKey, partialPeers, err = r.scatterOnce(keys, from, to)
 		return err
 	})
 	return perKey, partialPeers, err
 }
 
-func (r *Router) scatterOnce(op queryOp, keys []string, from, to, step int64) (map[string]*keyResult, []string, error) {
+func (r *Router) scatterOnce(keys []string, from, to int64) (map[string]*keyResult, []string, error) {
 	groups := make(map[string][]string)
 	ring := r.topo.Load().Ring()
 	for _, k := range keys {
@@ -373,7 +326,7 @@ func (r *Router) scatterOnce(op queryOp, keys []string, from, to, step int64) (m
 		wg.Add(1)
 		go func(owner string, gk []string) {
 			defer wg.Done()
-			q := &queryRequest{Op: op, From: from, To: to, Step: step, Keys: gk}
+			q := &queryRequest{Op: opReducePartial, From: from, To: to, Keys: gk}
 			results, fallback, err := r.queryOwner(owner, q)
 			mu.Lock()
 			outs = append(outs, groupOut{owner: owner, keys: gk, results: results, fallback: fallback, err: err})
@@ -411,37 +364,6 @@ func (r *Router) scatterOnce(op queryOp, keys []string, from, to, step int64) (m
 	return perKey, partialPeers, nil
 }
 
-// mergeAggregate merges per-key bucketed partials (already in sorted key
-// order) into one bucketed result. Per bucket, partials fold in key order —
-// the same fixed order MergedAggregate uses, so distributed and single-node
-// answers agree bit for bit.
-func mergeAggregate(perKey [][]timeseries.PartialPoint, fn timeseries.AggFunc) []timeseries.AggPoint {
-	buckets := make(map[int64]*timeseries.Partial)
-	var starts []int64
-	for _, pts := range perKey {
-		for i := range pts {
-			pp := &pts[i]
-			b := buckets[pp.Start]
-			if b == nil {
-				b = &timeseries.Partial{}
-				buckets[pp.Start] = b
-				starts = append(starts, pp.Start)
-			}
-			b.Merge(pp.Agg)
-		}
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	out := make([]timeseries.AggPoint, 0, len(starts))
-	for _, s := range starts {
-		b := buckets[s]
-		if b.Count == 0 {
-			continue
-		}
-		out = append(out, timeseries.AggPoint{Start: s, Value: b.Value(fn)})
-	}
-	return out
-}
-
 func sortedUnique(keys []string) []string {
 	out := append([]string(nil), keys...)
 	sort.Strings(out)
@@ -477,27 +399,4 @@ func MergedReduce(st *timeseries.Store, keys []string, from, to int64, fn timese
 		total.Merge(p)
 	}
 	return total.Value(fn), total.Count, nil
-}
-
-// MergedAggregate is the single-node oracle for AggregateMany.
-func MergedAggregate(st *timeseries.Store, keys []string, from, to, step int64, fn timeseries.AggFunc) ([]timeseries.AggPoint, error) {
-	if !timeseries.MergeableAgg(fn) {
-		return nil, fmt.Errorf("cluster: %s does not merge across series", fn)
-	}
-	if step <= 0 {
-		return nil, fmt.Errorf("cluster: step must be positive")
-	}
-	ordered := make([][]timeseries.PartialPoint, 0, len(keys))
-	for _, k := range sortedUnique(keys) {
-		id, ok := st.IDForKey(k)
-		if !ok {
-			continue
-		}
-		pp, _, err := st.AggregatePartials(id, from, to, step)
-		if err != nil {
-			return nil, err
-		}
-		ordered = append(ordered, pp)
-	}
-	return mergeAggregate(ordered, fn), nil
 }

@@ -37,7 +37,6 @@ type replica struct {
 	rt           *persist.RefTable // opDefine bindings for the record stream
 	bootstrapped bool
 	promoted     bool   // read-primary lease: the leader is dead and this replica answers authoritatively
-	repaired     bool   // installed by read-repair: re-bootstrap from the leader once it heals
 	seq          uint64 // replication cursor: WAL segment
 	off          int64  // replication cursor: byte offset
 	records      uint64 // records applied since bootstrap
@@ -109,11 +108,7 @@ func (r *Router) pumpReplica(rep *replica) error {
 	epoch := r.Epoch()
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
-	// A repaired replica was installed from a fellow follower while the
-	// leader was dead; its cursor is valid but its ref-table bindings are
-	// not, so the first pump after the leader heals restarts from a fresh
-	// leader snapshot.
-	if !rep.bootstrapped || rep.repaired {
+	if !rep.bootstrapped {
 		resp, err := p.rc.replPull(&replPullRequest{Epoch: epoch, WantSnapshot: true}, rpcTimeout)
 		if err != nil {
 			var em *epochMismatchError
@@ -143,7 +138,6 @@ func (r *Router) pumpReplica(rep *replica) error {
 		rep.lag = resp.LagBytes
 		rep.records = 0
 		rep.bootstrapped = true
-		rep.repaired = false
 	}
 	for {
 		resp, err := p.rc.replPull(&replPullRequest{

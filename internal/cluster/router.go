@@ -71,10 +71,11 @@ const (
 
 // Router is the cluster brain of one node: it places series on the ring,
 // forwards foreign appends to their owners (parking them in a hinted-handoff
-// queue while an owner is down), scatters queries so only partial aggregates
-// cross the wire, and pulls WAL records from the leaders it follows. It
-// implements the collector's batch-appender contract, so it drops into any
-// ingest path a plain store fits.
+// queue while an owner is down), has each owner answer its series' queries
+// whole (scattering multi-series reductions as fixed-size partials), and
+// pulls WAL records from the leaders it follows. It implements the
+// collector's batch-appender contract, so it drops into any ingest path a
+// plain store fits.
 //
 // Topology is a runtime value, not construction-time state: the active
 // Topology lives behind an atomic pointer, and applyTopology re-derives the
@@ -129,7 +130,6 @@ type Router struct {
 	replicaReads     atomic.Uint64 // queries this node served from a replica store
 	epochFlips       atomic.Uint64 // topology swaps applied
 	reroutedEntries  atomic.Uint64 // entries re-routed after an epoch flip or misdirected forward
-	readRepairs      atomic.Uint64 // stale replicas back-filled from fresher followers
 	promotions       atomic.Uint64 // replica promotions after sustained leader death
 	handoffEntries   atomic.Uint64 // entries imported/exported by join/leave streaming
 
@@ -898,7 +898,6 @@ type Stats struct {
 	ReplicaReads     uint64         `json:"replica_reads"`
 	EpochFlips       uint64         `json:"epoch_flips"`
 	ReroutedEntries  uint64         `json:"rerouted_entries"`
-	ReadRepairs      uint64         `json:"read_repairs"`
 	Promotions       uint64         `json:"promotions"`
 	HandoffEntries   uint64         `json:"handoff_entries"`
 	Peers            []PeerStats    `json:"peers"`
@@ -924,7 +923,6 @@ func (r *Router) Stats() Stats {
 		ReplicaReads:     r.replicaReads.Load(),
 		EpochFlips:       r.epochFlips.Load(),
 		ReroutedEntries:  r.reroutedEntries.Load(),
-		ReadRepairs:      r.readRepairs.Load(),
 		Promotions:       r.promotions.Load(),
 		HandoffEntries:   r.handoffEntries.Load(),
 	}

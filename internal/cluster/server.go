@@ -131,21 +131,7 @@ func (s *Server) handleFrame(conn net.Conn, dict *wire.ConnDict, ft uint8, paylo
 		}
 		s.router.applyTopology(t)
 		return wire.WriteFrame(conn, FrameTopoAck, binenc.AppendUvarint(nil, s.router.Epoch()))
-	case FrameRepairReq:
-		q, err := decodeRepairRequest(payload)
-		if err != nil {
-			return err
-		}
-		resp := s.router.serveRepair(q)
-		return wire.WriteFrame(conn, FrameRepairResp, encodeRepairResponse(resp))
-	case FrameRepSnapReq:
-		q, err := decodeRepSnapRequest(payload)
-		if err != nil {
-			return err
-		}
-		resp := s.router.serveRepSnap(q)
-		return wire.WriteFrame(conn, FrameRepSnapResp, encodeRepSnapResponse(resp))
-	default:
+	default: // includes the retired read-repair frames 24–27
 		return fmt.Errorf("cluster: unexpected frame type %d", ft)
 	}
 }

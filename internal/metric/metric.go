@@ -210,158 +210,3 @@ func (id ID) Key() string {
 	}
 	return id.String()
 }
-
-// Series is an ordered run of samples for one metric ID.
-type Series struct {
-	ID      ID
-	Kind    Kind
-	Unit    Unit
-	Samples []Sample
-}
-
-// NewSeries constructs an empty gauge series with the given name and labels.
-func NewSeries(name string, labels Labels) *Series {
-	return &Series{ID: ID{Name: name, Labels: labels}}
-}
-
-// Append adds a sample, enforcing monotonically increasing timestamps.
-// Out-of-order samples are dropped and reported via the return value, the
-// same policy a production TSDB ingest path applies.
-func (s *Series) Append(t int64, v float64) bool {
-	if n := len(s.Samples); n > 0 && t <= s.Samples[n-1].T {
-		return false
-	}
-	s.Samples = append(s.Samples, Sample{T: t, V: v})
-	return true
-}
-
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.Samples) }
-
-// Values returns just the sample values, in order.
-func (s *Series) Values() []float64 {
-	out := make([]float64, len(s.Samples))
-	for i, sm := range s.Samples {
-		out[i] = sm.V
-	}
-	return out
-}
-
-// Times returns just the sample timestamps, in order.
-func (s *Series) Times() []int64 {
-	out := make([]int64, len(s.Samples))
-	for i, sm := range s.Samples {
-		out[i] = sm.T
-	}
-	return out
-}
-
-// Between returns the sub-series with from <= T < to. An empty or inverted
-// interval yields nil. The returned slice aliases the original samples.
-func (s *Series) Between(from, to int64) []Sample {
-	if from >= to {
-		return nil
-	}
-	lo := sort.Search(len(s.Samples), func(i int) bool { return s.Samples[i].T >= from })
-	hi := sort.Search(len(s.Samples), func(i int) bool { return s.Samples[i].T >= to })
-	return s.Samples[lo:hi]
-}
-
-// At returns the most recent sample with T <= t, or false if none exists.
-func (s *Series) At(t int64) (Sample, bool) {
-	i := sort.Search(len(s.Samples), func(i int) bool { return s.Samples[i].T > t })
-	if i == 0 {
-		return Sample{}, false
-	}
-	return s.Samples[i-1], true
-}
-
-// Last returns the most recent sample, or false if the series is empty.
-func (s *Series) Last() (Sample, bool) {
-	if len(s.Samples) == 0 {
-		return Sample{}, false
-	}
-	return s.Samples[len(s.Samples)-1], true
-}
-
-// Rate converts a counter series to a per-second rate gauge series.
-// Counter resets (value decreasing) start a fresh segment, mirroring how
-// monitoring systems handle daemon restarts.
-func (s *Series) Rate() *Series {
-	out := &Series{ID: s.ID, Kind: Gauge, Unit: s.Unit + "/s"}
-	for i := 1; i < len(s.Samples); i++ {
-		prev, cur := s.Samples[i-1], s.Samples[i]
-		if cur.V < prev.V || cur.T <= prev.T {
-			continue // counter reset or duplicate timestamp
-		}
-		dt := float64(cur.T-prev.T) / 1000.0
-		out.Samples = append(out.Samples, Sample{T: cur.T, V: (cur.V - prev.V) / dt})
-	}
-	return out
-}
-
-// Clone returns a deep copy of the series.
-func (s *Series) Clone() *Series {
-	cp := *s
-	cp.Samples = make([]Sample, len(s.Samples))
-	copy(cp.Samples, s.Samples)
-	return &cp
-}
-
-// Set is a collection of series indexed by ID key.
-type Set struct {
-	byKey map[string]*Series
-	order []string
-}
-
-// NewSet returns an empty series set.
-func NewSet() *Set {
-	return &Set{byKey: make(map[string]*Series)}
-}
-
-// Upsert returns the series for id, creating it when absent.
-func (ss *Set) Upsert(id ID, kind Kind, unit Unit) *Series {
-	k := id.Key()
-	if s, ok := ss.byKey[k]; ok {
-		return s
-	}
-	s := &Series{ID: id, Kind: kind, Unit: unit}
-	ss.byKey[k] = s
-	ss.order = append(ss.order, k)
-	return s
-}
-
-// Get returns the series with the given ID, if present.
-func (ss *Set) Get(id ID) (*Series, bool) {
-	s, ok := ss.byKey[id.Key()]
-	return s, ok
-}
-
-// Len returns the number of series in the set.
-func (ss *Set) Len() int { return len(ss.byKey) }
-
-// All returns every series in insertion order.
-func (ss *Set) All() []*Series {
-	out := make([]*Series, 0, len(ss.order))
-	for _, k := range ss.order {
-		out = append(out, ss.byKey[k])
-	}
-	return out
-}
-
-// Select returns every series whose name equals name (or any name if empty)
-// and whose labels match the selector.
-func (ss *Set) Select(name string, sel Labels) []*Series {
-	var out []*Series
-	for _, k := range ss.order {
-		s := ss.byKey[k]
-		if name != "" && s.ID.Name != name {
-			continue
-		}
-		if !s.ID.Labels.Matches(sel) {
-			continue
-		}
-		out = append(out, s)
-	}
-	return out
-}

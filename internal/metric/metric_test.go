@@ -1,7 +1,6 @@
 package metric
 
 import (
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -85,94 +84,6 @@ func TestLabelsEqual(t *testing.T) {
 	}
 }
 
-func TestSeriesAppendOrdering(t *testing.T) {
-	s := NewSeries("power", NewLabels("node", "n0"))
-	if !s.Append(100, 1.0) || !s.Append(200, 2.0) {
-		t.Fatal("in-order appends rejected")
-	}
-	if s.Append(150, 1.5) {
-		t.Fatal("out-of-order append accepted")
-	}
-	if s.Append(200, 3.0) {
-		t.Fatal("duplicate timestamp accepted")
-	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
-	}
-}
-
-func TestSeriesBetweenAndAt(t *testing.T) {
-	s := NewSeries("t", nil)
-	for i := int64(0); i < 10; i++ {
-		s.Append(i*1000, float64(i))
-	}
-	got := s.Between(2000, 5000)
-	if len(got) != 3 || got[0].V != 2 || got[2].V != 4 {
-		t.Fatalf("Between(2000,5000) = %v", got)
-	}
-	if sm, ok := s.At(3500); !ok || sm.V != 3 {
-		t.Fatalf("At(3500) = %v, %v", sm, ok)
-	}
-	if _, ok := s.At(-1); ok {
-		t.Fatal("At before first sample should be absent")
-	}
-	if sm, ok := s.Last(); !ok || sm.V != 9 {
-		t.Fatalf("Last() = %v, %v", sm, ok)
-	}
-}
-
-func TestSeriesRate(t *testing.T) {
-	s := &Series{ID: ID{Name: "energy"}, Kind: Counter, Unit: UnitJoule}
-	s.Append(0, 0)
-	s.Append(1000, 50)  // 50 J/s
-	s.Append(3000, 150) // 50 J/s
-	s.Append(4000, 10)  // reset: skipped
-	s.Append(5000, 110) // 100 J/s
-	r := s.Rate()
-	want := []float64{50, 50, 100}
-	if len(r.Samples) != len(want) {
-		t.Fatalf("rate samples = %v", r.Samples)
-	}
-	for i, w := range want {
-		if r.Samples[i].V != w {
-			t.Errorf("rate[%d] = %v, want %v", i, r.Samples[i].V, w)
-		}
-	}
-}
-
-func TestSeriesClone(t *testing.T) {
-	s := NewSeries("x", nil)
-	s.Append(1, 1)
-	c := s.Clone()
-	c.Samples[0].V = 99
-	if s.Samples[0].V != 1 {
-		t.Fatal("Clone shares sample storage")
-	}
-}
-
-func TestSetUpsertAndSelect(t *testing.T) {
-	ss := NewSet()
-	a := ss.Upsert(ID{Name: "power", Labels: NewLabels("node", "n0")}, Gauge, UnitWatt)
-	b := ss.Upsert(ID{Name: "power", Labels: NewLabels("node", "n1")}, Gauge, UnitWatt)
-	c := ss.Upsert(ID{Name: "temp", Labels: NewLabels("node", "n0")}, Gauge, UnitCelsius)
-	if ss.Len() != 3 {
-		t.Fatalf("Len = %d", ss.Len())
-	}
-	again := ss.Upsert(ID{Name: "power", Labels: NewLabels("node", "n0")}, Gauge, UnitWatt)
-	if again != a {
-		t.Fatal("Upsert created duplicate series")
-	}
-	if got := ss.Select("power", nil); len(got) != 2 || got[0] != a || got[1] != b {
-		t.Fatalf("Select(power) = %v", got)
-	}
-	if got := ss.Select("", NewLabels("node", "n0")); len(got) != 2 || got[0] != a || got[1] != c {
-		t.Fatalf("Select(node=n0) = %v", got)
-	}
-	if s, ok := ss.Get(ID{Name: "temp", Labels: NewLabels("node", "n0")}); !ok || s != c {
-		t.Fatal("Get failed")
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if Gauge.String() != "gauge" || Counter.String() != "counter" {
 		t.Fatal("Kind.String mismatch")
@@ -198,33 +109,6 @@ func TestLabelsWithProperty(t *testing.T) {
 		return ok && v == "new"
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Between(a,b) returns exactly the samples with a <= T < b.
-func TestSeriesBetweenProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	s := NewSeries("p", nil)
-	tcur := int64(0)
-	for i := 0; i < 500; i++ {
-		tcur += int64(1 + rng.Intn(100))
-		s.Append(tcur, rng.Float64())
-	}
-	f := func(ua, ub uint16) bool {
-		span := tcur + 10
-		a := int64(ua) % span
-		b := int64(ub) % span
-		got := s.Between(a, b)
-		var want int
-		for _, sm := range s.Samples {
-			if sm.T >= a && sm.T < b {
-				want++
-			}
-		}
-		return len(got) == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

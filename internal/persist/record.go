@@ -31,6 +31,7 @@
 package persist
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -68,6 +69,29 @@ const MaxRecord = 32 << 20
 // castagnoli is the CRC32C polynomial table (hardware-accelerated on
 // amd64/arm64), the same checksum production storage engines use.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// nextRecord unframes the WAL record starting at data[off:], returning its
+// payload and the offset one past it. ok=false means no intact record starts
+// there: a short header, a length prefix over MaxRecord or past the data, or
+// a checksum mismatch. That is the torn tail a crash mid-write leaves — and,
+// on a live segment, the writing edge — so replay and replication both stop
+// at the first such offset.
+func nextRecord(data []byte, off int64) (payload []byte, next int64, ok bool) {
+	n := int64(len(data))
+	if off+recordHeaderLen > n {
+		return nil, off, false
+	}
+	length := int64(binary.BigEndian.Uint32(data[off : off+4]))
+	if length > MaxRecord || off+recordHeaderLen+length > n {
+		return nil, off, false
+	}
+	next = off + recordHeaderLen + length
+	payload = data[off+recordHeaderLen : next]
+	if crc32.Checksum(payload, castagnoli) != binary.BigEndian.Uint32(data[off+4:off+8]) {
+		return nil, off, false
+	}
+	return payload, next, true
+}
 
 // ErrUnsupportedFormat reports intact data in a format this version does
 // not read: a segment or snapshot with a complete foreign magic, or a

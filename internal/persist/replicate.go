@@ -1,10 +1,8 @@
 package persist
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 
 	"repro/internal/timeseries"
@@ -91,21 +89,16 @@ func (r *SegmentReader) ReadFrom(seq uint64, off int64, maxBytes int64, fn func(
 			return seq, off, records, nil
 		}
 		n := int64(len(data))
-		for off+recordHeaderLen <= n && sent < maxBytes {
-			length := int64(binary.BigEndian.Uint32(data[off : off+4]))
-			sum := binary.BigEndian.Uint32(data[off+4 : off+8])
-			if length > MaxRecord || off+recordHeaderLen+length > n {
-				break // incomplete record at the writing edge (or torn tail)
-			}
-			payload := data[off+recordHeaderLen : off+recordHeaderLen+length]
-			if crc32.Checksum(payload, castagnoli) != sum {
-				break // torn tail: stop where replay would
+		for sent < maxBytes {
+			payload, next, ok := nextRecord(data, off)
+			if !ok {
+				break // the writing edge, or a torn tail: stop where replay would
 			}
 			if err := fn(payload); err != nil {
 				return seq, off, records, err
 			}
-			off += recordHeaderLen + length
-			sent += length
+			off = next
+			sent += int64(len(payload))
 			records++
 		}
 		if off+recordHeaderLen > n || sent >= maxBytes {

@@ -336,36 +336,25 @@ func replaySegment(data []byte, apply func(rec walRecord)) (replayResult, error)
 	if got := data[:len(segMagic)]; string(got) != segMagic {
 		return res, fmt.Errorf("%w: segment magic %q, want %q", ErrUnsupportedFormat, got, segMagic)
 	}
-	pos := int64(len(segMagic))
-	res.offset = pos
-	n := int64(len(data))
+	res.offset = int64(len(segMagic))
 	var scratch []refSample // every record's samples decode into this
-	for pos < n {
-		if pos+recordHeaderLen > n {
-			break // torn header
-		}
-		length := int64(binary.BigEndian.Uint32(data[pos : pos+4]))
-		sum := binary.BigEndian.Uint32(data[pos+4 : pos+8])
-		if length > MaxRecord || pos+recordHeaderLen+length > n {
-			break // torn or corrupt length prefix
-		}
-		payload := data[pos+recordHeaderLen : pos+recordHeaderLen+length]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			break // corrupt payload
+	for {
+		payload, next, ok := nextRecord(data, res.offset)
+		if !ok {
+			break
 		}
 		rec, err := decodeRecord(payload, &scratch)
 		if errors.Is(err, ErrUnsupportedFormat) {
-			return res, fmt.Errorf("record at offset %d: %w", pos, err)
+			return res, fmt.Errorf("record at offset %d: %w", res.offset, err)
 		}
 		if err != nil {
 			break // checksum matched but the payload is not a record
 		}
 		apply(rec)
-		pos += recordHeaderLen + length
 		res.records++
-		res.offset = pos
+		res.offset = next
 	}
-	if res.offset < n {
+	if n := int64(len(data)); res.offset < n {
 		res.torn = true
 		res.tornSize = n - res.offset
 	}
