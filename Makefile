@@ -37,8 +37,9 @@ lint-footprints:
 	$(GO) test -run 'TestFootprintLint|TestFullGridDeclaresFootprints' .
 
 # Race-detector pass over every package with shared-state concurrency:
-# the striped TSDB (and its cursor pool), the grid's explicit worker pool,
-# the simulation (its agent scrapes sources concurrently), the async
+# the TSDB (its registry and per-series locks, and its cursor pool), the
+# grid's explicit worker pool, the simulation (its agent scrapes sources
+# concurrently), the async
 # collection pipeline (slow-sink / backpressure stress lives in collector's
 # pipeline tests) and the scrape fan-out, the
 # wire server/client, the query front door and the cluster router (scatter
@@ -195,14 +196,17 @@ bench-e2e:
 
 # Non-test lines in the telemetry stack's packages: the figure ROADMAP aim 2
 # tracks ("the same numbers and behaviour from the least code"), then the
-# same count over every package under internal/ and cmd/.
+# same count over every package under internal/ and cmd/, then the exported
+# method counts of the two widest APIs, timeseries.Store and cluster.Router.
 LOC_DIRS = internal/timeseries internal/persist internal/wire internal/cluster internal/collector internal/oda internal/binenc cmd/odad
 loc:
 	@for d in $(LOC_DIRS); do \
 		printf '%6d %s\n' $$(cat $$(ls $$d/*.go | grep -v _test.go) | wc -l) $$d; \
 	done; \
 	printf '%6d total\n' $$(cat $$(ls $(addsuffix /*.go,$(LOC_DIRS)) | grep -v _test.go) | wc -l); \
-	printf '%6d internal/ + cmd/ (all non-test Go)\n' $$(cat $$(find internal cmd -name '*.go' ! -name '*_test.go') | wc -l)
+	printf '%6d internal/ + cmd/ (all non-test Go)\n' $$(cat $$(find internal cmd -name '*.go' ! -name '*_test.go') | wc -l); \
+	printf '%6d timeseries.Store exported methods\n' $$(cat $$(ls internal/timeseries/*.go | grep -v _test.go) | grep -c '^func (s \*Store) [A-Z]'); \
+	printf '%6d cluster.Router exported methods\n' $$(cat $$(ls internal/cluster/*.go | grep -v _test.go) | grep -c '^func (r \*Router) [A-Z]')
 
 # Distributed-query cost benchmark: the same scatter-gather ReduceMany
 # against a 1-node cluster (local fast-path) and a 3-node cluster over
@@ -218,10 +222,10 @@ bench-cluster:
 bench-rebalance:
 	$(GO) test -run xxx -bench 'BenchmarkJoinHandoff|BenchmarkEpochFlip' -benchmem -benchtime 20x ./internal/cluster
 
-# What concurrency buys, by core count: the PR 1 lock-contention benches
-# (striped store against the global-lock reference; BENCH_PR1.json has the
-# recorded numbers), and the grid sweep with its explicit pool against the
-# serial default, on CPU-bound capabilities and on blocking stand-ins.
+# What concurrency buys, by core count: the lock-contention benches (the
+# store — one registry lock plus a lock per series — against the global-lock
+# reference), and the grid sweep with its explicit pool against the serial
+# default, on CPU-bound capabilities and on blocking stand-ins.
 bench-parallel:
 	$(GO) test -run xxx -bench 'BenchmarkStoreQueryParallel|BenchmarkGridRunAll|BenchmarkActuatorSweep' -cpu 1,2,4 -benchtime 2s ./
 	$(GO) test -run xxx -bench 'BenchmarkStoreMixedParallel' -cpu 1,2,4 -benchtime 2s ./internal/timeseries/

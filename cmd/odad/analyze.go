@@ -14,7 +14,7 @@ import (
 // restart recovered an archive, before the first new batch moves it.
 func newestSample(store *timeseries.Store) int64 {
 	var newest int64
-	for _, id := range store.IDs() {
+	for _, id := range store.Select("", nil) {
 		if sm, ok := store.Latest(id); ok {
 			newest = max(newest, sm.T)
 		}

@@ -39,7 +39,7 @@
 //	POST /cluster/join?seed=A  join the cluster reachable at seed host:port
 //	POST /cluster/leave        hand off this node's data and leave
 //
-// /query and /query_range sit behind a sharded LRU result cache (staleness
+// /query and /query_range sit behind an LRU result cache (staleness
 // bounded by -query-cache-ttl) and per-tenant token-bucket quotas
 // (X-ODA-Tenant header, -query-rate/-query-burst; over-quota requests get
 // HTTP 429).

@@ -79,7 +79,7 @@ func statsPayload(store *timeseries.Store, srv *wire.Server, durable *persist.Du
 			"lost_segments":         st.LostSegments,
 		}
 	}
-	if qf != nil || len(store.TierSteps()) > 0 {
+	if qf != nil || len(rs.Tiers) > 0 {
 		rollup := map[string]any{
 			"folds":     rs.Folds,
 			"seals":     rs.Seals,

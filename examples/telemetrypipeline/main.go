@@ -100,7 +100,7 @@ func main() {
 	// Analytics over the aggregated archive: fleet power summary.
 	var fleet stats.Online
 	for _, id := range store.Select("node_power_watts", nil) {
-		vals, err := store.SeriesValues(id, 0, dc.Now()+1)
+		vals, err := store.SeriesValues(id, 0, dc.Now()+1, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

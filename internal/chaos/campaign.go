@@ -399,7 +399,7 @@ func checkPlannerParity(store *timeseries.Store, from, to int64) failures {
 	var f failures
 	fns := []timeseries.AggFunc{timeseries.AggMean, timeseries.AggSum, timeseries.AggMin, timeseries.AggMax, timeseries.AggCount}
 	windows := [][2]int64{{from, to}, {from + 500, from + (to-from)/2 + 250}}
-	for _, id := range store.IDs() {
+	for _, id := range store.Select("", nil) {
 		for _, w := range windows {
 			for _, fn := range fns {
 				rawV, rawN, err1 := store.Reduce(id, w[0], w[1], fn)
@@ -429,7 +429,7 @@ func checkPlannerParity(store *timeseries.Store, from, to int64) failures {
 // and re-computed responses are byte-identical to their first computation.
 func checkFrontDoor(store *timeseries.Store) failures {
 	var f failures
-	ids := store.IDs()
+	ids := store.Select("", nil)
 	if len(ids) < 2 {
 		f.addf("archive has %d series, front-door check needs 2", len(ids))
 		return f

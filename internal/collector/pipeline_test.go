@@ -335,12 +335,12 @@ func TestQueuedMatchesSynchronous(t *testing.T) {
 		t.Fatalf("sync second-sink stream = %d readings, want 600", len(wantMsgs))
 	}
 
-	ids := sync0.store.IDs()
+	ids := sync0.store.Select("", nil)
 	if len(ids) != 6 {
 		t.Fatalf("series = %d, want 6", len(ids))
 	}
 	for _, other := range []*fixture{depth0, queued} {
-		oids := other.store.IDs()
+		oids := other.store.Select("", nil)
 		if len(oids) != len(ids) {
 			t.Fatalf("series: %d vs %d", len(oids), len(ids))
 		}

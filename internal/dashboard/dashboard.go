@@ -171,11 +171,12 @@ func (d *Dashboard) Snapshot(now int64) []PanelData {
 			continue
 		}
 		// One fused pass per series: the summary statistics accumulate
-		// while the display values stream off the cursor, and wide panels
-		// fan out across series with deterministic per-index slots.
-		slots := make([]SeriesData, len(ids))
-		filled := make([]bool, len(ids))
-		_ = d.Store.Scan(ids, now-window, now+1, func(i int, cur *timeseries.Cursor) error {
+		// while the display values stream off the cursor.
+		for _, id := range ids {
+			cur, err := d.Store.Cursor(id, now-window, now+1)
+			if err != nil {
+				continue
+			}
 			vals := make([]float64, 0, cur.Est())
 			var o stats.Online
 			for cur.Next() {
@@ -183,21 +184,16 @@ func (d *Dashboard) Snapshot(now int64) []PanelData {
 				vals = append(vals, v)
 				o.Add(v)
 			}
-			if cur.Err() != nil || len(vals) == 0 {
-				return nil // skip broken/empty series, as before
+			broken := cur.Err() != nil
+			cur.Close()
+			if broken || len(vals) == 0 {
+				continue // skip broken/empty series
 			}
 			s := o.Summary()
-			slots[i] = SeriesData{
-				ID: ids[i].Key(), Last: vals[len(vals)-1],
+			pd.Series = append(pd.Series, SeriesData{
+				ID: id.Key(), Last: vals[len(vals)-1],
 				Mean: s.Mean, Min: s.Min, Max: s.Max, Values: vals,
-			}
-			filled[i] = true
-			return nil
-		})
-		for i := range slots {
-			if filled[i] {
-				pd.Series = append(pd.Series, slots[i])
-			}
+			})
 		}
 		sort.Slice(pd.Series, func(a, b int) bool { return pd.Series[a].ID < pd.Series[b].ID })
 		out = append(out, pd)
@@ -235,7 +231,7 @@ func (d *Dashboard) Handler() http.Handler {
 			}
 		}
 		if now == 0 {
-			for _, id := range d.Store.IDs() {
+			for _, id := range d.Store.Select("", nil) {
 				if sm, ok := d.Store.Latest(id); ok && sm.T > now {
 					now = sm.T
 				}

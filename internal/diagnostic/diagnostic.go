@@ -238,7 +238,7 @@ func (c RootCause) Run(ctx *oda.RunContext) (oda.Result, error) {
 	if len(ids) == 0 {
 		return oda.Result{}, fmt.Errorf("diagnostic: no temperature series for node %s", c.Node)
 	}
-	target, err := ctx.Store.SeriesValues(ids[0], ctx.From, ctx.To)
+	target, err := ctx.Store.SeriesValues(ids[0], ctx.From, ctx.To, 0)
 	if err != nil || len(target) < 4 {
 		return oda.Result{}, fmt.Errorf("diagnostic: too little data for node %s", c.Node)
 	}
@@ -246,13 +246,13 @@ func (c RootCause) Run(ctx *oda.RunContext) (oda.Result, error) {
 	for _, name := range []string{"node_fan_speed", "node_utilization", "node_power_watts"} {
 		cids := ctx.Store.Select(name, sel)
 		if len(cids) == 1 {
-			if vals, err := ctx.Store.SeriesValues(cids[0], ctx.From, ctx.To); err == nil {
+			if vals, err := ctx.Store.SeriesValues(cids[0], ctx.From, ctx.To, 0); err == nil {
 				candidates[name] = vals
 			}
 		}
 	}
 	supplyID := metric.ID{Name: "facility_supply_temp_celsius", Labels: siteLabels}
-	if vals, err := ctx.Store.SeriesValues(supplyID, ctx.From, ctx.To); err == nil {
+	if vals, err := ctx.Store.SeriesValues(supplyID, ctx.From, ctx.To, 0); err == nil {
 		candidates["facility_supply_temp_celsius"] = vals
 	}
 	type ranked struct {
@@ -315,7 +315,7 @@ func (NetContention) Run(ctx *oda.RunContext) (oda.Result, error) {
 	// Find saturated uplinks in the window.
 	saturated := map[int]bool{}
 	for _, id := range ctx.Store.Select("net_uplink_utilization", nil) {
-		vals, err := ctx.Store.SeriesValues(id, ctx.From, ctx.To)
+		vals, err := ctx.Store.SeriesValues(id, ctx.From, ctx.To, 0)
 		if err != nil || len(vals) == 0 {
 			continue
 		}
@@ -395,7 +395,7 @@ func (InfraAnomaly) Run(ctx *oda.RunContext) (oda.Result, error) {
 	var parts []string
 	for _, name := range series {
 		id := metric.ID{Name: name, Labels: siteLabels}
-		vals, err := ctx.Store.SeriesValues(id, ctx.From, ctx.To)
+		vals, err := ctx.Store.SeriesValues(id, ctx.From, ctx.To, 0)
 		if err != nil {
 			return oda.Result{}, err
 		}
@@ -442,7 +442,7 @@ func BuildEpoch(ctx *oda.RunContext, label string, from, to int64) (anomaly.Fing
 	var metrics [][]float64
 	for _, name := range fingerprintMetrics {
 		id := metric.ID{Name: name, Labels: siteLabels}
-		vals, err := ctx.Store.SeriesValues(id, from, to)
+		vals, err := ctx.Store.SeriesValues(id, from, to, 0)
 		if err != nil || len(vals) == 0 {
 			return anomaly.Fingerprint{}, fmt.Errorf("diagnostic: no %s in epoch", name)
 		}

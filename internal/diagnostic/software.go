@@ -134,7 +134,7 @@ func (c MemoryLeakDetector) Run(ctx *oda.RunContext) (oda.Result, error) {
 	det := anomaly.CUSUM{Baseline: 30, Slack: 0.5, H: 8}
 	drifting := map[string]int{}
 	for _, id := range ids {
-		vals, err := ctx.Store.SeriesValues(id, ctx.From, ctx.To)
+		vals, err := ctx.Store.SeriesValues(id, ctx.From, ctx.To, 0)
 		if err != nil {
 			continue
 		}

@@ -117,7 +117,7 @@ func Fig1(seed int64, nodes int, hours float64) (Report, error) {
 	seriesPerPillar := map[oda.Pillar]int{}
 	samplesPerPillar := map[oda.Pillar]int{}
 	metricNames := map[oda.Pillar]map[string]bool{}
-	for _, id := range ctx.Store.IDs() {
+	for _, id := range ctx.Store.Select("", nil) {
 		p := pillarOf(id.Name)
 		seriesPerPillar[p]++
 		if metricNames[p] == nil {

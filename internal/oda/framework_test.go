@@ -234,7 +234,7 @@ func TestRunContextCarriesStore(t *testing.T) {
 	c := CapabilityFunc{
 		M: Meta{Name: "probe", Cells: []Cell{{SystemHardware, Descriptive}}},
 		Fn: func(ctx *RunContext) (Result, error) {
-			vals, err := ctx.Store.SeriesValues(id, ctx.From, ctx.To)
+			vals, err := ctx.Store.SeriesValues(id, ctx.From, ctx.To, 0)
 			if err != nil {
 				return Result{}, err
 			}

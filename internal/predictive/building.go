@@ -42,7 +42,7 @@ func plannedStep(from, to int64) int64 {
 // query planner for long windows.
 func seriesValues(ctx *oda.RunContext, name string) ([]float64, error) {
 	id := metric.ID{Name: name, Labels: siteLabels}
-	vals, err := ctx.Store.SeriesValuesPlanned(id, ctx.From, ctx.To, plannedStep(ctx.From, ctx.To))
+	vals, err := ctx.Store.SeriesValues(id, ctx.From, ctx.To, plannedStep(ctx.From, ctx.To))
 	if err != nil {
 		return nil, err
 	}

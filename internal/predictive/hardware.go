@@ -59,7 +59,7 @@ func (c SensorForecast) Run(ctx *oda.RunContext) (oda.Result, error) {
 	var arMAE, naiveMAE stats.Online
 	step := plannedStep(ctx.From, ctx.To)
 	for _, id := range ids {
-		vals, err := ctx.Store.SeriesValuesPlanned(id, ctx.From, ctx.To, step)
+		vals, err := ctx.Store.SeriesValues(id, ctx.From, ctx.To, step)
 		if err != nil || len(vals) < 4*horizon+20 {
 			continue
 		}
@@ -126,14 +126,14 @@ func (c ThermalRisk) Run(ctx *oda.RunContext) (oda.Result, error) {
 	for _, id := range ids {
 		// The three feature series go through the planner at one shared
 		// resolution so their indices stay aligned sample-for-sample.
-		temps, err := ctx.Store.SeriesValuesPlanned(id, ctx.From, ctx.To, step)
+		temps, err := ctx.Store.SeriesValues(id, ctx.From, ctx.To, step)
 		if err != nil {
 			continue
 		}
 		utilID := metric.ID{Name: "node_utilization", Labels: id.Labels}
 		fanID := metric.ID{Name: "node_fan_speed", Labels: id.Labels}
-		utils, err1 := ctx.Store.SeriesValuesPlanned(utilID, ctx.From, ctx.To, step)
-		fans, err2 := ctx.Store.SeriesValuesPlanned(fanID, ctx.From, ctx.To, step)
+		utils, err1 := ctx.Store.SeriesValues(utilID, ctx.From, ctx.To, step)
+		fans, err2 := ctx.Store.SeriesValues(fanID, ctx.From, ctx.To, step)
 		if err1 != nil || err2 != nil {
 			continue
 		}

@@ -159,7 +159,7 @@ func measuredJobPower(ctx *oda.RunContext, dc *simulation.DataCenter, rec *simul
 	for _, idx := range rec.Nodes {
 		n := dc.Nodes[idx]
 		labels := metric.NewLabels("node", n.Name(), "rack", n.Cfg.Rack)
-		vals, err := ctx.Store.SeriesValues(metric.ID{Name: "node_power_watts", Labels: labels}, rec.Start, rec.End)
+		vals, err := ctx.Store.SeriesValues(metric.ID{Name: "node_power_watts", Labels: labels}, rec.Start, rec.End, 0)
 		if err != nil || len(vals) == 0 {
 			continue
 		}

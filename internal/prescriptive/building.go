@@ -67,7 +67,7 @@ func (c CoolingModeSwitch) decide(dc *simulation.DataCenter, outdoorForecast []f
 // Holt otherwise.
 func forecastOutdoor(ctx *oda.RunContext, h int) ([]float64, error) {
 	id := metric.ID{Name: "facility_outdoor_temp_celsius", Labels: metric.NewLabels("site", "vdc")}
-	vals, err := ctx.Store.SeriesValues(id, ctx.From, ctx.To)
+	vals, err := ctx.Store.SeriesValues(id, ctx.From, ctx.To, 0)
 	if err != nil || len(vals) < 10 {
 		return nil, fmt.Errorf("prescriptive: insufficient weather history")
 	}
@@ -175,7 +175,7 @@ func (c SetpointOptimizer) decide(ctx *oda.RunContext, dc *simulation.DataCenter
 	// fan loop catches up; only sustained heat moves the setpoint down.
 	worst := 0.0
 	for _, id := range ctx.Store.Select("node_cpu_temp_celsius", nil) {
-		vals, err := ctx.Store.SeriesValues(id, from, ctx.To)
+		vals, err := ctx.Store.SeriesValues(id, from, ctx.To, 0)
 		if err != nil || len(vals) == 0 {
 			continue
 		}

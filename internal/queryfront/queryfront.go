@@ -1,5 +1,5 @@
 // Package queryfront is the HTTP query front door of the ODA stack:
-// planned queries against a TSDB store behind a sharded LRU result cache
+// planned queries against a TSDB store behind an LRU result cache
 // (TTL-bounded staleness) and per-tenant token-bucket quotas. odad mounts
 // it on /query and /query_range; the chaos harness drives the very same
 // handlers to check quota/result-cache consistency after a fault campaign.

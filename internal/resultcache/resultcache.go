@@ -1,9 +1,9 @@
-// Package resultcache is a sharded LRU cache with per-entry TTL for
-// serialized query results. The query front door keys it by the canonical
-// query parameters, so repeated dashboard refreshes of the same window are
-// served from memory without touching the store; the TTL bounds staleness
-// against ongoing ingest (a result older than the TTL is recomputed, so a
-// cached answer can lag the live store by at most that long).
+// Package resultcache is an LRU cache with per-entry TTL for serialized
+// query results. The query front door keys it by the canonical query
+// parameters, so repeated dashboard refreshes of the same window are served
+// from memory without touching the store; the TTL bounds staleness against
+// ongoing ingest (a result older than the TTL is recomputed, so a cached
+// answer can lag the live store by at most that long).
 package resultcache
 
 import (
@@ -13,9 +13,6 @@ import (
 	"time"
 )
 
-// numShards spreads lock contention; queries hash uniformly across shards.
-const numShards = 8
-
 // Stats is a point-in-time counter snapshot.
 type Stats struct {
 	Hits      uint64
@@ -24,24 +21,22 @@ type Stats struct {
 	Entries   int
 }
 
-// Cache is a sharded LRU+TTL result cache. The zero value is not usable;
-// construct with New. A Cache with capacity 0 stores nothing (every Get
-// misses), which callers use to disable caching without branching.
+// Cache is an LRU+TTL result cache: one recency list and index under one
+// mutex. The zero value is not usable; construct with New. A Cache with
+// capacity 0 stores nothing (every Get misses), which callers use to
+// disable caching without branching.
 type Cache struct {
-	shards [numShards]shard
-	perCap int
-	ttl    time.Duration
-	now    func() time.Time
+	capacity int
+	ttl      time.Duration
+	now      func() time.Time
+
+	mu    sync.Mutex
+	lru   *list.List // front = most recent
+	index map[string]*list.Element
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
-}
-
-type shard struct {
-	mu    sync.Mutex
-	lru   *list.List // front = most recent
-	index map[string]*list.Element
 }
 
 type entry struct {
@@ -61,13 +56,12 @@ func WithClock(now func() time.Time) Option {
 // New builds a cache holding up to capacity entries in total, each valid
 // for ttl after insertion (ttl <= 0 means entries never expire by age).
 func New(capacity int, ttl time.Duration, opts ...Option) *Cache {
-	c := &Cache{ttl: ttl, now: time.Now}
-	if capacity > 0 {
-		c.perCap = (capacity + numShards - 1) / numShards
-	}
-	for i := range c.shards {
-		c.shards[i].lru = list.New()
-		c.shards[i].index = make(map[string]*list.Element)
+	c := &Cache{
+		capacity: max(capacity, 0),
+		ttl:      ttl,
+		now:      time.Now,
+		lru:      list.New(),
+		index:    make(map[string]*list.Element),
 	}
 	for _, o := range opts {
 		o(c)
@@ -75,111 +69,71 @@ func New(capacity int, ttl time.Duration, opts ...Option) *Cache {
 	return c
 }
 
-// fnv32a hashes a cache key for shard selection.
-func fnv32a(key string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return h
-}
-
-func (c *Cache) shard(key string) *shard {
-	return &c.shards[fnv32a(key)%numShards]
-}
-
 // Get returns the cached value for key, or nil, false on a miss. Expired
 // entries are removed on access and count as both an eviction and a miss.
 func (c *Cache) Get(key string) ([]byte, bool) {
-	if c.perCap == 0 {
-		c.misses.Add(1)
-		return nil, false
-	}
-	sh := c.shard(key)
-	sh.mu.Lock()
-	el, ok := sh.index[key]
+	c.mu.Lock()
+	el, ok := c.index[key]
 	if !ok {
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		c.misses.Add(1)
 		return nil, false
 	}
 	en := el.Value.(*entry)
 	if c.ttl > 0 && c.now().After(en.expires) {
-		sh.lru.Remove(el)
-		delete(sh.index, key)
-		sh.mu.Unlock()
+		c.lru.Remove(el)
+		delete(c.index, key)
+		c.mu.Unlock()
 		c.evictions.Add(1)
 		c.misses.Add(1)
 		return nil, false
 	}
-	sh.lru.MoveToFront(el)
+	c.lru.MoveToFront(el)
 	val := en.val
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	c.hits.Add(1)
 	return val, true
 }
 
-// Put stores a value under key, evicting the shard's least-recently-used
-// entry if the shard is full. The value is retained by reference; callers
-// must not mutate it afterwards.
+// Put stores a value under key, evicting the least-recently-used entry if
+// the cache is full. The value is retained by reference; callers must not
+// mutate it afterwards.
 func (c *Cache) Put(key string, val []byte) {
-	if c.perCap == 0 {
+	if c.capacity == 0 {
 		return
 	}
-	sh := c.shard(key)
-	sh.mu.Lock()
-	if el, ok := sh.index[key]; ok {
+	c.mu.Lock()
+	if el, ok := c.index[key]; ok {
 		en := el.Value.(*entry)
 		en.val = val
 		en.expires = c.now().Add(c.ttl)
-		sh.lru.MoveToFront(el)
-		sh.mu.Unlock()
+		c.lru.MoveToFront(el)
+		c.mu.Unlock()
 		return
 	}
 	evicted := 0
-	for sh.lru.Len() >= c.perCap {
-		back := sh.lru.Back()
-		sh.lru.Remove(back)
-		delete(sh.index, back.Value.(*entry).key)
+	for c.lru.Len() >= c.capacity {
+		back := c.lru.Back()
+		c.lru.Remove(back)
+		delete(c.index, back.Value.(*entry).key)
 		evicted++
 	}
-	sh.index[key] = sh.lru.PushFront(&entry{key: key, val: val, expires: c.now().Add(c.ttl)})
-	sh.mu.Unlock()
+	c.index[key] = c.lru.PushFront(&entry{key: key, val: val, expires: c.now().Add(c.ttl)})
+	c.mu.Unlock()
 	if evicted > 0 {
 		c.evictions.Add(uint64(evicted))
 	}
 }
 
-// Purge drops every entry (counted as evictions), e.g. after a mutation
-// that invalidates historical answers wholesale.
-func (c *Cache) Purge() {
-	dropped := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		dropped += sh.lru.Len()
-		sh.lru.Init()
-		sh.index = make(map[string]*list.Element)
-		sh.mu.Unlock()
-	}
-	if dropped > 0 {
-		c.evictions.Add(uint64(dropped))
-	}
-}
-
 // Stats snapshots the cache counters and current entry count.
 func (c *Cache) Stats() Stats {
-	st := Stats{
+	c.mu.Lock()
+	entries := c.lru.Len()
+	c.mu.Unlock()
+	return Stats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
+		Entries:   entries,
 	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		st.Entries += sh.lru.Len()
-		sh.mu.Unlock()
-	}
-	return st
 }

@@ -7,28 +7,45 @@ import (
 	"time"
 )
 
+// TestGetPutLRU: a Get makes its key the most recent, so a Put into a full
+// cache evicts whichever key was used longest ago, whatever the keys are.
 func TestGetPutLRU(t *testing.T) {
-	c := New(numShards, time.Minute) // one entry per shard
+	c := New(2, time.Minute)
 	c.Put("a", []byte("1"))
+	c.Put("b", []byte("2"))
 	if v, ok := c.Get("a"); !ok || string(v) != "1" {
 		t.Fatalf("Get(a) = %q, %v", v, ok)
 	}
-	// A second key landing in the same shard evicts the first.
-	evictKey := ""
-	for i := 0; ; i++ {
-		k := fmt.Sprintf("k%d", i)
-		if c.shard(k) == c.shard("a") && k != "a" {
-			evictKey = k
-			break
+	c.Put("c", []byte("3")) // evicts b, the least recently used
+	if _, ok := c.Get("b"); ok {
+		t.Fatal("LRU kept b, the least recently used entry")
+	}
+	for _, k := range []string{"a", "c"} {
+		if _, ok := c.Get(k); !ok {
+			t.Fatalf("LRU evicted %s", k)
 		}
 	}
-	c.Put(evictKey, []byte("2"))
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("LRU did not evict the older same-shard entry")
-	}
 	st := c.Stats()
-	if st.Evictions == 0 || st.Hits != 1 || st.Misses != 1 {
+	if st.Evictions != 1 || st.Hits != 3 || st.Misses != 1 || st.Entries != 2 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestCacheCapacityIsTotal: New's capacity bounds the whole cache, and the
+// entries it keeps are the most recently used ones.
+func TestCacheCapacityIsTotal(t *testing.T) {
+	c := New(3, time.Minute)
+	for i := 0; i < 8; i++ {
+		c.Put(fmt.Sprintf("k%d", i), []byte("v"))
+	}
+	if st := c.Stats(); st.Entries != 3 || st.Evictions != 5 {
+		t.Fatalf("New(3) after 8 keys: %+v, want 3 entries and 5 evictions", st)
+	}
+	for i := 0; i < 8; i++ {
+		_, ok := c.Get(fmt.Sprintf("k%d", i))
+		if want := i >= 5; ok != want {
+			t.Fatalf("k%d cached = %v, want %v", i, ok, want)
+		}
 	}
 }
 
@@ -59,17 +76,6 @@ func TestZeroCapacityDisables(t *testing.T) {
 	c.Put("a", []byte("1"))
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("capacity-0 cache stored something")
-	}
-}
-
-func TestPurge(t *testing.T) {
-	c := New(64, time.Minute)
-	for i := 0; i < 10; i++ {
-		c.Put(fmt.Sprintf("k%d", i), []byte("v"))
-	}
-	c.Purge()
-	if st := c.Stats(); st.Entries != 0 || st.Evictions != 10 {
-		t.Fatalf("purge: %+v", st)
 	}
 }
 

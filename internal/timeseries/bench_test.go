@@ -55,12 +55,12 @@ func BenchmarkStoreSnapshot(b *testing.B) {
 	}
 }
 
-// --- Sharded-vs-global-lock ablation (PR 1) ---
+// --- Store-vs-global-lock ablation ---
 //
 // globalLockStore replicates the seed store design: one RWMutex serializing
 // every append and query across all series. The ablation benches below run
-// the identical mixed workload against it, a single-shard store and the
-// default 16-shard store; run with -cpu 1,4 to expose contention.
+// the identical mixed workload against it and against Store (one registry
+// RWMutex plus a lock per series); run with -cpu 1,2 to expose contention.
 
 type globalSeries struct {
 	chunks []*Chunk
@@ -137,12 +137,12 @@ func (a globalAdapter) queryRange(id metric.ID, from, to int64) ([]metric.Sample
 	return a.s.query(id, from, to)
 }
 
-type shardedAdapter struct{ s *Store }
+type storeAdapter struct{ s *Store }
 
-func (a shardedAdapter) appendOne(id metric.ID, t int64, v float64) error {
+func (a storeAdapter) appendOne(id metric.ID, t int64, v float64) error {
 	return a.s.Append(id, metric.Gauge, metric.UnitWatt, t, v)
 }
-func (a shardedAdapter) queryRange(id metric.ID, from, to int64) ([]metric.Sample, error) {
+func (a storeAdapter) queryRange(id metric.ID, from, to int64) ([]metric.Sample, error) {
 	return a.s.Query(id, from, to)
 }
 
@@ -178,8 +178,8 @@ func BenchmarkStoreMixedParallel_GlobalLock(b *testing.B) {
 	benchMixedParallel(b, globalAdapter{newGlobalLockStore()})
 }
 
-func BenchmarkStoreMixedParallel_Sharded(b *testing.B) {
-	benchMixedParallel(b, shardedAdapter{NewStore(0)})
+func BenchmarkStoreMixedParallel_Store(b *testing.B) {
+	benchMixedParallel(b, storeAdapter{NewStore(0)})
 }
 
 // BenchmarkStoreQuerySweep is the materializing read: every sweep decodes

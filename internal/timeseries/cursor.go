@@ -322,25 +322,3 @@ func aggregateCursor(cur *Cursor, base, step int64, fn AggFunc) ([]AggPoint, err
 	}
 	return out, nil
 }
-
-// Scan opens one cursor per id over [from, to) and invokes visit(i, cur)
-// for every series that exists (unknown ids are skipped — sweeps routinely
-// select names some shards have never seen), in index order. An error from
-// visit does not stop the walk; Scan returns the lowest-index one. The
-// cursor is only valid inside visit.
-func (s *Store) Scan(ids []metric.ID, from, to int64, visit func(i int, cur *Cursor) error) error {
-	var firstErr error
-	for i, id := range ids {
-		ss := s.lookup(id.Key())
-		if ss == nil {
-			continue
-		}
-		cur := s.newCursor(ss, from, to)
-		err := visit(i, cur)
-		cur.Close()
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}

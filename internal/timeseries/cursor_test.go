@@ -1,7 +1,6 @@
 package timeseries
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -150,7 +149,7 @@ func TestEachEarlyStop(t *testing.T) {
 
 func TestReduceMatchesApplyAgg(t *testing.T) {
 	s, id := cursorTestStore(t)
-	vals, err := s.SeriesValues(id, 15, 845)
+	vals, err := s.SeriesValues(id, 15, 845, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,78 +237,6 @@ func TestAggregateRateBuckets(t *testing.T) {
 	}
 }
 
-// TestScanDeterministicBothPaths: both ways through the walk — a known id is
-// visited with its own index, an unknown one is skipped without an error —
-// leave index-addressed output exactly where the caller expects it.
-func TestScanDeterministicBothPaths(t *testing.T) {
-	s := NewStore(8)
-	var ids []metric.ID
-	for n := 0; n < 20; n++ {
-		id := metric.ID{Name: "m", Labels: metric.NewLabels("node", fmt.Sprintf("n%02d", n))}
-		ids = append(ids, id)
-		for i := 0; i < 30; i++ {
-			if err := s.Append(id, metric.Gauge, metric.UnitNone, int64(i), float64(n*100+i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// Interleave unknown ids: Scan must skip them without error.
-	withGaps := append([]metric.ID{{Name: "ghost"}}, ids...)
-	sums := make([]float64, len(withGaps))
-	err := s.Scan(withGaps, 0, 100, func(i int, cur *Cursor) error {
-		for cur.Next() {
-			sums[i] += cur.At().V
-		}
-		return cur.Err()
-	})
-	if err != nil {
-		t.Fatalf("scan: %v", err)
-	}
-	if sums[0] != 0 {
-		t.Fatal("ghost series should have contributed nothing")
-	}
-	for n := 0; n < 20; n++ {
-		if want := float64(30*n*100 + 435); sums[n+1] != want { // 435 = 0+1+…+29
-			t.Fatalf("slot %d: sum %v, want %v", n+1, sums[n+1], want)
-		}
-	}
-}
-
-// TestScanErrorPropagation: an error from visit does not stop the walk, and
-// the lowest-index one is what Scan returns.
-func TestScanErrorPropagation(t *testing.T) {
-	s := NewStore(8)
-	var ids []metric.ID
-	for n := 0; n < 12; n++ {
-		id := metric.ID{Name: "m", Labels: metric.NewLabels("i", fmt.Sprintf("%d", n))}
-		ids = append(ids, id)
-		if err := s.Append(id, metric.Gauge, metric.UnitNone, 1, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	boom, later := errors.New("boom"), errors.New("later")
-	visited := 0
-	err := s.Scan(ids, 0, 10, func(i int, cur *Cursor) error {
-		visited++
-		switch i {
-		case 7:
-			return boom
-		case 9:
-			return later
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want the lowest-index error", err)
-	}
-	if visited != len(ids) {
-		t.Fatalf("visited %d of %d series", visited, len(ids))
-	}
-	if err := s.Scan(nil, 0, 10, func(int, *Cursor) error { return nil }); err != nil {
-		t.Fatalf("empty scan: %v", err)
-	}
-}
-
 func TestCursorStreamingAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector randomizes sync.Pool reuse and instruments allocations")
@@ -387,7 +314,7 @@ func TestReadsLeaveNothingResident(t *testing.T) {
 		if _, err := s.AggregatePlanned(id, 0, to, TierStep1m, AggMax); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.SeriesValues(id, 0, to); err != nil {
+		if _, err := s.SeriesValues(id, 0, to, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

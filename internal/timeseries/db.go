@@ -21,36 +21,29 @@ var ErrStoreClosed = errors.New("timeseries: store closed")
 // started; 120 follows the Gorilla paper's two-hour blocks at 60 s cadence.
 const DefaultChunkSize = 120
 
-// numShards is the lock-stripe count: a power of two, so the key hash picks a
-// stripe by mask. Sixteen stripes keep shard-map contention negligible up to
-// dozens of cores while costing a few hundred bytes on small stores.
-const numShards = 16
-
 // Store is a concurrency-safe in-memory TSDB holding Gorilla-compressed
 // series keyed by metric ID.
 //
-// Concurrency model: the store is lock-striped. Series are spread across
-// numShards shards by FNV-1a hash of their key; a shard's RWMutex guards
-// only its key→series map, and every series carries its own RWMutex
-// guarding the chunk data. A reader decompressing one series therefore
-// never serializes readers or writers of any other series, and appends to
-// two series contend only when both the shard and the series collide.
-// Registration order and the name index live behind a separate mutex that
-// is only taken when a series is first created.
+// Concurrency model: one registry RWMutex, regMu, guards the key→series
+// map, the ref slots and the name index, and every series carries its own
+// RWMutex guarding the chunk data. A read holds regMu shared for one map
+// lookup and then only its series' lock, so a reader decompressing one
+// series never serializes readers or writers of any other series. regMu is
+// taken exclusively only when a series is first created.
 type Store struct {
 	chunkSize int
-	shards    [numShards]storeShard
 
-	regMu  sync.RWMutex
-	order  []metric.ID            // first-ingest order, for IDs/Select
-	byName map[string][]metric.ID // metric name -> IDs in first-ingest order
-
-	// refSeries maps ref slots (SeriesRef low bits, minus one) to live
-	// series; guarded by regMu, append-only, elements immutable once set, so
-	// a slice-header snapshot stays valid after regMu is released. refEpoch
-	// names this store instance in every ref it mints (see refs.go); it is
-	// drawn once by NewStore and never changes. resolves, refSamples and
-	// staleRefs feed RefIngestStats.
+	// The registry, guarded by regMu. byKey maps a series key to its
+	// series, and byName a metric name to its series, in first-ingest order.
+	// refSeries maps ref slots (SeriesRef low bits, minus one) to series,
+	// also in first-ingest order; it is append-only and its elements are
+	// immutable once set, so a slice-header snapshot stays valid after regMu
+	// is released. refEpoch names this store instance in every ref it mints
+	// (see refs.go); it is drawn once by NewStore and never changes.
+	// resolves, refSamples and staleRefs feed RefIngestStats.
+	regMu      sync.RWMutex
+	byKey      map[string]*storedSeries
+	byName     map[string][]*storedSeries
 	refSeries  []*storedSeries
 	refEpoch   uint64
 	resolves   atomic.Uint64
@@ -71,11 +64,6 @@ type Store struct {
 	cursors    sync.Pool
 	cursorGets atomic.Uint64
 	cursorNews atomic.Uint64
-}
-
-type storeShard struct {
-	mu     sync.RWMutex
-	series map[string]*storedSeries
 }
 
 type storedSeries struct {
@@ -105,14 +93,12 @@ func NewStore(chunkSize int, opts ...Option) *Store {
 	}
 	s := &Store{
 		chunkSize: chunkSize,
-		byName:    make(map[string][]metric.ID),
+		byKey:     make(map[string]*storedSeries),
+		byName:    make(map[string][]*storedSeries),
 		refEpoch:  newRefEpoch(),
 	}
 	for _, opt := range opts {
 		opt(s)
-	}
-	for i := range s.shards {
-		s.shards[i].series = make(map[string]*storedSeries)
 	}
 	return s
 }
@@ -121,30 +107,11 @@ func NewStore(chunkSize int, opts ...Option) *Store {
 // persist it so recovery rebuilds identical chunk boundaries.
 func (s *Store) ChunkSize() int { return s.chunkSize }
 
-// fnv32a hashes a series key (FNV-1a).
-func fnv32a(key string) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return h
-}
-
-func (s *Store) shardFor(key string) *storeShard {
-	return &s.shards[fnv32a(key)&(numShards-1)]
-}
-
 // lookup returns the series for key, or nil when absent.
 func (s *Store) lookup(key string) *storedSeries {
-	sh := s.shardFor(key)
-	sh.mu.RLock()
-	ss := sh.series[key]
-	sh.mu.RUnlock()
+	s.regMu.RLock()
+	ss := s.byKey[key]
+	s.regMu.RUnlock()
 	return ss
 }
 
@@ -157,43 +124,41 @@ func (s *Store) series(id metric.ID) (*storedSeries, error) {
 }
 
 // getOrCreate returns the series for key, creating and registering it on
-// first use. Registration (order, byName, the ref slot) happens before the
-// series is published in the shard map, so any series reachable via lookup
-// already has a valid refIdx. Shard→registry lock nesting is safe: no path
-// acquires a shard lock while holding regMu.
+// first use: the key map, the ref slot and the name index are filled under
+// one regMu write lock.
 func (s *Store) getOrCreate(key string, id metric.ID, kind metric.Kind, unit metric.Unit) *storedSeries {
-	sh := s.shardFor(key)
-	sh.mu.RLock()
-	ss := sh.series[key]
-	sh.mu.RUnlock()
-	if ss != nil {
+	if ss := s.lookup(key); ss != nil {
 		return ss
 	}
-	sh.mu.Lock()
-	if ss = sh.series[key]; ss != nil {
-		sh.mu.Unlock()
+	s.regMu.Lock()
+	defer s.regMu.Unlock()
+	if ss := s.byKey[key]; ss != nil {
 		return ss
 	}
 	// Stored (and therefore dumped) IDs stay plain: drop any interned key
 	// cache so ref-ingested stores dump DeepEqual-identical to keyed ones.
 	id = metric.ID{Name: id.Name, Labels: id.Labels}
-	ss = &storedSeries{id: id, kind: kind, unit: unit, tiers: s.newTiers()}
-	s.regMu.Lock()
-	ss.refIdx = uint32(len(s.refSeries))
+	ss := &storedSeries{id: id, kind: kind, unit: unit, refIdx: uint32(len(s.refSeries)), tiers: s.newTiers()}
 	s.refSeries = append(s.refSeries, ss)
-	s.order = append(s.order, id)
-	s.byName[id.Name] = append(s.byName[id.Name], id)
-	s.regMu.Unlock()
-	sh.series[key] = ss
-	sh.mu.Unlock()
+	s.byKey[key] = ss
+	s.byName[id.Name] = append(s.byName[id.Name], ss)
 	return ss
 }
 
 // append adds one sample and folds it into the series' rollup tiers; the
-// caller must hold ss.mu and settles tally with the store afterwards.
+// caller must hold ss.mu and settles tally with the store afterwards. A
+// series whose raw chunks Retain dropped entirely still has its tiers' open
+// windows, so their newest folded sample stays the out-of-order watermark.
 func (ss *storedSeries) append(s *Store, t int64, v float64, tally *ingestTally) error {
 	if ss.hasLast && t <= ss.last.T {
 		return fmt.Errorf("timeseries: out-of-order sample for %s: %d <= %d", ss.id.Key(), t, ss.last.T)
+	}
+	if !ss.hasLast {
+		for _, ts := range ss.tiers {
+			if ts.acc.Active && t <= ts.acc.LastT {
+				return fmt.Errorf("timeseries: out-of-order sample for %s: %d <= %d (rollup window)", ss.id.Key(), t, ts.acc.LastT)
+			}
+		}
 	}
 	chunks, c := nextChunk(ss.chunks, s.chunkSize, t)
 	ss.chunks = chunks
@@ -277,24 +242,15 @@ func (s *Store) AppendBatch(entries []BatchEntry) (int, error) {
 func (s *Store) NumSeries() int {
 	s.regMu.RLock()
 	defer s.regMu.RUnlock()
-	return len(s.order)
+	return len(s.refSeries)
 }
 
-// scanSeries walks every shard in order, invoking visit per series (without
-// taking the series lock — visit picks its own lock mode). A shard's lock is
-// held only while its series are copied out, never across visit.
+// scanSeries invokes visit on every series in first-ingest order, without
+// taking the series lock (visit picks its own lock mode) or holding regMu
+// across visit.
 func (s *Store) scanSeries(visit func(ss *storedSeries)) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		batch := make([]*storedSeries, 0, len(sh.series))
-		for _, ss := range sh.series {
-			batch = append(batch, ss)
-		}
-		sh.mu.RUnlock()
-		for _, ss := range batch {
-			visit(ss)
-		}
+	for _, ss := range s.refSnapshot() {
+		visit(ss)
 	}
 }
 
@@ -355,17 +311,10 @@ func (s *Store) IDForKey(key string) (metric.ID, bool) {
 	return ss.id, true
 }
 
-// IDs returns every stored series ID in first-ingest order.
-func (s *Store) IDs() []metric.ID {
-	s.regMu.RLock()
-	defer s.regMu.RUnlock()
-	return append([]metric.ID(nil), s.order...)
-}
-
 // Query returns the samples of one series with from <= T < to, materialized
 // into a fresh slice. It is a thin compatibility wrapper over Cursor —
-// callers that can consume samples one at a time should use Cursor, Each,
-// Reduce, or Scan and skip the copy entirely.
+// callers that can consume samples one at a time should use Cursor, Each or
+// Reduce and skip the copy entirely.
 func (s *Store) Query(id metric.ID, from, to int64) ([]metric.Sample, error) {
 	cur, err := s.Cursor(id, from, to)
 	if err != nil {
@@ -399,20 +348,20 @@ func (s *Store) QueryAll(id metric.ID) ([]metric.Sample, error) {
 
 // Select returns the IDs of series whose name matches name (any when empty)
 // and whose labels match the selector, in first-ingest order. Named lookups
-// hit the name index instead of scanning every series.
+// hit the name index instead of scanning every series; Select("", nil) is
+// every series.
 func (s *Store) Select(name string, sel metric.Labels) []metric.ID {
 	s.regMu.RLock()
 	defer s.regMu.RUnlock()
-	pool := s.order
+	pool := s.refSeries
 	if name != "" {
 		pool = s.byName[name]
 	}
 	var out []metric.ID
-	for _, id := range pool {
-		if !id.Labels.Matches(sel) {
-			continue
+	for _, ss := range pool {
+		if ss.id.Labels.Matches(sel) {
+			out = append(out, ss.id)
 		}
-		out = append(out, id)
 	}
 	return out
 }
@@ -528,10 +477,25 @@ func (s *Store) Retain(cutoff int64) int {
 	return dropped
 }
 
-// SeriesValues extracts just the values of a series in [from, to), a
-// convenience for feeding analytics. Values stream directly off the cursor
-// into the result slice — no intermediate sample slice is built.
-func (s *Store) SeriesValues(id metric.ID, from, to int64) ([]float64, error) {
+// SeriesValues returns the values of a series over [from, to), the form
+// analytics consume, at a chosen display resolution. step <= 0
+// streams every raw value directly off the cursor into the result slice (no
+// intermediate sample slice is built); step > 0 returns per-bucket means
+// computed through the planner, so a long dashboard window costs rollup
+// windows, not raw samples. The step > 0 output is identical whether a tier
+// serves it or the raw fallback does.
+func (s *Store) SeriesValues(id metric.ID, from, to, step int64) ([]float64, error) {
+	if step > 0 {
+		pts, err := s.AggregatePlanned(id, from, to, step, AggMean)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]float64, len(pts))
+		for i, p := range pts {
+			out[i] = p.Value
+		}
+		return out, nil
+	}
 	cur, err := s.Cursor(id, from, to)
 	if err != nil {
 		return nil, err

@@ -45,13 +45,9 @@ type SeriesDump struct {
 // must ensure no mutations run concurrently (the persist layer holds its
 // checkpoint lock across Dump).
 func (s *Store) Dump() []SeriesDump {
-	ids := s.IDs()
-	out := make([]SeriesDump, 0, len(ids))
-	for _, id := range ids {
-		ss := s.lookup(id.Key())
-		if ss == nil {
-			continue
-		}
+	refs := s.refSnapshot()
+	out := make([]SeriesDump, 0, len(refs))
+	for _, ss := range refs {
 		ss.mu.RLock()
 		sd := SeriesDump{ID: ss.id, Kind: ss.kind, Unit: ss.unit, Chunks: dumpChunks(ss.chunks)}
 		for _, ts := range ss.tiers {

@@ -255,7 +255,7 @@ func legacyAggregate(samples []metric.Sample, base, step int64, fn AggFunc) ([]A
 
 // TestCursorPushdownEquivalenceProperty drives random stores (random chunk
 // sizes, windows and steps) and checks every streaming read
-// path — Query, Each, Reduce, Aggregate, SeriesValues and Scan — bit-for-bit
+// path — Query, Each, Reduce, Aggregate and SeriesValues — bit-for-bit
 // against the legacy oracle that materializes chunks directly.
 func TestCursorPushdownEquivalenceProperty(t *testing.T) {
 	ids := propertyIDs()
@@ -326,7 +326,7 @@ func TestCursorPushdownEquivalenceProperty(t *testing.T) {
 					return false
 				}
 
-				vals, err := s.SeriesValues(id, from, to)
+				vals, err := s.SeriesValues(id, from, to, 0)
 				if err != nil || len(vals) != len(want) {
 					t.Logf("%s [%d,%d): SeriesValues %d (err %v), oracle %d", id.Key(), from, to, len(vals), err, len(want))
 					return false
@@ -390,30 +390,6 @@ func TestCursorPushdownEquivalenceProperty(t *testing.T) {
 			}
 		}
 
-		// Scan matches per-series oracles, including an unknown id in the
-		// batch.
-		scanIDs := append(append([]metric.ID{}, ids...), metric.ID{Name: "ghost"})
-		rows := make([][]metric.Sample, len(scanIDs))
-		err := s.Scan(scanIDs, 0, 1<<62, func(i int, cur *Cursor) error {
-			for cur.Next() {
-				rows[i] = append(rows[i], cur.At())
-			}
-			return cur.Err()
-		})
-		if err != nil {
-			t.Logf("Scan: %v", err)
-			return false
-		}
-		for i, id := range ids {
-			if !sameSamples(rows[i], legacyWindow(t, s, id, 0, 1<<62)) {
-				t.Logf("Scan row %d diverges from oracle", i)
-				return false
-			}
-		}
-		if rows[len(scanIDs)-1] != nil {
-			t.Log("Scan visited an unknown series")
-			return false
-		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {

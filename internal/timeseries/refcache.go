@@ -4,8 +4,8 @@ import "sync"
 
 // RefCache adapts keyed batches onto the ref fast path: it memoizes
 // Resolve per series key, so a steady-state AppendBatch through the cache
-// pays one map probe per entry instead of hashing and shard-locking inside
-// the store, and — when the caller already has the keys in hand (the
+// pays one map probe per entry instead of a registry lookup under the
+// store's lock, and — when the caller already has the keys in hand (the
 // cluster router computes them for ring placement) — nothing else. Refs
 // stay valid for the life of the store behind the appender, so the cache
 // survives retention; it starts over only when the appender reports a

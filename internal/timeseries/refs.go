@@ -9,7 +9,7 @@ import (
 
 // Series references: interned uint64 handles for the ingest hot path, the
 // same idiom as Prometheus remote-write refs / Gorilla series IDs. Resolve
-// pays the key build + hash + shard-map lookup once and hands back a
+// pays the key build + registry lookup once and hands back a
 // SeriesRef; AppendRefs then appends by direct *storedSeries handle with no
 // per-sample key work and no steady-state allocation.
 //

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync/atomic"
-
-	"repro/internal/metric"
 )
 
 // Rollup tiers give the store multi-resolution retention: every raw append
@@ -138,9 +136,6 @@ func WithRollups(steps ...int64) Option {
 	}
 }
 
-// TierSteps returns the configured rollup resolutions in ascending order.
-func (s *Store) TierSteps() []int64 { return append([]int64(nil), s.tierSteps...) }
-
 // newTiers builds the tier states a freshly created series starts with.
 func (s *Store) newTiers() []*tierState {
 	if len(s.tierSteps) == 0 {
@@ -202,8 +197,9 @@ func (ts *tierState) fold(s *Store, t int64, v float64, tally *ingestTally) erro
 			return nil
 		}
 		if t < a.Start {
-			// Unreachable on the monotonic append path; dropping is the
-			// deterministic degradation if it ever happens.
+			// Unreachable: the append path refuses t <= LastT even after
+			// Retain emptied the raw series. Dropping is the deterministic
+			// degradation if it ever happens.
 			return nil
 		}
 		if err := ts.seal(s, tally); err != nil {
@@ -444,27 +440,6 @@ func nextRollupPoint(cur *Cursor, step int64, w *Partial) (start int64, ok bool,
 		}
 	}
 	return start, true, nil
-}
-
-// SeriesValuesPlanned returns the values of a series over [from, to) at a
-// chosen display resolution: step <= 0 streams every raw value (exactly
-// SeriesValues); step > 0 returns per-bucket means computed through the
-// planner, so a long dashboard window costs rollup windows, not raw
-// samples. The step > 0 output is identical whether a tier serves it or
-// the raw fallback does.
-func (s *Store) SeriesValuesPlanned(id metric.ID, from, to, step int64) ([]float64, error) {
-	if step <= 0 {
-		return s.SeriesValues(id, from, to)
-	}
-	pts, err := s.AggregatePlanned(id, from, to, step, AggMean)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(pts))
-	for i, p := range pts {
-		out[i] = p.Value
-	}
-	return out, nil
 }
 
 // --- instrumentation ---------------------------------------------------

@@ -120,12 +120,12 @@ func TestReduceAndSeriesValuesPlannedParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.SeriesValuesPlanned(id, t0, to, 10*TierStep1m)
+	got, err := s.SeriesValues(id, t0, to, 10*TierStep1m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("SeriesValuesPlanned returned %d values, want %d", len(got), len(want))
+		t.Fatalf("planned SeriesValues returned %d values, want %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i].Value {

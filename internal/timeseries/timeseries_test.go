@@ -311,8 +311,8 @@ func TestStoreSelect(t *testing.T) {
 	if ids := s.Select("", metric.NewLabels("node", "n0")); len(ids) != 2 {
 		t.Fatalf("Select(node=n0) = %v", ids)
 	}
-	if ids := s.IDs(); len(ids) != 3 {
-		t.Fatalf("IDs = %v", ids)
+	if ids := s.Select("", nil); len(ids) != 3 {
+		t.Fatalf("Select(\"\", nil) = %v", ids)
 	}
 }
 
@@ -387,7 +387,7 @@ func TestStoreSeriesValues(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		_ = s.Append(id, metric.Gauge, "", int64(i), float64(i*i))
 	}
-	vals, err := s.SeriesValues(id, 1, 4)
+	vals, err := s.SeriesValues(id, 1, 4, 0)
 	if err != nil || len(vals) != 3 || vals[0] != 1 || vals[2] != 9 {
 		t.Fatalf("SeriesValues = %v, %v", vals, err)
 	}
