@@ -52,7 +52,7 @@ race: vet lint-footprints chaos-short
 # fault-injection harness (internal/chaos) runs 30s-virtual-time campaigns
 # across collector → wire → store and checks all five end-to-end
 # invariants (sample conservation, byte-identical crash recovery,
-# planner/raw bit-parity, front-door quota/cache consistency, the
+# planner/model bit-parity, front-door quota/cache consistency, the
 # kill-one-peer cluster leg: conservation across peers, hinted-handoff
 # drain, replication convergence, degraded-read and post-heal query
 # parity; and the membership leg: a node joins AND another dies
@@ -92,6 +92,7 @@ fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzBitstreamRoundTrip -fuzztime $(FUZZTIME) ./internal/timeseries
 	$(GO) test -run xxx -fuzz FuzzBitWriterParity -fuzztime $(FUZZTIME) ./internal/timeseries
 	$(GO) test -run xxx -fuzz FuzzTierGroupRoundTrip -fuzztime $(FUZZTIME) ./internal/timeseries
+	$(GO) test -run xxx -fuzz FuzzStoreModel -fuzztime $(FUZZTIME) ./internal/timeseries
 	$(GO) test -run xxx -fuzz FuzzDictDecode -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/persist
 	$(GO) test -run xxx -fuzz FuzzQueryRangeParse -fuzztime $(FUZZTIME) ./internal/queryfront

@@ -221,8 +221,9 @@ func BenchmarkTSDB_QueryRange(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := store.Query(id, 10_000_000, 20_000_000); err != nil {
-			b.Fatal(err)
+		n := 0
+		if err := store.Each(id, 10_000_000, 20_000_000, func(metric.Sample) bool { n++; return true }); err != nil || n != 10_000 {
+			b.Fatalf("query: %d samples, %v", n, err)
 		}
 	}
 }
@@ -344,7 +345,7 @@ func BenchmarkStoreQueryParallel(b *testing.B) {
 				// Appends race, so stale timestamps are expected and dropped.
 				_ = store.Append(id, metric.Gauge, metric.UnitWatt, 20_000_000+n*1000, float64(n))
 			} else {
-				if _, err := store.Query(id, 1_000_000, 2_000_000); err != nil {
+				if err := store.Each(id, 1_000_000, 2_000_000, func(metric.Sample) bool { return true }); err != nil {
 					b.Fatal(err)
 				}
 			}

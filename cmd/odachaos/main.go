@@ -11,7 +11,7 @@
 // sinks, wire-link delay/drop/truncation/partition, hard store kills with
 // in-place recovery, and correlated node failures in a simulated data
 // center — then checks sample conservation, byte-identical crash
-// recovery, planner/raw bit-parity and /query front-door quota/cache
+// recovery, planner/model bit-parity and /query front-door quota/cache
 // consistency. Exit status 0 means every invariant held; 1 means a
 // checker failed (the repro line is printed); 2 means the campaign could
 // not run.

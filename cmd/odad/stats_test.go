@@ -26,7 +26,7 @@ func TestStatsHandlerSmoke(t *testing.T) {
 	}
 	// Repeated queries cycle cursors through the pool.
 	for i := 0; i < 16; i++ {
-		if _, err := store.Query(id, 0, 100_000); err != nil {
+		if err := store.Each(id, 0, 100_000, func(metric.Sample) bool { return true }); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -12,10 +12,12 @@ import (
 	"time"
 
 	"repro/internal/collector"
+	"repro/internal/metric"
 	"repro/internal/persist"
 	"repro/internal/queryfront"
 	"repro/internal/simulation"
 	"repro/internal/timeseries"
+	"repro/internal/tsmodel"
 	"repro/internal/wire"
 )
 
@@ -392,34 +394,44 @@ func checkConservation(agent *collector.Agent, durable *persist.DurableStore, se
 	return f
 }
 
-// checkPlannerParity asserts the rollup-tier query planner is bit-exact
-// against raw scans over the fault-shaped archive: ReducePlanned and
-// AggregatePlanned must equal Reduce and Aggregate for every series.
+// checkPlannerParity asserts the rollup-tier query planner is bit-exact over
+// the fault-shaped archive: ReducePlanned on two windows and AggregatePlanned
+// at step 4000, for every function, equal the reference model
+// (internal/tsmodel) fed the archive's samples. Answers compare in print,
+// which tells every two float64s apart but NaN payloads; the one error
+// either side gives, p95 of an empty window, is the same stats error.
 func checkPlannerParity(store *timeseries.Store, from, to int64) failures {
 	var f failures
-	fns := []timeseries.AggFunc{timeseries.AggMean, timeseries.AggSum, timeseries.AggMin, timeseries.AggMax, timeseries.AggCount}
+	m := tsmodel.New(false)
 	windows := [][2]int64{{from, to}, {from + 500, from + (to-from)/2 + 250}}
 	for _, id := range store.Select("", nil) {
-		for _, w := range windows {
-			for _, fn := range fns {
-				rawV, rawN, err1 := store.Reduce(id, w[0], w[1], fn)
-				plV, plN, err2 := store.ReducePlanned(id, w[0], w[1], fn)
-				if (err1 == nil) != (err2 == nil) {
-					f.addf("%s %s [%d,%d): raw err %v vs planned err %v", id.Key(), fn, w[0], w[1], err1, err2)
-					continue
-				}
-				if rawN != plN || math.Float64bits(rawV) != math.Float64bits(plV) {
-					f.addf("%s %s [%d,%d): raw %v/%d vs planned %v/%d", id.Key(), fn, w[0], w[1], rawV, rawN, plV, plN)
+		key := id.Key()
+		m.Register(id)
+		// A corrupt chunk stops Each early; the comparisons below report it.
+		_ = store.Each(id, math.MinInt64, math.MaxInt64, func(sm metric.Sample) bool {
+			m.Append(id, sm.T, sm.V)
+			return true
+		})
+		for _, fn := range allFns {
+			for _, w := range windows {
+				got, want := fmt.Sprint(store.ReducePlanned(id, w[0], w[1], fn)), fmt.Sprint(m.Reduce(key, w[0], w[1], string(fn)))
+				if got != want {
+					f.addf("%s %s [%d,%d): planned %s vs model %s", key, fn, w[0], w[1], got, want)
 				}
 			}
-		}
-		rawPts, err1 := store.Aggregate(id, from, to, 4000, timeseries.AggMean)
-		plPts, err2 := store.AggregatePlanned(id, from, to, 4000, timeseries.AggMean)
-		if (err1 == nil) != (err2 == nil) || !reflect.DeepEqual(rawPts, plPts) {
-			f.addf("%s aggregate step 4000: planned series diverged from raw", id.Key())
+			got, want := fmt.Sprint(store.AggregatePlanned(id, from, to, 4000, fn)), fmt.Sprint(m.Aggregate(key, from, to, 4000, string(fn)))
+			if got != want {
+				f.addf("%s %s aggregate step 4000: planned %s vs model %s", key, fn, got, want)
+			}
 		}
 	}
 	return f
+}
+
+// allFns is every aggregation the store answers.
+var allFns = []timeseries.AggFunc{
+	timeseries.AggMean, timeseries.AggSum, timeseries.AggMin, timeseries.AggMax,
+	timeseries.AggCount, timeseries.AggRate, timeseries.AggStd, timeseries.AggP95,
 }
 
 // checkFrontDoor drives the real /query front door (result cache + quotas)

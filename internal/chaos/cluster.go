@@ -13,6 +13,7 @@ import (
 	"repro/internal/metric"
 	"repro/internal/persist"
 	"repro/internal/timeseries"
+	"repro/internal/tsmodel"
 )
 
 // The cluster leg: a seeded three-node cluster (RF=2, WAL-backed) driven on
@@ -150,8 +151,8 @@ func runClusterLeg(cfg Config, dir string, res *Result) (failures, string) {
 		}
 	}
 
-	// Reference: one plain store fed the identical sample stream.
-	ref := timeseries.NewStore(8)
+	// Reference: the model (internal/tsmodel) fed the identical sample stream.
+	ref := tsmodel.New(false)
 
 	// settle pushes buffered forwards out and runs one failure-detector
 	// round; the ping doubles as an application barrier on live links.
@@ -199,7 +200,7 @@ func runClusterLeg(cfg Config, dir string, res *Result) (failures, string) {
 			// replication had fully shipped: answered by a follower's
 			// replica, marked partial, bit-exact.
 			to := int64(killAt)*1000 + 1
-			wantV, wantN, refErr := reduceRef(ref, victimKey, 1, to)
+			wantV, wantN, refErr := ref.Reduce(victimKey, 1, to, string(timeseries.AggSum))
 			gotV, gotN, _, found, partial, err := coord.Reduce(victimKey, 1, to, timeseries.AggSum)
 			switch {
 			case refErr != nil || err != nil:
@@ -219,9 +220,8 @@ func runClusterLeg(cfg Config, dir string, res *Result) (failures, string) {
 				T: int64(t+1) * 1000, V: float64(rng.Intn(1<<20)) / 1024,
 			}
 		}
-		if _, err := ref.AppendBatch(entries); err != nil {
-			f.addf("reference append at tick %d: %v", t, err)
-			return f, ""
+		for _, e := range entries {
+			ref.Append(e.ID, e.T, e.V)
 		}
 		n, err := coord.AppendBatch(entries)
 		if err != nil {
@@ -286,8 +286,7 @@ func runClusterLeg(cfg Config, dir string, res *Result) (failures, string) {
 			f.addf("conservation: owner %s never saw %q", owner, k)
 			continue
 		}
-		rid, _ := ref.IDForKey(k)
-		_, wantN, _ := ref.ReducePlanned(rid, 0, 1<<62, timeseries.AggCount)
+		_, wantN, _ := ref.Reduce(k, 0, 1<<62, string(timeseries.AggCount))
 		_, gotN, _ := st.ReducePlanned(oid, 0, 1<<62, timeseries.AggCount)
 		if gotN != wantN {
 			f.addf("conservation: %q has %d samples on %s, want %d", k, gotN, owner, wantN)
@@ -318,14 +317,9 @@ func runClusterLeg(cfg Config, dir string, res *Result) (failures, string) {
 	// Post-heal parity: exact answers, no partial markers, bit-identical to
 	// the reference for every planner function.
 	from, to := int64(0), int64(ticks+2)*1000
-	for _, fn := range []timeseries.AggFunc{
-		timeseries.AggMean, timeseries.AggSum, timeseries.AggMin,
-		timeseries.AggMax, timeseries.AggCount, timeseries.AggRate,
-		timeseries.AggStd, timeseries.AggP95,
-	} {
+	for _, fn := range allFns {
 		for _, k := range keys {
-			rid, _ := ref.IDForKey(k)
-			wantV, wantN, refErr := ref.ReducePlanned(rid, from, to, fn)
+			wantV, wantN, refErr := ref.Reduce(k, from, to, string(fn))
 			gotV, gotN, _, found, partial, err := coord.Reduce(k, from, to, fn)
 			if (refErr == nil) != (err == nil) {
 				f.addf("parity: %s(%q) ref err %v vs cluster err %v", fn, k, refErr, err)
@@ -344,7 +338,7 @@ func runClusterLeg(cfg Config, dir string, res *Result) (failures, string) {
 		}
 	}
 	for _, fn := range []timeseries.AggFunc{timeseries.AggMean, timeseries.AggSum, timeseries.AggCount} {
-		wantV, wantN, err1 := cluster.MergedReduce(ref, keys, from, to, fn)
+		wantV, wantN, err1 := ref.ReduceMerged(keys, from, to, string(fn))
 		gotV, gotN, partialPeers, err2 := coord.ReduceMany(keys, from, to, fn)
 		if err1 != nil || err2 != nil || len(partialPeers) != 0 {
 			f.addf("parity: ReduceMany(%s) errs %v/%v partialPeers %v", fn, err1, err2, partialPeers)
@@ -363,13 +357,4 @@ func runClusterLeg(cfg Config, dir string, res *Result) (failures, string) {
 		fmt.Fprintf(h, "|%s=%+v", id, nodes[id].durable.Store().Dump())
 	}
 	return f, fmt.Sprintf("%016x", h.Sum64())
-}
-
-// reduceRef is ref.ReducePlanned(AggSum) by key.
-func reduceRef(ref *timeseries.Store, key string, from, to int64) (float64, int, error) {
-	id, ok := ref.IDForKey(key)
-	if !ok {
-		return 0, 0, fmt.Errorf("reference store missing %q", key)
-	}
-	return ref.ReducePlanned(id, from, to, timeseries.AggSum)
 }

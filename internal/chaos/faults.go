@@ -70,9 +70,9 @@ func (s *FaultySource) Collect(now int64) []collector.Reading {
 		}
 	}
 	// Values are quantized to multiples of 1/8 with small magnitude, so
-	// every sum either query path can form is exact in float64 — the same
-	// arrangement the planner property test relies on to make planner/raw
-	// parity bit-exact instead of summation-order dependent.
+	// every sum either query path can form is exact in float64: planned
+	// answers, which group sums by rollup window, then match the reference
+	// model's left-to-right ones bit for bit.
 	phase := float64(s.idx)
 	readings := []collector.Reading{
 		{ID: metric.ID{Name: "chaos_power_watts", Labels: s.labels}, Kind: metric.Gauge, Unit: metric.UnitWatt,

@@ -13,6 +13,7 @@ import (
 	"repro/internal/metric"
 	"repro/internal/persist"
 	"repro/internal/timeseries"
+	"repro/internal/tsmodel"
 )
 
 // The membership leg: runtime topology change under fire. A seeded
@@ -145,7 +146,7 @@ func runMembershipLeg(cfg Config, dir string, res *Result) (failures, string) {
 		keys[i] = id.Key()
 	}
 
-	ref := timeseries.NewStore(8)
+	ref := tsmodel.New(false) // the reference model, fed the identical sample stream
 	settle := func() {
 		for _, n := range nodes {
 			n.router.Flush()
@@ -201,9 +202,8 @@ func runMembershipLeg(cfg Config, dir string, res *Result) (failures, string) {
 				T: int64(t+1) * 1000, V: float64(rng.Intn(1<<20)) / 1024,
 			}
 		}
-		if _, err := ref.AppendBatch(entries); err != nil {
-			f.addf("reference append at tick %d: %v", t, err)
-			return f, ""
+		for _, e := range entries {
+			ref.Append(e.ID, e.T, e.V)
 		}
 		n, err := coord.AppendBatch(entries)
 		if err != nil {
@@ -267,8 +267,7 @@ func runMembershipLeg(cfg Config, dir string, res *Result) (failures, string) {
 			f.addf("durability: owner %s never saw %q", owner, k)
 			continue
 		}
-		rid, _ := ref.IDForKey(k)
-		wantV, wantN, refErr := ref.ReducePlanned(rid, 0, 1<<62, timeseries.AggSum)
+		wantV, wantN, refErr := ref.Reduce(k, 0, 1<<62, string(timeseries.AggSum))
 		gotV, gotN, err := st.ReducePlanned(oid, 0, 1<<62, timeseries.AggSum)
 		if refErr != nil || err != nil {
 			f.addf("durability: reduce %q: ref err %v, owner err %v", k, refErr, err)
@@ -284,8 +283,7 @@ func runMembershipLeg(cfg Config, dir string, res *Result) (failures, string) {
 	from, to := int64(0), int64(ticks+2)*1000
 	for _, r := range []*cluster.Router{coord, nodes[joiner].router} {
 		for _, k := range keys {
-			rid, _ := ref.IDForKey(k)
-			wantV, wantN, refErr := ref.ReducePlanned(rid, from, to, timeseries.AggSum)
+			wantV, wantN, refErr := ref.Reduce(k, from, to, string(timeseries.AggSum))
 			gotV, gotN, _, found, partial, err := r.Reduce(k, from, to, timeseries.AggSum)
 			if refErr != nil || err != nil {
 				f.addf("parity: %s reduce %q: ref err %v, cluster err %v", r.Self(), k, refErr, err)

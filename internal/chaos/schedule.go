@@ -1,7 +1,7 @@
 // Package chaos is the deterministic fault-injection campaign harness: a
 // seeded schedule of faults is replayed against the real collector → wire →
 // store stack, and end-to-end invariants (sample conservation, byte-exact
-// crash recovery, planner/raw bit-parity, front-door quota/cache
+// crash recovery, planner/model bit-parity, front-door quota/cache
 // consistency) are checked when the dust settles.
 //
 // Everything flows from the seed. Generate(cfg) expands a Config into an

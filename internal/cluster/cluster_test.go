@@ -19,6 +19,7 @@ import (
 	"repro/internal/metric"
 	"repro/internal/persist"
 	"repro/internal/timeseries"
+	"repro/internal/tsmodel"
 	"repro/internal/wire"
 )
 
@@ -247,6 +248,15 @@ func makeDataset(nSeries, nSamples int, seed int64) *dataset {
 	return ds
 }
 
+// model is the reference model (internal/tsmodel) holding the dataset.
+func (ds *dataset) model() *tsmodel.Model {
+	m := tsmodel.New(false)
+	for _, e := range ds.entries {
+		m.Append(e.ID, e.T, e.V)
+	}
+	return m
+}
+
 // feed pushes the dataset through coordinator's router in modest batches
 // (exercising the per-peer buffer/flush machinery) and settles the cluster.
 func feed(t testing.TB, nodes map[string]*testNode, coordinator string, ds *dataset) {
@@ -344,10 +354,7 @@ func TestClusterQueryParityBitIdentical(t *testing.T) {
 	nodes, _ := startCluster(t, ids, 1, false, nil)
 	ds := makeDataset(24, 40, 23)
 
-	ref := timeseries.NewStore(16)
-	if _, err := ref.AppendBatch(ds.entries); err != nil {
-		t.Fatalf("reference store: %v", err)
-	}
+	ref := ds.model()
 	feed(t, nodes, "n1", ds)
 
 	windows := []struct {
@@ -365,11 +372,7 @@ func TestClusterQueryParityBitIdentical(t *testing.T) {
 			r := n.router
 			for _, fn := range append(append([]timeseries.AggFunc(nil), mergeableFns...), ownerRoutedFns...) {
 				for _, key := range ds.keys {
-					id, ok := ref.IDForKey(key)
-					if !ok {
-						t.Fatalf("reference lost key %q", key)
-					}
-					wantV, wantN, refErr := ref.ReducePlanned(id, w.from, w.to, fn)
+					wantV, wantN, refErr := ref.Reduce(key, w.from, w.to, string(fn))
 					gotV, gotN, _, found, partial, err := r.Reduce(key, w.from, w.to, fn)
 					if refErr != nil {
 						// e.g. p95 over an empty window: the single store
@@ -393,9 +396,9 @@ func TestClusterQueryParityBitIdentical(t *testing.T) {
 							math.Float64bits(gotV), math.Float64bits(wantV))
 					}
 
-					wantPts, err := ref.AggregatePlanned(id, w.from, w.to, step, fn)
+					wantPts, err := ref.Aggregate(key, w.from, w.to, step, string(fn))
 					if err != nil {
-						t.Fatalf("ref aggregate: %v", err)
+						t.Fatalf("model aggregate: %v", err)
 					}
 					gotPts, _, found, partial, err := r.AggregateRange(key, w.from, w.to, step, fn)
 					if err != nil {
@@ -408,11 +411,12 @@ func TestClusterQueryParityBitIdentical(t *testing.T) {
 				}
 			}
 
-			// Scatter-merged multi-series reductions against the merge oracle.
+			// Scatter-merged multi-series reductions against the model's
+			// sorted-key merge.
 			for _, fn := range mergeableFns {
-				wantV, wantN, err := MergedReduce(ref, ds.keys, w.from, w.to, fn)
+				wantV, wantN, err := ref.ReduceMerged(ds.keys, w.from, w.to, string(fn))
 				if err != nil {
-					t.Fatalf("MergedReduce: %v", err)
+					t.Fatalf("ReduceMerged: %v", err)
 				}
 				gotV, gotN, partialPeers, err := r.ReduceMany(ds.keys, w.from, w.to, fn)
 				if err != nil {
@@ -442,17 +446,12 @@ func TestClusterQueryParityBitIdentical(t *testing.T) {
 	}
 }
 
-func comparePoints(t *testing.T, label string, got, want []timeseries.AggPoint) {
+// comparePoints compares buckets in print, which tells every two float64s
+// apart but NaN payloads.
+func comparePoints(t *testing.T, label string, got []timeseries.AggPoint, want []tsmodel.Point) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d points, want %d (%v vs %v)", label, len(got), len(want), got, want)
-	}
-	for i := range got {
-		if got[i].Start != want[i].Start || !bitsEq(got[i].Value, want[i].Value) {
-			t.Fatalf("%s: point %d = {%d %v}, want {%d %v}; bits %016x vs %016x",
-				label, i, got[i].Start, got[i].Value, want[i].Start, want[i].Value,
-				math.Float64bits(got[i].Value), math.Float64bits(want[i].Value))
-		}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%s: %v, want %v", label, got, want)
 	}
 }
 
@@ -590,10 +589,7 @@ func TestClusterReplicationAndFailover(t *testing.T) {
 	nodes, fabric := startCluster(t, ids, 2, true, nil)
 	ds := makeDataset(18, 30, 31)
 
-	ref := timeseries.NewStore(16)
-	if _, err := ref.AppendBatch(ds.entries); err != nil {
-		t.Fatal(err)
-	}
+	ref := ds.model()
 	feed(t, nodes, "n1", ds)
 	for _, n := range nodes {
 		n.router.PumpReplication()
@@ -658,8 +654,7 @@ func TestClusterReplicationAndFailover(t *testing.T) {
 
 	for _, coord := range []string{"n1", "n3", follower} {
 		r := nodes[coord].router
-		id, _ := ref.IDForKey(victimKey)
-		wantV, wantN, err := ref.ReducePlanned(id, ds.from, ds.to, timeseries.AggMean)
+		wantV, wantN, err := ref.Reduce(victimKey, ds.from, ds.to, string(timeseries.AggMean))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -681,7 +676,7 @@ func TestClusterReplicationAndFailover(t *testing.T) {
 
 	// Scatter with a peer down: exact merge over surviving partials, the
 	// dead owner reported — the degradation is visible, never silent.
-	wantV, wantN, err := MergedReduce(ref, ds.keys, ds.from, ds.to, timeseries.AggSum)
+	wantV, wantN, err := ref.ReduceMerged(ds.keys, ds.from, ds.to, string(timeseries.AggSum))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -797,16 +792,12 @@ func TestClusterSingleNodeIsStandalone(t *testing.T) {
 	r := nodes["solo"].router
 	ds := makeDataset(5, 10, 3)
 
-	ref := timeseries.NewStore(16)
-	if _, err := ref.AppendBatch(ds.entries); err != nil {
-		t.Fatal(err)
-	}
+	ref := ds.model()
 	if n, err := r.AppendBatch(ds.entries); err != nil || n != len(ds.entries) {
 		t.Fatalf("solo append: %d, %v", n, err)
 	}
 	for _, key := range ds.keys {
-		id, _ := ref.IDForKey(key)
-		wantV, wantN, _ := ref.ReducePlanned(id, ds.from, ds.to, timeseries.AggMean)
+		wantV, wantN, _ := ref.Reduce(key, ds.from, ds.to, string(timeseries.AggMean))
 		gotV, gotN, _, found, partial, err := r.Reduce(key, ds.from, ds.to, timeseries.AggMean)
 		if err != nil || !found || partial {
 			t.Fatalf("solo Reduce(%q): %v found=%v partial=%v", key, err, found, partial)

@@ -22,8 +22,8 @@ import (
 //   - scatter (ReduceMany): group keys by owner, fan out one request per
 //     peer, and merge per-key partials at the coordinator IN SORTED KEY
 //     ORDER. That fixed fold order is what makes the distributed answer
-//     bit-identical to a single store holding all the data (see
-//     MergedReduce, the reference implementation).
+//     bit-identical to a single store holding all the data; the tests hold
+//     it to the reference model's sorted-key merge (tsmodel.ReduceMerged).
 //
 // Peers that stay unreachable after replica fallback degrade the scatter to
 // a partial result: their keys are skipped and the peer is reported, never
@@ -272,8 +272,8 @@ func (r *Router) AggregateRangePeers(key string, from, to, step int64, fn timese
 // ReduceMany reduces many series to one value by merging per-owner partial
 // aggregates; only MergeableAgg functions are scatterable. partialPeers
 // lists owners whose data arrived via replica fallback or not at all — an
-// empty list means the answer is exact and bit-identical to MergedReduce
-// over a single store holding every series.
+// empty list means the answer is exact and bit-identical to the same
+// sorted-key merge over a single store holding every series.
 func (r *Router) ReduceMany(keys []string, from, to int64, fn timeseries.AggFunc) (value float64, count int64, partialPeers []string, err error) {
 	if !timeseries.MergeableAgg(fn) {
 		return 0, 0, nil, fmt.Errorf("cluster: %s does not merge across peers (route per series instead)", fn)
@@ -375,28 +375,4 @@ func sortedUnique(keys []string) []string {
 		}
 	}
 	return out[:j]
-}
-
-// --- single-store reference implementations ---
-
-// MergedReduce is the single-node oracle for ReduceMany: the same sorted-key
-// partial merge executed against one store holding every series. The
-// distributed path must reproduce it bit for bit when no peer degrades.
-func MergedReduce(st *timeseries.Store, keys []string, from, to int64, fn timeseries.AggFunc) (float64, int64, error) {
-	if !timeseries.MergeableAgg(fn) {
-		return 0, 0, fmt.Errorf("cluster: %s does not merge across series", fn)
-	}
-	var total timeseries.Partial
-	for _, k := range sortedUnique(keys) {
-		id, ok := st.IDForKey(k)
-		if !ok {
-			continue
-		}
-		p, _, err := st.ReducePartial(id, from, to)
-		if err != nil {
-			return 0, 0, err
-		}
-		total.Merge(p)
-	}
-	return total.Value(fn), total.Count, nil
 }

@@ -2,6 +2,7 @@ package collector
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -348,14 +349,8 @@ func TestQueuedMatchesSynchronous(t *testing.T) {
 			if oids[i].Key() != ids[i].Key() {
 				t.Fatalf("series order differs: %s vs %s", oids[i].Key(), ids[i].Key())
 			}
-			want, err := sync0.store.QueryAll(ids[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := other.store.QueryAll(ids[i])
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := allSamples(t, sync0.store, ids[i])
+			got := allSamples(t, other.store, ids[i])
 			if len(got) != len(want) {
 				t.Fatalf("%s: %d vs %d samples", ids[i].Key(), len(got), len(want))
 			}
@@ -525,4 +520,17 @@ func BenchmarkWireSinkConsume(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// allSamples materializes every sample of one series.
+func allSamples(t *testing.T, s *timeseries.Store, id metric.ID) []metric.Sample {
+	t.Helper()
+	var out []metric.Sample
+	if err := s.Each(id, math.MinInt64, math.MaxInt64, func(sm metric.Sample) bool {
+		out = append(out, sm)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -111,17 +111,16 @@ func (c FailurePostmortem) Run(ctx *oda.RunContext) (oda.Result, error) {
 		if len(ids) != 1 {
 			continue
 		}
-		samples, err := ctx.Store.Query(ids[0], ev.T-lookback, ev.T)
-		if err != nil {
-			continue
-		}
-		for _, sm := range samples {
-			if sm.V >= hot {
-				withPrecursor++
-				leadTimes = append(leadTimes, float64(ev.T-sm.T)/1000)
-				break // first crossing gives maximum lead time
+		// The first crossing gives the maximum lead time; the scan stops there.
+		// The ID comes from Select, so Each fails only on a corrupt chunk.
+		_ = ctx.Store.Each(ids[0], ev.T-lookback, ev.T, func(sm metric.Sample) bool {
+			if sm.V < hot {
+				return true
 			}
-		}
+			withPrecursor++
+			leadTimes = append(leadTimes, float64(ev.T-sm.T)/1000)
+			return false
+		})
 	}
 	if failures == 0 {
 		return oda.Result{

@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/descriptive"
 	"repro/internal/diagnostic"
 	"repro/internal/facility"
+	"repro/internal/metric"
 	"repro/internal/oda"
 	"repro/internal/predictive"
 	"repro/internal/prescriptive"
@@ -124,9 +126,11 @@ func Fig1(seed int64, nodes int, hours float64) (Report, error) {
 			metricNames[p] = map[string]bool{}
 		}
 		metricNames[p][id.Name] = true
-		if samples, err := ctx.Store.QueryAll(id); err == nil {
-			samplesPerPillar[p] += len(samples)
-		}
+		// The ID comes from Select, so Each fails only on a corrupt chunk.
+		_ = ctx.Store.Each(id, math.MinInt64, math.MaxInt64, func(metric.Sample) bool {
+			samplesPerPillar[p]++
+			return true
+		})
 	}
 	var b strings.Builder
 	b.WriteString("Fig. 1 (four pillars as live data sources):\n\n")

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"repro/internal/metric"
 )
 
 // telemetrySHA256 hashes everything the run put in the store — every series
@@ -16,9 +18,12 @@ func telemetrySHA256(t *testing.T, dc *DataCenter) string {
 	h := sha256.New()
 	var buf [16]byte
 	for _, sd := range dc.Store.Dump() {
-		samples, err := dc.Store.QueryAll(sd.ID)
-		if err != nil {
-			t.Fatalf("QueryAll(%s): %v", sd.ID.Key(), err)
+		var samples []metric.Sample
+		if err := dc.Store.Each(sd.ID, math.MinInt64, math.MaxInt64, func(sm metric.Sample) bool {
+			samples = append(samples, sm)
+			return true
+		}); err != nil {
+			t.Fatalf("Each(%s): %v", sd.ID.Key(), err)
 		}
 		fmt.Fprintf(h, "%s|%d|%s|%d\n", sd.ID.Key(), sd.Kind, sd.Unit, len(samples))
 		for _, s := range samples {

@@ -1,6 +1,7 @@
 package simulation
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/metric"
@@ -35,13 +36,13 @@ func TestSimulationRunsAndCollects(t *testing.T) {
 	}
 	// PUE telemetry exists and is plausible.
 	pueID := metric.ID{Name: "facility_pue", Labels: metric.NewLabels("site", "vdc")}
-	samples, err := dc.Store.QueryAll(pueID)
+	samples, err := dc.Store.SeriesValues(pueID, math.MinInt64, math.MaxInt64, 0)
 	if err != nil || len(samples) == 0 {
 		t.Fatalf("no PUE telemetry: %v", err)
 	}
-	for _, s := range samples {
-		if s.V != 0 && (s.V < 1 || s.V > 3) {
-			t.Fatalf("implausible PUE %v", s.V)
+	for _, v := range samples {
+		if v != 0 && (v < 1 || v > 3) {
+			t.Fatalf("implausible PUE %v", v)
 		}
 	}
 }

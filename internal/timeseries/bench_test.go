@@ -143,7 +143,12 @@ func (a storeAdapter) appendOne(id metric.ID, t int64, v float64) error {
 	return a.s.Append(id, metric.Gauge, metric.UnitWatt, t, v)
 }
 func (a storeAdapter) queryRange(id metric.ID, from, to int64) ([]metric.Sample, error) {
-	return a.s.Query(id, from, to)
+	var out []metric.Sample
+	err := a.s.Each(id, from, to, func(sm metric.Sample) bool {
+		out = append(out, sm)
+		return true
+	})
+	return out, err
 }
 
 func benchMixedParallel(b *testing.B, st mixedStore) {
@@ -183,7 +188,7 @@ func BenchmarkStoreMixedParallel_Store(b *testing.B) {
 }
 
 // BenchmarkStoreQuerySweep is the materializing read: every sweep decodes
-// the whole 50k-sample window into one fresh slice.
+// the whole 50k-sample window through Each into one reused slice.
 func BenchmarkStoreQuerySweep(b *testing.B) {
 	s := NewStore(0)
 	id := metric.ID{Name: "power", Labels: metric.NewLabels("node", "n01")}
@@ -192,14 +197,19 @@ func BenchmarkStoreQuerySweep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	if _, err := s.Query(id, 0, 1<<60); err != nil { // warm
+	var out []metric.Sample
+	collect := func(sm metric.Sample) bool {
+		out = append(out, sm)
+		return true
+	}
+	if err := s.Each(id, 0, 1<<60, collect); err != nil { // warm
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := s.Query(id, 0, 1<<60)
-		if err != nil || len(out) != 50_000 {
+		out = out[:0]
+		if err := s.Each(id, 0, 1<<60, collect); err != nil || len(out) != 50_000 {
 			b.Fatalf("query: %d samples, %v", len(out), err)
 		}
 	}
@@ -242,7 +252,7 @@ func BenchmarkStoreCursorSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreReduceSweep is the pushdown counterpart of the Query
+// BenchmarkStoreReduceSweep is the pushdown counterpart of the query
 // sweep: the same 50k-sample window folded to a mean without ever
 // materializing the series.
 func BenchmarkStoreReduceSweep(b *testing.B) {

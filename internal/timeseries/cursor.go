@@ -34,7 +34,7 @@ type Cursor struct {
 	pos int       // next sealed chunk to open
 	it  ChunkIter // streaming decoder over the current chunk
 
-	vals []float64 // pushdown scratch: bucket values for Reduce/Aggregate
+	vals []float64 // pushdown scratch: p95 and raw-aggregate bucket values
 
 	cur  metric.Sample
 	err  error
@@ -175,8 +175,8 @@ func (cur *Cursor) At() metric.Sample { return cur.cur }
 func (cur *Cursor) Err() error { return cur.err }
 
 // Est returns an upper bound on the samples the cursor will yield (the
-// summed counts of the snapshot's chunks); callers sizing result buffers
-// use it the way Query always did.
+// summed counts of the snapshot's chunks), for callers sizing result
+// buffers.
 func (cur *Cursor) Est() int { return cur.est }
 
 // Each streams the samples of one series in [from, to) to fn, stopping
@@ -203,11 +203,11 @@ func (s *Store) Each(id metric.ID, from, to int64, fn func(metric.Sample) bool) 
 // which uses the same accumulator), rate needs only the window's first and
 // last samples, and p95 gathers values in the cursor's pooled scratch.
 //
-// Reduce has two jobs left. It is the only reduction that sees the
-// distribution, so std and p95 end here whatever the entry point; and it is
-// the reference: the parity tests and the chaos campaign hold the planned
-// fold (ReducePlanned, ReducePartial) to its answers, which is why it shares
-// no code with the fold.
+// Reduce is the raw reduction. It is the only one that sees the
+// distribution, so std and p95 end here whatever the entry point, and its
+// sums never depend on how rollup windows group them, which is what callers
+// comparing raw means rely on. Its answers, and the planned fold's, are
+// checked against the reference model in internal/tsmodel.
 func (s *Store) Reduce(id metric.ID, from, to int64, fn AggFunc) (float64, int, error) {
 	cur, err := s.Cursor(id, from, to)
 	if err != nil {
@@ -268,17 +268,20 @@ func rateOf(first, last metric.Sample, n int) float64 {
 	return (last.V - first.V) * 1000 / float64(last.T-first.T)
 }
 
-// aggregateCursor buckets a cursor's stream into fixed step windows
-// anchored at base (base must be what the bucketing is aligned to — the
-// query's from, or a step multiple at or before the first sample). Bucket
-// values accumulate in the cursor's pooled scratch and reduce through the
-// same applyAgg as the historical materializing path, so the output is
-// element-identical to aggregating a Query result. Empty buckets are
-// omitted.
-func aggregateCursor(cur *Cursor, base, step int64, fn AggFunc) ([]AggPoint, error) {
-	if err := checkBuckets(base, cur.to); err != nil {
+// aggregate buckets one series into fixed windows of step milliseconds over
+// [from, to) by a raw scan and applies fn per bucket: the path std and p95
+// take out of AggregatePlanned, since only the raw samples carry their
+// distribution. Bucket values accumulate in the cursor's pooled scratch and
+// reduce through applyAgg (rate through rateOf); empty buckets are omitted.
+func (s *Store) aggregate(id metric.ID, from, to, step int64, fn AggFunc) ([]AggPoint, error) {
+	if err := checkBuckets(from, to); err != nil {
 		return nil, err
 	}
+	cur, err := s.Cursor(id, from, to)
+	if err != nil {
+		return nil, err
+	}
+	defer cur.Close()
 	var out []AggPoint
 	var start, end int64
 	var bFirst, bLast metric.Sample
@@ -305,8 +308,7 @@ func aggregateCursor(cur *Cursor, base, step int64, fn AggFunc) ([]AggPoint, err
 			if err := flush(); err != nil {
 				return nil, err
 			}
-			bucket := (sm.T - base) / step
-			start = base + bucket*step
+			start = from + (sm.T-from)/step*step
 			end = start + step
 			bFirst = sm
 			inBucket = true

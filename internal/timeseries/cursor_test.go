@@ -33,6 +33,9 @@ func collectCursor(t *testing.T, cur *Cursor) []metric.Sample {
 	return out
 }
 
+// TestCursorMatchesQueryWindows: on fixed windows (empty, inverted, chunk
+// edges, past the data) the cursor yields what a windowed read through
+// Each yields.
 func TestCursorMatchesQueryWindows(t *testing.T) {
 	s, id := cursorTestStore(t)
 	windows := [][2]int64{
@@ -40,9 +43,9 @@ func TestCursorMatchesQueryWindows(t *testing.T) {
 		{1000, 2000}, {-100, 0}, {500, 500}, {700, 10},
 	}
 	for _, w := range windows {
-		want, err := s.Query(id, w[0], w[1])
+		want, err := collect(s, id, w[0], w[1])
 		if err != nil {
-			t.Fatalf("query: %v", err)
+			t.Fatalf("each: %v", err)
 		}
 		cur, err := s.Cursor(id, w[0], w[1])
 		if err != nil {
@@ -51,11 +54,11 @@ func TestCursorMatchesQueryWindows(t *testing.T) {
 		got := collectCursor(t, cur)
 		cur.Close()
 		if len(got) != len(want) {
-			t.Fatalf("window %v: cursor %d samples, query %d", w, len(got), len(want))
+			t.Fatalf("window %v: cursor %d samples, each %d", w, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("window %v sample %d: cursor %v, query %v", w, i, got[i], want[i])
+				t.Fatalf("window %v sample %d: cursor %v, each %v", w, i, got[i], want[i])
 			}
 		}
 	}
@@ -222,7 +225,7 @@ func TestAggregateRateBuckets(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pts, err := s.Aggregate(id, 0, 4000, 2000, AggRate)
+	pts, err := s.aggregate(id, 0, 4000, 2000, AggRate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,8 +305,8 @@ func TestReadsLeaveNothingResident(t *testing.T) {
 	}
 	before := heap()
 	for _, id := range ids {
-		if out, err := s.Query(id, 0, to); err != nil || len(out) != chunksPerSeries*DefaultChunkSize {
-			t.Fatalf("Query: %d samples, %v", len(out), err)
+		if out, err := collect(s, id, 0, to); err != nil || len(out) != chunksPerSeries*DefaultChunkSize {
+			t.Fatalf("Each: %d samples, %v", len(out), err)
 		}
 		if _, _, err := s.Reduce(id, 0, to, AggMean); err != nil {
 			t.Fatal(err)

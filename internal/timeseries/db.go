@@ -206,9 +206,10 @@ type BatchEntry struct {
 // were accepted plus the first error encountered.
 //
 // The keyed loop is kept, not made an adapter over Resolve + AppendRefs: it
-// is the reference DESIGN §12's invariant and the parity/interleaving tests
-// in refs_test.go check the ref path against, so it must share no code with
-// that path above storedSeries.append.
+// is the reference DESIGN §12's invariant is stated against — the model
+// suite's twin store is fed only through it, and the parity tests in
+// refs_test.go check the ref path against it — so it must share no code
+// with that path above storedSeries.append.
 func (s *Store) AppendBatch(entries []BatchEntry) (int, error) {
 	appended := 0
 	var firstErr error
@@ -311,39 +312,11 @@ func (s *Store) IDForKey(key string) (metric.ID, bool) {
 	return ss.id, true
 }
 
-// Query returns the samples of one series with from <= T < to, materialized
-// into a fresh slice. It is a thin compatibility wrapper over Cursor —
-// callers that can consume samples one at a time should use Cursor, Each or
-// Reduce and skip the copy entirely.
-func (s *Store) Query(id metric.ID, from, to int64) ([]metric.Sample, error) {
-	cur, err := s.Cursor(id, from, to)
-	if err != nil {
-		return nil, err
-	}
-	defer cur.Close()
-	out := make([]metric.Sample, 0, cur.est)
-	for cur.Next() {
-		out = append(out, cur.cur)
-	}
-	if cur.err != nil {
-		return nil, cur.err
-	}
-	if len(out) == 0 {
-		return nil, nil
-	}
-	return out, nil
-}
-
 // CursorPoolStats reports cursor acquisitions and pool misses since the
 // store was created; gets-news is how many cursors were served from the
 // pool with their scratch buffers intact.
 func (s *Store) CursorPoolStats() (gets, news uint64) {
 	return s.cursorGets.Load(), s.cursorNews.Load()
-}
-
-// QueryAll returns every sample of a series.
-func (s *Store) QueryAll(id metric.ID) ([]metric.Sample, error) {
-	return s.Query(id, -1<<62, 1<<62)
 }
 
 // Select returns the IDs of series whose name matches name (any when empty)
@@ -404,26 +377,6 @@ const (
 type AggPoint struct {
 	Start int64
 	Value float64
-}
-
-// Aggregate buckets one series into fixed windows of step milliseconds over
-// [from, to) and applies fn per bucket. Empty buckets are omitted. The
-// aggregation is pushed down into the cursor loop: bucket values accumulate
-// in the cursor's pooled scratch, so no sample slice is materialized.
-//
-// Like Reduce it has two jobs left: std and p95 per bucket (the distribution
-// only a raw scan has), and the reference the parity tests and the chaos
-// campaign hold AggregatePlanned and AggregatePartials to.
-func (s *Store) Aggregate(id metric.ID, from, to, step int64, fn AggFunc) ([]AggPoint, error) {
-	if step <= 0 {
-		return nil, errors.New("timeseries: step must be positive")
-	}
-	cur, err := s.Cursor(id, from, to)
-	if err != nil {
-		return nil, err
-	}
-	defer cur.Close()
-	return aggregateCursor(cur, from, step, fn)
 }
 
 func applyAgg(vals []float64, fn AggFunc) (float64, error) {

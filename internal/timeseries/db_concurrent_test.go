@@ -43,7 +43,7 @@ func TestStoreParallelReadersWriters(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 200; k++ {
 				id := seriesID((r*7 + k) % nSeries)
-				if samples, err := s.Query(id, 0, int64(nWrites)*1000); err == nil {
+				if samples, err := collect(s, id, 0, int64(nWrites)*1000); err == nil {
 					for j := 1; j < len(samples); j++ {
 						if samples[j].T <= samples[j-1].T {
 							t.Errorf("unordered samples from concurrent query")
@@ -93,9 +93,9 @@ func TestStoreQueryChunkSeek(t *testing.T) {
 	}
 	for _, w := range windows {
 		from, to := w[0], w[1]
-		got, err := s.Query(id, from, to)
+		got, err := collect(s, id, from, to)
 		if err != nil {
-			t.Fatalf("Query(%d,%d): %v", from, to, err)
+			t.Fatalf("window [%d,%d): %v", from, to, err)
 		}
 		var want []metric.Sample
 		for i := 0; i < n; i++ {
@@ -105,11 +105,11 @@ func TestStoreQueryChunkSeek(t *testing.T) {
 			}
 		}
 		if len(got) != len(want) {
-			t.Fatalf("Query(%d,%d): %d samples, want %d", from, to, len(got), len(want))
+			t.Fatalf("window [%d,%d): %d samples, want %d", from, to, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("Query(%d,%d)[%d] = %+v, want %+v", from, to, i, got[i], want[i])
+				t.Fatalf("window [%d,%d)[%d] = %+v, want %+v", from, to, i, got[i], want[i])
 			}
 		}
 	}

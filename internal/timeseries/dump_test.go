@@ -29,11 +29,11 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 	}
 	// Restored store answers queries identically.
 	for _, id := range ids {
-		want, err := s.Query(id, 0, 1<<60)
+		want, err := collect(s, id, 0, 1<<60)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := re.Query(id, 0, 1<<60)
+		got, err := collect(re, id, 0, 1<<60)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package timeseries
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestStoreKeepsSampleAfterWideGap(t *testing.T) {
 			t.Fatalf("Append(%d): %v", sm.T, err)
 		}
 	}
-	got, err := s.QueryAll(id)
+	got, err := collect(s, id, math.MinInt64, math.MaxInt64)
 	if err != nil {
 		t.Fatal(err)
 	}

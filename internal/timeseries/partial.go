@@ -170,8 +170,8 @@ func checkBuckets(base, to int64) error {
 //
 // Windows and samples arrive in time order and sums fold left to right, the
 // order stats.Online and stats.Mean keep, so on a raw plan a finished bucket
-// is bit-identical to what Reduce and Aggregate compute; a tier-served sum
-// adds the same terms grouped by window. Both cursors are pooled, and emit
+// is bit-identical to what Reduce and the raw aggregate compute; a
+// tier-served sum adds the same terms grouped by window. Both cursors are pooled, and emit
 // takes the bucket by value so the accumulator stays on the stack: a fold
 // allocates nothing itself.
 func (s *Store) fold(ss *storedSeries, from, to, step int64, emit func(start int64, agg Partial)) (QueryPlan, error) {
@@ -299,11 +299,13 @@ func (s *Store) AggregatePartials(id metric.ID, from, to, step int64) ([]Partial
 	return out, plan, nil
 }
 
-// AggregatePlanned is Aggregate served through the query planner: buckets
-// covered by sealed rollup windows merge pre-computed column groups
-// (rollupStride records per tier window instead of every raw sample) and the
-// rest streams off the raw cursor. Std and p95 need the distribution and go
-// to Aggregate, counted as the raw plan they are.
+// AggregatePlanned buckets one series into fixed windows of step
+// milliseconds over [from, to) and applies fn per bucket, served through the
+// query planner: buckets covered by sealed rollup windows merge pre-computed
+// column groups (rollupStride records per tier window instead of every raw
+// sample) and the rest streams off the raw cursor. Empty buckets are
+// omitted. Std and p95 need the distribution and go to the raw aggregate,
+// counted as the raw plan they are.
 func (s *Store) AggregatePlanned(id metric.ID, from, to, step int64, fn AggFunc) ([]AggPoint, error) {
 	if step <= 0 {
 		return nil, errors.New("timeseries: step must be positive")
@@ -314,7 +316,7 @@ func (s *Store) AggregatePlanned(id metric.ID, from, to, step int64, fn AggFunc)
 	}
 	if !rollupResolvable(fn) {
 		s.planRaw.Add(1)
-		return s.Aggregate(id, from, to, step, fn)
+		return s.aggregate(id, from, to, step, fn)
 	}
 	var out []AggPoint
 	if _, err := s.fold(ss, from, to, step, func(start int64, agg Partial) {

@@ -67,7 +67,7 @@ func TestRawPlanParityArbitraryFloats(t *testing.T) {
 							fn, from, to, gotV, bits(gotV), gotN, wantV, bits(wantV), wantN)
 					}
 					for _, step := range tc.steps {
-						want, err := s.Aggregate(id, from, to, step, fn)
+						want, err := s.aggregate(id, from, to, step, fn)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -114,8 +114,8 @@ func TestBucketedWindowOverflowRefused(t *testing.T) {
 		if pts, err := s.AggregatePlanned(id, from, to, 60_000, fn); err == nil {
 			t.Fatalf("AggregatePlanned(%v) over a wrapped window answered %d buckets", fn, len(pts))
 		}
-		if pts, err := s.Aggregate(id, from, to, 60_000, fn); err == nil {
-			t.Fatalf("Aggregate(%v) over a wrapped window answered %d buckets", fn, len(pts))
+		if pts, err := s.aggregate(id, from, to, 60_000, fn); err == nil {
+			t.Fatalf("aggregate(%v) over a wrapped window answered %d buckets", fn, len(pts))
 		}
 	}
 	if pp, _, err := s.AggregatePartials(id, from, to, 60_000); err == nil {

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/metric"
 )
@@ -183,121 +182,6 @@ func TestRefsNeverCrossStores(t *testing.T) {
 	}
 	if n, err := re.AppendRefs([]RefEntry{{Ref: ref, T: 2000, V: 2}}); n != 0 || !errors.Is(err, ErrStaleRef) {
 		t.Fatalf("cross-store ref accepted: %d, %v", n, err)
-	}
-}
-
-// TestRefIngestInterleavingsProperty is the tentpole parity property: random
-// interleavings of keyed appends, batch appends and ref appends — with
-// Retain, RetainTier and full dump-restore cycles mixed in —
-// leave a mixed-path store byte-identical (DeepEqual on dumps) to a store
-// driven purely through the keyed path, with identical accept counts.
-func TestRefIngestInterleavingsProperty(t *testing.T) {
-	ids := refTestIDs()
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		chunk := 2 + rng.Intn(24)
-		opts := []Option{}
-		if rng.Intn(2) == 0 {
-			opts = append(opts, WithRollups(4000, 16000))
-		}
-		keyed := NewStore(chunk, opts...)
-		mixed := NewStore(chunk, opts...)
-
-		// Mixed-path ref cache, healed exactly the way real callers heal it:
-		// on epoch change (a restore), drop everything and re-resolve on
-		// demand.
-		refs := make(map[string]SeriesRef)
-		epoch := mixed.RefEpoch()
-		clock := make([]int64, len(ids))
-
-		for op := 0; op < 120; op++ {
-			switch r := rng.Intn(20); {
-			case r == 1:
-				cutoff := clock[rng.Intn(len(ids))] - int64(rng.Intn(10000))
-				keyed.Retain(cutoff)
-				mixed.Retain(cutoff)
-			case r == 2:
-				cutoff := clock[rng.Intn(len(ids))] - int64(rng.Intn(30000))
-				keyed.RetainTier(4000, cutoff)
-				mixed.RetainTier(4000, cutoff)
-			case r == 3:
-				// Dump-restore both stores mid-stream; the dumps must agree
-				// at the cut, and every cached ref must die with the old
-				// store.
-				dk, dm := keyed.Dump(), mixed.Dump()
-				if !reflect.DeepEqual(dk, dm) {
-					t.Logf("op %d: dumps diverged at restore point", op)
-					return false
-				}
-				var err error
-				if keyed, err = RestoreStore(chunk, dk, opts...); err != nil {
-					t.Logf("op %d: restore keyed: %v", op, err)
-					return false
-				}
-				if mixed, err = RestoreStore(chunk, dm, opts...); err != nil {
-					t.Logf("op %d: restore mixed: %v", op, err)
-					return false
-				}
-			default:
-				// An append burst: same entries to both stores, the mixed
-				// store choosing its ingest path at random.
-				n := 1 + rng.Intn(5)
-				entries := make([]BatchEntry, 0, n)
-				for j := 0; j < n; j++ {
-					i := rng.Intn(len(ids))
-					dt := int64(rng.Intn(1500)) - 200 // occasional out-of-order
-					clock[i] += dt
-					entries = append(entries, BatchEntry{
-						ID: ids[i], Kind: metric.Gauge, Unit: metric.UnitWatt,
-						T: clock[i], V: float64(op*100 + j),
-					})
-				}
-				nk, _ := keyed.AppendBatch(entries)
-				var nm int
-				if rng.Intn(2) == 0 {
-					nm, _ = mixed.AppendBatch(entries)
-				} else {
-					if cur := mixed.RefEpoch(); cur != epoch {
-						clear(refs)
-						epoch = cur
-					}
-					rents := make([]RefEntry, 0, len(entries))
-					for k := range entries {
-						e := &entries[k]
-						key := e.ID.Key()
-						ref, ok := refs[key]
-						if !ok {
-							var err error
-							ref, err = mixed.Resolve(e.ID, e.Kind, e.Unit)
-							if err != nil {
-								t.Logf("op %d: resolve: %v", op, err)
-								return false
-							}
-							refs[key] = ref
-						}
-						rents = append(rents, RefEntry{Ref: ref, T: e.T, V: e.V})
-					}
-					var err error
-					nm, err = mixed.AppendRefs(rents)
-					if errors.Is(err, ErrStaleRef) {
-						t.Logf("op %d: unexpected stale ref (single-threaded)", op)
-						return false
-					}
-				}
-				if nk != nm {
-					t.Logf("op %d: keyed accepted %d, mixed accepted %d", op, nk, nm)
-					return false
-				}
-			}
-		}
-		if !reflect.DeepEqual(keyed.Dump(), mixed.Dump()) {
-			t.Log("final dumps diverged")
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -44,7 +44,7 @@ func longWindowSetup(b *testing.B) *Store {
 
 func benchLongWindow(b *testing.B, planned bool) {
 	s := longWindowSetup(b)
-	agg := s.Aggregate
+	agg := s.aggregate
 	if planned {
 		agg = s.AggregatePlanned
 	}

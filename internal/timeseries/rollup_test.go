@@ -57,7 +57,7 @@ func TestRollupPlannedParity(t *testing.T) {
 			if plan.TierStep != tc.tier {
 				t.Fatalf("%s/%v: plan tier = %d, want %d", tc.name, fn, plan.TierStep, tc.tier)
 			}
-			want, err := s.Aggregate(id, tc.from, tc.to, tc.step, fn)
+			want, err := s.aggregate(id, tc.from, tc.to, tc.step, fn)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,7 +116,7 @@ func TestReduceAndSeriesValuesPlannedParity(t *testing.T) {
 		t.Fatalf("reduce plan tier = %d, want %d", plan.TierStep, int64(TierStep1m))
 	}
 
-	want, err := s.Aggregate(id, t0, to, 10*TierStep1m, AggMean)
+	want, err := s.aggregate(id, t0, to, 10*TierStep1m, AggMean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestRetainTierIndependent(t *testing.T) {
 	id := sid("power", "n0")
 	fillRollupStore(t, s, id, 0, 10_000, 3*360) // 3h
 
-	rawBefore, err := s.Query(id, 0, 1<<60)
+	rawBefore, err := collect(s, id, 0, 1<<60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestRetainTierIndependent(t *testing.T) {
 		t.Fatal("RetainTier dropped nothing")
 	}
 	// Raw data and the hourly tier are untouched.
-	rawAfter, err := s.Query(id, 0, 1<<60)
+	rawAfter, err := collect(s, id, 0, 1<<60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestRetainTierIndependent(t *testing.T) {
 	if plan.TierStep != TierStep1m {
 		t.Fatalf("minutely tier unusable after RetainTier: plan tier %d", plan.TierStep)
 	}
-	want, err := s.Aggregate(id, from, 3*TierStep1h, TierStep1m, AggMean)
+	want, err := s.aggregate(id, from, 3*TierStep1h, TierStep1m, AggMean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestRollupSurvivesRawRetention(t *testing.T) {
 		t.Fatal("rollup query diverged after raw retention")
 	}
 	// The raw scan over the same window is empty now, the rollups are not.
-	raw, err := s.Aggregate(id, from, to, TierStep1m, AggSum)
+	raw, err := s.aggregate(id, from, to, TierStep1m, AggSum)
 	if err != nil {
 		t.Fatal(err)
 	}

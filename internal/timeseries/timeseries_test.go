@@ -242,6 +242,16 @@ func sid(name, node string) metric.ID {
 	return metric.ID{Name: name, Labels: metric.NewLabels("node", node)}
 }
 
+// collect materializes one series' samples in [from, to) through Each.
+func collect(s *Store, id metric.ID, from, to int64) ([]metric.Sample, error) {
+	var out []metric.Sample
+	err := s.Each(id, from, to, func(sm metric.Sample) bool {
+		out = append(out, sm)
+		return true
+	})
+	return out, err
+}
+
 func TestStoreAppendQuery(t *testing.T) {
 	s := NewStore(0)
 	id := sid("power", "n0")
@@ -253,18 +263,18 @@ func TestStoreAppendQuery(t *testing.T) {
 	if s.NumSeries() != 1 || s.NumSamples() != 500 {
 		t.Fatalf("series/samples = %d/%d", s.NumSeries(), s.NumSamples())
 	}
-	got, err := s.Query(id, 100_000, 110_000)
+	got, err := collect(s, id, 100_000, 110_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 10 || got[0].V != 100 || got[9].V != 109 {
-		t.Fatalf("Query = %v", got)
+		t.Fatalf("window = %v", got)
 	}
-	all, err := s.QueryAll(id)
+	all, err := collect(s, id, math.MinInt64, math.MaxInt64)
 	if err != nil || len(all) != 500 {
-		t.Fatalf("QueryAll len = %d, %v", len(all), err)
+		t.Fatalf("whole series len = %d, %v", len(all), err)
 	}
-	if _, err := s.Query(sid("power", "missing"), 0, 1); err == nil {
+	if _, err := collect(s, sid("power", "missing"), 0, 1); err == nil {
 		t.Fatal("unknown series should error")
 	}
 	if err := s.Append(id, metric.Gauge, metric.UnitWatt, 100, 1); err == nil {
@@ -323,7 +333,7 @@ func TestStoreAggregate(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		_ = s.Append(id, metric.Gauge, metric.UnitWatt, int64(i)*1000, float64(i))
 	}
-	pts, err := s.Aggregate(id, 0, 60_000, 10_000, AggMean)
+	pts, err := s.aggregate(id, 0, 60_000, 10_000, AggMean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,33 +343,33 @@ func TestStoreAggregate(t *testing.T) {
 	if pts[0].Value != 4.5 || pts[5].Value != 54.5 {
 		t.Fatalf("means = %v", pts)
 	}
-	maxes, _ := s.Aggregate(id, 0, 60_000, 10_000, AggMax)
+	maxes, _ := s.aggregate(id, 0, 60_000, 10_000, AggMax)
 	if maxes[0].Value != 9 {
 		t.Fatalf("max = %v", maxes[0])
 	}
-	counts, _ := s.Aggregate(id, 0, 60_000, 30_000, AggCount)
+	counts, _ := s.aggregate(id, 0, 60_000, 30_000, AggCount)
 	if counts[0].Value != 30 || counts[1].Value != 30 {
 		t.Fatalf("counts = %v", counts)
 	}
-	if _, err := s.Aggregate(id, 0, 1, 0, AggMean); err == nil {
+	if _, err := s.AggregatePlanned(id, 0, 1, 0, AggMean); err == nil {
 		t.Fatal("step 0 should error")
 	}
-	if _, err := s.Aggregate(id, 0, 60_000, 10_000, AggFunc("bogus")); err == nil {
+	if _, err := s.aggregate(id, 0, 60_000, 10_000, AggFunc("bogus")); err == nil {
 		t.Fatal("unknown agg should error")
 	}
-	sums, _ := s.Aggregate(id, 0, 60_000, 60_000, AggSum)
+	sums, _ := s.aggregate(id, 0, 60_000, 60_000, AggSum)
 	if sums[0].Value != 59*60/2 {
 		t.Fatalf("sum = %v", sums[0])
 	}
-	p95s, _ := s.Aggregate(id, 0, 60_000, 60_000, AggP95)
+	p95s, _ := s.aggregate(id, 0, 60_000, 60_000, AggP95)
 	if p95s[0].Value < 55 || p95s[0].Value > 59 {
 		t.Fatalf("p95 = %v", p95s[0])
 	}
-	stds, _ := s.Aggregate(id, 0, 60_000, 60_000, AggStd)
+	stds, _ := s.aggregate(id, 0, 60_000, 60_000, AggStd)
 	if stds[0].Value <= 0 {
 		t.Fatalf("std = %v", stds[0])
 	}
-	mins, _ := s.Aggregate(id, 0, 60_000, 60_000, AggMin)
+	mins, _ := s.aggregate(id, 0, 60_000, 60_000, AggMin)
 	if mins[0].Value != 0 {
 		t.Fatalf("min = %v", mins[0])
 	}
@@ -375,7 +385,7 @@ func TestStoreRetain(t *testing.T) {
 	if dropped != 100 {
 		t.Fatalf("dropped = %d", dropped)
 	}
-	all, _ := s.QueryAll(id)
+	all, _ := collect(s, id, math.MinInt64, math.MaxInt64)
 	if len(all) != 100 || all[0].T != 100_000 {
 		t.Fatalf("after retain: %d samples from %d", len(all), all[0].T)
 	}
