@@ -95,6 +95,7 @@ fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzStoreModel -fuzztime $(FUZZTIME) ./internal/timeseries
 	$(GO) test -run xxx -fuzz FuzzDictDecode -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/persist
+	$(GO) test -run xxx -fuzz FuzzWALAppendRecord -fuzztime $(FUZZTIME) ./internal/persist
 	$(GO) test -run xxx -fuzz FuzzQueryRangeParse -fuzztime $(FUZZTIME) ./internal/queryfront
 	$(GO) test -run xxx -fuzz FuzzChaosScheduleParse -fuzztime $(FUZZTIME) ./internal/chaos
 	$(GO) test -run xxx -fuzz FuzzRingPlacement -fuzztime $(FUZZTIME) ./internal/cluster
@@ -176,19 +177,25 @@ bench-ingest:
 # fleet WAL holds 49,152 records; the 8 on top absorbs the runtime's own
 # stray allocations, which land in either count). The budget is a count, so
 # it does not depend on how fast this box is today; ns/sample is printed for
-# the reader. A missing benchmark fails the gate.
+# the reader. The same run gates the fleet WAL's size: wal_B/sample (segment
+# bytes over samples, also a count) must stay at or under 8.9 — 8.71 with
+# the column append record, 11.55 with the row-wise one it replaced. A
+# missing benchmark fails the gate.
 bench-replay:
 	@out=$$($(GO) test -run xxx -bench 'BenchmarkWALReplayFleet' -benchmem -benchtime 2x ./internal/persist); \
 	echo "$$out"; \
 	echo "$$out" | awk ' \
-		/^BenchmarkWALReplayFleet\/replay/ { replay=$$(NF-1); for (i=2; i<=NF; i++) if ($$i == "segments") segs=$$(i-1) } \
+		/^BenchmarkWALReplayFleet\/replay/ { replay=$$(NF-1); for (i=2; i<=NF; i++) { if ($$i == "segments") segs=$$(i-1); if ($$i == "wal_B/sample") walb=$$(i-1) } } \
 		/^BenchmarkWALReplayFleet\/direct/ { direct=$$(NF-1) } \
 		END { \
-			if (replay == "" || direct == "" || segs == "") { print "FAIL: BenchmarkWALReplayFleet replay/direct missing from output"; exit 1 } \
+			if (replay == "" || direct == "" || segs == "" || walb == "") { print "FAIL: BenchmarkWALReplayFleet replay/direct missing from output"; exit 1 } \
 			budget = direct + segs + 1 + 8; \
 			printf "replay %d allocs/op, direct build %d, %d segments: budget %d\n", replay, direct, segs, budget; \
 			if (replay+0 > budget) { printf "FAIL: replay allocates %d allocs/op over its budget\n", replay - budget; exit 1 } \
-			print "OK: the decode-and-resolve loop allocates nothing per record or per sample" }'
+			print "OK: the decode-and-resolve loop allocates nothing per record or per sample"; \
+			printf "fleet WAL %.3f B/sample: budget 8.9\n", walb; \
+			if (walb+0 > 8.9) { print "FAIL: the fleet WAL costs more bytes per sample than its budget"; exit 1 } \
+			print "OK: a logged sample costs its value plus the columns it needs" }'
 
 # The end-to-end benchmark BENCHMARK.json declares: all four workloads, one
 # seed. Everything it builds and writes lands under .bench_build/.

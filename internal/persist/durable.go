@@ -95,14 +95,14 @@ type DurableStore struct {
 	// (checkpoints touch it under the exclusive d.mu instead, which equally
 	// excludes every op). walRefs binds store ref slots — stable for the
 	// life of a store instance — to the uvarint refs used in opDefine /
-	// opAppendRef records; a checkpoint clears it, so post-snapshot
+	// opAppendCols records; a checkpoint clears it, so post-snapshot
 	// segments are self-contained (every ref they use is re-defined within
-	// them). refEnc/refRecs/refValid/refIn are reused scratch.
+	// them). refEnc/refValid/refWAL/refIn are reused scratch.
 	walRefs    map[uint32]uint64
 	nextWALRef uint64
 	refEnc     []byte
-	refRecs    []refSample
 	refValid   []timeseries.RefEntry
+	refWAL     []uint64              // refValid's WAL refs, index for index
 	refIn      []timeseries.RefEntry // AppendBatch's resolved entries
 
 	ckptMu sync.Mutex // serializes whole checkpoints (ticker vs Close)
@@ -311,7 +311,7 @@ func (d *DurableStore) ack(seq uint64) error {
 // timeseries.Store.AppendBatch (per-sample rejections do not abort the
 // batch). It is an adapter over the one logged append: under a single hold
 // of the op lock every entry is resolved — logging an opDefine for a series
-// with no live WAL binding — and the batch goes down as one opAppendRef.
+// with no live WAL binding — and the batch goes down as one opAppendCols.
 // Under FsyncAlways the call returns only after all of it is durable, with
 // one fsync.
 func (d *DurableStore) AppendBatch(entries []timeseries.BatchEntry) (int, error) {
@@ -413,8 +413,9 @@ func (d *DurableStore) defineLocked(id metric.ID, kind metric.Kind, unit metric.
 // the WAL carries only samples whose addressing the store accepts and
 // replay reproduces the same outcome; a valid ref with no live WAL
 // binding (possible after a checkpoint cleared the table) gets its
-// definition re-logged on the fly. The per-sample record cost is a small
-// ref uvarint + delta-t + value.
+// definition re-logged on the fly. The batch is logged as one opAppendCols
+// record: a scrape's samples — consecutive WAL refs, one timestamp — cost
+// their 8-byte values plus a few header bytes shared by the record.
 func (d *DurableStore) AppendRefs(entries []timeseries.RefEntry) (int, error) {
 	if len(entries) == 0 {
 		return 0, nil
@@ -435,8 +436,7 @@ func (d *DurableStore) AppendRefs(entries []timeseries.RefEntry) (int, error) {
 func (d *DurableStore) appendRefsLocked(entries []timeseries.RefEntry) (n int, seq uint64, err error) {
 	epoch := d.store.RefEpoch()
 	var staleErr error
-	d.refValid = d.refValid[:0]
-	d.refRecs = d.refRecs[:0]
+	d.refValid, d.refWAL = d.refValid[:0], d.refWAL[:0]
 	for _, e := range entries {
 		if e.Ref.Epoch() != epoch {
 			staleErr = timeseries.ErrStaleRef
@@ -456,12 +456,12 @@ func (d *DurableStore) appendRefsLocked(entries []timeseries.RefEntry) (n int, s
 			d.walRefs[e.Ref.Slot()] = wr
 		}
 		d.refValid = append(d.refValid, e)
-		d.refRecs = append(d.refRecs, refSample{ref: wr, t: e.T, v: e.V})
+		d.refWAL = append(d.refWAL, wr)
 	}
-	if len(d.refRecs) == 0 {
+	if len(d.refValid) == 0 {
 		return 0, seq, staleErr
 	}
-	d.refEnc = encodeAppendRef(d.refEnc[:0], d.refRecs)
+	d.refEnc = encodeAppendCols(d.refEnc[:0], d.refWAL, d.refValid)
 	if seq, _, err = d.wal.append(d.refEnc); err != nil {
 		return 0, seq, err
 	}

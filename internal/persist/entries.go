@@ -26,7 +26,7 @@ func RecordEntries(rt *RefTable, payload []byte) ([]timeseries.BatchEntry, error
 	case opDefine:
 		rt.defs[rec.ref] = refDef{id: rec.id, kind: rec.kind, unit: rec.unit}
 		return nil, nil
-	case opAppendRef:
+	case opAppendCols:
 		entries := make([]timeseries.BatchEntry, 0, len(rec.refEntries))
 		for _, e := range rec.refEntries {
 			d, ok := rt.defs[e.ref]

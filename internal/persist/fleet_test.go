@@ -12,10 +12,11 @@ import (
 
 // The fleet WAL: what the benchmark's ingest_interval workload leaves on
 // disk, scaled down in time only — 128 agents x 32 sensors, one 32-sample
-// opAppendRef record per agent per tick at a 10 s cadence, each agent's
-// series defined just before its first record. 384 ticks is 64 minutes, so
-// every series seals 63 one-minute windows and one hourly window and rolls
-// its raw chunk three times.
+// opAppendCols record per agent per tick at a 10 s cadence (a run of 32
+// consecutive WAL refs at one timestamp, so the ref and time columns are
+// elided), each agent's series defined just before its first record. 384
+// ticks is 64 minutes, so every series seals 63 one-minute windows and one
+// hourly window and rolls its raw chunk three times.
 const (
 	fleetAgents  = 128
 	fleetSensors = 32
@@ -119,7 +120,7 @@ func fleetWAL() *fleetLog {
 					}
 					recs[s] = refSample{ref: ref, t: t, v: vals.value[ref-1]}
 				}
-				add(encodeAppendRef(nil, recs))
+				add(appendColsPayload(recs))
 				fleetData.samples += len(recs)
 			}
 		}

@@ -64,7 +64,7 @@ func v1Snapshot(t *testing.T) []byte {
 // the readable files beside the refused one — is byte-identical afterwards.
 func TestOpenRefusesUnsupportedFormats(t *testing.T) {
 	def := encodeDefine(nil, 1, testID("power", "n01"), metric.Gauge, metric.UnitWatt)
-	app := encodeAppendRef(nil, []refSample{{ref: 1, t: 1000, v: 1}, {ref: 1, t: 2000, v: 2}})
+	app := appendColsPayload([]refSample{{ref: 1, t: 1000, v: 1}, {ref: 1, t: 2000, v: 2}})
 	good := frameSegment(def, app)
 	v2, err := os.ReadFile(v2Snapshot) // a file an older build really wrote
 	if err != nil {
@@ -93,6 +93,12 @@ func TestOpenRefusesUnsupportedFormats(t *testing.T) {
 		{"retired downsample record", map[string][]byte{
 			segmentName(1): frameSegment(def, app, retiredOp2Payload(), app),
 		}, "retired op code 2"},
+		{"retired row-wise ref append record", map[string][]byte{
+			segmentName(1): frameSegment(def, app, retiredRefPayload(), app),
+		}, "retired op code 6"},
+		{"append record with a reserved shape bit", map[string][]byte{
+			segmentName(1): frameSegment(def, app, reservedShapePayload(), app),
+		}, "reserved shape bits 0x05"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -123,12 +129,52 @@ func TestOpenRefusesUnsupportedFormats(t *testing.T) {
 // TestShippedRetiredRecordRefused: the replication and join-import decoders
 // refuse a shipped record with a retired op code the same way.
 func TestShippedRetiredRecordRefused(t *testing.T) {
-	for _, payload := range [][]byte{retiredKeyedPayload(), retiredOp2Payload()} {
+	for _, payload := range [][]byte{retiredKeyedPayload(), retiredOp2Payload(), retiredRefPayload(), reservedShapePayload()} {
 		if err := ApplyRecord(timeseries.NewStore(8), NewRefTable(), payload); !errors.Is(err, ErrUnsupportedFormat) {
 			t.Fatalf("op %d: ApplyRecord = %v, want ErrUnsupportedFormat", payload[0], err)
 		}
 		if _, err := RecordEntries(NewRefTable(), payload); !errors.Is(err, ErrUnsupportedFormat) {
 			t.Fatalf("op %d: RecordEntries = %v, want ErrUnsupportedFormat", payload[0], err)
 		}
+	}
+}
+
+// TestOpenReadsV1Segments: a segment an earlier build wrote, headed
+// "ODAWAL1\n", still replays, and what this build logs after it lands in a
+// new segment headed segMagic — a magic such a build refuses as foreign
+// instead of truncating the records it cannot read.
+func TestOpenReadsV1Segments(t *testing.T) {
+	dir := t.TempDir()
+	id := testID("power", "n01")
+	seg := frameSegment(encodeDefine(nil, 1, id, metric.Gauge, metric.UnitWatt), encodeRetain(nil, 500))
+	v1 := append([]byte(segMagicV1), seg[len(segMagic):]...)
+	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Open(dir, Options{ChunkSize: 8, Fsync: FsyncNever})
+	if err != nil {
+		t.Fatalf("Open of a V1 segment: %v", err)
+	}
+	if got := d.Store().NumSeries(); got != 1 {
+		t.Fatalf("V1 segment replayed %d series, want 1", got)
+	}
+	if err := d.Append(id, metric.Gauge, metric.UnitWatt, 1000, 1); err != nil {
+		t.Fatal(err)
+	}
+	d.Crash()
+	data, err := os.ReadFile(filepath.Join(dir, segmentName(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if segMagic == segMagicV1 || !strings.HasPrefix(string(data), segMagic) {
+		t.Fatalf("new segment opens %q, want %q", data[:len(segMagic)], segMagic)
+	}
+	d, err = Open(dir, Options{ChunkSize: 8, Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if got := d.Store().NumSamples(); got != 1 {
+		t.Fatalf("recovered %d samples, want 1", got)
 	}
 }

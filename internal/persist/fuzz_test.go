@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"reflect"
 	"testing"
 
@@ -36,14 +37,43 @@ func retiredOp2Payload() []byte {
 	return binenc.AppendVarint(b, 60000)
 }
 
+// retiredRefPayload is a record as the retired row-wise ref append writer
+// laid it out (op code 6: count, then per sample a WAL-ref uvarint, a
+// timestamp varint — the first absolute, the rest deltas against the
+// previous sample — and the 8-byte value). It is the only encoder of op 6
+// left; like the other retired records, the op byte alone must get it
+// refused.
+func retiredRefPayload() []byte {
+	samples := []refSample{{ref: 1, t: 1000, v: 411.5}, {ref: 2, t: 1000, v: 55.25}}
+	b := []byte{opRetiredAppendRef}
+	b = binenc.AppendUvarint(b, uint64(len(samples)))
+	var prevT int64
+	for _, s := range samples {
+		b = binenc.AppendUvarint(b, s.ref)
+		b = binenc.AppendVarint(b, s.t-prevT)
+		prevT = s.t
+		b = binenc.AppendFloat(b, s.v)
+	}
+	return b
+}
+
+// reservedShapePayload is a one-sample append record with shape bit 2 set,
+// which no writer of this version sets: a later format's record, refused
+// whole rather than truncated as a tear.
+func reservedShapePayload() []byte {
+	p := appendColsPayload([]refSample{{ref: 1, t: 3000, v: 3}})
+	p[2] |= 4 // op, n = 1, then the shape byte
+	return p
+}
+
 // walFuzzSeeds are the FuzzWALReplay seeds, by corpus file name: the fuzz
 // target adds them and TestGenCorpus writes them to testdata/fuzz.
 func walFuzzSeeds() map[string][]byte {
 	idA := metric.ID{Name: "node_power_watts", Labels: metric.NewLabels("node", "n042")}
 	idB := metric.ID{Name: "node_cpu_temp_celsius"}
 	def := encodeDefine(nil, 1, idA, metric.Gauge, metric.UnitWatt)
-	app := encodeAppendRef(nil, []refSample{{ref: 1, t: 1000, v: 411.5}, {ref: 1, t: 2000, v: 417.25}})
-	undef := encodeAppendRef(nil, []refSample{{ref: 99, t: 1000, v: 1}})
+	app := appendColsPayload([]refSample{{ref: 1, t: 1000, v: 411.5}, {ref: 1, t: 2000, v: 417.25}})
+	undef := appendColsPayload([]refSample{{ref: 99, t: 1000, v: 1}})
 	rebound := encodeDefine(nil, 1, idB, metric.Counter, metric.UnitCelsius)
 	// More samples than the two-sample record before it: the segment's
 	// decode scratch must grow mid-stream without losing what it decodes.
@@ -52,6 +82,7 @@ func walFuzzSeeds() map[string][]byte {
 		grown[i] = refSample{ref: 1, t: int64(3000 + i*1000), v: float64(i)}
 	}
 
+	countPastValues := []byte{opAppendCols, 3, shapeRefRun, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0}
 	badCRC := frameSegment(encodeRetain(nil, 42))
 	badCRC[len(segMagic)+4] ^= 0xFF
 	tornDefine := frameSegment(def)
@@ -69,11 +100,33 @@ func walFuzzSeeds() map[string][]byte {
 		"seed-ref-undefined":      frameSegment(undef),                                      // no define: refs skipped
 		"seed-ref-rebound":        frameSegment(def, rebound, app),                          // one WAL ref bound to a second series
 		"seed-ref-torn-define":    tornDefine[:len(tornDefine)-3],                           // tear inside a define record
-		"seed-ref-scratch-grows":  frameSegment(def, app, encodeAppendRef(nil, grown), app), // count field past the scratch's capacity
+		"seed-ref-scratch-grows":  frameSegment(def, app, appendColsPayload(grown), app),    // count field past the scratch's capacity
 		"seed-retired-keyed":      frameSegment(def, app, retiredKeyedPayload(), app),       // intact record, retired op code
 		"seed-retired-downsample": frameSegment(def, app, retiredOp2Payload(), app),         // likewise, the other retired op
+		"seed-retired-ref-append": frameSegment(def, app, retiredRefPayload(), app),         // and the row-wise append op 7 replaced
+		"seed-reserved-shape-bit": frameSegment(def, app, reservedShapePayload(), app),      // a later writer's append record
+		"seed-unknown-op":         frameSegment(def, app, []byte{opAppendCols + 1, 0}, app), // intact but not a record: a tear, not refused
+		"seed-count-past-values":  frameSegment(def, app, countPastValues, app),             // likewise, an append short of its values
 		"seed-foreign-magic":      []byte("ODAWAL0\n\x00\x00\x00\x01"),
+		"seed-v1-magic":           append([]byte(segMagicV1), frameSegment(def, encodeRetain(nil, 500))[len(segMagic):]...), // an earlier build's segment
 	}
+}
+
+// refusable says, without asking the decoder, whether a record payload is
+// one replay must refuse: a retired op code, or an append record whose shape
+// byte (after the op and the count) sets a bit no writer of ours sets.
+func refusable(payload []byte) bool {
+	if len(payload) == 0 {
+		return false
+	}
+	switch payload[0] {
+	case opRetiredKeyed, opRetiredDownsample, opRetiredAppendRef:
+		return true
+	case opAppendCols:
+		_, k := binary.Uvarint(payload[1:])
+		return k > 0 && 1+k < len(payload) && payload[1+k]&^(shapeRefRun|shapeTimes) != 0
+	}
+	return false
 }
 
 // FuzzWALReplay feeds arbitrary bytes through segment replay and checks the
@@ -100,7 +153,7 @@ func FuzzWALReplay(f *testing.F) {
 		if res.offset < 0 || res.offset > int64(len(data)) {
 			t.Fatalf("clean-prefix offset %d outside input of %d bytes", res.offset, len(data))
 		}
-		hasMagic := bytes.HasPrefix(data, []byte(segMagic))
+		hasMagic := bytes.HasPrefix(data, []byte(segMagic)) || bytes.HasPrefix(data, []byte(segMagicV1))
 		switch {
 		case err != nil:
 			if !errors.Is(err, ErrUnsupportedFormat) {
@@ -119,9 +172,8 @@ func FuzzWALReplay(f *testing.F) {
 			rest := data[res.offset:]
 			length := binary.BigEndian.Uint32(rest[0:4])
 			payload := rest[recordHeaderLen : recordHeaderLen+length]
-			retired := payload[0] == opRetiredKeyed || payload[0] == opRetiredDownsample
-			if !retired || crc32.Checksum(payload, castagnoli) != binary.BigEndian.Uint32(rest[4:8]) {
-				t.Fatalf("offset %d does not hold an intact retired-op record", res.offset)
+			if !refusable(payload) || crc32.Checksum(payload, castagnoli) != binary.BigEndian.Uint32(rest[4:8]) {
+				t.Fatalf("offset %d does not hold an intact refused record", res.offset)
 			}
 		case !res.torn && len(data) > 0 && res.offset != int64(len(data)):
 			t.Fatalf("clean segment but offset %d != len %d", res.offset, len(data))
@@ -141,6 +193,128 @@ func FuzzWALReplay(f *testing.F) {
 			}
 			if !reflect.DeepEqual(store2.Dump(), store.Dump()) {
 				t.Fatal("clean prefix replay produced a different store")
+			}
+		}
+	})
+}
+
+// Modes of a FuzzWALAppendRecord sample set.
+const (
+	fuzzRefDeltas  byte = 1 << iota // refs are base plus a per-sample varint, not base+i
+	fuzzTimeDeltas                  // times are baseT plus a per-sample varint, not baseT
+)
+
+// fuzzSamples builds the sample set a FuzzWALAppendRecord input describes:
+// n samples (at most 128); refs a run from base, or base plus a varint read
+// from cols per sample (fuzzRefDeltas); times all baseT, or baseT plus a
+// varint per sample (fuzzTimeDeltas); values the raw bits of a uvarint per
+// sample, so NaN payloads and infinities occur. Both sums wrap. Reads past
+// the end of cols yield zeros.
+func fuzzSamples(n uint8, mode byte, base uint64, baseT int64, cols []byte) []refSample {
+	r := binenc.NewReader(cols)
+	samples := make([]refSample, min(int(n), 128))
+	for i := range samples {
+		s := refSample{ref: base + uint64(i), t: baseT}
+		if mode&fuzzRefDeltas != 0 {
+			s.ref = base + uint64(r.Varint())
+		}
+		if mode&fuzzTimeDeltas != 0 {
+			s.t = baseT + r.Varint()
+		}
+		s.v = math.Float64frombits(r.Uvarint())
+		samples[i] = s
+	}
+	return samples
+}
+
+// fuzzCols lays out cols for fuzzSamples: per sample a ref delta (read only
+// under fuzzRefDeltas), a time delta (only under fuzzTimeDeltas) and a value.
+func fuzzCols(mode byte, rows ...[3]int64) []byte {
+	var b []byte
+	for _, row := range rows {
+		if mode&fuzzRefDeltas != 0 {
+			b = binenc.AppendVarint(b, row[0])
+		}
+		if mode&fuzzTimeDeltas != 0 {
+			b = binenc.AppendVarint(b, row[1])
+		}
+		b = binenc.AppendUvarint(b, uint64(row[2]))
+	}
+	return b
+}
+
+// FuzzWALAppendRecord holds the opAppendCols grammar to two properties.
+// Arbitrary payloads decode without panicking, and an accepted append
+// record never claims more samples than it holds 8-byte values. Arbitrary
+// sample sets round-trip exactly — refs, times and value bits — with the
+// ref and time columns elided exactly when the samples allow it, and every
+// strict prefix of the encoding fails to decode, so a torn record is never
+// mistaken for a shorter one.
+func FuzzWALAppendRecord(f *testing.F) {
+	nan := int64(math.Float64bits(math.NaN()) | 1)
+	inf := int64(math.Float64bits(math.Inf(-1)))
+	one := int64(math.Float64bits(1.5))
+	seeds := []struct {
+		name    string
+		payload []byte
+		n       uint8
+		mode    byte
+		base    uint64
+		baseT   int64
+		cols    []byte
+	}{
+		{"empty", nil, 0, 0, 0, 0, nil},
+		{"one sample", appendColsPayload([]refSample{{ref: 1, t: 1000, v: 2}}), 1, 0, 7, 1000, fuzzCols(0, [3]int64{0, 0, one})},
+		{"scrape: a run at one time", nil, 4, 0, 33, 1_700_000_000_000, fuzzCols(0, [3]int64{0, 0, one}, [3]int64{0, 0, nan}, [3]int64{0, 0, inf}, [3]int64{0, 0, 0})},
+		{"run across the dense bound", nil, 3, 0, denseRefLimit - 1, 5, nil},
+		{"run wrapping past the largest ref", nil, 4, 0, math.MaxUint64 - 1, 5, nil},
+		{"a run that breaks", nil, 4, fuzzRefDeltas, 5, 0, fuzzCols(fuzzRefDeltas, [3]int64{0, 0, 1}, [3]int64{1, 0, 2}, [3]int64{4, 0, 3}, [3]int64{5, 0, 4})},
+		{"refs out of order", nil, 4, fuzzRefDeltas, 10, 0, fuzzCols(fuzzRefDeltas, [3]int64{3, 0, 1}, [3]int64{0, 0, 2}, [3]int64{-10, 0, 3}, [3]int64{denseRefLimit, 0, 4})},
+		{"ref deltas wrapping", nil, 3, fuzzRefDeltas, math.MaxUint64, 0, fuzzCols(fuzzRefDeltas, [3]int64{0, 0, 1}, [3]int64{2, 0, 2}, [3]int64{math.MinInt64, 0, 3})},
+		{"repeated ref across ticks", nil, 3, fuzzRefDeltas | fuzzTimeDeltas, 1, 1000, fuzzCols(fuzzRefDeltas|fuzzTimeDeltas, [3]int64{0, 0, 1}, [3]int64{0, 10_000, 2}, [3]int64{0, 20_000, 3})},
+		{"times mixed and negative", nil, 4, fuzzTimeDeltas, 1, -5000, fuzzCols(fuzzTimeDeltas, [3]int64{0, 0, 1}, [3]int64{0, -7, 2}, [3]int64{0, 1 << 40, 3}, [3]int64{0, -1 << 40, 4})},
+		{"time deltas wrapping", nil, 3, fuzzTimeDeltas, 1, math.MaxInt64, fuzzCols(fuzzTimeDeltas, [3]int64{0, 0, 1}, [3]int64{0, 1, 2}, [3]int64{0, math.MinInt64, 3})},
+		{"reserved shape bit", reservedShapePayload(), 0, 0, 0, 0, nil},
+		{"count past the values", []byte{opAppendCols, 3, shapeRefRun, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0}, 0, 0, 0, 0, nil},
+		{"retired row-wise append", retiredRefPayload(), 0, 0, 0, 0, nil},
+	}
+	for _, s := range seeds {
+		f.Add(s.payload, s.n, s.mode, s.base, s.baseT, s.cols)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte, n uint8, mode byte, base uint64, baseT int64, cols []byte) {
+		var scratch []refSample
+		for _, p := range [][]byte{payload, append([]byte{opAppendCols}, payload...)} {
+			rec, err := decodeRecord(p, &scratch)
+			if err == nil && rec.op == opAppendCols && 8*len(rec.refEntries) > len(p) {
+				t.Fatalf("%d-byte payload decoded to %d samples", len(p), len(rec.refEntries))
+			}
+		}
+
+		samples := fuzzSamples(n, mode, base, baseT, cols)
+		enc := appendColsPayload(samples)
+		rec, err := decodeRecord(enc, &scratch)
+		if err != nil {
+			t.Fatalf("decode of %d samples: %v", len(samples), err)
+		}
+		if rec.op != opAppendCols || len(rec.refEntries) != len(samples) {
+			t.Fatalf("decoded op %d with %d samples, want op %d with %d", rec.op, len(rec.refEntries), opAppendCols, len(samples))
+		}
+		run, sameT := len(samples) > 0, true
+		for i, want := range samples {
+			got := rec.refEntries[i]
+			if got.ref != want.ref || got.t != want.t || math.Float64bits(got.v) != math.Float64bits(want.v) {
+				t.Fatalf("sample %d: got %+v, want %+v", i, got, want)
+			}
+			run = run && want.ref == samples[0].ref+uint64(i)
+			sameT = sameT && want.t == samples[0].t
+		}
+		shape := enc[1+len(binenc.AppendUvarint(nil, uint64(len(samples))))]
+		if (shape&shapeRefRun != 0) != run || (shape&shapeTimes != 0) == sameT {
+			t.Fatalf("shape %#02x for run=%v sameT=%v", shape, run, sameT)
+		}
+		for cut := range enc {
+			if _, err := decodeRecord(enc[:cut], &scratch); err == nil {
+				t.Fatalf("strict prefix of %d/%d bytes decoded", cut, len(enc))
 			}
 		}
 	})

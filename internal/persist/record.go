@@ -6,8 +6,13 @@
 //
 // On-disk layout inside the data directory (all integers big endian):
 //
-//	wal-%08d.seg    WAL segments: 8-byte magic "ODAWAL1\n", then records
+//	wal-%08d.seg    WAL segments: 8-byte magic "ODAWAL2\n", then records
 //	snap-%08d.snap  snapshots: 8-byte magic "ODASNP3\n", payload, CRC32C
+//
+// Segments headed "ODAWAL1\n" were written before opAppendCols existed. They
+// still replay, and a retired op-6 record in one is refused. An earlier build,
+// which knows only that magic, refuses a current segment as foreign instead of
+// truncating it at the first record it cannot read.
 //
 // Each WAL record is length-prefixed and checksummed:
 //
@@ -16,8 +21,24 @@
 //	payload [length]byte, first byte = op code
 //
 // Samples have one logged form: an opDefine binds a small WAL ref to a full
-// series identity, and opAppendRef records address samples by that ref.
-// Every ingest entry point (Append, AppendBatch, AppendRefs) writes it.
+// series identity, and opAppendCols records address samples by that ref.
+// Every ingest entry point (Append, AppendBatch, AppendRefs) writes it. An
+// opAppendCols payload is a header and then whole columns, the grammar of
+// the wire's ref batch frame:
+//
+//	op      byte     opAppendCols
+//	n       uvarint  samples in the record
+//	shape   byte     bit 0: refs are a run; bit 1: times present; the rest
+//	                 reserved, refused unless zero
+//	baseT   varint   the first sample's timestamp (0 if there is none)
+//	refs    run:  one uvarint, the first ref; sample i has ref first+i
+//	        else: n × varint, delta from the previous sample's ref (wrapping)
+//	times   n × varint   delta from baseT (wrapping); absent = all at baseT
+//	values  n × 8 bytes  big-endian float64
+//
+// An agent's scrape — consecutive WAL refs, since the durable store hands
+// them out in first-use order, and one timestamp — is thus a value per
+// sample plus a few header bytes per record.
 //
 // Replay tolerates torn tails: the first record whose length prefix,
 // checksum or payload decode fails marks the end of the recoverable prefix
@@ -25,9 +46,9 @@
 // leaves behind. What is intact but not ours fails loudly instead: a
 // complete foreign 8-byte magic on a segment or snapshot (the v1 and v2
 // snapshots of earlier builds included), or a CRC-valid record carrying a
-// retired op code, is ErrUnsupportedFormat — Open returns
-// it and leaves the directory untouched rather than truncating data another
-// version wrote.
+// retired op code or a reserved shape bit, is ErrUnsupportedFormat — Open
+// returns it and leaves the directory untouched rather than truncating data
+// another version wrote.
 package persist
 
 import (
@@ -55,7 +76,17 @@ const (
 	opRetain            = 3 // Retain(cutoff)
 	opRetainTier        = 4 // RetainTier(step, cutoff)
 	opDefine            = 5 // bind a WAL series ref to a full series identity
-	opAppendRef         = 6 // a batch of samples, addressed by WAL ref
+	// opRetiredAppendRef is reserved the same way: it was the row-wise ref
+	// append (per sample a ref, a time delta and a value) that
+	// opAppendCols replaced.
+	opRetiredAppendRef = 6
+	opAppendCols       = 7 // a batch of samples as columns, addressed by WAL ref
+)
+
+// Shape bits of an opAppendCols payload.
+const (
+	shapeRefRun byte = 1 << iota // refs ascend by one from the first
+	shapeTimes                   // a time column follows the refs
 )
 
 // recordHeaderLen is the length + CRC prefix of every WAL record.
@@ -95,7 +126,8 @@ func nextRecord(data []byte, off int64) (payload []byte, next int64, ok bool) {
 
 // ErrUnsupportedFormat reports intact data in a format this version does
 // not read: a segment or snapshot with a complete foreign magic, or a
-// checksummed WAL record with a retired op code. It is never returned for
+// checksummed WAL record with a retired op code or a reserved shape bit
+// (one a later writer may set). It is never returned for
 // damage (short header, bad checksum, undecodable payload) — that is a tear.
 var ErrUnsupportedFormat = errors.New("persist: unsupported on-disk format")
 
@@ -108,10 +140,10 @@ type walRecord struct {
 	ref        uint64      // opDefine
 	kind       metric.Kind // opDefine
 	unit       metric.Unit // opDefine
-	refEntries []refSample // opAppendRef
+	refEntries []refSample // opAppendCols
 }
 
-// refSample is one opAppendRef sample: a WAL series ref plus the sample.
+// refSample is one opAppendCols sample: a WAL series ref plus the sample.
 type refSample struct {
 	ref uint64
 	t   int64
@@ -130,7 +162,7 @@ func (r *walRecord) apply(store *timeseries.Store, rt *RefTable) {
 		store.RetainTier(r.step, r.cutoff)
 	case opDefine:
 		rt.define(store, r.ref, r.id, r.kind, r.unit)
-	case opAppendRef:
+	case opAppendCols:
 		rt.appendRefs(store, r.refEntries)
 	}
 }
@@ -231,20 +263,45 @@ func encodeDefine(buf []byte, ref uint64, id metric.ID, kind metric.Kind, unit m
 	return binenc.AppendString(buf, string(unit))
 }
 
-// encodeAppendRef serializes an opAppendRef payload: per sample a WAL-ref
-// uvarint, a timestamp varint (the first absolute, the rest deltas against
-// the previous entry — a scrape shares one timestamp, so the common delta
-// is a single zero byte) and the 8-byte value.
-func encodeAppendRef(buf []byte, entries []refSample) []byte {
-	buf = append(buf, opAppendRef)
+// encodeAppendCols serializes an opAppendCols payload for entries, entry i
+// addressed by WAL ref refs[i]. The columns it leaves out are chosen here:
+// the refs collapse to their first when they ascend by one, the times vanish
+// when every sample carries the first one's.
+func encodeAppendCols(buf []byte, refs []uint64, entries []timeseries.RefEntry) []byte {
+	var shape byte
+	var baseT int64
+	if len(entries) > 0 {
+		shape = shapeRefRun
+		baseT = entries[0].T
+	}
+	for i := 1; i < len(entries); i++ {
+		if refs[i] != refs[0]+uint64(i) {
+			shape &^= shapeRefRun
+		}
+		if entries[i].T != baseT {
+			shape |= shapeTimes
+		}
+	}
+	buf = append(buf, opAppendCols)
 	buf = binenc.AppendUvarint(buf, uint64(len(entries)))
-	var prevT int64
+	buf = append(buf, shape)
+	buf = binenc.AppendVarint(buf, baseT)
+	if shape&shapeRefRun != 0 {
+		buf = binenc.AppendUvarint(buf, refs[0])
+	} else {
+		var prev uint64
+		for _, ref := range refs {
+			buf = binenc.AppendVarint(buf, int64(ref-prev))
+			prev = ref
+		}
+	}
+	if shape&shapeTimes != 0 {
+		for i := range entries {
+			buf = binenc.AppendVarint(buf, entries[i].T-baseT)
+		}
+	}
 	for i := range entries {
-		e := &entries[i]
-		buf = binenc.AppendUvarint(buf, e.ref)
-		buf = binenc.AppendVarint(buf, e.t-prevT)
-		prevT = e.t
-		buf = binenc.AppendFloat(buf, e.v)
+		buf = binenc.AppendFloat(buf, entries[i].V)
 	}
 	return buf
 }
@@ -265,8 +322,9 @@ func encodeRetainTier(buf []byte, step, cutoff int64) []byte {
 // --- payload decoding -------------------------------------------------
 
 // decodeRecord parses one WAL payload (already checksum-verified by the
-// caller). A retired op code is ErrUnsupportedFormat; any other failure
-// means the bytes are not a record. An opAppendRef's samples are decoded
+// caller). A retired op code or a reserved shape bit is
+// ErrUnsupportedFormat; any other failure
+// means the bytes are not a record. An opAppendCols's samples are decoded
 // into *scratch, grown when the record holds more than it does: the
 // record's refEntries alias it and are valid until the stream's next decode.
 func decodeRecord(payload []byte, scratch *[]refSample) (walRecord, error) {
@@ -291,19 +349,41 @@ func decodeRecord(payload []byte, scratch *[]refSample) (walRecord, error) {
 		rec.id = p.ID()
 		rec.kind = metric.Kind(p.Byte())
 		rec.unit = metric.Unit(p.Str())
-	case opAppendRef:
-		// A ref byte, a timestamp byte and an 8-byte value per sample.
-		n := p.Count(10)
+	case opRetiredAppendRef:
+		return rec, fmt.Errorf("%w: wal record with retired op code %d (row-wise ref append)", ErrUnsupportedFormat, rec.op)
+	case opAppendCols:
+		n := p.Count(8) // a sample is at least its value
+		shape := p.Byte()
+		if shape&^(shapeRefRun|shapeTimes) != 0 {
+			return rec, fmt.Errorf("%w: wal append record with reserved shape bits %#02x", ErrUnsupportedFormat, shape)
+		}
+		baseT := p.Varint()
 		if cap(*scratch) < n {
 			*scratch = make([]refSample, n)
 		}
-		rec.refEntries = (*scratch)[:n]
-		var t int64
-		for i := range rec.refEntries {
-			ref := p.Uvarint()
-			t += p.Varint()
-			rec.refEntries[i] = refSample{ref: ref, t: t, v: p.Float()}
+		recs := (*scratch)[:n]
+		if shape&shapeRefRun != 0 {
+			first := p.Uvarint()
+			for i := range recs {
+				recs[i].ref = first + uint64(i)
+			}
+		} else {
+			var ref uint64
+			for i := range recs {
+				ref += uint64(p.Varint())
+				recs[i].ref = ref
+			}
 		}
+		for i := range recs {
+			recs[i].t = baseT
+			if shape&shapeTimes != 0 {
+				recs[i].t += p.Varint()
+			}
+		}
+		for i := range recs {
+			recs[i].v = p.Float()
+		}
+		rec.refEntries = recs
 	default:
 		return rec, fmt.Errorf("persist: unknown op %d", rec.op)
 	}

@@ -47,7 +47,7 @@ func refIngest(t *testing.T, d *DurableStore, ops int) {
 }
 
 // TestRefIngestCrashRecovery: a store fed purely through the ref fast path
-// (opDefine + opAppendRef records, with retention interleaved) recovers
+// (opDefine + opAppendCols records, with retention interleaved) recovers
 // byte-identical after a crash — the same guarantee keyed ingest has.
 func TestRefIngestCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
@@ -126,11 +126,12 @@ func TestRefIngestMatchesKeyedIngest(t *testing.T) {
 	}
 }
 
-// TestWALBytesPerSample pins the on-disk cost of a logged sample (a ref
-// uvarint + delta-t + value, plus the record header shared by a scrape):
-// at most 20 WAL bytes per sample on a 2-series, 200-round stream, through
-// either entry point. The retired keyed record, which re-encoded the full
-// ID and unit per entry, cost 57.5 on the same stream.
+// TestWALBytesPerSample pins the on-disk cost of a logged sample (its
+// 8-byte value plus its share of the column record's header, which a
+// scrape's two samples split): at most 20 WAL bytes per sample on a
+// 2-series, 200-round stream, through either entry point. The retired
+// keyed record, which re-encoded the full ID and unit per entry, cost 57.5
+// on the same stream.
 func TestWALBytesPerSample(t *testing.T) {
 	ids := []metric.ID{
 		{Name: "node_power_watts", Labels: metric.NewLabels("node", "n042", "rack", "r02")},
@@ -262,7 +263,7 @@ func TestStaleRefsNeverLogged(t *testing.T) {
 
 // TestSegmentStreamReplaysRefRecords: a follower applying the leader's raw
 // record stream (SegmentReader + ApplyRecord with a RefTable) converges on
-// the leader's exact store — including opDefine/opAppendRef records and the
+// the leader's exact store — including opDefine/opAppendCols records and the
 // retention records interleaved between them.
 func TestSegmentStreamReplaysRefRecords(t *testing.T) {
 	dir := t.TempDir()

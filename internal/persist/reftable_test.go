@@ -32,7 +32,7 @@ func (mt *mapRefTable) apply(t *testing.T, store *timeseries.Store, payload []by
 			mt.epoch = store.RefEpoch()
 		}
 		mt.defs[rec.ref] = refDef{id: rec.id, kind: rec.kind, unit: rec.unit, sref: sref}
-	case opAppendRef:
+	case opAppendCols:
 		if cur := store.RefEpoch(); cur != mt.epoch {
 			for ref, d := range mt.defs {
 				if sref, err := store.Resolve(d.id, d.kind, d.unit); err == nil {
@@ -64,7 +64,7 @@ func TestRefTableEdgesMatchMapReference(t *testing.T) {
 	def := func(ref uint64, id metric.ID) []byte {
 		return encodeDefine(nil, ref, id, metric.Gauge, metric.UnitWatt)
 	}
-	app := func(samples ...refSample) []byte { return encodeAppendRef(nil, samples) }
+	app := func(samples ...refSample) []byte { return appendColsPayload(samples) }
 
 	cases := []struct {
 		name    string
@@ -167,11 +167,11 @@ func TestRecordEntriesReusesScratch(t *testing.T) {
 	if _, err := RecordEntries(rt, encodeDefine(nil, 1, id, metric.Gauge, metric.UnitWatt)); err != nil {
 		t.Fatal(err)
 	}
-	first, err := RecordEntries(rt, encodeAppendRef(nil, []refSample{{1, 1000, 1}, {1, 2000, 2}}))
+	first, err := RecordEntries(rt, appendColsPayload([]refSample{{1, 1000, 1}, {1, 2000, 2}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RecordEntries(rt, encodeAppendRef(nil, []refSample{{1, 3000, 3}, {1, 4000, 4}})); err != nil {
+	if _, err := RecordEntries(rt, appendColsPayload([]refSample{{1, 3000, 3}, {1, 4000, 4}})); err != nil {
 		t.Fatal(err)
 	}
 	if len(first) != 2 || first[0].T != 1000 || first[1].V != 2 {

@@ -21,7 +21,7 @@ func BenchmarkWALReplayRefs(b *testing.B) {
 	}
 	for r := 0; r < 200; r++ {
 		now := int64(1000 + r*1000)
-		payloads = append(payloads, encodeAppendRef(nil, []refSample{
+		payloads = append(payloads, appendColsPayload([]refSample{
 			{ref: 1, t: now, v: float64(r)},
 			{ref: 2, t: now, v: float64(100 - r)},
 		}))
@@ -46,9 +46,15 @@ func BenchmarkWALReplayRefs(b *testing.B) {
 // "direct" builds the same store from the same defines but hands the
 // samples to AppendRefs already decoded and resolved, so the difference in
 // allocs/op is what the decode-and-resolve loop allocates — `make
-// bench-replay` holds it to one scratch buffer per segment.
+// bench-replay` holds it to one scratch buffer per segment. "replay" also
+// reports wal_B/sample, the fleet segments' bytes over their samples: a
+// count, not a timing, which `make bench-replay` gates like the allocs.
 func BenchmarkWALReplayFleet(b *testing.B) {
 	log := fleetWAL()
+	var walBytes int
+	for _, seg := range log.segments {
+		walBytes += len(seg)
+	}
 	b.Run("replay", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -68,6 +74,7 @@ func BenchmarkWALReplayFleet(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(log.samples), "ns/sample")
 		b.ReportMetric(float64(len(log.segments)), "segments")
+		b.ReportMetric(float64(walBytes)/float64(log.samples), "wal_B/sample")
 	})
 	b.Run("direct", func(b *testing.B) {
 		b.ReportAllocs()

@@ -83,7 +83,7 @@ func (r *SegmentReader) ReadFrom(seq uint64, off int64, maxBytes int64, fn func(
 		if err != nil {
 			return seq, off, records, err
 		}
-		if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
+		if !knownMagic(data) {
 			// Header not on disk yet (freshly rotated, not yet visible in
 			// full): treat as empty and retry later.
 			return seq, off, records, nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,8 +14,25 @@ import (
 	"sync/atomic"
 )
 
-// segMagic heads every WAL segment file.
-const segMagic = "ODAWAL1\n"
+// segMagic heads every WAL segment this version writes. Segments headed
+// segMagicV1 were written before samples were logged as opAppendCols: they
+// still replay (their define and retain records are this version's, and a
+// retired append record in one is refused), but none is written any more,
+// so a build that reads only V1 segments refuses this version's whole
+// rather than cutting it off at the first record it cannot decode.
+const (
+	segMagic   = "ODAWAL2\n"
+	segMagicV1 = "ODAWAL1\n"
+)
+
+// knownMagic reports whether data opens with a segment magic replay reads.
+func knownMagic(data []byte) bool {
+	if len(data) < len(segMagic) {
+		return false
+	}
+	m := string(data[:len(segMagic)])
+	return m == segMagic || m == segMagicV1
+}
 
 // DefaultSegmentSize is the WAL rotation threshold.
 const DefaultSegmentSize = 8 << 20
@@ -76,6 +94,10 @@ type wal struct {
 	seq  uint64 // current segment sequence number
 	size int64  // bytes written to the current segment
 	buf  []byte // scratch for record framing, reused across appends
+	// broken is set when a failed write could not be cut back out of the
+	// segment: every later append returns it instead of landing behind the
+	// fragment, where replay would stop at the tear and drop it.
+	broken error
 
 	writeSeq atomic.Uint64 // records written (monotonic append sequence)
 	syncSeq  atomic.Uint64 // highest append sequence known durable
@@ -195,12 +217,18 @@ func advance(a *atomic.Uint64, v uint64) {
 // append frames and writes one record payload, returning the record's
 // append sequence (for SyncTo) and the segment byte offset one past its
 // end. The write is a single syscall; durability is the caller's policy.
+// A write that fails may have put part of the record down (a short write):
+// the segment is cut back to its last whole record before the error
+// returns, so the next append lands where replay expects a record to start.
 func (w *wal) append(payload []byte) (seq uint64, end int64, err error) {
 	if len(payload) > MaxRecord {
 		return 0, 0, fmt.Errorf("persist: record exceeds MaxRecord (%d bytes)", len(payload))
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.broken != nil {
+		return 0, 0, w.broken
+	}
 	if w.f == nil {
 		return 0, 0, fmt.Errorf("persist: append: %w", os.ErrClosed)
 	}
@@ -217,6 +245,13 @@ func (w *wal) append(payload []byte) (seq uint64, end int64, err error) {
 	w.buf = append(w.buf, hdr[:]...)
 	w.buf = append(w.buf, payload...)
 	if _, err := w.f.Write(w.buf); err != nil {
+		cerr := w.f.Truncate(w.size)
+		if cerr == nil {
+			_, cerr = w.f.Seek(w.size, io.SeekStart)
+		}
+		if cerr != nil {
+			w.broken = fmt.Errorf("persist: wal write failed (%w) and its fragment could not be cut: %v", err, cerr)
+		}
 		return 0, 0, err
 	}
 	w.size += rec
@@ -333,8 +368,8 @@ func replaySegment(data []byte, apply func(rec walRecord)) (replayResult, error)
 		res.tornSize = int64(len(data))
 		return res, nil
 	}
-	if got := data[:len(segMagic)]; string(got) != segMagic {
-		return res, fmt.Errorf("%w: segment magic %q, want %q", ErrUnsupportedFormat, got, segMagic)
+	if !knownMagic(data) {
+		return res, fmt.Errorf("%w: segment magic %q, want %q", ErrUnsupportedFormat, data[:len(segMagic)], segMagic)
 	}
 	res.offset = int64(len(segMagic))
 	var scratch []refSample // every record's samples decode into this

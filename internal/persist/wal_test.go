@@ -30,6 +30,17 @@ func frameSegment(payloads ...[]byte) []byte {
 	return buf
 }
 
+// appendColsPayload encodes samples through the live writer's encoder.
+func appendColsPayload(samples []refSample) []byte {
+	refs := make([]uint64, len(samples))
+	entries := make([]timeseries.RefEntry, len(samples))
+	for i, s := range samples {
+		refs[i] = s.ref
+		entries[i] = timeseries.RefEntry{T: s.t, V: s.v}
+	}
+	return encodeAppendCols(nil, refs, entries)
+}
+
 // mustReplay is replaySegment for inputs that hold nothing unsupported.
 func mustReplay(t testing.TB, data []byte, apply func(walRecord)) replayResult {
 	t.Helper()
@@ -57,8 +68,8 @@ func TestRecordRoundTrip(t *testing.T) {
 				t.Fatalf("define round trip mismatch: %+v", rec)
 			}
 		}},
-		{"append", encodeAppendRef(nil, entries), func(t *testing.T, rec walRecord) {
-			if rec.op != opAppendRef || !reflect.DeepEqual(rec.refEntries, entries) {
+		{"append", appendColsPayload(entries), func(t *testing.T, rec walRecord) {
+			if rec.op != opAppendCols || !reflect.DeepEqual(rec.refEntries, entries) {
 				t.Fatalf("append round trip mismatch: %+v", rec)
 			}
 		}},
@@ -83,7 +94,7 @@ func TestDecodeRecordRejectsGarbage(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":          nil,
 		"unknown op":     {99, 1, 2, 3},
-		"truncated":      encodeAppendRef(nil, []refSample{{ref: 1, t: 1, v: 2}})[:5],
+		"truncated":      appendColsPayload([]refSample{{ref: 1, t: 1, v: 2}})[:5],
 		"trailing bytes": append(encodeRetain(nil, 7), 0xFF),
 	}
 	for name, payload := range cases {
