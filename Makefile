@@ -89,6 +89,7 @@ cover:
 # corpora live in testdata/fuzz/). go test accepts one -fuzz pattern per
 # package, so the targets run back to back.
 fuzz-short:
+	$(GO) test -run xxx -fuzz FuzzValueColumn -fuzztime $(FUZZTIME) ./internal/binenc
 	$(GO) test -run xxx -fuzz FuzzBitstreamRoundTrip -fuzztime $(FUZZTIME) ./internal/timeseries
 	$(GO) test -run xxx -fuzz FuzzBitWriterParity -fuzztime $(FUZZTIME) ./internal/timeseries
 	$(GO) test -run xxx -fuzz FuzzTierGroupRoundTrip -fuzztime $(FUZZTIME) ./internal/timeseries
@@ -178,9 +179,9 @@ bench-ingest:
 # stray allocations, which land in either count). The budget is a count, so
 # it does not depend on how fast this box is today; ns/sample is printed for
 # the reader. The same run gates the fleet WAL's size: wal_B/sample (segment
-# bytes over samples, also a count) must stay at or under 8.9 — 8.71 with
-# the column append record, 11.55 with the row-wise one it replaced. A
-# missing benchmark fails the gate.
+# bytes over samples, also a count) must stay at or under 3.86 — 3.748 with
+# the decimal value column, 8.71 with raw values, 11.55 with the row-wise
+# record. A missing benchmark fails the gate.
 bench-replay:
 	@out=$$($(GO) test -run xxx -bench 'BenchmarkWALReplayFleet' -benchmem -benchtime 2x ./internal/persist); \
 	echo "$$out"; \
@@ -193,8 +194,8 @@ bench-replay:
 			printf "replay %d allocs/op, direct build %d, %d segments: budget %d\n", replay, direct, segs, budget; \
 			if (replay+0 > budget) { printf "FAIL: replay allocates %d allocs/op over its budget\n", replay - budget; exit 1 } \
 			print "OK: the decode-and-resolve loop allocates nothing per record or per sample"; \
-			printf "fleet WAL %.3f B/sample: budget 8.9\n", walb; \
-			if (walb+0 > 8.9) { print "FAIL: the fleet WAL costs more bytes per sample than its budget"; exit 1 } \
+			printf "fleet WAL %.3f B/sample: budget 3.86\n", walb; \
+			if (walb+0 > 3.86) { print "FAIL: the fleet WAL costs more bytes per sample than its budget"; exit 1 } \
 			print "OK: a logged sample costs its value plus the columns it needs" }'
 
 # The end-to-end benchmark BENCHMARK.json declares: all four workloads, one

@@ -2,7 +2,9 @@
 // tree: wire frames, WAL records, snapshots, topology and cluster RPC. All of
 // them are runs of the same five primitives — uvarint, zig-zag varint,
 // length-prefixed string/bytes, big-endian float64 and a single byte — plus
-// the metric ID layout (name, label count, key/value pairs) built from them.
+// two layouts built from them: the metric ID (name, label count, key/value
+// pairs) and the value column that the wire's ref batch and the WAL's append
+// record share (AppendValues).
 //
 // Encoding is append-style (like strconv.AppendInt). Decoding goes through
 // Reader, which is bounds-checked and error-sticky: the first short or
@@ -59,6 +61,64 @@ func AppendID(b []byte, id metric.ID) []byte {
 	for _, l := range id.Labels {
 		b = AppendString(b, l.Key)
 		b = AppendString(b, l.Value)
+	}
+	return b
+}
+
+// maxDecimalExp is the largest exponent a decimal value column uses: 10^15
+// and every smaller power of ten are exact in a float64.
+const maxDecimalExp = 15
+
+var pow10 = [maxDecimalExp + 1]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// decimalAt reports whether v is m/10^e for an integer m with |m| < 2^53,
+// bit for bit: the decoder's float64(m)/10^e, the same IEEE division, gives
+// back exactly v. -0, NaN, the infinities and anything inexact fail.
+func decimalAt(v float64, e int) (int64, bool) {
+	r := math.Round(v * pow10[e])
+	if !(math.Abs(r) < 1<<53) {
+		return 0, false
+	}
+	m := int64(r)
+	return m, math.Float64bits(float64(m)/pow10[e]) == math.Float64bits(v)
+}
+
+// AppendValues appends vs as one value column, coded as the values allow.
+// Decimal when some exponent e in 0…15 makes every value exactly m/10^e with
+// |m| < 2^53: a byte e — the smallest such — then each m as a zig-zag
+// varint. Raw otherwise, and for no values: each value's IEEE-754 bits, 8
+// bytes big endian. Nothing is lossy either way, and the column depends on
+// no earlier one. The column does not say which coding it took; the caller
+// records decimal in its own header and hands it back to Reader.ValueCol.
+func AppendValues(b []byte, vs []float64) (_ []byte, decimal bool) {
+	if len(vs) == 0 {
+		return b, false
+	}
+	start, e := len(b), 0
+	b = append(b, 0)
+	for i := 0; i < len(vs); i++ {
+		if m, ok := decimalAt(vs[i], e); ok {
+			b = AppendVarint(b, m)
+			continue
+		}
+		for ok := false; !ok; _, ok = decimalAt(vs[i], e) {
+			if e == maxDecimalExp {
+				return appendRaw(b[:start], vs), false
+			}
+			e++
+		}
+		// The values before i fit at a smaller exponent, which does not
+		// promise that they fit at this one: code them again.
+		b = append(b[:start], byte(e))
+		i = -1
+	}
+	return b, true
+}
+
+// appendRaw appends vs as a raw value column.
+func appendRaw(b []byte, vs []float64) []byte {
+	for _, v := range vs {
+		b = AppendFloat(b, v)
 	}
 	return b
 }
@@ -145,6 +205,37 @@ func (r *Reader) Float() float64 {
 	v := math.Float64frombits(binary.BigEndian.Uint64(r.buf[r.pos:]))
 	r.pos += 8
 	return v
+}
+
+// ValueCol is a value column being read: its coding, as Reader.ValueCol
+// found it.
+type ValueCol struct {
+	scale float64 // 10^e of a decimal column; 0 for a raw one
+}
+
+// errExponent reports a decimal column exponent past maxDecimalExp.
+var errExponent = errors.New("binenc: decimal value column exponent out of range")
+
+// ValueCol starts reading a column AppendValues wrote; decimal is what it
+// reported. Read the column's values with Value.
+func (r *Reader) ValueCol(decimal bool) ValueCol {
+	if !decimal {
+		return ValueCol{}
+	}
+	e := r.Byte()
+	if e > maxDecimalExp {
+		r.fail(errExponent)
+		return ValueCol{}
+	}
+	return ValueCol{scale: pow10[e]}
+}
+
+// Value reads the next value of column c.
+func (r *Reader) Value(c ValueCol) float64 {
+	if c.scale == 0 {
+		return r.Float()
+	}
+	return float64(r.Varint()) / c.scale
 }
 
 // take returns the next n bytes without copying. n comes straight off the

@@ -1,6 +1,7 @@
 package binenc
 
 import (
+	"encoding/hex"
 	"errors"
 	"io"
 	"math"
@@ -144,6 +145,143 @@ func TestMalformedInput(t *testing.T) {
 		r = NewReader(AppendUvarint(nil, 1<<40))
 		if n := r.Count(1); n != 0 || !errors.Is(r.Err(), errCount) {
 			t.Fatalf("huge count: %d, %v", n, r.Err())
+		}
+	})
+}
+
+// readColumn decodes n values of a column AppendValues wrote.
+func readColumn(payload []byte, decimal bool, n int) ([]float64, error) {
+	r := NewReader(payload)
+	c := r.ValueCol(decimal)
+	vs := make([]float64, n)
+	for i := range vs {
+		vs[i] = r.Value(c)
+	}
+	return vs, r.Done()
+}
+
+// decimalRef says, from the definition rather than the codec, whether some
+// e in 0…15 makes every value of vs exactly float64(m)/10^e, bit for bit,
+// for an integer m with |m| < 2^53, and returns the smallest such e.
+func decimalRef(vs []float64) (int, bool) {
+	for e := 0; e <= 15 && len(vs) > 0; e++ {
+		fits := true
+		for _, v := range vs {
+			m := math.Round(v * math.Pow10(e))
+			fits = fits && math.Abs(m) < 1<<53 &&
+				math.Float64bits(float64(int64(m))/math.Pow10(e)) == math.Float64bits(v)
+		}
+		if fits {
+			return e, true
+		}
+	}
+	return 0, false
+}
+
+// checkColumn encodes vs, checks the coding against decimalRef, and checks
+// that the column decodes to vs bit for bit and that every strict prefix of
+// it fails to decode.
+func checkColumn(t *testing.T, vs []float64) []byte {
+	t.Helper()
+	col, decimal := AppendValues(nil, vs)
+	wantE, wantDecimal := decimalRef(vs)
+	if decimal != wantDecimal || (decimal && col[0] != byte(wantE)) {
+		t.Fatalf("%v: decimal=%v (column %x), want decimal=%v at e=%d", vs, decimal, col, wantDecimal, wantE)
+	}
+	if !decimal && len(col) != 8*len(vs) {
+		t.Fatalf("%v: raw column of %d bytes", vs, len(col))
+	}
+	got, err := readColumn(col, decimal, len(vs))
+	if err != nil {
+		t.Fatalf("%v: %v", vs, err)
+	}
+	for i := range vs {
+		if math.Float64bits(got[i]) != math.Float64bits(vs[i]) {
+			t.Fatalf("value %d: got %v (%#x), want %v (%#x)", i, got[i], math.Float64bits(got[i]), vs[i], math.Float64bits(vs[i]))
+		}
+	}
+	for cut := range col {
+		if _, err := readColumn(col[:cut], decimal, len(vs)); err == nil {
+			t.Fatalf("%v: strict prefix of %d/%d bytes decoded", vs, cut, len(col))
+		}
+	}
+	return col
+}
+
+// TestValueColumn pins the coding AppendValues picks: decimal at the smallest
+// exponent every value fits, raw when any value fits none — -0, NaN, the
+// infinities, subnormals, |m| at 2^53 — and raw, zero bytes, for no values.
+func TestValueColumn(t *testing.T) {
+	for _, tc := range []struct {
+		vs   []float64
+		want string // the column's bytes, hex
+	}{
+		{nil, ""},
+		{[]float64{1, 2, -3}, "00020405"},
+		{[]float64{412.5, 61}, "01ba40c409"}, // 4125 and 610 at e = 1
+		{[]float64{0.1, 0.25}, "021432"},     // 10 and 25 at e = 2
+		{[]float64{1e-15}, "0f02"},
+		{[]float64{1<<53 - 1}, "00feffffffffffff1f"},
+		{[]float64{1e-16}, "3c9cd2b297d889bc"},
+		{[]float64{1 << 53}, "4340000000000000"},
+		{[]float64{1, math.Copysign(0, -1)}, "3ff00000000000008000000000000000"},
+		{[]float64{1, math.Inf(1)}, "3ff00000000000007ff0000000000000"},
+		{[]float64{math.Float64frombits(0x7FF8_0000_0000_0001)}, "7ff8000000000001"},
+		{[]float64{5e-324}, "0000000000000001"},
+	} {
+		col := checkColumn(t, tc.vs)
+		if got := hex.EncodeToString(col); got != tc.want {
+			t.Errorf("%v: column %s, want %s", tc.vs, got, tc.want)
+		}
+	}
+	// An exponent past 15 is no column this codec writes.
+	r := NewReader([]byte{16, 2})
+	if r.Value(r.ValueCol(true)); !errors.Is(r.Err(), errExponent) {
+		t.Fatalf("exponent 16: %v", r.Err())
+	}
+}
+
+// FuzzValueColumn: every column of arbitrary float64 bit patterns, and of
+// arbitrary integers over a power of ten, takes the coding decimalRef names
+// and round-trips bit for bit; arbitrary bytes decode as either coding
+// without panicking.
+func FuzzValueColumn(f *testing.F) {
+	bits := func(vs ...float64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = AppendFloat(b, v)
+		}
+		return b
+	}
+	ints := func(ms ...int64) []byte {
+		var b []byte
+		for _, m := range ms {
+			b = AppendVarint(b, m)
+		}
+		return b
+	}
+	f.Add(bits(0, math.Copysign(0, -1)), ints(0, 1, -1), uint8(0))
+	f.Add(bits(math.NaN(), math.Float64frombits(0xFFF0_0000_DEAD_BEEF), math.Inf(1), math.Inf(-1)), ints(4125, 610), uint8(1))
+	f.Add(bits(5e-324, 2.2250738585072009e-308, math.MaxFloat64), ints(1<<53-1, 1-1<<53), uint8(15))
+	f.Add(bits(1<<53-1, 1<<53, 1<<53+2), ints(1<<53, 1<<53+1, -(1<<53)-1), uint8(2))
+	f.Add(bits(0.1, 411.5, 61), ints(1, 1<<62), uint8(16))
+	f.Fuzz(func(t *testing.T, raw, scaled []byte, e uint8) {
+		// checkColumn's prefix sweep is quadratic: 64 values make the point.
+		raw = raw[:min(len(raw), 8*64)]
+		var vs []float64
+		for r := NewReader(raw); len(vs) < len(raw)/8; {
+			vs = append(vs, r.Float())
+		}
+		checkColumn(t, vs)
+		vs = vs[:0]
+		for r := NewReader(scaled); r.Err() == nil && r.left() > 0 && len(vs) < 64; {
+			if m := r.Varint(); r.Err() == nil {
+				vs = append(vs, float64(m)/math.Pow10(int(e%17)))
+			}
+		}
+		checkColumn(t, vs)
+		for _, decimal := range []bool{false, true} {
+			_, _ = readColumn(raw, decimal, len(raw)) // no panic is the property
 		}
 	})
 }

@@ -97,10 +97,11 @@ type DurableStore struct {
 	// life of a store instance — to the uvarint refs used in opDefine /
 	// opAppendCols records; a checkpoint clears it, so post-snapshot
 	// segments are self-contained (every ref they use is re-defined within
-	// them). refEnc/refValid/refWAL/refIn are reused scratch.
+	// them). refEnc/refVals/refValid/refWAL/refIn are reused scratch.
 	walRefs    map[uint32]uint64
 	nextWALRef uint64
 	refEnc     []byte
+	refVals    []float64 // the value column of refEnc's append record
 	refValid   []timeseries.RefEntry
 	refWAL     []uint64              // refValid's WAL refs, index for index
 	refIn      []timeseries.RefEntry // AppendBatch's resolved entries
@@ -415,7 +416,7 @@ func (d *DurableStore) defineLocked(id metric.ID, kind metric.Kind, unit metric.
 // binding (possible after a checkpoint cleared the table) gets its
 // definition re-logged on the fly. The batch is logged as one opAppendCols
 // record: a scrape's samples — consecutive WAL refs, one timestamp — cost
-// their 8-byte values plus a few header bytes shared by the record.
+// their value column plus a few header bytes shared by the record.
 func (d *DurableStore) AppendRefs(entries []timeseries.RefEntry) (int, error) {
 	if len(entries) == 0 {
 		return 0, nil
@@ -461,7 +462,10 @@ func (d *DurableStore) appendRefsLocked(entries []timeseries.RefEntry) (n int, s
 	if len(d.refValid) == 0 {
 		return 0, seq, staleErr
 	}
-	d.refEnc = encodeAppendCols(d.refEnc[:0], d.refWAL, d.refValid)
+	if len(d.refValid) > maxRecordSamples {
+		return 0, seq, fmt.Errorf("persist: %d samples exceed a record's %d", len(d.refValid), maxRecordSamples)
+	}
+	d.refEnc, d.refVals = encodeAppendCols(d.refEnc[:0], d.refVals[:0], d.refWAL, d.refValid)
 	if seq, _, err = d.wal.append(d.refEnc); err != nil {
 		return 0, seq, err
 	}

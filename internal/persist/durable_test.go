@@ -149,7 +149,7 @@ func TestCleanCloseRecoversReplayFree(t *testing.T) {
 
 func TestCheckpointGarbageCollectsSegments(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{ChunkSize: 8, Fsync: FsyncNever, SegmentSize: 512}
+	opts := Options{ChunkSize: 8, Fsync: FsyncNever, SegmentSize: 256}
 	d, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -1,13 +1,16 @@
 package persist
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -98,7 +101,7 @@ func TestOpenRefusesUnsupportedFormats(t *testing.T) {
 		}, "retired op code 6"},
 		{"append record with a reserved shape bit", map[string][]byte{
 			segmentName(1): frameSegment(def, app, reservedShapePayload(), app),
-		}, "reserved shape bits 0x05"},
+		}, "reserved shape bits 0x0d"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -176,5 +179,102 @@ func TestOpenReadsV1Segments(t *testing.T) {
 	defer d.Close()
 	if got := d.Store().NumSamples(); got != 1 {
 		t.Fatalf("recovered %d samples, want 1", got)
+	}
+}
+
+// rawValueSegment is the WAL segment rawValueLog left in its directory at
+// the build before the decimal value column and the opAppendCols shape bit
+// that marks it: every append record in it carries raw 8-byte values.
+const rawValueSegment = "testdata/wal-raw-values.seg"
+
+// rawValueLog ingests the store rawValueSegment holds into a fresh
+// DurableStore in dir and crashes it, so the directory holds the WAL alone,
+// and returns the live store's encoded dump: 8 fleet-style series and one
+// series of values no decimal column takes, for 120 ticks. Every fifth tick
+// logs its batch in reverse, every third logs the odd series half a second
+// late, so the segment holds ref runs, ref deltas and time columns.
+func rawValueLog(t *testing.T, dir string) []byte {
+	t.Helper()
+	opts := Options{Fsync: FsyncNever, StoreOptions: []timeseries.Option{timeseries.WithRollups(timeseries.TierStep1m)}}
+	d, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const series = 8
+	vals := newFleetValues(series)
+	odd := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 5e-324, math.MaxFloat64, 1, 0.1, 1 << 53}
+	var batch []timeseries.BatchEntry
+	for tick := 0; tick < 120; tick++ {
+		vals.next()
+		ts := int64(fleetT0 + tick*fleetStepMs)
+		batch = batch[:0]
+		for i := 0; i < series; i++ {
+			batch = append(batch, timeseries.BatchEntry{ID: fleetID(i/4, i%4), Kind: metric.Gauge, Unit: metric.UnitWatt, T: ts, V: vals.value[i]})
+		}
+		oddT := ts
+		if tick%3 == 0 {
+			oddT += 500
+		}
+		batch = append(batch, timeseries.BatchEntry{ID: metric.ID{Name: "odd_values"}, Kind: metric.Gauge, Unit: metric.UnitWatt, T: oddT, V: odd[tick%len(odd)]})
+		if tick%5 == 0 {
+			slices.Reverse(batch)
+		}
+		if n, err := d.AppendBatch(batch); err != nil || n != len(batch) {
+			t.Fatalf("tick %d: appended %d of %d: %v", tick, n, len(batch), err)
+		}
+	}
+	dump := EncodeDump(120, d.Store().Dump())
+	d.Crash()
+	return dump
+}
+
+// TestOpenReadsRawValueSegment: a segment the build before the decimal value
+// column wrote replays, through the whole of recovery, to the store that
+// build held — and this build logs the same input in fewer bytes.
+func TestOpenReadsRawValueSegment(t *testing.T) {
+	parent, err := os.ReadFile(rawValueSegment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// What the fixture is for: 120 append records, every one raw, with and
+	// without a ref run and a time column.
+	shapes := map[byte]int{}
+	for off := int64(len(segMagic)); off < int64(len(parent)); {
+		payload, next, ok := nextRecord(parent, off)
+		if !ok {
+			t.Fatalf("fixture torn at offset %d", off)
+		}
+		if payload[0] == opAppendCols {
+			_, k := binary.Uvarint(payload[1:])
+			shapes[payload[1+k]]++
+		}
+		off = next
+	}
+	if len(shapes) != 4 || shapes[0]+shapes[shapeRefRun]+shapes[shapeTimes]+shapes[shapeRefRun|shapeTimes] != 120 {
+		t.Fatalf("fixture append record shapes %v, want 120 raw records of all four ref and time shapes", shapes)
+	}
+
+	mine := t.TempDir()
+	want := rawValueLog(t, mine)
+	written, err := os.ReadFile(filepath.Join(mine, segmentName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(written) >= len(parent) {
+		t.Fatalf("this build logs %d bytes where the fixture holds %d", len(written), len(parent))
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), parent, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Open(dir, Options{Fsync: FsyncNever, StoreOptions: []timeseries.Option{timeseries.WithRollups(timeseries.TierStep1m)}})
+	if err != nil {
+		t.Fatalf("open on the fixture segment: %v", err)
+	}
+	defer d.Crash()
+	// Compared encoded: the odd series holds NaNs, which DeepEqual tells apart.
+	if got := EncodeDump(120, d.Store().Dump()); !bytes.Equal(got, want) {
+		t.Fatal("store recovered from the fixture differs from the store that logged it")
 	}
 }

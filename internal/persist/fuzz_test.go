@@ -57,12 +57,12 @@ func retiredRefPayload() []byte {
 	return b
 }
 
-// reservedShapePayload is a one-sample append record with shape bit 2 set,
+// reservedShapePayload is a one-sample append record with shape bit 3 set,
 // which no writer of this version sets: a later format's record, refused
 // whole rather than truncated as a tear.
 func reservedShapePayload() []byte {
 	p := appendColsPayload([]refSample{{ref: 1, t: 3000, v: 3}})
-	p[2] |= 4 // op, n = 1, then the shape byte
+	p[2] |= shapeDecimal << 1 // op, n = 1, then the shape byte
 	return p
 }
 
@@ -83,6 +83,13 @@ func walFuzzSeeds() map[string][]byte {
 	}
 
 	countPastValues := []byte{opAppendCols, 3, shapeRefRun, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0}
+	// A scrape as the decimal column logs it, and the same record with an
+	// exponent past the column's range: not a record, so a tear.
+	defB := encodeDefine(nil, 2, idB, metric.Gauge, metric.UnitCelsius)
+	scrape := appendColsPayload([]refSample{{ref: 1, t: 4000, v: 412.5}, {ref: 2, t: 4000, v: 61}})
+	raw := appendColsPayload([]refSample{{ref: 2, t: 5000, v: 1.0 / 3}, {ref: 1, t: 5000, v: 400}})
+	badExp := append([]byte(nil), scrape...)
+	badExp[3+len(binenc.AppendVarint(nil, 4000))+1] = 16 // after op, n, shape, baseT and the first ref
 	badCRC := frameSegment(encodeRetain(nil, 42))
 	badCRC[len(segMagic)+4] ^= 0xFF
 	tornDefine := frameSegment(def)
@@ -107,6 +114,8 @@ func walFuzzSeeds() map[string][]byte {
 		"seed-reserved-shape-bit": frameSegment(def, app, reservedShapePayload(), app),      // a later writer's append record
 		"seed-unknown-op":         frameSegment(def, app, []byte{opAppendCols + 1, 0}, app), // intact but not a record: a tear, not refused
 		"seed-count-past-values":  frameSegment(def, app, countPastValues, app),             // likewise, an append short of its values
+		"seed-decimal-scrape":     frameSegment(def, defB, scrape, raw),                     // a decimal run record, then a raw one
+		"seed-decimal-bad-exp":    frameSegment(def, defB, scrape, badExp, raw),             // an exponent past 15: a tear
 		"seed-foreign-magic":      []byte("ODAWAL0\n\x00\x00\x00\x01"),
 		"seed-v1-magic":           append([]byte(segMagicV1), frameSegment(def, encodeRetain(nil, 500))[len(segMagic):]...), // an earlier build's segment
 	}
@@ -124,7 +133,7 @@ func refusable(payload []byte) bool {
 		return true
 	case opAppendCols:
 		_, k := binary.Uvarint(payload[1:])
-		return k > 0 && 1+k < len(payload) && payload[1+k]&^(shapeRefRun|shapeTimes) != 0
+		return k > 0 && 1+k < len(payload) && payload[1+k]&^(shapeRefRun|shapeTimes|shapeDecimal) != 0
 	}
 	return false
 }
@@ -198,18 +207,21 @@ func FuzzWALReplay(f *testing.F) {
 	})
 }
 
-// Modes of a FuzzWALAppendRecord sample set.
+// Modes of a FuzzWALAppendRecord sample set. The high four bits of a mode
+// are the decimal exponent fuzzDecimal divides by.
 const (
 	fuzzRefDeltas  byte = 1 << iota // refs are base plus a per-sample varint, not base+i
 	fuzzTimeDeltas                  // times are baseT plus a per-sample varint, not baseT
+	fuzzDecimal                     // values are a varint over 10^(mode>>4), not raw bits
 )
 
 // fuzzSamples builds the sample set a FuzzWALAppendRecord input describes:
 // n samples (at most 128); refs a run from base, or base plus a varint read
 // from cols per sample (fuzzRefDeltas); times all baseT, or baseT plus a
 // varint per sample (fuzzTimeDeltas); values the raw bits of a uvarint per
-// sample, so NaN payloads and infinities occur. Both sums wrap. Reads past
-// the end of cols yield zeros.
+// sample, so NaN payloads and infinities occur, or a varint divided by a
+// power of ten (fuzzDecimal), so decimal columns occur. Both sums wrap.
+// Reads past the end of cols yield zeros.
 func fuzzSamples(n uint8, mode byte, base uint64, baseT int64, cols []byte) []refSample {
 	r := binenc.NewReader(cols)
 	samples := make([]refSample, min(int(n), 128))
@@ -221,7 +233,11 @@ func fuzzSamples(n uint8, mode byte, base uint64, baseT int64, cols []byte) []re
 		if mode&fuzzTimeDeltas != 0 {
 			s.t = baseT + r.Varint()
 		}
-		s.v = math.Float64frombits(r.Uvarint())
+		if mode&fuzzDecimal != 0 {
+			s.v = float64(r.Varint()) / math.Pow10(int(mode>>4))
+		} else {
+			s.v = math.Float64frombits(r.Uvarint())
+		}
 		samples[i] = s
 	}
 	return samples
@@ -238,18 +254,23 @@ func fuzzCols(mode byte, rows ...[3]int64) []byte {
 		if mode&fuzzTimeDeltas != 0 {
 			b = binenc.AppendVarint(b, row[1])
 		}
-		b = binenc.AppendUvarint(b, uint64(row[2]))
+		if mode&fuzzDecimal != 0 {
+			b = binenc.AppendVarint(b, row[2])
+		} else {
+			b = binenc.AppendUvarint(b, uint64(row[2]))
+		}
 	}
 	return b
 }
 
 // FuzzWALAppendRecord holds the opAppendCols grammar to two properties.
 // Arbitrary payloads decode without panicking, and an accepted append
-// record never claims more samples than it holds 8-byte values. Arbitrary
-// sample sets round-trip exactly — refs, times and value bits — with the
-// ref and time columns elided exactly when the samples allow it, and every
-// strict prefix of the encoding fails to decode, so a torn record is never
-// mistaken for a shorter one.
+// record never claims more samples than it holds bytes, nor more than
+// maxRecordSamples. Arbitrary sample sets round-trip exactly — refs, times
+// and value bits — with the ref and time columns elided exactly when the
+// samples allow it, the value column decimal exactly when every value fits
+// one, and every strict prefix of the encoding fails to decode, so a torn
+// record is never mistaken for a shorter one.
 func FuzzWALAppendRecord(f *testing.F) {
 	nan := int64(math.Float64bits(math.NaN()) | 1)
 	inf := int64(math.Float64bits(math.Inf(-1)))
@@ -274,6 +295,11 @@ func FuzzWALAppendRecord(f *testing.F) {
 		{"repeated ref across ticks", nil, 3, fuzzRefDeltas | fuzzTimeDeltas, 1, 1000, fuzzCols(fuzzRefDeltas|fuzzTimeDeltas, [3]int64{0, 0, 1}, [3]int64{0, 10_000, 2}, [3]int64{0, 20_000, 3})},
 		{"times mixed and negative", nil, 4, fuzzTimeDeltas, 1, -5000, fuzzCols(fuzzTimeDeltas, [3]int64{0, 0, 1}, [3]int64{0, -7, 2}, [3]int64{0, 1 << 40, 3}, [3]int64{0, -1 << 40, 4})},
 		{"time deltas wrapping", nil, 3, fuzzTimeDeltas, 1, math.MaxInt64, fuzzCols(fuzzTimeDeltas, [3]int64{0, 0, 1}, [3]int64{0, 1, 2}, [3]int64{0, math.MinInt64, 3})},
+		{"scrape: decimal values", nil, 4, fuzzDecimal | 1<<4, 33, 1_700_000_000_000, fuzzCols(fuzzDecimal, [3]int64{0, 0, 4125}, [3]int64{0, 0, -7}, [3]int64{0, 0, 0}, [3]int64{0, 0, 610})},
+		{"decimal at the exponent cap", nil, 2, fuzzDecimal | 15<<4, 1, 0, fuzzCols(fuzzDecimal, [3]int64{0, 0, 1<<53 - 1}, [3]int64{0, 0, 1})},
+		{"|m| at 2^53", nil, 2, fuzzDecimal, 1, 0, fuzzCols(fuzzDecimal, [3]int64{0, 0, 1 << 53}, [3]int64{0, 0, -(1 << 53)})},
+		{"|m| at 2^53 + 1", nil, 1, fuzzDecimal | 2<<4, 1, 0, fuzzCols(fuzzDecimal, [3]int64{0, 0, 1<<53 + 1})},
+		{"a decimal column a raw value breaks", nil, 3, fuzzDecimal | 1<<4, 1, 0, fuzzCols(fuzzDecimal, [3]int64{0, 0, 5}, [3]int64{0, 0, 1 << 62}, [3]int64{0, 0, 3})},
 		{"reserved shape bit", reservedShapePayload(), 0, 0, 0, 0, nil},
 		{"count past the values", []byte{opAppendCols, 3, shapeRefRun, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0}, 0, 0, 0, 0, nil},
 		{"retired row-wise append", retiredRefPayload(), 0, 0, 0, 0, nil},
@@ -285,7 +311,7 @@ func FuzzWALAppendRecord(f *testing.F) {
 		var scratch []refSample
 		for _, p := range [][]byte{payload, append([]byte{opAppendCols}, payload...)} {
 			rec, err := decodeRecord(p, &scratch)
-			if err == nil && rec.op == opAppendCols && 8*len(rec.refEntries) > len(p) {
+			if err == nil && rec.op == opAppendCols && (len(rec.refEntries) > len(p) || len(rec.refEntries) > maxRecordSamples) {
 				t.Fatalf("%d-byte payload decoded to %d samples", len(p), len(rec.refEntries))
 			}
 		}
@@ -309,8 +335,16 @@ func FuzzWALAppendRecord(f *testing.F) {
 			sameT = sameT && want.t == samples[0].t
 		}
 		shape := enc[1+len(binenc.AppendUvarint(nil, uint64(len(samples))))]
-		if (shape&shapeRefRun != 0) != run || (shape&shapeTimes != 0) == sameT {
-			t.Fatalf("shape %#02x for run=%v sameT=%v", shape, run, sameT)
+		// Whether every value fits a decimal column is binenc's to say
+		// (FuzzValueColumn holds it to the definition); the record must
+		// carry its answer.
+		vals := make([]float64, len(samples))
+		for i, s := range samples {
+			vals[i] = s.v
+		}
+		_, decimal := binenc.AppendValues(nil, vals)
+		if (shape&shapeRefRun != 0) != run || (shape&shapeTimes != 0) == sameT || (shape&shapeDecimal != 0) != decimal {
+			t.Fatalf("shape %#02x for run=%v sameT=%v decimal=%v", shape, run, sameT, decimal)
 		}
 		for cut := range enc {
 			if _, err := decodeRecord(enc[:cut], &scratch); err == nil {

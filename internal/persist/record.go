@@ -28,17 +28,20 @@
 //
 //	op      byte     opAppendCols
 //	n       uvarint  samples in the record
-//	shape   byte     bit 0: refs are a run; bit 1: times present; the rest
-//	                 reserved, refused unless zero
+//	shape   byte     bit 0: refs are a run; bit 1: times present; bit 2:
+//	                 values decimal; the rest reserved, refused unless zero
 //	baseT   varint   the first sample's timestamp (0 if there is none)
 //	refs    run:  one uvarint, the first ref; sample i has ref first+i
 //	        else: n × varint, delta from the previous sample's ref (wrapping)
 //	times   n × varint   delta from baseT (wrapping); absent = all at baseT
-//	values  n × 8 bytes  big-endian float64
+//	values  n values, one binenc value column: decimal = an exponent byte
+//	        e, then per value m as a varint (the value is m/10^e); raw =
+//	        8 bytes big-endian float64 each
 //
-// An agent's scrape — consecutive WAL refs, since the durable store hands
-// them out in first-use order, and one timestamp — is thus a value per
-// sample plus a few header bytes per record.
+// A record holds at most maxRecordSamples samples. An agent's scrape —
+// consecutive WAL refs, since the durable store hands them out in first-use
+// order, and one timestamp — is thus its value column plus a few header
+// bytes per record.
 //
 // Replay tolerates torn tails: the first record whose length prefix,
 // checksum or payload decode fails marks the end of the recoverable prefix
@@ -85,8 +88,9 @@ const (
 
 // Shape bits of an opAppendCols payload.
 const (
-	shapeRefRun byte = 1 << iota // refs ascend by one from the first
-	shapeTimes                   // a time column follows the refs
+	shapeRefRun  byte = 1 << iota // refs ascend by one from the first
+	shapeTimes                    // a time column follows the refs
+	shapeDecimal                  // the value column is decimal
 )
 
 // recordHeaderLen is the length + CRC prefix of every WAL record.
@@ -96,6 +100,12 @@ const recordHeaderLen = 8
 // replay allocate unbounded memory; it comfortably exceeds the largest
 // batch the wire protocol admits.
 const MaxRecord = 32 << 20
+
+// maxRecordSamples bounds the samples of one opAppendCols record: what a
+// record could hold when every value took 8 bytes. A decimal value can take
+// one, so MaxRecord alone would let a corrupt count size the decode scratch
+// eight times larger.
+const maxRecordSamples = MaxRecord / 8
 
 // castagnoli is the CRC32C polynomial table (hardware-accelerated on
 // amd64/arm64), the same checksum production storage engines use.
@@ -264,26 +274,30 @@ func encodeDefine(buf []byte, ref uint64, id metric.ID, kind metric.Kind, unit m
 }
 
 // encodeAppendCols serializes an opAppendCols payload for entries, entry i
-// addressed by WAL ref refs[i]. The columns it leaves out are chosen here:
-// the refs collapse to their first when they ascend by one, the times vanish
-// when every sample carries the first one's.
-func encodeAppendCols(buf []byte, refs []uint64, entries []timeseries.RefEntry) []byte {
+// addressed by WAL ref refs[i]; vals is scratch for the value column,
+// returned grown. The columns it leaves out are chosen here: the refs
+// collapse to their first when they ascend by one, the times vanish when
+// every sample carries the first one's.
+func encodeAppendCols(buf []byte, vals []float64, refs []uint64, entries []timeseries.RefEntry) ([]byte, []float64) {
 	var shape byte
 	var baseT int64
 	if len(entries) > 0 {
 		shape = shapeRefRun
 		baseT = entries[0].T
 	}
-	for i := 1; i < len(entries); i++ {
+	vals = vals[:0]
+	for i := range entries {
 		if refs[i] != refs[0]+uint64(i) {
 			shape &^= shapeRefRun
 		}
 		if entries[i].T != baseT {
 			shape |= shapeTimes
 		}
+		vals = append(vals, entries[i].V)
 	}
 	buf = append(buf, opAppendCols)
 	buf = binenc.AppendUvarint(buf, uint64(len(entries)))
+	shapeAt := len(buf)
 	buf = append(buf, shape)
 	buf = binenc.AppendVarint(buf, baseT)
 	if shape&shapeRefRun != 0 {
@@ -300,10 +314,11 @@ func encodeAppendCols(buf []byte, refs []uint64, entries []timeseries.RefEntry) 
 			buf = binenc.AppendVarint(buf, entries[i].T-baseT)
 		}
 	}
-	for i := range entries {
-		buf = binenc.AppendFloat(buf, entries[i].V)
+	buf, decimal := binenc.AppendValues(buf, vals)
+	if decimal {
+		buf[shapeAt] |= shapeDecimal
 	}
-	return buf
+	return buf, vals
 }
 
 // encodeRetain serializes a Retain payload into buf.
@@ -352,11 +367,15 @@ func decodeRecord(payload []byte, scratch *[]refSample) (walRecord, error) {
 	case opRetiredAppendRef:
 		return rec, fmt.Errorf("%w: wal record with retired op code %d (row-wise ref append)", ErrUnsupportedFormat, rec.op)
 	case opAppendCols:
-		n := p.Count(8) // a sample is at least its value
+		count := p.Uvarint()
 		shape := p.Byte()
-		if shape&^(shapeRefRun|shapeTimes) != 0 {
+		if shape&^(shapeRefRun|shapeTimes|shapeDecimal) != 0 {
 			return rec, fmt.Errorf("%w: wal append record with reserved shape bits %#02x", ErrUnsupportedFormat, shape)
 		}
+		if count > maxRecordSamples {
+			return rec, fmt.Errorf("persist: wal append record of %d samples, over the %d a record holds", count, maxRecordSamples)
+		}
+		n := p.Fit(count, 1) // a sample is at least a byte of its value
 		baseT := p.Varint()
 		if cap(*scratch) < n {
 			*scratch = make([]refSample, n)
@@ -380,8 +399,9 @@ func decodeRecord(payload []byte, scratch *[]refSample) (walRecord, error) {
 				recs[i].t += p.Varint()
 			}
 		}
+		vc := p.ValueCol(shape&shapeDecimal != 0)
 		for i := range recs {
-			recs[i].v = p.Float()
+			recs[i].v = p.Value(vc)
 		}
 		rec.refEntries = recs
 	default:

@@ -127,7 +127,7 @@ func TestRefIngestMatchesKeyedIngest(t *testing.T) {
 }
 
 // TestWALBytesPerSample pins the on-disk cost of a logged sample (its
-// 8-byte value plus its share of the column record's header, which a
+// value plus its share of the column record's header, which a
 // scrape's two samples split): at most 20 WAL bytes per sample on a
 // 2-series, 200-round stream, through either entry point. The retired
 // keyed record, which re-encoded the full ID and unit per entry, cost 57.5

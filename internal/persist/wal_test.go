@@ -7,8 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
+	"repro/internal/binenc"
 	"repro/internal/metric"
 	"repro/internal/timeseries"
 )
@@ -38,7 +41,8 @@ func appendColsPayload(samples []refSample) []byte {
 		refs[i] = s.ref
 		entries[i] = timeseries.RefEntry{T: s.t, V: s.v}
 	}
-	return encodeAppendCols(nil, refs, entries)
+	p, _ := encodeAppendCols(nil, nil, refs, entries)
+	return p
 }
 
 // mustReplay is replaySegment for inputs that hold nothing unsupported.
@@ -391,5 +395,40 @@ func TestSnapshotPayloadTruncationSweep(t *testing.T) {
 	}
 	if _, _, err := decodeSnapshot(payload); err != nil {
 		t.Fatalf("full payload failed: %v", err)
+	}
+}
+
+// TestAppendColsBounds: a record whose every sample is one byte — a ref run
+// and a decimal value column of single-byte values — decodes, and a record
+// that claims more than maxRecordSamples samples is refused before the
+// decode scratch grows for them, however many bytes it carries.
+func TestAppendColsBounds(t *testing.T) {
+	const n = 1000
+	samples := make([]refSample, n)
+	for i := range samples {
+		samples[i] = refSample{ref: uint64(i + 1), t: 5000, v: float64(i % 50)}
+	}
+	minimal := appendColsPayload(samples)
+	if len(minimal) > n+16 {
+		t.Fatalf("%d one-byte samples took %d bytes", n, len(minimal))
+	}
+	rec, err := decodeRecord(minimal, new([]refSample))
+	if err != nil || !reflect.DeepEqual(rec.refEntries, samples) {
+		t.Fatalf("minimal record of %d bytes: %v", len(minimal), err)
+	}
+
+	over := binenc.AppendUvarint([]byte{opAppendCols}, maxRecordSamples+1)
+	over = binenc.AppendUvarint(append(over, shapeRefRun|shapeDecimal, 0), 1)
+	over = append(over, make([]byte, maxRecordSamples+2)...)
+	var scratch []refSample
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = decodeRecord(over, &scratch)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "a record holds") {
+		t.Fatalf("record over the cap: %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 || cap(scratch) != 0 {
+		t.Fatalf("refusing a record over the cap allocated %d bytes (scratch %d)", grew, cap(scratch))
 	}
 }

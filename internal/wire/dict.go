@@ -29,20 +29,26 @@ import (
 //	         kind byte, unit str
 //
 // FrameRefBatch payload, a header and then whole columns (an agent's round —
-// consecutive refs, one sample each, one timestamp — is a ref byte and a
-// value per sample; a router's forward buffer across ticks carries the
+// consecutive refs, one sample each, one timestamp — is one ref and a
+// value column; a router's forward buffer across ticks carries the
 // optional columns it needs):
 //
 //	agent    str
 //	nrecords uvarint
-//	shape    byte    bit 0: counts present; bit 1: times present; the rest
+//	shape    byte    bit 0: counts present; bit 1: times present; bit 2:
+//	                 values decimal; bit 3: refs are a run; the rest
 //	                 reserved, refused unless zero
 //	baseT    varint  the first sample's timestamp (0 if there is none)
-//	refs     nrecords × varint   delta from the previous record's ref
+//	refs     run:  one uvarint, the first ref; record i has ref first+i
+//	         else: nrecords × varint, delta from the previous record's ref
 //	counts   nrecords × uvarint  samples per record; absent = 1 each
 //	times    nsamples × varint   delta from the previous sample in frame
 //	                             order (wrapping); absent = all at baseT
-//	values   nsamples × 8 bytes  big-endian float64
+//	values   nsamples values, one binenc value column: decimal = an
+//	         exponent byte e, then per value m as a varint (the value is
+//	         m/10^e); raw = 8 bytes big-endian float64 each
+//
+// A frame holds at most maxColumn records and maxColumn samples.
 //
 // Defining a ref twice, defining one at or past dictRefLimit and referencing
 // an undefined ref are protocol errors that drop the connection — a correct
@@ -52,7 +58,15 @@ import (
 const (
 	shapeCounts byte = 1 << iota
 	shapeTimes
+	shapeDecimal // the value column is decimal
+	shapeRefRun  // refs ascend by one from the first
 )
+
+// maxColumn bounds the records and the samples of one frame: what a frame
+// could carry when every value took 8 bytes. A decimal value can take one,
+// so the payload bound alone would let a hostile frame size the decoder's
+// slices eight times larger.
+const maxColumn = MaxPayload / 8
 
 // dictRefLimit bounds one connection's refs, so a hostile definition can size
 // ConnDict's table to 8 MiB at most and series churn grows neither end without
@@ -119,16 +133,26 @@ func (d *ConnDict) AddDefs(payload []byte) (int, error) {
 func (d *ConnDict) DecodeRefBatch(payload []byte) (*Batch, error) {
 	p := binenc.NewReader(payload)
 	b := &Batch{Agent: p.Str()}
-	n := p.Count(2) // a ref byte, and a count byte or a value, per record
+	n := p.Count(1) // a ref, a count or a value byte per record
 	shape := p.Byte()
-	if shape&^(shapeCounts|shapeTimes) != 0 {
+	if shape&^(shapeCounts|shapeTimes|shapeDecimal|shapeRefRun) != 0 {
 		return nil, fmt.Errorf("wire: ref batch: reserved shape bits %#02x", shape)
+	}
+	if n > maxColumn {
+		return nil, fmt.Errorf("wire: ref batch: %d records, over the %d a frame holds", n, maxColumn)
 	}
 	t := p.Varint()
 	b.Records = make([]Record, n)
-	var ref uint64
+	var first, ref uint64
+	if shape&shapeRefRun != 0 {
+		first = p.Uvarint()
+	}
 	for i := range b.Records {
-		ref += uint64(p.Varint())
+		if shape&shapeRefRun != 0 {
+			ref = first + uint64(i)
+		} else {
+			ref += uint64(p.Varint())
+		}
 		if p.Err() != nil {
 			break
 		}
@@ -143,18 +167,22 @@ func (d *ConnDict) DecodeRefBatch(payload []byte) (*Batch, error) {
 	if shape&shapeCounts != 0 {
 		total = 0
 		for range b.Records {
-			total += uint64(p.Count(8))
+			total += uint64(p.Count(1))
 		}
 	}
-	samples := make([]metric.Sample, p.Fit(total, 8)) // a sample is at least its value
+	if total > maxColumn {
+		return nil, fmt.Errorf("wire: ref batch: %d samples, over the %d a frame holds", total, maxColumn)
+	}
+	samples := make([]metric.Sample, p.Fit(total, 1)) // a sample is at least a value byte
 	for i := range samples {
 		if shape&shapeTimes != 0 {
 			t += p.Varint()
 		}
 		samples[i].T = t
 	}
+	vc := p.ValueCol(shape&shapeDecimal != 0)
 	for i := range samples {
-		samples[i].V = p.Float()
+		samples[i].V = p.Value(vc)
 	}
 	if err := p.Done(); err != nil {
 		return nil, fmt.Errorf("wire: ref batch: %w", err)
@@ -177,15 +205,31 @@ func appendDef(dst []byte, ref uint64, r *Record) []byte {
 	return appendSeries(binenc.AppendUvarint(dst, ref), r)
 }
 
+// frameCols is appendRefBatch's scratch, reused across frames.
+type frameCols struct {
+	refs []uint64  // each record's ref
+	vals []float64 // every sample's value, in frame order
+}
+
 // appendRefBatch serializes a FrameRefBatch payload for b, with every
 // record's ref already present in refs (keyed by ID.Key()).
-func appendRefBatch(dst []byte, b *Batch, refs map[string]uint64) []byte {
+func (c *frameCols) appendRefBatch(dst []byte, b *Batch, refs map[string]uint64) []byte {
 	// Which columns the batch needs: counts unless every record holds one
-	// sample, times unless every sample carries the first one's timestamp.
+	// sample, times unless every sample carries the first one's timestamp,
+	// ref deltas unless the refs ascend by one.
 	var shape byte
 	var baseT int64
 	first := true
+	c.refs, c.vals = c.refs[:0], c.vals[:0]
+	if len(b.Records) > 0 {
+		shape = shapeRefRun
+	}
 	for i := range b.Records {
+		ref := refs[b.Records[i].ID.Key()]
+		c.refs = append(c.refs, ref)
+		if ref != c.refs[0]+uint64(i) {
+			shape &^= shapeRefRun
+		}
 		samples := b.Records[i].Samples
 		if len(samples) != 1 {
 			shape |= shapeCounts
@@ -196,17 +240,22 @@ func appendRefBatch(dst []byte, b *Batch, refs map[string]uint64) []byte {
 			} else if sm.T != baseT {
 				shape |= shapeTimes
 			}
+			c.vals = append(c.vals, sm.V)
 		}
 	}
 	dst = binenc.AppendString(dst, b.Agent)
 	dst = binenc.AppendUvarint(dst, uint64(len(b.Records)))
+	shapeAt := len(dst)
 	dst = append(dst, shape)
 	dst = binenc.AppendVarint(dst, baseT)
-	var prevRef uint64
-	for i := range b.Records {
-		ref := refs[b.Records[i].ID.Key()]
-		dst = binenc.AppendVarint(dst, int64(ref-prevRef))
-		prevRef = ref
+	if shape&shapeRefRun != 0 {
+		dst = binenc.AppendUvarint(dst, c.refs[0])
+	} else {
+		var prevRef uint64
+		for _, ref := range c.refs {
+			dst = binenc.AppendVarint(dst, int64(ref-prevRef))
+			prevRef = ref
+		}
 	}
 	if shape&shapeCounts != 0 {
 		for i := range b.Records {
@@ -222,10 +271,9 @@ func appendRefBatch(dst []byte, b *Batch, refs map[string]uint64) []byte {
 			}
 		}
 	}
-	for i := range b.Records {
-		for _, sm := range b.Records[i].Samples {
-			dst = binenc.AppendFloat(dst, sm.V)
-		}
+	dst, decimal := binenc.AppendValues(dst, c.vals)
+	if decimal {
+		dst[shapeAt] |= shapeDecimal
 	}
 	return dst
 }
@@ -243,6 +291,7 @@ type clientDict struct {
 	body []byte // definition-body scratch (defs minus the count prefix)
 	defs []byte // FrameDict payload scratch
 	recs []byte // FrameRefBatch payload scratch
+	cols frameCols
 }
 
 func newClientDict(w io.Writer) *clientDict {
@@ -253,6 +302,13 @@ func newClientDict(w io.Writer) *clientDict {
 // coalescing both frames into one flush. Steady state — all series already
 // defined on this connection — allocates nothing.
 func (d *clientDict) send(b *Batch) error {
+	samples := 0
+	for i := range b.Records {
+		samples += len(b.Records[i].Samples)
+	}
+	if len(b.Records) > maxColumn || samples > maxColumn {
+		return ErrTooLarge // the receiver would refuse the frame
+	}
 	ndefs := 0
 	d.body = d.body[:0]
 	for i := range b.Records {
@@ -278,7 +334,7 @@ func (d *clientDict) send(b *Batch) error {
 			return err
 		}
 	}
-	d.recs = appendRefBatch(d.recs[:0], b, d.refs)
+	d.recs = d.cols.appendRefBatch(d.recs[:0], b, d.refs)
 	if err := d.writeFrame(FrameRefBatch, d.recs); err != nil {
 		return err
 	}

@@ -166,7 +166,7 @@ func TestConnDictProtocolErrors(t *testing.T) {
 	})
 	t.Run("undefined-ref", func(t *testing.T) {
 		cd := NewConnDict()
-		payload := appendRefBatch(nil, &Batch{Agent: "a", Records: []Record{*rec}}, map[string]uint64{rec.ID.Key(): 99})
+		payload := new(frameCols).appendRefBatch(nil, &Batch{Agent: "a", Records: []Record{*rec}}, map[string]uint64{rec.ID.Key(): 99})
 		if _, err := cd.DecodeRefBatch(payload); !errors.Is(err, ErrUnknownRef) {
 			t.Fatalf("want ErrUnknownRef, got %v", err)
 		}
@@ -212,7 +212,7 @@ func TestConnDictProtocolErrors(t *testing.T) {
 	multi.Samples = []metric.Sample{{T: 10, V: 1}, {T: 20, V: 2}}
 	triple := *rec
 	triple.Samples = []metric.Sample{{T: 5, V: 3}, {T: 6, V: 4}, {T: 7, V: 5}}
-	good := appendRefBatch(nil, &Batch{Agent: "a", Records: []Record{multi, *rec, triple}}, map[string]uint64{rec.ID.Key(): 7})
+	good := new(frameCols).appendRefBatch(nil, &Batch{Agent: "a", Records: []Record{multi, *rec, triple}}, map[string]uint64{rec.ID.Key(): 7})
 	if b, err := cd.DecodeRefBatch(good); err != nil || len(b.Records) != 3 {
 		t.Fatalf("valid ref batch refused: %v", err)
 	}
@@ -229,7 +229,7 @@ func TestConnDictProtocolErrors(t *testing.T) {
 		}
 	})
 	t.Run("reserved-shape-bits", func(t *testing.T) {
-		for bit := byte(4); bit != 0; bit <<= 1 {
+		for bit := shapeRefRun << 1; bit != 0; bit <<= 1 {
 			bad := append([]byte(nil), good...)
 			bad[len("a")+2] |= bit
 			if _, err := cd.DecodeRefBatch(bad); err == nil || !strings.Contains(err.Error(), "shape") {
@@ -273,19 +273,22 @@ func TestConnDictProtocolErrors(t *testing.T) {
 }
 
 // TestRefBatchMatchesV1Property: whatever batch goes in — records with no,
-// one or many samples, refs in any order, a series twice, timestamps whose
-// deltas wrap int64, NaN payloads, -0 — the ref frame decodes to what the v1
-// frame it replaced decoded to: the input batch bit for bit, an empty record
-// with nil Samples. The generator reaches all four shapes.
+// one or many samples, refs in any order or ascending by one, a series twice,
+// timestamps whose deltas wrap int64, NaN payloads, -0, values a decimal
+// column takes — the ref frame decodes to what the v1 frame it replaced
+// decoded to: the input batch bit for bit, an empty record with nil Samples.
+// The generator reaches all sixteen shapes.
 func TestRefBatchMatchesV1Property(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	edgeT := []int64{math.MinInt64, math.MinInt64 + 1, math.MaxInt64 - 1, math.MaxInt64, -1, 0, 1, 1_700_000_000_000}
 	edgeV := []float64{math.Copysign(0, -1), 0, math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64,
 		math.Float64frombits(0x7FF8_0000_0000_0001), math.Float64frombits(0xFFF0_0000_DEAD_BEEF)}
 	shapes := map[byte]int{}
-	for iter := 0; iter < 2000; iter++ {
-		// A dictionary of a few series under scattered refs.
+	for iter := 0; iter < 4000; iter++ {
+		// A dictionary of a few series under scattered refs, or under
+		// consecutive ones that a batch then walks in order.
 		pool := make([]Record, 1+rng.Intn(6))
+		run := rng.Intn(2) == 0
 		refs := map[string]uint64{}
 		defs := binenc.AppendUvarint(nil, uint64(len(pool)))
 		for i, ref := range rng.Perm(5000)[:len(pool)] {
@@ -293,21 +296,33 @@ func TestRefBatchMatchesV1Property(t *testing.T) {
 				ID:   metric.ID{Name: "m", Labels: metric.NewLabels("series", fmt.Sprint(i))},
 				Kind: metric.Kind(rng.Intn(2)), Unit: metric.UnitWatt,
 			}
+			if run {
+				ref = 4000 + i
+			}
 			refs[pool[i].ID.Key()] = uint64(ref)
 			defs = appendDef(defs, uint64(ref), &pool[i])
 		}
+		// Values of one decimal exponent, or the edge cases and random bits
+		// that no decimal column takes.
+		decimal, exp := rng.Intn(2) == 0, []float64{1, 10, 100, 1e15}[rng.Intn(4)]
 		oneEach, oneT := rng.Intn(2) == 0, rng.Intn(2) == 0
 		baseT := edgeT[rng.Intn(len(edgeT))]
 		in := &Batch{Agent: "agent"}
 		for r, n := 0, rng.Intn(10); r < n; r++ {
 			rec := pool[rng.Intn(len(pool))]
+			if run {
+				rec = pool[r%len(pool)]
+			}
 			count := 1
 			if !oneEach {
 				count = []int{0, 1, 1 + rng.Intn(40)}[rng.Intn(3)]
 			}
 			for ; count > 0; count-- {
 				sm := metric.Sample{T: baseT, V: edgeV[rng.Intn(len(edgeV))]}
-				if rng.Intn(3) == 0 {
+				switch {
+				case decimal:
+					sm.V = float64(rng.Int63n(1<<53)-1<<52) / exp
+				case rng.Intn(3) == 0:
 					sm.V = rng.NormFloat64() * 1e3
 				}
 				switch {
@@ -322,7 +337,7 @@ func TestRefBatchMatchesV1Property(t *testing.T) {
 			in.Records = append(in.Records, rec)
 		}
 
-		payload := appendRefBatch(nil, in, refs)
+		payload := new(frameCols).appendRefBatch(nil, in, refs)
 		p := binenc.NewReader(payload)
 		_, _ = p.Str(), p.Uvarint()
 		shapes[p.Byte()]++
@@ -350,13 +365,13 @@ func TestRefBatchMatchesV1Property(t *testing.T) {
 			}
 		}
 	}
-	for shape := byte(0); shape < 4; shape++ {
+	for shape := byte(0); shape < 16; shape++ {
 		if shapes[shape] == 0 {
-			t.Errorf("shape %02b never generated (saw %v)", shape, shapes)
+			t.Errorf("shape %04b never generated (saw %v)", shape, shapes)
 		}
 	}
-	if len(shapes) != 4 {
-		t.Errorf("encoder produced a shape outside the four defined: %v", shapes)
+	if len(shapes) != 16 {
+		t.Errorf("encoder produced a shape outside the sixteen defined: %v", shapes)
 	}
 }
 
@@ -386,14 +401,17 @@ const synthT0 = 472222 * 3600 * 1000
 
 // TestRefBatchWireSize gates bytes per sample on the benchmark's two batch
 // shapes, frame headers included, once the dictionary is negotiated. It is a
-// count, so it repeats exactly; the row-oriented frame read 17.56 and 16.88.
+// count, so it repeats exactly: 2.9053 and 2.0314 with a ref run and a
+// decimal value column (the values here have one decimal), 9.8433 and
+// 9.0292 with ref deltas and raw values, 17.56 and 16.88 for the
+// row-oriented frame.
 func TestRefBatchWireSize(t *testing.T) {
 	for _, tc := range []struct {
 		agents, sensors int
 		budget          float64
 	}{
-		{128, 32, 10.0}, // ingest_interval, cluster_rf2: 128 agents share a connection
-		{1, 925, 9.1},   // analyze_grid: one simulated centre, one batch a round
+		{128, 32, 4.5}, // ingest_interval, cluster_rf2: 128 agents share a connection
+		{1, 925, 2.1},  // analyze_grid: one simulated centre, one batch a round
 	} {
 		var buf bytes.Buffer
 		d := newClientDict(&buf)
@@ -690,5 +708,56 @@ func TestV1BatchFrameRefused(t *testing.T) {
 	}
 	if line := logged.String(); !strings.Contains(line, "dropped") || !strings.Contains(line, ErrBatchFrameRetired.Error()) {
 		t.Fatalf("log line for the refused frame: %q", line)
+	}
+}
+
+// TestRefBatchColumnBounds: a frame whose every record is one byte — a ref
+// run and a decimal value column of single-byte values — decodes, and a
+// frame that claims more than maxColumn records or samples is refused
+// before the decoder allocates for them, however many bytes it carries.
+func TestRefBatchColumnBounds(t *testing.T) {
+	const records = 1000
+	cd := NewConnDict()
+	in := &Batch{Agent: "a"}
+	refs := map[string]uint64{}
+	defs := binenc.AppendUvarint(nil, records)
+	for i := 0; i < records; i++ {
+		r := Record{ID: metric.NewID("m", metric.NewLabels("i", fmt.Sprint(i))), Kind: metric.Gauge, Unit: metric.UnitWatt,
+			Samples: []metric.Sample{{T: synthT0, V: float64(i % 50)}}}
+		in.Records = append(in.Records, r)
+		refs[r.ID.Key()] = uint64(i + 1)
+		defs = appendDef(defs, uint64(i+1), &r)
+	}
+	if _, err := cd.AddDefs(defs); err != nil {
+		t.Fatal(err)
+	}
+	minimal := new(frameCols).appendRefBatch(nil, in, refs)
+	if len(minimal) > records+16 {
+		t.Fatalf("%d one-byte records took %d bytes", records, len(minimal))
+	}
+	if got, err := cd.DecodeRefBatch(minimal); err != nil || !batchesEqual(in, got) {
+		t.Fatalf("minimal frame of %d bytes: %v", len(minimal), err)
+	}
+
+	head := func(n uint64, shape byte) []byte {
+		p := binenc.AppendUvarint(binenc.AppendString(nil, "a"), n)
+		return binenc.AppendUvarint(binenc.AppendVarint(append(p, shape), 0), 1)
+	}
+	// maxColumn+1 records, a byte each: the payload could hold them.
+	overRecords := append(head(maxColumn+1, shapeRefRun|shapeDecimal), make([]byte, maxColumn+2)...)
+	// One record claiming maxColumn+1 samples, a byte each.
+	overSamples := binenc.AppendUvarint(head(1, shapeRefRun|shapeDecimal|shapeCounts), maxColumn+1)
+	overSamples = append(overSamples, make([]byte, maxColumn+2)...)
+	for name, payload := range map[string][]byte{"records": overRecords, "samples": overSamples} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := cd.DecodeRefBatch(payload)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "a frame holds") {
+			t.Fatalf("%s over the cap: %v", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("refusing %s over the cap allocated %d bytes", name, grew)
+		}
 	}
 }

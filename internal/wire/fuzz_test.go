@@ -35,16 +35,24 @@ func dictFuzzSeeds() []dictSeed {
 	defs = appendDef(defs, 2, &rec2)
 	refs := map[string]uint64{rec1.ID.Key(): 1, rec2.ID.Key(): 2}
 	// Mixed timestamps and several samples a record: both optional columns.
-	batch := appendRefBatch(nil, &Batch{Agent: "n042", Records: []Record{rec1, rec2}}, refs)
+	batch := new(frameCols).appendRefBatch(nil, &Batch{Agent: "n042", Records: []Record{rec1, rec2}}, refs)
 	// One agent's round: one sample a record, one timestamp, neither column.
-	round := appendRefBatch(nil, &Batch{Agent: "n042", Records: []Record{
+	round := new(frameCols).appendRefBatch(nil, &Batch{Agent: "n042", Records: []Record{
 		{ID: rec2.ID, Samples: []metric.Sample{{T: 1_700_000_000_000, V: 61}}},
 		{ID: rec1.ID, Samples: []metric.Sample{{T: 1_700_000_000_000, V: 411.5}}},
 	}}, refs)
+	// The same round in ref order: a ref run and a decimal value column; and
+	// that frame with an exponent past the column's range.
+	run := new(frameCols).appendRefBatch(nil, &Batch{Agent: "n042", Records: []Record{
+		{ID: rec1.ID, Samples: []metric.Sample{{T: 1_700_000_000_000, V: 411.5}}},
+		{ID: rec2.ID, Samples: []metric.Sample{{T: 1_700_000_000_000, V: 61}}},
+	}}, refs)
+	badExp := append([]byte(nil), run...)
+	badExp[len(badExp)-5] = 16 // the exponent, before two 2-byte values
 	dupDefs := binenc.AppendUvarint(nil, 2)
 	dupDefs = appendDef(dupDefs, 1, &rec1)
 	dupDefs = appendDef(dupDefs, 1, &rec2) // same ref twice: protocol error
-	undefBatch := appendRefBatch(nil, &Batch{Agent: "n042", Records: []Record{rec1}},
+	undefBatch := new(frameCols).appendRefBatch(nil, &Batch{Agent: "n042", Records: []Record{rec1}},
 		map[string]uint64{rec1.ID.Key(): 99})
 	// Three records claiming two samples each over three values: every count
 	// fits the bytes left on its own, their sum does not.
@@ -54,10 +62,12 @@ func dictFuzzSeeds() []dictSeed {
 	overCount = append(overCount, 2, 2, 2) // counts
 	overCount = append(overCount, make([]byte, 3*8)...)
 	badShape := append([]byte(nil), round...)
-	badShape[len("n042")+2] |= 0x04 // a reserved shape bit
+	badShape[len("n042")+2] |= shapeRefRun << 1 // a reserved shape bit
 	return []dictSeed{
 		{"seed-valid-dict", defs, batch, true},
 		{"seed-one-round", defs, round, true},
+		{"seed-decimal-run", defs, run, true},
+		{"seed-decimal-bad-exponent", defs, badExp, false},
 		{"seed-undefined-ref", []byte{}, undefBatch, false},
 		{"seed-duplicate-define", dupDefs, batch, false},
 		{"seed-truncated-dict", defs[:len(defs)/2], batch, false},

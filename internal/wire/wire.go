@@ -12,8 +12,9 @@
 //
 // Batches travel as protocol v3, the per-connection series dictionary (see
 // dict.go): a FrameDict defines each series once, and FrameRefBatch frames
-// then ship a batch as columns — delta-coded refs, counts and timestamps only
-// where they say something, raw 8-byte values. Strings are length-prefixed
+// then ship a batch as columns — refs as a run or as deltas, counts and
+// timestamps only where they say something, and one binenc value column,
+// decimal where the values allow it. Strings are length-prefixed
 // with uvarints; integers use varints. Those two frame types travel as
 // version 3, every other type as version 1, and ReadFrame refuses any other
 // pairing: version 2 was a row-oriented ref batch that content cannot tell

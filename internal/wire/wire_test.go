@@ -7,6 +7,7 @@ import (
 	"errors"
 	"math"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -309,8 +310,10 @@ func (c *captureConn) Write(p []byte) (int, error)      { return c.buf.Write(p) 
 func (c *captureConn) Close() error                     { return nil }
 func (c *captureConn) SetWriteDeadline(time.Time) error { return nil }
 
-// goldenBatches are five sends over one connection: ref-frame shapes 0, 1,
-// 2, 3 and 0 again, the last with every series already defined.
+// goldenBatches are five sends over one connection: ref-frame shapes 12
+// (a ref run, decimal values), 5 (counts), 6 (times), 11 (counts, times, a
+// ref run, raw values) and 12 again, the last with every series already
+// defined.
 func goldenBatches() []*Batch {
 	at := func(name string, samples ...metric.Sample) Record {
 		return Record{ID: metric.NewID(name, metric.NewLabels("node", "n1")), Kind: metric.Gauge, Unit: metric.UnitWatt, Samples: samples}
@@ -326,11 +329,12 @@ func goldenBatches() []*Batch {
 }
 
 // TestRefBatchGoldenBytes pins the bytes a fresh Client writes — dictionary
-// and ref frames, headers included. The hash was taken from a client that
-// had opted into the dictionary protocol when it was still opt-in, so a plain
-// DialWith speaking it by default moved no byte.
+// and ref frames, headers included. The hash was re-pinned when the ref run
+// and the decimal value column joined the frame; the stream a client wrote
+// before that is testdata/refbatch-raw-values.stream, which
+// TestRefBatchRawValueStream still decodes.
 func TestRefBatchGoldenBytes(t *testing.T) {
-	const golden = "7b257f6725f1ac58198fe49c521fac6831af9c165524fe15c0df75aea1230755"
+	const golden = "43e8c3bb83f6abde046292ce80a21b41e31f6a8136951a7ec4bdc738ddf82584"
 	conn := &captureConn{}
 	cl, err := DialWith(func(string) (net.Conn, error) { return conn, nil }, "capture")
 	if err != nil {
@@ -354,11 +358,55 @@ func TestRefBatchGoldenBytes(t *testing.T) {
 			shapes = append(shapes, p.Byte())
 		}
 	}
-	if !bytes.Equal(shapes, []byte{0, 1, 2, 3, 0}) {
-		t.Fatalf("ref frame shapes %v, want 0 1 2 3 0", shapes)
+	if !bytes.Equal(shapes, []byte{12, 5, 6, 11, 12}) {
+		t.Fatalf("ref frame shapes %v, want 12 5 6 11 12", shapes)
 	}
 	sum := sha256.Sum256(stream)
 	if got := hex.EncodeToString(sum[:]); got != golden {
 		t.Fatalf("client byte stream (%d bytes) hashes to %s, want %s", len(stream), got, golden)
+	}
+}
+
+// TestRefBatchRawValueStream: the stream a client wrote for goldenBatches
+// before ref runs and decimal values existed — every value column raw, every
+// ref column deltas — decodes through today's ConnDict to those batches.
+func TestRefBatchRawValueStream(t *testing.T) {
+	stream, err := os.ReadFile("testdata/refbatch-raw-values.stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(stream); hex.EncodeToString(sum[:]) != "7b257f6725f1ac58198fe49c521fac6831af9c165524fe15c0df75aea1230755" {
+		t.Fatal("testdata/refbatch-raw-values.stream is not the stream it was committed as")
+	}
+	cd := NewConnDict()
+	var got []*Batch
+	for r := bytes.NewReader(stream); r.Len() > 0; {
+		ft, payload, err := ReadFrame(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch ft {
+		case FrameDict:
+			_, err = cd.AddDefs(payload)
+		case FrameRefBatch:
+			var b *Batch
+			if b, err = cd.DecodeRefBatch(payload); err == nil {
+				got = append(got, b)
+			}
+		default:
+			t.Fatalf("unexpected frame type %d", ft)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := goldenBatches()
+	if len(got) != len(want) {
+		t.Fatalf("decoded %d batches, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !batchesEqual(want[i], got[i]) {
+			t.Fatalf("batch %d decodes to %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }
