@@ -42,11 +42,12 @@ lint-footprints:
 # concurrently), the async
 # collection pipeline (slow-sink / backpressure stress lives in collector's
 # pipeline tests) and the scrape fan-out, the
-# wire server/client, the query front door and the cluster router (scatter
-# goroutines, hint queues, replication pump). go vet runs first as a cheap
+# wire server/client, the query front door, the cluster router (scatter
+# goroutines, hint queues, replication pump) and the node that assembles
+# them (its watermark and counters, its drain on Close). go vet runs first as a cheap
 # gate; the chaos package's race pass lives in chaos-short.
 race: vet lint-footprints chaos-short
-	$(GO) test -race ./internal/timeseries ./internal/oda ./internal/simulation ./internal/collector ./internal/persist ./internal/wire ./internal/resultcache ./internal/quota ./internal/queryfront ./internal/cluster ./cmd/odad
+	$(GO) test -race ./internal/timeseries ./internal/oda ./internal/simulation ./internal/collector ./internal/persist ./internal/wire ./internal/resultcache ./internal/quota ./internal/queryfront ./internal/cluster ./internal/node ./cmd/odad
 
 # Seeded short chaos campaigns under the race detector: the deterministic
 # fault-injection harness (internal/chaos) runs 30s-virtual-time campaigns
@@ -207,7 +208,7 @@ bench-e2e:
 # tracks ("the same numbers and behaviour from the least code"), then the
 # same count over every package under internal/ and cmd/, then the exported
 # method counts of the two widest APIs, timeseries.Store and cluster.Router.
-LOC_DIRS = internal/timeseries internal/persist internal/wire internal/cluster internal/collector internal/oda internal/binenc cmd/odad
+LOC_DIRS = internal/timeseries internal/persist internal/wire internal/cluster internal/collector internal/oda internal/binenc internal/node cmd/odad
 loc:
 	@for d in $(LOC_DIRS); do \
 		printf '%6d %s\n' $$(cat $$(ls $$d/*.go | grep -v _test.go) | wc -l) $$d; \

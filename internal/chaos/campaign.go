@@ -8,11 +8,11 @@ import (
 	"net/url"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/collector"
 	"repro/internal/metric"
+	"repro/internal/node"
 	"repro/internal/persist"
 	"repro/internal/queryfront"
 	"repro/internal/simulation"
@@ -134,22 +134,12 @@ func Run(cfg Config, dir string) (*Result, error) {
 	agent.AddSinkQueued(fsink, collector.QueueConfig{Depth: 2, Policy: collector.DropNewest})
 
 	// Sink 3 (queued, DropOldest): the wire leg over the fault-injected
-	// in-memory transport into a server-side store.
+	// in-memory transport into an in-memory node — odad's stack, no rollups.
 	nf := NewNetFaults()
-	serverStore := timeseries.NewStore(8)
-	var srvRejected atomic.Uint64
-	srv := wire.NewServerListener(nf.Listener(), func(b *wire.Batch) {
-		var entries []timeseries.BatchEntry
-		for _, rec := range b.Records {
-			for _, sm := range rec.Samples {
-				entries = append(entries, timeseries.BatchEntry{ID: rec.ID, Kind: rec.Kind, Unit: rec.Unit, T: sm.T, V: sm.V})
-			}
-		}
-		n, _ := serverStore.AppendBatch(entries)
-		if rej := len(entries) - n; rej > 0 {
-			srvRejected.Add(uint64(rej))
-		}
-	})
+	wireNode, err := node.Open(node.Config{Listener: nf.Listener(), ChunkSize: 8, RF: 1})
+	if err != nil {
+		return nil, fmt.Errorf("chaos: open wire-leg node: %w", err)
+	}
 	client, err := wire.DialWith(nf.Dialer(), "chaos:mem")
 	if err != nil {
 		return nil, fmt.Errorf("chaos: dial wire leg: %w", err)
@@ -209,13 +199,14 @@ func Run(cfg Config, dir string) (*Result, error) {
 	res.Readings = totalReadings
 
 	// Drain in dependency order: agent queues first (pumps finish their
-	// sends), then the client (server reads EOF), then the server (waits
-	// for in-flight conns, so every fully delivered frame is counted).
+	// sends), then the client (server reads EOF), then the node (its wire
+	// server waits for in-flight conns, so every fully delivered frame is
+	// counted, and closing its listener closes the transport).
 	agent.Close()
 	_ = client.Close()
-	_ = srv.Close()
-	nf.Close()
+	_ = wireNode.Close()
 
+	srv := wireNode.Wire()
 	res.Redials = client.Redials()
 	res.Retries = ws.Retries()
 	res.WireOK, res.WireFailed, _ = wsink.counts()
@@ -236,7 +227,7 @@ func Run(cfg Config, dir string) (*Result, error) {
 	membershipFails, membershipFP := runMembershipLeg(cfg, dir, res)
 
 	// --- Invariant checkers -----------------------------------------------
-	res.record("conservation", checkConservation(agent, durable, serverStore, srv, wsink, srvRejected.Load(), totalReadings, ticks, injected, res.SimFailureEvents))
+	res.record("conservation", checkConservation(agent, durable, wireNode, wsink, totalReadings, ticks, injected, res.SimFailureEvents))
 	res.record("recovery", recoverFails)
 	res.record("planner-parity", checkPlannerParity(durable.Store(), vstart, vstart+int64(ticks)*1000))
 	res.record("front-door", checkFrontDoor(durable.Store()))
@@ -337,10 +328,10 @@ func runSimLeg(cfg Config, sched Schedule, res *Result) (injected int, fp string
 // (Offered == Consumed + Queued + Dropped per sink); the synchronous
 // archive sink holds every reading the sources emitted; and the wire leg's
 // ledger closes exactly — successful sends equal server-decoded batches,
-// and the server store holds every received sample minus explicit
-// rejections. The simulation leg's injected failures must all surface in
-// its event log.
-func checkConservation(agent *collector.Agent, durable *persist.DurableStore, serverStore *timeseries.Store, srv *wire.Server, wsink *countingSink, srvRejected, totalReadings uint64, ticks, injected, simFailures int) failures {
+// and the node's store holds every received sample minus the ones it
+// counted as rejected. The simulation leg's injected failures must all
+// surface in its event log.
+func checkConservation(agent *collector.Agent, durable *persist.DurableStore, wireNode *node.Node, wsink *countingSink, totalReadings uint64, ticks, injected, simFailures int) failures {
 	var f failures
 	stats := agent.SinkStats()
 	if len(stats) != 3 {
@@ -373,6 +364,7 @@ func checkConservation(agent *collector.Agent, durable *persist.DurableStore, se
 	// Wire-leg ledger: a Send error never delivers a complete frame (the
 	// in-memory pipe is synchronous), so successes and decoded batches
 	// must agree exactly, as must sample counts end to end.
+	srv, serverStore := wireNode.Wire(), wireNode.Store()
 	ok, _, okSamples := wsink.counts()
 	if ok != srv.Batches() {
 		f.addf("wire: %d successful sends but server decoded %d batches", ok, srv.Batches())
@@ -380,8 +372,8 @@ func checkConservation(agent *collector.Agent, durable *persist.DurableStore, se
 	if okSamples != srv.Samples() {
 		f.addf("wire: %d samples sent in successful batches but server received %d", okSamples, srv.Samples())
 	}
-	if got := uint64(serverStore.NumSamples()) + srvRejected; got != srv.Samples() {
-		f.addf("wire: server store %d + rejected %d != received %d", serverStore.NumSamples(), srvRejected, srv.Samples())
+	if got := uint64(serverStore.NumSamples()) + wireNode.Rejected(); got != srv.Samples() {
+		f.addf("wire: server store %d + rejected %d != received %d", serverStore.NumSamples(), wireNode.Rejected(), srv.Samples())
 	}
 	// Correlated failures are observed failures: the simulation logs every
 	// injected one.

@@ -3,15 +3,12 @@ package chaos
 import (
 	"fmt"
 	"hash/fnv"
-	"math"
 	"math/rand"
-	"net"
 	"path/filepath"
-	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/metric"
-	"repro/internal/persist"
+	"repro/internal/node"
 	"repro/internal/timeseries"
 	"repro/internal/tsmodel"
 )
@@ -48,82 +45,24 @@ func runMembershipLeg(cfg Config, dir string, res *Result) (failures, string) {
 	const joiner = "m4"
 	victim := ids[1+rng.Intn(2)] // original member, never the coordinator
 
-	var netMu sync.Mutex
-	nets := make(map[string]*NetFaults, len(ids)+1)
+	members := []string{"m1", "m2", "m3", joiner}
+	nets := newLegNet(members...)
+	nodes := make(map[string]*node.Node, len(ids)+1)
+	defer nets.close(nodes)
 	for _, id := range ids {
-		nets[id] = NewNetFaults()
-	}
-	dial := func(addr string) (net.Conn, error) {
-		netMu.Lock()
-		nf := nets[addr]
-		netMu.Unlock()
-		if nf == nil {
-			return nil, fmt.Errorf("chaos: no cluster transport for %s", addr)
-		}
-		return nf.Dialer()(addr)
-	}
-
-	peers := make([]cluster.Peer, len(ids))
-	for i, id := range ids {
-		peers[i] = cluster.Peer{ID: id, Addr: id}
-	}
-	type memberNode struct {
-		id      string
-		durable *persist.DurableStore
-		router  *cluster.Router
-		srv     *cluster.Server
-	}
-	newNode := func(id string, selfPeers []cluster.Peer) (*memberNode, error) {
-		d, err := persist.Open(filepath.Join(dir, "membership-"+id), persist.Options{
-			ChunkSize: 8,
-			Fsync:     persist.FsyncAlways,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("open durable store for %s: %w", id, err)
-		}
-		r, err := cluster.New(cluster.Config{
-			Self:        id,
-			Peers:       selfPeers,
-			Replication: 2,
-			Dial:        dial,
-			Local:       d,
-			Store:       d.Store(),
-			Durable:     d,
-		})
-		if err != nil {
-			_ = d.Close()
-			return nil, fmt.Errorf("build router for %s: %w", id, err)
-		}
-		return &memberNode{id: id, durable: d, router: r, srv: cluster.NewServer(nets[id].Listener(), r)}, nil
-	}
-
-	nodes := make(map[string]*memberNode, len(ids)+1)
-	for _, id := range ids {
-		n, err := newNode(id, peers)
+		n, err := nets.open(filepath.Join(dir, "membership"), id, ids...)
 		if err != nil {
 			f.addf("%v", err)
 			return f, ""
 		}
 		nodes[id] = n
 	}
-	defer func() {
-		for _, n := range nodes {
-			n.router.Stop()
-			n.srv.Close()
-			_ = n.durable.Close()
-		}
-		netMu.Lock()
-		for _, nf := range nets {
-			nf.Close()
-		}
-		netMu.Unlock()
-	}()
 
 	// Series set: every original node owns at least one key under the
 	// pre-join ring, and the post-join ring hands at least one to the
 	// joiner — the movement and durability invariants need real coverage.
-	oldRing := nodes[coordinator].router.Ring()
-	newRing, err := cluster.NewRing([]string{"m1", "m2", "m3", joiner}, oldRing.VNodes(), 2)
+	oldRing := nodes[coordinator].Router().Ring()
+	newRing, err := cluster.NewRing(members, oldRing.VNodes(), 2)
 	if err != nil {
 		f.addf("preview post-join ring: %v", err)
 		return f, ""
@@ -147,72 +86,42 @@ func runMembershipLeg(cfg Config, dir string, res *Result) (failures, string) {
 	}
 
 	ref := tsmodel.New(false) // the reference model, fed the identical sample stream
-	settle := func() {
-		for _, n := range nodes {
-			n.router.Flush()
-		}
-		for _, n := range nodes {
-			n.router.CheckPeers()
-		}
-	}
+	settle := func() { settleNodes(nodes, members) }
 
 	const ticks = 30
 	joinAt := 6 + rng.Intn(4)          // 6..9
 	killAt := joinAt + 3 + rng.Intn(4) // joinAt+3 .. joinAt+6
 	healAt := killAt + 5 + rng.Intn(4) // killAt+5 .. killAt+8
-	coord := nodes[coordinator].router
+	coord := nodes[coordinator].Router()
 
 	emitted := 0
 	for t := 0; t < ticks; t++ {
 		if t == joinAt {
-			n, err := func() (*memberNode, error) {
-				netMu.Lock()
-				nets[joiner] = NewNetFaults()
-				netMu.Unlock()
-				return newNode(joiner, []cluster.Peer{{ID: joiner, Addr: joiner}})
-			}()
+			n, err := nets.open(filepath.Join(dir, "membership"), joiner, joiner)
 			if err != nil {
 				f.addf("%v", err)
 				return f, ""
 			}
 			nodes[joiner] = n
-			if err := n.router.JoinCluster(coordinator); err != nil {
+			if err := n.Router().JoinCluster(coordinator); err != nil {
 				f.addf("JoinCluster at tick %d: %v", t, err)
 				return f, ""
 			}
 		}
 		if t == killAt {
 			settle() // moved entries must land before the victim's links die
-			netMu.Lock()
-			nets[victim].Close()
-			netMu.Unlock()
-			nodes[victim].srv.Close()
+			nets[victim].SetPartition(true)
 		}
 		if t == healAt {
-			netMu.Lock()
-			nets[victim] = NewNetFaults()
-			nodes[victim].srv = cluster.NewServer(nets[victim].Listener(), nodes[victim].router)
-			netMu.Unlock()
+			nets[victim].SetPartition(false)
 		}
 
-		entries := make([]timeseries.BatchEntry, len(seriesIDs))
-		for i, id := range seriesIDs {
-			entries[i] = timeseries.BatchEntry{
-				ID: id, Kind: metric.Gauge, Unit: metric.UnitWatt,
-				T: int64(t+1) * 1000, V: float64(rng.Intn(1<<20)) / 1024,
-			}
-		}
-		for _, e := range entries {
-			ref.Append(e.ID, e.T, e.V)
-		}
-		n, err := coord.AppendBatch(entries)
+		n, err := emitTick(rng, ref, coord, seriesIDs, t)
 		if err != nil {
 			f.addf("cluster append at tick %d: %v", t, err)
 			return f, ""
 		}
 		emitted += n
-		coord.Flush()
-		coord.CheckPeers()
 	}
 
 	// Quiesce: the revived victim needs one probe round to drain hints, a
@@ -222,12 +131,12 @@ func runMembershipLeg(cfg Config, dir string, res *Result) (failures, string) {
 
 	// --- invariants ---------------------------------------------------------
 
-	jst := nodes[joiner].router.Stats()
+	jst := nodes[joiner].Router().Stats()
 	res.MembershipEpoch = jst.Epoch
 	res.MembershipHandoffEntries = jst.HandoffEntries
-	for _, n := range nodes {
-		if got := n.router.Epoch(); got != 2 {
-			f.addf("epoch: node %s on %d after the join, want 2", n.id, got)
+	for id, n := range nodes {
+		if got := n.Router().Epoch(); got != 2 {
+			f.addf("epoch: node %s on %d after the join, want 2", id, got)
 		}
 	}
 
@@ -259,51 +168,20 @@ func runMembershipLeg(cfg Config, dir string, res *Result) (failures, string) {
 	// Durability: the post-join primary of every key holds it bit-exactly.
 	// (Donors keep stale copies of moved keys outside the read path, so the
 	// check is per-key on the owner, not a total.)
-	for _, k := range keys {
-		owner := newRing.Primary(k)
-		st := nodes[owner].durable.Store()
-		oid, ok := st.IDForKey(k)
-		if !ok {
-			f.addf("durability: owner %s never saw %q", owner, k)
-			continue
-		}
-		wantV, wantN, refErr := ref.Reduce(k, 0, 1<<62, string(timeseries.AggSum))
-		gotV, gotN, err := st.ReducePlanned(oid, 0, 1<<62, timeseries.AggSum)
-		if refErr != nil || err != nil {
-			f.addf("durability: reduce %q: ref err %v, owner err %v", k, refErr, err)
-			continue
-		}
-		if math.Float64bits(gotV) != math.Float64bits(wantV) || gotN != wantN {
-			f.addf("durability: %q on %s = (%v,%d), oracle (%v,%d)", k, owner, gotV, gotN, wantV, wantN)
-		}
-	}
+	checkOwners(&f, "durability", newRing, nodes, ref, keys)
 
 	// Parity through both coordinators that matter: the original one and
 	// the joiner.
 	from, to := int64(0), int64(ticks+2)*1000
-	for _, r := range []*cluster.Router{coord, nodes[joiner].router} {
-		for _, k := range keys {
-			wantV, wantN, refErr := ref.Reduce(k, from, to, string(timeseries.AggSum))
-			gotV, gotN, _, found, partial, err := r.Reduce(k, from, to, timeseries.AggSum)
-			if refErr != nil || err != nil {
-				f.addf("parity: %s reduce %q: ref err %v, cluster err %v", r.Self(), k, refErr, err)
-				continue
-			}
-			if !found || partial {
-				f.addf("parity: %s reduce %q found=%v partial=%v after heal", r.Self(), k, found, partial)
-				continue
-			}
-			if math.Float64bits(gotV) != math.Float64bits(wantV) || gotN != wantN {
-				f.addf("parity: %s reduce %q = (%v,%d), oracle (%v,%d)", r.Self(), k, gotV, gotN, wantV, wantN)
-			}
-		}
+	for _, r := range []*cluster.Router{coord, nodes[joiner].Router()} {
+		checkParity(&f, r, ref, keys, []timeseries.AggFunc{timeseries.AggSum}, from, to)
 	}
 
 	h := fnv.New64a()
 	fmt.Fprintf(h, "victim=%s|joinAt=%d|killAt=%d|healAt=%d|emitted=%d|moved=%d",
 		victim, joinAt, killAt, healAt, emitted, moved)
-	for _, id := range []string{"m1", "m2", "m3", joiner} {
-		fmt.Fprintf(h, "|%s=%+v", id, nodes[id].durable.Store().Dump())
+	for _, id := range members {
+		fmt.Fprintf(h, "|%s=%+v", id, nodes[id].Store().Dump())
 	}
 	return f, fmt.Sprintf("%016x", h.Sum64())
 }

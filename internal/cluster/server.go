@@ -38,18 +38,6 @@ func NewServer(ln net.Listener, router *Router) *Server {
 	return s
 }
 
-// Listen starts a TCP cluster listener on addr.
-func Listen(addr string, router *Router) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return NewServer(ln, router), nil
-}
-
-// Addr returns the bound listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	for {

@@ -151,10 +151,10 @@ type Meta struct {
 // Result is what a capability produces when run over a telemetry window.
 type Result struct {
 	// Summary is a human-readable one-liner for dashboards/reports.
-	Summary string
+	Summary string `json:"summary"`
 	// Values carries named numeric outputs for downstream stages and
 	// benchmark assertions.
-	Values map[string]float64
+	Values map[string]float64 `json:"values,omitempty"`
 }
 
 // Value returns a named output (0 when absent).

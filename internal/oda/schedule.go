@@ -28,20 +28,20 @@ var ErrCapabilityPanic = errors.New("oda: capability panicked")
 // operator observability (odad /stats, odactl stats).
 type ScheduleStats struct {
 	// Sweeps counts RunAll invocations.
-	Sweeps int64
+	Sweeps int64 `json:"sweeps"`
 	// Waves counts executed waves across all sweeps (serial sweeps run as
 	// one registration-ordered wave).
-	Waves int64
+	Waves int64 `json:"waves"`
 	// MaxWaveWidth is the widest wave ever executed.
-	MaxWaveWidth int
+	MaxWaveWidth int `json:"max_wave_width"`
 	// ConflictsDeferred counts capability pairs whose footprint conflict
 	// forced the later capability into a later wave, cumulative per sweep.
-	ConflictsDeferred int64
+	ConflictsDeferred int64 `json:"conflicts_deferred"`
 	// ActuatorsOverlapped counts writing capabilities that shared a wave
 	// with at least one other writer.
-	ActuatorsOverlapped int64
+	ActuatorsOverlapped int64 `json:"actuators_overlapped"`
 	// Panics counts capability panics recovered into errors.
-	Panics int64
+	Panics int64 `json:"panics"`
 }
 
 // schedulePlan is the precomputed wave decomposition of a grid.

@@ -32,40 +32,42 @@ type Options struct {
 	SnapshotInterval time.Duration
 }
 
-// Stats reports the durable store's recovery and IO counters.
+// Stats reports the durable store's recovery and IO counters. Its JSON form
+// is the persist section of a node's /stats, where the two durations appear
+// in seconds.
 type Stats struct {
 	// Segments and SegmentBytes describe the live WAL files on disk.
-	Segments     int
-	SegmentBytes int64
+	Segments     int   `json:"segments"`
+	SegmentBytes int64 `json:"segment_bytes"`
 	// WALRecords / WALBytes count records appended since Open.
-	WALRecords uint64
-	WALBytes   uint64
+	WALRecords uint64 `json:"wal_records"`
+	WALBytes   uint64 `json:"wal_bytes"`
 	// Fsyncs counts fsync syscalls; CoalescedSyncs counts sync requests a
 	// concurrent group-commit leader satisfied for free.
-	Fsyncs         uint64
-	CoalescedSyncs uint64
+	Fsyncs         uint64 `json:"fsyncs"`
+	CoalescedSyncs uint64 `json:"coalesced_syncs"`
 	// Checkpoints counts snapshots written since Open; SnapshotBytes is the
 	// newest snapshot's file size.
-	Checkpoints   uint64
-	SnapshotBytes int64
+	Checkpoints   uint64 `json:"checkpoints"`
+	SnapshotBytes int64  `json:"snapshot_bytes"`
 	// Recovery describes what Open found: whether a snapshot was restored,
 	// how many WAL segments and records were replayed on top of it, how
 	// many torn tails were truncated, and how many segments written after a
 	// tear were set aside as *.seg.lost instead of replayed over the gap.
-	SnapshotLoaded   bool
-	ReplayedSegments int
-	ReplayedRecords  uint64
-	TruncatedTails   int
-	TruncatedBytes   int64
-	LostSegments     int
+	SnapshotLoaded   bool   `json:"snapshot_loaded"`
+	ReplayedSegments int    `json:"replayed_segments"`
+	ReplayedRecords  uint64 `json:"replayed_records"`
+	TruncatedTails   int    `json:"truncated_tails"`
+	TruncatedBytes   int64  `json:"truncated_bytes"`
+	LostSegments     int    `json:"lost_segments"`
 	// What recovery cost: ReplayedSamples landed in the store from replayed
 	// records, ReplayDuration covers reading and replaying every segment
 	// (ReplayDuration / ReplayedSamples is the recovery cost per sample),
 	// and SnapshotLoadDuration covers finding, verifying and restoring the
 	// snapshot. Both are zero where that step had nothing to do.
-	ReplayedSamples      uint64
-	ReplayDuration       time.Duration
-	SnapshotLoadDuration time.Duration
+	ReplayedSamples      uint64        `json:"replayed_samples"`
+	ReplayDuration       time.Duration `json:"-"`
+	SnapshotLoadDuration time.Duration `json:"-"`
 }
 
 // DurableStore wraps a timeseries.Store with write-ahead logging and

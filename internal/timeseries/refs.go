@@ -167,12 +167,13 @@ func (s *Store) AppendRefs(entries []RefEntry) (int, error) {
 	return appended, firstErr
 }
 
-// RefIngestStats are cumulative ref fast-path counters.
+// RefIngestStats are cumulative ref fast-path counters (a node's /stats
+// refs section).
 type RefIngestStats struct {
-	Resolves   uint64 // Resolve calls (series interned or re-interned)
-	RefSamples uint64 // samples appended through AppendRefs
-	StaleRefs  uint64 // entries rejected for stale/malformed refs
-	Epoch      uint64 // the store instance's epoch
+	Resolves   uint64 `json:"resolves"`    // Resolve calls (series interned or re-interned)
+	RefSamples uint64 `json:"ref_samples"` // samples appended through AppendRefs
+	StaleRefs  uint64 `json:"stale_refs"`  // entries rejected for stale/malformed refs
+	Epoch      uint64 `json:"epoch"`       // the store instance's epoch
 }
 
 // RefStats returns the ref fast-path counters.
