@@ -141,7 +141,7 @@ func (c *rpcClient) query(q *queryRequest, timeout time.Duration) (*queryRespons
 	if resp.EpochMismatch {
 		return nil, &epochMismatchError{peerEpoch: resp.Epoch}
 	}
-	if len(resp.Results) != len(q.Keys) {
+	if q.Op != opSelect && len(resp.Results) != len(q.Keys) {
 		return nil, fmt.Errorf("cluster: peer returned %d results for %d keys", len(resp.Results), len(q.Keys))
 	}
 	return resp, nil

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/metric"
 	"repro/internal/timeseries"
 )
 
@@ -218,18 +219,32 @@ func queryProtoSeeds() (seeds []struct {
 		opReducePartial: {Found: true, TierStep: timeseries.TierStep1m, Partial: pa},
 		opReduceFull:    {Found: true, TierStep: timeseries.TierStep1h, Value: 2.25, Count: 3},
 		opAggFull:       {Found: true, Points: []timeseries.AggPoint{{Start: 0, Value: 1.5}, {Start: 60_000, Value: math.Inf(1)}}},
+		opSelect:        {Found: true, ID: metric.ID{Name: "power", Labels: metric.NewLabels("node", "n0", "rack", "r1")}},
+		// Times that fall back, a decimal value column.
+		opSamples: {Found: true, Times: []int64{1000, 61_000, -5, math.MaxInt64}, Vals: []float64{2.25, -0.5, 300, 1e-3}},
 		// A retired op's response carries only the common prefix here; the
 		// decoder must refuse it before reading any of it.
 		2: {Found: true, TierStep: timeseries.TierStep1h},
 		3: {Found: true},
 	}
-	for _, op := range []queryOp{opReducePartial, 2, opReduceFull, opAggFull, 3} {
+	for _, op := range []queryOp{opReducePartial, 2, opReduceFull, opAggFull, 3, opSelect, opSamples} {
 		add(op, encodeQueryRequest(&queryRequest{
 			Op: op, Epoch: 7, ReplicaOf: "n2", Fn: timeseries.AggP95,
 			From: -5, To: 7_200_000, Step: 60_000, Keys: []string{"power{node=n0}", ""},
+			Match: metric.ID{Name: "power", Labels: metric.NewLabels("site", "vdc")},
 		}))
 		res := results[op]
 		add(op, encodeQueryResponse(op, &queryResponse{Promoted: true, ReplSeq: 4, ReplOff: 99, Results: []keyResult{res, {}, res}}))
+	}
+	add(opSelect, encodeQueryRequest(&queryRequest{Op: opSelect}))
+	add(opSelect, encodeQueryResponse(opSelect, &queryResponse{}))
+	// A raw value column (NaN and -0 are not decimals), and an empty one.
+	add(opSamples, encodeQueryResponse(opSamples, &queryResponse{Results: []keyResult{
+		{Found: true, Times: []int64{5, 6, 7}, Vals: []float64{math.NaN(), math.Copysign(0, -1), 0.1}},
+		{Found: true},
+	}}))
+	for _, bad := range malformedColumns() {
+		add(bad.op, bad.payload)
 	}
 	add(opReducePartial, encodeQueryResponse(opReducePartial, &queryResponse{EpochMismatch: true, Epoch: 9}))
 	add(opAggFull, encodeQueryResponse(opAggFull, &queryResponse{Err: "window too wide"}))
@@ -271,7 +286,7 @@ func FuzzQueryProto(f *testing.F) {
 		}
 		held := len(resp.Results)
 		for i := range resp.Results {
-			held += len(resp.Results[i].Points)
+			held += len(resp.Results[i].Points) + len(resp.Results[i].Times) + len(resp.Results[i].ID.Labels)
 		}
 		if held > len(payload) {
 			t.Fatalf("%d decoded elements from %d bytes", held, len(payload))
@@ -292,6 +307,56 @@ func FuzzQueryProto(f *testing.F) {
 			}
 		}
 	})
+}
+
+// malformedColumns are selector and sample-column payloads another process
+// could send that must decode to an error.
+func malformedColumns() (out []struct {
+	name    string
+	op      queryOp
+	payload []byte
+	request bool
+}) {
+	add := func(name string, op queryOp, payload []byte, request bool) {
+		out = append(out, struct {
+			name    string
+			op      queryOp
+			payload []byte
+			request bool
+		}{name, op, payload, request})
+	}
+	sel := encodeQueryRequest(&queryRequest{Op: opSelect, Match: metric.ID{Name: "power", Labels: metric.NewLabels("node", "n0")}})
+	add("truncated selector", opSelect, sel[:len(sel)-2], true)
+	sel0 := encodeQueryRequest(&queryRequest{Op: opSelect}) // ends in label count 0
+	add("selector label count past the payload", opSelect, append(sel0[:len(sel0)-1], 0xff, 0xff, 0x03), true)
+	col := encodeQueryResponse(opSamples, &queryResponse{Results: []keyResult{{Found: true, Times: []int64{1, 2}, Vals: []float64{0.5, 1.5}}}})
+	add("truncated sample column", opSamples, col[:len(col)-1], false)
+	coding := append([]byte(nil), col...)
+	coding[len(coding)-4] = 2 // the coding byte before a decimal exponent and two varints
+	add("unknown value coding", opSamples, coding, false)
+	exp := append([]byte(nil), col...)
+	exp[len(exp)-3] = 16 // decimal exponent past 10^15
+	add("decimal exponent out of range", opSamples, exp, false)
+	count := encodeQueryResponse(opSamples, &queryResponse{Results: []keyResult{{Found: true}}})
+	add("sample count past the payload", opSamples, append(count[:len(count)-2], 0xff, 0xff, 0xff, 0x7f), false)
+	return out
+}
+
+// TestQueryProtoRefusesMalformedColumns: a selector or sample column that is
+// cut short, counts past its payload, or codes its values in no known way
+// is an error, not a panic or a short answer.
+func TestQueryProtoRefusesMalformedColumns(t *testing.T) {
+	for _, bad := range malformedColumns() {
+		var err error
+		if bad.request {
+			_, err = decodeQueryRequest(bad.payload)
+		} else {
+			_, err = decodeQueryResponse(bad.op, bad.payload)
+		}
+		if err == nil {
+			t.Errorf("%s: decoded", bad.name)
+		}
+	}
 }
 
 // TestQueryProtoRefusesRetiredOp pins op codes 2 (the deleted bucketed-partials

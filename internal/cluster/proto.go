@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/binenc"
+	"repro/internal/metric"
 	"repro/internal/timeseries"
 )
 
@@ -39,24 +41,26 @@ const (
 )
 
 // queryOp selects what a peer computes per key. The single-series ops are
-// answered whole on the owner (fn runs there); the scatter op ships
-// fixed-size partial aggregates the coordinator merges across owners.
+// answered whole on the owner (fn runs there); the scatter ops ship
+// fixed-size partial aggregates the coordinator merges across owners, or
+// the IDs of the series a member holds.
 type queryOp uint8
 
 const (
 	opReducePartial queryOp = 1 // Partial per key (ReduceMany's scatter)
 	// 2 and 3 are retired and stay reserved: 2 shipped bucketed partials for
 	// a multi-series range scatter no caller used, and 3 shipped a series'
-	// raw values, unbounded for step <= 0 — the one op that broke "only
-	// fixed-size aggregates cross the network".
+	// raw values as bare floats.
 	opReduceFull queryOp = 4 // final (value, count) per key, fn on owner
 	opAggFull    queryOp = 5 // final []AggPoint per key, fn on owner
+	opSelect     queryOp = 6 // no keys; one result per series matching Match
+	opSamples    queryOp = 7 // raw samples per key, as a sample column
 )
 
 // checkOp refuses an op code this version does not serve.
 func checkOp(op queryOp) error {
 	switch op {
-	case opReducePartial, opReduceFull, opAggFull:
+	case opReducePartial, opReduceFull, opAggFull, opSelect, opSamples:
 		return nil
 	}
 	return fmt.Errorf("cluster: unknown or retired query op %d", op)
@@ -76,6 +80,7 @@ type queryRequest struct {
 	From, To  int64
 	Step      int64 // bucketed ops only
 	Keys      []string
+	Match     metric.ID // opSelect only: name ("" = any) and labels to match
 }
 
 // keyResult is one key's answer; which fields are set depends on the op.
@@ -89,6 +94,9 @@ type keyResult struct {
 	Value    float64
 	Count    int64
 	Points   []timeseries.AggPoint
+	ID       metric.ID // opSelect
+	Times    []int64   // opSamples: the sample column, in time order
+	Vals     []float64
 }
 
 type queryResponse struct {
@@ -170,6 +178,9 @@ func encodeQueryRequest(q *queryRequest) []byte {
 	for _, k := range q.Keys {
 		b = binenc.AppendString(b, k)
 	}
+	if q.Op == opSelect {
+		b = binenc.AppendID(b, q.Match)
+	}
 	return b
 }
 
@@ -187,6 +198,9 @@ func decodeQueryRequest(payload []byte) (*queryRequest, error) {
 	q.Keys = make([]string, p.Count(1))
 	for i := range q.Keys {
 		q.Keys[i] = p.Str()
+	}
+	if q.Op == opSelect {
+		q.Match = p.ID()
 	}
 	if err := p.Err(); err != nil {
 		return nil, err
@@ -230,6 +244,10 @@ func encodeQueryResponse(op queryOp, resp *queryResponse) []byte {
 				b = binenc.AppendVarint(b, r.Points[j].Start)
 				b = binenc.AppendFloat(b, r.Points[j].Value)
 			}
+		case opSelect:
+			b = binenc.AppendID(b, r.ID)
+		case opSamples:
+			b = appendSamples(b, r.Times, r.Vals)
 		}
 	}
 	return b
@@ -270,9 +288,56 @@ func decodeQueryResponse(op queryOp, payload []byte) (*queryResponse, error) {
 			for j := range r.Points {
 				r.Points[j] = timeseries.AggPoint{Start: p.Varint(), Value: p.Float()}
 			}
+		case opSelect:
+			r.ID = p.ID()
+		case opSamples:
+			var err error
+			if r.Times, r.Vals, err = readSamples(&p); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return resp, p.Err()
+}
+
+// appendSamples appends a sample column: the count, each time as a zig-zag
+// delta from the one before (the first from 0), a byte saying whether the
+// values came out decimal, and the values as one binenc value column.
+func appendSamples(b []byte, times []int64, vals []float64) []byte {
+	b = binenc.AppendUvarint(b, uint64(len(times)))
+	var prev int64
+	for _, t := range times {
+		b = binenc.AppendVarint(b, t-prev)
+		prev = t
+	}
+	at := len(b)
+	b = append(b, 0)
+	b, decimal := binenc.AppendValues(b, vals)
+	if decimal {
+		b[at] = 1
+	}
+	return b
+}
+
+// readSamples reads a column appendSamples wrote.
+func readSamples(p *binenc.Reader) ([]int64, []float64, error) {
+	// Every sample costs at least a time byte and a value byte.
+	times := make([]int64, p.Count(2))
+	var t int64
+	for i := range times {
+		t += p.Varint()
+		times[i] = t
+	}
+	coding := p.Byte()
+	if coding > 1 {
+		return nil, nil, errors.New("cluster: sample column coded neither raw nor decimal")
+	}
+	col := p.ValueCol(coding == 1)
+	vals := make([]float64, len(times))
+	for i := range vals {
+		vals[i] = p.Value(col)
+	}
+	return times, vals, p.Err()
 }
 
 // --- replication pull ---

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/metric"
 	"repro/internal/queryfront"
 	"repro/internal/timeseries"
 )
@@ -17,13 +18,13 @@ import (
 //     single node runs — so the value, and the tier step it reports, match a
 //     single node by construction. If the owner is unreachable the query
 //     falls back to a follower's replica store of that owner and the result
-//     is flagged partial (a replica may lag the leader).
+//     is flagged partial (a replica may lag the leader). Archive reads too.
 //
-//   - scatter (ReduceMany): group keys by owner, fan out one request per
-//     peer, and merge per-key partials at the coordinator IN SORTED KEY
-//     ORDER. That fixed fold order is what makes the distributed answer
-//     bit-identical to a single store holding all the data; the tests hold
-//     it to the reference model's sorted-key merge (tsmodel.ReduceMerged).
+//   - scatter (ReduceMany, Archive.Select): fan out one request per owner
+//     and merge per-key partials, or series IDs, at the coordinator IN
+//     SORTED KEY ORDER. That fixed order is what makes the distributed
+//     answer bit-identical to a single store holding all the data; the tests
+//     hold it to the reference model's sorted-key merge (tsmodel.ReduceMerged).
 //
 // Peers that stay unreachable after replica fallback degrade the scatter to
 // a partial result: their keys are skipped and the peer is reported, never
@@ -66,6 +67,12 @@ func (r *Router) execQuery(q *queryRequest) *queryResponse {
 	if err := checkOp(q.Op); err != nil {
 		return &queryResponse{Err: err.Error()}
 	}
+	if q.Op == opSelect {
+		for _, id := range st.Select(q.Match.Name, q.Match.Labels) {
+			resp.Results = append(resp.Results, keyResult{Found: true, ID: id})
+		}
+		return resp
+	}
 	be := queryfront.ForStore(st)
 	resp.Results = make([]keyResult, len(q.Keys))
 	for i, key := range q.Keys {
@@ -86,6 +93,17 @@ func (r *Router) execQuery(q *queryRequest) *queryResponse {
 			res.Count = int64(n)
 		case opAggFull:
 			res.Points, res.TierStep, res.Found, _, err = be.AggregateRange(key, q.From, q.To, q.Step, q.Fn)
+		case opSamples:
+			id, ok := st.IDForKey(key)
+			if !ok {
+				continue
+			}
+			res.Found = true
+			err = st.Each(id, q.From, q.To, func(sm metric.Sample) bool {
+				res.Times = append(res.Times, sm.T)
+				res.Vals = append(res.Vals, sm.V)
+				return true
+			})
 		}
 		if err != nil {
 			return &queryResponse{Err: err.Error()}
@@ -197,18 +215,14 @@ func retryTopology(once func() error) error {
 	return err
 }
 
-// querySeries answers one series' reduction (step <= 0) or bucketed
-// aggregation wherever the series lives, finished by the answering store:
-// Value/Count or Points are set whichever op ran, and TierStep is the plan
-// that store executed. Check Found before reading them. partial=true means
-// the answer came from a (possibly lagging) replica.
-func (r *Router) querySeries(key string, from, to, step int64, fn timeseries.AggFunc) (res *keyResult, partial bool, err error) {
-	q := &queryRequest{Op: opReduceFull, Fn: fn, From: from, To: to, Step: step, Keys: []string{key}}
-	if step > 0 {
-		q.Op = opAggFull
-	}
+// querySeries runs q, a request for one key, wherever the key lives,
+// finished by the answering store: the fields q.Op sets are filled, and
+// TierStep is the plan that store executed. Check Found before reading them.
+// owner is the key's owner under the placement q ran against; partial=true
+// means the answer came from a (possibly lagging) replica of it.
+func (r *Router) querySeries(q *queryRequest) (res *keyResult, owner string, partial bool, err error) {
 	err = retryTopology(func() error {
-		owner := r.topo.Load().Ring().Primary(key)
+		owner = r.topo.Load().Ring().Primary(q.Keys[0])
 		if owner != r.self {
 			r.scatterQueries.Add(1)
 		}
@@ -222,12 +236,12 @@ func (r *Router) querySeries(key string, from, to, step int64, fn timeseries.Agg
 		res, partial = &results[0], fallback
 		return nil
 	})
-	return res, partial, err
+	return res, owner, partial, err
 }
 
 // Reduce answers a single-series reduction wherever the series lives.
 func (r *Router) Reduce(key string, from, to int64, fn timeseries.AggFunc) (value float64, count int, tierStep int64, found, partial bool, err error) {
-	res, partial, err := r.querySeries(key, from, to, 0, fn)
+	res, _, partial, err := r.querySeries(&queryRequest{Op: opReduceFull, Fn: fn, From: from, To: to, Keys: []string{key}})
 	if err != nil || !res.Found {
 		return 0, 0, 0, false, partial, err
 	}
@@ -240,7 +254,7 @@ func (r *Router) AggregateRange(key string, from, to, step int64, fn timeseries.
 	if step <= 0 {
 		return nil, 0, false, false, fmt.Errorf("cluster: step must be positive")
 	}
-	res, partial, err := r.querySeries(key, from, to, step, fn)
+	res, _, partial, err := r.querySeries(&queryRequest{Op: opAggFull, Fn: fn, From: from, To: to, Step: step, Keys: []string{key}})
 	if err != nil || !res.Found {
 		return nil, 0, false, partial, err
 	}
@@ -307,53 +321,31 @@ func (r *Router) scatterPartials(keys []string, from, to int64) (perKey map[stri
 func (r *Router) scatterOnce(keys []string, from, to int64) (map[string]*keyResult, []string, error) {
 	groups := make(map[string][]string)
 	ring := r.topo.Load().Ring()
+	var owners []string
 	for _, k := range keys {
 		owner := ring.Primary(k)
+		if groups[owner] == nil {
+			owners = append(owners, owner)
+		}
 		groups[owner] = append(groups[owner], k) // keys sorted → groups sorted
 	}
 	r.scatterQueries.Add(1)
-	type groupOut struct {
-		owner    string
-		keys     []string
-		results  []keyResult
-		fallback bool
-		err      error
+	answers, err := r.scatter(owners, func(owner string) *queryRequest {
+		return &queryRequest{Op: opReducePartial, From: from, To: to, Keys: groups[owner]}
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	outs := make([]groupOut, 0, len(groups))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for owner, gk := range groups {
-		wg.Add(1)
-		go func(owner string, gk []string) {
-			defer wg.Done()
-			q := &queryRequest{Op: opReducePartial, From: from, To: to, Keys: gk}
-			results, fallback, err := r.queryOwner(owner, q)
-			mu.Lock()
-			outs = append(outs, groupOut{owner: owner, keys: gk, results: results, fallback: fallback, err: err})
-			mu.Unlock()
-		}(owner, gk)
-	}
-	wg.Wait()
 	perKey := make(map[string]*keyResult, len(keys))
 	var partialPeers []string
-	for i := range outs {
-		g := &outs[i]
-		if errors.Is(g.err, errTopologyChanged) {
-			// The epoch flipped under the scatter: the whole placement is
-			// stale, so the caller re-derives groups and retries rather than
-			// degrading this owner's keys to a partial answer.
-			return nil, nil, errTopologyChanged
+	for _, a := range answers {
+		if a.err != nil || a.fallback {
+			partialPeers = append(partialPeers, a.owner)
 		}
-		if g.err != nil {
-			partialPeers = append(partialPeers, g.owner)
-			continue
-		}
-		if g.fallback {
-			partialPeers = append(partialPeers, g.owner)
-		}
-		for j := range g.results {
-			if g.results[j].Found {
-				perKey[g.keys[j]] = &g.results[j]
+		gk := groups[a.owner]
+		for j := range a.results {
+			if a.results[j].Found {
+				perKey[gk[j]] = &a.results[j]
 			}
 		}
 	}
@@ -362,6 +354,41 @@ func (r *Router) scatterOnce(keys []string, from, to int64) (map[string]*keyResu
 		r.partialQueries.Add(1)
 	}
 	return perKey, partialPeers, nil
+}
+
+// ownerAnswer is one owner's answer to a scattered request: its results,
+// whether a replica served them, or the error that left its part out.
+type ownerAnswer struct {
+	owner    string
+	results  []keyResult
+	fallback bool
+	err      error
+}
+
+// scatter sends req(owner) to every owner concurrently, through queryOwner
+// (so a down owner's replica answers for it), and returns the answers in
+// owners' order. If the epoch flipped under any of them the whole placement
+// is stale: it returns errTopologyChanged, and the caller re-derives its
+// groups and retries rather than degrading that owner to a partial answer.
+func (r *Router) scatter(owners []string, req func(owner string) *queryRequest) ([]ownerAnswer, error) {
+	answers := make([]ownerAnswer, len(owners))
+	var wg sync.WaitGroup
+	for i, owner := range owners {
+		a, q := &answers[i], req(owner)
+		a.owner = owner
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			a.results, a.fallback, a.err = r.queryOwner(a.owner, q)
+		}()
+	}
+	wg.Wait()
+	for _, a := range answers {
+		if errors.Is(a.err, errTopologyChanged) {
+			return nil, errTopologyChanged
+		}
+	}
+	return answers, nil
 }
 
 func sortedUnique(keys []string) []string {

@@ -9,12 +9,11 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"sort"
 	"strings"
 
 	"repro/internal/metric"
+	"repro/internal/oda"
 	"repro/internal/stats"
-	"repro/internal/timeseries"
 )
 
 // sparkRunes are the eight block glyphs of a sparkline.
@@ -109,10 +108,14 @@ type Panel struct {
 	StepMs int64
 }
 
-// Dashboard groups panels over one store.
+// Dashboard groups panels over one archive.
 type Dashboard struct {
-	Store  *timeseries.Store
+	Store  oda.Archive
 	Panels []Panel
+	// Latest, when set, returns the evaluation instant of an HTTP request
+	// that names none (the ingest watermark of the node serving it); nil
+	// scans the archive for its newest sample.
+	Latest func() int64
 }
 
 // PanelData is the machine-readable render of one panel.
@@ -141,53 +144,25 @@ func (d *Dashboard) Snapshot(now int64) []PanelData {
 		}
 		pd := PanelData{Title: p.Title}
 		ids := d.Store.Select(p.Name, p.Selector)
+		from, to := now-window, now+1
 		if p.StepMs > 0 {
 			// Planned render: align the window start down to a step boundary
 			// (tier eligibility requires an aligned origin), then read
 			// per-bucket means through the planner.
-			from, to := now-window, now+1
 			if rem := ((from % p.StepMs) + p.StepMs) % p.StepMs; rem != 0 {
 				from -= rem
 			}
-			for _, id := range ids {
-				pts, err := d.Store.AggregatePlanned(id, from, to, p.StepMs, timeseries.AggMean)
-				if err != nil || len(pts) == 0 {
-					continue
-				}
-				vals := make([]float64, len(pts))
-				var o stats.Online
-				for i, pt := range pts {
-					vals[i] = pt.Value
-					o.Add(pt.Value)
-				}
-				s := o.Summary()
-				pd.Series = append(pd.Series, SeriesData{
-					ID: id.Key(), Last: vals[len(vals)-1],
-					Mean: s.Mean, Min: s.Min, Max: s.Max, Values: vals,
-				})
-			}
-			sort.Slice(pd.Series, func(a, b int) bool { return pd.Series[a].ID < pd.Series[b].ID })
-			out = append(out, pd)
-			continue
 		}
-		// One fused pass per series: the summary statistics accumulate
-		// while the display values stream off the cursor.
+		// One fused pass per series: the summary statistics accumulate over
+		// the display values, raw or per-bucket means.
 		for _, id := range ids {
-			cur, err := d.Store.Cursor(id, now-window, now+1)
-			if err != nil {
-				continue
-			}
-			vals := make([]float64, 0, cur.Est())
-			var o stats.Online
-			for cur.Next() {
-				v := cur.At().V
-				vals = append(vals, v)
-				o.Add(v)
-			}
-			broken := cur.Err() != nil
-			cur.Close()
-			if broken || len(vals) == 0 {
+			vals, err := d.Store.SeriesValues(id, from, to, p.StepMs)
+			if err != nil || len(vals) == 0 {
 				continue // skip broken/empty series
+			}
+			var o stats.Online
+			for _, v := range vals {
+				o.Add(v)
 			}
 			s := o.Summary()
 			pd.Series = append(pd.Series, SeriesData{
@@ -195,8 +170,7 @@ func (d *Dashboard) Snapshot(now int64) []PanelData {
 				Mean: s.Mean, Min: s.Min, Max: s.Max, Values: vals,
 			})
 		}
-		sort.Slice(pd.Series, func(a, b int) bool { return pd.Series[a].ID < pd.Series[b].ID })
-		out = append(out, pd)
+		out = append(out, pd) // in key order, as Select returned the series
 	}
 	return out
 }
@@ -220,7 +194,7 @@ func (d *Dashboard) RenderText(now int64) string {
 
 // Handler serves the dashboard as JSON at its mount point. The "now" query
 // parameter (Unix millis) selects the evaluation instant; it defaults to
-// the newest sample in the store.
+// Latest, or the newest sample in the archive.
 func (d *Dashboard) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		now := int64(0)
@@ -230,11 +204,14 @@ func (d *Dashboard) Handler() http.Handler {
 				return
 			}
 		}
-		if now == 0 {
+		if now == 0 && d.Latest != nil {
+			now = d.Latest()
+		} else if now == 0 {
 			for _, id := range d.Store.Select("", nil) {
-				if sm, ok := d.Store.Latest(id); ok && sm.T > now {
-					now = sm.T
-				}
+				_ = d.Store.Each(id, math.MinInt64, math.MaxInt64, func(sm metric.Sample) bool {
+					now = max(now, sm.T)
+					return true
+				})
 			}
 		}
 		w.Header().Set("Content-Type", "application/json")

@@ -19,7 +19,6 @@ import (
 	"repro/internal/oda"
 	"repro/internal/simulation"
 	"repro/internal/stats"
-	"repro/internal/timeseries"
 )
 
 func cell(p oda.Pillar, t oda.Type) oda.Cell { return oda.Cell{Pillar: p, Type: t} }
@@ -29,57 +28,40 @@ var siteLabels = metric.NewLabels("site", "vdc")
 // nodeVectorNames are the per-node sensors fused into one feature vector.
 var nodeVectorNames = []string{"node_power_watts", "node_cpu_temp_celsius", "node_utilization", "node_fan_speed"}
 
-// nodeVector extracts one feature vector (power, temp, utilization, fan)
-// per collection instant for a node, aligned on the power series timestamps.
-// The four series are walked in lockstep by streaming cursors, so the rows
-// land directly in the matrix without intermediate sample slices.
+// nodeVectors extracts one feature vector (power, temp, utilization, fan)
+// per collection instant for a node, aligned on the power series timestamps:
+// row i holds every series' i-th sample of the window, for as many rows as
+// the shortest series has.
 func nodeVectors(ctx *oda.RunContext, nodeLabels metric.Labels, from, to int64) (*ml.Matrix, []int64, error) {
-	curs := make([]*timeseries.Cursor, len(nodeVectorNames))
-	defer func() {
-		for _, cur := range curs {
-			if cur != nil {
-				cur.Close()
-			}
-		}
-	}()
-	est := 0
-	for j, name := range nodeVectorNames {
-		id := metric.ID{Name: name, Labels: nodeLabels}
-		cur, err := ctx.Store.Cursor(id, from, to)
+	cols := make([][]float64, len(nodeVectorNames))
+	var times []int64
+	err := ctx.Store.Each(metric.ID{Name: nodeVectorNames[0], Labels: nodeLabels}, from, to, func(sm metric.Sample) bool {
+		times = append(times, sm.T)
+		cols[0] = append(cols[0], sm.V)
+		return true
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	rows := len(times)
+	for j := 1; j < len(nodeVectorNames); j++ {
+		vals, err := ctx.Store.SeriesValues(metric.ID{Name: nodeVectorNames[j], Labels: nodeLabels}, from, to, 0)
 		if err != nil {
 			return nil, nil, err
 		}
-		curs[j] = cur
-		if j == 0 || cur.Est() < est {
-			est = cur.Est()
-		}
+		cols[j] = vals
+		rows = min(rows, len(vals))
 	}
-	data := make([]float64, 0, est*len(nodeVectorNames))
-	times := make([]int64, 0, est)
-	for {
-		ok := true
-		for _, cur := range curs {
-			if !cur.Next() {
-				ok = false // drain the rest so Err() reflects decode failures
-			}
-		}
-		if !ok {
-			break
-		}
-		times = append(times, curs[0].At().T)
-		for _, cur := range curs {
-			data = append(data, cur.At().V)
-		}
-	}
-	for _, cur := range curs {
-		if err := cur.Err(); err != nil {
-			return nil, nil, err
-		}
-	}
-	if len(times) == 0 {
+	if rows == 0 {
 		return nil, nil, fmt.Errorf("diagnostic: no aligned telemetry for %s", nodeLabels)
 	}
-	return &ml.Matrix{Rows: len(times), Cols: len(nodeVectorNames), Data: data}, times, nil
+	data := make([]float64, 0, rows*len(cols))
+	for i := 0; i < rows; i++ {
+		for _, col := range cols {
+			data = append(data, col[i])
+		}
+	}
+	return &ml.Matrix{Rows: rows, Cols: len(cols), Data: data}, times[:rows], nil
 }
 
 // NodeAnomaly is PCA-subspace anomaly detection over per-node sensor

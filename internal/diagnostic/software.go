@@ -10,7 +10,6 @@ import (
 	"repro/internal/ml"
 	"repro/internal/oda"
 	"repro/internal/simulation"
-	"repro/internal/timeseries"
 	"repro/internal/workload"
 )
 
@@ -166,9 +165,8 @@ func jobFeatures(ctx *oda.RunContext, dc *simulation.DataCenter, rec *simulation
 	for _, idx := range rec.Nodes {
 		n := dc.Nodes[idx]
 		labels := metric.NewLabels("node", n.Name(), "rack", n.Cfg.Rack)
-		// Per-node means push down into the engine: nothing materializes.
-		pMean, pn, err1 := ctx.Store.Reduce(metric.ID{Name: "node_power_watts", Labels: labels}, rec.Start, rec.End, timeseries.AggMean)
-		uMean, un, err2 := ctx.Store.Reduce(metric.ID{Name: "node_utilization", Labels: labels}, rec.Start, rec.End, timeseries.AggMean)
+		pMean, pn, err1 := rawMean(ctx, metric.ID{Name: "node_power_watts", Labels: labels}, rec.Start, rec.End)
+		uMean, un, err2 := rawMean(ctx, metric.ID{Name: "node_utilization", Labels: labels}, rec.Start, rec.End)
 		if err1 != nil || err2 != nil || pn == 0 || un == 0 {
 			continue
 		}
@@ -188,6 +186,23 @@ func jobFeatures(ctx *oda.RunContext, dc *simulation.DataCenter, rec *simulation
 		float64(j.Nodes),
 		j.RuntimeSeconds() / 3600,
 	}, true
+}
+
+// rawMean is the mean of one series' raw samples over [from, to) and their
+// count, summed sample by sample in time order, so the mean does not depend
+// on how rollup windows would group the sums.
+func rawMean(ctx *oda.RunContext, id metric.ID, from, to int64) (float64, int, error) {
+	var sum float64
+	n := 0
+	err := ctx.Store.Each(id, from, to, func(sm metric.Sample) bool {
+		sum += sm.V
+		n++
+		return true
+	})
+	if err != nil || n == 0 {
+		return 0, 0, err
+	}
+	return sum / float64(n), n, nil
 }
 
 // AppFingerprint classifies finished jobs into behaviour classes from

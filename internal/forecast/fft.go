@@ -76,16 +76,6 @@ func NextPow2(n int) int {
 	return p
 }
 
-// PadPow2 copies xs into a power-of-two-length complex slice, zero-padded.
-func PadPow2(xs []float64) []complex128 {
-	n := NextPow2(len(xs))
-	out := make([]complex128, n)
-	for i, x := range xs {
-		out[i] = complex(x, 0)
-	}
-	return out
-}
-
 // fftScratch pools the complex work buffers of the internal spectrum
 // paths (DominantPeriods, FFTForecaster.Fit), which transform in place and
 // never hand the buffer to callers. Periodic re-fits during long forecast

@@ -273,10 +273,6 @@ func TestNextPow2AndPad(t *testing.T) {
 			t.Errorf("NextPow2(%d) = %d, want %d", in, got, want)
 		}
 	}
-	p := PadPow2([]float64{1, 2, 3})
-	if len(p) != 4 || real(p[0]) != 1 || p[3] != 0 {
-		t.Fatalf("PadPow2 = %v", p)
-	}
 }
 
 func TestDominantPeriods(t *testing.T) {

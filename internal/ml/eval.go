@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 )
@@ -19,40 +18,6 @@ func MAE(pred, truth []float64) float64 {
 		s += math.Abs(pred[i] - truth[i])
 	}
 	return s / float64(len(pred))
-}
-
-// RMSE returns the root mean squared error.
-func RMSE(pred, truth []float64) float64 {
-	if len(pred) == 0 || len(pred) != len(truth) {
-		return 0
-	}
-	var s float64
-	for i := range pred {
-		d := pred[i] - truth[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(pred)))
-}
-
-// MAPE returns the mean absolute percentage error, skipping zero-truth
-// points (the convention monitoring KPI reports use).
-func MAPE(pred, truth []float64) float64 {
-	if len(pred) != len(truth) {
-		return 0
-	}
-	var s float64
-	var n int
-	for i := range pred {
-		if truth[i] == 0 {
-			continue
-		}
-		s += math.Abs((pred[i] - truth[i]) / truth[i])
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return s / float64(n) * 100
 }
 
 // R2 returns the coefficient of determination.
@@ -91,59 +56,6 @@ func Accuracy(pred, truth []int) float64 {
 		}
 	}
 	return float64(hits) / float64(len(pred))
-}
-
-// ConfusionMatrix counts prediction outcomes; entry [t][p] is the number of
-// class-t observations predicted as class p.
-func ConfusionMatrix(pred, truth []int, numClasses int) ([][]int, error) {
-	if len(pred) != len(truth) {
-		return nil, ErrDimension
-	}
-	cm := make([][]int, numClasses)
-	for i := range cm {
-		cm[i] = make([]int, numClasses)
-	}
-	for i := range pred {
-		if truth[i] < 0 || truth[i] >= numClasses || pred[i] < 0 || pred[i] >= numClasses {
-			return nil, errors.New("ml: class index out of range")
-		}
-		cm[truth[i]][pred[i]]++
-	}
-	return cm, nil
-}
-
-// PrecisionRecallF1 returns per-class precision, recall and F1 from a
-// confusion matrix.
-func PrecisionRecallF1(cm [][]int) (precision, recall, f1 []float64) {
-	n := len(cm)
-	precision = make([]float64, n)
-	recall = make([]float64, n)
-	f1 = make([]float64, n)
-	for c := 0; c < n; c++ {
-		var tp, fp, fn int
-		for t := 0; t < n; t++ {
-			for p := 0; p < n; p++ {
-				switch {
-				case t == c && p == c:
-					tp += cm[t][p]
-				case t != c && p == c:
-					fp += cm[t][p]
-				case t == c && p != c:
-					fn += cm[t][p]
-				}
-			}
-		}
-		if tp+fp > 0 {
-			precision[c] = float64(tp) / float64(tp+fp)
-		}
-		if tp+fn > 0 {
-			recall[c] = float64(tp) / float64(tp+fn)
-		}
-		if precision[c]+recall[c] > 0 {
-			f1[c] = 2 * precision[c] * recall[c] / (precision[c] + recall[c])
-		}
-	}
-	return precision, recall, f1
 }
 
 // TrainTestSplit shuffles row indices deterministically and splits them,
@@ -185,15 +97,6 @@ func SelectFloats(y []float64, idx []int) []float64 {
 // SelectInts returns y[idx].
 func SelectInts(y []int, idx []int) []int {
 	out := make([]int, len(idx))
-	for i, r := range idx {
-		out[i] = y[r]
-	}
-	return out
-}
-
-// SelectStrings returns y[idx].
-func SelectStrings(y []string, idx []int) []string {
-	out := make([]string, len(idx))
 	for i, r := range idx {
 		out[i] = y[r]
 	}

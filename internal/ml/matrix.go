@@ -190,22 +190,3 @@ func Euclidean(a, b []float64) float64 {
 	}
 	return math.Sqrt(s)
 }
-
-// Manhattan returns the L1 distance between two equal-length vectors.
-func Manhattan(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		s += math.Abs(a[i] - b[i])
-	}
-	return s
-}
-
-// Cosine returns 1 - cosine similarity, a distance in [0, 2]. Zero vectors
-// are treated as maximally distant from everything.
-func Cosine(a, b []float64) float64 {
-	na, nb := math.Sqrt(Dot(a, a)), math.Sqrt(Dot(b, b))
-	if na == 0 || nb == 0 {
-		return 1
-	}
-	return 1 - Dot(a, b)/(na*nb)
-}

@@ -130,18 +130,6 @@ func TestDistances(t *testing.T) {
 	if Euclidean(a, b) != 5 {
 		t.Fatal("Euclidean")
 	}
-	if Manhattan(a, b) != 7 {
-		t.Fatal("Manhattan")
-	}
-	if !approx(Cosine([]float64{1, 0}, []float64{0, 1}), 1, 1e-12) {
-		t.Fatal("orthogonal cosine distance should be 1")
-	}
-	if !approx(Cosine([]float64{2, 2}, []float64{4, 4}), 0, 1e-12) {
-		t.Fatal("parallel cosine distance should be 0")
-	}
-	if Cosine([]float64{0, 0}, []float64{1, 1}) != 1 {
-		t.Fatal("zero vector cosine should be 1")
-	}
 	if Dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
 		t.Fatal("Dot")
 	}

@@ -30,7 +30,7 @@ func TestAnalyzeHandlerSmoke(t *testing.T) {
 	latest := func() int64 { return 119 * 60_000 }
 
 	rec := httptest.NewRecorder()
-	analyzeHandler(grid, store, latest)(rec, httptest.NewRequest("GET", "/analyze?window_hours=3", nil))
+	analyzeHandler(grid, func() archive { return shard{store} }, latest)(rec, httptest.NewRequest("GET", "/analyze?window_hours=3", nil))
 	if rec.Code != 200 {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -66,7 +66,7 @@ func TestAnalyzeHandlerSmoke(t *testing.T) {
 
 	// Bad window: rejected.
 	rec = httptest.NewRecorder()
-	analyzeHandler(grid, store, latest)(rec, httptest.NewRequest("GET", "/analyze?window_hours=-1", nil))
+	analyzeHandler(grid, func() archive { return shard{store} }, latest)(rec, httptest.NewRequest("GET", "/analyze?window_hours=-1", nil))
 	if rec.Code != 400 {
 		t.Fatalf("negative window: status %d, want 400", rec.Code)
 	}
@@ -115,7 +115,7 @@ func TestAnalyzeWindowAfterRestart(t *testing.T) {
 	}
 	latest := newestSample(re.Store())
 	rec := httptest.NewRecorder()
-	analyzeHandler(grid, re.Store(), func() int64 { return latest })(rec, httptest.NewRequest("GET", "/analyze?window_hours=6", nil))
+	analyzeHandler(grid, func() archive { return shard{re.Store()} }, func() int64 { return latest })(rec, httptest.NewRequest("GET", "/analyze?window_hours=6", nil))
 	if rec.Code != 200 {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}

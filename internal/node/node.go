@@ -136,6 +136,7 @@ type Node struct {
 	clusterSrv *cluster.Server
 	srv        *wire.Server
 	ingest     func([]timeseries.BatchEntry) (int, error)
+	archive    func() archive // what one read request (a sweep, a render) reads
 	grid       *oda.Grid
 	qf         *queryfront.Front
 	mux        *http.ServeMux
@@ -201,6 +202,7 @@ func Open(c Config) (_ *Node, err error) {
 	// the series this node owns and forwards to their owning peers.
 	var backend queryfront.Backend = queryfront.ForStore(n.store)
 	n.ingest = timeseries.NewRefCache(n.local).AppendBatch
+	n.archive = func() archive { return shard{n.store} }
 	if p.peers != nil {
 		n.router, err = cluster.New(cluster.Config{
 			Self:           c.NodeID,
@@ -221,8 +223,10 @@ func Open(c Config) (_ *Node, err error) {
 		}
 		// A clustered node answers /query and /query_range for any series:
 		// the router sends each request to the owner (or a replica, marked
-		// partial, when the owner is down).
+		// partial, when the owner is down). /analyze and /dashboard read the
+		// whole fleet the same way, through one router view per request.
 		n.ingest, backend = n.router.AppendBatch, n.router
+		n.archive = func() archive { return n.router.Archive() }
 	}
 	n.qf = queryfront.New(backend, c.QueryCacheEntries, c.QueryCacheTTL, c.QueryRate, c.QueryBurst)
 	n.mux = n.routes()
@@ -312,6 +316,21 @@ func (n *Node) Wire() *wire.Server { return n.srv }
 // Rejected counts samples the local store refused (/stats
 // ingest_rejected).
 func (n *Node) Rejected() uint64 { return n.local.rejected.Load() }
+
+// archive is what one read request sweeps: everything the grid and the
+// dashboard read (oda.Archive), plus the owners whose data it could not read
+// from their primary, which /analyze reports as partial_peers.
+type archive interface {
+	oda.Archive
+	PartialPeers() []string
+}
+
+// shard is a single node's archive: its store holds every series, so no
+// read is ever partial.
+type shard struct{ *timeseries.Store }
+
+// PartialPeers implements archive.
+func (shard) PartialPeers() []string { return []string{} }
 
 // appender is the node's one local appender: the store or the durable store
 // it embeds, plus what every landing of local data owes the node. The

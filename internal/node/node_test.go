@@ -174,6 +174,13 @@ func TestHandlerRoutes(t *testing.T) {
 		"/cluster/leave":          404,
 		"/query?series=x":         400,
 		"/analyze?window_hours=0": 400,
+		// ParseFloat takes all of these; none is a window.
+		"/analyze?window_hours=NaN":   400,
+		"/analyze?window_hours=-Inf":  400,
+		"/analyze?window_hours=+Inf":  400,
+		"/analyze?window_hours=1e300": 400,
+		"/analyze?window_hours=3e12":  400, // 1.08e19 ms overflows an int64
+		"/analyze?window_hours=2e12":  200, // 7.2e18 ms does not
 	} {
 		if rec := get(t, single, path); rec.Code != want {
 			t.Fatalf("single node GET %s: %d, want %d", path, rec.Code, want)

@@ -4,20 +4,22 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/dashboard"
 	"repro/internal/oda"
 	"repro/internal/persist"
-	"repro/internal/timeseries"
 )
 
 // routes builds the node's HTTP mux:
 //
 //	GET /dashboard    dashboard panels as JSON
-//	GET /snapshot     latest value of every series
+//	GET /snapshot     latest value of every series this node's store holds
+//	                  (in a cluster, its own primaries only)
 //	GET /query        planned reduction over a window
 //	                  (?series=KEY&from=MS&to=MS&fn=mean)
 //	GET /query_range  planned step-bucketed aggregation
@@ -33,14 +35,16 @@ import (
 //	POST /cluster/join?seed=A  join the cluster reachable at seed host:port
 //	POST /cluster/leave        hand off this node's data and leave
 func (n *Node) routes() *http.ServeMux {
-	db := &dashboard.Dashboard{Store: n.store, Panels: []dashboard.Panel{{Title: "Facility", WindowMs: 6 * 3600 * 1000}}}
 	mux := http.NewServeMux()
-	mux.Handle("/dashboard", db.Handler())
+	mux.HandleFunc("/dashboard", func(w http.ResponseWriter, r *http.Request) {
+		panels := []dashboard.Panel{{Title: "Facility", WindowMs: 6 * 3600 * 1000}}
+		(&dashboard.Dashboard{Store: n.archive(), Panels: panels, Latest: n.local.latest.Load}).Handler().ServeHTTP(w, r)
+	})
 	mux.HandleFunc("/snapshot", n.handleSnapshot)
 	mux.HandleFunc("/query", n.qf.HandleQuery)
 	mux.HandleFunc("/query_range", n.qf.HandleQueryRange)
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) { writeJSON(w, n.stats()) })
-	mux.HandleFunc("/analyze", analyzeHandler(n.grid, n.store, n.local.latest.Load))
+	mux.HandleFunc("/analyze", analyzeHandler(n.grid, n.archive, n.local.latest.Load))
 	if n.router == nil {
 		return mux
 	}
@@ -78,7 +82,9 @@ func post(done string, do func(*http.Request) (int, error), router *cluster.Rout
 	}
 }
 
-// handleSnapshot serves the latest sample of every series.
+// handleSnapshot serves the latest sample of every series in this node's
+// store. It stays shard-local in a cluster: it needs Latest, which the
+// archive does not offer, since no capability reads it.
 func (n *Node) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	type entry struct {
 		ID    string  `json:"id"`
@@ -181,37 +187,42 @@ func (n *Node) stats() map[string]any {
 }
 
 // analyzeHandler runs one wave-scheduled sweep of the full capability grid
-// over the archived telemetry and returns every capability's summary and
-// values, the per-capability errors (capabilities that need a live system
-// handle report so here rather than aborting the sweep), and the schedule
-// the sweep ran with. ?window_hours bounds the analysis window back from
-// the newest ingested sample (default 6).
-func analyzeHandler(grid *oda.Grid, store *timeseries.Store, latest func() int64) http.HandlerFunc {
+// over the archive one request reads and returns every capability's summary
+// and values, the per-capability errors (capabilities that need a live
+// system handle report so here rather than aborting the sweep), the
+// schedule the sweep ran with, and partial_peers: the cluster members whose
+// data was read from a replica or left out (also in the X-ODA-Partial
+// header; empty on a single node). ?window_hours bounds the analysis window
+// back from the newest ingested sample (default 6).
+func analyzeHandler(grid *oda.Grid, archive func() archive, latest func() int64) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		windowHours := 6.0
+		window := int64(6 * 3600 * 1000)
 		if s := r.URL.Query().Get("window_hours"); s != "" {
 			v, err := strconv.ParseFloat(s, 64)
-			if err != nil || v <= 0 {
-				http.Error(w, "window_hours must be a positive number", http.StatusBadRequest)
+			// NaN fails every comparison: only a window that fits passes.
+			if err != nil || !(v > 0 && v*3600*1000 < math.MaxInt64) {
+				http.Error(w, "window_hours must be a positive number of hours whose milliseconds fit an int64", http.StatusBadRequest)
 				return
 			}
-			windowHours = v
+			window = int64(v * 3600 * 1000)
 		}
 		to := latest() + 1
-		from := to - int64(windowHours*3600*1000)
-		if from < 0 {
-			from = 0
-		}
-		results, errs := grid.RunAll(&oda.RunContext{Store: store, From: from, To: to})
+		from := max(0, to-window)
+		a := archive()
+		results, errs := grid.RunAll(&oda.RunContext{Store: a, From: from, To: to})
 		payload := struct {
-			From    int64                 `json:"from"`
-			To      int64                 `json:"to"`
-			Results map[string]oda.Result `json:"results"`
-			Errors  map[string]string     `json:"errors"`
-			Waves   [][]string            `json:"waves"`
-		}{from, to, results, make(map[string]string, len(errs)), grid.Waves()}
+			From         int64                 `json:"from"`
+			To           int64                 `json:"to"`
+			Results      map[string]oda.Result `json:"results"`
+			Errors       map[string]string     `json:"errors"`
+			Waves        [][]string            `json:"waves"`
+			PartialPeers []string              `json:"partial_peers"`
+		}{from, to, results, make(map[string]string, len(errs)), grid.Waves(), a.PartialPeers()}
 		for name, err := range errs {
 			payload.Errors[name] = err.Error()
+		}
+		if len(payload.PartialPeers) > 0 {
+			w.Header().Set("X-ODA-Partial", strings.Join(payload.PartialPeers, ","))
 		}
 		writeJSON(w, payload)
 	}

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/metric"
 	"repro/internal/timeseries"
 )
 
@@ -160,10 +161,33 @@ type Result struct {
 // Value returns a named output (0 when absent).
 func (r Result) Value(name string) float64 { return r.Values[name] }
 
+// Archive is everything a capability may read of the telemetry archive:
+// series discovery plus three reads. A *timeseries.Store is one — a single
+// node's whole archive. A cluster router's per-sweep view is another
+// (cluster.Router.Archive): it scatters Select to every member and sends
+// each read to the series' owner, so a sweep on any node reads the whole
+// fleet and gets the answers one store holding it would give.
+type Archive interface {
+	// Select returns the IDs of the series whose name matches name (any
+	// when empty) and whose labels match sel, in key order (metric.ID.Key).
+	Select(name string, sel metric.Labels) []metric.ID
+	// SeriesValues returns one series' values over [from, to): every raw
+	// value in time order for step <= 0, per-bucket means for step > 0.
+	SeriesValues(id metric.ID, from, to, step int64) ([]float64, error)
+	// Each streams one series' samples over [from, to) to fn in time order,
+	// stopping early when fn returns false.
+	Each(id metric.ID, from, to int64, fn func(metric.Sample) bool) error
+	// ReducePlanned reduces one series over [from, to) to fn's value and
+	// the number of samples it covered, through the query planner.
+	ReducePlanned(id metric.ID, from, to int64, fn timeseries.AggFunc) (float64, int, error)
+}
+
+var _ Archive = (*timeseries.Store)(nil)
+
 // RunContext is the environment a capability executes in.
 type RunContext struct {
-	// Store is the telemetry archive to analyze.
-	Store *timeseries.Store
+	// Store is the telemetry archive to analyze, read only through Archive.
+	Store Archive
 	// From and To bound the analysis window (Unix millis, half-open).
 	From, To int64
 	// System optionally exposes the live system for prescriptive

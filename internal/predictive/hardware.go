@@ -236,31 +236,24 @@ func (InstMix) Meta() oda.Meta {
 	}
 }
 
-// intensitySeries derives the power-per-utilization signature of one node.
-// Power and utilization stream through lockstep cursors, fusing the filter
-// and the division into the decode loop — only the signature is allocated.
+// intensitySeries derives the power-per-utilization signature of one node
+// from its power and utilization samples taken pairwise, in time order.
 func intensitySeries(ctx *oda.RunContext, labels metric.Labels) []float64 {
-	pCur, err := ctx.Store.Cursor(metric.ID{Name: "node_power_watts", Labels: labels}, ctx.From, ctx.To)
+	power, err := ctx.Store.SeriesValues(metric.ID{Name: "node_power_watts", Labels: labels}, ctx.From, ctx.To, 0)
 	if err != nil {
 		return nil
 	}
-	defer pCur.Close()
-	uCur, err := ctx.Store.Cursor(metric.ID{Name: "node_utilization", Labels: labels}, ctx.From, ctx.To)
+	util, err := ctx.Store.SeriesValues(metric.ID{Name: "node_utilization", Labels: labels}, ctx.From, ctx.To, 0)
 	if err != nil {
 		return nil
 	}
-	defer uCur.Close()
-	est := pCur.Est()
-	if uCur.Est() < est {
-		est = uCur.Est()
-	}
-	out := make([]float64, 0, est)
-	for pCur.Next() && uCur.Next() {
-		u := uCur.At().V
+	n := min(len(power), len(util))
+	out := make([]float64, 0, n)
+	for i, u := range util[:n] {
 		if u < 5 {
 			continue // idle: no signature
 		}
-		out = append(out, (pCur.At().V-95)/u)
+		out = append(out, (power[i]-95)/u)
 	}
 	return out
 }

@@ -54,28 +54,24 @@ func (g DVFSGovernor) decide(ctx *oda.RunContext, dc *simulation.DataCenter, nod
 		return 0, false // idle: leave alone (idle power is freq-insensitive here)
 	}
 	labels := metric.NewLabels("node", n.Name(), "rack", n.Cfg.Rack)
-	// Power and utilization stream in lockstep; the signature accumulates
-	// inside the decode loop without materializing either series.
-	pCur, err := ctx.Store.Cursor(metric.ID{Name: "node_power_watts", Labels: labels}, ctx.From, ctx.To)
+	// The signature pairs power and utilization samples in time order.
+	power, err := ctx.Store.SeriesValues(metric.ID{Name: "node_power_watts", Labels: labels}, ctx.From, ctx.To, 0)
 	if err != nil {
 		return 0, false
 	}
-	defer pCur.Close()
-	uCur, err := ctx.Store.Cursor(metric.ID{Name: "node_utilization", Labels: labels}, ctx.From, ctx.To)
+	util, err := ctx.Store.SeriesValues(metric.ID{Name: "node_utilization", Labels: labels}, ctx.From, ctx.To, 0)
 	if err != nil {
 		return 0, false
 	}
-	defer uCur.Close()
 	var sig stats.Online
-	for pCur.Next() && uCur.Next() {
-		u := uCur.At().V
+	for i, u := range util[:min(len(power), len(util))] {
 		if u < 5 {
 			continue
 		}
 		// Normalize the cubic frequency effect out of the signature so a
 		// node we already clocked down is still recognized correctly.
 		fr := n.Frequency() / n.MaxFrequency()
-		sig.Add((pCur.At().V - 95) / u / (fr * fr * fr))
+		sig.Add((power[i] - 95) / u / (fr * fr * fr))
 	}
 	if sig.N() == 0 {
 		return 0, false

@@ -209,15 +209,6 @@ func MAD(xs []float64) (float64, error) {
 	return 1.4826 * m, err
 }
 
-// IQR returns the interquartile range (Q3 - Q1).
-func IQR(xs []float64) (float64, error) {
-	qs, err := Quantiles(xs, 0.25, 0.75)
-	if err != nil {
-		return 0, err
-	}
-	return qs[1] - qs[0], nil
-}
-
 // Pearson returns the Pearson correlation coefficient between xs and ys.
 // It returns 0 when either input has zero variance.
 func Pearson(xs, ys []float64) (float64, error) {
@@ -239,14 +230,6 @@ func Pearson(xs, ys []float64) (float64, error) {
 		return 0, nil
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// Spearman returns the Spearman rank correlation between xs and ys.
-func Spearman(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	return Pearson(Ranks(xs), Ranks(ys))
 }
 
 // Ranks returns the fractional ranks of xs (average rank for ties),
@@ -271,25 +254,6 @@ func Ranks(xs []float64) []float64 {
 		i = j + 1
 	}
 	return ranks
-}
-
-// AutoCorrelation returns the autocorrelation of xs at the given lag.
-func AutoCorrelation(xs []float64, lag int) (float64, error) {
-	if lag < 0 || lag >= len(xs) {
-		return 0, errors.New("stats: lag out of range")
-	}
-	m := Mean(xs)
-	var num, den float64
-	for i := 0; i < len(xs); i++ {
-		den += (xs[i] - m) * (xs[i] - m)
-	}
-	if den == 0 {
-		return 0, nil
-	}
-	for i := 0; i+lag < len(xs); i++ {
-		num += (xs[i] - m) * (xs[i+lag] - m)
-	}
-	return num / den, nil
 }
 
 // Entropy returns the Shannon entropy (bits) of a discrete distribution
@@ -318,77 +282,6 @@ func Entropy(weights []float64) float64 {
 	}
 	return h
 }
-
-// ZScores returns the standard scores of xs. If xs has zero variance all
-// scores are zero.
-func ZScores(xs []float64) []float64 {
-	s, err := Summarize(xs)
-	out := make([]float64, len(xs))
-	if err != nil || s.Std == 0 {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = (x - s.Mean) / s.Std
-	}
-	return out
-}
-
-// MinMaxScale rescales xs into [0,1]. Constant input maps to all zeros.
-func MinMaxScale(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	if len(xs) == 0 {
-		return out
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	if hi == lo {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = (x - lo) / (hi - lo)
-	}
-	return out
-}
-
-// EWMA maintains an exponentially weighted moving average with smoothing
-// factor alpha in (0,1]. The zero value is invalid; use NewEWMA.
-type EWMA struct {
-	alpha float64
-	value float64
-	init  bool
-}
-
-// NewEWMA returns an EWMA with the given smoothing factor. Alpha is clamped
-// into (0,1].
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 {
-		alpha = 1e-9
-	}
-	if alpha > 1 {
-		alpha = 1
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Add folds in an observation and returns the updated average.
-func (e *EWMA) Add(x float64) float64 {
-	if !e.init {
-		e.value, e.init = x, true
-		return x
-	}
-	e.value = e.alpha*x + (1-e.alpha)*e.value
-	return e.value
-}
-
-// Value returns the current average (0 before any observation).
-func (e *EWMA) Value() float64 { return e.value }
 
 // Rolling is a fixed-size sliding window over a stream that maintains sum
 // and sum of squares incrementally, for O(1) windowed mean/std.
@@ -532,34 +425,6 @@ func (h *Histogram) Entropy() float64 {
 	return Entropy(ws)
 }
 
-// Covariance returns the sample covariance of xs and ys.
-func Covariance(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	if len(xs) < 2 {
-		return 0, ErrEmpty
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var s float64
-	for i := range xs {
-		s += (xs[i] - mx) * (ys[i] - my)
-	}
-	return s / float64(len(xs)-1), nil
-}
-
-// Diff returns the first difference of xs (len-1 elements).
-func Diff(xs []float64) []float64 {
-	if len(xs) < 2 {
-		return nil
-	}
-	out := make([]float64, len(xs)-1)
-	for i := 1; i < len(xs); i++ {
-		out[i-1] = xs[i] - xs[i-1]
-	}
-	return out
-}
-
 // ArgMax returns the index of the maximum element, or -1 for empty input.
 func ArgMax(xs []float64) int {
 	if len(xs) == 0 {
@@ -568,20 +433,6 @@ func ArgMax(xs []float64) int {
 	best := 0
 	for i, x := range xs {
 		if x > xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMin returns the index of the minimum element, or -1 for empty input.
-func ArgMin(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x < xs[best] {
 			best = i
 		}
 	}

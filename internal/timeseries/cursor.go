@@ -8,7 +8,7 @@ import (
 	"repro/internal/stats"
 )
 
-// Cursor streams one series' samples with from <= T < to in timestamp order
+// cursor streams one series' samples with from <= T < to in timestamp order
 // without materializing a sample slice. A cursor snapshots the series'
 // chunk window under the per-series read lock — sealed chunks by pointer
 // (they are immutable once full), the open chunk as a private byte copy —
@@ -18,8 +18,8 @@ import (
 // one embedded, reusable iterator, so a scan allocates nothing and leaves
 // nothing decoded behind. Cursors are pooled per store — call Close to
 // recycle one (using a cursor after Close is a no-op, not a crash). A
-// Cursor must not be shared across goroutines.
-type Cursor struct {
+// cursor must not be shared across goroutines.
+type cursor struct {
 	store *Store
 	from  int64
 	to    int64
@@ -41,9 +41,9 @@ type Cursor struct {
 	done bool
 }
 
-// Cursor opens a streaming cursor over one series for [from, to). The
+// cursor opens a streaming cursor over one series for [from, to). The
 // returned cursor comes from the store's pool; Close it when done.
-func (s *Store) Cursor(id metric.ID, from, to int64) (*Cursor, error) {
+func (s *Store) cursor(id metric.ID, from, to int64) (*cursor, error) {
 	ss := s.lookup(id.Key())
 	if ss == nil {
 		return nil, fmt.Errorf("timeseries: unknown series %s", id.Key())
@@ -52,7 +52,7 @@ func (s *Store) Cursor(id metric.ID, from, to int64) (*Cursor, error) {
 }
 
 // newCursor snapshots the raw chunk window of a resolved series.
-func (s *Store) newCursor(ss *storedSeries, from, to int64) *Cursor {
+func (s *Store) newCursor(ss *storedSeries, from, to int64) *cursor {
 	cur := s.getCursor()
 	cur.store, cur.from, cur.to = s, from, to
 	ss.mu.RLock()
@@ -65,7 +65,7 @@ func (s *Store) newCursor(ss *storedSeries, from, to int64) *Cursor {
 // the raw series or one of its rollup tiers (which seal at sealCap, a
 // whole number of window groups). The caller must hold the series read
 // lock and have set cur.from/cur.to.
-func (cur *Cursor) snapshotChunks(chunks []*Chunk, sealCap int) {
+func (cur *cursor) snapshotChunks(chunks []*Chunk, sealCap int) {
 	// Seek the first chunk that may overlap [from, to): LastTime is
 	// non-decreasing across chunks.
 	lo := sort.Search(len(chunks), func(i int) bool { return chunks[i].LastTime() >= cur.from })
@@ -92,17 +92,17 @@ func (cur *Cursor) snapshotChunks(chunks []*Chunk, sealCap int) {
 }
 
 // getCursor takes a cursor from the pool, tracking reuse.
-func (s *Store) getCursor() *Cursor {
+func (s *Store) getCursor() *cursor {
 	s.cursorGets.Add(1)
-	if c, ok := s.cursors.Get().(*Cursor); ok && c != nil {
+	if c, ok := s.cursors.Get().(*cursor); ok && c != nil {
 		return c
 	}
 	s.cursorNews.Add(1)
-	return &Cursor{}
+	return &cursor{}
 }
 
 // Close recycles the cursor into its store's pool. Closing twice is safe.
-func (cur *Cursor) Close() {
+func (cur *cursor) Close() {
 	s := cur.store
 	if s == nil {
 		return
@@ -112,7 +112,7 @@ func (cur *Cursor) Close() {
 	for i := range cur.sealed {
 		cur.sealed[i] = nil
 	}
-	*cur = Cursor{
+	*cur = cursor{
 		sealed: cur.sealed[:0],
 		tail:   cur.tail[:0],
 		vals:   cur.vals[:0],
@@ -122,7 +122,7 @@ func (cur *Cursor) Close() {
 
 // Next advances to the next sample in range, returning false at the end of
 // the window or on a decode error (see Err).
-func (cur *Cursor) Next() bool {
+func (cur *cursor) Next() bool {
 	if cur.done || cur.err != nil {
 		return false
 	}
@@ -153,7 +153,7 @@ func (cur *Cursor) Next() bool {
 
 // openNext arms the next chunk in the window: a sealed chunk or the tail
 // copy.
-func (cur *Cursor) openNext() bool {
+func (cur *cursor) openNext() bool {
 	if cur.pos < len(cur.sealed) {
 		c := cur.sealed[cur.pos]
 		cur.pos++
@@ -169,21 +169,16 @@ func (cur *Cursor) openNext() bool {
 }
 
 // At returns the current sample.
-func (cur *Cursor) At() metric.Sample { return cur.cur }
+func (cur *cursor) At() metric.Sample { return cur.cur }
 
 // Err returns the first decode error encountered, if any.
-func (cur *Cursor) Err() error { return cur.err }
-
-// Est returns an upper bound on the samples the cursor will yield (the
-// summed counts of the snapshot's chunks), for callers sizing result
-// buffers.
-func (cur *Cursor) Est() int { return cur.est }
+func (cur *cursor) Err() error { return cur.err }
 
 // Each streams the samples of one series in [from, to) to fn, stopping
 // early when fn returns false. It is the zero-allocation way to feed an
 // accumulator (histogram, online stats, model features) from the archive.
 func (s *Store) Each(id metric.ID, from, to int64, fn func(metric.Sample) bool) error {
-	cur, err := s.Cursor(id, from, to)
+	cur, err := s.cursor(id, from, to)
 	if err != nil {
 		return err
 	}
@@ -209,7 +204,7 @@ func (s *Store) Each(id metric.ID, from, to int64, fn func(metric.Sample) bool) 
 // comparing raw means rely on. Its answers, and the planned fold's, are
 // checked against the reference model in internal/tsmodel.
 func (s *Store) Reduce(id metric.ID, from, to int64, fn AggFunc) (float64, int, error) {
-	cur, err := s.Cursor(id, from, to)
+	cur, err := s.cursor(id, from, to)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -277,7 +272,7 @@ func (s *Store) aggregate(id metric.ID, from, to, step int64, fn AggFunc) ([]Agg
 	if err := checkBuckets(from, to); err != nil {
 		return nil, err
 	}
-	cur, err := s.Cursor(id, from, to)
+	cur, err := s.cursor(id, from, to)
 	if err != nil {
 		return nil, err
 	}

@@ -21,7 +21,7 @@ func cursorTestStore(t *testing.T) (*Store, metric.ID) {
 	return s, id
 }
 
-func collectCursor(t *testing.T, cur *Cursor) []metric.Sample {
+func collectCursor(t *testing.T, cur *cursor) []metric.Sample {
 	t.Helper()
 	var out []metric.Sample
 	for cur.Next() {
@@ -47,7 +47,7 @@ func TestCursorMatchesQueryWindows(t *testing.T) {
 		if err != nil {
 			t.Fatalf("each: %v", err)
 		}
-		cur, err := s.Cursor(id, w[0], w[1])
+		cur, err := s.cursor(id, w[0], w[1])
 		if err != nil {
 			t.Fatalf("cursor: %v", err)
 		}
@@ -66,7 +66,7 @@ func TestCursorMatchesQueryWindows(t *testing.T) {
 
 func TestCursorUnknownSeries(t *testing.T) {
 	s, _ := cursorTestStore(t)
-	if _, err := s.Cursor(metric.ID{Name: "nope"}, 0, 100); err == nil {
+	if _, err := s.cursor(metric.ID{Name: "nope"}, 0, 100); err == nil {
 		t.Fatal("expected error for unknown series")
 	}
 }
@@ -79,7 +79,7 @@ func TestCursorSeesOpenChunkSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cur, err := s.Cursor(id, 0, 100)
+	cur, err := s.cursor(id, 0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestCursorSeesOpenChunkSnapshot(t *testing.T) {
 
 func TestCursorCloseTwice(t *testing.T) {
 	s, id := cursorTestStore(t)
-	cur, err := s.Cursor(id, 0, 1000)
+	cur, err := s.cursor(id, 0, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestCursorPoolReuse(t *testing.T) {
 	}
 	s, id := cursorTestStore(t)
 	for i := 0; i < 32; i++ {
-		cur, err := s.Cursor(id, 0, 1000)
+		cur, err := s.cursor(id, 0, 1000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,11 +272,11 @@ func TestCursorStreamingAllocs(t *testing.T) {
 
 func TestCursorEstUpperBound(t *testing.T) {
 	s, id := cursorTestStore(t)
-	cur, err := s.Cursor(id, 35, 615)
+	cur, err := s.cursor(id, 35, 615)
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := cur.Est()
+	est := cur.est
 	got := len(collectCursor(t, cur))
 	cur.Close()
 	if est < got {

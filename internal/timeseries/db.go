@@ -3,7 +3,8 @@ package timeseries
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -34,7 +35,8 @@ type Store struct {
 	chunkSize int
 
 	// The registry, guarded by regMu. byKey maps a series key to its
-	// series, and byName a metric name to its series, in first-ingest order.
+	// series, and byName a metric name to its series, in first-ingest order
+	// (Select sorts what it returns by key).
 	// refSeries maps ref slots (SeriesRef low bits, minus one) to series,
 	// also in first-ingest order; it is append-only and its elements are
 	// immutable once set, so a slice-header snapshot stays valid after regMu
@@ -59,7 +61,7 @@ type Store struct {
 	rollupSeals atomic.Uint64
 	planRaw     atomic.Uint64
 
-	// cursors recycles Cursor objects (and their sealed/tail/vals scratch)
+	// cursors recycles cursor objects (and their sealed/tail/vals scratch)
 	// across queries; gets/news expose pool effectiveness (reuse = gets-news).
 	cursors    sync.Pool
 	cursorGets atomic.Uint64
@@ -69,6 +71,7 @@ type Store struct {
 type storedSeries struct {
 	mu      sync.RWMutex
 	id      metric.ID
+	key     string // id.Key(), the registry's map key: Select's sort order
 	kind    metric.Kind
 	unit    metric.Unit
 	refIdx  uint32 // slot in Store.refSeries; set once under regMu at registration
@@ -138,7 +141,7 @@ func (s *Store) getOrCreate(key string, id metric.ID, kind metric.Kind, unit met
 	// Stored (and therefore dumped) IDs stay plain: drop any interned key
 	// cache so ref-ingested stores dump DeepEqual-identical to keyed ones.
 	id = metric.ID{Name: id.Name, Labels: id.Labels}
-	ss := &storedSeries{id: id, kind: kind, unit: unit, refIdx: uint32(len(s.refSeries)), tiers: s.newTiers()}
+	ss := &storedSeries{id: id, key: key, kind: kind, unit: unit, refIdx: uint32(len(s.refSeries)), tiers: s.newTiers()}
 	s.refSeries = append(s.refSeries, ss)
 	s.byKey[key] = ss
 	s.byName[id.Name] = append(s.byName[id.Name], ss)
@@ -320,21 +323,30 @@ func (s *Store) CursorPoolStats() (gets, news uint64) {
 }
 
 // Select returns the IDs of series whose name matches name (any when empty)
-// and whose labels match the selector, in first-ingest order. Named lookups
-// hit the name index instead of scanning every series; Select("", nil) is
-// every series.
+// and whose labels match the selector, in key order (metric.ID.Key): an
+// order that depends only on which series match, so a cluster can rebuild
+// it from its members' answers. Named lookups hit the name index instead of
+// scanning every series; Select("", nil) is every series.
 func (s *Store) Select(name string, sel metric.Labels) []metric.ID {
 	s.regMu.RLock()
-	defer s.regMu.RUnlock()
 	pool := s.refSeries
 	if name != "" {
 		pool = s.byName[name]
 	}
-	var out []metric.ID
+	var match []*storedSeries
 	for _, ss := range pool {
 		if ss.id.Labels.Matches(sel) {
-			out = append(out, ss.id)
+			match = append(match, ss)
 		}
+	}
+	s.regMu.RUnlock()
+	if len(match) == 0 {
+		return nil
+	}
+	slices.SortFunc(match, func(a, b *storedSeries) int { return strings.Compare(a.key, b.key) })
+	out := make([]metric.ID, len(match))
+	for i, ss := range match {
+		out[i] = ss.id
 	}
 	return out
 }
@@ -449,7 +461,7 @@ func (s *Store) SeriesValues(id metric.ID, from, to, step int64) ([]float64, err
 		}
 		return out, nil
 	}
-	cur, err := s.Cursor(id, from, to)
+	cur, err := s.cursor(id, from, to)
 	if err != nil {
 		return nil, err
 	}
@@ -475,7 +487,6 @@ func (s *Store) Snapshot(name string, sel metric.Labels) []SnapshotEntry {
 			out = append(out, SnapshotEntry{ID: id, Sample: sm})
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID.Key() < out[b].ID.Key() })
 	return out
 }
 

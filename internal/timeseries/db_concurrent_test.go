@@ -254,7 +254,7 @@ func TestCursorTailCopyUnderAppend(t *testing.T) {
 			reading = false // one last pass over the finished series
 		default:
 		}
-		cur, err := s.Cursor(id, 0, n*1000)
+		cur, err := s.cursor(id, 0, n*1000)
 		if err != nil {
 			t.Fatal(err)
 		}

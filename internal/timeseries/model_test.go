@@ -171,7 +171,7 @@ func appendVia(s *Store, kind tsmodel.Kind, entries []BatchEntry, refs map[strin
 }
 
 // checkModel compares the store with the model: the registry, NumSamples,
-// each series' samples through Each, Cursor and SeriesValues, Latest,
+// each series' samples through Each, cursor and SeriesValues, Latest,
 // Reduce for every function on the raw window, and ReducePlanned,
 // AggregatePlanned, ReducePartial and a sorted-key partial merge on the
 // planned window. Answers compare in print: %v tells every two float64s
@@ -182,8 +182,11 @@ func checkModel(s *Store, m *tsmodel.Model, w tsmodel.Windows) error {
 	for _, id := range s.Select("", nil) {
 		keys = append(keys, id.Key())
 	}
-	if !reflect.DeepEqual(keys, m.Keys()) || s.NumSamples() != m.NumSamples() {
-		return fmt.Errorf("store holds %v, %d samples; model %v, %d", keys, s.NumSamples(), m.Keys(), m.NumSamples())
+	// Select answers in key order; the model keeps registration order.
+	want := append([]string(nil), m.Keys()...)
+	sort.Strings(want)
+	if !reflect.DeepEqual(keys, want) || s.NumSamples() != m.NumSamples() {
+		return fmt.Errorf("store holds %v, %d samples; model %v, %d", keys, s.NumSamples(), want, m.NumSamples())
 	}
 	var bad error
 	expect := func(what, got, want string) {
@@ -192,7 +195,6 @@ func checkModel(s *Store, m *tsmodel.Model, w tsmodel.Windows) error {
 		}
 	}
 	var merged Partial
-	sort.Strings(keys)
 	for _, key := range keys {
 		id, _ := s.IDForKey(key)
 		all, err := collect(s, id, math.MinInt64, math.MaxInt64)
@@ -200,13 +202,13 @@ func checkModel(s *Store, m *tsmodel.Model, w tsmodel.Windows) error {
 		expect(key+" Latest", fmt.Sprint(s.Latest(id)), fmt.Sprint(m.Latest(key)))
 
 		want := m.Samples(key, w.From, w.To)
-		cur, _ := s.Cursor(id, w.From, w.To)
+		cur, _ := s.cursor(id, w.From, w.To)
 		var window []metric.Sample
 		var vals []float64
 		for cur.Next() {
 			window, vals = append(window, cur.At()), append(vals, cur.At().V)
 		}
-		expect(key+" Cursor", fmt.Sprint(window, cur.Err(), cur.Est() >= len(want)), fmt.Sprint(want, nil, true))
+		expect(key+" cursor", fmt.Sprint(window, cur.Err(), cur.est >= len(want)), fmt.Sprint(want, nil, true))
 		cur.Close()
 		expect(key+" SeriesValues", fmt.Sprint(s.SeriesValues(id, w.From, w.To, 0)), fmt.Sprint(vals, nil))
 

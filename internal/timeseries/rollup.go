@@ -386,7 +386,7 @@ func (s *Store) countTierPick(step int64) {
 // covering window starts in [winFrom, winTo), both multiples of the tier
 // step. It shares everything with raw cursors: the sealed-pointer/tail-copy
 // snapshot, the pool and the streaming decoder.
-func (s *Store) newTierCursor(ss *storedSeries, ts *tierState, winFrom, winTo int64) *Cursor {
+func (s *Store) newTierCursor(ss *storedSeries, ts *tierState, winFrom, winTo int64) *cursor {
 	cur := s.getCursor()
 	cur.store, cur.tier = s, true
 	cur.from, cur.to = winFrom/ts.step*rollupStride, winTo/ts.step*rollupStride
@@ -400,7 +400,7 @@ func (s *Store) newTierCursor(ss *storedSeries, ts *tierState, winFrom, winTo in
 // tier of the given step into w — a sealed window is a Partial on disk, column
 // for column, its two timestamps relative to the window start — returning the
 // window start, and ok=false at the end of the window range.
-func nextRollupPoint(cur *Cursor, step int64, w *Partial) (start int64, ok bool, err error) {
+func nextRollupPoint(cur *cursor, step int64, w *Partial) (start int64, ok bool, err error) {
 	if !cur.Next() {
 		return 0, false, cur.Err()
 	}
