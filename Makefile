@@ -14,12 +14,12 @@ CHAOS_SEED ?= 1
 CHAOS_DURATION ?= 5m
 CHAOS_INTENSITY ?= 2
 
-.PHONY: build test test-bench race vet bench bench-smoke bench-parallel bench-allocs bench-longwindow bench-cluster bench-rebalance bench-ingest bench-replay bench-e2e loc cover fuzz-short crash-test lint-footprints chaos-short chaos
+.PHONY: build test test-bench race vet bench bench-smoke bench-parallel bench-allocs bench-longwindow bench-cluster bench-rebalance bench-ingest bench-replay bench-restore bench-e2e loc cover fuzz-short crash-test lint-footprints chaos-short chaos
 
 build:
 	$(GO) build ./...
 
-test: lint-footprints chaos-short bench-allocs bench-longwindow bench-ingest bench-replay bench-smoke test-bench
+test: lint-footprints chaos-short bench-allocs bench-longwindow bench-ingest bench-replay bench-restore bench-smoke test-bench
 	$(GO) test ./...
 
 # The benchmark under bench/ is its own module (go test ./... at the root
@@ -93,6 +93,7 @@ fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzValueColumn -fuzztime $(FUZZTIME) ./internal/binenc
 	$(GO) test -run xxx -fuzz FuzzBitstreamRoundTrip -fuzztime $(FUZZTIME) ./internal/timeseries
 	$(GO) test -run xxx -fuzz FuzzBitWriterParity -fuzztime $(FUZZTIME) ./internal/timeseries
+	$(GO) test -run xxx -fuzz FuzzBitReaderParity -fuzztime $(FUZZTIME) ./internal/timeseries
 	$(GO) test -run xxx -fuzz FuzzTierGroupRoundTrip -fuzztime $(FUZZTIME) ./internal/timeseries
 	$(GO) test -run xxx -fuzz FuzzStoreModel -fuzztime $(FUZZTIME) ./internal/timeseries
 	$(GO) test -run xxx -fuzz FuzzDictDecode -fuzztime $(FUZZTIME) ./internal/wire
@@ -198,6 +199,26 @@ bench-replay:
 			printf "fleet WAL %.3f B/sample: budget 3.86\n", walb; \
 			if (walb+0 > 3.86) { print "FAIL: the fleet WAL costs more bytes per sample than its budget"; exit 1 } \
 			print "OK: a logged sample costs its value plus the columns it needs" }'
+
+# Snapshot-load allocation budget, recovery's other half beside bench-replay:
+# BenchmarkSnapshotLoadFleet writes the store the fleet WAL replays to as a
+# snapshot and loads it back — read, checksum, decode, and RestoreStore's
+# decode-and-re-encode of every raw and tier chunk. Its allocs/op may not
+# exceed the 348,510 measured before the block decoder landed (274,774 with
+# it: restore no longer builds a label per tier chunk). The budget is a
+# count, so it does not depend on how fast this box is today; ns/record
+# (raw samples plus tier records) is printed for the reader. A missing or
+# renamed benchmark fails the gate.
+bench-restore:
+	@out=$$($(GO) test -run xxx -bench 'BenchmarkSnapshotLoadFleet$$' -benchmem -benchtime 2x ./internal/persist); \
+	echo "$$out"; \
+	echo "$$out" | awk ' \
+		/^BenchmarkSnapshotLoadFleet/ { seen=1; allocs=$$(NF-1) } \
+		END { \
+			if (!seen) { print "FAIL: BenchmarkSnapshotLoadFleet missing from output"; exit 1 } \
+			printf "snapshot load %d allocs/op: budget 348510\n", allocs; \
+			if (allocs+0 > 348510) { printf "FAIL: snapshot load allocates %d allocs/op over its budget\n", allocs - 348510; exit 1 } \
+			print "OK: snapshot load within its allocation budget" }'
 
 # The end-to-end benchmark BENCHMARK.json declares: all four workloads, one
 # seed. Everything it builds and writes lands under .bench_build/.

@@ -6,6 +6,7 @@ package dashboard
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -192,27 +193,37 @@ func (d *Dashboard) RenderText(now int64) string {
 	return b.String()
 }
 
-// Handler serves the dashboard as JSON at its mount point. The "now" query
-// parameter (Unix millis) selects the evaluation instant; it defaults to
-// Latest, or the newest sample in the archive.
+// Now is the evaluation instant a request asks for: its "now" query
+// parameter (Unix millis), else Latest, else the newest sample in the
+// archive.
+func (d *Dashboard) Now(r *http.Request) (int64, error) {
+	now := int64(0)
+	if q := r.URL.Query().Get("now"); q != "" {
+		if _, err := fmt.Sscanf(q, "%d", &now); err != nil {
+			return 0, errors.New("bad now parameter")
+		}
+	}
+	if now == 0 && d.Latest != nil {
+		now = d.Latest()
+	} else if now == 0 {
+		for _, id := range d.Store.Select("", nil) {
+			_ = d.Store.Each(id, math.MinInt64, math.MaxInt64, func(sm metric.Sample) bool {
+				now = max(now, sm.T)
+				return true
+			})
+		}
+	}
+	return now, nil
+}
+
+// Handler serves the dashboard as JSON at its mount point, evaluated at the
+// instant Now picks.
 func (d *Dashboard) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		now := int64(0)
-		if q := r.URL.Query().Get("now"); q != "" {
-			if _, err := fmt.Sscanf(q, "%d", &now); err != nil {
-				http.Error(w, "bad now parameter", http.StatusBadRequest)
-				return
-			}
-		}
-		if now == 0 && d.Latest != nil {
-			now = d.Latest()
-		} else if now == 0 {
-			for _, id := range d.Store.Select("", nil) {
-				_ = d.Store.Each(id, math.MinInt64, math.MaxInt64, func(sm metric.Sample) bool {
-					now = max(now, sm.T)
-					return true
-				})
-			}
+		now, err := d.Now(r)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		if err := json.NewEncoder(w).Encode(d.Snapshot(now)); err != nil {

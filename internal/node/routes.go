@@ -17,7 +17,8 @@ import (
 
 // routes builds the node's HTTP mux:
 //
-//	GET /dashboard    dashboard panels as JSON
+//	GET /dashboard    dashboard panels as JSON (in a cluster, over the whole
+//	                  fleet, with /analyze's X-ODA-Partial header)
 //	GET /snapshot     latest value of every series this node's store holds
 //	                  (in a cluster, its own primaries only)
 //	GET /query        planned reduction over a window
@@ -37,8 +38,17 @@ import (
 func (n *Node) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/dashboard", func(w http.ResponseWriter, r *http.Request) {
+		a := n.archive()
 		panels := []dashboard.Panel{{Title: "Facility", WindowMs: 6 * 3600 * 1000}}
-		(&dashboard.Dashboard{Store: n.archive(), Panels: panels, Latest: n.local.latest.Load}).Handler().ServeHTTP(w, r)
+		d := &dashboard.Dashboard{Store: a, Panels: panels, Latest: n.local.latest.Load}
+		now, err := d.Now(r)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		data := d.Snapshot(now)
+		markPartial(w, a.PartialPeers())
+		writeJSON(w, data)
 	})
 	mux.HandleFunc("/snapshot", n.handleSnapshot)
 	mux.HandleFunc("/query", n.qf.HandleQuery)
@@ -221,9 +231,16 @@ func analyzeHandler(grid *oda.Grid, archive func() archive, latest func() int64)
 		for name, err := range errs {
 			payload.Errors[name] = err.Error()
 		}
-		if len(payload.PartialPeers) > 0 {
-			w.Header().Set("X-ODA-Partial", strings.Join(payload.PartialPeers, ","))
-		}
+		markPartial(w, payload.PartialPeers)
 		writeJSON(w, payload)
+	}
+}
+
+// markPartial names, in the X-ODA-Partial header, the cluster members whose
+// data an answer read from a replica or left out; a whole answer carries
+// no header. It must run before the body is written.
+func markPartial(w http.ResponseWriter, peers []string) {
+	if len(peers) > 0 {
+		w.Header().Set("X-ODA-Partial", strings.Join(peers, ","))
 	}
 }

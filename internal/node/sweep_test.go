@@ -121,7 +121,8 @@ func sameSweep(got, want sweep) string {
 // cluster sweeps the whole fleet, not the node's own shard: every
 // capability's values are bit-identical to a single node holding the same
 // simulated fleet. With one node partitioned away the sweep still answers,
-// from its replica, and names that node — and only it — as partial.
+// from its replica, and names that node — and only it — as partial, as
+// /dashboard's answer does.
 func TestClusterSweepReadsTheFleet(t *testing.T) {
 	exp := repro.StandardExperiment(7, 8, 3)
 	fleet := fleetBatch(t, exp.DC.Store)
@@ -171,5 +172,9 @@ func TestClusterSweepReadsTheFleet(t *testing.T) {
 	// n3's replica is caught up, so what it answers is what n3 would.
 	if d := sameSweep(got, want); d != "" {
 		t.Fatalf("partitioned sweep differs from the single node's on %s", d)
+	}
+	// The dashboard reads the same fleet view and marks the same answer.
+	if rec := get(t, nodes["n1"], "/dashboard"); rec.Code != 200 || rec.Header().Get("X-ODA-Partial") != "n3" {
+		t.Fatalf("partitioned /dashboard: %d, X-ODA-Partial %q; want n3", rec.Code, rec.Header().Get("X-ODA-Partial"))
 	}
 }

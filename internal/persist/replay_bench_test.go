@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"path/filepath"
 	"testing"
 
 	"repro/internal/metric"
@@ -109,4 +110,53 @@ func BenchmarkWALReplayFleet(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkSnapshotLoadFleet is recovery's other half: the store the fleet
+// WAL replays to, written as a snapshot and loaded back — read, checksum,
+// decode, and RestoreStore's decode-and-re-encode of every raw and tier
+// chunk. It reports ns/record over the raw samples and tier records the
+// snapshot holds; `make bench-restore` gates its allocs/op, a count that
+// does not depend on the box.
+func BenchmarkSnapshotLoadFleet(b *testing.B) {
+	log := fleetWAL()
+	store := newFleetStore()
+	rt := NewRefTable()
+	for _, seg := range log.segments {
+		if res := mustReplay(b, seg, func(rec walRecord) { rec.apply(store, rt) }); res.torn {
+			b.Fatal("fleet segment replayed torn")
+		}
+	}
+	dump := store.Dump()
+	records := 0
+	for _, sd := range dump {
+		for _, cd := range sd.Chunks {
+			records += cd.Count
+		}
+		for _, td := range sd.Tiers {
+			for _, cd := range td.Chunks {
+				records += cd.Count
+			}
+		}
+	}
+	dir := b.TempDir()
+	if _, err := writeSnapshot(dir, 1, store.ChunkSize(), dump); err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(dir, snapshotName(1))
+	opts := []timeseries.Option{timeseries.WithRollups(timeseries.TierStep1m, timeseries.TierStep1h)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := loadSnapshot(path, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer() // the check scans every shard; it is not recovery
+		if got.NumSamples() != log.samples {
+			b.Fatalf("loaded %d of %d samples", got.NumSamples(), log.samples)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records), "ns/record")
 }

@@ -61,50 +61,69 @@ func (w *bitWriter) writeBits(v uint64, n uint8) {
 // bytes returns the written stream.
 func (w *bitWriter) bytes() []byte { return w.buf }
 
-// bitReader consumes bits from a byte slice, MSB first.
+// bitReader consumes bits from a byte slice, MSB first, through a 64-bit
+// refill register: reg holds the next n unread bits left-justified, so a
+// caller peeks at the top of reg and consumes what it decoded with one shift.
+// refill tops reg up a whole word at a time while eight bytes remain, and a
+// byte at a time near the end of buf. Past the end, reg reads as zeros: a
+// decoder may branch on a peeked bit it does not own, as long as it checks n
+// before it consumes — a decision that rests on padding consumes it and
+// fails with ErrEOS, exactly where a bit-at-a-time read would have.
+// FuzzBitReaderParity pins it to the byte-stepping reader it replaced.
 type bitReader struct {
-	buf   []byte
-	pos   int   // byte position
-	nbits uint8 // bits consumed in current byte
+	buf []byte
+	pos int    // next byte of buf to load into reg
+	reg uint64 // the next n stream bits, MSB first; the bits below them are 0 or the stream's own
+	n   uint   // valid bits in reg (0-64)
 }
 
-func newBitReader(buf []byte) *bitReader { return &bitReader{buf: buf} }
-
-func (r *bitReader) readBit() (bool, error) {
-	if r.pos >= len(r.buf) {
-		return false, ErrEOS
+// refill loads whole bytes into reg until it holds at least 57 bits or buf
+// is exhausted. The word-wide load also ORs in the top bits of the byte that
+// does not fit whole; those are that byte's own bits, and the next refill
+// ORs them in again unchanged.
+func (r *bitReader) refill() {
+	if r.pos+8 <= len(r.buf) {
+		r.reg |= binary.BigEndian.Uint64(r.buf[r.pos:]) >> r.n
+		k := (64 - r.n) >> 3 // whole bytes that fit below the valid bits
+		r.pos += int(k)
+		r.n += k << 3
+		return
 	}
-	bit := r.buf[r.pos]&(1<<(7-r.nbits)) != 0
-	r.nbits++
-	if r.nbits == 8 {
-		r.nbits = 0
+	for r.n <= 56 && r.pos < len(r.buf) {
+		r.reg |= uint64(r.buf[r.pos]) << (56 - r.n)
 		r.pos++
+		r.n += 8
 	}
-	return bit, nil
 }
 
-// readBits extracts the next n bits MSB-first, consuming up to a byte per
-// step rather than a bit at a time — this is the decode hot path every
-// range query pays per sample.
+// consume drops the top k bits of reg; the caller has checked k <= n.
+func (r *bitReader) consume(k uint) {
+	r.reg <<= k
+	r.n -= k
+}
+
+// readBits extracts the next n bits (n <= 64) MSB-first, or ErrEOS when
+// fewer remain. A read wider than one refill guarantees is two reads.
 func (r *bitReader) readBits(n uint8) (uint64, error) {
-	var v uint64
-	for n > 0 {
-		if r.pos >= len(r.buf) {
+	if n > 56 {
+		hi, err := r.readBits(n - 32)
+		if err != nil {
+			return 0, err
+		}
+		lo, err := r.readBits(32)
+		if err != nil {
+			return 0, err
+		}
+		return hi<<32 | lo, nil
+	}
+	k := uint(n)
+	if k > r.n {
+		r.refill()
+		if k > r.n {
 			return 0, ErrEOS
 		}
-		avail := 8 - r.nbits
-		take := n
-		if take > avail {
-			take = avail
-		}
-		chunk := r.buf[r.pos] >> (avail - take) & (0xFF >> (8 - take))
-		v = v<<take | uint64(chunk)
-		r.nbits += take
-		if r.nbits == 8 {
-			r.nbits = 0
-			r.pos++
-		}
-		n -= take
 	}
+	v := r.reg >> (64 - k) // k == 0 shifts out everything
+	r.consume(k)
 	return v, nil
 }

@@ -235,9 +235,13 @@ func (c *Chunk) Iter() *ChunkIter {
 	return it
 }
 
-// ChunkIter decodes a chunk sample by sample. The bit reader is embedded by
-// value so a reset iterator (the cursor's read path) performs zero
-// allocations per chunk.
+// ChunkIter decodes a chunk's records in order, one per Next or a block per
+// NextBlock. It decodes off the bit reader's refill register: one
+// leading-ones count on the peeked word picks the delta-of-delta class, and
+// the same word, shifted past it, holds the value's control bits and its
+// 5 + 6-bit window, so a typical record decodes off one word with a few
+// shifts. The bit reader is embedded by value so a reset iterator (the
+// cursor's read path) performs zero allocations per chunk.
 type ChunkIter struct {
 	r         bitReader
 	remaining int
@@ -269,137 +273,222 @@ func (it *ChunkIter) reset(buf []byte, count int, tier bool) {
 // Next advances to the next sample, returning false at the end or on a
 // decoding error (see Err).
 func (it *ChunkIter) Next() bool {
-	if it.remaining == 0 || it.err != nil {
+	if it.remaining == 0 || it.err != nil || !it.next() {
 		return false
 	}
+	it.remaining--
+	return true
+}
+
+// NextBlock decodes up to len(ts) samples into ts and vs (vs at least as
+// long as ts), in the order Next yields them, and returns how many it
+// decoded. It returns 0 at the end of the chunk or on a decoding error (see
+// Err); a block cut short by an error still holds the samples before it.
+func (it *ChunkIter) NextBlock(ts []int64, vs []float64) int {
+	n := min(len(ts), it.remaining)
+	if it.err != nil {
+		n = 0
+	}
+	vs = vs[:n]
+	for i := range vs {
+		if !it.next() {
+			n = i
+			break
+		}
+		ts[i], vs[i] = it.t, it.v
+	}
+	it.remaining -= n
+	return n
+}
+
+// next decodes one record into t and v; the caller has checked that one is
+// left and that err is nil. A record whose delta-of-delta and value control
+// bits all sit in one refilled word — every record past the second but one
+// with a raw 64-bit delta-of-delta or within 29 bits of the stream's end —
+// decodes here off that word; nextField takes the others.
+func (it *ChunkIter) next() bool {
+	if it.idx < 2 { // the header is read off buf, not the register
+		return it.nextField()
+	}
+	r := &it.r
+	if r.n < 29 { // 16 bits of the widest class, 13 of a new window
+		r.refill()
+	}
+	reg, n := r.reg, r.n
+	class := bits.LeadingZeros64(^reg)
+	if class >= 4 || n < 29 {
+		return it.nextField()
+	}
 	x := &it.cols[it.idx&it.mask]
-	if it.idx == 0 {
-		if it.r.pos+16 > len(it.r.buf) {
+	c := dodClass[class]
+	// Class 0 has no payload: the shift by 64 yields 0.
+	it.delta += int64(reg<<(class+1)>>(64-c.width+uint(class)+1)) - c.bias
+	it.t += it.delta
+	it.idx++
+	reg <<= c.width
+	n -= c.width
+	if reg>>63 == 0 { // value unchanged
+		r.reg, r.n = reg<<1, n-1
+		it.v = x.lastV
+		return true
+	}
+	if reg>>62 == 0b11 {
+		sig := uint8(reg >> 51 & 0x3F)
+		if sig == 0 {
+			sig = 64
+		}
+		x.leading = uint8(reg >> 57 & 0x1F)
+		x.trailing = 64 - x.leading - sig
+		reg <<= 13
+		n -= 13
+	} else {
+		reg <<= 2
+		n -= 2
+	}
+	sig := uint(64 - x.leading - x.trailing)
+	if sig > n {
+		r.reg, r.n = reg, n
+		r.refill()
+		reg, n = r.reg, r.n
+	}
+	var raw uint64
+	if sig <= n {
+		raw = reg >> (64 - sig)
+		r.reg, r.n = reg<<sig, n-sig
+	} else {
+		var err error
+		if raw, err = r.readBits(uint8(sig)); err != nil {
+			it.err = err
+			return false
+		}
+	}
+	x.lastV = math.Float64frombits(math.Float64bits(x.lastV) ^ raw<<x.trailing)
+	it.v = x.lastV
+	return true
+}
+
+// nextField decodes a record a field at a time: the chunk header, the first
+// delta, and any record next passes on.
+func (it *ChunkIter) nextField() bool {
+	x := &it.cols[it.idx&it.mask]
+	switch it.idx {
+	case 0:
+		if len(it.r.buf) < 16 {
 			it.err = ErrEOS
 			return false
 		}
 		it.t = int64(binary.BigEndian.Uint64(it.r.buf[:8]))
 		x.lastV = math.Float64frombits(binary.BigEndian.Uint64(it.r.buf[8:16]))
 		it.r.pos = 16
-	} else if it.idx == 1 {
-		wide, err := it.r.readBit()
-		if err != nil {
-			it.err = err
+	case 1:
+		// '0' + 14 bits or '1' + 35 bits.
+		r := &it.r
+		if r.n < 36 {
+			r.refill()
+		}
+		w := 15 + 21*uint(r.reg>>63)
+		if w > r.n {
+			it.err = ErrEOS
 			return false
 		}
-		n := uint8(14)
-		if wide {
-			n = 35
-		}
-		d, err := it.r.readBits(n)
-		if err != nil {
-			it.err = err
-			return false
-		}
-		it.delta = int64(d)
+		it.delta = int64(r.reg << 1 >> (65 - w))
+		r.consume(w)
 		it.t += it.delta
 		if !it.readValue(x) {
 			return false
 		}
-	} else {
-		dod, ok := it.readDoD()
-		if !ok {
-			return false
-		}
-		it.delta += dod
-		it.t += it.delta
-		if !it.readValue(x) {
+	default:
+		if !it.readDoD() || !it.readValue(x) {
 			return false
 		}
 	}
 	it.v = x.lastV
 	it.idx++
-	it.remaining--
 	return true
 }
 
-func (it *ChunkIter) readDoD() (int64, bool) {
-	// Count leading ones of the selector (max 4).
-	var selector uint8
-	for selector < 4 {
-		bit, err := it.r.readBit()
+// dodClass is a delta-of-delta's control-plus-payload width and bias, by the
+// leading ones of its control bits: '0', '10'+7, '110'+9, '1110'+12; '1111'
+// is followed by a raw 64-bit value.
+var dodClass = [4]struct {
+	width uint
+	bias  int64
+}{{1, 0}, {9, 63}, {12, 255}, {16, 2047}}
+
+// readDoD decodes the next delta-of-delta and advances t by the new delta.
+func (it *ChunkIter) readDoD() bool {
+	r := &it.r
+	if r.n < 16 {
+		r.refill()
+	}
+	var dod int64
+	if class := bits.LeadingZeros64(^r.reg); class < 4 {
+		c := dodClass[class]
+		if c.width > r.n {
+			it.err = ErrEOS
+			return false
+		}
+		dod = int64(r.reg<<(class+1)>>(64-c.width+uint(class)+1)) - c.bias
+		r.consume(c.width)
+	} else {
+		if r.n < 4 {
+			it.err = ErrEOS
+			return false
+		}
+		r.consume(4)
+		raw, err := r.readBits(64)
 		if err != nil {
 			it.err = err
-			return 0, false
+			return false
 		}
-		if !bit {
-			break
-		}
-		selector++
+		dod = int64(raw)
 	}
-	var nbits uint8
-	var bias int64
-	switch selector {
-	case 0:
-		return 0, true
-	case 1:
-		nbits, bias = 7, 63
-	case 2:
-		nbits, bias = 9, 255
-	case 3:
-		nbits, bias = 12, 2047
-	case 4:
-		raw, err := it.r.readBits(64)
-		if err != nil {
-			it.err = err
-			return 0, false
-		}
-		return int64(raw), true
-	}
-	raw, err := it.r.readBits(nbits)
-	if err != nil {
-		it.err = err
-		return 0, false
-	}
-	return int64(raw) - bias, true
+	it.delta += dod
+	it.t += it.delta
+	return true
 }
 
-// readValue decodes the next value of column x into x.lastV.
+// readValue decodes the next value of column x into x.lastV: '0' for
+// unchanged, '10' + the significant bits inside the previous window, or
+// '11' + 5 bits leading + 6 bits significant count (0 means 64) + the bits.
 func (it *ChunkIter) readValue(x *xorState) bool {
-	changed, err := it.r.readBit()
-	if err != nil {
-		it.err = err
-		return false
+	r := &it.r
+	if r.n < 13 {
+		r.refill()
 	}
-	if !changed {
+	w := r.reg
+	switch {
+	case r.n == 0:
+		it.err = ErrEOS
+		return false
+	case w>>63 == 0:
+		r.consume(1)
 		return true
-	}
-	newWin, err := it.r.readBit()
-	if err != nil {
-		it.err = err
-		return false
-	}
-	if newWin {
-		lead, err := it.r.readBits(5)
-		if err != nil {
-			it.err = err
+	case w>>62 == 0b10:
+		if r.n < 2 {
+			it.err = ErrEOS
 			return false
 		}
-		sigRaw, err := it.r.readBits(6)
-		if err != nil {
-			it.err = err
+		r.consume(2)
+	default:
+		if r.n < 13 {
+			it.err = ErrEOS
 			return false
 		}
-		sig := uint8(sigRaw)
+		sig := uint8(w >> 51 & 0x3F)
 		if sig == 0 {
 			sig = 64
 		}
-		x.leading = uint8(lead)
+		x.leading = uint8(w >> 57 & 0x1F)
 		x.trailing = 64 - x.leading - sig
+		r.consume(13)
 	}
-	sig := 64 - x.leading - x.trailing
-	raw, err := it.r.readBits(sig)
+	raw, err := r.readBits(64 - x.leading - x.trailing)
 	if err != nil {
 		it.err = err
 		return false
 	}
-	xor := raw << x.trailing
-	x.lastV = math.Float64frombits(math.Float64bits(x.lastV) ^ xor)
+	x.lastV = math.Float64frombits(math.Float64bits(x.lastV) ^ raw<<x.trailing)
 	return true
 }
 

@@ -15,10 +15,12 @@ import (
 // and then decodes lock-free, so a long scan never blocks appends.
 //
 // Every chunk, sealed or tail, raw or tier, streams its bitstream through
-// one embedded, reusable iterator, so a scan allocates nothing and leaves
-// nothing decoded behind. Cursors are pooled per store — call Close to
-// recycle one (using a cursor after Close is a no-op, not a crash). A
-// cursor must not be shared across goroutines.
+// one embedded, reusable iterator, a block at a time (ChunkIter.NextBlock)
+// into scratch the pooled cursor keeps, so a scan allocates nothing and
+// leaves nothing decoded behind. A reader takes the window either a block at
+// a time (nextBlock) or a sample at a time (Next), not both. Cursors are
+// pooled per store — call Close to recycle one (using a cursor after Close
+// is a no-op, not a crash). A cursor must not be shared across goroutines.
 type cursor struct {
 	store *Store
 	from  int64
@@ -33,6 +35,14 @@ type cursor struct {
 
 	pos int       // next sealed chunk to open
 	it  ChunkIter // streaming decoder over the current chunk
+
+	// The decode block (capacity blockLen, kept across Close) and, for Next,
+	// the in-window run of it still to hand out from index bi.
+	blkT []int64
+	blkV []float64
+	runT []int64
+	runV []float64
+	bi   int
 
 	vals []float64 // pushdown scratch: p95 and raw-aggregate bucket values
 
@@ -115,40 +125,66 @@ func (cur *cursor) Close() {
 	*cur = cursor{
 		sealed: cur.sealed[:0],
 		tail:   cur.tail[:0],
+		blkT:   cur.blkT,
+		blkV:   cur.blkV,
 		vals:   cur.vals[:0],
 	}
 	s.cursors.Put(cur)
 }
 
+// blockLen is how many samples a cursor decodes per NextBlock: a default
+// chunk's worth, so a raw chunk is typically one block.
+const blockLen = 128
+
+// nextBlock returns the next run of in-window samples, in timestamp order,
+// or empty slices at the end of the window or on a decode error (see Err).
+// The slices are the cursor's scratch, valid until the next call.
+func (cur *cursor) nextBlock() ([]int64, []float64) {
+	if cur.blkT == nil {
+		cur.blkT, cur.blkV = make([]int64, blockLen), make([]float64, blockLen)
+	}
+	for !cur.done && cur.err == nil {
+		n := cur.it.NextBlock(cur.blkT, cur.blkV) // a fresh cursor's zero iterator yields nothing
+		if n == 0 {
+			if err := cur.it.Err(); err != nil {
+				cur.err = err
+				cur.done = true
+			} else if !cur.openNext() {
+				cur.done = true
+			}
+			continue
+		}
+		ts := cur.blkT[:n]
+		lo, hi := 0, n
+		for lo < hi && ts[lo] < cur.from {
+			lo++
+		}
+		if ts[n-1] >= cur.to {
+			cur.done = true
+			for hi > lo && ts[hi-1] >= cur.to {
+				hi--
+			}
+		}
+		if lo < hi {
+			return ts[lo:hi], cur.blkV[lo:hi]
+		}
+	}
+	return nil, nil
+}
+
 // Next advances to the next sample in range, returning false at the end of
 // the window or on a decode error (see Err).
 func (cur *cursor) Next() bool {
-	if cur.done || cur.err != nil {
-		return false
-	}
-	for {
-		for cur.it.Next() { // a fresh cursor's zero iterator yields nothing
-			sm := cur.it.At()
-			if sm.T < cur.from {
-				continue
-			}
-			if sm.T >= cur.to {
-				cur.done = true
-				return false
-			}
-			cur.cur = sm
-			return true
-		}
-		if err := cur.it.Err(); err != nil {
-			cur.err = err
-			cur.done = true
-			return false
-		}
-		if !cur.openNext() {
-			cur.done = true
+	if cur.bi == len(cur.runT) {
+		cur.runT, cur.runV = cur.nextBlock()
+		cur.bi = 0
+		if len(cur.runT) == 0 {
 			return false
 		}
 	}
+	cur.cur = metric.Sample{T: cur.runT[cur.bi], V: cur.runV[cur.bi]}
+	cur.bi++
+	return true
 }
 
 // openNext arms the next chunk in the window: a sealed chunk or the tail
@@ -212,17 +248,18 @@ func (s *Store) Reduce(id metric.ID, from, to int64, fn AggFunc) (float64, int, 
 	var o stats.Online
 	var first, last metric.Sample
 	n := 0
-	for cur.Next() {
-		sm := cur.cur
+	for ts, vs := cur.nextBlock(); len(ts) > 0; ts, vs = cur.nextBlock() {
 		if n == 0 {
-			first = sm
+			first = metric.Sample{T: ts[0], V: vs[0]}
 		}
-		last = sm
-		n++
+		last = metric.Sample{T: ts[len(ts)-1], V: vs[len(vs)-1]}
+		n += len(ts)
 		if fn == AggP95 {
-			cur.vals = append(cur.vals, sm.V)
+			cur.vals = append(cur.vals, vs...)
 		} else {
-			o.Add(sm.V)
+			for _, v := range vs {
+				o.Add(v)
+			}
 		}
 	}
 	if cur.err != nil {
@@ -297,19 +334,21 @@ func (s *Store) aggregate(id metric.ID, from, to, step int64, fn AggFunc) ([]Agg
 		inBucket = false
 		return nil
 	}
-	for cur.Next() {
-		sm := cur.cur
-		if !inBucket || sm.T >= end {
-			if err := flush(); err != nil {
-				return nil, err
+	for ts, vs := cur.nextBlock(); len(ts) > 0; ts, vs = cur.nextBlock() {
+		for i, t := range ts {
+			sm := metric.Sample{T: t, V: vs[i]}
+			if !inBucket || sm.T >= end {
+				if err := flush(); err != nil {
+					return nil, err
+				}
+				start = from + (sm.T-from)/step*step
+				end = start + step
+				bFirst = sm
+				inBucket = true
 			}
-			start = from + (sm.T-from)/step*step
-			end = start + step
-			bFirst = sm
-			inBucket = true
+			cur.vals = append(cur.vals, sm.V)
+			bLast = sm
 		}
-		cur.vals = append(cur.vals, sm.V)
-		bLast = sm
 	}
 	if cur.err != nil {
 		return nil, cur.err

@@ -72,13 +72,13 @@ func dumpChunks(chunks []*Chunk) []ChunkDump {
 	return out
 }
 
-// RestoreStore rebuilds a store from a dump. Each chunk is decoded and
-// re-encoded through the same Gorilla codec, and the re-encoded bytes are
-// compared against the dump payload — a dump that decodes but would not
-// reproduce itself (bit corruption the per-sample decode tolerates) fails
-// restoration instead of silently diverging. The restored store is
-// byte-identical to the dumped one: same chunk boundaries, same bitstreams,
-// same append state for the partial tail chunk.
+// RestoreStore rebuilds a store from a dump. Each chunk is decoded, a block
+// at a time, and re-encoded through the same Gorilla codec, and the
+// re-encoded bytes are compared against the dump payload — a dump that
+// decodes but would not reproduce itself (bit corruption the per-sample
+// decode tolerates) fails restoration instead of silently diverging. The
+// restored store is byte-identical to the dumped one: same chunk boundaries,
+// same bitstreams, same append state for the partial tail chunk.
 func RestoreStore(chunkSize int, dump []SeriesDump, opts ...Option) (*Store, error) {
 	s := NewStore(chunkSize, opts...)
 	for _, sd := range dump {
@@ -88,9 +88,9 @@ func RestoreStore(chunkSize int, dump []SeriesDump, opts ...Option) (*Store, err
 		}
 		ss := s.getOrCreate(key, sd.ID, sd.Kind, sd.Unit)
 		for _, cd := range sd.Chunks {
-			c, lastT, n, err := restoreChunk(key, cd, ss.last.T, ss.hasLast, nil)
+			c, lastT, n, err := restoreChunk(cd, ss.last.T, ss.hasLast, nil)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("timeseries: restore %s: %w", key, err)
 			}
 			if c == nil {
 				continue
@@ -109,9 +109,9 @@ func RestoreStore(chunkSize int, dump []SeriesDump, opts ...Option) (*Store, err
 			var lastT int64
 			hasLast := false
 			for _, cd := range td.Chunks {
-				c, lt, _, err := restoreChunk(key+fmt.Sprintf("[tier %d]", td.Step), cd, lastT, hasLast, &ts.pred)
+				c, lt, _, err := restoreChunk(cd, lastT, hasLast, &ts.pred)
 				if err != nil {
-					return nil, err
+					return nil, fmt.Errorf("timeseries: restore %s[tier %d]: %w", key, td.Step, err)
 				}
 				if c == nil {
 					continue
@@ -142,17 +142,18 @@ func RestoreStore(chunkSize int, dump []SeriesDump, opts ...Option) (*Store, err
 	return s, nil
 }
 
-// restoreChunk rebuilds one dumped chunk through the codec, verifying the
-// re-encoded bytes match the dump and that timestamps continue the series'
-// monotonic order. Returns the chunk (nil for an empty dump), its last
-// timestamp and last value. A non-nil pred makes it a rollup tier's chunk:
-// whole window groups, each record re-encoded against its column of pred,
-// which is left as the chunk's closing predictor — the tier's, if this is its
-// last chunk. A tier chunk in the interleaved layout snapshot v2 held reads
-// here as other records, out of step with its own control bits, and fails one
-// of these checks; what names a layout for certain is the snapshot magic, and
-// the peers of a cluster run one build.
-func restoreChunk(key string, cd ChunkDump, lastT int64, hasLast bool, pred *[rollupStride]xorState) (*Chunk, int64, float64, error) {
+// restoreChunk rebuilds one dumped chunk through the codec, a decoded block
+// at a time, verifying the re-encoded bytes match the dump and that
+// timestamps continue the series' monotonic order. Returns the chunk (nil for
+// an empty dump), its last timestamp and last value; the caller names the
+// chunk in an error. A non-nil pred makes it a rollup tier's chunk: whole
+// window groups, each record re-encoded against its column of pred, which is
+// left as the chunk's closing predictor — the tier's, if this is its last
+// chunk. A tier chunk in the interleaved layout snapshot v2 held reads here as
+// other records, out of step with its own control bits, and fails one of these
+// checks; what names a layout for certain is the snapshot magic, and the peers
+// of a cluster run one build.
+func restoreChunk(cd ChunkDump, lastT int64, hasLast bool, pred *[rollupStride]xorState) (*Chunk, int64, float64, error) {
 	if cd.Count == 0 {
 		return nil, 0, 0, nil
 	}
@@ -163,34 +164,37 @@ func restoreChunk(key string, cd ChunkDump, lastT int64, hasLast bool, pred *[ro
 	x := &c.x
 	if pred != nil {
 		if cd.Count%rollupStride != 0 {
-			return nil, 0, 0, fmt.Errorf("timeseries: restore %s: %d records are not whole window groups", key, cd.Count)
+			return nil, 0, 0, fmt.Errorf("%d records are not whole window groups", cd.Count)
 		}
 		*pred = [rollupStride]xorState{}
 	}
 	var it ChunkIter
 	it.reset(cd.Data, cd.Count, pred != nil)
-	for it.Next() {
-		sm := it.At()
-		if hasLast && sm.T <= lastT {
-			return nil, 0, 0, fmt.Errorf("timeseries: restore %s: non-monotonic chunk sequence (%d <= %d)", key, sm.T, lastT)
-		}
-		if pred != nil {
-			col := c.count % rollupStride
-			if col == 0 && floorMod(sm.T, rollupStride) != 0 || col > 0 && sm.T != lastT+1 {
-				return nil, 0, 0, fmt.Errorf("timeseries: restore %s: rollup stream misaligned at %d", key, sm.T)
+	var ts [blockLen]int64
+	var vs [blockLen]float64
+	for n := it.NextBlock(ts[:], vs[:]); n > 0; n = it.NextBlock(ts[:], vs[:]) {
+		for i, t := range ts[:n] {
+			if hasLast && t <= lastT {
+				return nil, 0, 0, fmt.Errorf("non-monotonic chunk sequence (%d <= %d)", t, lastT)
 			}
-			x = &pred[col]
+			if pred != nil {
+				col := c.count % rollupStride
+				if col == 0 && floorMod(t, rollupStride) != 0 || col > 0 && t != lastT+1 {
+					return nil, 0, 0, fmt.Errorf("rollup stream misaligned at %d", t)
+				}
+				x = &pred[col]
+			}
+			if err := c.append(t, vs[i], x); err != nil {
+				return nil, 0, 0, err
+			}
+			lastT, hasLast = t, true
 		}
-		if err := c.append(sm.T, sm.V, x); err != nil {
-			return nil, 0, 0, fmt.Errorf("timeseries: restore %s: %w", key, err)
-		}
-		lastT, hasLast = sm.T, true
 	}
 	if err := it.Err(); err != nil {
-		return nil, 0, 0, fmt.Errorf("timeseries: restore %s: %w", key, err)
+		return nil, 0, 0, err
 	}
 	if c.Count() != cd.Count || !bytes.Equal(c.w.bytes(), cd.Data) {
-		return nil, 0, 0, fmt.Errorf("timeseries: restore %s: chunk re-encode mismatch (%d samples, %d bytes vs %d)", key, cd.Count, c.Bytes(), len(cd.Data))
+		return nil, 0, 0, fmt.Errorf("chunk re-encode mismatch (%d samples, %d bytes vs %d)", cd.Count, c.Bytes(), len(cd.Data))
 	}
 	return c, lastT, x.lastV, nil
 }
