@@ -204,8 +204,8 @@ bench-replay:
 # BenchmarkSnapshotLoadFleet writes the store the fleet WAL replays to as a
 # snapshot and loads it back — read, checksum, decode, and RestoreStore's
 # decode-and-re-encode of every raw and tier chunk. Its allocs/op may not
-# exceed the 348,510 measured before the block decoder landed (274,774 with
-# it: restore no longer builds a label per tier chunk). The budget is a
+# exceed 275,000: 274,774 measured with the block decoder, which no longer
+# builds a label per tier chunk, against 348,510 before it. The budget is a
 # count, so it does not depend on how fast this box is today; ns/record
 # (raw samples plus tier records) is printed for the reader. A missing or
 # renamed benchmark fails the gate.
@@ -216,8 +216,8 @@ bench-restore:
 		/^BenchmarkSnapshotLoadFleet/ { seen=1; allocs=$$(NF-1) } \
 		END { \
 			if (!seen) { print "FAIL: BenchmarkSnapshotLoadFleet missing from output"; exit 1 } \
-			printf "snapshot load %d allocs/op: budget 348510\n", allocs; \
-			if (allocs+0 > 348510) { printf "FAIL: snapshot load allocates %d allocs/op over its budget\n", allocs - 348510; exit 1 } \
+			printf "snapshot load %d allocs/op: budget 275000\n", allocs; \
+			if (allocs+0 > 275000) { printf "FAIL: snapshot load allocates %d allocs/op over its budget\n", allocs - 275000; exit 1 } \
 			print "OK: snapshot load within its allocation budget" }'
 
 # The end-to-end benchmark BENCHMARK.json declares: all four workloads, one

@@ -302,87 +302,26 @@ func (it *ChunkIter) NextBlock(ts []int64, vs []float64) int {
 }
 
 // next decodes one record into t and v; the caller has checked that one is
-// left and that err is nil. A record whose delta-of-delta and value control
-// bits all sit in one refilled word — every record past the second but one
-// with a raw 64-bit delta-of-delta or within 29 bits of the stream's end —
-// decodes here off that word; nextField takes the others.
+// left and that err is nil. Past the header, a record's delta-of-delta and
+// value control bits (at most 16 + 13) are read off one refilled word, each
+// field checked against the bits the register holds: a raw 64-bit
+// delta-of-delta and a wide significand take readBits, which refills.
 func (it *ChunkIter) next() bool {
-	if it.idx < 2 { // the header is read off buf, not the register
-		return it.nextField()
-	}
+	x := &it.cols[it.idx&it.mask]
 	r := &it.r
-	if r.n < 29 { // 16 bits of the widest class, 13 of a new window
-		r.refill()
-	}
-	reg, n := r.reg, r.n
-	class := bits.LeadingZeros64(^reg)
-	if class >= 4 || n < 29 {
-		return it.nextField()
-	}
-	x := &it.cols[it.idx&it.mask]
-	c := dodClass[class]
-	// Class 0 has no payload: the shift by 64 yields 0.
-	it.delta += int64(reg<<(class+1)>>(64-c.width+uint(class)+1)) - c.bias
-	it.t += it.delta
-	it.idx++
-	reg <<= c.width
-	n -= c.width
-	if reg>>63 == 0 { // value unchanged
-		r.reg, r.n = reg<<1, n-1
-		it.v = x.lastV
-		return true
-	}
-	if reg>>62 == 0b11 {
-		sig := uint8(reg >> 51 & 0x3F)
-		if sig == 0 {
-			sig = 64
-		}
-		x.leading = uint8(reg >> 57 & 0x1F)
-		x.trailing = 64 - x.leading - sig
-		reg <<= 13
-		n -= 13
-	} else {
-		reg <<= 2
-		n -= 2
-	}
-	sig := uint(64 - x.leading - x.trailing)
-	if sig > n {
-		r.reg, r.n = reg, n
-		r.refill()
-		reg, n = r.reg, r.n
-	}
-	var raw uint64
-	if sig <= n {
-		raw = reg >> (64 - sig)
-		r.reg, r.n = reg<<sig, n-sig
-	} else {
-		var err error
-		if raw, err = r.readBits(uint8(sig)); err != nil {
-			it.err = err
-			return false
-		}
-	}
-	x.lastV = math.Float64frombits(math.Float64bits(x.lastV) ^ raw<<x.trailing)
-	it.v = x.lastV
-	return true
-}
-
-// nextField decodes a record a field at a time: the chunk header, the first
-// delta, and any record next passes on.
-func (it *ChunkIter) nextField() bool {
-	x := &it.cols[it.idx&it.mask]
 	switch it.idx {
-	case 0:
-		if len(it.r.buf) < 16 {
+	case 0: // the header: first timestamp and value, 8 bytes each
+		if len(r.buf) < 16 {
 			it.err = ErrEOS
 			return false
 		}
-		it.t = int64(binary.BigEndian.Uint64(it.r.buf[:8]))
-		x.lastV = math.Float64frombits(binary.BigEndian.Uint64(it.r.buf[8:16]))
-		it.r.pos = 16
-	case 1:
-		// '0' + 14 bits or '1' + 35 bits.
-		r := &it.r
+		it.t = int64(binary.BigEndian.Uint64(r.buf[:8]))
+		x.lastV = math.Float64frombits(binary.BigEndian.Uint64(r.buf[8:16]))
+		r.pos = 16
+		it.v = x.lastV
+		it.idx++
+		return true
+	case 1: // the first delta: '0' + 14 bits or '1' + 35 bits
 		if r.n < 36 {
 			r.refill()
 		}
@@ -393,66 +332,38 @@ func (it *ChunkIter) nextField() bool {
 		}
 		it.delta = int64(r.reg << 1 >> (65 - w))
 		r.consume(w)
-		it.t += it.delta
-		if !it.readValue(x) {
-			return false
+	default: // a delta-of-delta, its class picked by its leading ones
+		if r.n < 29 {
+			r.refill()
 		}
-	default:
-		if !it.readDoD() || !it.readValue(x) {
-			return false
+		if class := bits.LeadingZeros64(^r.reg); class < 4 {
+			c := dodClass[class]
+			if c.width > r.n {
+				it.err = ErrEOS
+				return false
+			}
+			// Class 0 has no payload: the shift by 64 yields 0.
+			it.delta += int64(r.reg<<(class+1)>>(64-c.width+uint(class)+1)) - c.bias
+			r.consume(c.width)
+		} else {
+			if r.n < 4 {
+				it.err = ErrEOS
+				return false
+			}
+			r.consume(4)
+			raw, err := r.readBits(64)
+			if err != nil {
+				it.err = err
+				return false
+			}
+			it.delta += int64(raw)
 		}
 	}
-	it.v = x.lastV
-	it.idx++
-	return true
-}
-
-// dodClass is a delta-of-delta's control-plus-payload width and bias, by the
-// leading ones of its control bits: '0', '10'+7, '110'+9, '1110'+12; '1111'
-// is followed by a raw 64-bit value.
-var dodClass = [4]struct {
-	width uint
-	bias  int64
-}{{1, 0}, {9, 63}, {12, 255}, {16, 2047}}
-
-// readDoD decodes the next delta-of-delta and advances t by the new delta.
-func (it *ChunkIter) readDoD() bool {
-	r := &it.r
-	if r.n < 16 {
-		r.refill()
-	}
-	var dod int64
-	if class := bits.LeadingZeros64(^r.reg); class < 4 {
-		c := dodClass[class]
-		if c.width > r.n {
-			it.err = ErrEOS
-			return false
-		}
-		dod = int64(r.reg<<(class+1)>>(64-c.width+uint(class)+1)) - c.bias
-		r.consume(c.width)
-	} else {
-		if r.n < 4 {
-			it.err = ErrEOS
-			return false
-		}
-		r.consume(4)
-		raw, err := r.readBits(64)
-		if err != nil {
-			it.err = err
-			return false
-		}
-		dod = int64(raw)
-	}
-	it.delta += dod
 	it.t += it.delta
-	return true
-}
 
-// readValue decodes the next value of column x into x.lastV: '0' for
-// unchanged, '10' + the significant bits inside the previous window, or
-// '11' + 5 bits leading + 6 bits significant count (0 means 64) + the bits.
-func (it *ChunkIter) readValue(x *xorState) bool {
-	r := &it.r
+	// The value: '0' unchanged, '10' + the significant bits inside the
+	// previous window, or '11' + 5 bits leading + 6 bits significant count
+	// (0 means 64) + the bits.
 	if r.n < 13 {
 		r.refill()
 	}
@@ -463,6 +374,8 @@ func (it *ChunkIter) readValue(x *xorState) bool {
 		return false
 	case w>>63 == 0:
 		r.consume(1)
+		it.v = x.lastV
+		it.idx++
 		return true
 	case w>>62 == 0b10:
 		if r.n < 2 {
@@ -483,14 +396,34 @@ func (it *ChunkIter) readValue(x *xorState) bool {
 		x.trailing = 64 - x.leading - sig
 		r.consume(13)
 	}
-	raw, err := r.readBits(64 - x.leading - x.trailing)
-	if err != nil {
-		it.err = err
-		return false
+	sig := uint(64 - x.leading - x.trailing)
+	if sig > r.n {
+		r.refill()
+	}
+	var raw uint64
+	if sig <= r.n { // readBits' own fast path, inline
+		raw = r.reg >> (64 - sig)
+		r.consume(sig)
+	} else {
+		var err error
+		if raw, err = r.readBits(uint8(sig)); err != nil {
+			it.err = err
+			return false
+		}
 	}
 	x.lastV = math.Float64frombits(math.Float64bits(x.lastV) ^ raw<<x.trailing)
+	it.v = x.lastV
+	it.idx++
 	return true
 }
+
+// dodClass is a delta-of-delta's control-plus-payload width and bias, by the
+// leading ones of its control bits: '0', '10'+7, '110'+9, '1110'+12; '1111'
+// is followed by a raw 64-bit value.
+var dodClass = [4]struct {
+	width uint
+	bias  int64
+}{{1, 0}, {9, 63}, {12, 255}, {16, 2047}}
 
 // At returns the current sample.
 func (it *ChunkIter) At() metric.Sample { return metric.Sample{T: it.t, V: it.v} }

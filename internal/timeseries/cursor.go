@@ -16,9 +16,8 @@ import (
 //
 // Every chunk, sealed or tail, raw or tier, streams its bitstream through
 // one embedded, reusable iterator, a block at a time (ChunkIter.NextBlock)
-// into scratch the pooled cursor keeps, so a scan allocates nothing and
-// leaves nothing decoded behind. A reader takes the window either a block at
-// a time (nextBlock) or a sample at a time (Next), not both. Cursors are
+// into scratch the pooled cursor keeps, and Next steps through that block,
+// so a scan allocates nothing and leaves nothing decoded behind. Cursors are
 // pooled per store — call Close to recycle one (using a cursor after Close
 // is a no-op, not a crash). A cursor must not be shared across goroutines.
 type cursor struct {
@@ -36,8 +35,8 @@ type cursor struct {
 	pos int       // next sealed chunk to open
 	it  ChunkIter // streaming decoder over the current chunk
 
-	// The decode block (capacity blockLen, kept across Close) and, for Next,
-	// the in-window run of it still to hand out from index bi.
+	// The decode block (capacity blockLen, kept across Close) and the
+	// in-window run of it Next still hands out from index bi.
 	blkT []int64
 	blkV []float64
 	runT []int64
@@ -136,9 +135,10 @@ func (cur *cursor) Close() {
 // chunk's worth, so a raw chunk is typically one block.
 const blockLen = 128
 
-// nextBlock returns the next run of in-window samples, in timestamp order,
-// or empty slices at the end of the window or on a decode error (see Err).
-// The slices are the cursor's scratch, valid until the next call.
+// nextBlock decodes the next run of in-window samples for Next, in timestamp
+// order, or returns empty slices at the end of the window or on a decode
+// error (see Err). The slices are the cursor's scratch, valid until the next
+// call.
 func (cur *cursor) nextBlock() ([]int64, []float64) {
 	if cur.blkT == nil {
 		cur.blkT, cur.blkV = make([]int64, blockLen), make([]float64, blockLen)
@@ -248,18 +248,17 @@ func (s *Store) Reduce(id metric.ID, from, to int64, fn AggFunc) (float64, int, 
 	var o stats.Online
 	var first, last metric.Sample
 	n := 0
-	for ts, vs := cur.nextBlock(); len(ts) > 0; ts, vs = cur.nextBlock() {
+	for cur.Next() {
+		sm := cur.cur
 		if n == 0 {
-			first = metric.Sample{T: ts[0], V: vs[0]}
+			first = sm
 		}
-		last = metric.Sample{T: ts[len(ts)-1], V: vs[len(vs)-1]}
-		n += len(ts)
+		last = sm
+		n++
 		if fn == AggP95 {
-			cur.vals = append(cur.vals, vs...)
+			cur.vals = append(cur.vals, sm.V)
 		} else {
-			for _, v := range vs {
-				o.Add(v)
-			}
+			o.Add(sm.V)
 		}
 	}
 	if cur.err != nil {
@@ -334,21 +333,19 @@ func (s *Store) aggregate(id metric.ID, from, to, step int64, fn AggFunc) ([]Agg
 		inBucket = false
 		return nil
 	}
-	for ts, vs := cur.nextBlock(); len(ts) > 0; ts, vs = cur.nextBlock() {
-		for i, t := range ts {
-			sm := metric.Sample{T: t, V: vs[i]}
-			if !inBucket || sm.T >= end {
-				if err := flush(); err != nil {
-					return nil, err
-				}
-				start = from + (sm.T-from)/step*step
-				end = start + step
-				bFirst = sm
-				inBucket = true
+	for cur.Next() {
+		sm := cur.cur
+		if !inBucket || sm.T >= end {
+			if err := flush(); err != nil {
+				return nil, err
 			}
-			cur.vals = append(cur.vals, sm.V)
-			bLast = sm
+			start = from + (sm.T-from)/step*step
+			end = start + step
+			bFirst = sm
+			inBucket = true
 		}
+		cur.vals = append(cur.vals, sm.V)
+		bLast = sm
 	}
 	if cur.err != nil {
 		return nil, cur.err

@@ -467,8 +467,8 @@ func (s *Store) SeriesValues(id metric.ID, from, to, step int64) ([]float64, err
 	}
 	defer cur.Close()
 	out := make([]float64, 0, cur.est)
-	for ts, vs := cur.nextBlock(); len(ts) > 0; ts, vs = cur.nextBlock() {
-		out = append(out, vs...)
+	for cur.Next() {
+		out = append(out, cur.cur.V)
 	}
 	if cur.err != nil {
 		return nil, cur.err

@@ -216,13 +216,12 @@ func (s *Store) fold(ss *storedSeries, from, to, step int64, emit func(start int
 		tcur.Close()
 	}
 	rcur := s.newCursor(ss, tail, to)
-	for ts, vs := rcur.nextBlock(); len(ts) > 0; ts, vs = rcur.nextBlock() {
-		for i, t := range ts {
-			if step > 0 && t-start >= step {
-				enter(t)
-			}
-			agg.AddSample(t, vs[i])
+	for rcur.Next() {
+		sm := rcur.cur
+		if step > 0 && sm.T-start >= step {
+			enter(sm.T)
 		}
+		agg.AddSample(sm.T, sm.V)
 	}
 	err := rcur.err
 	rcur.Close()
