@@ -95,6 +95,7 @@ fuzz-short:
 	$(GO) test -run xxx -fuzz FuzzBitWriterParity -fuzztime $(FUZZTIME) ./internal/timeseries
 	$(GO) test -run xxx -fuzz FuzzBitReaderParity -fuzztime $(FUZZTIME) ./internal/timeseries
 	$(GO) test -run xxx -fuzz FuzzTierGroupRoundTrip -fuzztime $(FUZZTIME) ./internal/timeseries
+	$(GO) test -run xxx -fuzz FuzzDecimalChunkRoundTrip -fuzztime $(FUZZTIME) ./internal/timeseries
 	$(GO) test -run xxx -fuzz FuzzStoreModel -fuzztime $(FUZZTIME) ./internal/timeseries
 	$(GO) test -run xxx -fuzz FuzzDictDecode -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/persist
@@ -183,22 +184,28 @@ bench-ingest:
 # the reader. The same run gates the fleet WAL's size: wal_B/sample (segment
 # bytes over samples, also a count) must stay at or under 3.86 — 3.748 with
 # the decimal value column, 8.71 with raw values, 11.55 with the row-wise
-# record. A missing benchmark fails the gate.
+# record. It gates the replayed store's size too: store_B/sample (resident
+# raw and rollup tier chunk bytes over samples, a count as well) must stay at
+# or under 5.4 — 5.278 with the decimal chunk code, 12.67 when every chunk
+# was Gorilla-coded. A missing benchmark fails the gate.
 bench-replay:
 	@out=$$($(GO) test -run xxx -bench 'BenchmarkWALReplayFleet' -benchmem -benchtime 2x ./internal/persist); \
 	echo "$$out"; \
 	echo "$$out" | awk ' \
-		/^BenchmarkWALReplayFleet\/replay/ { replay=$$(NF-1); for (i=2; i<=NF; i++) { if ($$i == "segments") segs=$$(i-1); if ($$i == "wal_B/sample") walb=$$(i-1) } } \
+		/^BenchmarkWALReplayFleet\/replay/ { replay=$$(NF-1); for (i=2; i<=NF; i++) { if ($$i == "segments") segs=$$(i-1); if ($$i == "wal_B/sample") walb=$$(i-1); if ($$i == "store_B/sample") storeb=$$(i-1) } } \
 		/^BenchmarkWALReplayFleet\/direct/ { direct=$$(NF-1) } \
 		END { \
-			if (replay == "" || direct == "" || segs == "" || walb == "") { print "FAIL: BenchmarkWALReplayFleet replay/direct missing from output"; exit 1 } \
+			if (replay == "" || direct == "" || segs == "" || walb == "" || storeb == "") { print "FAIL: BenchmarkWALReplayFleet replay/direct missing from output"; exit 1 } \
 			budget = direct + segs + 1 + 8; \
 			printf "replay %d allocs/op, direct build %d, %d segments: budget %d\n", replay, direct, segs, budget; \
 			if (replay+0 > budget) { printf "FAIL: replay allocates %d allocs/op over its budget\n", replay - budget; exit 1 } \
 			print "OK: the decode-and-resolve loop allocates nothing per record or per sample"; \
 			printf "fleet WAL %.3f B/sample: budget 3.86\n", walb; \
 			if (walb+0 > 3.86) { print "FAIL: the fleet WAL costs more bytes per sample than its budget"; exit 1 } \
-			print "OK: a logged sample costs its value plus the columns it needs" }'
+			print "OK: a logged sample costs its value plus the columns it needs"; \
+			printf "replayed store %.3f B/sample: budget 5.4\n", storeb; \
+			if (storeb+0 > 5.4) { print "FAIL: the replayed store costs more bytes per sample than its budget"; exit 1 } \
+			print "OK: a stored sample costs about what it costs in the log" }'
 
 # Snapshot-load allocation budget, recovery's other half beside bench-replay:
 # BenchmarkSnapshotLoadFleet writes the store the fleet WAL replays to as a

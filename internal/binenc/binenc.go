@@ -65,22 +65,76 @@ func AppendID(b []byte, id metric.ID) []byte {
 	return b
 }
 
-// maxDecimalExp is the largest exponent a decimal value column uses: 10^15
-// and every smaller power of ten are exact in a float64.
-const maxDecimalExp = 15
+// MaxDecimalExp is the largest exponent a decimal value uses: 10^15 and
+// every smaller power of ten are exact in a float64.
+const MaxDecimalExp = 15
 
-var pow10 = [maxDecimalExp + 1]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+var pow10 = [MaxDecimalExp + 1]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
 
-// decimalAt reports whether v is m/10^e for an integer m with |m| < 2^53,
-// bit for bit: the decoder's float64(m)/10^e, the same IEEE division, gives
-// back exactly v. -0, NaN, the infinities and anything inexact fail.
-func decimalAt(v float64, e int) (int64, bool) {
-	r := math.Round(v * pow10[e])
+// DecimalAt reports whether v is m/10^e for an integer m with |m| < 2^53,
+// bit for bit: the decoder's DecimalValue(m, e), the same IEEE division,
+// gives back exactly v. -0, NaN, the infinities and anything inexact fail.
+// e is in [0, MaxDecimalExp]. It is the one decimal test under every format
+// that codes values as decimals: the value column here and the store's
+// decimal chunk columns.
+func DecimalAt(v float64, e int) (int64, bool) {
+	if e == 0 {
+		// The same test without the scaling: an integer below 2^53, and
+		// not -0, is one.
+		if !(math.Abs(v) < 1<<53) {
+			return 0, false
+		}
+		m := int64(v)
+		return m, math.Float64bits(float64(m)) == math.Float64bits(v)
+	}
+	p := pow10[e]
+	r := math.Round(v * p)
 	if !(math.Abs(r) < 1<<53) {
 		return 0, false
 	}
 	m := int64(r)
-	return m, math.Float64bits(float64(m)/pow10[e]) == math.Float64bits(v)
+	return m, math.Float64bits(float64(m)/p) == math.Float64bits(v)
+}
+
+// DecimalValue is the value a mantissa m stands for at exponent e:
+// float64(m)/10^e. e is in [0, MaxDecimalExp]. An integer, e = 0, skips the
+// division by one.
+func DecimalValue(m int64, e int) float64 {
+	if e == 0 {
+		return float64(m)
+	}
+	return float64(m) / pow10[e]
+}
+
+// DecimalFrom returns the smallest exponent in [e, MaxDecimalExp] at which
+// DecimalAt passes for v, and v's mantissa there; ok is false when none
+// does. It stops early once |v|*10^e reaches 2^53: no larger exponent can
+// pass then, and NaN never gets that far.
+//
+// Before that it rules out, in one step, every exponent up to the largest k
+// that keeps |v|*10^k below 2^40. If DecimalAt passes at some e' <= k, v is
+// m/10^e' rounded once, so v*10^k — rounded once more — is the integer
+// m*10^(k-e') to within two roundings' error, 2^40 * 2^-52 at most: a product
+// further than 2^-11 from every integer leaves no such e'. A value that is
+// not a decimal, every bit of its mantissa significant, is almost never that
+// close, and is then tried only at the few exponents above k.
+func DecimalFrom(v float64, e int) (m int64, at int, ok bool) {
+	a := math.Abs(v)
+	k := MaxDecimalExp
+	for k >= e && !(a*pow10[k] < 1<<40) {
+		k--
+	}
+	if k >= e {
+		if p := v * pow10[k]; math.Abs(p-math.Round(p)) > 0x1p-11 {
+			e = k + 1
+		}
+	}
+	for ; e <= MaxDecimalExp && a*pow10[e] < 1<<53; e++ {
+		if m, ok := DecimalAt(v, e); ok {
+			return m, e, true
+		}
+	}
+	return 0, 0, false
 }
 
 // AppendValues appends vs as one value column, coded as the values allow.
@@ -97,18 +151,17 @@ func AppendValues(b []byte, vs []float64) (_ []byte, decimal bool) {
 	start, e := len(b), 0
 	b = append(b, 0)
 	for i := 0; i < len(vs); i++ {
-		if m, ok := decimalAt(vs[i], e); ok {
+		if m, ok := DecimalAt(vs[i], e); ok {
 			b = AppendVarint(b, m)
 			continue
 		}
-		for ok := false; !ok; _, ok = decimalAt(vs[i], e) {
-			if e == maxDecimalExp {
-				return appendRaw(b[:start], vs), false
-			}
-			e++
+		_, up, ok := DecimalFrom(vs[i], e+1)
+		if !ok {
+			return appendRaw(b[:start], vs), false
 		}
 		// The values before i fit at a smaller exponent, which does not
 		// promise that they fit at this one: code them again.
+		e = up
 		b = append(b[:start], byte(e))
 		i = -1
 	}
@@ -213,7 +266,7 @@ type ValueCol struct {
 	scale float64 // 10^e of a decimal column; 0 for a raw one
 }
 
-// errExponent reports a decimal column exponent past maxDecimalExp.
+// errExponent reports a decimal column exponent past MaxDecimalExp.
 var errExponent = errors.New("binenc: decimal value column exponent out of range")
 
 // ValueCol starts reading a column AppendValues wrote; decimal is what it
@@ -223,7 +276,7 @@ func (r *Reader) ValueCol(decimal bool) ValueCol {
 		return ValueCol{}
 	}
 	e := r.Byte()
-	if e > maxDecimalExp {
+	if e > MaxDecimalExp {
 		r.fail(errExponent)
 		return ValueCol{}
 	}

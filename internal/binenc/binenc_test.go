@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -178,6 +179,64 @@ func decimalRef(vs []float64) (int, bool) {
 	return 0, false
 }
 
+// decimalAtRef is DecimalAt from the definition: m is v*10^e rounded, and v
+// is a decimal at e when |m| < 2^53 and float64(m)/10^e is v, bit for bit.
+func decimalAtRef(v float64, e int) (int64, bool) {
+	m := math.Round(v * math.Pow10(e))
+	if !(math.Abs(m) < 1<<53) {
+		return 0, false
+	}
+	return int64(m), math.Float64bits(float64(int64(m))/math.Pow10(e)) == math.Float64bits(v)
+}
+
+// checkDecimal holds DecimalAt and DecimalFrom, with their shortcuts — no
+// scaling at e = 0, one step over every exponent that keeps v*10^e under
+// 2^40 — to the definition at every exponent.
+func checkDecimal(t *testing.T, v float64) {
+	t.Helper()
+	first := -1
+	for e := MaxDecimalExp; e >= 0; e-- {
+		m, ok := DecimalAt(v, e)
+		wm, wok := decimalAtRef(v, e)
+		if ok != wok || ok && m != wm {
+			t.Fatalf("DecimalAt(%v (%016x), %d) = %d, %v; want %d, %v", v, math.Float64bits(v), e, m, ok, wm, wok)
+		}
+		if ok {
+			first = e
+		}
+		m, at, ok := DecimalFrom(v, e)
+		if ok != (first >= 0) || ok && (at != first || m != mantissaAt(v, first)) {
+			t.Fatalf("DecimalFrom(%v (%016x), %d) = %d, %d, %v; want exponent %d", v, math.Float64bits(v), e, m, at, ok, first)
+		}
+	}
+}
+
+func mantissaAt(v float64, e int) int64 { m, _ := decimalAtRef(v, e); return m }
+
+// TestDecimalShortcuts runs checkDecimal over values at the edges of both
+// shortcuts and over random floats, decimals and sums of decimals.
+func TestDecimalShortcuts(t *testing.T) {
+	vs := []float64{0, math.Copysign(0, -1), 0.5, -2.5, 1 << 52, 1<<53 - 1, 1 << 53, 4503599627370495.5, 0.1 + 0.2,
+		40018.8, 4246.6, 1099511627775.5, 1 << 40, 109951162777.6, math.NaN(), math.Inf(-1), 5e-324, math.MaxFloat64}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		e := rng.Intn(16)
+		switch i % 4 {
+		case 0:
+			vs = append(vs, math.Float64frombits(rng.Uint64()))
+		case 1:
+			vs = append(vs, float64(rng.Int63n(1<<53)-1<<52)/math.Pow10(e))
+		case 2:
+			vs = append(vs, math.Round(rng.Float64()*1e5)/10+math.Round(rng.Float64()*1e5)/100)
+		case 3:
+			vs = append(vs, math.Nextafter(float64(rng.Int63n(1<<40))/math.Pow10(e), math.Inf(1)))
+		}
+	}
+	for _, v := range vs {
+		checkDecimal(t, v)
+	}
+}
+
 // checkColumn encodes vs, checks the coding against decimalRef, and checks
 // that the column decodes to vs bit for bit and that every strict prefix of
 // it fails to decode.
@@ -273,6 +332,9 @@ func FuzzValueColumn(f *testing.F) {
 			vs = append(vs, r.Float())
 		}
 		checkColumn(t, vs)
+		for _, v := range vs {
+			checkDecimal(t, v)
+		}
 		vs = vs[:0]
 		for r := NewReader(scaled); r.Err() == nil && r.left() > 0 && len(vs) < 64; {
 			if m := r.Varint(); r.Err() == nil {
@@ -280,6 +342,9 @@ func FuzzValueColumn(f *testing.F) {
 			}
 		}
 		checkColumn(t, vs)
+		for _, v := range vs {
+			checkDecimal(t, v)
+		}
 		for _, decimal := range []bool{false, true} {
 			_, _ = readColumn(raw, decimal, len(raw)) // no panic is the property
 		}

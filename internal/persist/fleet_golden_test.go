@@ -11,8 +11,10 @@ import (
 // writer, the rollup seal and the replay loop were rewritten (PR 14). A
 // different value means recovery no longer rebuilds the bytes it used to.
 // Re-pinned by PR 16, the format change that moved tier chunks to the
-// column-predicted layout; the raw chunks in it are the bytes they were.
-const fleetDumpSHA256 = "25cd1e3ab38f2c2589c1509c208c7f1de7ccbaa7a5abafa9e79efcbe94ccf43e"
+// column-predicted layout, and by the decimal value code (snapshot v4: the
+// fleet's values are all decimals, and every chunk carries its code); the v3
+// hash was 25cd1e3ab38f2c2589c1509c208c7f1de7ccbaa7a5abafa9e79efcbe94ccf43e.
+const fleetDumpSHA256 = "9df2e93d0b8a99ea94a6d8004382d97400a72b746c691118f4ebf71cd17097bf"
 
 func TestFleetReplayDumpGolden(t *testing.T) {
 	if testing.Short() {

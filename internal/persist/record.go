@@ -1,13 +1,19 @@
 // Package persist gives the in-memory TSDB a crash-safe life: a segmented
 // write-ahead log capturing every mutating operation, periodic snapshot
-// checkpoints serialized through the store's Gorilla codec, and recovery
+// checkpoints that hold the store's own compressed chunks, and recovery
 // that rebuilds a byte-identical store from the newest valid snapshot plus
 // the WAL segments written after it.
 //
 // On-disk layout inside the data directory (all integers big endian):
 //
 //	wal-%08d.seg    WAL segments: 8-byte magic "ODAWAL2\n", then records
-//	snap-%08d.snap  snapshots: 8-byte magic "ODASNP3\n", payload, CRC32C
+//	snap-%08d.snap  snapshots: 8-byte magic "ODASNP4\n", payload, CRC32C
+//
+// A snapshot's chunks are each tagged with their value code: decimal
+// mantissa deltas per value column where the values are exact decimals,
+// Gorilla XOR elsewhere. Snapshots headed "ODASNP3\n" predate the tag (every
+// chunk Gorilla) and still load; a build from before v4 refuses a v4 file at
+// its magic.
 //
 // Segments headed "ODAWAL1\n" were written before opAppendCols existed. They
 // still replay, and a retired op-6 record in one is refused. An earlier build,

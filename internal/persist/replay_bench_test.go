@@ -48,8 +48,10 @@ func BenchmarkWALReplayRefs(b *testing.B) {
 // samples to AppendRefs already decoded and resolved, so the difference in
 // allocs/op is what the decode-and-resolve loop allocates — `make
 // bench-replay` holds it to one scratch buffer per segment. "replay" also
-// reports wal_B/sample, the fleet segments' bytes over their samples: a
-// count, not a timing, which `make bench-replay` gates like the allocs.
+// reports wal_B/sample, the fleet segments' bytes over their samples, and
+// store_B/sample, the replayed store's resident raw and rollup tier chunk
+// bytes over the same samples: counts, not timings, which `make
+// bench-replay` gates like the allocs.
 func BenchmarkWALReplayFleet(b *testing.B) {
 	log := fleetWAL()
 	var walBytes int
@@ -58,6 +60,7 @@ func BenchmarkWALReplayFleet(b *testing.B) {
 	}
 	b.Run("replay", func(b *testing.B) {
 		b.ReportAllocs()
+		var storeBytes int
 		for i := 0; i < b.N; i++ {
 			store := newFleetStore()
 			rt := NewRefTable()
@@ -71,11 +74,16 @@ func BenchmarkWALReplayFleet(b *testing.B) {
 			if got := store.NumSamples(); got != log.samples {
 				b.Fatalf("replayed %d of %d samples", got, log.samples)
 			}
+			storeBytes = store.CompressedBytes()
+			for _, tier := range store.RollupStats().Tiers {
+				storeBytes += tier.Bytes
+			}
 			b.StartTimer()
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(log.samples), "ns/sample")
 		b.ReportMetric(float64(len(log.segments)), "segments")
 		b.ReportMetric(float64(walBytes)/float64(log.samples), "wal_B/sample")
+		b.ReportMetric(float64(storeBytes)/float64(log.samples), "store_B/sample")
 	})
 	b.Run("direct", func(b *testing.B) {
 		b.ReportAllocs()

@@ -201,12 +201,14 @@ func ApplyRecord(store *timeseries.Store, rt *RefTable, payload []byte) error {
 }
 
 // EncodeDump serializes a store dump into the snapshot payload format —
-// the transfer encoding a replication snapshot ships over the wire.
+// the transfer encoding a replication snapshot ships over the wire. The
+// payload carries no version of its own: the peers of a cluster run one
+// build.
 func EncodeDump(chunkSize int, dump []timeseries.SeriesDump) []byte {
 	return encodeSnapshot(chunkSize, dump)
 }
 
 // DecodeDump parses a payload produced by EncodeDump.
 func DecodeDump(payload []byte) (int, []timeseries.SeriesDump, error) {
-	return decodeSnapshot(payload)
+	return decodeSnapshot(payload, false)
 }

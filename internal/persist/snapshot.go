@@ -12,16 +12,23 @@ import (
 	"repro/internal/timeseries"
 )
 
-// snapMagic heads every snapshot file. The digit is the format version: 3
-// is the payload laid out below with rollup tier chunks in the column-predicted
-// layout (timeseries/rollup.go: window-index stamps, each record XOR-ed
-// against its column of the previous window, time columns relative to the
-// window start). Any other complete 8-byte magic — the retired "ODASNP1\n"
-// (no tiers) and "ODASNP2\n" (same payload, interleaved tier chunks) included
-// — is ErrUnsupportedFormat: a v2 file's tier chunks would not survive
-// RestoreStore's re-encode check anyway, and failing there would read as
-// damage and fall back past it to a WAL that no longer reaches back.
-const snapMagic = "ODASNP3\n"
+// snapMagic heads every snapshot file this build writes. The digit is the
+// format version: 4 is the payload laid out below, each chunk tagged with its
+// value code (timeseries.ChunkDump.Decimal). snapMagicV3
+// heads the same payload without the tags, every chunk Gorilla-coded; it
+// still loads, through the same decoder. Rollup tier chunks in both are in the
+// column-predicted layout (timeseries/rollup.go: window-index stamps, each
+// record coded against its column of the previous window, time columns
+// relative to the window start). Any other complete 8-byte magic — the
+// retired "ODASNP1\n" (no tiers) and "ODASNP2\n" (interleaved tier chunks)
+// included — is ErrUnsupportedFormat: a v2 file's tier chunks would not
+// survive RestoreStore's re-encode check anyway, and failing there would read
+// as damage and fall back past it to a WAL that no longer reaches back. A
+// build from before v4 refuses a v4 file the same way, at its magic.
+const (
+	snapMagic   = "ODASNP4\n"
+	snapMagicV3 = "ODASNP3\n"
+)
 
 func snapshotName(seq uint64) string { return fmt.Sprintf("snap-%08d.snap", seq) }
 
@@ -30,8 +37,9 @@ func snapshotName(seq uint64) string { return fmt.Sprintf("snap-%08d.snap", seq)
 //	chunkSize  uvarint
 //	numSeries  uvarint
 //	per series: name, labelCount, (key, value)*, kind byte, unit,
-//	            chunkCount, per chunk: sampleCount uvarint, byteLen uvarint,
-//	            raw Gorilla bitstream,
+//	            chunkCount, per chunk: sampleCount uvarint, decimal byte
+//	            (1: decimal-coded, 0: Gorilla; absent in v3), byteLen
+//	            uvarint, the chunk's bitstream,
 //	            tierCount, per tier: step varint, accumulator, chunk list
 //	            (tier chunks in the rollup group layout)
 //
@@ -61,6 +69,7 @@ func appendChunks(buf []byte, chunks []timeseries.ChunkDump) []byte {
 	buf = binenc.AppendUvarint(buf, uint64(len(chunks)))
 	for _, cd := range chunks {
 		buf = binenc.AppendUvarint(buf, uint64(cd.Count))
+		buf = binenc.AppendBool(buf, cd.Decimal)
 		buf = binenc.AppendBytes(buf, cd.Data)
 	}
 	return buf
@@ -81,8 +90,9 @@ func appendAcc(buf []byte, a timeseries.RollupAcc) []byte {
 	return binenc.AppendFloat(buf, a.LastV)
 }
 
-// decodeSnapshot parses a snapshot payload (without magic or trailer).
-func decodeSnapshot(payload []byte) (chunkSize int, dump []timeseries.SeriesDump, err error) {
+// decodeSnapshot parses a snapshot payload (without magic or trailer); v3
+// says it is a v3 payload, whose chunks carry no decimal byte.
+func decodeSnapshot(payload []byte, v3 bool) (chunkSize int, dump []timeseries.SeriesDump, err error) {
 	p := binenc.NewReader(payload)
 	chunkSize = int(p.Uvarint())
 	// A series is at least a name, label count, kind, unit, chunk count and
@@ -91,11 +101,11 @@ func decodeSnapshot(payload []byte) (chunkSize int, dump []timeseries.SeriesDump
 	dump = make([]timeseries.SeriesDump, 0, nser)
 	for i := 0; i < nser && p.Err() == nil; i++ {
 		sd := timeseries.SeriesDump{ID: p.ID(), Kind: metric.Kind(p.Byte()), Unit: metric.Unit(p.Str())}
-		sd.Chunks = readChunks(&p)
+		sd.Chunks = readChunks(&p, v3)
 		// A tier is at least a step, a 45-byte accumulator and a chunk count.
 		ntier := p.Count(47)
 		for t := 0; t < ntier && p.Err() == nil; t++ {
-			sd.Tiers = append(sd.Tiers, timeseries.TierDump{Step: p.Varint(), Acc: readAcc(&p), Chunks: readChunks(&p)})
+			sd.Tiers = append(sd.Tiers, timeseries.TierDump{Step: p.Varint(), Acc: readAcc(&p), Chunks: readChunks(&p, v3)})
 		}
 		dump = append(dump, sd)
 	}
@@ -105,12 +115,18 @@ func decodeSnapshot(payload []byte) (chunkSize int, dump []timeseries.SeriesDump
 	return chunkSize, dump, nil
 }
 
-// readChunks decodes one chunk list as written by appendChunks.
-func readChunks(p *binenc.Reader) []timeseries.ChunkDump {
+// readChunks decodes one chunk list as written by appendChunks, or by a v3
+// build when v3 is set.
+func readChunks(p *binenc.Reader, v3 bool) []timeseries.ChunkDump {
 	n := p.Count(2) // a sample count and a byte length each
 	out := make([]timeseries.ChunkDump, 0, n)
 	for i := 0; i < n && p.Err() == nil; i++ {
-		out = append(out, timeseries.ChunkDump{Count: int(p.Uvarint()), Data: p.Bytes()})
+		cd := timeseries.ChunkDump{Count: int(p.Uvarint())}
+		if !v3 {
+			cd.Decimal = p.Bool()
+		}
+		cd.Data = p.Bytes()
+		out = append(out, cd)
 	}
 	return out
 }
@@ -179,7 +195,8 @@ func loadSnapshot(path string, storeOpts []timeseries.Option) (*timeseries.Store
 		return nil, err
 	}
 	name := filepath.Base(path)
-	if len(data) >= len(snapMagic) && string(data[:len(snapMagic)]) != snapMagic {
+	v3 := len(data) >= len(snapMagicV3) && string(data[:len(snapMagicV3)]) == snapMagicV3
+	if len(data) >= len(snapMagic) && string(data[:len(snapMagic)]) != snapMagic && !v3 {
 		return nil, fmt.Errorf("%w: %s has magic %q, want %q", ErrUnsupportedFormat, name, data[:len(snapMagic)], snapMagic)
 	}
 	if len(data) < len(snapMagic)+4 {
@@ -190,7 +207,7 @@ func loadSnapshot(path string, storeOpts []timeseries.Option) (*timeseries.Store
 	if crc32.Checksum(payload, castagnoli) != want {
 		return nil, fmt.Errorf("persist: %s: snapshot checksum mismatch", name)
 	}
-	chunkSize, dump, err := decodeSnapshot(payload)
+	chunkSize, dump, err := decodeSnapshot(payload, v3)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}

@@ -74,10 +74,16 @@ type refChunkIter struct {
 	v     float64
 	delta int64
 
-	cols [rollupStride]xorState
+	cols [rollupStride]refXorState
 	mask int
 
 	err error
+}
+
+// refXorState is one value column's XOR state as the reference keeps it.
+type refXorState struct {
+	lastV             float64
+	leading, trailing uint8
 }
 
 func newRefChunkIter(buf []byte, count int, tier bool) *refChunkIter {
@@ -178,7 +184,7 @@ func (it *refChunkIter) readDoD() (int64, bool) {
 	return int64(raw) - bias, true
 }
 
-func (it *refChunkIter) readValue(x *xorState) bool {
+func (it *refChunkIter) readValue(x *refXorState) bool {
 	changed, err := it.r.readBit()
 	if err != nil {
 		it.err = err
@@ -287,14 +293,14 @@ func checkIterParity(t *testing.T, buf []byte, count int, tier bool, block int) 
 	}
 
 	var it ChunkIter
-	it.reset(buf, count, tier)
+	it.reset(buf, count, tier, false)
 	var got []metric.Sample
 	for it.Next() {
 		got = append(got, it.At())
 	}
 	same("Next", got, it.Err())
 
-	it.reset(buf, count, tier)
+	it.reset(buf, count, tier, false)
 	got = got[:0]
 	ts, vs := make([]int64, block), make([]float64, block)
 	for n := it.NextBlock(ts, vs); n > 0; n = it.NextBlock(ts, vs) {
@@ -321,15 +327,18 @@ func parityChunks(tb testing.TB) (raw, tier *Chunk) {
 			tb.Fatal(err)
 		}
 	}
-	s := NewStore(64, WithRollups(1000))
-	id := metric.ID{Name: "power"}
-	for i := int64(0); i < 40; i++ {
-		if err := s.Append(id, metric.Gauge, metric.UnitWatt, i*170, float64(i%9)*1.5); err != nil {
+	// The reference decodes Gorilla columns only, and a tier chunk the store
+	// seals codes its integer columns as decimals: write the windows directly.
+	tier = NewChunk()
+	var pred [rollupStride]colState
+	for w := int64(0); w < 6; w++ {
+		v := float64(w%4) * 1.5
+		vals := [rollupStride]float64{6, 6 * v, v - 1, v + 1, float64(w % 2), v, 50_000, v + 0.25}
+		if err := tier.appendGroup(w*rollupStride, &vals, &pred); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	ss := s.lookup(id.Key())
-	return raw, ss.tiers[0].chunks[0]
+	return raw, tier
 }
 
 // FuzzBitReaderParity holds the refill-register reader and the ChunkIter

@@ -1,6 +1,8 @@
 // Package timeseries implements the embedded time-series database the ODA
-// stack archives telemetry into: Gorilla-compressed chunks (delta-of-delta
-// timestamps, XOR floats), a concurrency-safe store keyed by metric ID,
+// stack archives telemetry into: compressed chunks (delta-of-delta
+// timestamps; values as decimal mantissa deltas where they are exact
+// decimals, Gorilla XOR floats where they are not), a concurrency-safe store
+// keyed by metric ID,
 // range queries, windowed aggregation, rollup tiers and retention. Series
 // are append-only: the tiers keep long histories cheap, and retention drops
 // whole chunks without rewriting a series.

@@ -6,13 +6,18 @@ import (
 	"math"
 	"math/bits"
 
+	"repro/internal/binenc"
 	"repro/internal/metric"
 )
 
-// Chunk is a Gorilla-compressed run of samples: timestamps are stored as
-// delta-of-delta, values as XOR against the previous value (Pelkonen et al.,
-// "Gorilla: A Fast, Scalable, In-Memory Time Series Database", VLDB 2015).
-// Samples must be appended in strictly increasing timestamp order.
+// Chunk is a compressed run of samples. Timestamps are delta-of-delta coded
+// (Pelkonen et al., "Gorilla: A Fast, Scalable, In-Memory Time Series
+// Database", VLDB 2015). Values take one of two codes, fixed when the chunk
+// opens (openRaw; a tier chunk takes its raw chunk's): Gorilla's XOR against
+// the column's previous value, or a decimal code — the mantissa's delta at
+// the column's decimal exponent (colState.decimalCode) — for values that are
+// exact decimals, which telemetry almost always is. Samples must be appended
+// in strictly increasing timestamp order.
 type Chunk struct {
 	w     bitWriter
 	count int
@@ -20,25 +25,32 @@ type Chunk struct {
 	firstT int64
 	lastT  int64
 	delta  int64
-	x      xorState // the previous sample; unused by a tier chunk (appendGroup)
+	x      colState // the raw column's coder; unused by a tier chunk (appendGroup)
 
-	minV, maxV float64
+	// dec says the values are decimal-coded, every column of a tier chunk
+	// alike. Unset is Gorilla, the code of every chunk before snapshot v4.
+	dec bool
 }
 
-// xorState is what one value column's next XOR is taken against: the column's
-// previous value and the leading/trailing-zero window its last '11' record
-// set. A raw chunk is one column. A rollup tier chunk is rollupStride of them
-// — a window's sum is predicted by the previous window's sum, not by the count
+// colState is what one value column's next value is coded against. A
+// Gorilla column keeps the previous value's bits in last and the
+// leading/trailing-zero window its last '11' record set. A decimal column
+// keeps its last decimal's mantissa in last, at exponent exp, and its
+// previous value's bits — a decimal's or an escape's — in prev. A raw chunk
+// is one column. A rollup tier chunk is rollupStride of them — a
+// window's sum is predicted by the previous window's sum, not by the count
 // written beside it — and their state lives once per open tier (tierState),
 // not in the Chunk: a sealed chunk needs none.
-type xorState struct {
-	lastV    float64
+type colState struct {
+	last     uint64
+	prev     uint64
 	leading  uint8
 	trailing uint8
-	hasWin   bool // whether a previous XOR window exists
+	hasWin   bool  // whether a previous XOR window exists
+	exp      uint8 // a decimal column's exponent, 0…binenc.MaxDecimalExp
 }
 
-// NewChunk returns an empty chunk.
+// NewChunk returns an empty chunk, Gorilla-coded.
 func NewChunk() *Chunk { return &Chunk{} }
 
 // ErrFirstDelta is returned by Append when a chunk's second sample lies
@@ -89,25 +101,26 @@ func (c *Chunk) FirstTime() int64 { return c.firstT }
 // LastTime returns the timestamp of the most recent sample.
 func (c *Chunk) LastTime() int64 { return c.lastT }
 
-// Min returns the smallest value appended.
-func (c *Chunk) Min() float64 { return c.minV }
-
-// Max returns the largest value appended.
-func (c *Chunk) Max() float64 { return c.maxV }
-
 // Append adds a sample; timestamps must strictly increase.
-func (c *Chunk) Append(t int64, v float64) error { return c.append(t, v, &c.x) }
+func (c *Chunk) Append(t int64, v float64) error { return c.append(t, v, &c.x, c.dec, nil, nil) }
 
-// append adds a sample whose value is XOR-ed against column state x.
-func (c *Chunk) append(t int64, v float64, x *xorState) error {
+// append adds a sample whose value is coded against column state x, as a
+// decimal when dec is set, and — among the chunk's first costedRecords —
+// costs it in the other code too on cc, unless cc is nil. seen is put's.
+func (c *Chunk) append(t int64, v float64, x *colState, dec bool, cc *codeCost, seen *lastDecimal) error {
+	n := headerValueBits
 	switch c.count {
 	case 0:
-		var hdr [16]byte
-		binary.BigEndian.PutUint64(hdr[:8], uint64(t))
-		binary.BigEndian.PutUint64(hdr[8:], math.Float64bits(v))
-		c.w.buf = append(c.w.buf, hdr[:]...)
+		// The header: the first timestamp, 8 bytes; a Gorilla column's first
+		// value follows as 8 more, a decimal column's is coded in the stream.
+		c.w.buf = binary.BigEndian.AppendUint64(c.w.buf, uint64(t))
+		if dec {
+			n = c.put(0, 0, v, x, true, seen)
+		} else {
+			x.last = math.Float64bits(v)
+			c.w.buf = binary.BigEndian.AppendUint64(c.w.buf, x.last)
+		}
 		c.firstT = t
-		c.minV, c.maxV = v, v
 	case 1:
 		if t <= c.lastT {
 			return errors.New("timeseries: out-of-order append")
@@ -120,9 +133,9 @@ func (c *Chunk) append(t int64, v float64, x *xorState) error {
 		case uint64(delta) >= maxFirstDelta:
 			return ErrFirstDelta
 		case delta < 1<<14:
-			c.writeValue(uint64(delta), 15, v, x)
+			n = c.put(uint64(delta), 15, v, x, dec, seen)
 		default:
-			c.writeValue(1<<35|uint64(delta), 36, v, x)
+			n = c.put(1<<35|uint64(delta), 36, v, x, dec, seen)
 		}
 		c.delta = delta
 	default:
@@ -134,27 +147,23 @@ func (c *Chunk) append(t int64, v float64, x *xorState) error {
 		c.delta = delta
 		switch {
 		case dod == 0:
-			c.writeValue(0, 1, v, x)
+			n = c.put(0, 1, v, x, dec, seen)
 		case dod >= -63 && dod <= 64:
-			c.writeValue(0b10<<7|uint64(dod+63), 9, v, x)
+			n = c.put(0b10<<7|uint64(dod+63), 9, v, x, dec, seen)
 		case dod >= -255 && dod <= 256:
-			c.writeValue(0b110<<9|uint64(dod+255), 12, v, x)
+			n = c.put(0b110<<9|uint64(dod+255), 12, v, x, dec, seen)
 		case dod >= -2047 && dod <= 2048:
-			c.writeValue(0b1110<<12|uint64(dod+2047), 16, v, x)
+			n = c.put(0b1110<<12|uint64(dod+2047), 16, v, x, dec, seen)
 		default:
 			c.w.writeBits(0b1111, 4)
 			c.w.writeBits(uint64(dod), 64)
-			c.writeValue(0, 0, v, x)
+			n = c.put(0, 0, v, x, dec, seen)
 		}
 	}
+	if cc != nil && c.count < costedRecords {
+		cc.add(v, dec, n, c.count == 0)
+	}
 	c.lastT = t
-	x.lastV = v
-	if v < c.minV {
-		c.minV = v
-	}
-	if v > c.maxV {
-		c.maxV = v
-	}
 	c.count++
 	return nil
 }
@@ -171,77 +180,301 @@ func (c *Chunk) trimIfFull(limit int) {
 }
 
 // appendGroup appends one rollup window: rollupStride records stamped t0,
-// t0+1, …, record col XOR-ed against pred[col] — exactly the bytes rollupStride
+// t0+1, …, record col coded against pred[col] — exactly the bytes rollupStride
 // append calls would produce. The first two records take the general path (a
 // chunk header or a delta-of-delta against the previous window, then the delta
 // of 1); from the third on the delta-of-delta is zero, so each costs its '0'
-// bit fused into the value's encoding and no timestamp arithmetic. Min and Max
-// mean nothing over mixed columns and are not kept.
-func (c *Chunk) appendGroup(t0 int64, vals *[rollupStride]float64, pred *[rollupStride]xorState) error {
-	const head = 2
-	for col := 0; col < head; col++ {
-		if err := c.append(t0+int64(col), vals[col], &pred[col]); err != nil {
-			return err
-		}
+// bit fused into the value's code and no timestamp arithmetic. A window of
+// one sample — every window of a tier as fine as the series' cadence — holds
+// its value in all five value columns, which then take the decimal test once
+// (lastDecimal).
+func (c *Chunk) appendGroup(t0 int64, vals *[rollupStride]float64, pred *[rollupStride]colState) error {
+	var memo lastDecimal
+	var seen *lastDecimal
+	if vals[colCount] == 1 {
+		seen = &memo
 	}
+	if err := c.append(t0, vals[colCount], &pred[colCount], c.dec, nil, nil); err != nil {
+		return err
+	}
+	if err := c.append(t0+colSum, vals[colSum], &pred[colSum], c.dec, nil, seen); err != nil {
+		return err
+	}
+	const head = 2
 	for col := head; col < rollupStride; col++ {
-		c.writeValue(0, 1, vals[col], &pred[col])
-		pred[col].lastV = vals[col]
+		s := seen
+		if col == colFirstT || col == colLastT {
+			s = nil
+		}
+		c.put(0, 1, vals[col], &pred[col], c.dec, s)
 	}
 	c.lastT += rollupStride - head
 	c.count += rollupStride - head
 	return nil
 }
 
-// writeValue appends the low npre bits of pre — the timestamp's control
-// prefix and payload, at most 36 bits — followed by v's XOR encoding, fusing
-// the prefix, the value's control bits and, where they fit in a word, its
-// significant bits into one writeBits call. x is the value's column state;
-// the caller stores v into it afterwards.
-func (c *Chunk) writeValue(pre uint64, npre uint8, v float64, x *xorState) {
-	xor := math.Float64bits(v) ^ math.Float64bits(x.lastV)
-	if xor == 0 {
-		c.w.writeBits(pre<<1, npre+1) // '0': value unchanged
-		return
+// put appends the low npre bits of pre — the timestamp's control prefix and
+// payload, at most 36 bits — followed by v's code against column x (decimal
+// when dec is set, else XOR), which it advances, and returns the bits the
+// value took. The prefix, the value's control bits and, where they fit in a
+// word, its payload go down as one writeBits call. seen, unless nil, keeps
+// the decimal test's last answer.
+func (c *Chunk) put(pre uint64, npre uint8, v float64, x *colState, dec bool, seen *lastDecimal) int {
+	var ctl, pay uint64
+	var nctl, npay uint8
+	b := math.Float64bits(v)
+	if dec {
+		// The common decimal records, inline: the previous value again, and
+		// a mantissa delta in the delta-of-delta classes.
+		if b == x.prev {
+			c.w.writeBits(pre<<1, npre+1)
+			return 1
+		}
+		if m, ok := seen.decimalAt(v, x.exp); ok {
+			// A delta of 0 follows an escape, and takes decimalCode's wide form.
+			if code, n, ok := deltaClass(m - int64(x.last)); ok && n > 1 {
+				x.last, x.prev = uint64(m), b
+				c.w.writeBits(pre<<n|code, npre+n)
+				return int(n)
+			}
+		}
+		ctl, nctl, pay, npay = x.decimalCode(v)
+	} else {
+		xor := b ^ x.last
+		x.last = b
+		if xor == 0 {
+			c.w.writeBits(pre<<1, npre+1) // '0': value unchanged
+			return 1
+		}
+		ctl, nctl = x.xorWindow(xor)
+		pay, npay = xor>>x.trailing, 64-x.leading-x.trailing
 	}
+	bits := int(nctl) + int(npay)
+	pre, npre = pre<<nctl|ctl, npre+nctl
+	if npre+npay <= 64 {
+		c.w.writeBits(pre<<npay|pay, npre+npay)
+		return bits
+	}
+	c.w.writeBits(pre, npre)
+	c.w.writeBits(pay, npay)
+	return bits
+}
+
+// xorCode returns v's Gorilla code against column x, which it advances: nctl
+// control bits ctl, then npay payload bits pay. '0' is a value unchanged;
+// '10' + the significant bits, inside the previous window; '11' + 5 bits
+// leading zeros (capped at 31) + 6 bits significant count (64 as 0) + the
+// bits, a new window.
+func (x *colState) xorCode(v float64) (ctl uint64, nctl uint8, pay uint64, npay uint8) {
+	b := math.Float64bits(v)
+	xor := b ^ x.last
+	x.last = b
+	if xor == 0 {
+		return 0, 1, 0, 0
+	}
+	ctl, nctl = x.xorWindow(xor)
+	// xor has at least x.leading leading zeros, so the payload fits its width.
+	return ctl, nctl, xor >> x.trailing, 64 - x.leading - x.trailing
+}
+
+// xorWindow returns the control bits of a non-zero xor: '10' where it fits
+// the column's window, or '11' and the new window it sets.
+func (x *colState) xorWindow(xor uint64) (ctl uint64, nctl uint8) {
 	leading := uint8(bits.LeadingZeros64(xor))
 	trailing := uint8(bits.TrailingZeros64(xor))
 	if leading > 31 { // cap so the 5-bit field fits
 		leading = 31
 	}
 	if x.hasWin && leading >= x.leading && trailing >= x.trailing {
-		// '1' '0': reuse the previous window.
-		pre, npre = pre<<2|0b10, npre+2
-	} else {
-		// '1' '1', 5 bits leading, 6 bits significant count (64 -> 0).
-		x.leading, x.trailing, x.hasWin = leading, trailing, true
-		sig := 64 - leading - trailing
-		pre, npre = pre<<13|0b11<<11|uint64(leading)<<6|uint64(sig&0x3F), npre+13
+		return 0b10, 2
 	}
-	sig := 64 - x.leading - x.trailing
-	payload := xor >> x.trailing // < 2^sig: xor has at least x.leading leading zeros
-	if npre+sig <= 64 {
-		c.w.writeBits(pre<<sig|payload, npre+sig)
+	x.leading, x.trailing, x.hasWin = leading, trailing, true
+	sig := 64 - leading - trailing
+	return 0b11<<11 | uint64(leading)<<6 | uint64(sig&0x3F), 13
+}
+
+// decimalCode returns v's decimal code against column x, which it advances:
+// nctl control bits ctl, then npay payload bits pay. '0' is the previous
+// value again, however it went down. Any other value binenc.DecimalAt
+// accepts at the column's exponent is its mantissa's delta from the last
+// decimal's, in the delta-of-delta classes or, wider, length-prefixed:
+//
+//	'10' 7 bits               delta in [-63, 64]
+//	'110' 9 bits              delta in [-255, 256]
+//	'1110' 12 bits            delta in [-2047, 2048]
+//	'11110' 6-bit n, n bits   any other delta, zig-zag
+//
+// A value that needs a larger exponent raises the column's to the smallest
+// that takes it and goes down whole. A value no exponent takes (NaN, ±Inf,
+// -0, inexact, |m| >= 2^53), or that takes only one whose mantissa is
+// maxRaised or more, escapes with its bits; a decimal after it carries on
+// from the mantissa before it, a delta of 0 taking the wide form.
+//
+//	'111110' 4-bit e, 6-bit n, n bits   exponent e, the mantissa at it, zig-zag
+//	'111111' 64 bits                    the value's IEEE-754 bits
+func (x *colState) decimalCode(v float64) (ctl uint64, nctl uint8, pay uint64, npay uint8) {
+	b := math.Float64bits(v)
+	if b == x.prev {
+		return 0, 1, 0, 0
+	}
+	x.prev = b
+	if m, ok := binenc.DecimalAt(v, int(x.exp)); ok {
+		d := m - int64(x.last)
+		x.last = uint64(m)
+		// A delta of 0 follows an escape here; '0' would repeat the escape.
+		if code, n, ok := deltaClass(d); ok && d != 0 {
+			return code, n, 0, 0
+		}
+		z := zigzag(d)
+		n := uint8(bits.Len64(z))
+		return 0b11110<<6 | uint64(n), 11, z, n
+	}
+	if m, e, ok := binenc.DecimalFrom(v, int(x.exp)+1); ok && m > -maxRaised && m < maxRaised {
+		x.last, x.exp = uint64(m), uint8(e)
+		z := zigzag(m)
+		n := uint8(bits.Len64(z))
+		return 0b111110<<10 | uint64(e)<<6 | uint64(n), 16, z, n
+	}
+	return 0b111111, 6, b, 64
+}
+
+// deltaClass returns the code of a mantissa delta in the delta-of-delta
+// classes, control bits and payload together, and its width; ok is false for
+// a delta wider than the widest class.
+func deltaClass(d int64) (code uint64, n uint8, ok bool) {
+	switch {
+	case d == 0:
+		return 0, 1, true
+	case d >= -63 && d <= 64:
+		return 0b10<<7 | uint64(d+63), 9, true
+	case d >= -255 && d <= 256:
+		return 0b110<<9 | uint64(d+255), 12, true
+	case d >= -2047 && d <= 2048:
+		return 0b1110<<12 | uint64(d+2047), 16, true
+	}
+	return 0, 0, false
+}
+
+// maxRaised bounds the mantissa an exponent raise may leave: a value that is
+// a decimal only with 15 or more significant digits is a float's own noise
+// — a sum's rounding, say — and raising the column for it would cost every
+// value after it those digits; it escapes instead.
+const maxRaised = 1 << 48
+
+// lastDecimal is binenc.DecimalAt with its last answer kept. The nil
+// *lastDecimal keeps nothing.
+type lastDecimal struct {
+	bits uint64
+	m    int64
+	exp  uint8
+	ok   bool
+	set  bool
+}
+
+// decimalAt is binenc.DecimalAt(v, e), remembered.
+func (l *lastDecimal) decimalAt(v float64, e uint8) (int64, bool) {
+	if l == nil {
+		return binenc.DecimalAt(v, int(e))
+	}
+	if b := math.Float64bits(v); !l.set || l.bits != b || l.exp != e {
+		m, ok := binenc.DecimalAt(v, int(e))
+		*l = lastDecimal{bits: b, m: m, exp: e, ok: ok, set: true}
+	}
+	return l.m, l.ok
+}
+
+// zigzag maps a signed integer to an unsigned one of about its magnitude.
+func zigzag(d int64) uint64 { return uint64(d<<1 ^ d>>63) }
+
+// unzigzag inverts zigzag.
+func unzigzag(z uint64) int64 { return int64(z>>1) ^ -int64(z&1) }
+
+// headerValueBits is what a Gorilla chunk's first value costs: its 8 bytes
+// in the header.
+const headerValueBits = 64
+
+// costedRecords is how many of a raw chunk's first samples codeCost weighs,
+// a quarter of a default chunk: costing a value in the code it is not
+// written in takes about as long as writing it, and a chunk's first samples
+// predict the next chunk about as well as all of them do.
+const costedRecords = 32
+
+// codeCost weighs a raw chunk's two value codes against each other over its
+// first samples (costedRecords), so that the chunk after it can take the
+// cheaper (openRaw). As each value goes down in the chunk's code, it is
+// costed in the other one too, against alt, that code's state. The decimal
+// code wins only by an eighth or more: values that are decimals only at an
+// exponent that leaves nothing to spare (15 or so significant digits, a
+// float's own noise) cost about what their XOR does, and a decimal costs a
+// division to check and to decode that XOR does not. A Gorilla chunk stops
+// costing the decimal code once it is not winning: the next chunk will not
+// change code then, and a value that is not a decimal is what costs
+// binenc.DecimalFrom its longest search.
+type codeCost struct {
+	alt      colState
+	dcm, gor int32 // bits the values took in each code
+	behind   bool  // a Gorilla chunk whose decimal code stopped winning
+}
+
+// decimalWins reports whether the decimal code has won the values costed.
+func (cc *codeCost) decimalWins() bool { return cc.dcm*8 < cc.gor*7 }
+
+// add costs value v, written as a decimal when dec is set, in n bits, in the
+// other code; head says it was the chunk's first record.
+func (cc *codeCost) add(v float64, dec bool, n int, head bool) {
+	if dec {
+		g := headerValueBits
+		if head {
+			cc.alt.last = math.Float64bits(v)
+		} else {
+			_, nctl, _, npay := cc.alt.xorCode(v)
+			g = int(nctl) + int(npay)
+		}
+		cc.dcm += int32(n)
+		cc.gor += int32(g)
 		return
 	}
-	c.w.writeBits(pre, npre)
-	c.w.writeBits(payload, sig)
+	if cc.behind {
+		return
+	}
+	_, nctl, _, npay := cc.alt.decimalCode(v)
+	cc.dcm += int32(nctl) + int32(npay)
+	cc.gor += int32(n)
+	cc.behind = !cc.decimalWins()
+}
+
+// openRaw returns whether a raw chunk about to open with value v is
+// decimal-coded (Chunk.dec), and resets cc, the weighing of the chunk before
+// it, for the new one. The chunk is decimal where the one before coded its first samples
+// cheaper that way; a series' first chunk — fresh — where its first value
+// alone would. Both rest only on values every replay and restore sees. A
+// series whose values are not decimals keeps Gorilla's bytes, and one that
+// mixes the two takes whichever code served its last chunk better.
+func openRaw(cc *codeCost, v float64, fresh bool) bool {
+	if fresh {
+		*cc = codeCost{}
+		cc.add(v, false, headerValueBits, true)
+	}
+	dec := !cc.behind && cc.decimalWins()
+	*cc = codeCost{}
+	return dec
 }
 
 // Iter returns an iterator over the chunk's samples.
 func (c *Chunk) Iter() *ChunkIter {
 	it := &ChunkIter{}
-	it.reset(c.w.bytes(), c.count, false)
+	it.reset(c.w.bytes(), c.count, false, c.dec)
 	return it
 }
 
 // ChunkIter decodes a chunk's records in order, one per Next or a block per
 // NextBlock. It decodes off the bit reader's refill register: one
 // leading-ones count on the peeked word picks the delta-of-delta class, and
-// the same word, shifted past it, holds the value's control bits and its
-// 5 + 6-bit window, so a typical record decodes off one word with a few
-// shifts. The bit reader is embedded by value so a reset iterator (the
-// cursor's read path) performs zero allocations per chunk.
+// the same word, shifted past it, holds the value's control bits — an XOR
+// record's 5 + 6-bit window, a decimal record's class and most deltas whole —
+// so a typical record decodes off one word with a few shifts. The bit reader
+// is embedded by value so a reset iterator (the cursor's read path) performs
+// zero allocations per chunk.
 type ChunkIter struct {
 	r         bitReader
 	remaining int
@@ -251,20 +484,22 @@ type ChunkIter struct {
 	v     float64
 	delta int64
 
-	// cols is the XOR state per value column and record idx belongs to column
-	// idx&mask: one column for a raw chunk (mask 0), rollupStride for a tier
-	// chunk, which always opens on a window's first record.
-	cols [rollupStride]xorState
+	// cols is the coder state per value column and record idx belongs to
+	// column idx&mask: one column for a raw chunk (mask 0), rollupStride for a
+	// tier chunk, which always opens on a window's first record. dec is the
+	// chunk's code (Chunk.dec).
+	cols [rollupStride]colState
 	mask int
+	dec  bool
 
 	err error
 }
 
-// reset points the iterator at a Gorilla bitstream holding count records — a
-// raw chunk's, or a rollup tier chunk's when tier is set — clearing all decode
-// state so the iterator can be reused.
-func (it *ChunkIter) reset(buf []byte, count int, tier bool) {
-	*it = ChunkIter{r: bitReader{buf: buf}, remaining: count}
+// reset points the iterator at a chunk's bitstream holding count records —
+// a raw chunk's, or a rollup tier chunk's when tier is set — decimal-coded
+// when dec is set, clearing all decode state so the iterator can be reused.
+func (it *ChunkIter) reset(buf []byte, count int, tier bool, dec bool) {
+	*it = ChunkIter{r: bitReader{buf: buf}, remaining: count, dec: dec}
 	if tier {
 		it.mask = rollupStride - 1
 	}
@@ -307,18 +542,27 @@ func (it *ChunkIter) NextBlock(ts []int64, vs []float64) int {
 // field checked against the bits the register holds: a raw 64-bit
 // delta-of-delta and a wide significand take readBits, which refills.
 func (it *ChunkIter) next() bool {
-	x := &it.cols[it.idx&it.mask]
+	col := it.idx & it.mask
+	x := &it.cols[col]
 	r := &it.r
 	switch it.idx {
-	case 0: // the header: first timestamp and value, 8 bytes each
-		if len(r.buf) < 16 {
+	case 0: // the header: the first timestamp, and a Gorilla column's first value
+		if len(r.buf) < 8 {
 			it.err = ErrEOS
 			return false
 		}
 		it.t = int64(binary.BigEndian.Uint64(r.buf[:8]))
-		x.lastV = math.Float64frombits(binary.BigEndian.Uint64(r.buf[8:16]))
+		r.pos = 8
+		if it.dec {
+			return it.decimal(x)
+		}
+		if len(r.buf) < 16 {
+			it.err = ErrEOS
+			return false
+		}
+		x.last = binary.BigEndian.Uint64(r.buf[8:16])
 		r.pos = 16
-		it.v = x.lastV
+		it.v = math.Float64frombits(x.last)
 		it.idx++
 		return true
 	case 1: // the first delta: '0' + 14 bits or '1' + 35 bits
@@ -360,6 +604,26 @@ func (it *ChunkIter) next() bool {
 		}
 	}
 	it.t += it.delta
+	if it.dec {
+		// A mantissa delta in a delta-of-delta class, off the word the
+		// timestamp left loaded; any other decimal record takes decimal.
+		if class := uint(bits.LeadingZeros64(^r.reg)); class < 4 && r.n >= 16 {
+			c := dodClass[class]
+			if class == 0 {
+				r.consume(1)
+				it.v = math.Float64frombits(x.prev)
+				it.idx++
+				return true
+			}
+			x.last += uint64(int64(r.reg<<(class+1)>>(64-c.width+class+1)) - c.bias)
+			r.consume(c.width)
+			it.v = binenc.DecimalValue(int64(x.last), int(x.exp))
+			x.prev = math.Float64bits(it.v)
+			it.idx++
+			return true
+		}
+		return it.decimal(x)
+	}
 
 	// The value: '0' unchanged, '10' + the significant bits inside the
 	// previous window, or '11' + 5 bits leading + 6 bits significant count
@@ -374,7 +638,7 @@ func (it *ChunkIter) next() bool {
 		return false
 	case w>>63 == 0:
 		r.consume(1)
-		it.v = x.lastV
+		it.v = math.Float64frombits(x.last)
 		it.idx++
 		return true
 	case w>>62 == 0b10:
@@ -411,8 +675,79 @@ func (it *ChunkIter) next() bool {
 			return false
 		}
 	}
-	x.lastV = math.Float64frombits(math.Float64bits(x.lastV) ^ raw<<x.trailing)
-	it.v = x.lastV
+	x.last ^= raw << x.trailing
+	it.v = math.Float64frombits(x.last)
+	it.idx++
+	return true
+}
+
+// decimal decodes a decimal-coded value (colState.decimalCode) against
+// column x into v. Its class is the leading ones of the peeked word; a
+// mantissa delta in the delta-of-delta classes decodes off that word as a
+// timestamp's does.
+func (it *ChunkIter) decimal(x *colState) bool {
+	r := &it.r
+	if r.n < 16 {
+		r.refill()
+	}
+	w := r.reg
+	switch class := uint(bits.LeadingZeros64(^w)); {
+	case class < 4:
+		c := dodClass[class]
+		if c.width > r.n {
+			it.err = ErrEOS
+			return false
+		}
+		r.consume(c.width)
+		if class == 0 { // the previous value again
+			it.v = math.Float64frombits(x.prev)
+			it.idx++
+			return true
+		}
+		x.last += uint64(int64(w<<(class+1)>>(64-c.width+class+1)) - c.bias)
+	case class == 4: // '11110' 6-bit n, a zig-zag delta of n bits
+		if r.n < 11 {
+			it.err = ErrEOS
+			return false
+		}
+		r.consume(11)
+		z, err := r.readBits(uint8(w >> 53 & 0x3F))
+		if err != nil {
+			it.err = err
+			return false
+		}
+		x.last += uint64(unzigzag(z))
+	case class == 5: // '111110' 4-bit exponent, 6-bit n, a zig-zag mantissa of n bits
+		if r.n < 16 {
+			it.err = ErrEOS
+			return false
+		}
+		x.exp = uint8(w >> 54 & 0xF)
+		r.consume(16)
+		z, err := r.readBits(uint8(w >> 48 & 0x3F))
+		if err != nil {
+			it.err = err
+			return false
+		}
+		x.last = uint64(unzigzag(z))
+	default: // '111111' and the value's 64 bits
+		if r.n < 6 {
+			it.err = ErrEOS
+			return false
+		}
+		r.consume(6)
+		raw, err := r.readBits(64)
+		if err != nil {
+			it.err = err
+			return false
+		}
+		x.prev = raw
+		it.v = math.Float64frombits(raw)
+		it.idx++
+		return true
+	}
+	it.v = binenc.DecimalValue(int64(x.last), int(x.exp))
+	x.prev = math.Float64bits(it.v)
 	it.idx++
 	return true
 }

@@ -76,6 +76,7 @@ type storedSeries struct {
 	unit    metric.Unit
 	refIdx  uint32 // slot in Store.refSeries; set once under regMu at registration
 	chunks  []*Chunk
+	cost    codeCost      // the open raw chunk's two codes, weighed (openRaw)
 	last    metric.Sample // cached most recent sample, valid when hasLast
 	hasLast bool
 
@@ -165,14 +166,17 @@ func (ss *storedSeries) append(s *Store, t int64, v float64, tally *ingestTally)
 	}
 	chunks, c := nextChunk(ss.chunks, s.chunkSize, t)
 	ss.chunks = chunks
-	if err := c.Append(t, v); err != nil {
+	if c.count == 0 {
+		c.dec = openRaw(&ss.cost, v, len(chunks) == 1)
+	}
+	if err := c.append(t, v, &c.x, c.dec, &ss.cost, nil); err != nil {
 		return err
 	}
 	c.trimIfFull(s.chunkSize)
 	ss.last = metric.Sample{T: t, V: v}
 	ss.hasLast = true
 	for _, ts := range ss.tiers {
-		if err := ts.fold(s, t, v, tally); err != nil {
+		if err := ts.fold(s, t, v, c.dec, tally); err != nil {
 			return err
 		}
 	}

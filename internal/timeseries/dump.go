@@ -8,13 +8,14 @@ import (
 	"repro/internal/metric"
 )
 
-// ChunkDump is one Gorilla-compressed chunk lifted out of a store: the raw
-// bitstream payload plus the sample count needed to decode it. The bytes
-// are exactly what the in-memory chunk holds, so dumping is a copy, not a
-// re-encode.
+// ChunkDump is one compressed chunk lifted out of a store: the bitstream
+// payload plus what decoding it needs, the sample count and the value code
+// (Decimal set, or Gorilla). The bytes are exactly what the in-memory chunk
+// holds, so dumping is a copy, not a re-encode.
 type ChunkDump struct {
-	Count int
-	Data  []byte
+	Count   int
+	Decimal bool
+	Data    []byte
 }
 
 // TierDump is one rollup tier's persisted state: the resolution, the
@@ -67,13 +68,13 @@ func dumpChunks(chunks []*Chunk) []ChunkDump {
 		if c.Count() == 0 {
 			continue
 		}
-		out = append(out, ChunkDump{Count: c.Count(), Data: append([]byte(nil), c.w.bytes()...)})
+		out = append(out, ChunkDump{Count: c.Count(), Decimal: c.dec, Data: append([]byte(nil), c.w.bytes()...)})
 	}
 	return out
 }
 
 // RestoreStore rebuilds a store from a dump. Each chunk is decoded, a block
-// at a time, and re-encoded through the same Gorilla codec, and the
+// at a time, and re-encoded through the same codec, and the
 // re-encoded bytes are compared against the dump payload — a dump that
 // decodes but would not reproduce itself (bit corruption the per-sample
 // decode tolerates) fails restoration instead of silently diverging. The
@@ -87,8 +88,13 @@ func RestoreStore(chunkSize int, dump []SeriesDump, opts ...Option) (*Store, err
 			return nil, fmt.Errorf("timeseries: restore: duplicate series %s", key)
 		}
 		ss := s.getOrCreate(key, sd.ID, sd.Kind, sd.Unit)
-		for _, cd := range sd.Chunks {
-			c, lastT, n, err := restoreChunk(cd, ss.last.T, ss.hasLast, nil)
+		for i, cd := range sd.Chunks {
+			// Only the last chunk's weighing carries over to the next one.
+			cc := &ss.cost
+			if i < len(sd.Chunks)-1 {
+				cc = nil
+			}
+			c, lastT, n, err := restoreChunk(cd, ss.last.T, ss.hasLast, nil, cc)
 			if err != nil {
 				return nil, fmt.Errorf("timeseries: restore %s: %w", key, err)
 			}
@@ -109,7 +115,7 @@ func RestoreStore(chunkSize int, dump []SeriesDump, opts ...Option) (*Store, err
 			var lastT int64
 			hasLast := false
 			for _, cd := range td.Chunks {
-				c, lt, _, err := restoreChunk(cd, lastT, hasLast, &ts.pred)
+				c, lt, _, err := restoreChunk(cd, lastT, hasLast, &ts.pred, nil)
 				if err != nil {
 					return nil, fmt.Errorf("timeseries: restore %s[tier %d]: %w", key, td.Step, err)
 				}
@@ -144,16 +150,18 @@ func RestoreStore(chunkSize int, dump []SeriesDump, opts ...Option) (*Store, err
 
 // restoreChunk rebuilds one dumped chunk through the codec, a decoded block
 // at a time, verifying the re-encoded bytes match the dump and that
-// timestamps continue the series' monotonic order. Returns the chunk (nil for
-// an empty dump), its last timestamp and last value; the caller names the
-// chunk in an error. A non-nil pred makes it a rollup tier's chunk: whole
-// window groups, each record re-encoded against its column of pred, which is
-// left as the chunk's closing predictor — the tier's, if this is its last
-// chunk. A tier chunk in the interleaved layout snapshot v2 held reads here as
-// other records, out of step with its own control bits, and fails one of these
-// checks; what names a layout for certain is the snapshot magic, and the peers
-// of a cluster run one build.
-func restoreChunk(cd ChunkDump, lastT int64, hasLast bool, pred *[rollupStride]xorState) (*Chunk, int64, float64, error) {
+// timestamps continue the series' monotonic order. The values are
+// re-encoded in the code the dump names (ChunkDump.Decimal), so a chunk that
+// decodes but is not what the encoder writes for its values — a decimal
+// where an escape stands, a delta in a wider class than it needs — fails
+// here. Returns the chunk (nil for an empty dump), its last timestamp
+// and last value; the caller names the chunk in an error. A non-nil pred
+// makes it a rollup tier's chunk: whole window groups, each record re-encoded
+// against its column of pred, which is left as the chunk's closing predictor
+// — the tier's, if this is its last chunk. A raw chunk's cc, unless nil, is
+// left weighing its two codes the way the live append did, so the chunk after
+// a restored one opens in the code the dumped store would have chosen.
+func restoreChunk(cd ChunkDump, lastT int64, hasLast bool, pred *[rollupStride]colState, cc *codeCost) (*Chunk, int64, float64, error) {
 	if cd.Count == 0 {
 		return nil, 0, 0, nil
 	}
@@ -161,17 +169,22 @@ func restoreChunk(cd ChunkDump, lastT int64, hasLast bool, pred *[rollupStride]x
 	// The re-encode must reproduce cd.Data, so its length is the buffer's;
 	// the word-wide writer wants eight bytes of room past the last bit.
 	c.w.buf = make([]byte, 0, len(cd.Data)+8)
+	c.dec = cd.Decimal
 	x := &c.x
+	if cc != nil {
+		*cc = codeCost{}
+	}
 	if pred != nil {
 		if cd.Count%rollupStride != 0 {
 			return nil, 0, 0, fmt.Errorf("%d records are not whole window groups", cd.Count)
 		}
-		*pred = [rollupStride]xorState{}
+		*pred = [rollupStride]colState{}
 	}
 	var it ChunkIter
-	it.reset(cd.Data, cd.Count, pred != nil)
+	it.reset(cd.Data, cd.Count, pred != nil, cd.Decimal)
 	var ts [blockLen]int64
 	var vs [blockLen]float64
+	var lastV float64
 	for n := it.NextBlock(ts[:], vs[:]); n > 0; n = it.NextBlock(ts[:], vs[:]) {
 		for i, t := range ts[:n] {
 			if hasLast && t <= lastT {
@@ -184,10 +197,10 @@ func restoreChunk(cd ChunkDump, lastT int64, hasLast bool, pred *[rollupStride]x
 				}
 				x = &pred[col]
 			}
-			if err := c.append(t, vs[i], x); err != nil {
+			if err := c.append(t, vs[i], x, c.dec, cc, nil); err != nil {
 				return nil, 0, 0, err
 			}
-			lastT, hasLast = t, true
+			lastT, hasLast, lastV = t, true, vs[i]
 		}
 	}
 	if err := it.Err(); err != nil {
@@ -196,5 +209,5 @@ func restoreChunk(cd ChunkDump, lastT int64, hasLast bool, pred *[rollupStride]x
 	if c.Count() != cd.Count || !bytes.Equal(c.w.bytes(), cd.Data) {
 		return nil, 0, 0, fmt.Errorf("chunk re-encode mismatch (%d samples, %d bytes vs %d)", cd.Count, c.Bytes(), len(cd.Data))
 	}
-	return c, lastT, x.lastV, nil
+	return c, lastT, lastV, nil
 }

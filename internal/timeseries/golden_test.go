@@ -126,12 +126,45 @@ func TestChunkBytesGolden(t *testing.T) {
 	}
 }
 
+// decimalChunksSHA256 freezes the decimal value code as TestChunkBytesGolden
+// freezes Gorilla's: each golden stream in one chunk whose column is decimal
+// — a walk and a counter of one-decimal values, a constant, every special
+// value escaping, and a wide first delta.
+var decimalChunksSHA256 = map[string]string{
+	"walk":             "ccf208dcdd9b83ec9cffdfe779261e501910b951d21a687f1ea8e65c8f32b376", // 384 bytes
+	"counter":          "8309294402dfa49f73295be4a0f4b76c2af37540aca092ee08557c3bed7ec1de", // 385
+	"constant":         "503ab8ef31df2af069af8dcb3459ae84d575cd2b33192bff9050859144d431e9", // 87
+	"every-path":       "ca12d4c27fc28b205342952f83525543ef86b5249431e482d483fc908428ec7a", // 119
+	"wide-first-delta": "fb9630066ec712be953b23f62193f46bfdd8ff90e3d56d31e0a87f50bc1ddae2", // 31
+}
+
+func TestDecimalChunkBytesGolden(t *testing.T) {
+	for _, g := range goldenStreams() {
+		c := NewChunk()
+		c.dec = true
+		for _, sm := range g.samples {
+			if err := c.Append(sm.T, sm.V); err != nil {
+				t.Fatalf("%s: Append(%d): %v", g.name, sm.T, err)
+			}
+		}
+		if got := sha256Hex(c.w.bytes()); got != decimalChunksSHA256[g.name] {
+			t.Errorf("%s: decimal chunk bytes sha256 = %s, want %s (%d samples, %d bytes)", g.name, got, decimalChunksSHA256[g.name], c.Count(), c.Bytes())
+		}
+		got, err := decodeBoth(t, c.w.bytes(), c.count, false, c.dec, 7)
+		if err != nil || !sameSamples(got, g.samples) {
+			t.Fatalf("%s: decodes to %d samples, %v", g.name, len(got), err)
+		}
+	}
+}
+
 // tierChunksSHA256 is the hash of every 1m and 1h tier chunk, in order, of a
 // series fed the "walk" stream for 25 hours — sealed window groups as the
 // rollup path writes them, including groups that open a chunk and groups
 // that follow one. Re-pinned by PR 16, the format change that moved tier chunks
-// to the column-predicted layout (snapshot v3).
-const tierChunksSHA256 = "b5dc72bf16213da606a13e0721f384cd30172b1afef03fad042f3de3492fc32d"
+// to the column-predicted layout (snapshot v3), and by the decimal value code
+// (snapshot v4), which codes every column of this walk's windows as decimals;
+// the v3 hash was b5dc72bf16213da606a13e0721f384cd30172b1afef03fad042f3de3492fc32d.
+const tierChunksSHA256 = "cc46572eb03d95e6632917ad5cbadc3f69d9c1ca2a99e57a29b5a58abe0c3f76"
 
 func TestTierChunkBytesGolden(t *testing.T) {
 	s := NewStore(0, WithRollups(TierStep1m, TierStep1h))

@@ -8,15 +8,21 @@ import (
 
 // Rollup tiers give the store multi-resolution retention: every raw append
 // incrementally folds into per-tier window accumulators, and a sealed
-// window is appended to the tier's own Gorilla chunk list as a group of
+// window is appended to the tier's own chunk list as a group of
 // rollupStride consecutive records — one per accumulator column — stamped
 // (winStart/step)*rollupStride+col. Window starts are strictly increasing and
 // columns are appended in order, so the stamps are strictly monotonic, and
 // consecutive windows are contiguous: every delta-of-delta is the '0' bit.
-// A record's value is XOR-ed against the same column of the previous window
+// A record's value is coded against the same column of the previous window
 // in the chunk (Chunk.appendGroup), so a count that repeats, a sum that
 // drifts and a first-sample offset that never moves each cost what they
-// change by, not what the unrelated column beside them holds.
+// change by, not what the unrelated column beside them holds. A tier chunk
+// takes the value code of the series' open raw chunk when it opens: decimal
+// for a window of decimals — its extremes, first and last are decimals, its
+// count and time offsets integers, and its sum one where the float sum is
+// exact, escaping where it is not — and Gorilla's for a window of floats.
+// Nothing is weighed for a tier: it seals a window for every raw sample at
+// its own cadence, and choosing its code must cost less than writing it.
 //
 // Because a tier is just another chunk list hanging off the series, every
 // existing mechanism applies unchanged: cursors snapshot sealed chunks by
@@ -74,9 +80,9 @@ type tierState struct {
 	chunks []*Chunk
 	acc    RollupAcc
 	// pred is the column predictor of the tier's last chunk — what the next
-	// sealed window is XOR-ed against — and is zeroed when a chunk opens, so
+	// sealed window is coded against — and is zeroed when a chunk opens, so
 	// every chunk decodes on its own.
-	pred [rollupStride]xorState
+	pred [rollupStride]colState
 }
 
 // tierChunkCap is how many records a tier chunk holds before rolling over:
@@ -175,11 +181,12 @@ func (s *Store) settle(tally *ingestTally) {
 	}
 }
 
-// fold advances one tier's accumulator with a new raw sample; the caller
-// must hold the series write lock. Samples arrive in strictly increasing
-// timestamp order (the raw append path enforces it before folding), so a
-// sample either extends the open window or seals it and opens the next.
-func (ts *tierState) fold(s *Store, t int64, v float64, tally *ingestTally) error {
+// fold advances one tier's accumulator with a new raw sample, which went
+// into a decimal raw chunk when raw is set; the caller must hold the series
+// write lock. Samples arrive in strictly increasing timestamp order (the raw
+// append path enforces it before folding), so a sample either extends the
+// open window or seals it and opens the next.
+func (ts *tierState) fold(s *Store, t int64, v float64, raw bool, tally *ingestTally) error {
 	a := &ts.acc
 	if a.Active {
 		// The common case needs no division: t is in the open window.
@@ -202,7 +209,7 @@ func (ts *tierState) fold(s *Store, t int64, v float64, tally *ingestTally) erro
 			// degradation if it ever happens.
 			return nil
 		}
-		if err := ts.seal(s, tally); err != nil {
+		if err := ts.seal(s, raw, tally); err != nil {
 			return err
 		}
 	}
@@ -217,9 +224,10 @@ func (ts *tierState) fold(s *Store, t int64, v float64, tally *ingestTally) erro
 
 // seal appends the open window's column group to the tier's chunk stream
 // and deactivates the accumulator; the caller must hold the series write
-// lock. The two time columns go down as offsets from the window start, which
-// are exact and, under a regular cadence, the same in every window.
-func (ts *tierState) seal(s *Store, tally *ingestTally) error {
+// lock, and raw is fold's. The two time columns go down as offsets from the
+// window start, which are exact and, under a regular cadence, the same in
+// every window.
+func (ts *tierState) seal(s *Store, raw bool, tally *ingestTally) error {
 	a := &ts.acc
 	vals := [rollupStride]float64{
 		colCount:  float64(a.Count),
@@ -231,7 +239,7 @@ func (ts *tierState) seal(s *Store, tally *ingestTally) error {
 		colLastT:  float64(a.LastT - a.Start),
 		colLastV:  a.LastV,
 	}
-	if err := ts.appendWindow(tierChunkCap(s.chunkSize), a.Start/ts.step, &vals); err != nil {
+	if err := ts.appendWindow(tierChunkCap(s.chunkSize), a.Start/ts.step, &vals, raw); err != nil {
 		return fmt.Errorf("timeseries: rollup seal: %w", err)
 	}
 	a.Active = false
@@ -244,13 +252,14 @@ func (ts *tierState) seal(s *Store, tally *ingestTally) error {
 // limit records. limit is a whole number of groups, so only a group's first
 // record can open a chunk — which is what lets a decoder tell a record's
 // column from its position — and a chunk that opens starts from a zero
-// predictor.
-func (ts *tierState) appendWindow(limit int, win int64, vals *[rollupStride]float64) error {
+// predictor, decimal-coded when raw is set.
+func (ts *tierState) appendWindow(limit int, win int64, vals *[rollupStride]float64, raw bool) error {
 	base := win * rollupStride
 	chunks, c := nextChunk(ts.chunks, limit, base)
 	ts.chunks = chunks
 	if c.count == 0 {
-		ts.pred = [rollupStride]xorState{}
+		ts.pred = [rollupStride]colState{}
+		c.dec = raw
 	}
 	if err := c.appendGroup(base, vals, &ts.pred); err != nil {
 		return err

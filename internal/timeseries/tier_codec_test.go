@@ -20,16 +20,19 @@ import (
 const tierFuzzChunkSize = 2 * rollupStride
 
 // tierFuzzGroup is one window as FuzzTierGroupRoundTrip parses it: how many
-// windows it lies past the previous one (0 = the next) and eight raw column
-// bit patterns.
+// windows it lies past the previous one (0 = the next), eight raw column bit
+// patterns, and whether the series' raw chunk is Gorilla-coded (which a tier
+// chunk opening on the window takes its value columns' code from).
 type tierFuzzGroup struct {
-	gap  int64
-	vals [rollupStride]float64
+	gap     int64
+	vals    [rollupStride]float64
+	gorilla bool
 }
 
 // tierGroupsFromBytes parses fuzz input: 8 bytes of signed first timestamp
 // (kept under 2^50 in magnitude), 2 bytes of tier step (+1), then 66 bytes per
-// window — a 2-byte gap and rollupStride float64 bit patterns.
+// window — a 2-byte gap, whose top bit is the gorilla flag, and rollupStride
+// float64 bit patterns.
 func tierGroupsFromBytes(data []byte) (t0, step int64, groups []tierFuzzGroup) {
 	if len(data) < 10 {
 		return 0, 1, nil
@@ -37,7 +40,8 @@ func tierGroupsFromBytes(data []byte) (t0, step int64, groups []tierFuzzGroup) {
 	t0 = int64(binary.BigEndian.Uint64(data[:8])) >> 13
 	step = 1 + int64(binary.BigEndian.Uint16(data[8:10]))
 	for data = data[10:]; len(data) >= 2+8*rollupStride; data = data[2+8*rollupStride:] {
-		g := tierFuzzGroup{gap: int64(binary.BigEndian.Uint16(data[:2]))}
+		gap := binary.BigEndian.Uint16(data[:2])
+		g := tierFuzzGroup{gap: int64(gap & 0x7FFF), gorilla: gap&0x8000 != 0}
 		for col := range g.vals {
 			g.vals[col] = math.Float64frombits(binary.BigEndian.Uint64(data[2+8*col:]))
 		}
@@ -51,7 +55,11 @@ func tierFuzzInput(t0 int64, step uint16, groups []tierFuzzGroup) []byte {
 	out := binary.BigEndian.AppendUint64(nil, uint64(t0)<<13)
 	out = binary.BigEndian.AppendUint16(out, step-1)
 	for _, g := range groups {
-		out = binary.BigEndian.AppendUint16(out, uint16(g.gap))
+		gap := uint16(g.gap)
+		if g.gorilla {
+			gap |= 0x8000
+		}
+		out = binary.BigEndian.AppendUint16(out, gap)
 		for _, v := range g.vals {
 			out = binary.BigEndian.AppendUint64(out, math.Float64bits(v))
 		}
@@ -132,7 +140,7 @@ func FuzzTierGroupRoundTrip(f *testing.F) {
 		var wins []int64
 		for _, g := range groups {
 			win += g.gap
-			if err := ts.appendWindow(tierChunkCap(s.chunkSize), win, &g.vals); err != nil {
+			if err := ts.appendWindow(tierChunkCap(s.chunkSize), win, &g.vals, !g.gorilla); err != nil {
 				t.Fatalf("appendWindow(%d): %v", win, err)
 			}
 			wins = append(wins, win)
@@ -146,7 +154,7 @@ func FuzzTierGroupRoundTrip(f *testing.F) {
 		i := 0
 		for _, c := range ts.chunks {
 			var it ChunkIter
-			it.reset(c.w.bytes(), c.Count(), true)
+			it.reset(c.w.bytes(), c.Count(), true, c.dec)
 			for it.Next() {
 				sm := it.At()
 				g, col := i/rollupStride, i%rollupStride
@@ -196,7 +204,7 @@ func FuzzTierGroupRoundTrip(f *testing.F) {
 		}
 		more := groups[0].vals
 		for _, st := range []*Store{s, re} {
-			if err := st.lookup(id.Key()).tiers[0].appendWindow(tierChunkCap(st.chunkSize), win+3, &more); err != nil {
+			if err := st.lookup(id.Key()).tiers[0].appendWindow(tierChunkCap(st.chunkSize), win+3, &more, true); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -220,16 +228,17 @@ func tierGateStreams() map[string][]metric.Sample {
 // TestTierSizeGate keeps the rollup tier a compressor. The 1m tier over the
 // golden walk took 77 B/window when a window's eight columns were XOR-ed into
 // one another — more than the 64 B they occupy uncompressed; column prediction
-// brought it under 44, and a constant series to a few bits a column. On none
-// of these streams may either tier take more than the eight bytes a record
-// holds plus a header per chunk.
+// brought it under 44 (39.5), and a constant series to a few bits a column
+// (4.7); the decimal column code to 12.0, 13.4 and 3.7 B/window for the walk,
+// the counter and the constant. On none of these streams may either tier take
+// more than the eight bytes a record holds plus a header per chunk.
 func TestTierSizeGate(t *testing.T) {
 	// The column predictors live in tierState, one set per open tier: a Chunk
 	// is allocated per 120 records and must not carry them.
 	if got := unsafe.Sizeof(Chunk{}); got > 96 {
 		t.Errorf("Chunk is %d bytes, was 96", got)
 	}
-	perWindow := map[string]float64{"walk": 44, "counter": 44, "constant": 12}
+	perWindow := map[string]float64{"walk": 12.5, "counter": 14, "constant": 4}
 	for name, samples := range tierGateStreams() {
 		s := NewStore(0, WithRollups(TierStep1m, TierStep1h))
 		id := metric.ID{Name: name}
@@ -256,9 +265,44 @@ func TestTierSizeGate(t *testing.T) {
 			}
 		}
 		if got := float64(tiers[0].Bytes) / float64(tiers[0].Windows); got > perWindow[name] {
-			t.Errorf("%s: 1m tier takes %.1f B/window, gate %.0f", name, got, perWindow[name])
+			t.Errorf("%s: 1m tier takes %.1f B/window, gate %.1f", name, got, perWindow[name])
 		} else {
 			t.Logf("%s: 1m tier %.1f B/window, 1h tier %.1f", name, got, float64(tiers[1].Bytes)/float64(tiers[1].Windows))
+		}
+	}
+}
+
+// TestRawSizeGate is TestTierSizeGate for raw chunks: each golden stream,
+// appended to a store, may take no more than the same chunks Gorilla-coded,
+// and the walk, the counter and the constant no more than their gate per
+// sample — 6.74, 6.76 and 0.43 B/sample Gorilla-coded, 1.37, 1.37 and 0.37
+// in the decimal code.
+func TestRawSizeGate(t *testing.T) {
+	perSample := map[string]float64{"walk": 1.4, "counter": 1.4, "constant": 0.4}
+	for _, g := range goldenStreams() {
+		s := NewStore(0)
+		id := metric.ID{Name: g.name}
+		for _, sm := range g.samples {
+			if err := s.Append(id, metric.Gauge, metric.UnitWatt, sm.T, sm.V); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gorilla := 0
+		for _, c := range s.lookup(id.Key()).chunks {
+			gc := NewChunk()
+			for it := c.Iter(); it.Next(); {
+				if err := gc.Append(it.t, it.v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			gorilla += gc.Bytes()
+		}
+		got := s.CompressedBytes()
+		if got > gorilla {
+			t.Errorf("%s: raw chunks take %d bytes, Gorilla-coded %d", g.name, got, gorilla)
+		}
+		if gate, ok := perSample[g.name]; ok && float64(got)/float64(len(g.samples)) > gate {
+			t.Errorf("%s: raw chunks take %.2f B/sample, gate %.2f", g.name, float64(got)/float64(len(g.samples)), gate)
 		}
 	}
 }

@@ -168,9 +168,6 @@ func TestChunkMinMax(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.Min() != -3 || c.Max() != 8 {
-		t.Fatalf("min/max = %v/%v", c.Min(), c.Max())
-	}
 	if c.FirstTime() != 0 || c.LastTime() != 3 {
 		t.Fatalf("times = %d..%d", c.FirstTime(), c.LastTime())
 	}
