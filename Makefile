@@ -186,7 +186,7 @@ bench-ingest:
 # the decimal value column, 8.71 with raw values, 11.55 with the row-wise
 # record. It gates the replayed store's size too: store_B/sample (resident
 # raw and rollup tier chunk bytes over samples, a count as well) must stay at
-# or under 5.4 — 5.278 with the decimal chunk code, 12.67 when every chunk
+# or under 5.15 — 5.002 with the decimal chunk code, 12.67 when every chunk
 # was Gorilla-coded. A missing benchmark fails the gate.
 bench-replay:
 	@out=$$($(GO) test -run xxx -bench 'BenchmarkWALReplayFleet' -benchmem -benchtime 2x ./internal/persist); \
@@ -203,8 +203,8 @@ bench-replay:
 			printf "fleet WAL %.3f B/sample: budget 3.86\n", walb; \
 			if (walb+0 > 3.86) { print "FAIL: the fleet WAL costs more bytes per sample than its budget"; exit 1 } \
 			print "OK: a logged sample costs its value plus the columns it needs"; \
-			printf "replayed store %.3f B/sample: budget 5.4\n", storeb; \
-			if (storeb+0 > 5.4) { print "FAIL: the replayed store costs more bytes per sample than its budget"; exit 1 } \
+			printf "replayed store %.3f B/sample: budget 5.15\n", storeb; \
+			if (storeb+0 > 5.15) { print "FAIL: the replayed store costs more bytes per sample than its budget"; exit 1 } \
 			print "OK: a stored sample costs about what it costs in the log" }'
 
 # Snapshot-load allocation budget, recovery's other half beside bench-replay:

@@ -78,31 +78,17 @@ var pow10 = [MaxDecimalExp + 1]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8
 // that codes values as decimals: the value column here and the store's
 // decimal chunk columns.
 func DecimalAt(v float64, e int) (int64, bool) {
-	if e == 0 {
-		// The same test without the scaling: an integer below 2^53, and
-		// not -0, is one.
-		if !(math.Abs(v) < 1<<53) {
-			return 0, false
-		}
-		m := int64(v)
-		return m, math.Float64bits(float64(m)) == math.Float64bits(v)
-	}
-	p := pow10[e]
-	r := math.Round(v * p)
+	r := math.Round(v * pow10[e])
 	if !(math.Abs(r) < 1<<53) {
 		return 0, false
 	}
 	m := int64(r)
-	return m, math.Float64bits(float64(m)/p) == math.Float64bits(v)
+	return m, math.Float64bits(float64(m)/pow10[e]) == math.Float64bits(v)
 }
 
 // DecimalValue is the value a mantissa m stands for at exponent e:
-// float64(m)/10^e. e is in [0, MaxDecimalExp]. An integer, e = 0, skips the
-// division by one.
+// float64(m)/10^e. e is in [0, MaxDecimalExp].
 func DecimalValue(m int64, e int) float64 {
-	if e == 0 {
-		return float64(m)
-	}
 	return float64(m) / pow10[e]
 }
 
@@ -110,26 +96,8 @@ func DecimalValue(m int64, e int) float64 {
 // DecimalAt passes for v, and v's mantissa there; ok is false when none
 // does. It stops early once |v|*10^e reaches 2^53: no larger exponent can
 // pass then, and NaN never gets that far.
-//
-// Before that it rules out, in one step, every exponent up to the largest k
-// that keeps |v|*10^k below 2^40. If DecimalAt passes at some e' <= k, v is
-// m/10^e' rounded once, so v*10^k — rounded once more — is the integer
-// m*10^(k-e') to within two roundings' error, 2^40 * 2^-52 at most: a product
-// further than 2^-11 from every integer leaves no such e'. A value that is
-// not a decimal, every bit of its mantissa significant, is almost never that
-// close, and is then tried only at the few exponents above k.
 func DecimalFrom(v float64, e int) (m int64, at int, ok bool) {
-	a := math.Abs(v)
-	k := MaxDecimalExp
-	for k >= e && !(a*pow10[k] < 1<<40) {
-		k--
-	}
-	if k >= e {
-		if p := v * pow10[k]; math.Abs(p-math.Round(p)) > 0x1p-11 {
-			e = k + 1
-		}
-	}
-	for ; e <= MaxDecimalExp && a*pow10[e] < 1<<53; e++ {
+	for a := math.Abs(v); e <= MaxDecimalExp && a*pow10[e] < 1<<53; e++ {
 		if m, ok := DecimalAt(v, e); ok {
 			return m, e, true
 		}

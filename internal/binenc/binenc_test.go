@@ -189,9 +189,8 @@ func decimalAtRef(v float64, e int) (int64, bool) {
 	return int64(m), math.Float64bits(float64(int64(m))/math.Pow10(e)) == math.Float64bits(v)
 }
 
-// checkDecimal holds DecimalAt and DecimalFrom, with their shortcuts — no
-// scaling at e = 0, one step over every exponent that keeps v*10^e under
-// 2^40 — to the definition at every exponent.
+// checkDecimal holds DecimalAt and DecimalFrom, with DecimalFrom's early
+// stop at 2^53, to the definition at every exponent.
 func checkDecimal(t *testing.T, v float64) {
 	t.Helper()
 	first := -1
@@ -213,8 +212,9 @@ func checkDecimal(t *testing.T, v float64) {
 
 func mantissaAt(v float64, e int) int64 { m, _ := decimalAtRef(v, e); return m }
 
-// TestDecimalShortcuts runs checkDecimal over values at the edges of both
-// shortcuts and over random floats, decimals and sums of decimals.
+// TestDecimalShortcuts runs checkDecimal over values at the edges of the
+// 2^53 mantissa bound, and over random floats, decimals and sums of
+// decimals.
 func TestDecimalShortcuts(t *testing.T) {
 	vs := []float64{0, math.Copysign(0, -1), 0.5, -2.5, 1 << 52, 1<<53 - 1, 1 << 53, 4503599627370495.5, 0.1 + 0.2,
 		40018.8, 4246.6, 1099511627775.5, 1 << 40, 109951162777.6, math.NaN(), math.Inf(-1), 5e-324, math.MaxFloat64}

@@ -14,7 +14,7 @@ import (
 // column-predicted layout, and by the decimal value code (snapshot v4: the
 // fleet's values are all decimals, and every chunk carries its code); the v3
 // hash was 25cd1e3ab38f2c2589c1509c208c7f1de7ccbaa7a5abafa9e79efcbe94ccf43e.
-const fleetDumpSHA256 = "9df2e93d0b8a99ea94a6d8004382d97400a72b746c691118f4ebf71cd17097bf"
+const fleetDumpSHA256 = "6fe24566d2deeb288bdd239e5ab80af1489cf551dddc4578a90e3b450c968b11"
 
 func TestFleetReplayDumpGolden(t *testing.T) {
 	if testing.Short() {

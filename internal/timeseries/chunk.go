@@ -102,12 +102,12 @@ func (c *Chunk) FirstTime() int64 { return c.firstT }
 func (c *Chunk) LastTime() int64 { return c.lastT }
 
 // Append adds a sample; timestamps must strictly increase.
-func (c *Chunk) Append(t int64, v float64) error { return c.append(t, v, &c.x, c.dec, nil, nil) }
+func (c *Chunk) Append(t int64, v float64) error { return c.append(t, v, &c.x, c.dec, nil) }
 
 // append adds a sample whose value is coded against column state x, as a
 // decimal when dec is set, and — among the chunk's first costedRecords —
-// costs it in the other code too on cc, unless cc is nil. seen is put's.
-func (c *Chunk) append(t int64, v float64, x *colState, dec bool, cc *codeCost, seen *lastDecimal) error {
+// costs it in the other code too on cc, unless cc is nil.
+func (c *Chunk) append(t int64, v float64, x *colState, dec bool, cc *codeCost) error {
 	n := headerValueBits
 	switch c.count {
 	case 0:
@@ -115,7 +115,7 @@ func (c *Chunk) append(t int64, v float64, x *colState, dec bool, cc *codeCost, 
 		// value follows as 8 more, a decimal column's is coded in the stream.
 		c.w.buf = binary.BigEndian.AppendUint64(c.w.buf, uint64(t))
 		if dec {
-			n = c.put(0, 0, v, x, true, seen)
+			n = c.put(0, 0, v, x, true)
 		} else {
 			x.last = math.Float64bits(v)
 			c.w.buf = binary.BigEndian.AppendUint64(c.w.buf, x.last)
@@ -133,9 +133,9 @@ func (c *Chunk) append(t int64, v float64, x *colState, dec bool, cc *codeCost, 
 		case uint64(delta) >= maxFirstDelta:
 			return ErrFirstDelta
 		case delta < 1<<14:
-			n = c.put(uint64(delta), 15, v, x, dec, seen)
+			n = c.put(uint64(delta), 15, v, x, dec)
 		default:
-			n = c.put(1<<35|uint64(delta), 36, v, x, dec, seen)
+			n = c.put(1<<35|uint64(delta), 36, v, x, dec)
 		}
 		c.delta = delta
 	default:
@@ -147,17 +147,17 @@ func (c *Chunk) append(t int64, v float64, x *colState, dec bool, cc *codeCost, 
 		c.delta = delta
 		switch {
 		case dod == 0:
-			n = c.put(0, 1, v, x, dec, seen)
+			n = c.put(0, 1, v, x, dec)
 		case dod >= -63 && dod <= 64:
-			n = c.put(0b10<<7|uint64(dod+63), 9, v, x, dec, seen)
+			n = c.put(0b10<<7|uint64(dod+63), 9, v, x, dec)
 		case dod >= -255 && dod <= 256:
-			n = c.put(0b110<<9|uint64(dod+255), 12, v, x, dec, seen)
+			n = c.put(0b110<<9|uint64(dod+255), 12, v, x, dec)
 		case dod >= -2047 && dod <= 2048:
-			n = c.put(0b1110<<12|uint64(dod+2047), 16, v, x, dec, seen)
+			n = c.put(0b1110<<12|uint64(dod+2047), 16, v, x, dec)
 		default:
 			c.w.writeBits(0b1111, 4)
 			c.w.writeBits(uint64(dod), 64)
-			n = c.put(0, 0, v, x, dec, seen)
+			n = c.put(0, 0, v, x, dec)
 		}
 	}
 	if cc != nil && c.count < costedRecords {
@@ -184,29 +184,17 @@ func (c *Chunk) trimIfFull(limit int) {
 // append calls would produce. The first two records take the general path (a
 // chunk header or a delta-of-delta against the previous window, then the delta
 // of 1); from the third on the delta-of-delta is zero, so each costs its '0'
-// bit fused into the value's code and no timestamp arithmetic. A window of
-// one sample — every window of a tier as fine as the series' cadence — holds
-// its value in all five value columns, which then take the decimal test once
-// (lastDecimal).
+// bit fused into the value's code and no timestamp arithmetic.
 func (c *Chunk) appendGroup(t0 int64, vals *[rollupStride]float64, pred *[rollupStride]colState) error {
-	var memo lastDecimal
-	var seen *lastDecimal
-	if vals[colCount] == 1 {
-		seen = &memo
-	}
-	if err := c.append(t0, vals[colCount], &pred[colCount], c.dec, nil, nil); err != nil {
+	if err := c.append(t0, vals[colCount], &pred[colCount], c.dec, nil); err != nil {
 		return err
 	}
-	if err := c.append(t0+colSum, vals[colSum], &pred[colSum], c.dec, nil, seen); err != nil {
+	if err := c.append(t0+colSum, vals[colSum], &pred[colSum], c.dec, nil); err != nil {
 		return err
 	}
 	const head = 2
 	for col := head; col < rollupStride; col++ {
-		s := seen
-		if col == colFirstT || col == colLastT {
-			s = nil
-		}
-		c.put(0, 1, vals[col], &pred[col], c.dec, s)
+		c.put(0, 1, vals[col], &pred[col], c.dec)
 	}
 	c.lastT += rollupStride - head
 	c.count += rollupStride - head
@@ -217,37 +205,14 @@ func (c *Chunk) appendGroup(t0 int64, vals *[rollupStride]float64, pred *[rollup
 // payload, at most 36 bits — followed by v's code against column x (decimal
 // when dec is set, else XOR), which it advances, and returns the bits the
 // value took. The prefix, the value's control bits and, where they fit in a
-// word, its payload go down as one writeBits call. seen, unless nil, keeps
-// the decimal test's last answer.
-func (c *Chunk) put(pre uint64, npre uint8, v float64, x *colState, dec bool, seen *lastDecimal) int {
+// word, its payload go down as one writeBits call.
+func (c *Chunk) put(pre uint64, npre uint8, v float64, x *colState, dec bool) int {
 	var ctl, pay uint64
 	var nctl, npay uint8
-	b := math.Float64bits(v)
 	if dec {
-		// The common decimal records, inline: the previous value again, and
-		// a mantissa delta in the delta-of-delta classes.
-		if b == x.prev {
-			c.w.writeBits(pre<<1, npre+1)
-			return 1
-		}
-		if m, ok := seen.decimalAt(v, x.exp); ok {
-			// A delta of 0 follows an escape, and takes decimalCode's wide form.
-			if code, n, ok := deltaClass(m - int64(x.last)); ok && n > 1 {
-				x.last, x.prev = uint64(m), b
-				c.w.writeBits(pre<<n|code, npre+n)
-				return int(n)
-			}
-		}
 		ctl, nctl, pay, npay = x.decimalCode(v)
 	} else {
-		xor := b ^ x.last
-		x.last = b
-		if xor == 0 {
-			c.w.writeBits(pre<<1, npre+1) // '0': value unchanged
-			return 1
-		}
-		ctl, nctl = x.xorWindow(xor)
-		pay, npay = xor>>x.trailing, 64-x.leading-x.trailing
+		ctl, nctl, pay, npay = x.xorCode(v)
 	}
 	bits := int(nctl) + int(npay)
 	pre, npre = pre<<nctl|ctl, npre+nctl
@@ -358,30 +323,11 @@ func deltaClass(d int64) (code uint64, n uint8, ok bool) {
 // maxRaised bounds the mantissa an exponent raise may leave: a value that is
 // a decimal only with 15 or more significant digits is a float's own noise
 // — a sum's rounding, say — and raising the column for it would cost every
-// value after it those digits; it escapes instead.
+// value after it those digits; it escapes instead. Without the bound a tier's
+// sum column raises to such noise: the 1m tier of TestTierSizeGate's counter
+// takes 14.4 B/window instead of 13.4, and BenchmarkWALReplayFleet's
+// replayed store 5.07 B/sample instead of 5.00.
 const maxRaised = 1 << 48
-
-// lastDecimal is binenc.DecimalAt with its last answer kept. The nil
-// *lastDecimal keeps nothing.
-type lastDecimal struct {
-	bits uint64
-	m    int64
-	exp  uint8
-	ok   bool
-	set  bool
-}
-
-// decimalAt is binenc.DecimalAt(v, e), remembered.
-func (l *lastDecimal) decimalAt(v float64, e uint8) (int64, bool) {
-	if l == nil {
-		return binenc.DecimalAt(v, int(e))
-	}
-	if b := math.Float64bits(v); !l.set || l.bits != b || l.exp != e {
-		m, ok := binenc.DecimalAt(v, int(e))
-		*l = lastDecimal{bits: b, m: m, exp: e, ok: ok, set: true}
-	}
-	return l.m, l.ok
-}
 
 // zigzag maps a signed integer to an unsigned one of about its magnitude.
 func zigzag(d int64) uint64 { return uint64(d<<1 ^ d>>63) }
@@ -393,69 +339,60 @@ func unzigzag(z uint64) int64 { return int64(z>>1) ^ -int64(z&1) }
 // in the header.
 const headerValueBits = 64
 
-// costedRecords is how many of a raw chunk's first samples codeCost weighs,
-// a quarter of a default chunk: costing a value in the code it is not
-// written in takes about as long as writing it, and a chunk's first samples
-// predict the next chunk about as well as all of them do.
+// costedRecords is how many of a raw chunk's first samples codeCost weighs.
+// Costing a value in the code it is not written in takes about as long as
+// writing it — a value that is not a decimal tries several exponents — and
+// weighing every sample instead made appending the simulated centre's series
+// at a 60 s cadence (a WAL replay of analyze_grid's shape) 3 to 7 % slower
+// on a 2-core Xeon, for 0.1 % fewer bytes in its store and none in the fleet
+// WAL's replayed store.
 const costedRecords = 32
 
 // codeCost weighs a raw chunk's two value codes against each other over its
 // first samples (costedRecords), so that the chunk after it can take the
 // cheaper (openRaw). As each value goes down in the chunk's code, it is
-// costed in the other one too, against alt, that code's state. The decimal
-// code wins only by an eighth or more: values that are decimals only at an
-// exponent that leaves nothing to spare (15 or so significant digits, a
-// float's own noise) cost about what their XOR does, and a decimal costs a
-// division to check and to decode that XOR does not. A Gorilla chunk stops
-// costing the decimal code once it is not winning: the next chunk will not
-// change code then, and a value that is not a decimal is what costs
-// binenc.DecimalFrom its longest search.
+// costed in the other one too, against alt, that code's state: the header's
+// value included, each at what it would have taken in a chunk of the other
+// code.
 type codeCost struct {
 	alt      colState
 	dcm, gor int32 // bits the values took in each code
-	behind   bool  // a Gorilla chunk whose decimal code stopped winning
 }
-
-// decimalWins reports whether the decimal code has won the values costed.
-func (cc *codeCost) decimalWins() bool { return cc.dcm*8 < cc.gor*7 }
 
 // add costs value v, written as a decimal when dec is set, in n bits, in the
 // other code; head says it was the chunk's first record.
 func (cc *codeCost) add(v float64, dec bool, n int, head bool) {
-	if dec {
-		g := headerValueBits
-		if head {
-			cc.alt.last = math.Float64bits(v)
-		} else {
-			_, nctl, _, npay := cc.alt.xorCode(v)
-			g = int(nctl) + int(npay)
-		}
-		cc.dcm += int32(n)
-		cc.gor += int32(g)
+	if !dec {
+		_, nctl, _, npay := cc.alt.decimalCode(v)
+		cc.dcm += int32(nctl) + int32(npay)
+		cc.gor += int32(n)
 		return
 	}
-	if cc.behind {
-		return
+	g := headerValueBits
+	if head {
+		cc.alt.last = math.Float64bits(v)
+	} else {
+		_, nctl, _, npay := cc.alt.xorCode(v)
+		g = int(nctl) + int(npay)
 	}
-	_, nctl, _, npay := cc.alt.decimalCode(v)
-	cc.dcm += int32(nctl) + int32(npay)
-	cc.gor += int32(n)
-	cc.behind = !cc.decimalWins()
+	cc.dcm += int32(n)
+	cc.gor += int32(g)
 }
 
 // openRaw returns whether a raw chunk about to open with value v is
 // decimal-coded (Chunk.dec), and resets cc, the weighing of the chunk before
-// it, for the new one. The chunk is decimal where the one before coded its first samples
-// cheaper that way; a series' first chunk — fresh — where its first value
-// alone would. Both rest only on values every replay and restore sees. A
-// series whose values are not decimals keeps Gorilla's bytes, and one that
-// mixes the two takes whichever code served its last chunk better.
+// it, for the new one. The chunk is decimal where the one before would have
+// coded its first samples in fewer bits that way; a series' first chunk —
+// fresh — where its first value alone would. Both rest only on values every
+// replay and restore sees. A series whose values are not decimals keeps
+// Gorilla's bytes, and one that mixes the two takes whichever code served
+// its last chunk better.
 func openRaw(cc *codeCost, v float64, fresh bool) bool {
 	if fresh {
 		*cc = codeCost{}
 		cc.add(v, false, headerValueBits, true)
 	}
-	dec := !cc.behind && cc.decimalWins()
+	dec := cc.dcm < cc.gor
 	*cc = codeCost{}
 	return dec
 }
@@ -605,23 +542,6 @@ func (it *ChunkIter) next() bool {
 	}
 	it.t += it.delta
 	if it.dec {
-		// A mantissa delta in a delta-of-delta class, off the word the
-		// timestamp left loaded; any other decimal record takes decimal.
-		if class := uint(bits.LeadingZeros64(^r.reg)); class < 4 && r.n >= 16 {
-			c := dodClass[class]
-			if class == 0 {
-				r.consume(1)
-				it.v = math.Float64frombits(x.prev)
-				it.idx++
-				return true
-			}
-			x.last += uint64(int64(r.reg<<(class+1)>>(64-c.width+class+1)) - c.bias)
-			r.consume(c.width)
-			it.v = binenc.DecimalValue(int64(x.last), int(x.exp))
-			x.prev = math.Float64bits(it.v)
-			it.idx++
-			return true
-		}
 		return it.decimal(x)
 	}
 

@@ -169,7 +169,7 @@ func (ss *storedSeries) append(s *Store, t int64, v float64, tally *ingestTally)
 	if c.count == 0 {
 		c.dec = openRaw(&ss.cost, v, len(chunks) == 1)
 	}
-	if err := c.append(t, v, &c.x, c.dec, &ss.cost, nil); err != nil {
+	if err := c.append(t, v, &c.x, c.dec, &ss.cost); err != nil {
 		return err
 	}
 	c.trimIfFull(s.chunkSize)

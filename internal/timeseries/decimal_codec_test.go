@@ -333,7 +333,7 @@ func TestCodeCostMatchesBothCodes(t *testing.T) {
 			c.dec, other.dec = dec, !dec
 			var cc codeCost
 			for _, sm := range samples {
-				if err := c.append(sm.T, sm.V, &c.x, dec, &cc, nil); err != nil {
+				if err := c.append(sm.T, sm.V, &c.x, dec, &cc); err != nil {
 					t.Fatal(err)
 				}
 				if err := other.Append(sm.T, sm.V); err != nil {
@@ -345,11 +345,31 @@ func TestCodeCostMatchesBothCodes(t *testing.T) {
 			if !dec {
 				dcmBits, gorBits = gorBits, dcmBits
 			}
-			if cc.behind {
-				continue // the decimal side stopped being costed
-			}
 			if got, want := int(cc.dcm-cc.gor), dcmBits-gorBits; got != want {
 				t.Errorf("%s, decimal=%v: codeCost says decimal takes %d bits more, the chunks differ by %d", g.name, dec, got, want)
+			}
+		}
+	}
+}
+
+// TestLargeCounterTurnsDecimal: a counter of large integers — bytes or
+// joules since boot — whose first value costs about as much as a decimal as
+// Gorilla's 64 header bits, or more (1e13, 2^52), still steps by small
+// mantissa deltas. The chunk after its first weighs the first one's samples
+// in both codes and takes the decimal code, and so does every chunk after
+// that.
+func TestLargeCounterTurnsDecimal(t *testing.T) {
+	for _, base := range []float64{1e13, 1 << 52} {
+		s := NewStore(0)
+		id := metric.ID{Name: "node_energy_joules_total"}
+		for i := 0; i < 4*DefaultChunkSize; i++ {
+			if err := s.Append(id, metric.Counter, metric.UnitJoule, 1_700_000_000_000+int64(i)*10_000, base+float64(37*i+i*i%11)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, c := range s.lookup(id.Key()).chunks {
+			if i > 0 && !c.dec {
+				t.Errorf("counter from %g: chunk %d of %d is Gorilla-coded", base, i, len(s.lookup(id.Key()).chunks))
 			}
 		}
 	}

@@ -197,7 +197,7 @@ func restoreChunk(cd ChunkDump, lastT int64, hasLast bool, pred *[rollupStride]c
 				}
 				x = &pred[col]
 			}
-			if err := c.append(t, vs[i], x, c.dec, cc, nil); err != nil {
+			if err := c.append(t, vs[i], x, c.dec, cc); err != nil {
 				return nil, 0, 0, err
 			}
 			lastT, hasLast, lastV = t, true, vs[i]

@@ -160,33 +160,56 @@ func TestDecimalChunkBytesGolden(t *testing.T) {
 // tierChunksSHA256 is the hash of every 1m and 1h tier chunk, in order, of a
 // series fed the "walk" stream for 25 hours — sealed window groups as the
 // rollup path writes them, including groups that open a chunk and groups
-// that follow one. Re-pinned by PR 16, the format change that moved tier chunks
-// to the column-predicted layout (snapshot v3), and by the decimal value code
-// (snapshot v4), which codes every column of this walk's windows as decimals;
-// the v3 hash was b5dc72bf16213da606a13e0721f384cd30172b1afef03fad042f3de3492fc32d.
-const tierChunksSHA256 = "cc46572eb03d95e6632917ad5cbadc3f69d9c1ca2a99e57a29b5a58abe0c3f76"
+// that follow one — by value code. "gorilla" is the tiers of a series whose
+// raw chunks are Gorilla-coded, pinned when tier chunks moved to the
+// column-predicted layout (snapshot v3): the bytes a v3 restore re-encodes
+// through. "decimal" is the tiers the store writes for this walk, whose raw
+// chunks are decimal-coded (snapshot v4).
+var tierChunksSHA256 = map[string]string{
+	"gorilla": "b5dc72bf16213da606a13e0721f384cd30172b1afef03fad042f3de3492fc32d",
+	"decimal": "cc46572eb03d95e6632917ad5cbadc3f69d9c1ca2a99e57a29b5a58abe0c3f76",
+}
 
 func TestTierChunkBytesGolden(t *testing.T) {
-	s := NewStore(0, WithRollups(TierStep1m, TierStep1h))
-	id := metric.ID{Name: "node_power_watts", Labels: metric.NewLabels("node", "n0")}
 	quant := func(v float64) float64 { return math.Round(v*10) / 10 }
-	for _, sm := range seededStream(1, 9000, func(rng *rand.Rand, v float64) float64 { return quant(v + (rng.Float64()-0.5)*8) }) {
-		if err := s.Append(id, metric.Gauge, metric.UnitWatt, sm.T, sm.V); err != nil {
-			t.Fatal(err)
+	walk := seededStream(1, 9000, func(rng *rand.Rand, v float64) float64 { return quant(v + (rng.Float64()-0.5)*8) })
+	for code, want := range tierChunksSHA256 {
+		s := NewStore(0, WithRollups(TierStep1m, TierStep1h))
+		id := metric.ID{Name: "node_power_watts", Labels: metric.NewLabels("node", "n0")}
+		if code == "decimal" {
+			for _, sm := range walk {
+				if err := s.Append(id, metric.Gauge, metric.UnitWatt, sm.T, sm.V); err != nil {
+					t.Fatal(err)
+				}
+			}
+		} else {
+			// The tiers alone, folded as beside a Gorilla raw chunk.
+			ss := s.getOrCreate(id.Key(), id, metric.Gauge, metric.UnitWatt)
+			var tally ingestTally
+			for _, sm := range walk {
+				for _, ts := range ss.tiers {
+					if err := ts.fold(s, sm.T, sm.V, false, &tally); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
 		}
-	}
-	var parts [][]byte
-	windows := 0
-	for _, td := range s.Dump()[0].Tiers {
-		for _, cd := range td.Chunks {
-			parts = append(parts, cd.Data)
-			windows += cd.Count / rollupStride
+		var parts [][]byte
+		windows := 0
+		for _, td := range s.Dump()[0].Tiers {
+			for _, cd := range td.Chunks {
+				if cd.Decimal != (code == "decimal") {
+					t.Fatalf("%s: a tier chunk of the other code", code)
+				}
+				parts = append(parts, cd.Data)
+				windows += cd.Count / rollupStride
+			}
 		}
-	}
-	if windows < 1500 {
-		t.Fatalf("only %d sealed windows; the stream should seal 1499 minutes and 24 hours", windows)
-	}
-	if got := sha256Hex(parts...); got != tierChunksSHA256 {
-		t.Fatalf("tier chunk bytes sha256 = %s, want %s", got, tierChunksSHA256)
+		if windows < 1500 {
+			t.Fatalf("%s: only %d sealed windows; the stream should seal 1499 minutes and 24 hours", code, windows)
+		}
+		if got := sha256Hex(parts...); got != want {
+			t.Errorf("%s: tier chunk bytes sha256 = %s, want %s", code, got, want)
+		}
 	}
 }

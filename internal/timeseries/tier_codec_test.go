@@ -90,11 +90,22 @@ func tierFuzzSeeds() map[string][]byte {
 		}
 		weird = append(weird, g)
 	}
+	// The same windows beside a Gorilla-coded raw chunk: the tier columns
+	// Gorilla's XOR codes, as every v3 snapshot's tiers are.
+	gorilla := func(groups []tierFuzzGroup) []tierFuzzGroup {
+		out := append([]tierFuzzGroup(nil), groups...)
+		for i := range out {
+			out[i].gorilla = true
+		}
+		return out
+	}
 	return map[string][]byte{
-		"seed-regular-cadence": tierFuzzInput(1_700_000_040_000, 60_000, regular),
-		"seed-odd-bits-gaps":   tierFuzzInput(-86_400_001, 1000, weird),
-		"seed-one-window":      tierFuzzInput(-1, 7, regular[:1]),
-		"seed-constant":        tierFuzzInput(0, 1, []tierFuzzGroup{regular[0], regular[0], regular[0], regular[0]}),
+		"seed-regular-cadence":         tierFuzzInput(1_700_000_040_000, 60_000, regular),
+		"seed-odd-bits-gaps":           tierFuzzInput(-86_400_001, 1000, weird),
+		"seed-one-window":              tierFuzzInput(-1, 7, regular[:1]),
+		"seed-constant":                tierFuzzInput(0, 1, []tierFuzzGroup{regular[0], regular[0], regular[0], regular[0]}),
+		"seed-regular-cadence-gorilla": tierFuzzInput(1_700_000_040_000, 60_000, gorilla(regular)),
+		"seed-odd-bits-gaps-gorilla":   tierFuzzInput(-86_400_001, 1000, gorilla(weird)),
 	}
 }
 
