@@ -187,15 +187,19 @@ bench-ingest:
 # record. It gates the replayed store's size too: store_B/sample (resident
 # raw and rollup tier chunk bytes over samples, a count as well) must stay at
 # or under 5.15 — 5.002 with the decimal chunk code, 12.67 when every chunk
-# was Gorilla-coded. A missing benchmark fails the gate.
+# was Gorilla-coded. The same fleet a sample a minute (replay_60s), where
+# every 1m rollup window holds one sample, must stay at or under 6.28
+# store_B/sample — 6.106 with one-sample windows coded as one value, 15.39
+# when each coded its sample five times. A missing benchmark fails the gate.
 bench-replay:
 	@out=$$($(GO) test -run xxx -bench 'BenchmarkWALReplayFleet' -benchmem -benchtime 2x ./internal/persist); \
 	echo "$$out"; \
 	echo "$$out" | awk ' \
-		/^BenchmarkWALReplayFleet\/replay/ { replay=$$(NF-1); for (i=2; i<=NF; i++) { if ($$i == "segments") segs=$$(i-1); if ($$i == "wal_B/sample") walb=$$(i-1); if ($$i == "store_B/sample") storeb=$$(i-1) } } \
+		/^BenchmarkWALReplayFleet\/replay[- \t]/ { replay=$$(NF-1); for (i=2; i<=NF; i++) { if ($$i == "segments") segs=$$(i-1); if ($$i == "wal_B/sample") walb=$$(i-1); if ($$i == "store_B/sample") storeb=$$(i-1) } } \
+		/^BenchmarkWALReplayFleet\/replay_60s/ { for (i=2; i<=NF; i++) if ($$i == "store_B/sample") store60=$$(i-1) } \
 		/^BenchmarkWALReplayFleet\/direct/ { direct=$$(NF-1) } \
 		END { \
-			if (replay == "" || direct == "" || segs == "" || walb == "" || storeb == "") { print "FAIL: BenchmarkWALReplayFleet replay/direct missing from output"; exit 1 } \
+			if (replay == "" || direct == "" || segs == "" || walb == "" || storeb == "" || store60 == "") { print "FAIL: BenchmarkWALReplayFleet replay/replay_60s/direct missing from output"; exit 1 } \
 			budget = direct + segs + 1 + 8; \
 			printf "replay %d allocs/op, direct build %d, %d segments: budget %d\n", replay, direct, segs, budget; \
 			if (replay+0 > budget) { printf "FAIL: replay allocates %d allocs/op over its budget\n", replay - budget; exit 1 } \
@@ -205,7 +209,10 @@ bench-replay:
 			print "OK: a logged sample costs its value plus the columns it needs"; \
 			printf "replayed store %.3f B/sample: budget 5.15\n", storeb; \
 			if (storeb+0 > 5.15) { print "FAIL: the replayed store costs more bytes per sample than its budget"; exit 1 } \
-			print "OK: a stored sample costs about what it costs in the log" }'
+			print "OK: a stored sample costs about what it costs in the log"; \
+			printf "replayed store at 60 s %.3f B/sample: budget 6.28\n", store60; \
+			if (store60+0 > 6.28) { print "FAIL: the store replayed at a 60 s cadence costs more bytes per sample than its budget"; exit 1 } \
+			print "OK: a one-sample rollup window costs about one value" }'
 
 # Snapshot-load allocation budget, recovery's other half beside bench-replay:
 # BenchmarkSnapshotLoadFleet writes the store the fleet WAL replays to as a

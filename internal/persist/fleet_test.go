@@ -16,12 +16,15 @@ import (
 // consecutive WAL refs at one timestamp, so the ref and time columns are
 // elided), each agent's series defined just before its first record. 384
 // ticks is 64 minutes, so every series seals 63 one-minute windows and one
-// hourly window and rolls its raw chunk three times.
+// hourly window and rolls its raw chunk three times. fleetWALAt writes the
+// same fleet at another cadence: at fleetStep60s, the cadence of the
+// simulated centre's sensors, every one-minute window holds one sample.
 const (
 	fleetAgents  = 128
 	fleetSensors = 32
 	fleetTicks   = 384
 	fleetStepMs  = 10_000
+	fleetStep60s = 60_000
 	fleetT0      = 472222 * 3600 * 1000 // hour-aligned, like bench/gen's clock
 )
 
@@ -85,48 +88,57 @@ type fleetLog struct {
 }
 
 var (
-	fleetOnce sync.Once
-	fleetData fleetLog
+	fleetMu   sync.Mutex
+	fleetLogs = map[int64]*fleetLog{}
 )
 
-// fleetWAL builds the fleet WAL once per test binary.
-func fleetWAL() *fleetLog {
-	fleetOnce.Do(func() {
-		var payloads [][]byte
-		size := len(segMagic)
-		cut := func() {
-			fleetData.segments = append(fleetData.segments, frameSegment(payloads...))
-			payloads, size = payloads[:0], len(segMagic)
+// fleetWAL is the fleet WAL at its 10 s cadence.
+func fleetWAL() *fleetLog { return fleetWALAt(fleetStepMs) }
+
+// fleetWALAt builds the fleet WAL at a cadence of step ms, once per test
+// binary.
+func fleetWALAt(step int64) *fleetLog {
+	fleetMu.Lock()
+	defer fleetMu.Unlock()
+	if l := fleetLogs[step]; l != nil {
+		return l
+	}
+	var log fleetLog
+	var payloads [][]byte
+	size := len(segMagic)
+	cut := func() {
+		log.segments = append(log.segments, frameSegment(payloads...))
+		payloads, size = payloads[:0], len(segMagic)
+	}
+	add := func(p []byte) {
+		if size+recordHeaderLen+len(p) > DefaultSegmentSize {
+			cut()
 		}
-		add := func(p []byte) {
-			if size+recordHeaderLen+len(p) > DefaultSegmentSize {
-				cut()
-			}
-			payloads = append(payloads, p)
-			size += recordHeaderLen + len(p)
-		}
-		vals := newFleetValues(fleetAgents * fleetSensors)
-		recs := make([]refSample, fleetSensors)
-		for tick := 0; tick < fleetTicks; tick++ {
-			vals.next()
-			t := int64(fleetT0 + tick*fleetStepMs)
-			for a := 0; a < fleetAgents; a++ {
-				for s := 0; s < fleetSensors; s++ {
-					ref := uint64(a*fleetSensors + s + 1)
-					if tick == 0 {
-						def := encodeDefine(nil, ref, fleetID(a, s), metric.Gauge, metric.UnitWatt)
-						fleetData.defines = append(fleetData.defines, def)
-						add(def)
-					}
-					recs[s] = refSample{ref: ref, t: t, v: vals.value[ref-1]}
+		payloads = append(payloads, p)
+		size += recordHeaderLen + len(p)
+	}
+	vals := newFleetValues(fleetAgents * fleetSensors)
+	recs := make([]refSample, fleetSensors)
+	for tick := 0; tick < fleetTicks; tick++ {
+		vals.next()
+		t := fleetT0 + int64(tick)*step
+		for a := 0; a < fleetAgents; a++ {
+			for s := 0; s < fleetSensors; s++ {
+				ref := uint64(a*fleetSensors + s + 1)
+				if tick == 0 {
+					def := encodeDefine(nil, ref, fleetID(a, s), metric.Gauge, metric.UnitWatt)
+					log.defines = append(log.defines, def)
+					add(def)
 				}
-				add(appendColsPayload(recs))
-				fleetData.samples += len(recs)
+				recs[s] = refSample{ref: ref, t: t, v: vals.value[ref-1]}
 			}
+			add(appendColsPayload(recs))
+			log.samples += len(recs)
 		}
-		cut()
-	})
-	return &fleetData
+	}
+	cut()
+	fleetLogs[step] = &log
+	return &log
 }
 
 func newFleetStore() *timeseries.Store {

@@ -7,13 +7,15 @@
 // On-disk layout inside the data directory (all integers big endian):
 //
 //	wal-%08d.seg    WAL segments: 8-byte magic "ODAWAL2\n", then records
-//	snap-%08d.snap  snapshots: 8-byte magic "ODASNP4\n", payload, CRC32C
+//	snap-%08d.snap  snapshots: 8-byte magic "ODASNP5\n", payload, CRC32C
 //
-// A snapshot's chunks are each tagged with their value code: decimal
+// A snapshot's chunks are each tagged with their value code — decimal
 // mantissa deltas per value column where the values are exact decimals,
-// Gorilla XOR elsewhere. Snapshots headed "ODASNP3\n" predate the tag (every
-// chunk Gorilla) and still load; a build from before v4 refuses a v4 file at
-// its magic.
+// Gorilla XOR elsewhere — and a tier chunk with its layout, in which a window
+// of one sample is coded as that one value. Snapshots headed "ODASNP4\n"
+// predate the layout (every window coded whole) and those headed "ODASNP3\n"
+// the tag as well (every chunk Gorilla); both still load. A build from before
+// v5 refuses a v5 file at its magic.
 //
 // Segments headed "ODAWAL1\n" were written before opAppendCols existed. They
 // still replay, and a retired op-6 record in one is refused. An earlier build,

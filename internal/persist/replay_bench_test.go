@@ -51,40 +51,13 @@ func BenchmarkWALReplayRefs(b *testing.B) {
 // reports wal_B/sample, the fleet segments' bytes over their samples, and
 // store_B/sample, the replayed store's resident raw and rollup tier chunk
 // bytes over the same samples: counts, not timings, which `make
-// bench-replay` gates like the allocs.
+// bench-replay` gates like the allocs. "replay_60s" is "replay" over the
+// same fleet a sample a minute, where every 1m rollup window holds one
+// sample; `make bench-replay` gates its store_B/sample too.
 func BenchmarkWALReplayFleet(b *testing.B) {
+	b.Run("replay", func(b *testing.B) { benchReplayFleet(b, fleetWAL()) })
+	b.Run("replay_60s", func(b *testing.B) { benchReplayFleet(b, fleetWALAt(fleetStep60s)) })
 	log := fleetWAL()
-	var walBytes int
-	for _, seg := range log.segments {
-		walBytes += len(seg)
-	}
-	b.Run("replay", func(b *testing.B) {
-		b.ReportAllocs()
-		var storeBytes int
-		for i := 0; i < b.N; i++ {
-			store := newFleetStore()
-			rt := NewRefTable()
-			apply := func(rec walRecord) { rec.apply(store, rt) }
-			for _, seg := range log.segments {
-				if res := mustReplay(b, seg, apply); res.torn {
-					b.Fatal("fleet segment replayed torn")
-				}
-			}
-			b.StopTimer() // the check scans every shard; it is not recovery
-			if got := store.NumSamples(); got != log.samples {
-				b.Fatalf("replayed %d of %d samples", got, log.samples)
-			}
-			storeBytes = store.CompressedBytes()
-			for _, tier := range store.RollupStats().Tiers {
-				storeBytes += tier.Bytes
-			}
-			b.StartTimer()
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(log.samples), "ns/sample")
-		b.ReportMetric(float64(len(log.segments)), "segments")
-		b.ReportMetric(float64(walBytes)/float64(log.samples), "wal_B/sample")
-		b.ReportMetric(float64(storeBytes)/float64(log.samples), "store_B/sample")
-	})
 	b.Run("direct", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -118,6 +91,42 @@ func BenchmarkWALReplayFleet(b *testing.B) {
 			}
 		}
 	})
+}
+
+// benchReplayFleet replays a fleet WAL into a fresh store per iteration and
+// reports ns/sample, the WAL's segments and wal_B/sample, and the replayed
+// store's store_B/sample.
+func benchReplayFleet(b *testing.B, log *fleetLog) {
+	var walBytes int
+	for _, seg := range log.segments {
+		walBytes += len(seg)
+	}
+	b.ReportAllocs()
+	b.ResetTimer() // the first run builds the WAL
+	var storeBytes int
+	for i := 0; i < b.N; i++ {
+		store := newFleetStore()
+		rt := NewRefTable()
+		apply := func(rec walRecord) { rec.apply(store, rt) }
+		for _, seg := range log.segments {
+			if res := mustReplay(b, seg, apply); res.torn {
+				b.Fatal("fleet segment replayed torn")
+			}
+		}
+		b.StopTimer() // the check scans every shard; it is not recovery
+		if got := store.NumSamples(); got != log.samples {
+			b.Fatalf("replayed %d of %d samples", got, log.samples)
+		}
+		storeBytes = store.CompressedBytes()
+		for _, tier := range store.RollupStats().Tiers {
+			storeBytes += tier.Bytes
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(log.samples), "ns/sample")
+	b.ReportMetric(float64(len(log.segments)), "segments")
+	b.ReportMetric(float64(walBytes)/float64(log.samples), "wal_B/sample")
+	b.ReportMetric(float64(storeBytes)/float64(log.samples), "store_B/sample")
 }
 
 // BenchmarkSnapshotLoadFleet is recovery's other half: the store the fleet

@@ -210,5 +210,5 @@ func EncodeDump(chunkSize int, dump []timeseries.SeriesDump) []byte {
 
 // DecodeDump parses a payload produced by EncodeDump.
 func DecodeDump(payload []byte) (int, []timeseries.SeriesDump, error) {
-	return decodeSnapshot(payload, false)
+	return decodeSnapshot(payload, snapVersion)
 }

@@ -13,21 +13,33 @@ import (
 )
 
 // snapMagic heads every snapshot file this build writes. The digit is the
-// format version: 4 is the payload laid out below, each chunk tagged with its
-// value code (timeseries.ChunkDump.Decimal). snapMagicV3
-// heads the same payload without the tags, every chunk Gorilla-coded; it
-// still loads, through the same decoder. Rollup tier chunks in both are in the
-// column-predicted layout (timeseries/rollup.go: window-index stamps, each
-// record coded against its column of the previous window, time columns
-// relative to the window start). Any other complete 8-byte magic — the
-// retired "ODASNP1\n" (no tiers) and "ODASNP2\n" (interleaved tier chunks)
-// included — is ErrUnsupportedFormat: a v2 file's tier chunks would not
-// survive RestoreStore's re-encode check anyway, and failing there would read
-// as damage and fall back past it to a WAL that no longer reaches back. A
-// build from before v4 refuses a v4 file the same way, at its magic.
+// format version: 5 is the payload laid out below, each chunk tagged with its
+// value code and its layout (timeseries.ChunkDump.Decimal, .OneSample).
+// snapMagicV4 heads the same payload whose tag is the value code alone, every
+// tier chunk coding each window whole; snapMagicV3 heads it without tags,
+// every chunk Gorilla-coded as well. Both still load, through the same
+// decoder. Rollup tier chunks in all three are in the column-predicted layout
+// (timeseries/rollup.go: window-index stamps, each record coded against its
+// column of the previous window, time columns relative to the window start).
+// Any other complete 8-byte magic — the retired "ODASNP1\n" (no tiers) and
+// "ODASNP2\n" (interleaved tier chunks) included — is ErrUnsupportedFormat: a
+// v2 file's tier chunks would not survive RestoreStore's re-encode check
+// anyway, and failing there would read as damage and fall back past it to a
+// WAL that no longer reaches back. A build from before v5 refuses a v5 file
+// the same way, at its magic.
 const (
-	snapMagic   = "ODASNP4\n"
+	snapMagic   = "ODASNP5\n"
+	snapMagicV4 = "ODASNP4\n"
 	snapMagicV3 = "ODASNP3\n"
+)
+
+// snapVersion is the format snapMagic names, the one EncodeDump writes.
+const snapVersion = 5
+
+// A v5 chunk's tag: its value code, and its layout.
+const (
+	tagDecimal   = 1 << 0
+	tagOneSample = 1 << 1
 )
 
 func snapshotName(seq uint64) string { return fmt.Sprintf("snap-%08d.snap", seq) }
@@ -37,9 +49,11 @@ func snapshotName(seq uint64) string { return fmt.Sprintf("snap-%08d.snap", seq)
 //	chunkSize  uvarint
 //	numSeries  uvarint
 //	per series: name, labelCount, (key, value)*, kind byte, unit,
-//	            chunkCount, per chunk: sampleCount uvarint, decimal byte
-//	            (1: decimal-coded, 0: Gorilla; absent in v3), byteLen
-//	            uvarint, the chunk's bitstream,
+//	            chunkCount, per chunk: sampleCount uvarint, tag byte
+//	            (tagDecimal: decimal-coded, else Gorilla; tagOneSample: a
+//	            tier chunk's one-sample windows go down as one value; in v4
+//	            the byte is 1 for decimal and 0 for Gorilla; absent in v3),
+//	            byteLen uvarint, the chunk's bitstream,
 //	            tierCount, per tier: step varint, accumulator, chunk list
 //	            (tier chunks in the rollup group layout)
 //
@@ -68,8 +82,15 @@ func encodeSnapshot(chunkSize int, dump []timeseries.SeriesDump) []byte {
 func appendChunks(buf []byte, chunks []timeseries.ChunkDump) []byte {
 	buf = binenc.AppendUvarint(buf, uint64(len(chunks)))
 	for _, cd := range chunks {
+		var tag byte
+		if cd.Decimal {
+			tag |= tagDecimal
+		}
+		if cd.OneSample {
+			tag |= tagOneSample
+		}
 		buf = binenc.AppendUvarint(buf, uint64(cd.Count))
-		buf = binenc.AppendBool(buf, cd.Decimal)
+		buf = append(buf, tag)
 		buf = binenc.AppendBytes(buf, cd.Data)
 	}
 	return buf
@@ -90,40 +111,46 @@ func appendAcc(buf []byte, a timeseries.RollupAcc) []byte {
 	return binenc.AppendFloat(buf, a.LastV)
 }
 
-// decodeSnapshot parses a snapshot payload (without magic or trailer); v3
-// says it is a v3 payload, whose chunks carry no decimal byte.
-func decodeSnapshot(payload []byte, v3 bool) (chunkSize int, dump []timeseries.SeriesDump, err error) {
+// decodeSnapshot parses a snapshot payload (without magic or trailer) of the
+// given format version: 3, 4 or snapVersion.
+func decodeSnapshot(payload []byte, version int) (chunkSize int, dump []timeseries.SeriesDump, err error) {
 	p := binenc.NewReader(payload)
 	chunkSize = int(p.Uvarint())
 	// A series is at least a name, label count, kind, unit, chunk count and
 	// tier count, one byte each.
 	nser := p.Count(6)
 	dump = make([]timeseries.SeriesDump, 0, nser)
+	var tags byte
 	for i := 0; i < nser && p.Err() == nil; i++ {
 		sd := timeseries.SeriesDump{ID: p.ID(), Kind: metric.Kind(p.Byte()), Unit: metric.Unit(p.Str())}
-		sd.Chunks = readChunks(&p, v3)
+		sd.Chunks = readChunks(&p, version, &tags)
 		// A tier is at least a step, a 45-byte accumulator and a chunk count.
 		ntier := p.Count(47)
 		for t := 0; t < ntier && p.Err() == nil; t++ {
-			sd.Tiers = append(sd.Tiers, timeseries.TierDump{Step: p.Varint(), Acc: readAcc(&p), Chunks: readChunks(&p, v3)})
+			sd.Tiers = append(sd.Tiers, timeseries.TierDump{Step: p.Varint(), Acc: readAcc(&p), Chunks: readChunks(&p, version, &tags)})
 		}
 		dump = append(dump, sd)
 	}
 	if err := p.Done(); err != nil {
 		return 0, nil, fmt.Errorf("persist: snapshot payload: %w", err)
 	}
+	if tags&^(tagDecimal|tagOneSample) != 0 {
+		return 0, nil, fmt.Errorf("persist: snapshot payload: chunk tag bits %#x unknown", tags)
+	}
 	return chunkSize, dump, nil
 }
 
-// readChunks decodes one chunk list as written by appendChunks, or by a v3
-// build when v3 is set.
-func readChunks(p *binenc.Reader, v3 bool) []timeseries.ChunkDump {
+// readChunks decodes one chunk list as written by appendChunks, or by a
+// build of an older format version, and ORs every chunk's tag into tags.
+func readChunks(p *binenc.Reader, version int, tags *byte) []timeseries.ChunkDump {
 	n := p.Count(2) // a sample count and a byte length each
 	out := make([]timeseries.ChunkDump, 0, n)
 	for i := 0; i < n && p.Err() == nil; i++ {
 		cd := timeseries.ChunkDump{Count: int(p.Uvarint())}
-		if !v3 {
-			cd.Decimal = p.Bool()
+		if version > 3 { // v4's byte, 1 for decimal, is v5's tag without the layout
+			tag := p.Byte()
+			cd.Decimal, cd.OneSample = tag&tagDecimal != 0, tag&tagOneSample != 0
+			*tags |= tag
 		}
 		cd.Data = p.Bytes()
 		out = append(out, cd)
@@ -195,9 +222,17 @@ func loadSnapshot(path string, storeOpts []timeseries.Option) (*timeseries.Store
 		return nil, err
 	}
 	name := filepath.Base(path)
-	v3 := len(data) >= len(snapMagicV3) && string(data[:len(snapMagicV3)]) == snapMagicV3
-	if len(data) >= len(snapMagic) && string(data[:len(snapMagic)]) != snapMagic && !v3 {
-		return nil, fmt.Errorf("%w: %s has magic %q, want %q", ErrUnsupportedFormat, name, data[:len(snapMagic)], snapMagic)
+	version := snapVersion
+	if len(data) >= len(snapMagic) {
+		switch magic := string(data[:len(snapMagic)]); magic {
+		case snapMagic:
+		case snapMagicV4:
+			version = 4
+		case snapMagicV3:
+			version = 3
+		default:
+			return nil, fmt.Errorf("%w: %s has magic %q, want %q", ErrUnsupportedFormat, name, magic, snapMagic)
+		}
 	}
 	if len(data) < len(snapMagic)+4 {
 		return nil, fmt.Errorf("persist: %s: short snapshot", name)
@@ -207,7 +242,7 @@ func loadSnapshot(path string, storeOpts []timeseries.Option) (*timeseries.Store
 	if crc32.Checksum(payload, castagnoli) != want {
 		return nil, fmt.Errorf("persist: %s: snapshot checksum mismatch", name)
 	}
-	chunkSize, dump, err := decodeSnapshot(payload, v3)
+	chunkSize, dump, err := decodeSnapshot(payload, version)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}

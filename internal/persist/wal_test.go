@@ -233,7 +233,7 @@ func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 		}
 	}
 	dump := store.Dump()
-	chunkSize, back, err := decodeSnapshot(encodeSnapshot(store.ChunkSize(), dump), false)
+	chunkSize, back, err := decodeSnapshot(encodeSnapshot(store.ChunkSize(), dump), snapVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,11 +389,11 @@ func TestSnapshotPayloadTruncationSweep(t *testing.T) {
 	}
 	payload := encodeSnapshot(store.ChunkSize(), store.Dump())
 	for cut := 0; cut < len(payload); cut++ {
-		if _, _, err := decodeSnapshot(payload[:cut], false); err == nil {
+		if _, _, err := decodeSnapshot(payload[:cut], snapVersion); err == nil {
 			t.Fatalf("truncation at %d/%d decoded without error", cut, len(payload))
 		}
 	}
-	if _, _, err := decodeSnapshot(payload, false); err != nil {
+	if _, _, err := decodeSnapshot(payload, snapVersion); err != nil {
 		t.Fatalf("full payload failed: %v", err)
 	}
 }

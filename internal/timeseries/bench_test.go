@@ -13,7 +13,7 @@ import (
 // BenchmarkChunkAppend measures Gorilla encode throughput on realistic
 // slowly-varying telemetry.
 func BenchmarkChunkAppend(b *testing.B) {
-	c := NewChunk()
+	c := newRawChunk(false)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = c.Append(int64(i)*60000, 55+math.Sin(float64(i)/50))
@@ -22,7 +22,7 @@ func BenchmarkChunkAppend(b *testing.B) {
 
 // BenchmarkChunkIterate measures decode throughput over a full chunk.
 func BenchmarkChunkIterate(b *testing.B) {
-	c := NewChunk()
+	c := newRawChunk(false)
 	for i := 0; i < 10_000; i++ {
 		_ = c.Append(int64(i)*60000, 55+math.Sin(float64(i)/50))
 	}
@@ -63,7 +63,7 @@ func BenchmarkStoreSnapshot(b *testing.B) {
 // RWMutex plus a lock per series); run with -cpu 1,2 to expose contention.
 
 type globalSeries struct {
-	chunks []*Chunk
+	chunks []*rawChunk
 	lastT  int64
 }
 
@@ -90,7 +90,7 @@ func (g *globalLockStore) append(id metric.ID, t int64, v float64) error {
 		return fmt.Errorf("timeseries: out-of-order sample for %s: %d <= %d", id.Key(), t, s.lastT)
 	}
 	if len(s.chunks) == 0 || s.chunks[len(s.chunks)-1].Count() >= g.chunkSize {
-		s.chunks = append(s.chunks, NewChunk())
+		s.chunks = append(s.chunks, newRawChunk(false))
 	}
 	if err := s.chunks[len(s.chunks)-1].Append(t, v); err != nil {
 		return err

@@ -293,14 +293,14 @@ func checkIterParity(t *testing.T, buf []byte, count int, tier bool, block int) 
 	}
 
 	var it ChunkIter
-	it.reset(buf, count, tier, false)
+	it.reset(buf, count, tier, false, false)
 	var got []metric.Sample
 	for it.Next() {
 		got = append(got, it.At())
 	}
 	same("Next", got, it.Err())
 
-	it.reset(buf, count, tier, false)
+	it.reset(buf, count, tier, false, false)
 	got = got[:0]
 	ts, vs := make([]int64, block), make([]float64, block)
 	for n := it.NextBlock(ts, vs); n > 0; n = it.NextBlock(ts, vs) {
@@ -315,7 +315,7 @@ func checkIterParity(t *testing.T, buf []byte, count int, tier bool, block int) 
 // raw chunk that takes every delta-of-delta class and both value-window
 // cases, and a rollup tier chunk.
 func parityChunks(tb testing.TB) (raw, tier *Chunk) {
-	raw = NewChunk()
+	rc := newRawChunk(false)
 	t := int64(1_700_000_000_000)
 	for i, d := range []int64{10, 10, 11, 80, 400, 3000, 1 << 20, 10, 10, 9, 10, 1, 5000} {
 		t += d
@@ -323,18 +323,19 @@ func parityChunks(tb testing.TB) (raw, tier *Chunk) {
 		if i%5 == 3 {
 			v = math.Float64frombits(math.Float64bits(v) ^ 1) // a wide window
 		}
-		if err := raw.Append(t, v); err != nil {
+		if err := rc.Append(t, v); err != nil {
 			tb.Fatal(err)
 		}
 	}
 	// The reference decodes Gorilla columns only, and a tier chunk the store
 	// seals codes its integer columns as decimals: write the windows directly.
-	tier = NewChunk()
+	raw, tier = rc.Chunk, NewChunk()
 	var pred [rollupStride]colState
+	var delta int64
 	for w := int64(0); w < 6; w++ {
 		v := float64(w%4) * 1.5
 		vals := [rollupStride]float64{6, 6 * v, v - 1, v + 1, float64(w % 2), v, 50_000, v + 0.25}
-		if err := tier.appendGroup(w*rollupStride, &vals, &pred); err != nil {
+		if err := tier.appendGroup(w*rollupStride, &vals, &pred, &delta); err != nil {
 			tb.Fatal(err)
 		}
 	}

@@ -24,12 +24,15 @@ type Chunk struct {
 
 	firstT int64
 	lastT  int64
-	delta  int64
-	x      colState // the raw column's coder; unused by a tier chunk (appendGroup)
 
 	// dec says the values are decimal-coded, every column of a tier chunk
 	// alike. Unset is Gorilla, the code of every chunk before snapshot v4.
 	dec bool
+	// oneSample says a tier chunk codes a window of count 1 as its count,
+	// sum and first offset alone (appendGroup), as every tier chunk has since
+	// snapshot v5; unset is the whole group of a v3 or v4 tier chunk. A raw
+	// chunk never sets it.
+	oneSample bool
 }
 
 // colState is what one value column's next value is coded against. A
@@ -39,8 +42,10 @@ type Chunk struct {
 // previous value's bits — a decimal's or an escape's — in prev. A raw chunk
 // is one column. A rollup tier chunk is rollupStride of them — a
 // window's sum is predicted by the previous window's sum, not by the count
-// written beside it — and their state lives once per open tier (tierState),
-// not in the Chunk: a sealed chunk needs none.
+// written beside it. The state, and the timestamp delta the next record's
+// delta-of-delta is taken against, live with the chunk list's owner
+// (storedSeries, tierState) and are zeroed when a chunk opens: a sealed
+// chunk needs none of it.
 type colState struct {
 	last     uint64
 	prev     uint64
@@ -101,21 +106,19 @@ func (c *Chunk) FirstTime() int64 { return c.firstT }
 // LastTime returns the timestamp of the most recent sample.
 func (c *Chunk) LastTime() int64 { return c.lastT }
 
-// Append adds a sample; timestamps must strictly increase.
-func (c *Chunk) Append(t int64, v float64) error { return c.append(t, v, &c.x, c.dec, nil) }
-
-// append adds a sample whose value is coded against column state x, as a
-// decimal when dec is set, and — among the chunk's first costedRecords —
-// costs it in the other code too on cc, unless cc is nil.
-func (c *Chunk) append(t int64, v float64, x *colState, dec bool, cc *codeCost) error {
+// append adds a sample whose value is coded against column x and whose
+// timestamp against delta, the last one's delta, both of which it advances,
+// and — among the chunk's first costedRecords — costs it in the other code
+// too on cc, unless cc is nil.
+func (c *Chunk) append(t int64, v float64, delta *int64, x *colState, cc *codeCost) error {
 	n := headerValueBits
 	switch c.count {
 	case 0:
 		// The header: the first timestamp, 8 bytes; a Gorilla column's first
 		// value follows as 8 more, a decimal column's is coded in the stream.
 		c.w.buf = binary.BigEndian.AppendUint64(c.w.buf, uint64(t))
-		if dec {
-			n = c.put(0, 0, v, x, true)
+		if c.dec {
+			n = c.put(0, 0, v, x)
 		} else {
 			x.last = math.Float64bits(v)
 			c.w.buf = binary.BigEndian.AppendUint64(c.w.buf, x.last)
@@ -125,43 +128,43 @@ func (c *Chunk) append(t int64, v float64, x *colState, dec bool, cc *codeCost) 
 		if t <= c.lastT {
 			return errors.New("timeseries: out-of-order append")
 		}
-		delta := t - c.lastT
+		d := t - c.lastT
 		// First delta: 14 bits would overflow for sparse series, so
 		// '0' + 14 bits for deltas < 2^14, else '1' + 35 bits. uint64 of
 		// the difference is the true gap even where it wraps an int64.
 		switch {
-		case uint64(delta) >= maxFirstDelta:
+		case uint64(d) >= maxFirstDelta:
 			return ErrFirstDelta
-		case delta < 1<<14:
-			n = c.put(uint64(delta), 15, v, x, dec)
+		case d < 1<<14:
+			n = c.put(uint64(d), 15, v, x)
 		default:
-			n = c.put(1<<35|uint64(delta), 36, v, x, dec)
+			n = c.put(1<<35|uint64(d), 36, v, x)
 		}
-		c.delta = delta
+		*delta = d
 	default:
 		if t <= c.lastT {
 			return errors.New("timeseries: out-of-order append")
 		}
-		delta := t - c.lastT
-		dod := delta - c.delta
-		c.delta = delta
+		d := t - c.lastT
+		dod := d - *delta
+		*delta = d
 		switch {
 		case dod == 0:
-			n = c.put(0, 1, v, x, dec)
+			n = c.put(0, 1, v, x)
 		case dod >= -63 && dod <= 64:
-			n = c.put(0b10<<7|uint64(dod+63), 9, v, x, dec)
+			n = c.put(0b10<<7|uint64(dod+63), 9, v, x)
 		case dod >= -255 && dod <= 256:
-			n = c.put(0b110<<9|uint64(dod+255), 12, v, x, dec)
+			n = c.put(0b110<<9|uint64(dod+255), 12, v, x)
 		case dod >= -2047 && dod <= 2048:
-			n = c.put(0b1110<<12|uint64(dod+2047), 16, v, x, dec)
+			n = c.put(0b1110<<12|uint64(dod+2047), 16, v, x)
 		default:
 			c.w.writeBits(0b1111, 4)
 			c.w.writeBits(uint64(dod), 64)
-			n = c.put(0, 0, v, x, dec)
+			n = c.put(0, 0, v, x)
 		}
 	}
 	if cc != nil && c.count < costedRecords {
-		cc.add(v, dec, n, c.count == 0)
+		cc.add(v, c.dec, n, c.count == 0)
 	}
 	c.lastT = t
 	c.count++
@@ -180,21 +183,30 @@ func (c *Chunk) trimIfFull(limit int) {
 }
 
 // appendGroup appends one rollup window: rollupStride records stamped t0,
-// t0+1, …, record col coded against pred[col] — exactly the bytes rollupStride
-// append calls would produce. The first two records take the general path (a
-// chunk header or a delta-of-delta against the previous window, then the delta
-// of 1); from the third on the delta-of-delta is zero, so each costs its '0'
-// bit fused into the value's code and no timestamp arithmetic.
-func (c *Chunk) appendGroup(t0 int64, vals *[rollupStride]float64, pred *[rollupStride]colState) error {
-	if err := c.append(t0, vals[colCount], &pred[colCount], c.dec, nil); err != nil {
+// t0+1, …, record col coded against pred[col] and the first record's
+// timestamp against delta. The first two records take the general path (a
+// chunk header or a delta-of-delta against the previous window, then the
+// delta of 1); from the third on the delta-of-delta is zero, so each costs
+// its '0' bit fused into the value's code and no timestamp arithmetic — the
+// bytes rollupStride append calls would produce. In a oneSample chunk a
+// window of count 1 stops after its sum and its first offset: its min, max,
+// first and last value are the sum and its last offset the first
+// (tierState.appendWindow refuses a window where they are not), so they take
+// no bits and their columns' predictors stay put.
+func (c *Chunk) appendGroup(t0 int64, vals *[rollupStride]float64, pred *[rollupStride]colState, delta *int64) error {
+	if err := c.append(t0, vals[colCount], delta, &pred[colCount], nil); err != nil {
 		return err
 	}
-	if err := c.append(t0+colSum, vals[colSum], &pred[colSum], c.dec, nil); err != nil {
+	if err := c.append(t0+colSum, vals[colSum], delta, &pred[colSum], nil); err != nil {
 		return err
 	}
 	const head = 2
-	for col := head; col < rollupStride; col++ {
-		c.put(0, 1, vals[col], &pred[col], c.dec)
+	if c.oneSample && vals[colCount] == 1 {
+		c.put(0, 1, vals[colFirstT], &pred[colFirstT])
+	} else {
+		for col := head; col < rollupStride; col++ {
+			c.put(0, 1, vals[col], &pred[col])
+		}
 	}
 	c.lastT += rollupStride - head
 	c.count += rollupStride - head
@@ -202,14 +214,14 @@ func (c *Chunk) appendGroup(t0 int64, vals *[rollupStride]float64, pred *[rollup
 }
 
 // put appends the low npre bits of pre — the timestamp's control prefix and
-// payload, at most 36 bits — followed by v's code against column x (decimal
-// when dec is set, else XOR), which it advances, and returns the bits the
-// value took. The prefix, the value's control bits and, where they fit in a
-// word, its payload go down as one writeBits call.
-func (c *Chunk) put(pre uint64, npre uint8, v float64, x *colState, dec bool) int {
+// payload, at most 36 bits — followed by v's code against column x in the
+// chunk's value code, which it advances, and returns the bits the value took.
+// The prefix, the value's control bits and, where they fit in a word, its
+// payload go down as one writeBits call.
+func (c *Chunk) put(pre uint64, npre uint8, v float64, x *colState) int {
 	var ctl, pay uint64
 	var nctl, npay uint8
-	if dec {
+	if c.dec {
 		ctl, nctl, pay, npay = x.decimalCode(v)
 	} else {
 		ctl, nctl, pay, npay = x.xorCode(v)
@@ -400,7 +412,7 @@ func openRaw(cc *codeCost, v float64, fresh bool) bool {
 // Iter returns an iterator over the chunk's samples.
 func (c *Chunk) Iter() *ChunkIter {
 	it := &ChunkIter{}
-	it.reset(c.w.bytes(), c.count, false, c.dec)
+	it.reset(c.w.bytes(), c.count, false, c.dec, false)
 	return it
 }
 
@@ -423,20 +435,28 @@ type ChunkIter struct {
 
 	// cols is the coder state per value column and record idx belongs to
 	// column idx&mask: one column for a raw chunk (mask 0), rollupStride for a
-	// tier chunk, which always opens on a window's first record. dec is the
-	// chunk's code (Chunk.dec).
-	cols [rollupStride]colState
-	mask int
-	dec  bool
+	// tier chunk, which always opens on a window's first record. dec and
+	// oneSample are the chunk's code and layout (Chunk.dec, Chunk.oneSample).
+	cols      [rollupStride]colState
+	mask      int
+	dec       bool
+	oneSample bool
+
+	// single says the window being decoded is a oneSample chunk's window of
+	// count 1, whose records past its sum repeat oneV, the sum, and oneT, its
+	// first offset, once decoded.
+	single     bool
+	oneV, oneT float64
 
 	err error
 }
 
 // reset points the iterator at a chunk's bitstream holding count records —
 // a raw chunk's, or a rollup tier chunk's when tier is set — decimal-coded
-// when dec is set, clearing all decode state so the iterator can be reused.
-func (it *ChunkIter) reset(buf []byte, count int, tier bool, dec bool) {
-	*it = ChunkIter{r: bitReader{buf: buf}, remaining: count, dec: dec}
+// when dec is set and in the one-sample window layout when oneSample is,
+// clearing all decode state so the iterator can be reused.
+func (it *ChunkIter) reset(buf []byte, count int, tier, dec, oneSample bool) {
+	*it = ChunkIter{r: bitReader{buf: buf}, remaining: count, dec: dec, oneSample: oneSample}
 	if tier {
 		it.mask = rollupStride - 1
 	}
@@ -473,6 +493,24 @@ func (it *ChunkIter) NextBlock(ts []int64, vs []float64) int {
 	return n
 }
 
+// implied hands out record col of a oneSample tier chunk's window of count 1
+// that the stream leaves out (Chunk.appendGroup), one stamp past the record
+// before it: min, max, first and last value repeat the window's sum, and the
+// last offset its first.
+func (it *ChunkIter) implied(col int) bool {
+	switch col {
+	case colFirstV:
+		it.oneT, it.v = it.v, it.oneV
+	case colLastT:
+		it.v = it.oneT
+	case colLastV:
+		it.v = it.oneV
+	} // min and max: v still holds the sum
+	it.t++
+	it.idx++
+	return true
+}
+
 // next decodes one record into t and v; the caller has checked that one is
 // left and that err is nil. Past the header, a record's delta-of-delta and
 // value control bits (at most 16 + 13) are read off one refilled word, each
@@ -480,6 +518,17 @@ func (it *ChunkIter) NextBlock(ts []int64, vs []float64) int {
 // delta-of-delta and a wide significand take readBits, which refills.
 func (it *ChunkIter) next() bool {
 	col := it.idx & it.mask
+	if it.oneSample { // the window's count, sum and first offset are read below
+		switch {
+		case col == colSum:
+			it.single = it.v == 1 // v holds the count
+		case !it.single || col < colSum:
+		case col == colFirstT:
+			it.oneV = it.v // the sum, which min and max left in v
+		default:
+			return it.implied(col)
+		}
+	}
 	x := &it.cols[col]
 	r := &it.r
 	switch it.idx {

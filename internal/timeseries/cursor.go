@@ -30,7 +30,8 @@ type cursor struct {
 	est       int      // upper bound on matching samples (sum of chunk counts)
 	tail      []byte   // private copy of the open chunk's bitstream
 	tailCount int
-	tailDec   bool // the open chunk's code
+	tailDec   bool // the open chunk's code and layout
+	tailOne   bool
 	hasTail   bool
 
 	pos int       // next sealed chunk to open
@@ -97,7 +98,7 @@ func (cur *cursor) snapshotChunks(chunks []*Chunk, sealCap int) {
 		// lock so iteration races no concurrent append.
 		cur.tail = append(cur.tail[:0], c.w.buf...)
 		cur.tailCount = c.Count()
-		cur.tailDec = c.dec
+		cur.tailDec, cur.tailOne = c.dec, c.oneSample
 		cur.hasTail = true
 	}
 }
@@ -195,12 +196,12 @@ func (cur *cursor) openNext() bool {
 	if cur.pos < len(cur.sealed) {
 		c := cur.sealed[cur.pos]
 		cur.pos++
-		cur.it.reset(c.w.bytes(), c.Count(), cur.tier, c.dec)
+		cur.it.reset(c.w.bytes(), c.Count(), cur.tier, c.dec, c.oneSample)
 		return true
 	}
 	if cur.hasTail {
 		cur.hasTail = false
-		cur.it.reset(cur.tail, cur.tailCount, cur.tier, cur.tailDec)
+		cur.it.reset(cur.tail, cur.tailCount, cur.tier, cur.tailDec, cur.tailOne)
 		return true
 	}
 	return false

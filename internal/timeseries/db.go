@@ -76,6 +76,8 @@ type storedSeries struct {
 	unit    metric.Unit
 	refIdx  uint32 // slot in Store.refSeries; set once under regMu at registration
 	chunks  []*Chunk
+	x       colState      // the open raw chunk's value column
+	delta   int64         // and its last timestamp delta
 	cost    codeCost      // the open raw chunk's two codes, weighed (openRaw)
 	last    metric.Sample // cached most recent sample, valid when hasLast
 	hasLast bool
@@ -168,8 +170,9 @@ func (ss *storedSeries) append(s *Store, t int64, v float64, tally *ingestTally)
 	ss.chunks = chunks
 	if c.count == 0 {
 		c.dec = openRaw(&ss.cost, v, len(chunks) == 1)
+		ss.x = colState{}
 	}
-	if err := c.append(t, v, &c.x, c.dec, &ss.cost); err != nil {
+	if err := c.append(t, v, &ss.delta, &ss.x, &ss.cost); err != nil {
 		return err
 	}
 	c.trimIfFull(s.chunkSize)

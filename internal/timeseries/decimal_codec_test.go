@@ -140,11 +140,15 @@ func TestGenDecimalCorpus(t *testing.T) {
 func decimalChunks(t *testing.T, samples []metric.Sample, limit int) []*Chunk {
 	t.Helper()
 	var chunks []*Chunk
+	var x colState
+	var delta int64
 	for _, sm := range samples {
 		var c *Chunk
 		chunks, c = nextChunk(chunks, limit, sm.T)
-		c.dec = true
-		if err := c.Append(sm.T, sm.V); err != nil {
+		if c.count == 0 {
+			c.dec, x = true, colState{}
+		}
+		if err := c.append(sm.T, sm.V, &delta, &x, nil); err != nil {
 			t.Fatalf("Append(%d, %016x): %v", sm.T, math.Float64bits(sm.V), err)
 		}
 	}
@@ -156,13 +160,13 @@ func decimalChunks(t *testing.T, samples []metric.Sample, limit int) []*Chunk {
 func decodeBoth(t *testing.T, buf []byte, count int, tier, dec bool, block int) ([]metric.Sample, error) {
 	t.Helper()
 	var it ChunkIter
-	it.reset(buf, count, tier, dec)
+	it.reset(buf, count, tier, dec, false)
 	var byNext []metric.Sample
 	for it.Next() {
 		byNext = append(byNext, it.At())
 	}
 	errNext := it.Err()
-	it.reset(buf, count, tier, dec)
+	it.reset(buf, count, tier, dec, false)
 	var byBlock []metric.Sample
 	ts, vs := make([]int64, block), make([]float64, block)
 	for n := it.NextBlock(ts, vs); n > 0; n = it.NextBlock(ts, vs) {
@@ -239,7 +243,7 @@ func checkDecimalStream(t *testing.T, cd ChunkDump, tier bool, want []metric.Sam
 	}
 	var it ChunkIter
 	c := chunks[0]
-	it.reset(c.w.bytes(), c.count, tier, c.dec)
+	it.reset(c.w.bytes(), c.count, tier, c.dec, c.oneSample)
 	var back []metric.Sample
 	for it.Next() {
 		back = append(back, it.At())
@@ -276,6 +280,7 @@ func FuzzDecimalChunkRoundTrip(f *testing.F) {
 		tc := NewChunk()
 		tc.dec = true
 		var pred [rollupStride]colState
+		var delta int64
 		var want []metric.Sample
 		for w := 0; (w+1)*rollupStride <= len(samples); w++ {
 			var vals [rollupStride]float64
@@ -283,7 +288,7 @@ func FuzzDecimalChunkRoundTrip(f *testing.F) {
 				vals[col] = samples[w*rollupStride+col].V
 				want = append(want, metric.Sample{T: int64(w*rollupStride + col), V: vals[col]})
 			}
-			if err := tc.appendGroup(int64(w*rollupStride), &vals, &pred); err != nil {
+			if err := tc.appendGroup(int64(w*rollupStride), &vals, &pred, &delta); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -297,8 +302,7 @@ func FuzzDecimalChunkRoundTrip(f *testing.F) {
 // its bits and leaves the column's mantissa as it was, so the walk after it
 // codes its deltas from where it stood; every special comes back bit for bit.
 func TestDecimalEscapesKeepTheMantissa(t *testing.T) {
-	c := NewChunk()
-	c.dec = true
+	c := newRawChunk(true)
 	want := []metric.Sample{{T: 0, V: 20.5}}
 	for i, v := range decimalSpecials {
 		want = append(want, metric.Sample{T: int64(2*i + 1), V: v}, metric.Sample{T: int64(2*i + 2), V: 20.5 + float64(i+1)/10})
@@ -329,11 +333,10 @@ func TestCodeCostMatchesBothCodes(t *testing.T) {
 			samples = samples[:costedRecords]
 		}
 		for _, dec := range []bool{false, true} {
-			c, other := NewChunk(), NewChunk()
-			c.dec, other.dec = dec, !dec
+			c, other := newRawChunk(dec), newRawChunk(!dec)
 			var cc codeCost
 			for _, sm := range samples {
-				if err := c.append(sm.T, sm.V, &c.x, dec, &cc); err != nil {
+				if err := c.append(sm.T, sm.V, &c.delta, &c.x, &cc); err != nil {
 					t.Fatal(err)
 				}
 				if err := other.Append(sm.T, sm.V); err != nil {
@@ -341,7 +344,7 @@ func TestCodeCostMatchesBothCodes(t *testing.T) {
 				}
 			}
 			bitsOf := func(c *Chunk) int { return 8*len(c.w.buf) - int(c.w.nbits) }
-			dcmBits, gorBits := bitsOf(c), bitsOf(other)
+			dcmBits, gorBits := bitsOf(c.Chunk), bitsOf(other.Chunk)
 			if !dec {
 				dcmBits, gorBits = gorBits, dcmBits
 			}

@@ -9,13 +9,17 @@ import (
 )
 
 // ChunkDump is one compressed chunk lifted out of a store: the bitstream
-// payload plus what decoding it needs, the sample count and the value code
-// (Decimal set, or Gorilla). The bytes are exactly what the in-memory chunk
-// holds, so dumping is a copy, not a re-encode.
+// payload plus what decoding it needs, the sample count, the value code
+// (Decimal set, or Gorilla) and, for a tier chunk, the layout (OneSample
+// set: a window of count 1 codes its count, sum and first offset alone; or
+// every window its whole group, as in snapshots before v5). The bytes are
+// exactly what the in-memory chunk holds, so dumping is a copy, not a
+// re-encode.
 type ChunkDump struct {
-	Count   int
-	Decimal bool
-	Data    []byte
+	Count     int
+	Decimal   bool
+	OneSample bool
+	Data      []byte
 }
 
 // TierDump is one rollup tier's persisted state: the resolution, the
@@ -68,7 +72,7 @@ func dumpChunks(chunks []*Chunk) []ChunkDump {
 		if c.Count() == 0 {
 			continue
 		}
-		out = append(out, ChunkDump{Count: c.Count(), Decimal: c.dec, Data: append([]byte(nil), c.w.bytes()...)})
+		out = append(out, ChunkDump{Count: c.Count(), Decimal: c.dec, OneSample: c.oneSample, Data: append([]byte(nil), c.w.bytes()...)})
 	}
 	return out
 }
@@ -94,7 +98,8 @@ func RestoreStore(chunkSize int, dump []SeriesDump, opts ...Option) (*Store, err
 			if i < len(sd.Chunks)-1 {
 				cc = nil
 			}
-			c, lastT, n, err := restoreChunk(cd, ss.last.T, ss.hasLast, nil, cc)
+			var x [1]colState
+			c, lastT, n, err := restoreChunk(cd, ss.last.T, ss.hasLast, &ss.delta, x[:], cc)
 			if err != nil {
 				return nil, fmt.Errorf("timeseries: restore %s: %w", key, err)
 			}
@@ -102,6 +107,7 @@ func RestoreStore(chunkSize int, dump []SeriesDump, opts ...Option) (*Store, err
 				continue
 			}
 			ss.chunks = append(ss.chunks, c)
+			ss.x = x[0]
 			ss.last = metric.Sample{T: lastT, V: n}
 			ss.hasLast = true
 		}
@@ -115,7 +121,7 @@ func RestoreStore(chunkSize int, dump []SeriesDump, opts ...Option) (*Store, err
 			var lastT int64
 			hasLast := false
 			for _, cd := range td.Chunks {
-				c, lt, _, err := restoreChunk(cd, lastT, hasLast, &ts.pred, nil)
+				c, lt, _, err := restoreChunk(cd, lastT, hasLast, &ts.delta, ts.pred[:], nil)
 				if err != nil {
 					return nil, fmt.Errorf("timeseries: restore %s[tier %d]: %w", key, td.Step, err)
 				}
@@ -151,55 +157,68 @@ func RestoreStore(chunkSize int, dump []SeriesDump, opts ...Option) (*Store, err
 // restoreChunk rebuilds one dumped chunk through the codec, a decoded block
 // at a time, verifying the re-encoded bytes match the dump and that
 // timestamps continue the series' monotonic order. The values are
-// re-encoded in the code the dump names (ChunkDump.Decimal), so a chunk that
-// decodes but is not what the encoder writes for its values — a decimal
-// where an escape stands, a delta in a wider class than it needs — fails
-// here. Returns the chunk (nil for an empty dump), its last timestamp
-// and last value; the caller names the chunk in an error. A non-nil pred
-// makes it a rollup tier's chunk: whole window groups, each record re-encoded
-// against its column of pred, which is left as the chunk's closing predictor
-// — the tier's, if this is its last chunk. A raw chunk's cc, unless nil, is
-// left weighing its two codes the way the live append did, so the chunk after
-// a restored one opens in the code the dumped store would have chosen.
-func restoreChunk(cd ChunkDump, lastT int64, hasLast bool, pred *[rollupStride]colState, cc *codeCost) (*Chunk, int64, float64, error) {
+// re-encoded in the code and layout the dump names (ChunkDump.Decimal,
+// ChunkDump.OneSample), so a chunk that decodes but is not what the encoder
+// writes for its values — a decimal where an escape stands, a delta in a
+// wider class than it needs — fails here. Returns the chunk (nil for an empty
+// dump), its last timestamp and last value; the caller names the chunk in an
+// error. cols is the coder's value columns: one for a raw chunk, re-encoded
+// sample by sample, or rollupStride for a rollup tier's, whole window groups
+// re-encoded through Chunk.appendGroup. restoreChunk leaves in cols and delta
+// the chunk's closing coder state — the series' or the tier's, if this is
+// its last chunk. A raw chunk's cc, unless nil, is left weighing its two
+// codes the way the live append did, so the chunk after a restored one opens
+// in the code the dumped store would have chosen.
+func restoreChunk(cd ChunkDump, lastT int64, hasLast bool, delta *int64, cols []colState, cc *codeCost) (*Chunk, int64, float64, error) {
 	if cd.Count == 0 {
 		return nil, 0, 0, nil
+	}
+	tier := len(cols) == rollupStride
+	if tier && cd.Count%rollupStride != 0 {
+		return nil, 0, 0, fmt.Errorf("%d records are not whole window groups", cd.Count)
+	}
+	if cd.OneSample && !tier {
+		return nil, 0, 0, fmt.Errorf("a raw chunk in the one-sample window layout")
 	}
 	c := NewChunk()
 	// The re-encode must reproduce cd.Data, so its length is the buffer's;
 	// the word-wide writer wants eight bytes of room past the last bit.
 	c.w.buf = make([]byte, 0, len(cd.Data)+8)
-	c.dec = cd.Decimal
-	x := &c.x
+	c.dec, c.oneSample = cd.Decimal, cd.OneSample
+	clear(cols)
+	*delta = 0
 	if cc != nil {
 		*cc = codeCost{}
 	}
-	if pred != nil {
-		if cd.Count%rollupStride != 0 {
-			return nil, 0, 0, fmt.Errorf("%d records are not whole window groups", cd.Count)
-		}
-		*pred = [rollupStride]colState{}
-	}
 	var it ChunkIter
-	it.reset(cd.Data, cd.Count, pred != nil, cd.Decimal)
+	it.reset(cd.Data, cd.Count, tier, cd.Decimal, cd.OneSample)
 	var ts [blockLen]int64
 	var vs [blockLen]float64
+	var group [rollupStride]float64
 	var lastV float64
+	records := 0
 	for n := it.NextBlock(ts[:], vs[:]); n > 0; n = it.NextBlock(ts[:], vs[:]) {
 		for i, t := range ts[:n] {
 			if hasLast && t <= lastT {
 				return nil, 0, 0, fmt.Errorf("non-monotonic chunk sequence (%d <= %d)", t, lastT)
 			}
-			if pred != nil {
-				col := c.count % rollupStride
+			if !tier {
+				if err := c.append(t, vs[i], delta, &cols[0], cc); err != nil {
+					return nil, 0, 0, err
+				}
+			} else {
+				col := records % rollupStride
 				if col == 0 && floorMod(t, rollupStride) != 0 || col > 0 && t != lastT+1 {
 					return nil, 0, 0, fmt.Errorf("rollup stream misaligned at %d", t)
 				}
-				x = &pred[col]
+				group[col] = vs[i]
+				if col == rollupStride-1 {
+					if err := c.appendGroup(t-(rollupStride-1), &group, (*[rollupStride]colState)(cols), delta); err != nil {
+						return nil, 0, 0, err
+					}
+				}
 			}
-			if err := c.append(t, vs[i], x, c.dec, cc); err != nil {
-				return nil, 0, 0, err
-			}
+			records++
 			lastT, hasLast, lastV = t, true, vs[i]
 		}
 	}

@@ -16,9 +16,8 @@ func SeriesCodeBytes(s *Store) map[string]CodeBytes {
 		defer ss.mu.RUnlock()
 		var cb CodeBytes
 		for _, c := range ss.chunks {
-			g := NewChunk()
-			it := c.Iter()
-			for it.Next() {
+			g := newRawChunk(false)
+			for it := c.Iter(); it.Next(); {
 				_ = g.Append(it.t, it.v)
 			}
 			cb.Actual += c.Bytes()
@@ -28,14 +27,16 @@ func SeriesCodeBytes(s *Store) map[string]CodeBytes {
 		for _, ts := range ss.tiers {
 			for _, c := range ts.chunks {
 				g := NewChunk()
+				g.oneSample = c.oneSample
 				var pred [rollupStride]colState
+				var delta int64
 				var vals [rollupStride]float64
 				var it ChunkIter
-				it.reset(c.w.bytes(), c.count, true, c.dec)
+				it.reset(c.w.bytes(), c.count, true, c.dec, c.oneSample)
 				for i := 0; it.Next(); i++ {
 					vals[i%rollupStride] = it.v
 					if i%rollupStride == rollupStride-1 {
-						_ = g.appendGroup(it.t-(rollupStride-1), &vals, &pred)
+						_ = g.appendGroup(it.t-(rollupStride-1), &vals, &pred, &delta)
 					}
 				}
 				cb.Actual += c.Bytes()

@@ -55,7 +55,7 @@ func TestStoreKeepsSampleAfterWideGap(t *testing.T) {
 // TestChunkRefusesWideFirstDelta: the codec itself refuses what it cannot
 // represent, leaves the chunk as it was, and still takes a sample that fits.
 func TestChunkRefusesWideFirstDelta(t *testing.T) {
-	c := NewChunk()
+	c := newRawChunk(false)
 	if err := c.Append(1000, 1); err != nil {
 		t.Fatal(err)
 	}

@@ -86,10 +86,15 @@ func FuzzBitstreamRoundTrip(f *testing.F) {
 		// sample and the gap does not fit its first-delta field — in a
 		// fresh one, which is the store's rule (nextChunk).
 		var chunks []*Chunk
+		var x colState
+		var delta int64
 		for _, sm := range samples {
 			var c *Chunk
 			chunks, c = nextChunk(chunks, len(samples), sm.T)
-			if err := c.Append(sm.T, sm.V); err != nil {
+			if c.count == 0 {
+				x = colState{}
+			}
+			if err := c.append(sm.T, sm.V, &delta, &x, nil); err != nil {
 				t.Fatalf("Append(%d, %x): %v", sm.T, math.Float64bits(sm.V), err)
 			}
 		}

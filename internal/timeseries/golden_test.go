@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/metric"
@@ -103,7 +104,7 @@ func sha256Hex(parts ...[]byte) string {
 // byte-at-a-time writer at the commit before PR 14.
 func TestChunkBytesGolden(t *testing.T) {
 	for _, g := range goldenStreams() {
-		c := NewChunk()
+		c := newRawChunk(false)
 		for _, sm := range g.samples {
 			if err := c.Append(sm.T, sm.V); err != nil {
 				t.Fatalf("%s: Append(%d): %v", g.name, sm.T, err)
@@ -140,8 +141,7 @@ var decimalChunksSHA256 = map[string]string{
 
 func TestDecimalChunkBytesGolden(t *testing.T) {
 	for _, g := range goldenStreams() {
-		c := NewChunk()
-		c.dec = true
+		c := newRawChunk(true)
 		for _, sm := range g.samples {
 			if err := c.Append(sm.T, sm.V); err != nil {
 				t.Fatalf("%s: Append(%d): %v", g.name, sm.T, err)
@@ -158,26 +158,39 @@ func TestDecimalChunkBytesGolden(t *testing.T) {
 }
 
 // tierChunksSHA256 is the hash of every 1m and 1h tier chunk, in order, of a
-// series fed the "walk" stream for 25 hours — sealed window groups as the
-// rollup path writes them, including groups that open a chunk and groups
-// that follow one — by value code. "gorilla" is the tiers of a series whose
-// raw chunks are Gorilla-coded, pinned when tier chunks moved to the
+// series fed the "walk" stream — sealed window groups as the rollup path
+// writes them, including groups that open a chunk and groups that follow one
+// — by value code and cadence. "gorilla" is the tiers of a series whose raw
+// chunks are Gorilla-coded, pinned when tier chunks moved to the
 // column-predicted layout (snapshot v3): the bytes a v3 restore re-encodes
 // through. "decimal" is the tiers the store writes for this walk, whose raw
-// chunks are decimal-coded (snapshot v4).
+// chunks are decimal-coded (snapshot v4). At the walk's 10 s cadence every
+// window holds several samples, so neither moved with the one-sample window
+// layout (snapshot v5); the "-60s" hashes are the same walk, a sample a
+// minute, where every 1m window holds one, pinned with that layout.
 var tierChunksSHA256 = map[string]string{
-	"gorilla": "b5dc72bf16213da606a13e0721f384cd30172b1afef03fad042f3de3492fc32d",
-	"decimal": "cc46572eb03d95e6632917ad5cbadc3f69d9c1ca2a99e57a29b5a58abe0c3f76",
+	"gorilla":     "b5dc72bf16213da606a13e0721f384cd30172b1afef03fad042f3de3492fc32d",
+	"decimal":     "cc46572eb03d95e6632917ad5cbadc3f69d9c1ca2a99e57a29b5a58abe0c3f76",
+	"gorilla-60s": "33f22f3e586a60eeac52dd0232f85c811e179e594d738978c1cc9a3d859bee93",
+	"decimal-60s": "fb088d9fd8f21965ee6c9418494d489c9335e47d19e42cf65d241dd76dd1e65a",
 }
 
 func TestTierChunkBytesGolden(t *testing.T) {
 	quant := func(v float64) float64 { return math.Round(v*10) / 10 }
 	walk := seededStream(1, 9000, func(rng *rand.Rand, v float64) float64 { return quant(v + (rng.Float64()-0.5)*8) })
-	for code, want := range tierChunksSHA256 {
+	for name, want := range tierChunksSHA256 {
+		code, cadence, _ := strings.Cut(name, "-")
+		samples := walk
+		if cadence == "60s" {
+			samples = make([]metric.Sample, len(walk))
+			for i, sm := range walk {
+				samples[i] = metric.Sample{T: walk[0].T + int64(i)*60_000, V: sm.V}
+			}
+		}
 		s := NewStore(0, WithRollups(TierStep1m, TierStep1h))
 		id := metric.ID{Name: "node_power_watts", Labels: metric.NewLabels("node", "n0")}
 		if code == "decimal" {
-			for _, sm := range walk {
+			for _, sm := range samples {
 				if err := s.Append(id, metric.Gauge, metric.UnitWatt, sm.T, sm.V); err != nil {
 					t.Fatal(err)
 				}
@@ -186,7 +199,7 @@ func TestTierChunkBytesGolden(t *testing.T) {
 			// The tiers alone, folded as beside a Gorilla raw chunk.
 			ss := s.getOrCreate(id.Key(), id, metric.Gauge, metric.UnitWatt)
 			var tally ingestTally
-			for _, sm := range walk {
+			for _, sm := range samples {
 				for _, ts := range ss.tiers {
 					if err := ts.fold(s, sm.T, sm.V, false, &tally); err != nil {
 						t.Fatal(err)
@@ -198,18 +211,18 @@ func TestTierChunkBytesGolden(t *testing.T) {
 		windows := 0
 		for _, td := range s.Dump()[0].Tiers {
 			for _, cd := range td.Chunks {
-				if cd.Decimal != (code == "decimal") {
-					t.Fatalf("%s: a tier chunk of the other code", code)
+				if cd.Decimal != (code == "decimal") || !cd.OneSample {
+					t.Fatalf("%s: a tier chunk of the other code, or not in the one-sample window layout", name)
 				}
 				parts = append(parts, cd.Data)
 				windows += cd.Count / rollupStride
 			}
 		}
 		if windows < 1500 {
-			t.Fatalf("%s: only %d sealed windows; the stream should seal 1499 minutes and 24 hours", code, windows)
+			t.Fatalf("%s: only %d sealed windows; the stream should seal 1499 minutes and 24 hours", name, windows)
 		}
 		if got := sha256Hex(parts...); got != want {
-			t.Errorf("%s: tier chunk bytes sha256 = %s, want %s", code, got, want)
+			t.Errorf("%s: tier chunk bytes sha256 = %s, want %s", name, got, want)
 		}
 	}
 }

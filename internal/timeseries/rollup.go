@@ -2,6 +2,7 @@ package timeseries
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 )
@@ -16,11 +17,13 @@ import (
 // A record's value is coded against the same column of the previous window
 // in the chunk (Chunk.appendGroup), so a count that repeats, a sum that
 // drifts and a first-sample offset that never moves each cost what they
-// change by, not what the unrelated column beside them holds. A tier chunk
-// takes the value code of the series' open raw chunk when it opens: decimal
-// for a window of decimals — its extremes, first and last are decimals, its
-// count and time offsets integers, and its sum one where the float sum is
-// exact, escaping where it is not — and Gorilla's for a window of floats.
+// change by, not what the unrelated column beside them holds, and a window of
+// one sample — every window of a tier at the raw cadence — codes that sample
+// once: its other columns repeat it. A tier chunk takes the value code of
+// the series' open raw chunk when it opens: decimal for a window of decimals
+// — its extremes, first and last are decimals, its count and time offsets
+// integers, and its sum one where the float sum is exact, escaping where it
+// is not — and Gorilla's for a window of floats.
 // Nothing is weighed for a tier: it seals a window for every raw sample at
 // its own cadence, and choosing its code must cost less than writing it.
 //
@@ -79,10 +82,12 @@ type tierState struct {
 	step   int64
 	chunks []*Chunk
 	acc    RollupAcc
-	// pred is the column predictor of the tier's last chunk — what the next
-	// sealed window is coded against — and is zeroed when a chunk opens, so
-	// every chunk decodes on its own.
-	pred [rollupStride]colState
+	// pred and delta are the coder state of the tier's last chunk — the
+	// column predictors the next sealed window's values are coded against,
+	// and the timestamp delta its first record's is — and are zeroed when a
+	// chunk opens, so every chunk decodes on its own.
+	pred  [rollupStride]colState
+	delta int64
 }
 
 // tierChunkCap is how many records a tier chunk holds before rolling over:
@@ -252,20 +257,36 @@ func (ts *tierState) seal(s *Store, raw bool, tally *ingestTally) error {
 // limit records. limit is a whole number of groups, so only a group's first
 // record can open a chunk — which is what lets a decoder tell a record's
 // column from its position — and a chunk that opens starts from a zero
-// predictor, decimal-coded when raw is set.
+// coder state, in the one-sample window layout (Chunk.oneSample), and
+// decimal-coded when raw is set. A window of count 1 whose other columns do
+// not repeat its sample, which no fold seals, is refused: that layout codes
+// the sample once.
 func (ts *tierState) appendWindow(limit int, win int64, vals *[rollupStride]float64, raw bool) error {
+	if vals[colCount] == 1 && !oneSampleWindow(vals) {
+		return fmt.Errorf("window %d: count 1, but its columns are not one sample's", win)
+	}
 	base := win * rollupStride
 	chunks, c := nextChunk(ts.chunks, limit, base)
 	ts.chunks = chunks
 	if c.count == 0 {
-		ts.pred = [rollupStride]colState{}
-		c.dec = raw
+		ts.pred, ts.delta = [rollupStride]colState{}, 0
+		c.dec, c.oneSample = raw, true
 	}
-	if err := c.appendGroup(base, vals, &ts.pred); err != nil {
+	if err := c.appendGroup(base, vals, &ts.pred, &ts.delta); err != nil {
 		return err
 	}
 	c.trimIfFull(limit)
 	return nil
+}
+
+// oneSampleWindow reports whether a window's min, max, first and last value
+// are its sum, and its last offset its first, bit for bit: what the fold
+// seals for a window of one sample.
+func oneSampleWindow(vals *[rollupStride]float64) bool {
+	v, t := math.Float64bits(vals[colSum]), math.Float64bits(vals[colFirstT])
+	return math.Float64bits(vals[colMin]) == v && math.Float64bits(vals[colMax]) == v &&
+		math.Float64bits(vals[colFirstV]) == v && math.Float64bits(vals[colLastV]) == v &&
+		math.Float64bits(vals[colLastT]) == t
 }
 
 // windowOf is the start of the window a tier record stamp belongs to.

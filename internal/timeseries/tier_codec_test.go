@@ -90,6 +90,18 @@ func tierFuzzSeeds() map[string][]byte {
 		}
 		weird = append(weird, g)
 	}
+	// Windows of one sample, as a tier at the raw cadence seals them, the lone
+	// sample a decimal, a NaN payload, -0 or ±Inf; among them a window of six
+	// samples, and one of count 1 whose max is not its sum, which is refused.
+	lone := []float64{20.5, bitsOf(0x7FF8_0000_DEAD_BEEF), math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 20.5, math.NaN(), 0}
+	var single []tierFuzzGroup
+	for i, v := range lone {
+		off := float64(30_000 * (i % 2))
+		single = append(single, tierFuzzGroup{vals: [rollupStride]float64{1, v, v, v, off, v, off, v}})
+		if i == 2 {
+			single = append(single, regular[1], tierFuzzGroup{gap: 2, vals: [rollupStride]float64{1, 7, 7, 8, 0, 7, 0, 7}})
+		}
+	}
 	// The same windows beside a Gorilla-coded raw chunk: the tier columns
 	// Gorilla's XOR codes, as every v3 snapshot's tiers are.
 	gorilla := func(groups []tierFuzzGroup) []tierFuzzGroup {
@@ -100,12 +112,14 @@ func tierFuzzSeeds() map[string][]byte {
 		return out
 	}
 	return map[string][]byte{
-		"seed-regular-cadence":         tierFuzzInput(1_700_000_040_000, 60_000, regular),
-		"seed-odd-bits-gaps":           tierFuzzInput(-86_400_001, 1000, weird),
-		"seed-one-window":              tierFuzzInput(-1, 7, regular[:1]),
-		"seed-constant":                tierFuzzInput(0, 1, []tierFuzzGroup{regular[0], regular[0], regular[0], regular[0]}),
-		"seed-regular-cadence-gorilla": tierFuzzInput(1_700_000_040_000, 60_000, gorilla(regular)),
-		"seed-odd-bits-gaps-gorilla":   tierFuzzInput(-86_400_001, 1000, gorilla(weird)),
+		"seed-regular-cadence":            tierFuzzInput(1_700_000_040_000, 60_000, regular),
+		"seed-odd-bits-gaps":              tierFuzzInput(-86_400_001, 1000, weird),
+		"seed-one-window":                 tierFuzzInput(-1, 7, regular[:1]),
+		"seed-constant":                   tierFuzzInput(0, 1, []tierFuzzGroup{regular[0], regular[0], regular[0], regular[0]}),
+		"seed-regular-cadence-gorilla":    tierFuzzInput(1_700_000_040_000, 60_000, gorilla(regular)),
+		"seed-odd-bits-gaps-gorilla":      tierFuzzInput(-86_400_001, 1000, gorilla(weird)),
+		"seed-one-sample-windows":         tierFuzzInput(1_700_000_040_000, 60_000, single),
+		"seed-one-sample-windows-gorilla": tierFuzzInput(1_700_000_040_000, 60_000, gorilla(single)),
 	}
 }
 
@@ -125,14 +139,33 @@ func TestGenTierCorpus(t *testing.T) {
 	}
 }
 
+// disagrees reports whether a window has count 1 but is not what the fold
+// seals for one sample — its min, max, first and last value the sum's bits,
+// its last offset the first's — which appendWindow must refuse.
+func disagrees(vals *[rollupStride]float64) bool {
+	if vals[colCount] != 1 {
+		return false
+	}
+	b := func(col int) uint64 { return math.Float64bits(vals[col]) }
+	for _, col := range []int{colMin, colMax, colFirstV, colLastV} {
+		if b(col) != b(colSum) {
+			return true
+		}
+	}
+	return b(colLastT) != b(colFirstT)
+}
+
 // FuzzTierGroupRoundTrip drives arbitrary window groups — any eight float64
 // bit patterns, any non-negative gap between windows, window starts either
 // side of the epoch — through the rollup tier's group codec the way seal does
-// (tierState.appendWindow, chunks of two groups) and requires: every record
-// decodes bit for bit with the stamp its window and column give it; the
-// planner's window decoder finds every window start; a dump restores to the
-// same bytes; and the restored tier, predictor included, carries on exactly
-// like the live one.
+// (tierState.appendWindow, chunks of two groups). A window of count 1 whose
+// other columns disagree with its sample (disagrees) must be refused and
+// leave the tier as it was; of every other window, one-sample windows in
+// their one-value layout included, it requires: every record decodes bit for
+// bit with the stamp its window and column give it; the planner's window
+// decoder finds every window start; a dump restores to the same bytes; and
+// the restored tier, predictor included, carries on exactly like the live
+// one.
 func FuzzTierGroupRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	for _, seed := range tierFuzzSeeds() {
@@ -149,13 +182,38 @@ func FuzzTierGroupRoundTrip(f *testing.F) {
 		ts := ss.tiers[0]
 		win := floorDiv(t0, step)
 		var wins []int64
+		var kept []tierFuzzGroup
 		for _, g := range groups {
 			win += g.gap
-			if err := ts.appendWindow(tierChunkCap(s.chunkSize), win, &g.vals, !g.gorilla); err != nil {
-				t.Fatalf("appendWindow(%d): %v", win, err)
+			refuse := disagrees(&g.vals)
+			var before []SeriesDump
+			if refuse {
+				before = s.Dump()
 			}
-			wins = append(wins, win)
+			err := ts.appendWindow(tierChunkCap(s.chunkSize), win, &g.vals, !g.gorilla)
+			switch {
+			case refuse:
+				if err == nil {
+					t.Fatalf("appendWindow(%d) took a window of count 1 whose columns disagree: %x", win, g.vals)
+				}
+				if !reflect.DeepEqual(s.Dump(), before) {
+					t.Fatalf("a refused window changed the tier")
+				}
+			case err != nil:
+				t.Fatalf("appendWindow(%d): %v", win, err)
+			default:
+				wins = append(wins, win)
+				kept = append(kept, g)
+			}
 			win++
+		}
+		if groups = kept; len(groups) == 0 {
+			return
+		}
+		for _, c := range ts.chunks {
+			if !c.oneSample {
+				t.Fatal("a new tier chunk is not in the one-sample window layout")
+			}
 		}
 		if want := (len(groups) + 1) / 2; len(ts.chunks) != want {
 			t.Fatalf("%d windows in %d chunks, want %d", len(groups), len(ts.chunks), want)
@@ -165,7 +223,7 @@ func FuzzTierGroupRoundTrip(f *testing.F) {
 		i := 0
 		for _, c := range ts.chunks {
 			var it ChunkIter
-			it.reset(c.w.bytes(), c.Count(), true, c.dec)
+			it.reset(c.w.bytes(), c.Count(), true, c.dec, c.oneSample)
 			for it.Next() {
 				sm := it.At()
 				g, col := i/rollupStride, i%rollupStride
@@ -226,13 +284,21 @@ func FuzzTierGroupRoundTrip(f *testing.F) {
 }
 
 // tierGateStreams are the streams TestTierSizeGate bounds: the golden test's
-// walk, a counter and a constant, 25 hours at a 10 s cadence.
+// walk, a counter and a constant, 25 hours at a 10 s cadence, and the walk's
+// first 1500 values a minute apart, the cadence of the simulated centre's
+// sensors, where every 1m window holds one sample.
 func tierGateStreams() map[string][]metric.Sample {
 	quant := func(v float64) float64 { return math.Round(v*10) / 10 }
+	walk := seededStream(1, 9000, func(rng *rand.Rand, v float64) float64 { return quant(v + (rng.Float64()-0.5)*8) })
+	walk60 := make([]metric.Sample, 1500)
+	for i := range walk60 {
+		walk60[i] = metric.Sample{T: walk[0].T + int64(i)*60_000, V: walk[i].V}
+	}
 	return map[string][]metric.Sample{
-		"walk":     seededStream(1, 9000, func(rng *rand.Rand, v float64) float64 { return quant(v + (rng.Float64()-0.5)*8) }),
+		"walk":     walk,
 		"counter":  seededStream(2, 9000, func(rng *rand.Rand, v float64) float64 { return quant(v + rng.Float64()*4) }),
 		"constant": seededStream(3, 9000, func(_ *rand.Rand, v float64) float64 { return v }),
+		"walk-60s": walk60,
 	}
 }
 
@@ -241,15 +307,19 @@ func tierGateStreams() map[string][]metric.Sample {
 // one another — more than the 64 B they occupy uncompressed; column prediction
 // brought it under 44 (39.5), and a constant series to a few bits a column
 // (4.7); the decimal column code to 12.0, 13.4 and 3.7 B/window for the walk,
-// the counter and the constant. On none of these streams may either tier take
-// more than the eight bytes a record holds plus a header per chunk.
+// the counter and the constant. The walk a sample a minute took 8.95
+// B/window, every one-sample window coding its sample five times; coded once,
+// 2.9. On none of these streams may either tier take more than the eight
+// bytes a record holds plus a header per chunk.
 func TestTierSizeGate(t *testing.T) {
-	// The column predictors live in tierState, one set per open tier: a Chunk
-	// is allocated per 120 records and must not carry them.
-	if got := unsafe.Sizeof(Chunk{}); got > 96 {
-		t.Errorf("Chunk is %d bytes, was 96", got)
+	// The coder state lives with the chunk list's owner — the column
+	// predictors and the timestamp delta in tierState, the raw column's in
+	// storedSeries — one set per open chunk: a Chunk is allocated per 120
+	// records and must carry none of it.
+	if got := unsafe.Sizeof(Chunk{}); got > 64 {
+		t.Errorf("Chunk is %d bytes, was 64", got)
 	}
-	perWindow := map[string]float64{"walk": 12.5, "counter": 14, "constant": 4}
+	perWindow := map[string]float64{"walk": 12.5, "counter": 14, "constant": 4, "walk-60s": 3}
 	for name, samples := range tierGateStreams() {
 		s := NewStore(0, WithRollups(TierStep1m, TierStep1h))
 		id := metric.ID{Name: name}
@@ -300,7 +370,7 @@ func TestRawSizeGate(t *testing.T) {
 		}
 		gorilla := 0
 		for _, c := range s.lookup(id.Key()).chunks {
-			gc := NewChunk()
+			gc := newRawChunk(false)
 			for it := c.Iter(); it.Next(); {
 				if err := gc.Append(it.t, it.v); err != nil {
 					t.Fatal(err)
@@ -346,6 +416,8 @@ func TestRestoreRefusesInterleavedTierChunks(t *testing.T) {
 	cur := s.newTierCursor(ss, ts, first, last+ts.step)
 	defer cur.Close()
 	var old []*Chunk
+	var x colState
+	var delta int64
 	var w Partial
 	for {
 		start, ok, err := nextRollupPoint(cur, ts.step, &w)
@@ -359,7 +431,10 @@ func TestRestoreRefusesInterleavedTierChunks(t *testing.T) {
 		for col, v := range vals {
 			var c *Chunk
 			old, c = nextChunk(old, tierChunkCap(s.chunkSize), start*rollupStride+int64(col))
-			if err := c.Append(start*rollupStride+int64(col), v); err != nil {
+			if c.count == 0 {
+				x = colState{}
+			}
+			if err := c.append(start*rollupStride+int64(col), v, &delta, &x, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -373,4 +448,22 @@ func TestRestoreRefusesInterleavedTierChunks(t *testing.T) {
 		t.Fatalf("RestoreStore of interleaved tier chunks = %v, want a tier chunk error", err)
 	}
 	t.Log(err)
+}
+
+// TestRestoreRefusesOneSampleRawChunk: the one-sample window layout belongs
+// to tier chunks; a dump that tags a raw chunk with it is refused, not
+// decoded as something else.
+func TestRestoreRefusesOneSampleRawChunk(t *testing.T) {
+	s := NewStore(0)
+	id := metric.ID{Name: "power"}
+	for i := 0; i < 10; i++ {
+		if err := s.Append(id, metric.Gauge, metric.UnitWatt, int64(i)*60_000, float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dump := s.Dump()
+	dump[0].Chunks[0].OneSample = true
+	if _, err := RestoreStore(s.ChunkSize(), dump); err == nil || !strings.Contains(err.Error(), "one-sample") {
+		t.Fatalf("RestoreStore of a raw chunk in the one-sample window layout = %v, want a refusal", err)
+	}
 }

@@ -51,9 +51,27 @@ func TestBitStream64(t *testing.T) {
 	}
 }
 
+// rawChunk is a raw Chunk with the coder state its series would keep beside
+// it (storedSeries.x, storedSeries.delta), for tests that write one directly.
+type rawChunk struct {
+	*Chunk
+	x     colState
+	delta int64
+}
+
+// newRawChunk returns an empty raw chunk, decimal-coded when dec is set.
+func newRawChunk(dec bool) *rawChunk {
+	c := &rawChunk{Chunk: NewChunk()}
+	c.dec = dec
+	return c
+}
+
+// Append adds a sample; timestamps must strictly increase.
+func (c *rawChunk) Append(t int64, v float64) error { return c.append(t, v, &c.delta, &c.x, nil) }
+
 func chunkRoundTrip(t *testing.T, samples []metric.Sample) {
 	t.Helper()
-	c := NewChunk()
+	c := newRawChunk(false)
 	for _, sm := range samples {
 		if err := c.Append(sm.T, sm.V); err != nil {
 			t.Fatalf("append(%d, %v): %v", sm.T, sm.V, err)
@@ -96,7 +114,7 @@ func TestChunkRoundTripConstantValues(t *testing.T) {
 	for i := range samples {
 		samples[i] = metric.Sample{T: int64(i) * 60000, V: 42}
 	}
-	c := NewChunk()
+	c := newRawChunk(false)
 	for _, sm := range samples {
 		if err := c.Append(sm.T, sm.V); err != nil {
 			t.Fatal(err)
@@ -143,7 +161,7 @@ func TestChunkLargeFirstDelta(t *testing.T) {
 }
 
 func TestChunkRejectsOutOfOrder(t *testing.T) {
-	c := NewChunk()
+	c := newRawChunk(false)
 	if err := c.Append(100, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +180,7 @@ func TestChunkRejectsOutOfOrder(t *testing.T) {
 }
 
 func TestChunkMinMax(t *testing.T) {
-	c := NewChunk()
+	c := newRawChunk(false)
 	for i, v := range []float64{5, -3, 8, 2} {
 		if err := c.Append(int64(i), v); err != nil {
 			t.Fatal(err)
@@ -175,7 +193,7 @@ func TestChunkMinMax(t *testing.T) {
 
 func TestChunkCompressionBeatsRaw(t *testing.T) {
 	// Realistic telemetry: 60 s cadence, slowly varying temperature.
-	c := NewChunk()
+	c := newRawChunk(false)
 	rng := rand.New(rand.NewSource(2))
 	v := 55.0
 	for i := 0; i < 1000; i++ {
@@ -195,7 +213,7 @@ func TestChunkRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(300)
-		c := NewChunk()
+		c := newRawChunk(false)
 		samples := make([]metric.Sample, n)
 		tcur := rng.Int63n(1 << 40)
 		for i := 0; i < n; i++ {
