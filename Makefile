@@ -14,13 +14,21 @@ CHAOS_SEED ?= 1
 CHAOS_DURATION ?= 5m
 CHAOS_INTENSITY ?= 2
 
-.PHONY: build test test-bench race vet bench bench-smoke bench-parallel bench-allocs bench-longwindow bench-cluster bench-rebalance bench-ingest bench-replay bench-restore bench-e2e loc cover fuzz-short crash-test lint-footprints chaos-short chaos
+.PHONY: build test fmt-check test-bench race vet bench bench-smoke bench-parallel bench-allocs bench-longwindow bench-cluster bench-rebalance bench-ingest bench-replay bench-restore bench-e2e loc cover fuzz-short crash-test lint-footprints chaos-short chaos
 
 build:
 	$(GO) build ./...
 
-test: lint-footprints chaos-short bench-allocs bench-longwindow bench-ingest bench-replay bench-restore bench-smoke test-bench
+test: fmt-check lint-footprints chaos-short bench-allocs bench-longwindow bench-ingest bench-replay bench-restore bench-smoke test-bench
 	$(GO) test ./...
+
+# Formatting gate: every Go file in the tree, bench/ included, must be as
+# gofmt writes it. Fails and names the files otherwise (or when gofmt cannot
+# parse one).
+fmt-check:
+	@out=$$(gofmt -l .) || exit 1; \
+	if [ -n "$$out" ]; then echo "FAIL: gofmt -l lists files not gofmt-formatted:"; echo "$$out"; exit 1; fi; \
+	echo "OK: gofmt -l is clean"
 
 # The benchmark under bench/ is its own module (go test ./... at the root
 # does not descend into it) and is frozen between benchmark PRs, so it

@@ -8,6 +8,7 @@ import (
 	"repro/internal/metric"
 	"repro/internal/persist"
 	"repro/internal/timeseries"
+	"repro/internal/wire"
 )
 
 // Runtime membership changes. A join or leave is an epoch transition
@@ -34,33 +35,12 @@ import (
 // the fresh topology and retry.
 var errTopologyChanged = errors.New("cluster: topology changed; retry against new placement")
 
-// resolveEpochMismatch reconciles topologies after a peer rejected a request
-// for being on epoch peerEpoch: fetch and adopt the peer's topology when it
-// is ahead, push ours when it is behind. It returns errTopologyChanged when
-// a newer topology was adopted (placement must be recomputed), nil when the
-// peer was merely stale and has been pushed forward.
-func (r *Router) resolveEpochMismatch(p *peer, peerEpoch uint64) error {
-	mine := r.topo.Load()
-	if peerEpoch > mine.Epoch {
-		t, err := p.rc.topo(rpcTimeout)
-		if err != nil {
-			return err
-		}
-		if r.applyTopology(t) {
-			return errTopologyChanged
-		}
-		return nil
-	}
-	_, err := p.rc.topoPush(mine, rpcTimeout)
-	return err
-}
-
 // donorState tracks the handoff stream from one current member during a
 // join: its WAL cursor and the ref-table that resolves ref-addressed records
 // in its shipped stream.
 type donorState struct {
 	id  string
-	rc  *rpcClient
+	rc  *wire.Client
 	rt  *persist.RefTable
 	seq uint64
 	off int64
@@ -99,9 +79,9 @@ func (r *Router) JoinCluster(seedAddr string) error {
 	if !ok {
 		return fmt.Errorf("cluster: node %s has no advertised address", r.self)
 	}
-	seed := newRPCClient(seedAddr, r.cfg.Dial)
+	seed := wire.NewClient(r.cfg.Dial, seedAddr)
 	defer seed.Close()
-	t, err := seed.topo(rpcTimeout)
+	t, err := rpcTopo(seed)
 	if err != nil {
 		return fmt.Errorf("cluster: fetch topology from seed %s: %w", seedAddr, err)
 	}
@@ -137,9 +117,9 @@ func (r *Router) JoinCluster(seedAddr string) error {
 		}
 	}()
 	for _, m := range t.Members {
-		d := &donorState{id: m.ID, rc: newRPCClient(m.Addr, r.cfg.Dial), rt: persist.NewRefTable()}
+		d := &donorState{id: m.ID, rc: wire.NewClient(r.cfg.Dial, m.Addr), rt: persist.NewRefTable()}
 		donors = append(donors, d)
-		resp, err := d.rc.replPull(&replPullRequest{WantSnapshot: true}, rpcTimeout)
+		resp, err := rpcReplPull(d.rc, &replPullRequest{WantSnapshot: true})
 		if err != nil {
 			return fmt.Errorf("cluster: snapshot from %s: %w", m.ID, err)
 		}
@@ -156,7 +136,7 @@ func (r *Router) JoinCluster(seedAddr string) error {
 
 	r.applyTopology(next)
 	for i, m := range t.Members {
-		if _, err := donors[i].rc.topoPush(next, rpcTimeout); err != nil {
+		if _, err := rpcTopoPush(donors[i].rc, next); err != nil {
 			return fmt.Errorf("cluster: push epoch %d to %s: %w", next.Epoch, m.ID, err)
 		}
 	}
@@ -210,11 +190,11 @@ func (r *Router) importOwed(ring *Ring, snapshot []byte) error {
 // importing the entries this node owns under ring and advancing the cursor.
 func (r *Router) tailOwed(ring *Ring, d *donorState) error {
 	for {
-		resp, err := d.rc.replPull(&replPullRequest{
+		resp, err := rpcReplPull(d.rc, &replPullRequest{
 			FromSeq:  d.seq,
 			FromOff:  d.off,
 			MaxBytes: replPullBytes,
-		}, rpcTimeout)
+		})
 		if err != nil {
 			return err
 		}
@@ -275,7 +255,7 @@ func (r *Router) LeaveCluster() error {
 		if p == nil {
 			continue
 		}
-		if _, err := p.rc.topoPush(next, rpcTimeout); err != nil {
+		if _, err := rpcTopoPush(p.rc, next); err != nil {
 			return fmt.Errorf("cluster: push epoch %d to %s: %w", next.Epoch, m.ID, err)
 		}
 	}

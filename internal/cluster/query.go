@@ -148,10 +148,10 @@ func (r *Router) queryOwner(owner string, q *queryRequest) (results []keyResult,
 			// The topology moved under us between placement and dispatch.
 			return nil, false, errTopologyChanged
 		}
-		resp, qerr := p.rc.query(q, rpcTimeout)
+		resp, qerr := rpcQuery(p.rc, q)
 		var em *epochMismatchError
 		if errors.As(qerr, &em) {
-			if rerr := r.resolveEpochMismatch(p, em.peerEpoch); rerr != nil {
+			if rerr := r.syncTopology(p); rerr != nil {
 				if errors.Is(rerr, errTopologyChanged) {
 					return nil, false, rerr
 				}
@@ -159,7 +159,7 @@ func (r *Router) queryOwner(owner string, q *queryRequest) (results []keyResult,
 				// through to the replica fallback below.
 			} else {
 				q.Epoch = r.Epoch()
-				resp, qerr = p.rc.query(q, rpcTimeout)
+				resp, qerr = rpcQuery(p.rc, q)
 			}
 		}
 		if qerr == nil {
@@ -185,7 +185,7 @@ func (r *Router) queryOwner(owner string, q *queryRequest) (results []keyResult,
 				continue
 			}
 			var qerr error
-			if resp, qerr = p.rc.query(&fq, rpcTimeout); qerr != nil {
+			if resp, qerr = rpcQuery(p.rc, &fq); qerr != nil {
 				continue
 			}
 		}

@@ -41,6 +41,8 @@ type replica struct {
 	off          int64  // replication cursor: byte offset
 	records      uint64 // records applied since bootstrap
 	lag          int64  // leader-reported bytes behind, at last pull
+	pumpErrors   uint64 // pumps that ended in an error
+	lastErr      string // the latest of those errors
 }
 
 func newReplica(leader string, opts []timeseries.Option) *replica {
@@ -78,6 +80,8 @@ func (rep *replica) stats() ReplicaStats {
 		Promoted:     rep.promoted,
 		Records:      rep.records,
 		LagBytes:     rep.lag,
+		PumpErrors:   rep.pumpErrors,
+		LastError:    rep.lastErr,
 	}
 	if rep.bootstrapped && rep.store != nil {
 		st.Series = rep.store.NumSeries()
@@ -89,10 +93,16 @@ func (rep *replica) stats() ReplicaStats {
 // PumpReplication advances every replica until it is caught up with its
 // leader or the leader is unreachable. One call after the leaders quiesce
 // brings every replica to lag 0, which is what deterministic tests lean on;
-// the background loop calls it periodically.
+// the background loop calls it periodically. A pump that fails is counted on
+// its replica, which keeps the error for /stats.
 func (r *Router) PumpReplication() {
 	for _, rep := range r.replicasSnapshot() {
-		_ = r.pumpReplica(rep)
+		if err := r.pumpReplica(rep); err != nil {
+			rep.mu.Lock()
+			rep.pumpErrors++
+			rep.lastErr = err.Error()
+			rep.mu.Unlock()
+		}
 	}
 }
 
@@ -109,13 +119,9 @@ func (r *Router) pumpReplica(rep *replica) error {
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
 	if !rep.bootstrapped {
-		resp, err := p.rc.replPull(&replPullRequest{Epoch: epoch, WantSnapshot: true}, rpcTimeout)
+		resp, err := rpcReplPull(p.rc, &replPullRequest{Epoch: epoch, WantSnapshot: true})
 		if err != nil {
-			var em *epochMismatchError
-			if errors.As(err, &em) {
-				return r.resolveEpochMismatch(p, em.peerEpoch)
-			}
-			return err
+			return r.pullFailed(p, err)
 		}
 		chunk, dump, err := persist.DecodeDump(resp.Snapshot)
 		if err != nil {
@@ -140,18 +146,14 @@ func (r *Router) pumpReplica(rep *replica) error {
 		rep.bootstrapped = true
 	}
 	for {
-		resp, err := p.rc.replPull(&replPullRequest{
+		resp, err := rpcReplPull(p.rc, &replPullRequest{
 			Epoch:    epoch,
 			FromSeq:  rep.seq,
 			FromOff:  rep.off,
 			MaxBytes: replPullBytes,
-		}, rpcTimeout)
+		})
 		if err != nil {
-			var em *epochMismatchError
-			if errors.As(err, &em) {
-				return r.resolveEpochMismatch(p, em.peerEpoch)
-			}
-			return err
+			return r.pullFailed(p, err)
 		}
 		if resp.SegmentGone {
 			// The leader checkpointed past our cursor; restart from a
@@ -172,6 +174,17 @@ func (r *Router) pumpReplica(rep *replica) error {
 			return nil // caught up to the writing edge
 		}
 	}
+}
+
+// pullFailed is the pump's result for a failed pull: a leader on another
+// topology epoch rejected it, and the topology exchange's outcome stands in
+// for the error.
+func (r *Router) pullFailed(p *peer, err error) error {
+	var em *epochMismatchError
+	if errors.As(err, &em) {
+		return r.syncTopology(p)
+	}
+	return err
 }
 
 // ReplicaOf exposes the replica store this node keeps for leader, if it is

@@ -145,11 +145,13 @@ type peer struct {
 	id   string
 	addr string
 	self string // this node's ID, stamped as wire agent on forwards
-	dial wire.Dialer
+
+	// Both clients dial on first use (the peer may be down at startup) and
+	// redial after a failure. wc is used under mu.
+	wc *wire.Client // forwards and pings
+	rc *wire.Client // query and replication round trips
 
 	mu    sync.Mutex
-	wc    *wire.Client // lazy: the peer may be down at startup
-	rc    *rpcClient
 	buf   []timeseries.BatchEntry
 	hints []hintBatch
 
@@ -244,22 +246,19 @@ func (r *Router) newPeer(id, addr string) *peer {
 		id:   id,
 		addr: addr,
 		self: r.self,
-		dial: r.cfg.Dial,
-		rc:   newRPCClient(addr, r.cfg.Dial),
+		wc:   wire.NewClient(r.cfg.Dial, addr),
+		rc:   wire.NewClient(r.cfg.Dial, addr),
 	}
+	p.wc.SetTimeout(sendTimeout)
 	p.up.Store(true) // optimistic until a send or ping says otherwise
 	return p
 }
 
-// closeClients tears down both transports of a retired peer.
+// closeClients tears down both transports of a peer that is retired or
+// whose router stops; a later use redials.
 func (p *peer) closeClients() {
-	p.mu.Lock()
-	if p.wc != nil {
-		_ = p.wc.Close()
-		p.wc = nil
-	}
-	p.mu.Unlock()
-	p.rc.Close()
+	_ = p.wc.Close()
+	_ = p.rc.Close()
 }
 
 // Self returns this node's ID.
@@ -487,26 +486,8 @@ func (r *Router) Flush() {
 	}
 }
 
-// wireClientLocked lazily dials the batch-forwarding client; p.mu held.
-func (p *peer) wireClientLocked() (*wire.Client, error) {
-	if p.wc != nil {
-		return p.wc, nil
-	}
-	wc, err := wire.DialWith(p.dial, p.addr)
-	if err != nil {
-		return nil, err
-	}
-	wc.SetTimeout(sendTimeout)
-	p.wc = wc
-	return wc, nil
-}
-
 func (p *peer) sendLocked(entries []timeseries.BatchEntry) error {
-	wc, err := p.wireClientLocked()
-	if err != nil {
-		return err
-	}
-	return wc.Send(toWireBatch(p.self, entries))
+	return p.wc.Send(toWireBatch(p.self, entries))
 }
 
 // flushLocked dispatches the pending buffer: straight to the peer when it
@@ -720,14 +701,7 @@ func (r *Router) CheckPeers() {
 func (r *Router) checkPeer(p *peer) {
 	p.mu.Lock()
 	recovering := p.misses > 0
-	wc, err := p.wireClientLocked()
-	if err != nil {
-		p.misses++
-		p.up.Store(false)
-		p.mu.Unlock()
-		return
-	}
-	rtt, err := wc.Ping(pingTimeout)
+	rtt, err := p.wc.Ping(pingTimeout)
 	if err != nil {
 		p.misses++
 		p.up.Store(false)
@@ -743,7 +717,7 @@ func (r *Router) checkPeer(p *peer) {
 	}
 	p.mu.Unlock()
 	if recovering {
-		r.syncTopology(p)
+		_ = r.syncTopology(p)
 	}
 }
 
@@ -779,20 +753,26 @@ func (r *Router) updateLeases() {
 	}
 }
 
-// syncTopology exchanges topologies with a peer: adopt theirs if newer,
-// push ours if theirs is older.
-func (r *Router) syncTopology(p *peer) {
-	t, err := p.rc.topo(rpcTimeout)
+// syncTopology exchanges topologies with a peer: it adopts the peer's when
+// that is newer, returning errTopologyChanged (placement must be
+// recomputed), and pushes ours when the peer is behind. The failure detector
+// calls it when a peer recovers; a request the peer rejected for its epoch
+// calls it before the retry.
+func (r *Router) syncTopology(p *peer) error {
+	t, err := rpcTopo(p.rc)
 	if err != nil {
-		return
+		return err
 	}
 	mine := r.topo.Load()
 	switch {
 	case t.Epoch > mine.Epoch:
-		r.applyTopology(t)
+		if r.applyTopology(t) {
+			return errTopologyChanged
+		}
 	case t.Epoch < mine.Epoch:
-		_, _ = p.rc.topoPush(mine, rpcTimeout)
+		_, err = rpcTopoPush(p.rc, mine)
 	}
+	return err
 }
 
 // --- background loop ---
@@ -840,12 +820,7 @@ func (r *Router) Stop() {
 	r.wg.Wait()
 	r.Flush()
 	for _, p := range r.peersSnapshot() {
-		p.mu.Lock()
-		if p.wc != nil {
-			_ = p.wc.Close()
-		}
-		p.rc.Close()
-		p.mu.Unlock()
+		p.closeClients()
 	}
 }
 
@@ -879,6 +854,8 @@ type ReplicaStats struct {
 	LagBytes     int64  `json:"lag_bytes"`
 	Series       int    `json:"series"`
 	Samples      int    `json:"samples"`
+	PumpErrors   uint64 `json:"pump_errors"`
+	LastError    string `json:"last_error,omitempty"`
 }
 
 // Stats is the cluster section of /stats.

@@ -227,8 +227,8 @@ func (InstMix) Meta() oda.Meta {
 	return oda.Meta{
 		Name:        "instmix-predict",
 		Description: "short-horizon prediction of node compute-intensity signatures",
-		Cells: []oda.Cell{cell(oda.SystemHardware, oda.Predictive)},
-		Refs:  []string{"[11]"},
+		Cells:       []oda.Cell{cell(oda.SystemHardware, oda.Predictive)},
+		Refs:        []string{"[11]"},
 		Reads: []oda.Resource{
 			oda.StoreResource("node_power_watts"),
 			oda.StoreResource("node_utilization"),

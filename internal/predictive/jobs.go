@@ -143,9 +143,9 @@ func (ResourceUsage) Meta() oda.Meta {
 	return oda.Meta{
 		Name:        "resource-predict",
 		Description: "job mean power prediction from submission metadata",
-		Cells: []oda.Cell{cell(oda.Applications, oda.Predictive)},
-		Refs:  []string{"[31]", "[52]", "[53]"},
-		Reads: []oda.Resource{oda.ResJobQueue, oda.StoreResource("node_power_watts")},
+		Cells:       []oda.Cell{cell(oda.Applications, oda.Predictive)},
+		Refs:        []string{"[31]", "[52]", "[53]"},
+		Reads:       []oda.Resource{oda.ResJobQueue, oda.StoreResource("node_power_watts")},
 	}
 }
 

@@ -130,8 +130,8 @@ func (AutoTuner) Meta() oda.Meta {
 		Name:        "auto-tune",
 		Description: "derivative-free auto-tuning of application parameters",
 		Cells:       []oda.Cell{cell(oda.Applications, oda.Prescriptive)},
-		Refs:   []string{"[28]", "[29]", "[41]"},
-		Writes: []oda.Resource{oda.ResAppParams},
+		Refs:        []string{"[28]", "[29]", "[41]"},
+		Writes:      []oda.Resource{oda.ResAppParams},
 	}
 }
 
@@ -194,9 +194,9 @@ func (CodeRecommend) Meta() oda.Meta {
 		Name:        "code-recommend",
 		Description: "class-specific code improvement recommendations",
 		Cells:       []oda.Cell{cell(oda.Applications, oda.Prescriptive)},
-		Refs:   []string{"[44]"},
-		Reads:  []oda.Resource{oda.ResJobQueue},
-		Writes: []oda.Resource{oda.ResAppParams},
+		Refs:        []string{"[44]"},
+		Reads:       []oda.Resource{oda.ResJobQueue},
+		Writes:      []oda.Resource{oda.ResAppParams},
 	}
 }
 

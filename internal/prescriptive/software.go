@@ -173,9 +173,9 @@ func (TaskPlacement) Meta() oda.Meta {
 		Name:        "task-placement",
 		Description: "edge-aligned placement recommendations for queued jobs",
 		Cells:       []oda.Cell{cell(oda.SystemSoftware, oda.Prescriptive)},
-		Refs:   []string{"[42]"},
-		Reads:  []oda.Resource{oda.ResJobQueue},
-		Writes: []oda.Resource{oda.ResJobQueue}, // placement prescriptions target the queue
+		Refs:        []string{"[42]"},
+		Reads:       []oda.Resource{oda.ResJobQueue},
+		Writes:      []oda.Resource{oda.ResJobQueue}, // placement prescriptions target the queue
 	}
 }
 

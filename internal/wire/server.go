@@ -17,6 +17,11 @@ import (
 // Handler consumes decoded batches on the server side.
 type Handler func(*Batch)
 
+// RequestHandler answers one request frame with one response frame, written
+// back on the connection the request came in on before the next frame is
+// read. An error drops the connection unanswered.
+type RequestHandler func(frameType uint8, payload []byte) (respType uint8, resp []byte, err error)
+
 // Dialer opens a client connection to a telemetry server. The default is
 // net.Dial over TCP; tests and fault-injection harnesses substitute
 // in-memory pipes or wrappers that delay, truncate or partition traffic.
@@ -30,12 +35,14 @@ const closeDrain = time.Second
 
 // Server accepts TCP connections from collection agents and dispatches each
 // received batch to the handler. It is the aggregation endpoint of the
-// push-mode collection fabric.
+// push-mode collection fabric, and with a request handler also a cluster
+// node's peer listener. Frames on one connection are handled in order.
 type Server struct {
-	ln      net.Listener
-	handler Handler
-	wg      sync.WaitGroup
-	closed  atomic.Bool
+	ln       net.Listener
+	handler  Handler
+	requests RequestHandler // nil: every frame type beyond the batch protocol is refused
+	wg       sync.WaitGroup
+	closed   atomic.Bool
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -62,7 +69,14 @@ func NewServer(addr string, handler Handler) (*Server, error) {
 // owns it until Close. It is how tests and chaos harnesses run a server
 // over in-memory connections — no real sockets involved.
 func NewServerListener(ln net.Listener, handler Handler) *Server {
-	s := &Server{ln: ln, handler: handler, conns: make(map[net.Conn]struct{})}
+	return NewRequestServer(ln, handler, nil)
+}
+
+// NewRequestServer is NewServerListener with a request handler: a frame of
+// any type the batch protocol does not define goes to requests, and its
+// answer is written back on the same connection.
+func NewRequestServer(ln net.Listener, handler Handler, requests RequestHandler) *Server {
+	s := &Server{ln: ln, handler: handler, requests: requests, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
@@ -125,32 +139,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	var dict ConnDict
 	for {
 		ft, payload, err := ReadFrame(r)
-		if err == nil && ft == FramePing {
-			// Answer liveness probes inline: the pong is the only
-			// server-to-client traffic, and this goroutine is the only
-			// writer on the connection, so no write serialization needed.
-			if err := WriteFrame(conn, FramePong, payload); err != nil {
-				return
-			}
-			s.pings.Add(1)
-			continue
-		}
-		if err == nil && ft == FrameDict {
-			var n int
-			if n, err = dict.AddDefs(payload); err == nil {
-				s.dictDefs.Add(uint64(n))
-				continue
-			}
-		}
-		var b *Batch
-		switch {
-		case err != nil:
-		case ft == FrameRefBatch: // before any dictionary frame, every ref is undefined
-			if b, err = dict.DecodeRefBatch(payload); err == nil {
-				s.refBatches.Add(1)
-			}
-		default:
-			err = fmt.Errorf("wire: unexpected frame type %d", ft)
+		var respType uint8
+		var resp []byte
+		if err == nil {
+			respType, resp, err = s.handleFrame(&dict, ft, payload)
 		}
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !s.closed.Load() {
@@ -159,6 +151,34 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
+		// This goroutine is the connection's only writer, so answers need
+		// no write serialization. One that cannot be written means the far
+		// end left, which is no protocol error.
+		if respType != 0 && WriteFrame(conn, respType, resp) != nil {
+			return
+		}
+	}
+}
+
+// handleFrame applies one frame and returns the answer to write back, if
+// any (respType 0: none).
+func (s *Server) handleFrame(dict *ConnDict, ft uint8, payload []byte) (respType uint8, resp []byte, err error) {
+	switch ft {
+	case FramePing:
+		s.pings.Add(1)
+		return FramePong, payload, nil
+	case FrameDict:
+		n, err := dict.AddDefs(payload)
+		if err == nil {
+			s.dictDefs.Add(uint64(n))
+		}
+		return 0, nil, err
+	case FrameRefBatch: // before any dictionary frame, every ref is undefined
+		b, err := dict.DecodeRefBatch(payload)
+		if err != nil {
+			return 0, nil, err
+		}
+		s.refBatches.Add(1)
 		s.batches.Add(1)
 		for _, rec := range b.Records {
 			s.samples.Add(uint64(len(rec.Samples)))
@@ -166,7 +186,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		if s.handler != nil {
 			s.handler(b)
 		}
+		return 0, nil, nil
 	}
+	if s.requests == nil {
+		return 0, nil, fmt.Errorf("wire: unexpected frame type %d", ft)
+	}
+	return s.requests(ft, payload)
 }
 
 // Close stops accepting and lets open connections drain: a client that has
@@ -175,7 +200,15 @@ func (s *Server) serveConn(conn net.Conn) {
 // has been handed to the handler, so on an accepted connection a batch sent
 // before its client's Close is applied before a Close that follows it
 // returns.
-func (s *Server) Close() error {
+func (s *Server) Close() error { return s.close(closeDrain) }
+
+// CloseNow stops accepting and closes every open connection at once, then
+// waits for the frames already read to be handled: no further frame is read,
+// and an answer blocked on a client that never reads is released. It is for
+// listeners whose clients never hang up, such as a cluster node's peers.
+func (s *Server) CloseNow() error { return s.close(0) }
+
+func (s *Server) close(drain time.Duration) error {
 	s.closed.Store(true)
 	err := s.ln.Close()
 	done := make(chan struct{})
@@ -183,10 +216,12 @@ func (s *Server) Close() error {
 		s.wg.Wait()
 		close(done)
 	}()
-	select {
-	case <-done:
-		return err
-	case <-time.After(closeDrain):
+	if drain > 0 {
+		select {
+		case <-done:
+			return err
+		case <-time.After(drain):
+		}
 	}
 	s.connMu.Lock()
 	for conn := range s.conns {
@@ -202,14 +237,16 @@ func (s *Server) Close() error {
 // broken; the next Send transparently redials through the client's dialer,
 // so an agent rides out server restarts and transient partitions without
 // being rebuilt (pair with retry/backoff at the sink layer for in-batch
-// recovery).
+// recovery). A cluster node also holds one per peer for request/response
+// traffic (RoundTrip).
 type Client struct {
-	conn net.Conn
+	conn net.Conn      // nil until a client built by NewClient first dials
+	br   *bufio.Reader // reads answers (pongs, RoundTrip) off conn
 	mu   sync.Mutex
 
 	addr    string
 	dial    Dialer
-	broken  bool
+	broken  bool // the next call dials first (true before a NewClient dials, too)
 	redials atomic.Uint64
 	pingSeq uint64 // nonce for Ping frames, guarded by mu
 
@@ -231,17 +268,24 @@ func Dial(addr string) (*Client, error) {
 // connection is established eagerly so configuration errors surface here,
 // not on the first Send.
 func DialWith(dial Dialer, addr string) (*Client, error) {
+	c := NewClient(dial, addr)
+	if err := c.connectLocked(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// NewClient builds a client that dials (nil = TCP) on its first call
+// instead of now: the far end may be down when the client is made.
+func NewClient(dial Dialer, addr string) *Client {
 	if dial == nil {
 		dial = tcpDial
 	}
-	conn, err := dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{conn: conn, dict: newClientDict(conn), addr: addr, dial: dial}, nil
+	return &Client{addr: addr, dial: dial, broken: true}
 }
 
-// Redials returns how many reconnects Sends have performed.
+// Redials returns how many reconnects the client has made; a first dial is
+// not one.
 func (c *Client) Redials() uint64 { return c.redials.Load() }
 
 // EnableDict does nothing: every Client speaks the v3 dictionary protocol.
@@ -258,19 +302,34 @@ func (c *Client) SetTimeout(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// redialLocked re-establishes a broken connection through the dialer; the
-// caller holds c.mu.
-func (c *Client) redialLocked() error {
-	_ = c.conn.Close()
+// connectLocked dials a connection, replacing a broken one if there is
+// one; the caller holds c.mu.
+func (c *Client) connectLocked() error {
+	redial := c.conn != nil
+	if redial {
+		_ = c.conn.Close()
+	}
 	conn, err := c.dial(c.addr)
 	if err != nil {
 		return err
 	}
 	c.conn = conn
+	c.br = bufio.NewReader(conn)
 	c.dict = newClientDict(conn) // renegotiate from an empty dictionary
 	c.deadlineSet = false
 	c.broken = false
-	c.redials.Add(1)
+	if redial {
+		c.redials.Add(1)
+	}
+	return nil
+}
+
+// readyLocked dials if the client has no healthy connection; the caller
+// holds c.mu.
+func (c *Client) readyLocked() error {
+	if c.broken {
+		return c.connectLocked()
+	}
 	return nil
 }
 
@@ -281,10 +340,8 @@ func (c *Client) redialLocked() error {
 func (c *Client) Send(b *Batch) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.broken {
-		if err := c.redialLocked(); err != nil {
-			return err
-		}
+	if err := c.readyLocked(); err != nil {
+		return err
 	}
 	if c.timeout > 0 {
 		if err := c.conn.SetWriteDeadline(time.Now().Add(c.timeout)); err != nil {
@@ -306,6 +363,34 @@ func (c *Client) Send(b *Batch) error {
 	return nil
 }
 
+// exchangeLocked writes one frame and reads one answer of type want, dialing
+// first if the client has no healthy connection; deadline bounds the
+// exchange (zero: none). sent reports whether the request was written. The
+// caller holds c.mu and handles a failure.
+func (c *Client) exchangeLocked(reqType uint8, payload []byte, want uint8, deadline time.Time) (resp []byte, sent bool, err error) {
+	if err := c.readyLocked(); err != nil {
+		return nil, false, err
+	}
+	if err := c.conn.SetDeadline(deadline); err != nil {
+		return nil, false, err
+	}
+	if err := WriteFrame(c.conn, reqType, payload); err != nil {
+		return nil, false, err
+	}
+	ft, resp, err := ReadFrame(c.br)
+	if err != nil {
+		return nil, true, err
+	}
+	if ft != want {
+		return nil, true, fmt.Errorf("wire: answer of frame type %d, want %d", ft, want)
+	}
+	if err := c.conn.SetDeadline(time.Time{}); err != nil {
+		return nil, true, err
+	}
+	c.deadlineSet = false
+	return resp, true, nil
+}
+
 // Ping sends a liveness probe and waits for the server's echo, returning
 // the round-trip time. It is the failure detector's primitive: a Send is
 // one-way, so its success only proves bytes left this side, while a pong
@@ -313,47 +398,74 @@ func (c *Client) Send(b *Batch) error {
 // slowly (injected latency, long queues) is still a pong, so slowness and
 // death stay distinguishable. timeout bounds the whole round trip (0 waits
 // forever); a timeout or transport error marks the connection broken, and
-// the next Ping/Send redials. Safe for concurrent use with Send.
+// the next Ping/Send redials. A Ping is never retried, so a far end that
+// restarted since the last call costs one failed probe. Safe for concurrent
+// use with Send.
 func (c *Client) Ping(timeout time.Duration) (time.Duration, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.broken {
-		if err := c.redialLocked(); err != nil {
-			return 0, err
-		}
+	if err := c.readyLocked(); err != nil {
+		return 0, err
 	}
 	start := time.Now()
 	var deadline time.Time
 	if timeout > 0 {
 		deadline = start.Add(timeout)
 	}
-	if err := c.conn.SetDeadline(deadline); err != nil {
-		c.broken = true
-		return 0, err
-	}
 	c.pingSeq++
 	var nonce [8]byte
 	binary.BigEndian.PutUint64(nonce[:], c.pingSeq)
-	if err := WriteFrame(c.conn, FramePing, nonce[:]); err != nil {
-		c.broken = true
-		return 0, err
+	echo, _, err := c.exchangeLocked(FramePing, nonce[:], FramePong, deadline)
+	if err == nil && !bytes.Equal(echo, nonce[:]) {
+		err = errors.New("wire: pong echoes another ping")
 	}
-	ft, echo, err := ReadFrame(c.conn)
 	if err != nil {
 		c.broken = true
 		return 0, err
 	}
-	if ft != FramePong || !bytes.Equal(echo, nonce[:]) {
-		c.broken = true
-		return 0, fmt.Errorf("wire: unexpected pong (type %d)", ft)
-	}
-	if err := c.conn.SetDeadline(time.Time{}); err != nil {
-		c.broken = true
-		return 0, err
-	}
-	c.deadlineSet = false
 	return time.Since(start), nil
 }
 
-// Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }
+// RoundTrip writes one request frame and returns the payload of the answer,
+// which must be a frame of type want; timeout bounds the whole exchange (0
+// waits forever). Any failure closes the connection at once — on a
+// synchronous transport (net.Pipe) that is what releases the server's
+// blocked answer — and the next call redials. A request write that fails on
+// a connection kept from an earlier call redials and retries once: the far
+// end may have restarted since, and no answer was in flight. A write that
+// fails on a fresh dial is not retried. Safe for concurrent use with Send.
+func (c *Client) RoundTrip(reqType uint8, payload []byte, want uint8, timeout time.Duration) ([]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var deadline time.Time
+	if timeout > 0 {
+		deadline = time.Now().Add(timeout)
+	}
+	kept := !c.broken
+	resp, sent, err := c.exchangeLocked(reqType, payload, want, deadline)
+	if err != nil && !sent && kept {
+		_ = c.dropLocked()
+		resp, _, err = c.exchangeLocked(reqType, payload, want, deadline)
+	}
+	if err != nil {
+		_ = c.dropLocked()
+		return nil, err
+	}
+	return resp, nil
+}
+
+// dropLocked closes the connection now and leaves the next call to redial.
+func (c *Client) dropLocked() error {
+	c.broken = true
+	if c.conn == nil {
+		return nil
+	}
+	return c.conn.Close()
+}
+
+// Close closes the connection; a later call redials.
+func (c *Client) Close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.dropLocked()
+}
