@@ -278,6 +278,11 @@ func (r *Reader) Str() string { return string(r.take(r.Uvarint())) }
 // empty), so the result outlives the payload buffer.
 func (r *Reader) Bytes() []byte { return append([]byte(nil), r.take(r.Uvarint())...) }
 
+// View reads a length-prefixed byte string as a slice of the payload buffer
+// itself, without copying: the caller copies what it keeps (a snapshot's
+// chunk payloads, which timeseries.RestoreStore copies into the store).
+func (r *Reader) View() []byte { return r.take(r.Uvarint()) }
+
 // Count reads an element count and rejects — before the caller allocates for
 // it — one that the bytes left could not hold at minBytes per element.
 func (r *Reader) Count(minBytes int) int { return r.Fit(r.Uvarint(), minBytes) }

@@ -12,6 +12,18 @@ import (
 // deliberately separate from the wire.Client the router uses for batch
 // forwarding and pings: a slow query round trip must never stall the ingest
 // path, and vice versa.
+//
+// wire.Client.RoundTrip redials a kept connection whose peer has hung up,
+// and resends a request whose write on a kept connection failed. Every
+// request here is safe to handle twice, should a failed write have reached
+// the peer whole: a query (FrameQueryReq) and a topology fetch
+// (FrameTopoReq) only read; a topology push (FrameTopoPush) is adopted only
+// when its epoch is newer than the peer's, so a second copy is a no-op; and
+// a replication pull (FrameReplPull) reads the leader's WAL from the
+// position it names, or cuts a snapshot after which the record stream is
+// self-contained for any number of followers
+// (persist.DurableStore.ReplicationSnapshot), and the follower keeps the
+// one answer it receives.
 
 // epochMismatchError reports that a peer refused a request because it is on
 // a different topology epoch. Callers resolve by exchanging topologies with

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"testing"
 
 	"repro/internal/metric"
 	"repro/internal/timeseries"
@@ -143,4 +144,17 @@ func fleetWALAt(step int64) *fleetLog {
 
 func newFleetStore() *timeseries.Store {
 	return timeseries.NewStore(0, timeseries.WithRollups(timeseries.TierStep1m, timeseries.TierStep1h))
+}
+
+// replayFleet replays the fleet WAL into a fresh fleet store.
+func replayFleet(tb testing.TB) *timeseries.Store {
+	tb.Helper()
+	store := newFleetStore()
+	rt := NewRefTable()
+	for _, seg := range fleetWAL().segments {
+		if res := mustReplay(tb, seg, func(rec walRecord) { rec.apply(store, rt) }); res.torn {
+			tb.Fatal("fleet segment replayed torn")
+		}
+	}
+	return store
 }

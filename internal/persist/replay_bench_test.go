@@ -129,31 +129,62 @@ func benchReplayFleet(b *testing.B, log *fleetLog) {
 	b.ReportMetric(float64(storeBytes)/float64(log.samples), "store_B/sample")
 }
 
-// BenchmarkSnapshotLoadFleet is recovery's other half: the store the fleet
-// WAL replays to, written as a snapshot and loaded back — read, checksum,
-// decode, and RestoreStore's decode-and-re-encode of every raw and tier
-// chunk. It reports ns/record over the raw samples and tier records the
-// snapshot holds; `make bench-restore` gates its allocs/op, a count that
-// does not depend on the box.
+// BenchmarkSnapshotLoadFleet is recovery's other half: a store written as a
+// snapshot and loaded back — read, checksum, decode, and RestoreStore, which
+// decodes every raw and tier chunk, adopts the sealed ones as they are and
+// re-encodes each series' and each tier's last. "fleet" is the store the
+// fleet WAL replays to: 64 minutes a series, so about a third of its chunks
+// are last ones. "archive" is mixed_durable's shape: archiveAgents agents'
+// series over archiveTicks ticks, six hours at the fleet's 10 s cadence, so
+// each series holds 18 raw and 24 one-minute chunks and about 93 % of all
+// chunks are sealed. Each reports ns/record over the raw samples and tier
+// records the snapshot holds, and sealed/chunk; `make bench-restore` gates
+// their allocs/op, a count that does not depend on the box.
 func BenchmarkSnapshotLoadFleet(b *testing.B) {
-	log := fleetWAL()
+	b.Run("fleet", func(b *testing.B) { benchSnapshotLoad(b, replayFleet(b)) })
+	b.Run("archive", func(b *testing.B) { benchSnapshotLoad(b, archiveStore(b)) })
+}
+
+// archiveAgents and archiveTicks shape BenchmarkSnapshotLoadFleet's long
+// archive: fleetSensors series an agent, fed the fleet's values.
+const (
+	archiveAgents = 16
+	archiveTicks  = 2160
+)
+
+// archiveStore appends the long archive to a fresh fleet store.
+func archiveStore(b *testing.B) *timeseries.Store {
 	store := newFleetStore()
-	rt := NewRefTable()
-	for _, seg := range log.segments {
-		if res := mustReplay(b, seg, func(rec walRecord) { rec.apply(store, rt) }); res.torn {
-			b.Fatal("fleet segment replayed torn")
+	n := archiveAgents * fleetSensors
+	vals := newFleetValues(n)
+	batch := make([]timeseries.BatchEntry, n)
+	for tick := 0; tick < archiveTicks; tick++ {
+		vals.next()
+		for j := range batch {
+			batch[j] = timeseries.BatchEntry{ID: fleetID(j/fleetSensors, j%fleetSensors), Kind: metric.Gauge, Unit: metric.UnitWatt, T: fleetT0 + int64(tick)*fleetStepMs, V: vals.value[j]}
+		}
+		if got, err := store.AppendBatch(batch); got != n || err != nil {
+			b.Fatalf("tick %d: appended %d of %d: %v", tick, got, n, err)
 		}
 	}
+	return store
+}
+
+// benchSnapshotLoad writes store as a snapshot and times loading it back.
+func benchSnapshotLoad(b *testing.B, store *timeseries.Store) {
 	dump := store.Dump()
-	records := 0
-	for _, sd := range dump {
-		for _, cd := range sd.Chunks {
+	records, chunks, sealed := 0, 0, 0
+	count := func(list []timeseries.ChunkDump) {
+		for _, cd := range list {
 			records += cd.Count
 		}
+		chunks += len(list)
+		sealed += max(len(list)-1, 0)
+	}
+	for _, sd := range dump {
+		count(sd.Chunks)
 		for _, td := range sd.Tiers {
-			for _, cd := range td.Chunks {
-				records += cd.Count
-			}
+			count(td.Chunks)
 		}
 	}
 	dir := b.TempDir()
@@ -170,10 +201,11 @@ func BenchmarkSnapshotLoadFleet(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StopTimer() // the check scans every shard; it is not recovery
-		if got.NumSamples() != log.samples {
-			b.Fatalf("loaded %d of %d samples", got.NumSamples(), log.samples)
+		if got.NumSamples() != store.NumSamples() {
+			b.Fatalf("loaded %d of %d samples", got.NumSamples(), store.NumSamples())
 		}
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records), "ns/record")
+	b.ReportMetric(float64(sealed)/float64(chunks), "sealed/chunk")
 }

@@ -23,8 +23,9 @@ import (
 // column of the previous window, time columns relative to the window start).
 // Any other complete 8-byte magic — the retired "ODASNP1\n" (no tiers) and
 // "ODASNP2\n" (interleaved tier chunks) included — is ErrUnsupportedFormat: a
-// v2 file's tier chunks would not survive RestoreStore's re-encode check
-// anyway, and failing there would read as damage and fall back past it to a
+// v2 file's tier chunks would not survive RestoreStore's checks anyway (read
+// in the current layout, their records fall out of window alignment or
+// order), and failing there would read as damage and fall back past it to a
 // WAL that no longer reaches back. A build from before v5 refuses a v5 file
 // the same way, at its magic.
 const (
@@ -142,6 +143,8 @@ func decodeSnapshot(payload []byte, version int) (chunkSize int, dump []timeseri
 
 // readChunks decodes one chunk list as written by appendChunks, or by a
 // build of an older format version, and ORs every chunk's tag into tags.
+// Each chunk's Data is a slice of the payload, not a copy: RestoreStore
+// copies every chunk it keeps, so the payload is garbage once it returns.
 func readChunks(p *binenc.Reader, version int, tags *byte) []timeseries.ChunkDump {
 	n := p.Count(2) // a sample count and a byte length each
 	out := make([]timeseries.ChunkDump, 0, n)
@@ -152,7 +155,7 @@ func readChunks(p *binenc.Reader, version int, tags *byte) []timeseries.ChunkDum
 			cd.Decimal, cd.OneSample = tag&tagDecimal != 0, tag&tagOneSample != 0
 			*tags |= tag
 		}
-		cd.Data = p.Bytes()
+		cd.Data = p.View()
 		out = append(out, cd)
 	}
 	return out
@@ -214,8 +217,12 @@ func writeSnapshot(dir string, seq uint64, chunkSize int, dump []timeseries.Seri
 // loadSnapshot reads and validates one snapshot file, rebuilding the store
 // it captured. A complete foreign magic is ErrUnsupportedFormat, which Open
 // refuses to step around; any other inconsistency — short file, checksum
-// mismatch, decode failure, chunk re-encode divergence — is damage, and Open
-// falls back to an older snapshot.
+// mismatch, decode failure, a chunk that fails RestoreStore's checks (out of
+// order, misaligned, bits past its records, or a last chunk that does not
+// re-encode to its own bytes) — is damage, and Open falls back to an older
+// snapshot. The checksum is what catches a flipped bit that still decodes:
+// RestoreStore adopts a sealed chunk's bytes without re-encoding them, and
+// the re-encode of a last chunk rebuilds whatever its bits decode to.
 func loadSnapshot(path string, storeOpts []timeseries.Option) (*timeseries.Store, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -162,9 +162,10 @@ var olderSnapshots = []struct {
 // v3, written before the decimal codec, every chunk Gorilla-coded and
 // untagged; v4, before the one-sample window layout, at the 10 s cadence and
 // at 60 s, where every 1m window holds one sample — loads through the same
-// decoder, RestoreStore re-encoding each chunk in the code and layout it was
-// written in, byte for byte, and holds the store this commit builds from the
-// same input: the same chunk boundaries, every raw sample and every sealed
+// decoder, RestoreStore adopting each sealed chunk and re-encoding each last
+// one in the code and layout it was written in, byte for byte
+// (TestRestoreCanonical re-encodes every one), and holds the store this
+// commit builds from the same input: the same chunk boundaries, every raw sample and every sealed
 // rollup window bit for bit, the same open-window accumulators.
 func TestSnapshotAcrossEncoderRewrite(t *testing.T) {
 	for _, f := range olderSnapshots {

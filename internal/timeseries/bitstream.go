@@ -129,3 +129,6 @@ func (r *bitReader) readBits(n uint8) (uint64, error) {
 	r.consume(k)
 	return v, nil
 }
+
+// unread returns how many bits of buf the reader has not consumed.
+func (r *bitReader) unread() int { return 8*(len(r.buf)-r.pos) + int(r.n) }

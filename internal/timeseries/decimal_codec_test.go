@@ -198,7 +198,9 @@ func sameSamples(a, b []metric.Sample) bool {
 // decodes to want bit for bit through Next and NextBlock; every truncation
 // of it fails with ErrEOS, on the same record through both; and a copy with
 // bit flip flipped either fails RestoreStore or restores to a store that
-// dumps those very bytes and reads back what they decode to.
+// dumps those very bytes and reads back what they decode to — as a series'
+// or tier's last chunk, which restore re-encodes, and sealed, which restore
+// adopts (checkSealedFlip).
 func checkDecimalStream(t *testing.T, cd ChunkDump, tier bool, want []metric.Sample, block int, flip uint16) {
 	t.Helper()
 	got, err := decodeBoth(t, cd.Data, cd.Count, tier, cd.Decimal, block)
@@ -215,6 +217,7 @@ func checkDecimalStream(t *testing.T, cd ChunkDump, tier bool, want []metric.Sam
 	bad.Data = append([]byte(nil), cd.Data...)
 	bit := int(flip) % (8 * len(bad.Data))
 	bad.Data[bit/8] ^= 0x80 >> (bit % 8)
+	checkSealedFlip(t, bad, tier, want, block, bit)
 	sd := SeriesDump{ID: metric.ID{Name: "fuzz"}, Kind: metric.Gauge, Unit: metric.UnitWatt}
 	if tier {
 		sd.Tiers = []TierDump{{Step: 1, Chunks: []ChunkDump{bad}}}
@@ -250,6 +253,63 @@ func checkDecimalStream(t *testing.T, cd ChunkDump, tier bool, want []metric.Sam
 	}
 	if !sameSamples(back, flipped) {
 		t.Fatalf("bit %d flipped: the restored chunk reads back other samples than its bytes decode to", bit)
+	}
+}
+
+// checkSealedFlip is checkDecimalStream's restore with the flipped chunk bad
+// sealed: a valid last chunk follows it, one sample or one window stamped
+// just past want, which bad held before its bit flipped. The restore is
+// refused, or the restored store dumps both chunks' very bytes and reads bad
+// back as what its bytes decode to.
+func checkSealedFlip(t *testing.T, bad ChunkDump, tier bool, want []metric.Sample, block, bit int) {
+	t.Helper()
+	next := want[len(want)-1].T + 1
+	c := NewChunk()
+	c.dec = bad.Decimal
+	var delta int64
+	if tier {
+		var pred [rollupStride]colState
+		vals := [rollupStride]float64{2, 3.5, 1.5, 2, 0, 1.5, 1, 2}
+		if err := c.appendGroup(next, &vals, &pred, &delta); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		var x colState
+		if err := c.append(next, 1.5, &delta, &x, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chunks := []ChunkDump{bad, {Count: c.count, Decimal: c.dec, Data: c.w.bytes()}}
+	sd := SeriesDump{ID: metric.ID{Name: "fuzz"}, Kind: metric.Gauge, Unit: metric.UnitWatt}
+	if tier {
+		sd.Tiers = []TierDump{{Step: 1, Chunks: chunks}}
+	} else {
+		sd.Chunks = chunks
+	}
+	re, err := RestoreStore(0, []SeriesDump{sd})
+	if err != nil {
+		return
+	}
+	ss := re.lookup(sd.ID.Key())
+	dumped, restored := re.Dump()[0].Chunks, ss.chunks
+	if tier {
+		dumped, restored = re.Dump()[0].Tiers[0].Chunks, ss.tiers[0].chunks
+	}
+	if !reflect.DeepEqual(dumped, chunks) {
+		t.Fatalf("bit %d flipped in a sealed chunk: restore accepted it and dumps other bytes", bit)
+	}
+	flipped, err := decodeBoth(t, bad.Data, bad.Count, tier, bad.Decimal, block)
+	if err != nil {
+		t.Fatalf("bit %d flipped in a sealed chunk: restore accepted a chunk that does not decode: %v", bit, err)
+	}
+	var it ChunkIter
+	it.reset(restored[0].w.bytes(), restored[0].count, tier, restored[0].dec, restored[0].oneSample)
+	var back []metric.Sample
+	for it.Next() {
+		back = append(back, it.At())
+	}
+	if !sameSamples(back, flipped) {
+		t.Fatalf("bit %d flipped in a sealed chunk: it reads back other samples than its bytes decode to", bit)
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 // set: a window of count 1 codes its count, sum and first offset alone; or
 // every window its whole group, as in snapshots before v5). The bytes are
 // exactly what the in-memory chunk holds, so dumping is a copy, not a
-// re-encode.
+// re-encode, and so is restoring a sealed chunk (RestoreStore): only the
+// last chunk of a series or tier is re-encoded, to rebuild its coder state.
 type ChunkDump struct {
 	Count     int
 	Decimal   bool
@@ -77,13 +78,18 @@ func dumpChunks(chunks []*Chunk) []ChunkDump {
 	return out
 }
 
-// RestoreStore rebuilds a store from a dump. Each chunk is decoded, a block
-// at a time, and re-encoded through the same codec, and the
-// re-encoded bytes are compared against the dump payload — a dump that
-// decodes but would not reproduce itself (bit corruption the per-sample
-// decode tolerates) fails restoration instead of silently diverging. The
-// restored store is byte-identical to the dumped one: same chunk boundaries,
-// same bitstreams, same append state for the partial tail chunk.
+// RestoreStore rebuilds a store from a dump. Every chunk is decoded, a block
+// at a time, and checked: its record count, timestamps that continue the
+// series' (or the tier's) strictly increasing order, and a tier chunk's whole
+// window groups, each aligned to its window. A sealed chunk — every raw chunk
+// but a series' last, every tier chunk but a tier's last — is adopted as it
+// is: its dump bytes, in one copy of their exact size, so the caller's
+// snapshot or payload buffer can be freed. The last chunk of each list is
+// re-encoded through the same codec, which rebuilds the coder state the next
+// append continues from, and the re-encoded bytes are compared against the
+// dump payload. The restored store is byte-identical to the dumped one: same
+// chunk boundaries, same bitstreams, same append state for the partial tail
+// chunk.
 func RestoreStore(chunkSize int, dump []SeriesDump, opts ...Option) (*Store, error) {
 	s := NewStore(chunkSize, opts...)
 	for _, sd := range dump {
@@ -92,14 +98,10 @@ func RestoreStore(chunkSize int, dump []SeriesDump, opts ...Option) (*Store, err
 			return nil, fmt.Errorf("timeseries: restore: duplicate series %s", key)
 		}
 		ss := s.getOrCreate(key, sd.ID, sd.Kind, sd.Unit)
+		open := lastHolding(sd.Chunks)
 		for i, cd := range sd.Chunks {
-			// Only the last chunk's weighing carries over to the next one.
-			cc := &ss.cost
-			if i < len(sd.Chunks)-1 {
-				cc = nil
-			}
 			var x [1]colState
-			c, lastT, n, err := restoreChunk(cd, ss.last.T, ss.hasLast, &ss.delta, x[:], cc)
+			c, lastT, n, err := restoreChunk(cd, ss.last.T, ss.hasLast, i == open, &ss.delta, x[:], &ss.cost)
 			if err != nil {
 				return nil, fmt.Errorf("timeseries: restore %s: %w", key, err)
 			}
@@ -120,8 +122,9 @@ func RestoreStore(chunkSize int, dump []SeriesDump, opts ...Option) (*Store, err
 			ts := &tierState{step: td.Step, acc: td.Acc}
 			var lastT int64
 			hasLast := false
-			for _, cd := range td.Chunks {
-				c, lt, _, err := restoreChunk(cd, lastT, hasLast, &ts.delta, ts.pred[:], nil)
+			open := lastHolding(td.Chunks)
+			for i, cd := range td.Chunks {
+				c, lt, _, err := restoreChunk(cd, lastT, hasLast, i == open, &ts.delta, ts.pred[:], nil)
 				if err != nil {
 					return nil, fmt.Errorf("timeseries: restore %s[tier %d]: %w", key, td.Step, err)
 				}
@@ -154,22 +157,37 @@ func RestoreStore(chunkSize int, dump []SeriesDump, opts ...Option) (*Store, err
 	return s, nil
 }
 
-// restoreChunk rebuilds one dumped chunk through the codec, a decoded block
-// at a time, verifying the re-encoded bytes match the dump and that
-// timestamps continue the series' monotonic order. The values are
-// re-encoded in the code and layout the dump names (ChunkDump.Decimal,
-// ChunkDump.OneSample), so a chunk that decodes but is not what the encoder
-// writes for its values — a decimal where an escape stands, a delta in a
-// wider class than it needs — fails here. Returns the chunk (nil for an empty
-// dump), its last timestamp and last value; the caller names the chunk in an
-// error. cols is the coder's value columns: one for a raw chunk, re-encoded
-// sample by sample, or rollupStride for a rollup tier's, whole window groups
-// re-encoded through Chunk.appendGroup. restoreChunk leaves in cols and delta
-// the chunk's closing coder state — the series' or the tier's, if this is
-// its last chunk. A raw chunk's cc, unless nil, is left weighing its two
-// codes the way the live append did, so the chunk after a restored one opens
-// in the code the dumped store would have chosen.
-func restoreChunk(cd ChunkDump, lastT int64, hasLast bool, delta *int64, cols []colState, cc *codeCost) (*Chunk, int64, float64, error) {
+// lastHolding returns the index of the last chunk of a dumped list that holds
+// records — the list's open chunk, the one appends continue — or -1.
+func lastHolding(chunks []ChunkDump) int {
+	for i := len(chunks) - 1; i >= 0; i-- {
+		if chunks[i].Count > 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// restoreChunk rebuilds one dumped chunk, decoding it a block at a time and
+// checking that its timestamps continue the series' monotonic order and, in a
+// tier chunk, that its records are whole window groups, each aligned to its
+// window. A sealed chunk (open unset) must end where its records do — no
+// whole byte, and no set bit, past them — and is adopted: its bytes are
+// copied at their exact size, and cols, delta and cc are left alone, since
+// no append continues it. An open chunk is re-encoded in the code and layout
+// the dump names (ChunkDump.Decimal, ChunkDump.OneSample), and the
+// re-encoded bytes must match the dump, so an open chunk that decodes but is
+// not what the encoder writes for its values — a decimal where an escape
+// stands, a delta in a wider class than it needs — fails here. Returns the
+// chunk (nil for an empty dump), its last timestamp and last value; the
+// caller names the chunk in an error. cols is the coder's value columns: one
+// for a raw chunk, re-encoded sample by sample, or rollupStride for a rollup
+// tier's, whole window groups re-encoded through Chunk.appendGroup. An open
+// chunk leaves in cols and delta its closing coder state, the series' or the
+// tier's; a raw one leaves cc, unless nil, weighing its two codes the way the
+// live append did, so the chunk after it opens in the code the dumped store
+// would have chosen.
+func restoreChunk(cd ChunkDump, lastT int64, hasLast, open bool, delta *int64, cols []colState, cc *codeCost) (*Chunk, int64, float64, error) {
 	if cd.Count == 0 {
 		return nil, 0, 0, nil
 	}
@@ -180,15 +198,17 @@ func restoreChunk(cd ChunkDump, lastT int64, hasLast bool, delta *int64, cols []
 	if cd.OneSample && !tier {
 		return nil, 0, 0, fmt.Errorf("a raw chunk in the one-sample window layout")
 	}
-	c := NewChunk()
-	// The re-encode must reproduce cd.Data, so its length is the buffer's;
-	// the word-wide writer wants eight bytes of room past the last bit.
-	c.w.buf = make([]byte, 0, len(cd.Data)+8)
-	c.dec, c.oneSample = cd.Decimal, cd.OneSample
-	clear(cols)
-	*delta = 0
-	if cc != nil {
-		*cc = codeCost{}
+	c := &Chunk{dec: cd.Decimal, oneSample: cd.OneSample}
+	if open {
+		// The re-encode must reproduce cd.Data, so its length is the
+		// buffer's; the word-wide writer wants eight bytes of room past the
+		// last bit.
+		c.w.buf = make([]byte, 0, len(cd.Data)+8)
+		clear(cols)
+		*delta = 0
+		if cc != nil {
+			*cc = codeCost{}
+		}
 	}
 	var it ChunkIter
 	it.reset(cd.Data, cd.Count, tier, cd.Decimal, cd.OneSample)
@@ -198,19 +218,24 @@ func restoreChunk(cd ChunkDump, lastT int64, hasLast bool, delta *int64, cols []
 	var lastV float64
 	records := 0
 	for n := it.NextBlock(ts[:], vs[:]); n > 0; n = it.NextBlock(ts[:], vs[:]) {
+		if records == 0 {
+			c.firstT = ts[0]
+		}
 		for i, t := range ts[:n] {
 			if hasLast && t <= lastT {
 				return nil, 0, 0, fmt.Errorf("non-monotonic chunk sequence (%d <= %d)", t, lastT)
 			}
-			if !tier {
+			col := records % rollupStride
+			if tier && (col == 0 && floorMod(t, rollupStride) != 0 || col > 0 && t != lastT+1) {
+				return nil, 0, 0, fmt.Errorf("rollup stream misaligned at %d", t)
+			}
+			switch {
+			case !open:
+			case !tier:
 				if err := c.append(t, vs[i], delta, &cols[0], cc); err != nil {
 					return nil, 0, 0, err
 				}
-			} else {
-				col := records % rollupStride
-				if col == 0 && floorMod(t, rollupStride) != 0 || col > 0 && t != lastT+1 {
-					return nil, 0, 0, fmt.Errorf("rollup stream misaligned at %d", t)
-				}
+			default:
 				group[col] = vs[i]
 				if col == rollupStride-1 {
 					if err := c.appendGroup(t-(rollupStride-1), &group, (*[rollupStride]colState)(cols), delta); err != nil {
@@ -225,8 +250,16 @@ func restoreChunk(cd ChunkDump, lastT int64, hasLast bool, delta *int64, cols []
 	if err := it.Err(); err != nil {
 		return nil, 0, 0, err
 	}
-	if c.Count() != cd.Count || !bytes.Equal(c.w.bytes(), cd.Data) {
-		return nil, 0, 0, fmt.Errorf("chunk re-encode mismatch (%d samples, %d bytes vs %d)", cd.Count, c.Bytes(), len(cd.Data))
+	if open {
+		if c.Count() != cd.Count || !bytes.Equal(c.w.bytes(), cd.Data) {
+			return nil, 0, 0, fmt.Errorf("chunk re-encode mismatch (%d samples, %d bytes vs %d)", cd.Count, c.Bytes(), len(cd.Data))
+		}
+		return c, lastT, lastV, nil
 	}
+	if left := it.r.unread(); left >= 8 || cd.Data[len(cd.Data)-1]&(1<<left-1) != 0 {
+		return nil, 0, 0, fmt.Errorf("sealed chunk holds %d bits past its %d records", left, cd.Count)
+	}
+	c.w.buf = append(make([]byte, 0, len(cd.Data)), cd.Data...)
+	c.count, c.lastT = cd.Count, lastT
 	return c, lastT, lastV, nil
 }

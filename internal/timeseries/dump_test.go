@@ -3,6 +3,7 @@ package timeseries
 import (
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -129,5 +130,38 @@ func TestScanSeriesParallelMatchesSequential(t *testing.T) {
 	}
 	if !reflect.DeepEqual(other.Dump(), s.Dump()) {
 		t.Fatal("identical stores diverged after retention")
+	}
+}
+
+// TestRestoreRefusesSealedChunkPastItsRecords: a sealed chunk is adopted
+// without a re-encode, so restore checks that it ends where its records do:
+// a whole byte past them, or a set bit in the last byte's padding, is
+// refused.
+func TestRestoreRefusesSealedChunkPastItsRecords(t *testing.T) {
+	s := NewStore(8)
+	for i := 0; i < 20; i++ {
+		if err := s.Append(sid("power", "n0"), metric.Gauge, metric.UnitWatt, int64(1000+i*250), float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sealed := s.Dump()[0].Chunks[0]
+	var it ChunkIter
+	it.reset(sealed.Data, sealed.Count, false, sealed.Decimal, false)
+	for it.Next() {
+	}
+	pad := it.r.unread()
+	if it.Err() != nil || pad == 0 {
+		t.Fatalf("sealed chunk decodes with %v and %d padding bits; want some padding", it.Err(), pad)
+	}
+	for name, mangle := range map[string]func([]byte) []byte{
+		"extra byte":  func(b []byte) []byte { return append(b, 0) },
+		"padding bit": func(b []byte) []byte { b[len(b)-1] |= 1; return b },
+	} {
+		dump := s.Dump()
+		cd := &dump[0].Chunks[0]
+		cd.Data = mangle(cd.Data)
+		if _, err := RestoreStore(s.ChunkSize(), dump); err == nil || !strings.Contains(err.Error(), "past its") {
+			t.Errorf("%s: RestoreStore = %v, want the sealed chunk refused", name, err)
+		}
 	}
 }

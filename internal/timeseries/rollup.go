@@ -30,8 +30,9 @@ import (
 // Because a tier is just another chunk list hanging off the series, every
 // existing mechanism applies unchanged: cursors snapshot sealed chunks by
 // pointer and copy the open tail, Dump/RestoreStore carry tiers with the
-// same re-encode byte verification, and the persistence layer snapshots
-// them like any other compressed data.
+// same checks (sealed chunks adopted, each tier's last re-encoded and
+// byte-compared), and the persistence layer snapshots them like any other
+// compressed data.
 //
 // The columns are chosen so the windowed aggregations the pushdown engine
 // supports (mean, sum, min, max, count, rate) all resolve exactly from

@@ -394,7 +394,7 @@ func TestRawSizeGate(t *testing.T) {
 // before it — reaches RestoreStore with no magic in front of it when it comes
 // from a replication or bootstrap peer. It must be refused, not loaded as other
 // windows: read against per-column predictors the stream falls out of step
-// with its own control bits, and restoreChunk's order and re-encode checks
+// with its own control bits, and restoreChunk's order and alignment checks
 // catch what comes out.
 func TestRestoreRefusesInterleavedTierChunks(t *testing.T) {
 	s := NewStore(0, WithRollups(TierStep1m))

@@ -265,3 +265,41 @@ func TestIngestServerRefusesRequests(t *testing.T) {
 		t.Fatalf("server errors = %d, want 1", got)
 	}
 }
+
+// TestRoundTripRedialsARestartedPeer: over loopback TCP, a connection kept
+// from an earlier round trip to a server that has since restarted — closed,
+// and served again on the same address — is redialled before the next
+// request goes out. The request has no payload, so it is one write, which
+// the dead socket accepts; sent down it, its answer would read EOF.
+func TestRoundTripRedialsARestartedPeer(t *testing.T) {
+	echo := func(_ uint8, payload []byte) (uint8, []byte, error) {
+		return testResp, append([]byte("ok"), payload...), nil
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	srv := NewRequestServer(ln, nil, echo)
+	c := NewClient(nil, addr)
+	defer c.Close()
+	if _, err := c.RoundTrip(testReq, nil, testResp, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.CloseNow(); err != nil {
+		t.Fatal(err)
+	}
+	ln, err = net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv = NewRequestServer(ln, nil, echo)
+	defer srv.CloseNow()
+	resp, err := c.RoundTrip(testReq, nil, testResp, time.Second)
+	if err != nil || string(resp) != "ok" {
+		t.Fatalf("round trip to the restarted server: %q, %v; want it answered on a redial", resp, err)
+	}
+	if got := c.Redials(); got != 1 {
+		t.Fatalf("redials = %d, want 1", got)
+	}
+}

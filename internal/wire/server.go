@@ -430,16 +430,25 @@ func (c *Client) Ping(timeout time.Duration) (time.Duration, error) {
 // which must be a frame of type want; timeout bounds the whole exchange (0
 // waits forever). Any failure closes the connection at once — on a
 // synchronous transport (net.Pipe) that is what releases the server's
-// blocked answer — and the next call redials. A request write that fails on
-// a connection kept from an earlier call redials and retries once: the far
-// end may have restarted since, and no answer was in flight. A write that
-// fails on a fresh dial is not retried. Safe for concurrent use with Send.
+// blocked answer — and the next call redials. The far end may have
+// restarted since the call that left a connection kept. One whose far end
+// has already hung up (peerClosed: a TCP socket with the FIN or reset
+// queued) is redialled before the request goes out: a request with no
+// payload is one write, which the dead socket accepts, and the read after
+// it would fail. A request write that fails on a kept connection redials and
+// retries once, no answer being in flight. A write that fails on a fresh
+// dial is not retried, and neither is a connection that closes after the
+// request went out: that is how a far end refuses a request, and a refused
+// request is not sent twice. Safe for concurrent use with Send.
 func (c *Client) RoundTrip(reqType uint8, payload []byte, want uint8, timeout time.Duration) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var deadline time.Time
 	if timeout > 0 {
 		deadline = time.Now().Add(timeout)
+	}
+	if !c.broken && peerClosed(c.conn) {
+		_ = c.dropLocked()
 	}
 	kept := !c.broken
 	resp, sent, err := c.exchangeLocked(reqType, payload, want, deadline)
