@@ -184,42 +184,53 @@ bench-ingest:
 # Recovery allocation budget: replaying the fleet WAL (4096 series, 32-sample
 # records, 10 s cadence, rollups 1m,1h — the shape of the end-to-end
 # benchmark's largest recovery) may allocate what building the same store by
-# direct AppendRefs allocates, plus one decode scratch per segment and the ref
-# table's one resolve buffer: nothing per record, nothing per sample (the
+# direct AppendRefs allocates, plus one decode scratch per segment and one
+# for the applier's window: nothing per record, nothing per sample (the
 # fleet WAL holds 49,152 records; the 8 on top absorbs the runtime's own
-# stray allocations, which land in either count). The budget is a count, so
-# it does not depend on how fast this box is today; ns/sample is printed for
-# the reader. The same run gates the fleet WAL's size: wal_B/sample (segment
-# bytes over samples, also a count) must stay at or under 3.86 — 3.748 with
-# the decimal value column, 8.71 with raw values, 11.55 with the row-wise
-# record. It gates the replayed store's size too: store_B/sample (resident
-# raw and rollup tier chunk bytes over samples, a count as well) must stay at
-# or under 5.15 — 5.002 with the decimal chunk code, 12.67 when every chunk
-# was Gorilla-coded. The same fleet a sample a minute (replay_60s), where
-# every 1m rollup window holds one sample, must stay at or under 6.28
-# store_B/sample — 6.106 with one-sample windows coded as one value, 15.39
-# when each coded its sample five times. A missing benchmark fails the gate.
+# stray allocations, which land in either count, and the one-shard-per-core
+# apply's workers). It runs at -cpu 1 and -cpu 2, one shard and two, and
+# gates each. The budget is a count, so it does not depend on how fast this
+# box is today; ns/sample is printed for the reader. The same run gates the
+# fleet WAL's size: wal_B/sample (segment bytes over samples, also a count)
+# must stay at or under 3.86 — 3.748 with the decimal value column, 8.71 with
+# raw values, 11.55 with the row-wise record. It gates the replayed store's
+# size too: store_B/sample (resident raw and rollup tier chunk bytes over
+# samples, a count as well) must stay at or under 5.15 — 5.002 with the
+# decimal chunk code, 12.67 when every chunk was Gorilla-coded. The same fleet
+# a sample a minute (replay_60s), where every 1m rollup window holds one
+# sample, must stay at or under 6.28 store_B/sample — 6.106 with one-sample
+# windows coded as one value, 15.39 when each coded its sample five times. A
+# missing benchmark fails the gate.
 bench-replay:
-	@out=$$($(GO) test -run xxx -bench 'BenchmarkWALReplayFleet' -benchmem -benchtime 2x ./internal/persist); \
+	@out=$$($(GO) test -run xxx -bench 'BenchmarkWALReplayFleet' -benchmem -benchtime 2x -cpu 1,2 ./internal/persist); \
 	echo "$$out"; \
 	echo "$$out" | awk ' \
-		/^BenchmarkWALReplayFleet\/replay[- \t]/ { replay=$$(NF-1); for (i=2; i<=NF; i++) { if ($$i == "segments") segs=$$(i-1); if ($$i == "wal_B/sample") walb=$$(i-1); if ($$i == "store_B/sample") storeb=$$(i-1) } } \
-		/^BenchmarkWALReplayFleet\/replay_60s/ { for (i=2; i<=NF; i++) if ($$i == "store_B/sample") store60=$$(i-1) } \
-		/^BenchmarkWALReplayFleet\/direct/ { direct=$$(NF-1) } \
+		/^BenchmarkWALReplayFleet\// { \
+			name = $$1; cpu = 1; allocs = ""; segs = ""; walb = ""; storeb = ""; \
+			if (match(name, /-[0-9]+$$/)) { cpu = substr(name, RSTART + 1); name = substr(name, 1, RSTART - 1) } \
+			for (i=2; i<=NF; i++) { if ($$i == "allocs/op") allocs=$$(i-1); if ($$i == "segments") segs=$$(i-1); if ($$i == "wal_B/sample") walb=$$(i-1); if ($$i == "store_B/sample") storeb=$$(i-1) } \
+			if (name == "BenchmarkWALReplayFleet/replay") { replay[cpu]=allocs; nsegs[cpu]=segs; wal[cpu]=walb; store[cpu]=storeb } \
+			if (name == "BenchmarkWALReplayFleet/replay_60s") store60[cpu]=storeb; \
+			if (name == "BenchmarkWALReplayFleet/direct") direct[cpu]=allocs; \
+		} \
 		END { \
-			if (replay == "" || direct == "" || segs == "" || walb == "" || storeb == "" || store60 == "") { print "FAIL: BenchmarkWALReplayFleet replay/replay_60s/direct missing from output"; exit 1 } \
-			budget = direct + segs + 1 + 8; \
-			printf "replay %d allocs/op, direct build %d, %d segments: budget %d\n", replay, direct, segs, budget; \
-			if (replay+0 > budget) { printf "FAIL: replay allocates %d allocs/op over its budget\n", replay - budget; exit 1 } \
-			print "OK: the decode-and-resolve loop allocates nothing per record or per sample"; \
-			printf "fleet WAL %.3f B/sample: budget 3.86\n", walb; \
-			if (walb+0 > 3.86) { print "FAIL: the fleet WAL costs more bytes per sample than its budget"; exit 1 } \
+			for (c=1; c<=2; c++) { \
+				if (replay[c] == "" || direct[c] == "" || nsegs[c] == "" || wal[c] == "" || store[c] == "" || store60[c] == "") { printf "FAIL: BenchmarkWALReplayFleet replay/replay_60s/direct at -cpu %d missing from output\n", c; exit 1 } \
+				budget = direct[c] + nsegs[c] + 1 + 8; \
+				printf "-cpu %d: replay %d allocs/op, direct build %d, %d segments: budget %d\n", c, replay[c], direct[c], nsegs[c], budget; \
+				if (replay[c]+0 > budget) { printf "FAIL: replay at -cpu %d allocates %d allocs/op over its budget\n", c, replay[c] - budget; exit 1 } \
+			} \
+			print "OK: the decode-and-resolve loop allocates nothing per record or per sample, with one shard or two"; \
+			printf "fleet WAL %.3f B/sample: budget 3.86\n", wal[1]; \
+			if (wal[1]+0 > 3.86) { print "FAIL: the fleet WAL costs more bytes per sample than its budget"; exit 1 } \
 			print "OK: a logged sample costs its value plus the columns it needs"; \
-			printf "replayed store %.3f B/sample: budget 5.15\n", storeb; \
-			if (storeb+0 > 5.15) { print "FAIL: the replayed store costs more bytes per sample than its budget"; exit 1 } \
+			for (c=1; c<=2; c++) { \
+				printf "-cpu %d: replayed store %.3f B/sample: budget 5.15\n", c, store[c]; \
+				if (store[c]+0 > 5.15) { print "FAIL: the replayed store costs more bytes per sample than its budget"; exit 1 } \
+				printf "-cpu %d: replayed store at 60 s %.3f B/sample: budget 6.28\n", c, store60[c]; \
+				if (store60[c]+0 > 6.28) { print "FAIL: the store replayed at a 60 s cadence costs more bytes per sample than its budget"; exit 1 } \
+			} \
 			print "OK: a stored sample costs about what it costs in the log"; \
-			printf "replayed store at 60 s %.3f B/sample: budget 6.28\n", store60; \
-			if (store60+0 > 6.28) { print "FAIL: the store replayed at a 60 s cadence costs more bytes per sample than its budget"; exit 1 } \
 			print "OK: a one-sample rollup window costs about one value" }'
 
 # Snapshot-load allocation budget, recovery's other half beside bench-replay:

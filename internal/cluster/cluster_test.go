@@ -700,7 +700,7 @@ func resetReplica(r *Router, leader string) bool {
 		return false
 	}
 	rep.mu.Lock()
-	rep.store, rep.rt = nil, nil
+	rep.store, rep.app = nil, nil
 	rep.bootstrapped, rep.promoted = false, false
 	rep.seq, rep.off, rep.records = 0, 0, 0
 	rep.mu.Unlock()

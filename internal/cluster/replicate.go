@@ -16,8 +16,9 @@ import (
 //
 //	bootstrap:  pull a snapshot (a full store dump pinned to a WAL
 //	            position), rebuild the replica store from it;
-//	steady:     pull record payloads from the cursor, apply each with
-//	            persist.ApplyRecord, advance the cursor;
+//	steady:     pull record payloads from the cursor, apply them with the
+//	            replica's persist.Applier (the one recovery replays
+//	            through), flush it, advance the cursor;
 //	fell behind: the leader checkpointed past our cursor (SegmentGone) —
 //	            drop back to bootstrap.
 //
@@ -34,7 +35,7 @@ type replica struct {
 
 	mu           sync.Mutex
 	store        *timeseries.Store
-	rt           *persist.RefTable // opDefine bindings for the record stream
+	app          *persist.Applier // applies the record stream to store
 	bootstrapped bool
 	promoted     bool   // read-primary lease: the leader is dead and this replica answers authoritatively
 	seq          uint64 // replication cursor: WAL segment
@@ -132,19 +133,19 @@ func (r *Router) pumpReplica(rep *replica) error {
 			return err
 		}
 		rep.store = st
-		// Fresh dictionary for the fresh stream: the leader cleared its
-		// WAL-ref table at the snapshot cut, so every ref used after the
-		// cut is re-defined in the records we are about to pull.
-		if rep.rt == nil {
-			rep.rt = persist.NewRefTable()
-		} else {
-			rep.rt.Reset()
-		}
+		// A fresh applier, with no opDefine bindings, for the fresh stream:
+		// the leader cleared its WAL-ref table at the snapshot cut, so every
+		// ref used after the cut is re-defined in the records we are about
+		// to pull.
+		rep.app = persist.NewApplier(st)
 		rep.seq, rep.off = resp.NextSeq, resp.NextOff
 		rep.lag = resp.LagBytes
 		rep.records = 0
 		rep.bootstrapped = true
 	}
+	// Close flushes what an error left in the window and stops the
+	// applier's workers; the next pump starts them again.
+	defer rep.app.Close()
 	for {
 		resp, err := rpcReplPull(p.rc, &replPullRequest{
 			Epoch:    epoch,
@@ -163,10 +164,11 @@ func (r *Router) pumpReplica(rep *replica) error {
 			return nil
 		}
 		for _, payload := range resp.Records {
-			if err := persist.ApplyRecord(rep.store, rep.rt, payload); err != nil {
+			if err := rep.app.Apply(payload); err != nil {
 				return err
 			}
 		}
+		rep.app.Flush()
 		rep.records += uint64(len(resp.Records))
 		rep.seq, rep.off = resp.NextSeq, resp.NextOff
 		rep.lag = resp.LagBytes

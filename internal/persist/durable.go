@@ -132,8 +132,10 @@ type DurableStore struct {
 // Open recovers (or creates) a durable store in dir: it loads the newest
 // valid snapshot, replays every newer WAL segment — truncating a torn tail
 // at the first corrupt record and setting aside, as *.seg.lost, any segment
-// written after it — and starts a fresh WAL segment for new writes. Recovery
-// is idempotent: reopening without writes replays to the identical store.
+// written after it — and appends new writes to a fresh WAL segment, or to
+// the last one when it holds nothing but its header. Recovery is
+// idempotent: reopening without writes replays to the identical store and
+// leaves the directory's segments as they were.
 // Intact data in a format this version does not read is not a tear: Open
 // returns ErrUnsupportedFormat and changes nothing on disk.
 func Open(dir string, opts Options) (*DurableStore, error) {
@@ -174,51 +176,17 @@ func Open(dir string, opts Options) (*DurableStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The fresh segment sorts after every file already there, whether it is
-	// replayed, covered by the snapshot or set aside below.
+	// A fresh segment sorts after every file already there, whether it is
+	// replayed, covered by the snapshot or set aside by replayWAL; an empty
+	// last segment is continued instead (replayWAL's reuse).
 	maxSeq := startSeq
 	if n := len(segs); n > 0 && segs[n-1].seq > maxSeq {
 		maxSeq = segs[n-1].seq
 	}
-	// One RefTable spans the whole ordered replay: opDefine bindings carry
-	// across segment boundaries exactly as the writer laid them down.
-	rt := NewRefTable()
-	apply := func(rec walRecord) { rec.apply(d.store, rt) }
 	began = time.Now()
-	for i, sg := range segs {
-		if sg.seq < startSeq {
-			continue // fully covered by the snapshot; GC'd at next checkpoint
-		}
-		data, err := os.ReadFile(sg.path)
-		if err != nil {
-			return nil, err
-		}
-		res, err := replaySegment(data, apply)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", filepath.Base(sg.path), err)
-		}
-		d.recovery.replayedSegments++
-		d.recovery.replayedRecords += res.records
-		if !res.torn {
-			continue
-		}
-		d.recovery.truncatedTails++
-		d.recovery.truncatedBytes += res.tornSize
-		if err := os.Truncate(sg.path, res.offset); err != nil {
-			return nil, fmt.Errorf("persist: truncate torn tail of %s: %w", sg.path, err)
-		}
-		// Later segments were written after a record this log just lost;
-		// replaying them would land data over the gap. They cannot stay
-		// either: the next Open finds this segment clean and would replay
-		// them, so recovery would not be idempotent. Set them aside under a
-		// name no listing matches, for an operator to inspect.
-		for _, lost := range segs[i+1:] {
-			if err := os.Rename(lost.path, lost.path+".lost"); err != nil {
-				return nil, fmt.Errorf("persist: set aside %s after torn %s: %w", lost.path, sg.path, err)
-			}
-			d.recovery.lostSegments++
-		}
-		break
+	reuse, err := d.replayWAL(segs, startSeq)
+	if err != nil {
+		return nil, err
 	}
 	if d.recovery.replayedSegments > 0 {
 		d.recovery.replay = time.Since(began)
@@ -226,7 +194,11 @@ func Open(dir string, opts Options) (*DurableStore, error) {
 		d.recovery.replayedSamples = d.store.RefStats().RefSamples
 	}
 
-	d.wal, err = openWAL(dir, maxSeq+1, opts.SegmentSize)
+	seq := maxSeq + 1
+	if reuse {
+		seq = maxSeq
+	}
+	d.wal, err = openWAL(dir, seq, opts.SegmentSize, reuse)
 	if err != nil {
 		return nil, err
 	}
@@ -247,6 +219,54 @@ func Open(dir string, opts Options) (*DurableStore, error) {
 		go d.runTicker(opts.SnapshotInterval, func() { _ = d.Checkpoint() })
 	}
 	return d, nil
+}
+
+// replayWAL replays the segments from startSeq on into d.store through one
+// Applier — opDefine bindings carry across segment boundaries exactly as
+// the writer laid them down — truncating a torn tail and setting aside
+// every segment after it. reuse reports that the last segment holds a
+// header and nothing else: new writes can go on in it, so a restart that
+// writes nothing leaves the log as it found it.
+func (d *DurableStore) replayWAL(segs []seqFile, startSeq uint64) (reuse bool, err error) {
+	app := NewApplier(d.store)
+	defer app.Close()
+	for i, sg := range segs {
+		if sg.seq < startSeq {
+			continue // fully covered by the snapshot; GC'd at next checkpoint
+		}
+		data, err := os.ReadFile(sg.path)
+		if err != nil {
+			return false, err
+		}
+		res, err := replaySegment(data, app.apply)
+		if err != nil {
+			return false, fmt.Errorf("%s: %w", filepath.Base(sg.path), err)
+		}
+		d.recovery.replayedSegments++
+		d.recovery.replayedRecords += res.records
+		if !res.torn {
+			reuse = i == len(segs)-1 && string(data) == segMagic
+			continue
+		}
+		d.recovery.truncatedTails++
+		d.recovery.truncatedBytes += res.tornSize
+		if err := os.Truncate(sg.path, res.offset); err != nil {
+			return false, fmt.Errorf("persist: truncate torn tail of %s: %w", sg.path, err)
+		}
+		// Later segments were written after a record this log just lost;
+		// replaying them would land data over the gap. They cannot stay
+		// either: the next Open finds this segment clean and would replay
+		// them, so recovery would not be idempotent. Set them aside under a
+		// name no listing matches, for an operator to inspect.
+		for _, lost := range segs[i+1:] {
+			if err := os.Rename(lost.path, lost.path+".lost"); err != nil {
+				return false, fmt.Errorf("persist: set aside %s after torn %s: %w", lost.path, sg.path, err)
+			}
+			d.recovery.lostSegments++
+		}
+		break
+	}
+	return reuse, nil
 }
 
 func (d *DurableStore) runTicker(every time.Duration, fn func()) {

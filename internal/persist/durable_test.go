@@ -172,6 +172,70 @@ func TestCheckpointGarbageCollectsSegments(t *testing.T) {
 	}
 }
 
+// TestRestartsWithoutWritesKeepSegments: a restart that writes nothing
+// leaves the WAL as it found it. Open continues in an empty last segment
+// rather than start another beside it, so crash after crash replays the
+// same segments, and a follower's cursor taken before the restarts streams
+// what is written after them.
+func TestRestartsWithoutWritesKeepSegments(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{ChunkSize: 8, Fsync: FsyncNever}
+	d, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyWorkload(t, d, 10)
+	d.Crash()
+
+	// The first restart replays the written segment and opens an empty one
+	// after it; the second replays both, and every later one must find the
+	// log as the second left it.
+	var want Stats
+	var seq uint64
+	var off int64
+	sr := NewSegmentReader(dir)
+	none := func([]byte) error { return nil }
+	for i := 0; i < 7; i++ {
+		d, err = Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := d.Stats()
+		if i <= 1 {
+			want = got
+		}
+		if i == 0 {
+			var n int
+			if seq, off, n, err = sr.ReadFrom(0, 0, 1<<30, none); err != nil || n == 0 {
+				t.Fatalf("cursor read: %d records, %v", n, err)
+			}
+		}
+		if got.Segments != want.Segments || got.ReplayedSegments != want.ReplayedSegments || got.ReplayedRecords != want.ReplayedRecords {
+			t.Fatalf("restart %d: %d segments on disk, %d replayed (%d records); want %d, %d (%d)", i+1,
+				got.Segments, got.ReplayedSegments, got.ReplayedRecords, want.Segments, want.ReplayedSegments, want.ReplayedRecords)
+		}
+		d.Crash()
+	}
+
+	d, err = Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Crash()
+	for i := int64(1); i <= 3; i++ {
+		if err := d.Append(testID("power", "n09"), metric.Gauge, metric.UnitWatt, i*1000, float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, _, n, err := sr.ReadFrom(seq, off, 1<<30, none)
+	if err != nil {
+		t.Fatalf("cursor taken before the restarts: %v", err)
+	}
+	if written := d.Stats().WALRecords; uint64(n) != written {
+		t.Fatalf("cursor streamed %d records, %d written since the restarts", n, written)
+	}
+}
+
 func TestClosedStoreRefusesMutations(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(dir, Options{Fsync: FsyncNever})

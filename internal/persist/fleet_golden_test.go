@@ -26,12 +26,13 @@ func TestFleetReplayDumpGolden(t *testing.T) {
 	}
 	log := fleetWAL()
 	store := newFleetStore()
-	rt := NewRefTable()
+	app := NewApplier(store)
 	for _, seg := range log.segments {
-		if res := mustReplay(t, seg, func(rec walRecord) { rec.apply(store, rt) }); res.torn {
+		if res := mustReplay(t, seg, app.apply); res.torn {
 			t.Fatal("fleet segment replayed torn")
 		}
 	}
+	app.Close()
 	sum := sha256.Sum256(EncodeDump(store.ChunkSize(), store.Dump()))
 	if got := hex.EncodeToString(sum[:]); got != fleetDumpSHA256 {
 		t.Fatalf("fleet dump sha256 = %s, want %s", got, fleetDumpSHA256)

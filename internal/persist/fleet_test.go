@@ -150,11 +150,12 @@ func newFleetStore() *timeseries.Store {
 func replayFleet(tb testing.TB) *timeseries.Store {
 	tb.Helper()
 	store := newFleetStore()
-	rt := NewRefTable()
+	app := NewApplier(store)
 	for _, seg := range fleetWAL().segments {
-		if res := mustReplay(tb, seg, func(rec walRecord) { rec.apply(store, rt) }); res.torn {
+		if res := mustReplay(tb, seg, app.apply); res.torn {
 			tb.Fatal("fleet segment replayed torn")
 		}
 	}
+	app.Close()
 	return store
 }

@@ -133,8 +133,8 @@ func TestOpenRefusesUnsupportedFormats(t *testing.T) {
 // refuse a shipped record with a retired op code the same way.
 func TestShippedRetiredRecordRefused(t *testing.T) {
 	for _, payload := range [][]byte{retiredKeyedPayload(), retiredOp2Payload(), retiredRefPayload(), reservedShapePayload()} {
-		if err := ApplyRecord(timeseries.NewStore(8), NewRefTable(), payload); !errors.Is(err, ErrUnsupportedFormat) {
-			t.Fatalf("op %d: ApplyRecord = %v, want ErrUnsupportedFormat", payload[0], err)
+		if err := NewApplier(timeseries.NewStore(8)).Apply(payload); !errors.Is(err, ErrUnsupportedFormat) {
+			t.Fatalf("op %d: Applier.Apply = %v, want ErrUnsupportedFormat", payload[0], err)
 		}
 		if _, err := RecordEntries(NewRefTable(), payload); !errors.Is(err, ErrUnsupportedFormat) {
 			t.Fatalf("op %d: RecordEntries = %v, want ErrUnsupportedFormat", payload[0], err)

@@ -151,11 +151,12 @@ func FuzzWALReplay(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		applied := 0
-		// Apply every decoded record the way recovery does — through a live
-		// store and ref table — so decode-then-apply can never panic.
+		// Apply every decoded record the way recovery does — through an
+		// Applier into a live store — so decode-then-apply can never panic.
 		store := timeseries.NewStore(8)
-		rt := NewRefTable()
-		res, err := replaySegment(data, func(rec walRecord) { applied++; rec.apply(store, rt) })
+		app := NewApplier(store)
+		res, err := replaySegment(data, func(rec walRecord) { applied++; app.apply(rec) })
+		app.Close()
 		if res.records != uint64(applied) {
 			t.Fatalf("counted %d records, applied %d", res.records, applied)
 		}
@@ -194,8 +195,9 @@ func FuzzWALReplay(f *testing.F) {
 		if hasMagic {
 			again := 0
 			store2 := timeseries.NewStore(8)
-			rt2 := NewRefTable()
-			res2, err2 := replaySegment(data[:res.offset], func(rec walRecord) { again++; rec.apply(store2, rt2) })
+			app2 := NewApplier(store2)
+			res2, err2 := replaySegment(data[:res.offset], func(rec walRecord) { again++; app2.apply(rec) })
+			app2.Close()
 			if err2 != nil || res2.torn || again != applied || res2.offset != res.offset {
 				t.Fatalf("clean prefix replay diverged: err=%v torn=%v records=%d/%d offset=%d/%d",
 					err2, res2.torn, again, applied, res2.offset, res.offset)

@@ -168,29 +168,12 @@ type refSample struct {
 	v   float64
 }
 
-// apply replays one operation onto a store; rt carries the WAL-ref
-// dictionary across records of one replay stream. Errors the original
-// operation already tolerated (out-of-order rejections, unknown series)
-// are tolerated again, so replay reproduces the live store's state exactly.
-func (r *walRecord) apply(store *timeseries.Store, rt *RefTable) {
-	switch r.op {
-	case opRetain:
-		store.Retain(r.cutoff)
-	case opRetainTier:
-		store.RetainTier(r.step, r.cutoff)
-	case opDefine:
-		rt.define(store, r.ref, r.id, r.kind, r.unit)
-	case opAppendCols:
-		rt.appendRefs(store, r.refEntries)
-	}
-}
-
 // RefTable is replay-side WAL-ref state: it maps the uvarint refs that
 // opDefine records bind to full series identities, caching the live
 // store's SeriesRef per definition. Refs stay valid for the life of a
 // store (retention never invalidates them), so one table serves one
-// ordered replay stream into one store; whoever swaps the store starts a
-// fresh table or Resets this one. Redefining a ref simply rebinds it
+// ordered replay stream into one store (an Applier owns one; whoever swaps
+// the store starts a fresh Applier). Redefining a ref simply rebinds it
 // (writers re-number from scratch after a checkpoint or restart, so later
 // segments may legitimately reuse small refs); a ref that was never
 // defined is skipped like any other tolerated replay inconsistency.
@@ -203,8 +186,7 @@ func (r *walRecord) apply(store *timeseries.Store, rt *RefTable) {
 type RefTable struct {
 	defs    map[uint64]refDef
 	dense   []timeseries.SeriesRef
-	buf     []timeseries.RefEntry // scratch for appendRefs
-	samples []refSample           // decode scratch for ApplyRecord / RecordEntries
+	samples []refSample // decode scratch for RecordEntries
 }
 
 // denseRefLimit bounds RefTable.dense, so a corrupt or hostile ref can size
@@ -220,13 +202,6 @@ type refDef struct {
 
 // NewRefTable returns an empty replay dictionary.
 func NewRefTable() *RefTable { return &RefTable{defs: make(map[uint64]refDef)} }
-
-// Reset drops all definitions (a replication follower does this when it
-// re-bootstraps from a fresh snapshot).
-func (rt *RefTable) Reset() {
-	clear(rt.defs)
-	clear(rt.dense)
-}
 
 func (rt *RefTable) define(store *timeseries.Store, ref uint64, id metric.ID, kind metric.Kind, unit metric.Unit) {
 	sref, err := store.Resolve(id, kind, unit)
@@ -246,27 +221,6 @@ func (rt *RefTable) bind(ref uint64, sref timeseries.SeriesRef) {
 		rt.dense = append(rt.dense, make([]timeseries.SeriesRef, ref+1-uint64(len(rt.dense)))...)
 	}
 	rt.dense[ref] = sref
-}
-
-func (rt *RefTable) appendRefs(store *timeseries.Store, entries []refSample) {
-	if cap(rt.buf) < len(entries) {
-		rt.buf = make([]timeseries.RefEntry, 0, len(entries))
-	}
-	rt.buf = rt.buf[:0]
-	for i := range entries {
-		e := &entries[i]
-		var sref timeseries.SeriesRef
-		if e.ref < uint64(len(rt.dense)) {
-			sref = rt.dense[e.ref]
-		} else if e.ref >= denseRefLimit {
-			sref = rt.defs[e.ref].sref
-		}
-		if sref == 0 {
-			continue // undefined ref: tolerated, like an unknown series
-		}
-		rt.buf = append(rt.buf, timeseries.RefEntry{Ref: sref, T: e.t, V: e.v})
-	}
-	_, _ = store.AppendRefs(rt.buf)
 }
 
 // --- payload encoding -------------------------------------------------

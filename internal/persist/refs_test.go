@@ -262,7 +262,7 @@ func TestStaleRefsNeverLogged(t *testing.T) {
 }
 
 // TestSegmentStreamReplaysRefRecords: a follower applying the leader's raw
-// record stream (SegmentReader + ApplyRecord with a RefTable) converges on
+// record stream (SegmentReader + an Applier, flushed after each read) converges on
 // the leader's exact store — including opDefine/opAppendCols records and the
 // retention records interleaved between them.
 func TestSegmentStreamReplaysRefRecords(t *testing.T) {
@@ -274,16 +274,16 @@ func TestSegmentStreamReplaysRefRecords(t *testing.T) {
 	refIngest(t, d, 40)
 
 	follower := timeseries.NewStore(8)
-	rt := NewRefTable()
+	app := NewApplier(follower)
+	defer app.Close()
 	sr := NewSegmentReader(dir)
 	seq, off := uint64(0), int64(0)
 	for {
-		nseq, noff, n, err := sr.ReadFrom(seq, off, 1<<20, func(payload []byte) error {
-			return ApplyRecord(follower, rt, payload)
-		})
+		nseq, noff, n, err := sr.ReadFrom(seq, off, 1<<20, app.Apply)
 		if err != nil {
 			t.Fatal(err)
 		}
+		app.Flush()
 		seq, off = nseq, noff
 		if n == 0 {
 			break

@@ -49,13 +49,15 @@ func (mt *mapRefTable) apply(t *testing.T, store *timeseries.Store, payload []by
 			}
 		}
 		_, _ = store.AppendRefs(buf)
-	default:
-		rec.apply(store, nil) // maintenance records never touch the table
+	case opRetain:
+		store.Retain(rec.cutoff)
+	case opRetainTier:
+		store.RetainTier(rec.step, rec.cutoff)
 	}
 }
 
 // TestRefTableEdgesMatchMapReference replays record streams that sit on the
-// dense table's edges through ApplyRecord and through the map-only
+// dense table's edges through an Applier and through the map-only
 // reference, and requires identical stores.
 func TestRefTableEdgesMatchMapReference(t *testing.T) {
 	idA := metric.ID{Name: "node_power_watts", Labels: metric.NewLabels("node", "n01")}
@@ -69,7 +71,7 @@ func TestRefTableEdgesMatchMapReference(t *testing.T) {
 	cases := []struct {
 		name    string
 		stream  [][]byte
-		resetAt int // Reset the table before this record (0 = never)
+		resetAt int // start a fresh Applier before this record (0 = never)
 		samples int // what the store must hold afterwards
 	}{
 		{
@@ -95,8 +97,9 @@ func TestRefTableEdgesMatchMapReference(t *testing.T) {
 			samples: 4,
 		},
 		{
-			// A follower re-bootstraps: bindings made before Reset are gone
-			// (their samples skip), the refs are reused afterwards.
+			// A follower re-bootstraps: bindings made before its fresh
+			// Applier are gone (their samples skip), the refs are reused
+			// afterwards.
 			name: "reset then reuse",
 			stream: [][]byte{
 				def(1, idA), def(2, idB),
@@ -136,18 +139,20 @@ func TestRefTableEdgesMatchMapReference(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			got, want := timeseries.NewStore(8), timeseries.NewStore(8)
-			rt := NewRefTable()
+			app := NewApplier(got)
 			mt := &mapRefTable{defs: make(map[uint64]refDef)}
 			for i, payload := range tc.stream {
 				if tc.resetAt != 0 && i == tc.resetAt {
-					rt.Reset()
+					app.Close()
+					app = NewApplier(got)
 					mt.defs, mt.epoch = make(map[uint64]refDef), 0
 				}
-				if err := ApplyRecord(got, rt, payload); err != nil {
+				if err := app.Apply(payload); err != nil {
 					t.Fatalf("record %d: %v", i, err)
 				}
 				mt.apply(t, want, payload)
 			}
+			app.Close()
 			if !reflect.DeepEqual(got.Dump(), want.Dump()) {
 				t.Fatalf("dense table and map reference built different stores:\n got %+v\nwant %+v", got.Dump(), want.Dump())
 			}

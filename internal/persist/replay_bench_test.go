@@ -33,8 +33,9 @@ func BenchmarkWALReplayRefs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		store := timeseries.NewStore(64)
-		rt := NewRefTable()
-		res := mustReplay(b, seg, func(rec walRecord) { rec.apply(store, rt) })
+		app := NewApplier(store)
+		res := mustReplay(b, seg, app.apply)
+		app.Close()
 		if res.torn || res.records == 0 {
 			b.Fatalf("replay broke: torn=%v records=%d", res.torn, res.records)
 		}
@@ -43,7 +44,8 @@ func BenchmarkWALReplayRefs(b *testing.B) {
 
 // BenchmarkWALReplayFleet is recovery as the end-to-end benchmark's largest
 // row sees it (see fleet_test.go for the shape). "replay" is the whole of
-// recovery below the file reads: frame, checksum, decode, resolve, append.
+// recovery below the file reads — frame, checksum, decode, resolve, append —
+// through the Applier Open replays with, so -cpu sets its shard count.
 // "direct" builds the same store from the same defines but hands the
 // samples to AppendRefs already decoded and resolved, so the difference in
 // allocs/op is what the decode-and-resolve loop allocates — `make
@@ -62,9 +64,9 @@ func BenchmarkWALReplayFleet(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			store := newFleetStore()
-			rt := NewRefTable()
+			app := NewApplier(store)
 			for _, def := range log.defines {
-				if err := ApplyRecord(store, rt, def); err != nil {
+				if err := app.Apply(def); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -106,13 +108,13 @@ func benchReplayFleet(b *testing.B, log *fleetLog) {
 	var storeBytes int
 	for i := 0; i < b.N; i++ {
 		store := newFleetStore()
-		rt := NewRefTable()
-		apply := func(rec walRecord) { rec.apply(store, rt) }
+		app := NewApplier(store)
 		for _, seg := range log.segments {
-			if res := mustReplay(b, seg, apply); res.torn {
+			if res := mustReplay(b, seg, app.apply); res.torn {
 				b.Fatal("fleet segment replayed torn")
 			}
 		}
+		app.Close()
 		b.StopTimer() // the check scans every shard; it is not recovery
 		if got := store.NumSamples(); got != log.samples {
 			b.Fatalf("replayed %d of %d samples", got, log.samples)

@@ -14,7 +14,7 @@ import (
 // order rebuilds the same store. The cluster layer streams records with
 // SegmentReader, bootstraps (or re-bootstraps after falling behind a
 // checkpoint GC) from ReplicationSnapshot, and applies shipped payloads to
-// its replica store with ApplyRecord.
+// its replica store with an Applier, the one Open replays through.
 
 // ErrSegmentGone reports that the WAL position a follower asked for was
 // garbage-collected by a checkpoint: the records are gone, and the follower
@@ -182,22 +182,6 @@ func (d *DurableStore) ReplicationSnapshot() (chunkSize int, dump []timeseries.S
 	clear(d.walRefs)
 	d.nextWALRef = 0
 	return chunkSize, dump, seq, off, nil
-}
-
-// ApplyRecord decodes one WAL record payload (as streamed by SegmentReader)
-// and applies it to store; rt carries opDefine bindings across the records
-// of one ordered stream (use one RefTable per follower session, Reset on
-// re-bootstrap). Errors the original operation tolerated are tolerated
-// again, so a follower replaying a leader's log converges on the leader's
-// exact state. A record with a retired op code is ErrUnsupportedFormat: the
-// leader runs a version whose log this follower cannot apply.
-func ApplyRecord(store *timeseries.Store, rt *RefTable, payload []byte) error {
-	rec, err := decodeRecord(payload, &rt.samples)
-	if err != nil {
-		return err
-	}
-	rec.apply(store, rt)
-	return nil
 }
 
 // EncodeDump serializes a store dump into the snapshot payload format —

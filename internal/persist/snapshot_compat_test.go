@@ -109,9 +109,12 @@ func openSnapshotFile(t *testing.T, dir string, data []byte) *DurableStore {
 // both directions. The snapshot this commit writes for compatStore at a 60 s
 // cadence is the committed v5 file byte for byte, and the committed file
 // loads through the whole of recovery: loadSnapshot runs RestoreStore, which
-// re-encodes every chunk, raw and tier, in the code and layout its tag names
-// and refuses the file if one byte differs. So the commit that wrote the file
-// loads ours, and we load its. A change that moves either is a new format.
+// decodes and checks every chunk, raw and tier, adopts the sealed ones as
+// they are, and re-encodes each series' and each tier's last in the code and
+// layout its tag names, refusing the file if one of those bytes differs
+// (TestRestoreCanonical re-encodes every chunk of it). So the commit that
+// wrote the file loads ours, and we load its. A change that moves either is
+// a new format.
 func TestSnapshotV5Golden(t *testing.T) {
 	dir := t.TempDir()
 	compatStore(t, dir, 60_000)

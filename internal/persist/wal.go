@@ -158,13 +158,28 @@ func syncDir(dir string) {
 	}
 }
 
-// openWAL starts a fresh segment with the given sequence number (which must
-// exceed every existing segment's).
-func openWAL(dir string, seq uint64, segSize int64) (*wal, error) {
+// openWAL opens the log for appending. With reuse it continues in segment
+// seq, which holds its header and nothing else: Open hands over an empty
+// last segment this way rather than leave it behind and start another.
+// Otherwise it starts a fresh segment seq, which must exceed every existing
+// segment's.
+func openWAL(dir string, seq uint64, segSize int64, reuse bool) (*wal, error) {
 	if segSize <= 0 {
 		segSize = DefaultSegmentSize
 	}
 	w := &wal{dir: dir, segSize: segSize, seq: seq - 1}
+	if reuse {
+		f, err := os.OpenFile(filepath.Join(dir, segmentName(seq)), os.O_WRONLY, 0)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := f.Seek(int64(len(segMagic)), io.SeekStart); err != nil {
+			f.Close()
+			return nil, err
+		}
+		w.f, w.seq, w.size = f, seq, int64(len(segMagic))
+		return w, nil
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err := w.rotateLocked(); err != nil {

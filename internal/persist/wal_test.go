@@ -110,7 +110,7 @@ func TestDecodeRecordRejectsGarbage(t *testing.T) {
 
 func TestWALSegmentRotationAndReplay(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWAL(dir, 1, 256) // tiny segments force rotation
+	w, err := openWAL(dir, 1, 256, false) // tiny segments force rotation
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestLoadSnapshotRejectsCorruption(t *testing.T) {
 
 func TestWALIntervalSyncSkipsIdleTicks(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWAL(dir, 1, DefaultSegmentSize)
+	w, err := openWAL(dir, 1, DefaultSegmentSize, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestWALIntervalSyncSkipsIdleTicks(t *testing.T) {
 
 func TestWALSyncToCoalesces(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWAL(dir, 1, DefaultSegmentSize)
+	w, err := openWAL(dir, 1, DefaultSegmentSize, false)
 	if err != nil {
 		t.Fatal(err)
 	}
