@@ -198,9 +198,13 @@ bench-ingest:
 # samples, a count as well) must stay at or under 5.15 — 5.002 with the
 # decimal chunk code, 12.67 when every chunk was Gorilla-coded. The same fleet
 # a sample a minute (replay_60s), where every 1m rollup window holds one
-# sample, must stay at or under 6.28 store_B/sample — 6.106 with one-sample
-# windows coded as one value, 15.39 when each coded its sample five times. A
-# missing benchmark fails the gate.
+# sample, must stay at or under 5.71 store_B/sample — 5.546 since a tier chunk
+# holds the records its stream writes (40 one-sample windows, not 15), 6.106
+# with 15 a chunk, 15.39 when each window coded its sample five times — and
+# at or under 339,956 allocs/op at either -cpu: 339,944 and 339,948 measured,
+# plus the same 8 for the runtime's stray allocations; 536,819 with 15
+# windows a chunk, a Chunk and its buffer for every 15 samples of a series.
+# A missing benchmark fails the gate.
 bench-replay:
 	@out=$$($(GO) test -run xxx -bench 'BenchmarkWALReplayFleet' -benchmem -benchtime 2x -cpu 1,2 ./internal/persist); \
 	echo "$$out"; \
@@ -210,12 +214,12 @@ bench-replay:
 			if (match(name, /-[0-9]+$$/)) { cpu = substr(name, RSTART + 1); name = substr(name, 1, RSTART - 1) } \
 			for (i=2; i<=NF; i++) { if ($$i == "allocs/op") allocs=$$(i-1); if ($$i == "segments") segs=$$(i-1); if ($$i == "wal_B/sample") walb=$$(i-1); if ($$i == "store_B/sample") storeb=$$(i-1) } \
 			if (name == "BenchmarkWALReplayFleet/replay") { replay[cpu]=allocs; nsegs[cpu]=segs; wal[cpu]=walb; store[cpu]=storeb } \
-			if (name == "BenchmarkWALReplayFleet/replay_60s") store60[cpu]=storeb; \
+			if (name == "BenchmarkWALReplayFleet/replay_60s") { store60[cpu]=storeb; allocs60[cpu]=allocs } \
 			if (name == "BenchmarkWALReplayFleet/direct") direct[cpu]=allocs; \
 		} \
 		END { \
 			for (c=1; c<=2; c++) { \
-				if (replay[c] == "" || direct[c] == "" || nsegs[c] == "" || wal[c] == "" || store[c] == "" || store60[c] == "") { printf "FAIL: BenchmarkWALReplayFleet replay/replay_60s/direct at -cpu %d missing from output\n", c; exit 1 } \
+				if (replay[c] == "" || direct[c] == "" || nsegs[c] == "" || wal[c] == "" || store[c] == "" || store60[c] == "" || allocs60[c] == "") { printf "FAIL: BenchmarkWALReplayFleet replay/replay_60s/direct at -cpu %d missing from output\n", c; exit 1 } \
 				budget = direct[c] + nsegs[c] + 1 + 8; \
 				printf "-cpu %d: replay %d allocs/op, direct build %d, %d segments: budget %d\n", c, replay[c], direct[c], nsegs[c], budget; \
 				if (replay[c]+0 > budget) { printf "FAIL: replay at -cpu %d allocates %d allocs/op over its budget\n", c, replay[c] - budget; exit 1 } \
@@ -227,11 +231,13 @@ bench-replay:
 			for (c=1; c<=2; c++) { \
 				printf "-cpu %d: replayed store %.3f B/sample: budget 5.15\n", c, store[c]; \
 				if (store[c]+0 > 5.15) { print "FAIL: the replayed store costs more bytes per sample than its budget"; exit 1 } \
-				printf "-cpu %d: replayed store at 60 s %.3f B/sample: budget 6.28\n", c, store60[c]; \
-				if (store60[c]+0 > 6.28) { print "FAIL: the store replayed at a 60 s cadence costs more bytes per sample than its budget"; exit 1 } \
+				printf "-cpu %d: replayed store at 60 s %.3f B/sample: budget 5.71\n", c, store60[c]; \
+				if (store60[c]+0 > 5.71) { print "FAIL: the store replayed at a 60 s cadence costs more bytes per sample than its budget"; exit 1 } \
+				printf "-cpu %d: replay at 60 s %d allocs/op: budget 339956\n", c, allocs60[c]; \
+				if (allocs60[c]+0 > 339956) { printf "FAIL: replay at a 60 s cadence at -cpu %d allocates %d allocs/op over its budget\n", c, allocs60[c] - 339956; exit 1 } \
 			} \
 			print "OK: a stored sample costs about what it costs in the log"; \
-			print "OK: a one-sample rollup window costs about one value" }'
+			print "OK: a one-sample rollup window costs about one value, and a chunk holds 40 of them" }'
 
 # Snapshot-load allocation budget, recovery's other half beside bench-replay:
 # BenchmarkSnapshotLoadFleet writes a store as a snapshot and loads it back —

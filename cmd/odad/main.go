@@ -38,8 +38,8 @@ func main() {
 	var cfg node.Config
 	flag.IntVar(&cfg.ChunkSize, "chunk", 0, "TSDB samples per chunk (0 = default)")
 	flag.Float64Var(&cfg.RetainRawHours, "retain-raw", 0, "drop raw telemetry older than this many hours on each ingest (0 = keep all)")
-	flag.Float64Var(&cfg.Retain1mHours, "retain-1m", 0, "drop 1m rollup windows older than this many hours (0 = keep all)")
-	flag.Float64Var(&cfg.Retain1hHours, "retain-1h", 0, "drop 1h rollup windows older than this many hours (0 = keep all)")
+	flag.Float64Var(&cfg.Retain1mHours, "retain-1m", 0, "drop 1m rollup windows older than this many hours (0 = keep all), a whole chunk at a time: 15 windows, or up to 40 where samples arrive a minute or more apart")
+	flag.Float64Var(&cfg.Retain1hHours, "retain-1h", 0, "drop 1h rollup windows older than this many hours (0 = keep all), a whole chunk at a time: 15 windows, or up to 40 where samples arrive an hour or more apart")
 	flag.StringVar(&cfg.Rollups, "rollups", "1m,1h", "comma-separated rollup tier resolutions (Go durations; empty = no rollups)")
 	flag.StringVar(&cfg.DataDir, "data-dir", "", "durable storage directory (empty = in-memory only)")
 	flag.StringVar(&cfg.Fsync, "fsync", "always", "WAL fsync policy: always|interval|never (with -data-dir)")

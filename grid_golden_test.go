@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/metric"
 	"repro/internal/oda"
 	"repro/internal/persist"
 	"repro/internal/timeseries"
@@ -27,14 +28,19 @@ var gridGolden = []struct {
 }
 
 // TestGridGolden: the full grid's answers over the standard experiment are
-// the pinned ones, and the same again over that run's archive written as a
-// snapshot payload and restored — which, with the simulation store's 1m and
-// 1h tiers, adopts every sealed chunk and re-encodes every last one. The
-// grid's prescriptive capabilities actuate the simulated centre, so the
-// second sweep runs on a second run of the seed, its store swapped for the
-// restored one. A different hash over the live store is a changed answer:
-// re-pin it only with the old and new hash and the capability that moved
-// named. A different hash over the restored store is a restore bug.
+// the pinned ones, and the same again over two archives rebuilt from that
+// run's store. One is its archive written as a snapshot payload and restored
+// — which, with the simulation store's 1m and 1h tiers, adopts every sealed
+// chunk and re-encodes every last one. The other is its samples logged
+// through a DurableStore of the same chunk size and rollups, which is
+// crashed and reopened by WAL replay alone: the replayed store cuts its own
+// raw and tier chunks, and at the run's 60 s cadence every 1m window holds
+// one sample. The grid's prescriptive capabilities actuate the simulated
+// centre, so each further sweep runs on a further run of the seed, its store
+// swapped for the rebuilt one. A different hash over the live store is a
+// changed answer: re-pin it only with the old and new hash and the
+// capability that moved named. A different hash over a rebuilt store is a
+// restore or replay bug.
 func TestGridGolden(t *testing.T) {
 	for _, g := range gridGolden {
 		got, answers, values := gridHash(t, StandardExperiment(g.seed, 16, 8).Ctx)
@@ -42,31 +48,92 @@ func TestGridGolden(t *testing.T) {
 		if got != g.hash {
 			t.Errorf("seed %d: grid hash %s, want %s", g.seed, got, g.hash)
 		}
-		run := StandardExperiment(g.seed, 16, 8)
-		live := run.DC.Store
-		chunkSize, dump, err := persist.DecodeDump(persist.EncodeDump(live.ChunkSize(), live.Dump()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sealed := 0
-		for _, sd := range dump {
-			sealed += max(len(sd.Chunks)-1, 0)
-			for _, td := range sd.Tiers {
-				sealed += max(len(td.Chunks)-1, 0)
+		for _, rebuilt := range []struct {
+			name  string
+			build func(*testing.T, *timeseries.Store) *timeseries.Store
+		}{{"restored snapshot", snapshotRestored}, {"WAL-recovered store", walRecovered}} {
+			run := StandardExperiment(g.seed, 16, 8)
+			run.Ctx.Store = rebuilt.build(t, run.DC.Store)
+			if again, _, _ := gridHash(t, run.Ctx); again != got {
+				t.Errorf("seed %d: grid hash over the %s %s, over the live store %s", g.seed, rebuilt.name, again, got)
 			}
 		}
-		if sealed == 0 {
-			t.Fatalf("seed %d: the snapshot holds no sealed chunk to adopt", g.seed)
-		}
-		restored, err := timeseries.RestoreStore(chunkSize, dump)
-		if err != nil {
-			t.Fatal(err)
-		}
-		run.Ctx.Store = restored
-		if again, _, _ := gridHash(t, run.Ctx); again != got {
-			t.Errorf("seed %d: grid hash over the restored snapshot %s, over the live store %s", g.seed, again, got)
+	}
+}
+
+// snapshotRestored writes live as a snapshot payload and restores it.
+func snapshotRestored(t *testing.T, live *timeseries.Store) *timeseries.Store {
+	t.Helper()
+	chunkSize, dump, err := persist.DecodeDump(persist.EncodeDump(live.ChunkSize(), live.Dump()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := 0
+	for _, sd := range dump {
+		sealed += max(len(sd.Chunks)-1, 0)
+		for _, td := range sd.Tiers {
+			sealed += max(len(td.Chunks)-1, 0)
 		}
 	}
+	if sealed == 0 {
+		t.Fatal("the snapshot holds no sealed chunk to adopt")
+	}
+	restored, err := timeseries.RestoreStore(chunkSize, dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return restored
+}
+
+// walRecovered logs every raw sample of live, series by series in its
+// first-ingest order, through a DurableStore with live's chunk size and rollup
+// steps, crashes it, and returns the store a WAL replay with no snapshot
+// rebuilds.
+func walRecovered(t *testing.T, live *timeseries.Store) *timeseries.Store {
+	t.Helper()
+	var steps []int64
+	for _, ts := range live.RollupStats().Tiers {
+		steps = append(steps, ts.Step)
+	}
+	opts := persist.Options{ChunkSize: live.ChunkSize(), Fsync: persist.FsyncNever,
+		StoreOptions: []timeseries.Option{timeseries.WithRollups(steps...)}}
+	dir := t.TempDir()
+	d, err := persist.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch []timeseries.BatchEntry
+	logged := 0
+	for _, sd := range live.Dump() {
+		batch = batch[:0]
+		if err := live.Each(sd.ID, math.MinInt64, math.MaxInt64, func(sm metric.Sample) bool {
+			batch = append(batch, timeseries.BatchEntry{ID: sd.ID, Kind: sd.Kind, Unit: sd.Unit, T: sm.T, V: sm.V})
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := d.AppendBatch(batch); err != nil || n != len(batch) {
+			t.Fatalf("%s: logged %d of %d samples: %v", sd.ID.Key(), n, len(batch), err)
+		}
+		logged += len(batch)
+	}
+	d.Crash()
+	rec, err := persist.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rec.Crash)
+	if st := rec.Stats(); st.SnapshotLoaded || st.ReplayedSamples != uint64(logged) {
+		t.Fatalf("recovery loaded a snapshot (%v) or replayed %d of %d samples", st.SnapshotLoaded, st.ReplayedSamples, logged)
+	}
+	// The run's 1m windows hold one sample each, so its tier chunks hold
+	// more windows than the 15 a chunk of whole groups does.
+	if tier := rec.Store().RollupStats().Tiers[0]; tier.Step != timeseries.TierStep1m || tier.Windows <= 15*tier.Chunks {
+		t.Fatalf("the replayed %d ms tier holds %d windows in %d chunks", tier.Step, tier.Windows, tier.Chunks)
+	} else {
+		t.Logf("WAL-recovered store: %d samples, 1m tier %d windows in %d chunks", logged, tier.Windows, tier.Chunks)
+	}
+	return rec.Store()
 }
 
 // gridHash runs FullGrid over ctx and hashes, capability by capability in

@@ -172,6 +172,7 @@ func (n *Node) stats() map[string]any {
 		rollup[prefix+"picks"] = ts.Picks
 		rollup[prefix+"bytes"] = ts.Bytes
 		rollup[prefix+"windows"] = ts.Windows
+		rollup[prefix+"chunks"] = ts.Chunks
 	}
 	cs := n.qf.CacheStats()
 	rollup["result_cache_hits"] = cs.Hits

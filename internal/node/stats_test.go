@@ -70,6 +70,37 @@ func TestStatsHandlerSmoke(t *testing.T) {
 	}
 }
 
+// TestStatsTierChunks: /stats counts each tier's chunks beside its windows,
+// and a 1m tier chunk holds the records its stream writes up to the store's
+// chunk size: 40 windows where each holds one sample (three records each),
+// 15 where each holds six (a whole group of eight).
+func TestStatsTierChunks(t *testing.T) {
+	n := openNode(t, Config{Rollups: "1m", RF: 1})
+	store := n.Store()
+	tier := func() (windows, chunks float64) {
+		t.Helper()
+		rollup := decode(t, get(t, n, "/stats"))["rollup"].(map[string]any)
+		return rollup["tier_60000ms_windows"].(float64), rollup["tier_60000ms_chunks"].(float64)
+	}
+	feed := func(name string, cadence int64) {
+		t.Helper()
+		id := metric.ID{Name: name, Labels: metric.NewLabels("node", "n0")}
+		for ts := int64(0); ts <= 80*60_000; ts += cadence { // 80 minutes sealed
+			if err := store.Append(id, metric.Gauge, metric.UnitWatt, ts, float64(ts%7)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	feed("node_power_watts", 60_000)
+	if windows, chunks := tier(); windows != 80 || chunks != 2 {
+		t.Fatalf("one sample a minute: %v windows in %v chunks, want 80 in 2 of 40", windows, chunks)
+	}
+	feed("node_temp_celsius", 10_000)
+	if windows, chunks := tier(); windows != 160 || chunks != 2+6 {
+		t.Fatalf("plus six samples a minute: %v windows in %v chunks, want 160 in 2+6 (80 = 5×15 + 5)", windows, chunks)
+	}
+}
+
 // TestStatsHandlerSchedulerSection: with an analysis grid mounted, /stats
 // carries the wave scheduler's counters, and they advance after a sweep.
 func TestStatsHandlerSchedulerSection(t *testing.T) {

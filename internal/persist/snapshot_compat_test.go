@@ -12,12 +12,16 @@ import (
 	"repro/internal/timeseries"
 )
 
-// v5Snapshot is the snapshot file the commit that introduced the one-sample
-// window layout and the magic "ODASNP5\n" wrote for compatStore at a 60 s
-// cadence, where every 1m window holds one sample (GEN_V5_SNAPSHOT=1 go test
-// -run TestSnapshotV5Golden rewrites it). v4OneSampleSnapshot is the one the
-// commit before it, with the magic "ODASNP4\n", wrote for the same input, its
-// one-sample windows coded whole; v4Snapshot is the one the commit that
+// v5Snapshot is the snapshot file this format writes for compatStore at a 60
+// s cadence, where every 1m window holds one sample, since a tier chunk holds
+// the records its stream writes: 40 such windows (GEN_V5_SNAPSHOT=1 go test
+// -run TestSnapshotV5Golden rewrites it). v5FifteenWindowSnapshot is the one
+// the commit that introduced the one-sample window layout and the magic
+// "ODASNP5\n" wrote for the same input, 15 windows a tier chunk, as every
+// window filled eight of a chunk's 120 records then. v4OneSampleSnapshot is
+// the one the commit before it, with the magic "ODASNP4\n", wrote for the
+// same input, its one-sample windows coded whole; v4Snapshot is the one the
+// commit that
 // introduced the decimal chunk codec wrote for compatStore at the fleet's 10 s
 // cadence. v3Snapshot is the one the commit that moved rollup tier chunks to
 // the column-predicted layout and the magic to "ODASNP3\n" wrote for that
@@ -25,11 +29,12 @@ import (
 // build, from before the bit writer was rewritten, wrote for the same input,
 // in the format this build refuses (TestOpenRefusesUnsupportedFormats).
 const (
-	v5Snapshot          = "testdata/snapshot-v5.snap"
-	v4OneSampleSnapshot = "testdata/snapshot-v4-one-sample.snap"
-	v4Snapshot          = "testdata/snapshot-v4.snap"
-	v3Snapshot          = "testdata/snapshot-v3.snap"
-	v2Snapshot          = "testdata/snapshot-before-pr14.snap"
+	v5Snapshot              = "testdata/snapshot-v5.snap"
+	v5FifteenWindowSnapshot = "testdata/snapshot-v5-15-windows.snap"
+	v4OneSampleSnapshot     = "testdata/snapshot-v4-one-sample.snap"
+	v4Snapshot              = "testdata/snapshot-v4.snap"
+	v3Snapshot              = "testdata/snapshot-v3.snap"
+	v2Snapshot              = "testdata/snapshot-before-pr14.snap"
 )
 
 // compatTicks is how many samples compatStore gives each series.
@@ -149,8 +154,9 @@ func TestSnapshotV5Golden(t *testing.T) {
 	}
 }
 
-// olderSnapshots are the committed files of older formats this build still
-// loads, each with the cadence of the input that wrote it.
+// olderSnapshots are the committed files of older formats, or of older
+// chunkings of this one, that this build still loads, each with the cadence
+// of the input that wrote it.
 var olderSnapshots = []struct {
 	path    string
 	version int
@@ -159,17 +165,20 @@ var olderSnapshots = []struct {
 	{v3Snapshot, 3, fleetStepMs},
 	{v4Snapshot, 4, fleetStepMs},
 	{v4OneSampleSnapshot, 4, 60_000},
+	{v5FifteenWindowSnapshot, 5, 60_000},
 }
 
 // TestSnapshotAcrossEncoderRewrite: each committed file of an older format —
 // v3, written before the decimal codec, every chunk Gorilla-coded and
 // untagged; v4, before the one-sample window layout, at the 10 s cadence and
-// at 60 s, where every 1m window holds one sample — loads through the same
-// decoder, RestoreStore adopting each sealed chunk and re-encoding each last
-// one in the code and layout it was written in, byte for byte
+// at 60 s, where every 1m window holds one sample — and the v5 file written
+// when a tier chunk held 15 windows whatever they wrote loads through the
+// same decoder, RestoreStore adopting each sealed chunk and re-encoding each
+// last one in the code and layout it was written in, byte for byte
 // (TestRestoreCanonical re-encodes every one), and holds the store this
-// commit builds from the same input: the same chunk boundaries, every raw sample and every sealed
-// rollup window bit for bit, the same open-window accumulators.
+// commit builds from the same input: every raw sample and every sealed rollup
+// window bit for bit, the same open-window accumulators, and the same chunk
+// boundaries but where this commit's tier chunks hold more windows (sameStores).
 func TestSnapshotAcrossEncoderRewrite(t *testing.T) {
 	for _, f := range olderSnapshots {
 		t.Run(filepath.Base(f.path), func(t *testing.T) {
@@ -193,13 +202,22 @@ func TestSnapshotAcrossEncoderRewrite(t *testing.T) {
 
 // sameStores requires old, loaded from a snapshot of the given format
 // version, to hold what cur, this commit's store of the same input at step
-// ms a tick, holds: the same series, chunk boundaries and accumulators,
-// every raw sample and sealed window bit for bit. A v3 file's chunks are
-// Gorilla-coded; a v4 file's chunks take the code this commit picks; no
-// tier chunk of either is in the one-sample window layout, every one this
-// commit writes is.
+// ms a tick, holds: the same series and accumulators, every raw sample and
+// sealed window bit for bit, and the same chunk boundaries in the raw lists
+// and in every tier whose windows hold several samples. A tier whose windows
+// hold one sample each (its step at most the input's) filled an old file's
+// chunks at 15 windows, eight records each of 120, and fills this commit's
+// at 40, three written records each: both lists hold the same windows, every
+// chunk but the last that many. A v3 file's chunks are Gorilla-coded; a v4
+// file's chunks take the code this commit picks; no tier chunk of either is
+// in the one-sample window layout, every one this commit writes is, and so is
+// every one of a v5 file.
 func sameStores(t *testing.T, old, cur *timeseries.Store, version int, step int64) {
 	t.Helper()
+	const (
+		oldWindows = 120 / 8 // a full tier chunk's windows in every older file
+		curWindows = 120 / 3 // in this commit's, where each window is one sample
+	)
 	got, want := old.Dump(), cur.Dump()
 	if len(got) != compatSeries+1 || len(got) != len(want) {
 		t.Fatalf("store from the v%d snapshot holds %d series, this commit's %d", version, len(got), len(want))
@@ -211,13 +229,30 @@ func sameStores(t *testing.T, old, cur *timeseries.Store, version int, step int6
 			t.Fatalf("series %d: %s with %d tiers, want %s with %d", i, sd.ID.Key(), len(sd.Tiers), wd.ID.Key(), len(wd.Tiers))
 		}
 		lists := [][2][]timeseries.ChunkDump{{sd.Chunks, wd.Chunks}}
+		single := []bool{false}
 		for j, td := range sd.Tiers {
 			if td.Step != wd.Tiers[j].Step || accBits(td.Acc) != accBits(wd.Tiers[j].Acc) {
 				t.Fatalf("%s tier %d: step or accumulator differs", sd.ID.Key(), j)
 			}
 			lists = append(lists, [2][]timeseries.ChunkDump{td.Chunks, wd.Tiers[j].Chunks})
+			single = append(single, td.Step <= step)
 		}
 		for l, pair := range lists {
+			if single[l] {
+				for side, per := range [2]int{oldWindows, curWindows} {
+					for k, cd := range pair[side] {
+						n := cd.Count / 8
+						if n > per || n < per && k < len(pair[side])-1 || cd.OneSample != (side == 1 || version == 5) {
+							t.Fatalf("%s list %d side %d chunk %d of %d: %d windows, one-sample %v; want %d",
+								sd.ID.Key(), l, side, k, len(pair[side]), n, cd.OneSample, per)
+						}
+					}
+				}
+				if records(pair[0]) != records(pair[1]) {
+					t.Fatalf("%s list %d: %d records, want %d", sd.ID.Key(), l, records(pair[0]), records(pair[1]))
+				}
+				continue
+			}
 			if len(pair[0]) != len(pair[1]) {
 				t.Fatalf("%s: %d chunks, want %d", sd.ID.Key(), len(pair[0]), len(pair[1]))
 			}
@@ -227,7 +262,7 @@ func sameStores(t *testing.T, old, cur *timeseries.Store, version int, step int6
 				if version == 3 {
 					code = false
 				}
-				if oc.Count != wc.Count || oc.Decimal != code || oc.OneSample || wc.OneSample != (l > 0) {
+				if oc.Count != wc.Count || oc.Decimal != code || oc.OneSample != (version == 5 && l > 0) || wc.OneSample != (l > 0) {
 					t.Fatalf("%s list %d chunk %d: %d samples, decimal %v, one-sample %v; want %d, %v, %v",
 						sd.ID.Key(), l, k, oc.Count, oc.Decimal, oc.OneSample, wc.Count, code, l > 0)
 				}
@@ -312,6 +347,15 @@ func TestSnapshotRefusesUnknownChunkTag(t *testing.T) {
 	if _, _, err := decodeSnapshot(tagged, snapVersion); err == nil || !strings.Contains(err.Error(), "unknown") {
 		t.Fatalf("decodeSnapshot with tag bit 2 = %v, want a refusal", err)
 	}
+}
+
+// records is how many records a dumped chunk list holds.
+func records(chunks []timeseries.ChunkDump) int {
+	n := 0
+	for _, cd := range chunks {
+		n += cd.Count
+	}
+	return n
 }
 
 // accBits is a rollup accumulator with its floats as bits, comparable with ==.

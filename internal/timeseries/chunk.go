@@ -88,9 +88,16 @@ func nextChunk(chunks []*Chunk, limit int, t int64) ([]*Chunk, *Chunk) {
 	if last.count < limit && !wide {
 		return chunks, last
 	}
+	c := openAfter(last)
+	return append(chunks, c), c
+}
+
+// openAfter returns an empty chunk to follow last, its buffer sized from the
+// bytes last needed (nextChunk).
+func openAfter(last *Chunk) *Chunk {
 	c := NewChunk()
 	c.w.buf = make([]byte, 0, len(last.w.buf)+len(last.w.buf)/8+8)
-	return append(chunks, c), c
+	return c
 }
 
 // Count returns the number of samples in the chunk.
@@ -178,8 +185,14 @@ func (c *Chunk) append(t int64, v float64, delta *int64, x *colState, cc *codeCo
 // lock drops, cursors read a full chunk's buffer without one.
 func (c *Chunk) trimIfFull(limit int) {
 	if c.count >= limit {
-		c.w.buf = append(make([]byte, 0, len(c.w.buf)), c.w.buf...)
+		c.trim()
 	}
+}
+
+// trim reallocates the chunk's buffer at its exact length; the caller holds
+// the series write lock, and no append continues the chunk after it.
+func (c *Chunk) trim() {
+	c.w.buf = append(make([]byte, 0, len(c.w.buf)), c.w.buf...)
 }
 
 // appendGroup appends one rollup window: rollupStride records stamped t0,

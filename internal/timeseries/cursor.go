@@ -73,9 +73,9 @@ func (s *Store) newCursor(ss *storedSeries, from, to int64) *cursor {
 }
 
 // snapshotChunks fills the cursor's sealed/tail window from a chunk list —
-// the raw series or one of its rollup tiers (which seal at sealCap, a
-// whole number of window groups). The caller must hold the series read
-// lock and have set cur.from/cur.to.
+// the raw series, whose last chunk is sealed once it holds sealCap samples,
+// or one of its rollup tiers, whose last chunk never is. The caller must
+// hold the series read lock and have set cur.from/cur.to.
 func (cur *cursor) snapshotChunks(chunks []*Chunk, sealCap int) {
 	// Seek the first chunk that may overlap [from, to): LastTime is
 	// non-decreasing across chunks.
@@ -89,8 +89,9 @@ func (cur *cursor) snapshotChunks(chunks []*Chunk, sealCap int) {
 		if c.Count() >= sealCap || i < len(chunks)-1 {
 			// Sealed: append only ever touches the last chunk, and never
 			// once it is full, so the pointer can be read lock-free for
-			// the cursor's lifetime. (A chunk before the last is short
-			// only where nextChunk cut it after one sample.)
+			// the cursor's lifetime. (A raw chunk before the last is short
+			// only where nextChunk cut it after one sample; a tier chunk
+			// was trimmed when the next opened.)
 			cur.sealed = append(cur.sealed, c)
 			continue
 		}

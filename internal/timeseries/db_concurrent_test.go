@@ -226,12 +226,14 @@ func TestStoreAppendBatch(t *testing.T) {
 // is exactly the stream so far. The bit writer keeps no pending word outside
 // the buffer, so the copy taken under the read lock is complete; a deferred
 // flush would show here as a short or torn tail (and, under -race, as a
-// write from the reader's side of the lock). The rollup tier's open chunk is
-// read the same way through the planned path. Chunks roll over (and are
-// trimmed) many times during the run, so the sealed-pointer hand-off is
-// exercised too.
+// write from the reader's side of the lock). The rollup tiers' open chunks
+// are read the same way through the planned path: the 4 s tier's windows of
+// four samples, and the 1 s tier's windows of one, whose chunks fill below
+// the chunk size in written records and are trimmed only when the next
+// opens. Chunks roll over (and are trimmed) many times during the run, so
+// the sealed-pointer hand-off is exercised too.
 func TestCursorTailCopyUnderAppend(t *testing.T) {
-	s := NewStore(16, WithRollups(4000))
+	s := NewStore(16, WithRollups(1000, 4000))
 	id := seriesID(0)
 	const n = 4000
 	value := func(k int) float64 { return float64(k%17) * 1.25 }
@@ -271,6 +273,10 @@ func TestCursorTailCopyUnderAppend(t *testing.T) {
 		cur.Close()
 		if _, _, err := s.ReducePlanned(id, 0, n*1000, AggSum); err != nil {
 			t.Fatalf("planned reduce: %v", err)
+		}
+		// From 1 s, off the 4 s tier's windows: the 1 s tier serves it.
+		if _, _, err := s.ReducePlanned(id, 1000, n*1000, AggSum); err != nil {
+			t.Fatalf("planned reduce over the 1 s tier: %v", err)
 		}
 	}
 	if got := s.NumSamples(); got != n {

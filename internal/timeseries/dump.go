@@ -101,7 +101,7 @@ func RestoreStore(chunkSize int, dump []SeriesDump, opts ...Option) (*Store, err
 		open := lastHolding(sd.Chunks)
 		for i, cd := range sd.Chunks {
 			var x [1]colState
-			c, lastT, n, err := restoreChunk(cd, ss.last.T, ss.hasLast, i == open, &ss.delta, x[:], &ss.cost)
+			c, lastT, n, err := restoreChunk(cd, ss.last.T, ss.hasLast, i == open, &ss.delta, x[:], &ss.cost, nil)
 			if err != nil {
 				return nil, fmt.Errorf("timeseries: restore %s: %w", key, err)
 			}
@@ -124,7 +124,7 @@ func RestoreStore(chunkSize int, dump []SeriesDump, opts ...Option) (*Store, err
 			hasLast := false
 			open := lastHolding(td.Chunks)
 			for i, cd := range td.Chunks {
-				c, lt, _, err := restoreChunk(cd, lastT, hasLast, i == open, &ts.delta, ts.pred[:], nil)
+				c, lt, _, err := restoreChunk(cd, lastT, hasLast, i == open, &ts.delta, ts.pred[:], nil, &ts.written)
 				if err != nil {
 					return nil, fmt.Errorf("timeseries: restore %s[tier %d]: %w", key, td.Step, err)
 				}
@@ -186,8 +186,10 @@ func lastHolding(chunks []ChunkDump) int {
 // chunk leaves in cols and delta its closing coder state, the series' or the
 // tier's; a raw one leaves cc, unless nil, weighing its two codes the way the
 // live append did, so the chunk after it opens in the code the dumped store
-// would have chosen.
-func restoreChunk(cd ChunkDump, lastT int64, hasLast, open bool, delta *int64, cols []colState, cc *codeCost) (*Chunk, int64, float64, error) {
+// would have chosen; a tier one leaves in written, unless nil, the records
+// its stream writes (groupWrites), so the tier's next window joins it or
+// opens a chunk as the dumped store's would.
+func restoreChunk(cd ChunkDump, lastT int64, hasLast, open bool, delta *int64, cols []colState, cc *codeCost, written *int) (*Chunk, int64, float64, error) {
 	if cd.Count == 0 {
 		return nil, 0, 0, nil
 	}
@@ -208,6 +210,9 @@ func restoreChunk(cd ChunkDump, lastT int64, hasLast, open bool, delta *int64, c
 		*delta = 0
 		if cc != nil {
 			*cc = codeCost{}
+		}
+		if written != nil {
+			*written = 0
 		}
 	}
 	var it ChunkIter
@@ -240,6 +245,9 @@ func restoreChunk(cd ChunkDump, lastT int64, hasLast, open bool, delta *int64, c
 				if col == rollupStride-1 {
 					if err := c.appendGroup(t-(rollupStride-1), &group, (*[rollupStride]colState)(cols), delta); err != nil {
 						return nil, 0, 0, err
+					}
+					if written != nil {
+						*written += groupWrites(cd.OneSample, group[colCount])
 					}
 				}
 			}

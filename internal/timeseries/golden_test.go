@@ -167,12 +167,17 @@ func TestDecimalChunkBytesGolden(t *testing.T) {
 // chunks are decimal-coded (snapshot v4). At the walk's 10 s cadence every
 // window holds several samples, so neither moved with the one-sample window
 // layout (snapshot v5); the "-60s" hashes are the same walk, a sample a
-// minute, where every 1m window holds one, pinned with that layout.
+// minute, where every 1m window holds one. They were pinned with that layout
+// (33f22f3e… and fb088d9f…, 15 windows a chunk) and re-pinned when a tier
+// chunk came to hold the records it writes, 40 such windows: the chunk
+// boundaries, and so the headers and the first records each chunk codes
+// against a zero state, moved; no window's code did. The 10 s hashes did not
+// move: a window of six samples writes its whole group either way.
 var tierChunksSHA256 = map[string]string{
 	"gorilla":     "b5dc72bf16213da606a13e0721f384cd30172b1afef03fad042f3de3492fc32d",
 	"decimal":     "cc46572eb03d95e6632917ad5cbadc3f69d9c1ca2a99e57a29b5a58abe0c3f76",
-	"gorilla-60s": "33f22f3e586a60eeac52dd0232f85c811e179e594d738978c1cc9a3d859bee93",
-	"decimal-60s": "fb088d9fd8f21965ee6c9418494d489c9335e47d19e42cf65d241dd76dd1e65a",
+	"gorilla-60s": "a7b84d488edba1fadf06f33362788fe47001dfa19fca26a6121e29ee1b93c96d",
+	"decimal-60s": "f367022a9defd7fdf87ec879a48023837e3800b47ff28ec72b1720daab7c954a",
 }
 
 func TestTierChunkBytesGolden(t *testing.T) {

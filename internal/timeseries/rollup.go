@@ -83,24 +83,29 @@ type tierState struct {
 	step   int64
 	chunks []*Chunk
 	acc    RollupAcc
-	// pred and delta are the coder state of the tier's last chunk — the
-	// column predictors the next sealed window's values are coded against,
-	// and the timestamp delta its first record's is — and are zeroed when a
-	// chunk opens, so every chunk decodes on its own.
-	pred  [rollupStride]colState
-	delta int64
+	// pred, delta and written are the coder state of the tier's last chunk —
+	// the column predictors the next sealed window's values are coded
+	// against, the timestamp delta its first record's is, and how many
+	// records the chunk's stream writes (groupWrites) — and are zeroed when
+	// a chunk opens, so every chunk decodes on its own.
+	pred    [rollupStride]colState
+	delta   int64
+	written int
 }
 
-// tierChunkCap is how many records a tier chunk holds before rolling over:
-// the store chunk size rounded down to a whole number of windows, so one
-// window's record group never spans a chunk boundary and per-tier retention
-// can drop whole chunks without tearing a group.
-func tierChunkCap(chunkSize int) int {
-	cap := chunkSize - chunkSize%rollupStride
-	if cap < rollupStride {
-		cap = rollupStride
+// groupWrites is how many records a window of the given count writes in a
+// tier chunk of the layout oneSample names (Chunk.oneSample): three for a
+// window of one sample in the one-sample layout — its count, sum and first
+// offset, Chunk.appendGroup implying the other five — and a whole group of
+// rollupStride for every other window. A tier chunk holds as many written
+// records as a raw chunk holds samples (the store's chunk size), which
+// bounds what decoding or re-encoding one costs: at the default 120, 15
+// windows, or 40 where each window is one sample.
+func groupWrites(oneSample bool, count float64) int {
+	if oneSample && count == 1 {
+		return 3
 	}
-	return cap
+	return rollupStride
 }
 
 // floorDiv is integer division rounding toward negative infinity, so
@@ -245,7 +250,7 @@ func (ts *tierState) seal(s *Store, raw bool, tally *ingestTally) error {
 		colLastT:  float64(a.LastT - a.Start),
 		colLastV:  a.LastV,
 	}
-	if err := ts.appendWindow(tierChunkCap(s.chunkSize), a.Start/ts.step, &vals, raw); err != nil {
+	if err := ts.appendWindow(s.chunkSize, a.Start/ts.step, &vals, raw); err != nil {
 		return fmt.Errorf("timeseries: rollup seal: %w", err)
 	}
 	a.Active = false
@@ -254,29 +259,40 @@ func (ts *tierState) seal(s *Store, raw bool, tally *ingestTally) error {
 }
 
 // appendWindow writes window number win (its start over the tier step) as one
-// group stamped win*rollupStride+col, into the open chunk or a new one of
-// limit records. limit is a whole number of groups, so only a group's first
-// record can open a chunk — which is what lets a decoder tell a record's
-// column from its position — and a chunk that opens starts from a zero
-// coder state, in the one-sample window layout (Chunk.oneSample), and
-// decimal-coded when raw is set. A window of count 1 whose other columns do
-// not repeat its sample, which no fold seals, is refused: that layout codes
-// the sample once.
+// group stamped win*rollupStride+col: into the open chunk while the records
+// its stream writes (groupWrites) stay within limit, or into a new chunk.
+// Only a group's first record opens a chunk — which is what lets a decoder
+// tell a record's column from its position — and a chunk that opens starts
+// from a zero coder state, in the one-sample window layout
+// (Chunk.oneSample), and decimal-coded when raw is set. The chunk it
+// replaces is trimmed to its exact length then, under the same series lock,
+// before any cursor reads it as sealed: a tier chunk can be full below limit
+// written records, and only the next chunk's opening tells. A window of count
+// 1 whose other columns do not repeat its sample, which no fold seals, is
+// refused: that layout codes the sample once.
 func (ts *tierState) appendWindow(limit int, win int64, vals *[rollupStride]float64, raw bool) error {
 	if vals[colCount] == 1 && !oneSampleWindow(vals) {
 		return fmt.Errorf("window %d: count 1, but its columns are not one sample's", win)
 	}
-	base := win * rollupStride
-	chunks, c := nextChunk(ts.chunks, limit, base)
-	ts.chunks = chunks
-	if c.count == 0 {
-		ts.pred, ts.delta = [rollupStride]colState{}, 0
+	n := len(ts.chunks)
+	if n == 0 || ts.written+groupWrites(ts.chunks[n-1].oneSample, vals[colCount]) > limit {
+		var c *Chunk
+		if n == 0 {
+			c = NewChunk()
+		} else {
+			last := ts.chunks[n-1]
+			c = openAfter(last)
+			last.trim()
+		}
 		c.dec, c.oneSample = raw, true
+		ts.chunks = append(ts.chunks, c)
+		ts.pred, ts.delta, ts.written = [rollupStride]colState{}, 0, 0
 	}
-	if err := c.appendGroup(base, vals, &ts.pred, &ts.delta); err != nil {
+	c := ts.chunks[len(ts.chunks)-1]
+	if err := c.appendGroup(win*rollupStride, vals, &ts.pred, &ts.delta); err != nil {
 		return err
 	}
-	c.trimIfFull(limit)
+	ts.written += groupWrites(c.oneSample, vals[colCount])
 	return nil
 }
 
@@ -309,10 +325,12 @@ func (ts *tierState) sealedRange() (first, last int64, ok bool) {
 
 // RetainTier drops sealed rollup windows of the given tier resolution whose
 // window start is older than cutoff, across every series, returning how
-// many windows were discarded. Like raw Retain it drops whole chunks (a
-// tier chunk always holds whole window groups); raw data and other tiers
-// are untouched, so the tiers age out independently: raw days, minutely
-// weeks, hourly years.
+// many windows were discarded. Like raw Retain it drops whole chunks, each
+// once its newest window is older than cutoff, so a window outlives cutoff
+// by at most its chunk's span: 15 windows, or up to 40 where the windows
+// hold one sample each (groupWrites). Raw data and other tiers are
+// untouched, so the tiers age out independently: raw days, minutely weeks,
+// hourly years.
 func (s *Store) RetainTier(step, cutoff int64) int {
 	dropped := 0
 	s.scanSeries(func(ss *storedSeries) {
@@ -422,7 +440,9 @@ func (s *Store) newTierCursor(ss *storedSeries, ts *tierState, winFrom, winTo in
 	cur.store, cur.tier = s, true
 	cur.from, cur.to = winFrom/ts.step*rollupStride, winTo/ts.step*rollupStride
 	ss.mu.RLock()
-	cur.snapshotChunks(ts.chunks, tierChunkCap(s.chunkSize))
+	// A tier's last chunk is never read as sealed, full or not: only the
+	// next chunk's opening trims it (tierState.appendWindow).
+	cur.snapshotChunks(ts.chunks, math.MaxInt)
 	ss.mu.RUnlock()
 	return cur
 }
@@ -482,6 +502,7 @@ type TierStat struct {
 	Picks   uint64 // planner decisions served by this tier
 	Bytes   int    // compressed payload of the tier's sealed windows, resident now
 	Windows int    // sealed windows resident now
+	Chunks  int    // chunks holding them
 }
 
 // RollupStats reports rollup maintenance and planner counters since the
@@ -502,7 +523,7 @@ func (s *Store) RollupStats() RollupStats {
 		Seals:    s.rollupSeals.Load(),
 		RawPlans: s.planRaw.Load(),
 	}
-	sizes := make([]struct{ bytes, records int }, len(s.tierSteps))
+	sizes := make([]struct{ bytes, records, chunks int }, len(s.tierSteps))
 	if len(sizes) > 0 {
 		s.scanSeries(func(ss *storedSeries) {
 			ss.mu.RLock()
@@ -512,6 +533,7 @@ func (s *Store) RollupStats() RollupStats {
 						continue
 					}
 					sz := &sizes[i]
+					sz.chunks += len(ts.chunks)
 					for _, c := range ts.chunks {
 						sz.bytes += c.Bytes()
 						sz.records += c.Count()
@@ -523,7 +545,7 @@ func (s *Store) RollupStats() RollupStats {
 	}
 	for i, step := range s.tierSteps {
 		t := TierStat{Step: step, Series: s.tierSeries[i].Load(), Picks: s.tierPicks[i].Load(),
-			Bytes: sizes[i].bytes, Windows: sizes[i].records / rollupStride}
+			Bytes: sizes[i].bytes, Windows: sizes[i].records / rollupStride, Chunks: sizes[i].chunks}
 		st.Tiers = append(st.Tiers, t)
 	}
 	return st

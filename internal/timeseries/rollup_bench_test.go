@@ -1,6 +1,7 @@
 package timeseries
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -90,5 +91,47 @@ func BenchmarkStorePlannedCursorSweep(b *testing.B) {
 		if err != nil || n != longWindowSamples-1 || v == 0 {
 			b.Fatalf("reduce: (%v, %d, %v)", v, n, err)
 		}
+	}
+}
+
+// BenchmarkTierTailReduce is what reading a series' newest data costs: the
+// planned mean over its last 10 minutes, which the 1m tier serves but for
+// the open minute, which the raw tail does. A tier chunk decodes from its
+// start, so the cost follows how many windows the chunk holds before the ones
+// asked for: up to 15 at a 10 s cadence, up to 40 at 60 s, where each window
+// is one sample (groupWrites). The series end at each of 120 successive
+// minutes — every phase of 15- and 40-window tier chunks and of the raw
+// chunks — and the loop cycles through them.
+func BenchmarkTierTailReduce(b *testing.B) {
+	const phases = 120
+	id := metric.ID{Name: "node_power_watts", Labels: metric.NewLabels("node", "n0")}
+	for _, cadence := range []int64{10_000, 60_000} {
+		b.Run(fmt.Sprintf("%ds", cadence/1000), func(b *testing.B) {
+			stores := make([]*Store, phases)
+			ends := make([]int64, phases)
+			for p := range stores {
+				s := NewStore(0, WithRollups(TierStep1m, TierStep1h))
+				end := int64(6*60+p) * TierStep1m
+				for t := int64(0); t < end; t += cadence {
+					if err := s.Append(id, metric.Gauge, metric.UnitWatt, t, 300+float64(t/cadence%97)/10); err != nil {
+						b.Fatal(err)
+					}
+				}
+				from := end - 10*TierStep1m
+				if plan := planOf(s, id, from, end, 0, AggMean); plan.TierStep != TierStep1m || plan.TierTo != end-TierStep1m {
+					b.Fatalf("phase %d: plan %+v, want the 1m tier up to the open minute", p, plan)
+				}
+				stores[p], ends[p] = s, end
+			}
+			want := int(10 * TierStep1m / cadence)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := i % phases
+				if _, n, err := stores[p].ReducePlanned(id, ends[p]-10*TierStep1m, ends[p], AggMean); err != nil || n != want {
+					b.Fatalf("phase %d: %d samples, %v", p, n, err)
+				}
+			}
+		})
 	}
 }

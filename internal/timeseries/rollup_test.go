@@ -287,12 +287,74 @@ func TestRollupSurvivesRawRetention(t *testing.T) {
 	}
 }
 
+// TestTierChunkCap: a tier chunk holds as many records as its stream writes
+// up to the store's chunk size — a window of one sample writes three (its
+// count, sum and first offset), every other window its whole group of eight —
+// and at least one window whatever the size. A window opens a new chunk only
+// where it would not fit the open one, so every chunk but the last is full —
+// its successor's first window would have overflowed it — and was trimmed to
+// its exact length when that successor opened.
 func TestTierChunkCap(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{1, 8}, {7, 8}, {8, 8}, {9, 8}, {64, 64}, {100, 96}, {120, 120},
+	for _, tc := range []struct{ size, whole, single int }{
+		{1, 1, 1}, {7, 1, 2}, {8, 1, 2}, {9, 1, 3}, {64, 8, 21}, {100, 12, 33}, {120, 15, 40},
 	} {
-		if got := tierChunkCap(tc.in); got != tc.want {
-			t.Fatalf("tierChunkCap(%d) = %d, want %d", tc.in, got, tc.want)
+		for _, shape := range []string{"whole", "single", "mixed"} {
+			s := NewStore(tc.size, WithRollups(TierStep1m))
+			id := metric.ID{Name: "power"}
+			for w := int64(0); w < 200; w++ {
+				offs := []int64{0, 10_000, 20_000, 30_000, 40_000, 50_000}
+				switch {
+				case shape == "single", shape == "mixed" && w%2 == 0:
+					offs = offs[:1]
+				case shape == "mixed":
+					offs = offs[:2]
+				}
+				for _, off := range offs {
+					if err := s.Append(id, metric.Gauge, metric.UnitWatt, w*TierStep1m+off, float64(w%7)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			chunks := s.lookup(id.Key()).tiers[0].chunks
+			var written []int
+			var firsts []int // what each chunk's first window writes
+			for _, c := range chunks {
+				if !c.oneSample {
+					t.Fatalf("size %d %s: a tier chunk outside the one-sample window layout", tc.size, shape)
+				}
+				n, first := 0, 0
+				it := ChunkIter{}
+				it.reset(c.w.bytes(), c.Count(), true, c.dec, c.oneSample)
+				for i := 0; it.Next(); i++ {
+					if i%rollupStride != colCount {
+						continue
+					}
+					w := rollupStride
+					if it.At().V == 1 {
+						w = 3
+					}
+					if i == 0 {
+						first = w
+					}
+					n += w
+				}
+				written, firsts = append(written, n), append(firsts, first)
+			}
+			for i, c := range chunks[:len(chunks)-1] {
+				if written[i] > tc.size && c.Count() > rollupStride {
+					t.Fatalf("size %d %s: chunk %d writes %d records", tc.size, shape, i, written[i])
+				}
+				if cap(c.w.buf) != len(c.w.buf) {
+					t.Fatalf("size %d %s: chunk %d sealed with %d bytes of slack", tc.size, shape, i, cap(c.w.buf)-len(c.w.buf))
+				}
+				if written[i]+firsts[i+1] <= tc.size {
+					t.Fatalf("size %d %s: chunk %d closed at %d written records, with room for the next window's %d", tc.size, shape, i, written[i], firsts[i+1])
+				}
+				want := map[string]int{"whole": tc.whole, "single": tc.single}[shape]
+				if got := c.Count() / rollupStride; want != 0 && got != want {
+					t.Fatalf("size %d %s: chunk %d holds %d windows, want %d", tc.size, shape, i, got, want)
+				}
+			}
 		}
 	}
 	if floorDiv(-1, 60) != -1 || floorDiv(60, 60) != 1 || floorDiv(-60, 60) != -1 {

@@ -15,8 +15,9 @@ import (
 	"repro/internal/metric"
 )
 
-// tierFuzzChunkSize makes a tier chunk two window groups, so a handful of
-// windows rolls chunks over.
+// tierFuzzChunkSize makes a tier chunk 16 written records — two whole window
+// groups, five windows of one sample, or one group and two such windows — so
+// a handful of windows rolls chunks over.
 const tierFuzzChunkSize = 2 * rollupStride
 
 // tierFuzzGroup is one window as FuzzTierGroupRoundTrip parses it: how many
@@ -158,14 +159,15 @@ func disagrees(vals *[rollupStride]float64) bool {
 // FuzzTierGroupRoundTrip drives arbitrary window groups — any eight float64
 // bit patterns, any non-negative gap between windows, window starts either
 // side of the epoch — through the rollup tier's group codec the way seal does
-// (tierState.appendWindow, chunks of two groups). A window of count 1 whose
-// other columns disagree with its sample (disagrees) must be refused and
-// leave the tier as it was; of every other window, one-sample windows in
-// their one-value layout included, it requires: every record decodes bit for
+// (tierState.appendWindow, chunks of tierFuzzChunkSize written records). A
+// window of count 1 whose other columns disagree with its sample (disagrees)
+// must be refused and leave the tier as it was; of every other window,
+// one-sample windows in their one-value layout included, it requires: the
+// chunk count the written-record rule gives; every record decodes bit for
 // bit with the stamp its window and column give it; the planner's window
 // decoder finds every window start; a dump restores to the same bytes; and
-// the restored tier, predictor included, carries on exactly like the live
-// one.
+// the restored tier, predictor and written count included, carries on
+// exactly like the live one over enough windows to open a chunk.
 func FuzzTierGroupRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	for _, seed := range tierFuzzSeeds() {
@@ -190,7 +192,7 @@ func FuzzTierGroupRoundTrip(f *testing.F) {
 			if refuse {
 				before = s.Dump()
 			}
-			err := ts.appendWindow(tierChunkCap(s.chunkSize), win, &g.vals, !g.gorilla)
+			err := ts.appendWindow(s.chunkSize, win, &g.vals, !g.gorilla)
 			switch {
 			case refuse:
 				if err == nil {
@@ -215,7 +217,20 @@ func FuzzTierGroupRoundTrip(f *testing.F) {
 				t.Fatal("a new tier chunk is not in the one-sample window layout")
 			}
 		}
-		if want := (len(groups) + 1) / 2; len(ts.chunks) != want {
+		// A window writes three records where it is one sample, eight where
+		// not, and joins the open chunk while they fit in tierFuzzChunkSize.
+		want, written := 0, 0
+		for i, g := range groups {
+			w := rollupStride
+			if g.vals[colCount] == 1 {
+				w = 3
+			}
+			if i == 0 || written+w > tierFuzzChunkSize {
+				want, written = want+1, 0
+			}
+			written += w
+		}
+		if len(ts.chunks) != want {
 			t.Fatalf("%d windows in %d chunks, want %d", len(groups), len(ts.chunks), want)
 		}
 
@@ -262,7 +277,8 @@ func FuzzTierGroupRoundTrip(f *testing.F) {
 		}
 		cur.Close()
 
-		// Dump, restore, dump; then both take one more window.
+		// Dump, restore, dump; then both take five more windows, more records
+		// than a chunk holds.
 		dump := s.Dump()
 		re, err := RestoreStore(s.ChunkSize(), dump)
 		if err != nil {
@@ -273,8 +289,10 @@ func FuzzTierGroupRoundTrip(f *testing.F) {
 		}
 		more := groups[0].vals
 		for _, st := range []*Store{s, re} {
-			if err := st.lookup(id.Key()).tiers[0].appendWindow(tierChunkCap(st.chunkSize), win+3, &more, true); err != nil {
-				t.Fatal(err)
+			for k := int64(0); k < 5; k++ {
+				if err := st.lookup(id.Key()).tiers[0].appendWindow(st.chunkSize, win+3+k, &more, true); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		if !reflect.DeepEqual(re.Dump(), s.Dump()) {
@@ -430,7 +448,7 @@ func TestRestoreRefusesInterleavedTierChunks(t *testing.T) {
 		vals := [rollupStride]float64{float64(w.Count), w.Sum, w.Min, w.Max, float64(w.FirstT), w.FirstV, float64(w.LastT), w.LastV}
 		for col, v := range vals {
 			var c *Chunk
-			old, c = nextChunk(old, tierChunkCap(s.chunkSize), start*rollupStride+int64(col))
+			old, c = nextChunk(old, s.chunkSize, start*rollupStride+int64(col))
 			if c.count == 0 {
 				x = colState{}
 			}
