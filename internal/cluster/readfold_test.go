@@ -12,12 +12,14 @@ import (
 	"repro/internal/metric"
 	"repro/internal/queryfront"
 	"repro/internal/timeseries"
+	"repro/internal/tsmodel"
 )
 
 // startTieredCluster is a three-node RF=1 cluster whose stores carry a 1m
 // rollup tier, loaded with 2h of 10s-cadence samples on enough series that
-// every node owns one. It returns the nodes' stores and one key per owner.
-func startTieredCluster(t *testing.T) (nodes map[string]*testNode, stores map[string]*timeseries.Store, keyOf map[string]string) {
+// every node owns one. It returns the nodes' stores, one key per owner and
+// the reference model fed the same samples.
+func startTieredCluster(t *testing.T) (nodes map[string]*testNode, stores map[string]*timeseries.Store, keyOf map[string]string, model *tsmodel.Model) {
 	t.Helper()
 	stores = make(map[string]*timeseries.Store)
 	nodes, _ = startCluster(t, []string{"n1", "n2", "n3"}, 1, false, func(cfg *Config) {
@@ -28,11 +30,13 @@ func startTieredCluster(t *testing.T) (nodes map[string]*testNode, stores map[st
 	var entries []timeseries.BatchEntry
 	ring := nodes["n1"].router.Ring()
 	keyOf = make(map[string]string)
+	model = tsmodel.New(true)
 	for s := 0; s < 12; s++ {
 		id := metric.ID{Name: fmt.Sprintf("tiered.metric.%02d", s)}
 		keyOf[ring.Primary(id.Key())] = id.Key()
 		for i := int64(0); i < 2*360+10; i++ {
 			entries = append(entries, timeseries.BatchEntry{ID: id, Kind: metric.Gauge, Unit: metric.UnitWatt, T: i * 10_000, V: float64((i + int64(s)) % 50)})
+			model.Append(id, i*10_000, float64((i+int64(s))%50))
 		}
 	}
 	if len(keyOf) != 3 {
@@ -42,7 +46,7 @@ func startTieredCluster(t *testing.T) (nodes map[string]*testNode, stores map[st
 		t.Fatalf("AppendBatch: %d of %d, %v", n, len(entries), err)
 	}
 	settle(nodes)
-	return nodes, stores, keyOf
+	return nodes, stores, keyOf, model
 }
 
 // plans is how many planner decisions a store has counted.
@@ -60,7 +64,7 @@ func plans(st *timeseries.Store) uint64 {
 // owner's store and none here — with the owner's tier reported either way (a
 // local owner used to be planned twice, a remote one always reported tier 0).
 func TestRouterPlansOncePerQuery(t *testing.T) {
-	nodes, stores, keyOf := startTieredCluster(t)
+	nodes, stores, keyOf, model := startTieredCluster(t)
 	r := nodes["n1"].router
 	const to = 2 * timeseries.TierStep1h
 
@@ -100,13 +104,12 @@ func TestRouterPlansOncePerQuery(t *testing.T) {
 
 	// A series n2 owns, asked of n1: the tier crosses the wire.
 	key := keyOf["n2"]
-	id, _ := stores["n2"].IDForKey(key)
 	here, there := plans(stores["n1"]), plans(stores["n2"])
 	v, n, tier, found, partial, err := r.Reduce(key, 0, to, timeseries.AggSum)
 	if err != nil || !found || partial {
 		t.Fatalf("Reduce: found=%v partial=%v err=%v", found, partial, err)
 	}
-	wantV, wantN, _ := stores["n2"].Reduce(id, 0, to, timeseries.AggSum)
+	wantV, wantN, _ := model.Reduce(key, 0, to, string(timeseries.AggSum))
 	if v != wantV || n != wantN || tier != timeseries.TierStep1m {
 		t.Fatalf("Reduce = (%v, %d, tier %d), want (%v, %d, tier %d)", v, n, tier, wantV, wantN, int64(timeseries.TierStep1m))
 	}
@@ -129,7 +132,7 @@ func TestRouterPlansOncePerQuery(t *testing.T) {
 // error from the owner — its own store's, or the Err response of a peer —
 // never buckets.
 func TestRouterRefusesWrappedWindow(t *testing.T) {
-	nodes, _, keyOf := startTieredCluster(t)
+	nodes, _, keyOf, _ := startTieredCluster(t)
 	r := nodes["n1"].router
 	for _, owner := range []string{"n1", "n2"} {
 		for _, fn := range []timeseries.AggFunc{timeseries.AggMean, timeseries.AggP95} {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/metric"
 	"repro/internal/timeseries"
+	"repro/internal/tsmodel"
 )
 
 func TestSparkline(t *testing.T) {
@@ -119,12 +120,14 @@ func TestDashboardSnapshot(t *testing.T) {
 // must match what the raw path produces for the same bucketing.
 func TestDashboardPlannedPanel(t *testing.T) {
 	store := timeseries.NewStore(0, timeseries.WithRollups(timeseries.TierStep1m))
+	model := tsmodel.New(true)
 	id := metric.ID{Name: "node_power_watts", Labels: metric.NewLabels("node", "a")}
 	// 10s cadence so each 1m bucket really averages 6 samples.
 	for i := int64(0); i < 6*60*4; i++ {
 		if err := store.Append(id, metric.Gauge, metric.UnitWatt, i*10_000, float64(100+i%7)); err != nil {
 			t.Fatal(err)
 		}
+		model.Append(id, i*10_000, float64(100+i%7))
 	}
 	now := int64(6*60*4-1) * 10_000
 	window := int64(3 * 3600 * 1000)
@@ -142,16 +145,10 @@ func TestDashboardPlannedPanel(t *testing.T) {
 	}
 	from := now - window
 	from -= from % timeseries.TierStep1m
-	// The raw mean of every non-empty minute.
-	var pts []timeseries.AggPoint
-	for start := from; start <= now; start += timeseries.TierStep1m {
-		v, n, err := store.Reduce(id, start, min(start+timeseries.TierStep1m, now+1), timeseries.AggMean)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n > 0 {
-			pts = append(pts, timeseries.AggPoint{Start: start, Value: v})
-		}
+	// The reference mean of every non-empty minute.
+	pts, err := model.Aggregate(id.Key(), from, now+1, timeseries.TierStep1m, string(timeseries.AggMean))
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(pts) != len(got.Values) {
 		t.Fatalf("bucket counts diverge: planned %d vs raw %d", len(got.Values), len(pts))

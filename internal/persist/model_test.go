@@ -81,7 +81,8 @@ func TestDurableStoreModel(t *testing.T) {
 						twin.Retain(op.Cutoff)
 						err = m.Retain(op.Cutoff, n, func(key string) int {
 							id, _ := d.Store().IDForKey(key)
-							_, count, _ := d.Store().Reduce(id, math.MinInt64, math.MaxInt64, timeseries.AggCount)
+							count := 0
+							_ = d.Store().Each(id, math.MinInt64, math.MaxInt64, func(metric.Sample) bool { count++; return true })
 							return count
 						})
 					}

@@ -9,22 +9,27 @@ import (
 
 	"repro/internal/metric"
 	"repro/internal/timeseries"
+	"repro/internal/tsmodel"
 )
 
-func queryTestStore(t *testing.T) (*timeseries.Store, metric.ID) {
+// queryTestStore is a tiered store holding ~2h of one series at a 10s
+// cadence, and the reference model fed the same samples.
+func queryTestStore(t *testing.T) (*timeseries.Store, *tsmodel.Model, metric.ID) {
 	t.Helper()
 	store := timeseries.NewStore(64, timeseries.WithRollups(timeseries.TierStep1m, timeseries.TierStep1h))
+	m := tsmodel.New(true)
 	id := metric.ID{Name: "node_power_watts", Labels: metric.NewLabels("node", "n0")}
-	for i := int64(0); i < 2*360+10; i++ { // ~2h at 10s cadence
+	for i := int64(0); i < 2*360+10; i++ {
 		if err := store.Append(id, metric.Gauge, metric.UnitWatt, i*10_000, float64(i%50)); err != nil {
 			t.Fatal(err)
 		}
+		m.Append(id, i*10_000, float64(i%50))
 	}
-	return store, id
+	return store, m, id
 }
 
 func TestQueryEndpoint(t *testing.T) {
-	store, id := queryTestStore(t)
+	store, model, id := queryTestStore(t)
 	qf := New(ForStore(store), 64, time.Minute, 1000, 1000)
 
 	get := func(target string, tenant string) *httptest.ResponseRecorder {
@@ -46,7 +51,7 @@ func TestQueryEndpoint(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
 		t.Fatal(err)
 	}
-	wantV, wantN, err := store.Reduce(id, 0, 7_200_000, timeseries.AggSum)
+	wantV, wantN, err := model.Reduce(id.Key(), 0, 7_200_000, string(timeseries.AggSum))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +91,7 @@ func TestQueryEndpoint(t *testing.T) {
 }
 
 func TestQueryRangeEndpoint(t *testing.T) {
-	store, id := queryTestStore(t)
+	store, model, id := queryTestStore(t)
 	qf := New(ForStore(store), 64, time.Minute, 1000, 1000)
 
 	rec := httptest.NewRecorder()
@@ -105,16 +110,10 @@ func TestQueryRangeEndpoint(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
 		t.Fatal(err)
 	}
-	// The raw max of every non-empty minute.
-	var want []timeseries.AggPoint
-	for start := int64(0); start < 7_200_000; start += 60_000 {
-		v, n, err := store.Reduce(id, start, start+60_000, timeseries.AggMax)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n > 0 {
-			want = append(want, timeseries.AggPoint{Start: start, Value: v})
-		}
+	// The reference max of every non-empty minute.
+	want, err := model.Aggregate(id.Key(), 0, 7_200_000, 60_000, string(timeseries.AggMax))
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(got.Points) != len(want) {
 		t.Fatalf("%d points, want %d", len(got.Points), len(want))
@@ -163,7 +162,7 @@ func plans(st *timeseries.Store) uint64 {
 // the tier it reports is that decision (the front door used to plan once to
 // report and once more to execute).
 func TestOnePlanPerQuery(t *testing.T) {
-	store, id := queryTestStore(t)
+	store, _, id := queryTestStore(t)
 	qf := New(ForStore(store), 0, time.Minute, 1000, 1000) // cache off
 	series := url.QueryEscape(id.Key())
 	for _, tc := range []struct {
@@ -201,7 +200,7 @@ func TestOnePlanPerQuery(t *testing.T) {
 }
 
 func TestQueryQuota(t *testing.T) {
-	store, id := queryTestStore(t)
+	store, _, id := queryTestStore(t)
 	qf := New(ForStore(store), 0, time.Minute, 1, 2) // cache off: every request hits the quota and the store
 
 	code := func(tenant string) int {
@@ -226,7 +225,7 @@ func TestQueryQuota(t *testing.T) {
 // time-dependent behaviors deterministic harnesses rely on: quota buckets
 // refill exactly with virtual time, and cache entries expire exactly at TTL.
 func TestWithClock(t *testing.T) {
-	store, id := queryTestStore(t)
+	store, _, id := queryTestStore(t)
 	now := time.Unix(0, 0)
 	qf := New(ForStore(store), 64, 10*time.Second, 1, 1, WithClock(func() time.Time { return now }))
 

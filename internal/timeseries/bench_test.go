@@ -254,7 +254,7 @@ func BenchmarkStoreCursorSweep(b *testing.B) {
 
 // BenchmarkStoreReduceSweep is the pushdown counterpart of the query
 // sweep: the same 50k-sample window folded to a mean without ever
-// materializing the series.
+// materializing the series — a raw plan, since the store keeps no tiers.
 func BenchmarkStoreReduceSweep(b *testing.B) {
 	s := NewStore(0)
 	id := metric.ID{Name: "power", Labels: metric.NewLabels("node", "n01")}
@@ -266,9 +266,13 @@ func BenchmarkStoreReduceSweep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, n, err := s.Reduce(id, 0, 1<<60, AggMean)
+		v, n, err := s.ReducePlanned(id, 0, 1<<60, AggMean)
 		if err != nil || n != 50_000 || v == 0 {
 			b.Fatalf("reduce: (%v, %d, %v)", v, n, err)
 		}
+	}
+	b.StopTimer()
+	if raw := s.RollupStats().RawPlans; raw != uint64(b.N) {
+		b.Fatalf("%d raw plans for %d reductions", raw, b.N)
 	}
 }

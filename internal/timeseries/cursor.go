@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/metric"
-	"repro/internal/stats"
 )
 
 // cursor streams one series' samples with from <= T < to in timestamp order
@@ -45,7 +44,7 @@ type cursor struct {
 	runV []float64
 	bi   int
 
-	vals []float64 // pushdown scratch: p95 and raw-aggregate bucket values
+	vals []float64 // fold scratch: a std or p95 bucket's values
 
 	cur  metric.Sample
 	err  error
@@ -229,133 +228,4 @@ func (s *Store) Each(id metric.ID, from, to int64, fn func(metric.Sample) bool) 
 		}
 	}
 	return cur.err
-}
-
-// Reduce computes one fused aggregate over [from, to) inside the cursor
-// loop, returning the value and how many samples it covered. No sample
-// slice is materialized: mean/min/max/sum/count/std stream through an
-// online accumulator (numerically identical to the materializing path,
-// which uses the same accumulator), rate needs only the window's first and
-// last samples, and p95 gathers values in the cursor's pooled scratch.
-//
-// Reduce is the raw reduction. It is the only one that sees the
-// distribution, so std and p95 end here whatever the entry point, and its
-// sums never depend on how rollup windows group them, which is what callers
-// comparing raw means rely on. Its answers, and the planned fold's, are
-// checked against the reference model in internal/tsmodel.
-func (s *Store) Reduce(id metric.ID, from, to int64, fn AggFunc) (float64, int, error) {
-	cur, err := s.cursor(id, from, to)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer cur.Close()
-	var o stats.Online
-	var first, last metric.Sample
-	n := 0
-	for cur.Next() {
-		sm := cur.cur
-		if n == 0 {
-			first = sm
-		}
-		last = sm
-		n++
-		if fn == AggP95 {
-			cur.vals = append(cur.vals, sm.V)
-		} else {
-			o.Add(sm.V)
-		}
-	}
-	if cur.err != nil {
-		return 0, 0, cur.err
-	}
-	switch fn {
-	case AggMean:
-		if n == 0 {
-			return 0, 0, nil
-		}
-		return o.Summary().Sum / float64(n), n, nil
-	case AggSum:
-		return o.Summary().Sum, n, nil
-	case AggMin:
-		return o.Summary().Min, n, nil
-	case AggMax:
-		return o.Summary().Max, n, nil
-	case AggCount:
-		return float64(n), n, nil
-	case AggStd:
-		return o.Std(), n, nil
-	case AggP95:
-		v, err := stats.Quantile(cur.vals, 0.95)
-		return v, n, err
-	case AggRate:
-		return rateOf(first, last, n), n, nil
-	default:
-		return 0, 0, fmt.Errorf("timeseries: unknown aggregation %q", fn)
-	}
-}
-
-// rateOf is the per-second rate of change across a window's first and last
-// samples (0 for fewer than two samples).
-func rateOf(first, last metric.Sample, n int) float64 {
-	if n < 2 || last.T == first.T {
-		return 0
-	}
-	return (last.V - first.V) * 1000 / float64(last.T-first.T)
-}
-
-// aggregate buckets one series into fixed windows of step milliseconds over
-// [from, to) by a raw scan and applies fn per bucket: the path std and p95
-// take out of AggregatePlanned, since only the raw samples carry their
-// distribution. Bucket values accumulate in the cursor's pooled scratch and
-// reduce through applyAgg (rate through rateOf); empty buckets are omitted.
-func (s *Store) aggregate(id metric.ID, from, to, step int64, fn AggFunc) ([]AggPoint, error) {
-	if err := checkBuckets(from, to); err != nil {
-		return nil, err
-	}
-	cur, err := s.cursor(id, from, to)
-	if err != nil {
-		return nil, err
-	}
-	defer cur.Close()
-	var out []AggPoint
-	var start, end int64
-	var bFirst, bLast metric.Sample
-	inBucket := false
-	flush := func() error {
-		if !inBucket {
-			return nil
-		}
-		var v float64
-		var err error
-		if fn == AggRate {
-			v = rateOf(bFirst, bLast, len(cur.vals))
-		} else if v, err = applyAgg(cur.vals, fn); err != nil {
-			return err
-		}
-		out = append(out, AggPoint{Start: start, Value: v})
-		cur.vals = cur.vals[:0]
-		inBucket = false
-		return nil
-	}
-	for cur.Next() {
-		sm := cur.cur
-		if !inBucket || sm.T >= end {
-			if err := flush(); err != nil {
-				return nil, err
-			}
-			start = from + (sm.T-from)/step*step
-			end = start + step
-			bFirst = sm
-			inBucket = true
-		}
-		cur.vals = append(cur.vals, sm.V)
-		bLast = sm
-	}
-	if cur.err != nil {
-		return nil, cur.err
-	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

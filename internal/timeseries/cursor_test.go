@@ -1,12 +1,13 @@
 package timeseries
 
 import (
+	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"testing"
 
 	"repro/internal/metric"
+	"repro/internal/stats"
 )
 
 func cursorTestStore(t *testing.T) (*Store, metric.ID) {
@@ -150,47 +151,37 @@ func TestEachEarlyStop(t *testing.T) {
 	}
 }
 
-func TestReduceMatchesApplyAgg(t *testing.T) {
-	s, id := cursorTestStore(t)
-	vals, err := s.SeriesValues(id, 15, 845, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fn := range []AggFunc{AggMean, AggSum, AggMin, AggMax, AggCount, AggStd, AggP95} {
-		want, err := applyAgg(vals, fn)
-		if err != nil {
-			t.Fatalf("applyAgg(%s): %v", fn, err)
-		}
-		got, n, err := s.Reduce(id, 15, 845, fn)
-		if err != nil {
-			t.Fatalf("Reduce(%s): %v", fn, err)
-		}
-		if n != len(vals) {
-			t.Fatalf("Reduce(%s) covered %d samples, want %d", fn, n, len(vals))
-		}
-		if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-			t.Fatalf("Reduce(%s) = %v, applyAgg = %v", fn, got, want)
-		}
-	}
-	if _, _, err := s.Reduce(id, 0, 1000, AggFunc("bogus")); err == nil {
-		t.Fatal("expected error for unknown aggregation")
-	}
-}
-
+// TestReduceEmptyWindow: a whole-window reduction over no samples answers 0
+// for every function but p95, whose quantile of nothing errors — on a raw
+// plan (a store without tiers) and on a tier plan over a gap between sealed
+// windows alike.
 func TestReduceEmptyWindow(t *testing.T) {
-	s, id := cursorTestStore(t)
-	for _, fn := range []AggFunc{AggMean, AggSum, AggMin, AggMax, AggCount, AggStd, AggRate} {
-		v, n, err := s.Reduce(id, 5000, 6000, fn)
-		if err != nil {
-			t.Fatalf("Reduce(%s) empty: %v", fn, err)
-		}
-		if n != 0 || v != 0 {
-			t.Fatalf("Reduce(%s) empty = (%v, %d), want (0, 0)", fn, v, n)
+	raw, id := cursorTestStore(t)
+	tiered := NewStore(8, WithRollups(1000))
+	for _, ts := range []int64{0, 10, 10_000, 20_000} { // seals [0, 1000) and [10000, 11000)
+		if err := tiered.Append(id, metric.Gauge, metric.UnitWatt, ts, 1); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// p95 over an empty window mirrors applyAgg: quantile of nothing errors.
-	if _, _, err := s.Reduce(id, 5000, 6000, AggP95); err == nil {
-		t.Fatal("Reduce(p95) empty: expected error")
+	for _, s := range []*Store{raw, tiered} {
+		for _, fn := range []AggFunc{AggMean, AggSum, AggMin, AggMax, AggCount, AggStd, AggRate} {
+			v, n, err := s.ReducePlanned(id, 5000, 6000, fn)
+			if err != nil {
+				t.Fatalf("ReducePlanned(%s) empty: %v", fn, err)
+			}
+			if n != 0 || v != 0 {
+				t.Fatalf("ReducePlanned(%s) empty = (%v, %d), want (0, 0)", fn, v, n)
+			}
+		}
+		if _, _, err := s.ReducePlanned(id, 5000, 6000, AggP95); !errors.Is(err, stats.ErrEmpty) {
+			t.Fatalf("ReducePlanned(p95) empty: %v, want stats.ErrEmpty", err)
+		}
+	}
+	if st := raw.RollupStats(); st.RawPlans != 8 || len(st.Tiers) != 0 {
+		t.Fatalf("untiered store's plans: %+v, want 8 raw", st)
+	}
+	if st := tiered.RollupStats(); st.RawPlans != 2 || st.Tiers[0].Picks != 6 {
+		t.Fatalf("tiered store's plans: %+v, want 6 tier picks and std and p95 raw", st)
 	}
 }
 
@@ -203,7 +194,7 @@ func TestReduceRate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	v, n, err := s.Reduce(id, 0, 1<<62, AggRate)
+	v, n, err := s.ReducePlanned(id, 0, 1<<62, AggRate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,9 +202,12 @@ func TestReduceRate(t *testing.T) {
 		t.Fatalf("rate = %v over %d samples, want 10 over 10", v, n)
 	}
 	// A single sample has no slope.
-	v, _, err = s.Reduce(id, 0, 1000, AggRate)
+	v, _, err = s.ReducePlanned(id, 0, 1000, AggRate)
 	if err != nil || v != 0 {
 		t.Fatalf("single-sample rate = %v, %v; want 0, nil", v, err)
+	}
+	if st := s.RollupStats(); st.RawPlans != 2 || len(st.Tiers) != 0 {
+		t.Fatalf("plans: %+v, want 2 raw", st)
 	}
 }
 
@@ -225,9 +219,12 @@ func TestAggregateRateBuckets(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pts, err := s.aggregate(id, 0, 4000, 2000, AggRate)
+	pts, err := s.AggregatePlanned(id, 0, 4000, 2000, AggRate)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st := s.RollupStats(); st.RawPlans != 1 || len(st.Tiers) != 0 {
+		t.Fatalf("plans: %+v, want 1 raw", st)
 	}
 	if len(pts) != 2 {
 		t.Fatalf("got %d buckets, want 2", len(pts))
@@ -308,7 +305,7 @@ func TestReadsLeaveNothingResident(t *testing.T) {
 		if out, err := collect(s, id, 0, to); err != nil || len(out) != chunksPerSeries*DefaultChunkSize {
 			t.Fatalf("Each: %d samples, %v", len(out), err)
 		}
-		if _, _, err := s.Reduce(id, 0, to, AggMean); err != nil {
+		if _, _, err := s.ReducePlanned(id, 0, to, AggP95); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := s.ReducePlanned(id, 0, to, AggMean); err != nil {

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/metric"
-	"repro/internal/stats"
 )
 
 // ErrStoreClosed is returned (wrapped) by durable store wrappers whose
@@ -396,30 +395,6 @@ const (
 type AggPoint struct {
 	Start int64
 	Value float64
-}
-
-func applyAgg(vals []float64, fn AggFunc) (float64, error) {
-	switch fn {
-	case AggMean:
-		return stats.Mean(vals), nil
-	case AggSum:
-		sum, _ := stats.Summarize(vals)
-		return sum.Sum, nil
-	case AggMin:
-		sum, _ := stats.Summarize(vals)
-		return sum.Min, nil
-	case AggMax:
-		sum, _ := stats.Summarize(vals)
-		return sum.Max, nil
-	case AggCount:
-		return float64(len(vals)), nil
-	case AggStd:
-		return stats.Std(vals), nil
-	case AggP95:
-		return stats.Quantile(vals, 0.95)
-	default:
-		return 0, fmt.Errorf("timeseries: unknown aggregation %q", fn)
-	}
 }
 
 // Retain drops whole raw chunks whose newest sample is older than cutoff,

@@ -36,8 +36,9 @@ func TestStoreKeepsSampleAfterWideGap(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("series reads back as %v, want %v", got, want)
 	}
-	if sum, n, err := s.Reduce(id, 0, 1<<62, AggSum); err != nil || n != 3 || sum != 6 {
-		t.Fatalf("Reduce over the cut = (%v, %d, %v), want (6, 3, nil)", sum, n, err)
+	// From off the 1m grid, the plan is raw: the read crosses the cut.
+	if p, plan, err := s.ReducePartial(id, 1, 1<<62); err != nil || p.Count != 3 || p.Sum != 6 || plan.TierStep != 0 {
+		t.Fatalf("raw reduction over the cut = (%v, %d, %+v, %v), want (6, 3, raw, nil)", p.Sum, p.Count, plan, err)
 	}
 	dump := s.Dump()
 	if n := len(dump[0].Chunks); n != 2 || dump[0].Chunks[0].Count != 1 {

@@ -172,7 +172,8 @@ func appendVia(s *Store, kind tsmodel.Kind, entries []BatchEntry, refs map[strin
 
 // checkModel compares the store with the model: the registry, NumSamples,
 // each series' samples through Each, cursor and SeriesValues, Latest,
-// Reduce for every function on the raw window, and ReducePlanned,
+// every function on the raw window through a raw plan (ReducePlanned on the
+// store's raw chunks restored without its tiers), and ReducePlanned,
 // AggregatePlanned, ReducePartial and a sorted-key partial merge on the
 // planned window. Answers compare in print: %v tells every two float64s
 // apart but NaN payloads (the generator makes none), and the one error
@@ -193,6 +194,10 @@ func checkModel(s *Store, m *tsmodel.Model, w tsmodel.Windows) error {
 		if bad == nil && got != want {
 			bad = fmt.Errorf("%s on %+v: store %s, model %s", what, w, got, want)
 		}
+	}
+	raw, err := untiered(s)
+	if err != nil {
+		return fmt.Errorf("untiered copy: %w", err)
 	}
 	var merged Partial
 	for _, key := range keys {
@@ -218,7 +223,7 @@ func checkModel(s *Store, m *tsmodel.Model, w tsmodel.Windows) error {
 		for _, fn := range modelFns {
 			what, f := key+" "+string(fn), string(fn)
 			planned := fmt.Sprint(m.Reduce(key, w.PlanFrom, w.PlanTo, f))
-			expect(what+" Reduce", fmt.Sprint(s.Reduce(id, w.From, w.To, fn)), fmt.Sprint(m.Reduce(key, w.From, w.To, f)))
+			expect(what+" raw plan", fmt.Sprint(raw.ReducePlanned(id, w.From, w.To, fn)), fmt.Sprint(m.Reduce(key, w.From, w.To, f)))
 			expect(what+" ReducePlanned", fmt.Sprint(s.ReducePlanned(id, w.PlanFrom, w.PlanTo, fn)), planned)
 			expect(what+" AggregatePlanned", fmt.Sprint(s.AggregatePlanned(id, w.PlanFrom, w.PlanTo, w.Step, fn)),
 				fmt.Sprint(m.Aggregate(key, w.PlanFrom, w.PlanTo, w.Step, f)))
@@ -227,6 +232,7 @@ func checkModel(s *Store, m *tsmodel.Model, w tsmodel.Windows) error {
 			}
 		}
 	}
+	expect("raw plans", fmt.Sprint(raw.RollupStats().RawPlans), fmt.Sprint(len(keys)*len(modelFns)))
 	for _, fn := range modelFns {
 		if MergeableAgg(fn) {
 			expect("merged "+string(fn), fmt.Sprint(merged.Value(fn), merged.Count, nil),

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/metric"
+	"repro/internal/stats"
 )
 
 // Partial is a mergeable partial aggregate: the same eight columns a rollup
@@ -15,13 +16,12 @@ import (
 // function with Value — so only fixed-size aggregates cross the network,
 // never raw samples.
 //
-// The accumulation arithmetic is deliberately identical to every other
-// aggregation path in the store: sums fold left to right (stats.Online and
-// stats.Mean both keep a plain running sum), min/max compare pairwise, mean
-// finishes as Sum/Count and rate as the slope across the true first and
-// last samples. A single-series Partial therefore reproduces Reduce and
-// ReducePlanned bit for bit, and a merge chain in a fixed order is
-// deterministic across runs.
+// The accumulation arithmetic is deliberately the reference model's
+// (internal/tsmodel): sums fold left to right (stats.Online and stats.Mean
+// both keep a plain running sum), min/max compare pairwise, mean finishes as
+// Sum/Count and rate as the slope across the true first and last samples. A
+// single-series Partial therefore reproduces ReducePlanned bit for bit, and a
+// merge chain in a fixed order is deterministic across runs.
 type Partial struct {
 	Count  int64
 	Sum    float64
@@ -33,10 +33,17 @@ type Partial struct {
 	LastV  float64
 }
 
-// MergeableAgg reports whether fn resolves exactly from a Partial. Std and
-// P95 need the raw distribution; distributed queries route those to the
-// single peer owning the series instead of merging partials.
-func MergeableAgg(fn AggFunc) bool { return rollupResolvable(fn) }
+// MergeableAgg reports whether fn resolves exactly from a Partial, and so
+// from the rollup columns. Std and P95 need the raw distribution: the planner
+// serves them raw, and distributed queries route them to the single peer
+// owning the series instead of merging partials.
+func MergeableAgg(fn AggFunc) bool {
+	switch fn {
+	case AggMean, AggSum, AggMin, AggMax, AggCount, AggRate:
+		return true
+	}
+	return false
+}
 
 // addWindow folds one sealed rollup window into the partial. Windows arrive
 // in time order on the planned path, matching the raw accumulation order.
@@ -161,36 +168,65 @@ func checkBuckets(base, to int64) error {
 	return nil
 }
 
-// fold is the one path from a query to its answer for every mergeable
-// function: it plans [from, to) once, streams the sealed-tier prefix as window
-// Partials and the raw tail as samples into step buckets, and hands each
-// non-empty bucket to emit in time order. step <= 0 is one bucket anchored at
-// from. A raw plan is tier 0 — no prefix, all tail. It returns the plan it
-// executed.
+// finish turns a bucket into its answer under fn: the Partial's value for a
+// mergeable function, and for std and p95 the distribution's over vals, the
+// bucket's values (stats.Std's Welford and stats.Quantile's type 7, as the
+// reference model computes them). An empty bucket answers 0 for every
+// function but p95, whose quantile of nothing is stats.ErrEmpty.
+func finish(fn AggFunc, agg *Partial, vals []float64) (float64, error) {
+	switch fn {
+	case AggStd:
+		return stats.Std(vals), nil
+	case AggP95:
+		return stats.Quantile(vals, 0.95)
+	}
+	return agg.Value(fn), nil
+}
+
+// fold is the one path from a query to its answer, for every function: it
+// refuses an unknown fn before planning, plans [from, to) once, streams the
+// sealed-tier prefix as window Partials and the raw tail as samples into step
+// buckets, and hands each non-empty bucket to emit in time order, with its
+// answer under fn. step <= 0 is one bucket anchored at from, handed on even
+// when empty, so a whole-window reduction always answers. A raw plan is tier
+// 0 — no prefix, all tail — and it is the only plan std and p95 get: for
+// them a bucket also gathers its values in the raw cursor's pooled scratch.
+// It returns the plan it executed.
 //
 // Windows and samples arrive in time order and sums fold left to right, the
 // order stats.Online and stats.Mean keep, so on a raw plan a finished bucket
-// is bit-identical to what Reduce and the raw aggregate compute; a
-// tier-served sum adds the same terms grouped by window. Both cursors are pooled, and emit
-// takes the bucket by value so the accumulator stays on the stack: a fold
-// allocates nothing itself.
-func (s *Store) fold(ss *storedSeries, from, to, step int64, emit func(start int64, agg Partial)) (QueryPlan, error) {
+// is bit-identical to the reference model's; a tier-served sum adds the same
+// terms grouped by window. Both cursors are pooled, and emit takes the bucket
+// by value so the accumulator stays on the stack: a fold of a mergeable
+// function allocates nothing itself.
+func (s *Store) fold(ss *storedSeries, from, to, step int64, fn AggFunc, emit func(start int64, agg Partial, v float64)) (QueryPlan, error) {
+	gather := fn == AggStd || fn == AggP95 // the distribution's functions
+	if !gather && !MergeableAgg(fn) {
+		return QueryPlan{}, fmt.Errorf("timeseries: unknown aggregation %q", fn)
+	}
 	if step > 0 {
 		if err := checkBuckets(from, to); err != nil {
 			return QueryPlan{}, err
 		}
 	}
-	// All mergeable functions share one plan: plan only consults fn for
-	// rollup resolvability, which AggSum represents.
-	plan, tier := s.plan(ss, from, to, step, AggSum)
+	plan, tier := s.plan(ss, from, to, step, fn)
 	var agg Partial
+	var vals []float64
+	var err error
 	start := from
+	// flush hands the open bucket on, finished, and empties it.
+	flush := func() {
+		var v float64
+		if v, err = finish(fn, &agg, vals); err == nil {
+			emit(start, agg, v)
+		}
+		agg, vals = Partial{}, vals[:0]
+	}
 	// enter makes the bucket holding t the open one, handing the finished
 	// bucket on. Only bucketed folds (step > 0) get here.
 	enter := func(t int64) {
 		if agg.Count > 0 {
-			emit(start, agg)
-			agg = Partial{}
+			flush()
 		}
 		start = from + (t-from)/step*step
 	}
@@ -216,22 +252,23 @@ func (s *Store) fold(ss *storedSeries, from, to, step int64, emit func(start int
 		tcur.Close()
 	}
 	rcur := s.newCursor(ss, tail, to)
+	vals = rcur.vals
 	for rcur.Next() {
 		sm := rcur.cur
 		if step > 0 && sm.T-start >= step {
 			enter(sm.T)
 		}
 		agg.AddSample(sm.T, sm.V)
+		if gather {
+			vals = append(vals, sm.V)
+		}
 	}
-	err := rcur.err
+	if err = rcur.err; err == nil && (agg.Count > 0 || step <= 0) {
+		flush()
+	}
+	rcur.vals = vals // hand the grown scratch back to the pool
 	rcur.Close()
-	if err != nil {
-		return plan, err
-	}
-	if agg.Count > 0 {
-		emit(start, agg)
-	}
-	return plan, nil
+	return plan, err
 }
 
 // ReducePartial reduces one series over [from, to) to its mergeable partial
@@ -244,36 +281,33 @@ func (s *Store) ReducePartial(id metric.ID, from, to int64) (agg Partial, plan Q
 	if err != nil {
 		return Partial{}, QueryPlan{}, err
 	}
-	plan, err = s.fold(ss, from, to, 0, func(_ int64, b Partial) { agg = b })
+	// A Partial answers every mergeable function; AggSum stands for them.
+	plan, err = s.fold(ss, from, to, 0, AggSum, func(_ int64, b Partial, _ float64) { agg = b })
 	return agg, plan, err
 }
 
-// ReducePlanned is Reduce served through the query planner: a single fused
-// aggregate over [from, to) and how many samples it covered. Mergeable
-// functions finish the fold's one bucket; std and p95 need the distribution
-// and go to Reduce, counted as the raw plan they are.
+// ReducePlanned is one fused aggregate over [from, to), served through the
+// query planner, and how many samples it covered: the fold's one bucket,
+// finished under fn. An empty window answers 0, but for p95, which errors.
 func (s *Store) ReducePlanned(id metric.ID, from, to int64, fn AggFunc) (float64, int, error) {
 	ss, err := s.series(id)
 	if err != nil {
 		return 0, 0, err
 	}
-	return s.reducePlanned(ss, id, from, to, fn)
+	return s.reducePlanned(ss, from, to, fn)
 }
 
 // reducePlanned is the handle-resolved planned reduction: everything past
 // the map lookup (building the key is the caller's amortizable cost, as with
 // the cursor sweeps), and the part `make bench-longwindow` gates at 0
 // allocs/op.
-func (s *Store) reducePlanned(ss *storedSeries, id metric.ID, from, to int64, fn AggFunc) (float64, int, error) {
-	if !rollupResolvable(fn) {
-		s.planRaw.Add(1)
-		return s.Reduce(id, from, to, fn)
-	}
-	var agg Partial
-	if _, err := s.fold(ss, from, to, 0, func(_ int64, b Partial) { agg = b }); err != nil {
+func (s *Store) reducePlanned(ss *storedSeries, from, to int64, fn AggFunc) (float64, int, error) {
+	var v float64
+	var n int64
+	if _, err := s.fold(ss, from, to, 0, fn, func(_ int64, b Partial, bv float64) { v, n = bv, b.Count }); err != nil {
 		return 0, 0, err
 	}
-	return agg.Value(fn), int(agg.Count), nil
+	return v, int(n), nil
 }
 
 // AggregatePartials buckets one series over [from, to) into step windows of
@@ -290,7 +324,7 @@ func (s *Store) AggregatePartials(id metric.ID, from, to, step int64) ([]Partial
 		return nil, QueryPlan{}, err
 	}
 	var out []PartialPoint
-	plan, err := s.fold(ss, from, to, step, func(start int64, agg Partial) {
+	plan, err := s.fold(ss, from, to, step, AggSum, func(start int64, agg Partial, _ float64) {
 		out = append(out, PartialPoint{Start: start, Agg: agg})
 	})
 	if err != nil {
@@ -304,8 +338,7 @@ func (s *Store) AggregatePartials(id metric.ID, from, to, step int64) ([]Partial
 // query planner: buckets covered by sealed rollup windows merge pre-computed
 // column groups (rollupStride records per tier window instead of every raw
 // sample) and the rest streams off the raw cursor. Empty buckets are
-// omitted. Std and p95 need the distribution and go to the raw aggregate,
-// counted as the raw plan they are.
+// omitted.
 func (s *Store) AggregatePlanned(id metric.ID, from, to, step int64, fn AggFunc) ([]AggPoint, error) {
 	if step <= 0 {
 		return nil, errors.New("timeseries: step must be positive")
@@ -314,13 +347,9 @@ func (s *Store) AggregatePlanned(id metric.ID, from, to, step int64, fn AggFunc)
 	if err != nil {
 		return nil, err
 	}
-	if !rollupResolvable(fn) {
-		s.planRaw.Add(1)
-		return s.aggregate(id, from, to, step, fn)
-	}
 	var out []AggPoint
-	if _, err := s.fold(ss, from, to, step, func(start int64, agg Partial) {
-		out = append(out, AggPoint{Start: start, Value: agg.Value(fn)})
+	if _, err := s.fold(ss, from, to, step, fn, func(start int64, _ Partial, v float64) {
+		out = append(out, AggPoint{Start: start, Value: v})
 	}); err != nil {
 		return nil, err
 	}

@@ -1,21 +1,25 @@
 package timeseries
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/metric"
+	"repro/internal/tsmodel"
 )
 
 // TestRawPlanParityArbitraryFloats: a raw plan is tier 0 of the same fold, and
-// on it nothing re-associates — every mergeable answer must equal the raw
-// reducers' by math.Float64bits on arbitrary floats, -0, ±Inf and NaN
-// included. (TestPlannerPropertyParity needs dyadic values because a
-// tier-served sum legitimately regroups; the raw plan has no such excuse.)
-// One NaN equals another here: which operand's payload NaN+NaN keeps is the
-// compiler's choice of instruction operand order (it differs under -race),
-// not something either path decides.
+// on it nothing re-associates — every answer, std and p95 included, must equal
+// the reference model's by math.Float64bits on arbitrary floats, -0, ±Inf,
+// NaN and MaxFloat64 included, whole-window (step 0) and at every bucket step.
+// (TestPlannerPropertyParity needs dyadic values because a tier-served sum
+// legitimately regroups; the raw plan has no such excuse.) One NaN equals
+// another here: which operand's payload NaN+NaN keeps is the compiler's
+// choice of instruction operand order (it differs under -race), not
+// something either side decides.
 func TestRawPlanParityArbitraryFloats(t *testing.T) {
 	special := []float64{math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, math.SmallestNonzeroFloat64}
 	for _, tc := range []struct {
@@ -30,7 +34,9 @@ func TestRawPlanParityArbitraryFloats(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(15))
 			s := NewStore(32, tc.opts...)
+			m := tsmodel.New(len(tc.opts) > 0)
 			id := sid("floats", "n0")
+			key := id.Key()
 			var now int64
 			for i := 0; i < 3000; i++ {
 				now += 1 + r.Int63n(900)
@@ -44,34 +50,29 @@ func TestRawPlanParityArbitraryFloats(t *testing.T) {
 				if err := s.Append(id, metric.Gauge, metric.UnitNone, now, v); err != nil {
 					t.Fatal(err)
 				}
+				m.Append(id, now, v)
 			}
 			bits := math.Float64bits
 			same := func(a, b float64) bool { return bits(a) == bits(b) || (a != a && b != b) }
+			queries := uint64(0)
 			for q := 0; q < 60; q++ {
 				from := r.Int63n(now)
 				if tc.align > 0 && from%tc.align == 0 {
 					from++
 				}
 				to := from + 1 + r.Int63n(now-from+5000)
-				for _, fn := range rollupAggFns {
-					wantV, wantN, err := s.Reduce(id, from, to, fn)
-					if err != nil {
-						t.Fatal(err)
-					}
+				for _, fn := range modelFns {
+					wantV, wantN, wantErr := m.Reduce(key, from, to, string(fn))
 					gotV, gotN, err := s.ReducePlanned(id, from, to, fn)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !same(gotV, wantV) || gotN != wantN {
-						t.Fatalf("%v [%d,%d): ReducePlanned (%v %016x, %d), Reduce (%v %016x, %d)",
-							fn, from, to, gotV, bits(gotV), gotN, wantV, bits(wantV), wantN)
+					queries++
+					if fmt.Sprint(err) != fmt.Sprint(wantErr) || !same(gotV, wantV) || gotN != wantN {
+						t.Fatalf("%v [%d,%d): ReducePlanned (%v %016x, %d, %v), model (%v %016x, %d, %v)",
+							fn, from, to, gotV, bits(gotV), gotN, err, wantV, bits(wantV), wantN, wantErr)
 					}
 					for _, step := range tc.steps {
-						want, err := s.aggregate(id, from, to, step, fn)
-						if err != nil {
-							t.Fatal(err)
-						}
+						want := modelAggregate(t, m, id, from, to, step, fn)
 						got, err := s.AggregatePlanned(id, from, to, step, fn)
+						queries++
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -93,10 +94,31 @@ func TestRawPlanParityArbitraryFloats(t *testing.T) {
 					t.Fatalf("tier %d served %d queries; every query here must plan raw", ts.Step, ts.Picks)
 				}
 			}
-			if st.RawPlans == 0 {
-				t.Fatal("no raw plan counted")
+			if st.RawPlans != queries {
+				t.Fatalf("%d raw plans counted for %d queries", st.RawPlans, queries)
 			}
 		})
+	}
+}
+
+// TestUnknownAggRefusedBeforePlanning: a function the store does not know is
+// refused by both planned entry points on every window — empty, with data,
+// tier-aligned — before any plan is made or counted.
+func TestUnknownAggRefusedBeforePlanning(t *testing.T) {
+	s := NewStore(64, WithRollups(TierStep1m))
+	id := sid("power", "n0")
+	fillRollupStore(t, s, id, 0, 1000, 500)
+	before := s.RollupStats()
+	for _, w := range [][2]int64{{600_000, 700_000}, {5000, 6000}, {0, 300_000}} {
+		if v, n, err := s.ReducePlanned(id, w[0], w[1], "bogus"); err == nil {
+			t.Fatalf("ReducePlanned(bogus) over [%d,%d) = (%v, %d)", w[0], w[1], v, n)
+		}
+		if pts, err := s.AggregatePlanned(id, w[0], w[1], 100, "bogus"); err == nil {
+			t.Fatalf("AggregatePlanned(bogus) over [%d,%d) answered %d buckets", w[0], w[1], len(pts))
+		}
+	}
+	if after := s.RollupStats(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused queries were planned: %+v, then %+v", before, after)
 	}
 }
 
@@ -108,14 +130,11 @@ func TestRawPlanParityArbitraryFloats(t *testing.T) {
 func TestBucketedWindowOverflowRefused(t *testing.T) {
 	s := NewStore(64, WithRollups(TierStep1m))
 	id := sid("power", "n0")
-	fillRollupStore(t, s, id, 0, 1000, 500)
+	m := fillRollupStore(t, s, id, 0, 1000, 500)
 	const from, to = math.MinInt64, math.MaxInt64
 	for _, fn := range []AggFunc{AggMean, AggP95} {
 		if pts, err := s.AggregatePlanned(id, from, to, 60_000, fn); err == nil {
 			t.Fatalf("AggregatePlanned(%v) over a wrapped window answered %d buckets", fn, len(pts))
-		}
-		if pts, err := s.aggregate(id, from, to, 60_000, fn); err == nil {
-			t.Fatalf("aggregate(%v) over a wrapped window answered %d buckets", fn, len(pts))
 		}
 	}
 	if pp, _, err := s.AggregatePartials(id, from, to, 60_000); err == nil {
@@ -127,7 +146,7 @@ func TestBucketedWindowOverflowRefused(t *testing.T) {
 	}
 	for _, w := range [][2]int64{{0, 1 << 62}, {from, to}} {
 		for _, fn := range []AggFunc{AggSum, AggP95} {
-			wantV, wantN, err := s.Reduce(id, w[0], w[1], fn)
+			wantV, wantN, err := m.Reduce(id.Key(), w[0], w[1], string(fn))
 			if err != nil {
 				t.Fatal(err)
 			}

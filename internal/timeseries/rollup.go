@@ -364,21 +364,12 @@ type QueryPlan struct {
 	TierTo   int64
 }
 
-// rollupResolvable reports whether fn resolves exactly from the rollup
-// columns. Std and P95 need the raw distribution, so they always scan raw.
-func rollupResolvable(fn AggFunc) bool {
-	switch fn {
-	case AggMean, AggSum, AggMin, AggMax, AggCount, AggRate:
-		return true
-	}
-	return false
-}
-
 // plan decides how the store serves an aggregation of fn over [from, to) at
 // the given step (step <= 0 plans a single whole-window reduction), and counts
 // the decision. The planner picks the coarsest tier that answers exactly:
 //
-//   - fn must resolve from the rollup columns (mean/sum/min/max/count/rate);
+//   - fn must resolve from the rollup columns (MergeableAgg); std and p95
+//     need the distribution, which only the raw samples carry;
 //   - from must sit on a tier window boundary, and for bucketed queries the
 //     step must be a whole number of tier windows, so every requested bucket
 //     is a union of tier windows;
@@ -391,7 +382,7 @@ func rollupResolvable(fn AggFunc) bool {
 // queries and the plan an answer carries is the one that ran. The tier that
 // won comes back with the plan (nil for a raw scan).
 func (s *Store) plan(ss *storedSeries, from, to, step int64, fn AggFunc) (QueryPlan, *tierState) {
-	if rollupResolvable(fn) && to > from {
+	if MergeableAgg(fn) && to > from {
 		for i := len(ss.tiers) - 1; i >= 0; i-- {
 			ts := ss.tiers[i]
 			if step > 0 && step%ts.step != 0 {

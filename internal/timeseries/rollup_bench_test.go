@@ -11,7 +11,8 @@ import (
 // --- Rollup tiers and the query planner (PR 6) ---
 //
 // The headline workload: a 30-day mean-per-hour aggregation over one node's
-// 1 Hz power telemetry. The raw path decodes ~2.6M Gorilla samples; the
+// 1 Hz power telemetry. The raw path — the same query on the same raw chunks
+// in a store without tiers, where it plans raw — decodes ~2.6M samples; the
 // planned path reads ~720 sealed hourly windows (8 records each) from the
 // 1h tier. `make bench-longwindow` gates the speedup at >= 50x and the
 // planned reduction at 0 allocs/op.
@@ -23,14 +24,16 @@ const (
 )
 
 var (
-	longWindowOnce  sync.Once
-	longWindowStore *Store
-	longWindowID    = metric.ID{Name: "power", Labels: metric.NewLabels("node", "n01")}
+	longWindowOnce     sync.Once
+	longWindowStore    *Store
+	longWindowRawStore *Store // the same raw chunks without tiers
+	longWindowID       = metric.ID{Name: "power", Labels: metric.NewLabels("node", "n01")}
 )
 
-// longWindowSetup builds the 30-day store exactly once per benchmark binary
-// (2.6M appends dominate any single measurement otherwise).
-func longWindowSetup(b *testing.B) *Store {
+// longWindowSetup builds the 30-day store, and its copy without tiers,
+// exactly once per benchmark binary (2.6M appends dominate any single
+// measurement otherwise).
+func longWindowSetup(b *testing.B) (tiered, raw *Store) {
 	longWindowOnce.Do(func() {
 		s := NewStore(0, WithRollups(TierStep1m, TierStep1h))
 		for i := 0; i < longWindowSamples; i++ {
@@ -38,30 +41,32 @@ func longWindowSetup(b *testing.B) *Store {
 				b.Fatal(err)
 			}
 		}
-		longWindowStore = s
+		raw, err := untiered(s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		longWindowStore, longWindowRawStore = s, raw
 	})
-	return longWindowStore
+	return longWindowStore, longWindowRawStore
 }
 
 func benchLongWindow(b *testing.B, planned bool) {
-	s := longWindowSetup(b)
-	agg := s.aggregate
-	if planned {
-		agg = s.AggregatePlanned
+	s, raw := longWindowSetup(b)
+	want := int64(TierStep1h)
+	if !planned {
+		s, want = raw, 0
 	}
-	if pts, err := agg(longWindowID, 0, longWindowMsBench, 3_600_000, AggMean); err != nil || len(pts) != longWindowDays*24 {
+	_, plan, err := s.AggregatePartials(longWindowID, 0, longWindowMsBench, 3_600_000)
+	if err != nil || plan.TierStep != want {
+		b.Fatalf("plan %+v, %v; want tier %d", plan, err, want)
+	}
+	if pts, err := s.AggregatePlanned(longWindowID, 0, longWindowMsBench, 3_600_000, AggMean); err != nil || len(pts) != longWindowDays*24 {
 		b.Fatalf("warm: %d points, %v", len(pts), err)
-	}
-	if planned {
-		plan := planOf(s, longWindowID, 0, longWindowMsBench, 3_600_000, AggMean)
-		if plan.TierStep != TierStep1h {
-			b.Fatalf("planner chose tier %d, want 1h", plan.TierStep)
-		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pts, err := agg(longWindowID, 0, longWindowMsBench, 3_600_000, AggMean)
+		pts, err := s.AggregatePlanned(longWindowID, 0, longWindowMsBench, 3_600_000, AggMean)
 		if err != nil || len(pts) != longWindowDays*24 {
 			b.Fatalf("aggregate: %d points, %v", len(pts), err)
 		}
@@ -76,18 +81,18 @@ func BenchmarkLongWindowQueryPlanned(b *testing.B) { benchLongWindow(b, true) }
 // planned path are pooled and the merge accumulator lives on the stack, so
 // `make bench-longwindow` gates this at 0 allocs/op.
 func BenchmarkStorePlannedCursorSweep(b *testing.B) {
-	s := longWindowSetup(b)
+	s, _ := longWindowSetup(b)
 	ss := s.lookup(longWindowID.Key())
 	if ss == nil {
 		b.Fatal("series missing")
 	}
-	if v, n, err := s.reducePlanned(ss, longWindowID, 0, longWindowMsBench, AggMean); err != nil || n != longWindowSamples-1 || v == 0 {
+	if v, n, err := s.reducePlanned(ss, 0, longWindowMsBench, AggMean); err != nil || n != longWindowSamples-1 || v == 0 {
 		b.Fatalf("warm: (%v, %d, %v)", v, n, err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, n, err := s.reducePlanned(ss, longWindowID, 0, longWindowMsBench, AggMean)
+		v, n, err := s.reducePlanned(ss, 0, longWindowMsBench, AggMean)
 		if err != nil || n != longWindowSamples-1 || v == 0 {
 			b.Fatalf("reduce: (%v, %d, %v)", v, n, err)
 		}
@@ -130,6 +135,41 @@ func BenchmarkTierTailReduce(b *testing.B) {
 				p := i % phases
 				if _, n, err := stores[p].ReducePlanned(id, ends[p]-10*TierStep1m, ends[p], AggMean); err != nil || n != want {
 					b.Fatalf("phase %d: %d samples, %v", p, n, err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDistributionRead is the distribution path in the shape of the
+// end-to-end benchmark's raw query class: 6 h of one series at a 10 s cadence
+// with 1m and 1h tiers, read as p95 and std at a 5 m step and over the whole
+// window. Std and p95 plan raw, and the fold gathers each bucket's values in
+// the raw cursor's pooled scratch; `make bench-allocs` gates every case's
+// allocs/op.
+func BenchmarkDistributionRead(b *testing.B) {
+	const end, cadence = 6 * TierStep1h, 10_000
+	s := NewStore(0, WithRollups(TierStep1m, TierStep1h))
+	id := metric.ID{Name: "node_power_watts", Labels: metric.NewLabels("node", "n0")}
+	for t := int64(0); t < end; t += cadence {
+		if err := s.Append(id, metric.Gauge, metric.UnitWatt, t, 300+float64(t/cadence%97)/10); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, fn := range []AggFunc{AggP95, AggStd} {
+		b.Run(string(fn)+"/5m", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if pts, err := s.AggregatePlanned(id, 0, end, 5*TierStep1m, fn); err != nil || len(pts) != 72 {
+					b.Fatalf("%d buckets, %v", len(pts), err)
+				}
+			}
+		})
+		b.Run(string(fn)+"/whole", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, n, err := s.ReducePlanned(id, 0, end, fn); err != nil || n != end/cadence {
+					b.Fatalf("%d samples, %v", n, err)
 				}
 			}
 		})

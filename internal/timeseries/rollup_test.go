@@ -5,10 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/metric"
+	"repro/internal/tsmodel"
 )
-
-// rollupAggFns are the aggregations the planner can serve from tiers.
-var rollupAggFns = []AggFunc{AggMean, AggSum, AggMin, AggMax, AggCount, AggRate}
 
 // planOf is the planner's decision for one query (the unexported planner on
 // the resolved series; a decision-table case counts as a plan, as it always
@@ -19,16 +17,44 @@ func planOf(s *Store, id metric.ID, from, to, step int64, fn AggFunc) QueryPlan 
 }
 
 // fillRollupStore appends n integer-valued samples at the given cadence
-// starting at t0, so sums are exact in float64 and planned/raw results can
-// be compared with ==.
-func fillRollupStore(t *testing.T, s *Store, id metric.ID, t0, cadence int64, n int) {
+// starting at t0, so sums are exact in float64 and planned answers can be
+// compared with == against the reference model it returns, fed the same
+// samples.
+func fillRollupStore(t *testing.T, s *Store, id metric.ID, t0, cadence int64, n int) *tsmodel.Model {
 	t.Helper()
+	m := tsmodel.New(len(s.tierSteps) > 0)
 	for i := 0; i < n; i++ {
-		v := float64((i*7)%101 - 50)
-		if err := s.Append(id, metric.Gauge, metric.UnitWatt, t0+int64(i)*cadence, v); err != nil {
+		ts, v := t0+int64(i)*cadence, float64((i*7)%101-50)
+		if err := s.Append(id, metric.Gauge, metric.UnitWatt, ts, v); err != nil {
 			t.Fatal(err)
 		}
+		m.Append(id, ts, v)
 	}
+	return m
+}
+
+// modelAggregate is the reference model's answer to AggregatePlanned.
+func modelAggregate(t testing.TB, m *tsmodel.Model, id metric.ID, from, to, step int64, fn AggFunc) []AggPoint {
+	t.Helper()
+	pts, err := m.Aggregate(id.Key(), from, to, step, string(fn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []AggPoint
+	for _, p := range pts {
+		out = append(out, AggPoint{Start: p.Start, Value: p.Value})
+	}
+	return out
+}
+
+// untiered copies s without its rollup tiers: the same raw chunks, restored
+// into a store on which every query plans raw.
+func untiered(s *Store) (*Store, error) {
+	dump := s.Dump()
+	for i := range dump {
+		dump[i].Tiers = nil
+	}
+	return RestoreStore(s.ChunkSize(), dump)
 }
 
 func TestRollupPlannedParity(t *testing.T) {
@@ -36,7 +62,7 @@ func TestRollupPlannedParity(t *testing.T) {
 	id := sid("power", "n0")
 	// 3h of 10s-cadence data starting exactly on an hour boundary.
 	const t0 = int64(7 * TierStep1h)
-	fillRollupStore(t, s, id, t0, 10_000, 3*360+5)
+	m := fillRollupStore(t, s, id, t0, 10_000, 3*360+5)
 
 	for _, tc := range []struct {
 		name     string
@@ -52,15 +78,16 @@ func TestRollupPlannedParity(t *testing.T) {
 		{"odd-step", t0, t0 + TierStep1h, 90_000, 0},
 		{"partial-tail", t0, t0 + 3*TierStep1h + 55_000, TierStep1m, TierStep1m},
 	} {
-		for _, fn := range rollupAggFns {
+		for _, fn := range modelFns {
+			tier := tc.tier
+			if !MergeableAgg(fn) {
+				tier = 0 // std and p95 need the raw distribution and always plan raw
+			}
 			plan := planOf(s, id, tc.from, tc.to, tc.step, fn)
-			if plan.TierStep != tc.tier {
-				t.Fatalf("%s/%v: plan tier = %d, want %d", tc.name, fn, plan.TierStep, tc.tier)
+			if plan.TierStep != tier {
+				t.Fatalf("%s/%v: plan tier = %d, want %d", tc.name, fn, plan.TierStep, tier)
 			}
-			want, err := s.aggregate(id, tc.from, tc.to, tc.step, fn)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := modelAggregate(t, m, id, tc.from, tc.to, tc.step, fn)
 			got, err := s.AggregatePlanned(id, tc.from, tc.to, tc.step, fn)
 			if err != nil {
 				t.Fatal(err)
@@ -68,12 +95,6 @@ func TestRollupPlannedParity(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s/%v: planned aggregate diverged\n got %v\nwant %v", tc.name, fn, got, want)
 			}
-		}
-	}
-	// Std and P95 need the raw distribution and must always plan raw.
-	for _, fn := range []AggFunc{AggStd, AggP95} {
-		if plan := planOf(s, id, t0, t0+TierStep1h, TierStep1h, fn); plan.TierStep != 0 {
-			t.Fatalf("%v planned tier %d, want raw", fn, plan.TierStep)
 		}
 	}
 	st := s.RollupStats()
@@ -96,11 +117,11 @@ func TestReduceAndSeriesValuesPlannedParity(t *testing.T) {
 	s := NewStore(32, WithRollups(TierStep1m))
 	id := sid("temp", "n1")
 	const t0 = int64(0)
-	fillRollupStore(t, s, id, t0, 5_000, 2000) // ~2.7h at 5s cadence
+	m := fillRollupStore(t, s, id, t0, 5_000, 2000) // ~2.7h at 5s cadence
 
 	to := t0 + 9_500_000
-	for _, fn := range rollupAggFns {
-		wantV, wantN, err := s.Reduce(id, t0, to, fn)
+	for _, fn := range modelFns {
+		wantV, wantN, err := m.Reduce(id.Key(), t0, to, string(fn))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,10 +137,7 @@ func TestReduceAndSeriesValuesPlannedParity(t *testing.T) {
 		t.Fatalf("reduce plan tier = %d, want %d", plan.TierStep, int64(TierStep1m))
 	}
 
-	want, err := s.aggregate(id, t0, to, 10*TierStep1m, AggMean)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := modelAggregate(t, m, id, t0, to, 10*TierStep1m, AggMean)
 	got, err := s.SeriesValues(id, t0, to, 10*TierStep1m)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +155,7 @@ func TestReduceAndSeriesValuesPlannedParity(t *testing.T) {
 func TestRetainTierIndependent(t *testing.T) {
 	s := NewStore(32, WithRollups(TierStep1m, TierStep1h))
 	id := sid("power", "n0")
-	fillRollupStore(t, s, id, 0, 10_000, 3*360) // 3h
+	m := fillRollupStore(t, s, id, 0, 10_000, 3*360) // 3h
 
 	rawBefore, err := collect(s, id, 0, 1<<60)
 	if err != nil {
@@ -169,10 +187,7 @@ func TestRetainTierIndependent(t *testing.T) {
 	if plan.TierStep != TierStep1m {
 		t.Fatalf("minutely tier unusable after RetainTier: plan tier %d", plan.TierStep)
 	}
-	want, err := s.aggregate(id, from, 3*TierStep1h, TierStep1m, AggMean)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := modelAggregate(t, m, id, from, 3*TierStep1h, TierStep1m, AggMean)
 	got, err := s.AggregatePlanned(id, from, 3*TierStep1h, TierStep1m, AggMean)
 	if err != nil {
 		t.Fatal(err)
@@ -274,12 +289,20 @@ func TestRollupSurvivesRawRetention(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("rollup query diverged after raw retention")
 	}
-	// The raw scan over the same window is empty now, the rollups are not.
-	raw, err := s.aggregate(id, from, to, TierStep1m, AggSum)
+	// The raw scan over the same window — a raw plan on the same raw chunks
+	// without the tiers — is empty now, the rollups are not.
+	raw, err := untiered(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(raw) != 0 {
+	pts, err := raw.AggregatePlanned(id, from, to, TierStep1m, AggSum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := raw.RollupStats(); st.RawPlans != 1 || len(st.Tiers) != 0 {
+		t.Fatalf("the untiered copy's plan: %+v, want one raw plan", st)
+	}
+	if len(pts) != 0 {
 		t.Fatal("raw data survived Retain")
 	}
 	if len(got) == 0 {

@@ -348,7 +348,7 @@ func TestStoreAggregate(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		_ = s.Append(id, metric.Gauge, metric.UnitWatt, int64(i)*1000, float64(i))
 	}
-	pts, err := s.aggregate(id, 0, 60_000, 10_000, AggMean)
+	pts, err := s.AggregatePlanned(id, 0, 60_000, 10_000, AggMean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,35 +358,40 @@ func TestStoreAggregate(t *testing.T) {
 	if pts[0].Value != 4.5 || pts[5].Value != 54.5 {
 		t.Fatalf("means = %v", pts)
 	}
-	maxes, _ := s.aggregate(id, 0, 60_000, 10_000, AggMax)
+	maxes, _ := s.AggregatePlanned(id, 0, 60_000, 10_000, AggMax)
 	if maxes[0].Value != 9 {
 		t.Fatalf("max = %v", maxes[0])
 	}
-	counts, _ := s.aggregate(id, 0, 60_000, 30_000, AggCount)
+	counts, _ := s.AggregatePlanned(id, 0, 60_000, 30_000, AggCount)
 	if counts[0].Value != 30 || counts[1].Value != 30 {
 		t.Fatalf("counts = %v", counts)
 	}
 	if _, err := s.AggregatePlanned(id, 0, 1, 0, AggMean); err == nil {
 		t.Fatal("step 0 should error")
 	}
-	if _, err := s.aggregate(id, 0, 60_000, 10_000, AggFunc("bogus")); err == nil {
+	if _, err := s.AggregatePlanned(id, 0, 60_000, 10_000, AggFunc("bogus")); err == nil {
 		t.Fatal("unknown agg should error")
 	}
-	sums, _ := s.aggregate(id, 0, 60_000, 60_000, AggSum)
+	sums, _ := s.AggregatePlanned(id, 0, 60_000, 60_000, AggSum)
 	if sums[0].Value != 59*60/2 {
 		t.Fatalf("sum = %v", sums[0])
 	}
-	p95s, _ := s.aggregate(id, 0, 60_000, 60_000, AggP95)
+	p95s, _ := s.AggregatePlanned(id, 0, 60_000, 60_000, AggP95)
 	if p95s[0].Value < 55 || p95s[0].Value > 59 {
 		t.Fatalf("p95 = %v", p95s[0])
 	}
-	stds, _ := s.aggregate(id, 0, 60_000, 60_000, AggStd)
+	stds, _ := s.AggregatePlanned(id, 0, 60_000, 60_000, AggStd)
 	if stds[0].Value <= 0 {
 		t.Fatalf("std = %v", stds[0])
 	}
-	mins, _ := s.aggregate(id, 0, 60_000, 60_000, AggMin)
+	mins, _ := s.AggregatePlanned(id, 0, 60_000, 60_000, AggMin)
 	if mins[0].Value != 0 {
 		t.Fatalf("min = %v", mins[0])
+	}
+	// A store without tiers plans every query raw; the two refused ones plan
+	// nothing.
+	if st := s.RollupStats(); st.RawPlans != 7 || len(st.Tiers) != 0 {
+		t.Fatalf("plans: %+v, want 7 raw", st)
 	}
 }
 
