@@ -458,3 +458,48 @@ func BenchmarkActuatorSweepFootprints(b *testing.B) {
 		}
 	}
 }
+
+// --- the /analyze sweep's working set ---
+
+var (
+	sweepOnce sync.Once
+	sweepCtx  *oda.RunContext
+)
+
+// analyzeSweepCtx builds, once, a centre shaped like the end-to-end
+// benchmark's analyze_grid workload — seed 9, 128 nodes, 1,490 collection
+// rounds at 60 s — and the window odad's /analyze?window_hours=12 sweeps
+// over it: the newest 12 h, with no system handle (the capabilities that
+// need one answer an error, as they do in odad).
+func analyzeSweepCtx() *oda.RunContext {
+	sweepOnce.Do(func() {
+		cfg := simulation.DefaultConfig(9)
+		cfg.Nodes = 128
+		cfg.Workload.MaxNodes = 64
+		dc := simulation.New(cfg)
+		for i := 0; i < 1490; i++ {
+			dc.RunFor(60)
+		}
+		to := dc.Now() + 1
+		sweepCtx = &oda.RunContext{Store: dc.Store, From: to - 12*3600*1000, To: to}
+	})
+	return sweepCtx
+}
+
+// BenchmarkAnalyzeSweep is one full-grid sweep over that centre: what one
+// /analyze request allocates on odad's heap, beside ingest. `make
+// bench-allocs` gates its B/op and allocs/op.
+func BenchmarkAnalyzeSweep(b *testing.B) {
+	ctx := analyzeSweepCtx()
+	g, err := FullGrid()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res, _ := g.RunAll(ctx); len(res) == 0 {
+			b.Fatal("the sweep answered nothing")
+		}
+	}
+}

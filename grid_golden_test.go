@@ -61,6 +61,48 @@ func TestGridGolden(t *testing.T) {
 	}
 }
 
+// gridGoldenLongWindow pins the same sweep over a 13-hour run's newest 12
+// hours, the window odad's /analyze?window_hours=12 sweeps. From 12 hours on
+// the predictive capabilities read through the planner, bucketed at 1 m,
+// which the 8-hour goldens above never reach. Twelve hours back from the
+// run's end starts 1 ms past a minute, so, as in odad, those reads plan raw;
+// the same window widened back to a whole hour is served by the 1m tier and
+// a raw tail. Recorded at the commit before SeriesValues folded its buckets
+// straight into the result and failure-risk and node-anomaly built their
+// feature matrices flat.
+var gridGoldenLongWindow = []struct {
+	seed    int64
+	aligned bool // From rounded down to a whole hour
+	hash    string
+}{
+	{42, false, "1d4ae3f00a1f64e1"},
+	{42, true, "b5bede2151028fbe"},
+	{7, false, "9ee210503b856414"},
+	{7, true, "73ff488dbed73ca3"},
+}
+
+// TestGridGoldenLongWindow: the full grid over a 12-hour window of the
+// standard experiment answers the pinned hashes, and the hour-aligned
+// window's reads are served by the 1m tier.
+func TestGridGoldenLongWindow(t *testing.T) {
+	for _, g := range gridGoldenLongWindow {
+		run := StandardExperiment(g.seed, 16, 13)
+		ctx := *run.Ctx
+		ctx.From = ctx.To - 12*3600*1000
+		if g.aligned {
+			ctx.From = ctx.From / timeseries.TierStep1h * timeseries.TierStep1h
+		}
+		got, answers, values := gridHash(t, &ctx)
+		t.Logf("seed %d, from %d: %d answers, %d values, hash %s", g.seed, ctx.From, answers, values, got)
+		if got != g.hash {
+			t.Errorf("seed %d, from %d: grid hash %s, want %s", g.seed, ctx.From, got, g.hash)
+		}
+		if tier := run.DC.Store.RollupStats().Tiers[0]; g.aligned && (tier.Step != timeseries.TierStep1m || tier.Picks == 0) {
+			t.Errorf("seed %d: the aligned sweep's reads never planned the 1m tier (%+v)", g.seed, tier)
+		}
+	}
+}
+
 // snapshotRestored writes live as a snapshot payload and restores it.
 func snapshotRestored(t *testing.T, live *timeseries.Store) *timeseries.Store {
 	t.Helper()

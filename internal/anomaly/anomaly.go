@@ -167,12 +167,30 @@ func (c *CUSUM) Name() string { return "cusum" }
 
 // Detect implements Detector.
 func (c *CUSUM) Detect(xs []float64) []Event {
+	var out []Event
+	c.scan(xs, func(i int, score float64) {
+		out = append(out, Event{Index: i, Value: xs[i], Score: score})
+	})
+	return out
+}
+
+// Alarms is len(c.Detect(xs)) without building the events: a sweep that
+// only counts a series' alarms holds nothing per alarm.
+func (c *CUSUM) Alarms(xs []float64) int {
+	n := 0
+	c.scan(xs, func(int, float64) { n++ })
+	return n
+}
+
+// scan runs the two-sided chart over xs and hands each alarm's index and
+// score to alarm, in order.
+func (c *CUSUM) scan(xs []float64, alarm func(i int, score float64)) {
 	baseline := c.Baseline
 	if baseline <= 1 {
 		baseline = 50
 	}
 	if len(xs) <= baseline {
-		return nil
+		return
 	}
 	slack := c.Slack
 	if slack <= 0 {
@@ -184,21 +202,18 @@ func (c *CUSUM) Detect(xs []float64) []Event {
 	}
 	base, err := stats.Summarize(xs[:baseline])
 	if err != nil || base.Std == 0 {
-		return nil
+		return
 	}
 	var hi, lo float64
-	var out []Event
 	for i := baseline; i < len(xs); i++ {
 		z := (xs[i] - base.Mean) / base.Std
 		hi = math.Max(0, hi+z-slack)
 		lo = math.Max(0, lo-z-slack)
 		if hi > h || lo > h {
-			score := math.Max(hi, lo) / h
-			out = append(out, Event{Index: i, Value: xs[i], Score: score})
+			alarm(i, math.Max(hi, lo)/h)
 			hi, lo = 0, 0 // restart after alarm
 		}
 	}
-	return out
 }
 
 // EWMAChart is an exponentially-weighted moving-average control chart with

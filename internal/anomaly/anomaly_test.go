@@ -100,6 +100,23 @@ func TestIQRFences(t *testing.T) {
 	}
 }
 
+// TestCUSUMAlarmsCountsDetect: Alarms is len(Detect) on drifting,
+// stationary, short and constant series, with and without defaults.
+func TestCUSUMAlarmsCountsDetect(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	drift := make([]float64, 720)
+	for i := range drift {
+		drift[i] = 200 + float64(i)*0.05 + rng.NormFloat64()*4
+	}
+	for _, d := range []CUSUM{{}, {Baseline: 30, Slack: 0.5, H: 8}, {Baseline: 100, H: 2}} {
+		for _, xs := range [][]float64{drift, spikedSeries(400, 5, map[int]float64{300: 90}), drift[:20], make([]float64, 100)} {
+			if got, want := d.Alarms(xs), len(d.Detect(xs)); got != want {
+				t.Fatalf("%+v over %d samples: Alarms %d, Detect found %d", d, len(xs), got, want)
+			}
+		}
+	}
+}
+
 func TestCUSUMDetectsLevelShift(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	xs := make([]float64, 400)

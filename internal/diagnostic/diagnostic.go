@@ -10,6 +10,7 @@ package diagnostic
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -26,42 +27,49 @@ func cell(p oda.Pillar, t oda.Type) oda.Cell { return oda.Cell{Pillar: p, Type: 
 var siteLabels = metric.NewLabels("site", "vdc")
 
 // nodeVectorNames are the per-node sensors fused into one feature vector.
-var nodeVectorNames = []string{"node_power_watts", "node_cpu_temp_celsius", "node_utilization", "node_fan_speed"}
+var nodeVectorNames = [...]string{"node_power_watts", "node_cpu_temp_celsius", "node_utilization", "node_fan_speed"}
 
-// nodeVectors extracts one feature vector (power, temp, utilization, fan)
-// per collection instant for a node, aligned on the power series timestamps:
-// row i holds every series' i-th sample of the window, for as many rows as
-// the shortest series has.
-func nodeVectors(ctx *oda.RunContext, nodeLabels metric.Labels, from, to int64) (*ml.Matrix, []int64, error) {
-	cols := make([][]float64, len(nodeVectorNames))
-	var times []int64
+// nodeVectorCols is a node vector's width.
+const nodeVectorCols = len(nodeVectorNames)
+
+// nodeVectors appends one feature vector (power, temp, utilization, fan)
+// per collection instant of a node over [from, to) to dst, row-major, and
+// returns the grown slice and how many rows it added: row i holds every
+// series' i-th sample of the window, for as many rows as the shortest series
+// has. Each series streams straight into its column of dst, so the rows are
+// the only copy of the window; on an error dst comes back as it was.
+func nodeVectors(ctx *oda.RunContext, nodeLabels metric.Labels, from, to int64, dst []float64) ([]float64, int, error) {
+	base := len(dst)
+	rows := 0
 	err := ctx.Store.Each(metric.ID{Name: nodeVectorNames[0], Labels: nodeLabels}, from, to, func(sm metric.Sample) bool {
-		times = append(times, sm.T)
-		cols[0] = append(cols[0], sm.V)
+		var row [nodeVectorCols]float64
+		row[0] = sm.V
+		dst = append(dst, row[:]...)
+		rows++
 		return true
 	})
 	if err != nil {
-		return nil, nil, err
+		return dst[:base], 0, err
 	}
-	rows := len(times)
-	for j := 1; j < len(nodeVectorNames); j++ {
-		vals, err := ctx.Store.SeriesValues(metric.ID{Name: nodeVectorNames[j], Labels: nodeLabels}, from, to, 0)
+	for j := 1; j < nodeVectorCols; j++ {
+		i := 0
+		err := ctx.Store.Each(metric.ID{Name: nodeVectorNames[j], Labels: nodeLabels}, from, to, func(sm metric.Sample) bool {
+			if i == rows {
+				return false
+			}
+			dst[base+i*nodeVectorCols+j] = sm.V
+			i++
+			return true
+		})
 		if err != nil {
-			return nil, nil, err
+			return dst[:base], 0, err
 		}
-		cols[j] = vals
-		rows = min(rows, len(vals))
+		rows = i
 	}
 	if rows == 0 {
-		return nil, nil, fmt.Errorf("diagnostic: no aligned telemetry for %s", nodeLabels)
+		return dst[:base], 0, fmt.Errorf("diagnostic: no aligned telemetry for %s", nodeLabels)
 	}
-	data := make([]float64, 0, rows*len(cols))
-	for i := 0; i < rows; i++ {
-		for _, col := range cols {
-			data = append(data, col[i])
-		}
-	}
-	return &ml.Matrix{Rows: rows, Cols: len(cols), Data: data}, times[:rows], nil
+	return dst[:base+rows*nodeVectorCols], rows, nil
 }
 
 // NodeAnomaly is PCA-subspace anomaly detection over per-node sensor
@@ -102,54 +110,64 @@ func (c NodeAnomaly) Run(ctx *oda.RunContext) (oda.Result, error) {
 		return oda.Result{}, fmt.Errorf("diagnostic: no node telemetry")
 	}
 	// Train one fleet-wide model on healthy-phase vectors of all nodes, so
-	// a node deviating from fleet structure stands out. Per-node matrices
-	// are row-major, so their data concatenates into the training matrix
-	// without per-row copies.
-	var trainData []float64
+	// a node deviating from fleet structure stands out. Every node's
+	// training rows append, in node order, to one buffer, and its detection
+	// rows to another; each is sized once from the first node's rows, and
+	// each node's detection matrix is a view of its run.
+	var trainData, detectData []float64
 	trainRows := 0
-	type nodeData struct {
-		name string
-		m    *ml.Matrix
+	type nodeRun struct {
+		name      string
+		off, rows int
 	}
-	var detectData []nodeData
+	var detect []nodeRun
 	for _, id := range powerIDs {
 		name, _ := id.Labels.Get("node")
-		trainM, _, err := nodeVectors(ctx, id.Labels, ctx.From, split)
-		if err != nil {
+		var rows int
+		var err error
+		if trainData, rows, err = nodeVectors(ctx, id.Labels, ctx.From, split, trainData); err != nil {
 			continue
 		}
-		trainData = append(trainData, trainM.Data...)
-		trainRows += trainM.Rows
-		detectM, _, err := nodeVectors(ctx, id.Labels, split, ctx.To)
-		if err != nil {
+		if trainRows == 0 {
+			trainData = slices.Grow(trainData, len(trainData)*(len(powerIDs)-1))
+		}
+		trainRows += rows
+		off := len(detectData)
+		if detectData, rows, err = nodeVectors(ctx, id.Labels, split, ctx.To, detectData); err != nil {
 			continue
 		}
-		detectData = append(detectData, nodeData{name: name, m: detectM})
+		if len(detect) == 0 {
+			detectData = slices.Grow(detectData, len(detectData)*(len(powerIDs)-1))
+		}
+		detect = append(detect, nodeRun{name: name, off: off, rows: rows})
 	}
 	if trainRows < 8 {
 		return oda.Result{}, fmt.Errorf("diagnostic: too little training telemetry (%d rows)", trainRows)
 	}
-	train := &ml.Matrix{Rows: trainRows, Cols: len(nodeVectorNames), Data: trainData}
-	// Standardize features: raw sensor scales differ by orders of magnitude
-	// and would otherwise let node power dominate the subspace.
+	train := &ml.Matrix{Rows: trainRows, Cols: nodeVectorCols, Data: trainData}
+	// Standardize features in place: raw sensor scales differ by orders of
+	// magnitude and would otherwise let node power dominate the subspace.
 	var scaler ml.StandardScaler
 	scaler.Fit(train)
+	scaler.Apply(train)
 	sub := anomaly.Subspace{Threshold: thr}
-	if err := sub.Fit(scaler.Transform(train)); err != nil {
+	if err := sub.Fit(train); err != nil {
 		return oda.Result{}, err
 	}
+	scaler.Apply(&ml.Matrix{Rows: len(detectData) / nodeVectorCols, Cols: nodeVectorCols, Data: detectData})
 	anomalousNodes := map[string]int{}
 	var totalEvents, totalVectors int
-	for _, nd := range detectData {
-		events, err := sub.DetectRows(scaler.Transform(nd.m))
+	for _, nd := range detect {
+		m := &ml.Matrix{Rows: nd.rows, Cols: nodeVectorCols, Data: detectData[nd.off : nd.off+nd.rows*nodeVectorCols]}
+		events, err := sub.DetectRows(m)
 		if err != nil {
 			return oda.Result{}, err
 		}
-		totalVectors += nd.m.Rows
+		totalVectors += m.Rows
 		totalEvents += len(events)
 		// A node is anomalous when a non-trivial share of its window is
 		// flagged (isolated flickers are sensor noise).
-		if nd.m.Rows > 0 && float64(len(events))/float64(nd.m.Rows) > 0.2 {
+		if m.Rows > 0 && float64(len(events))/float64(m.Rows) > 0.2 {
 			anomalousNodes[nd.name] = len(events)
 		}
 	}

@@ -137,9 +137,9 @@ func (c MemoryLeakDetector) Run(ctx *oda.RunContext) (oda.Result, error) {
 		if err != nil {
 			continue
 		}
-		if events := det.Detect(vals); len(events) > 0 {
+		if alarms := det.Alarms(vals); alarms > 0 {
 			node, _ := id.Labels.Get("node")
-			drifting[node] = len(events)
+			drifting[node] = alarms
 		}
 	}
 	names := make([]string, 0, len(drifting))

@@ -244,19 +244,22 @@ func (sf *SeasonalFFT) Fit(history []float64) error {
 }
 
 // cyclicMedian returns the per-phase median over all cycles of length p.
+// The phases' values are laid out one phase after another in one buffer,
+// each in cycle order, and each run is sorted where it lies.
 func cyclicMedian(xs []float64, p int) []float64 {
-	buckets := make([][]float64, p)
-	for i, x := range xs {
-		idx := i % p
-		buckets[idx] = append(buckets[idx], x)
-	}
+	buf := make([]float64, 0, len(xs))
 	out := make([]float64, p)
-	for i, b := range buckets {
-		if len(b) == 0 {
+	for i := range out {
+		start := len(buf)
+		for j := i; j < len(xs); j += p {
+			buf = append(buf, xs[j])
+		}
+		b := buf[start:]
+		n := len(b)
+		if n == 0 {
 			continue
 		}
 		sort.Float64s(b)
-		n := len(b)
 		if n%2 == 1 {
 			out[i] = b[n/2]
 		} else {

@@ -3,6 +3,7 @@ package forecast
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -144,6 +145,37 @@ func TestCyclicMedian(t *testing.T) {
 	xs2 := []float64{1, 3, 1, 3} // period 1: bucket [1 3 1 3] -> median 2
 	if m := cyclicMedian(xs2, 1); m[0] != 2 {
 		t.Fatalf("even median = %v", m)
+	}
+}
+
+// TestCyclicMedianIsPerPhaseSort: cyclicMedian's one-buffer layout answers
+// what sorting each phase's own slice answers, bit for bit, for periods
+// that divide the series and ones that leave short phases or none at all.
+func TestCyclicMedianIsPerPhaseSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	xs := make([]float64, 97)
+	for i := range xs {
+		xs[i] = math.Round(rng.NormFloat64()*4) / 2 // ties, and -0 beside 0
+	}
+	xs[5], xs[40] = math.Copysign(0, -1), 0
+	for _, p := range []int{1, 2, 7, 24, 96, 97, 120} {
+		got := cyclicMedian(xs, p)
+		for i := 0; i < p; i++ {
+			var phase []float64
+			for j := i; j < len(xs); j += p {
+				phase = append(phase, xs[j])
+			}
+			want := 0.0
+			if n := len(phase); n > 0 {
+				sort.Float64s(phase)
+				if want = phase[n/2]; n%2 == 0 {
+					want = (phase[n/2-1] + phase[n/2]) / 2
+				}
+			}
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("period %d, phase %d: %v, want %v", p, i, got[i], want)
+			}
+		}
 	}
 }
 

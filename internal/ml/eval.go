@@ -61,6 +61,13 @@ func Accuracy(pred, truth []int) float64 {
 // TrainTestSplit shuffles row indices deterministically and splits them,
 // returning train and test index slices. testFrac is clamped to (0, 1).
 func TrainTestSplit(n int, testFrac float64, seed int64) (train, test []int) {
+	perm, cut := splitPerm(n, testFrac, seed)
+	return perm[cut:], perm[:cut]
+}
+
+// splitPerm is TrainTestSplit's shuffle: the test rows are perm[:cut], the
+// training rows perm[cut:].
+func splitPerm(n int, testFrac float64, seed int64) (perm []int, cut int) {
 	if testFrac <= 0 {
 		testFrac = 0.25
 	}
@@ -68,12 +75,49 @@ func TrainTestSplit(n int, testFrac float64, seed int64) (train, test []int) {
 		testFrac = 0.5
 	}
 	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(n)
-	cut := int(float64(n) * testFrac)
+	perm = rng.Perm(n)
+	cut = int(float64(n) * testFrac)
 	if cut < 1 && n > 1 {
 		cut = 1
 	}
-	return perm[cut:], perm[:cut]
+	return perm, cut
+}
+
+// SplitInPlace deals x's rows and their labels y as TrainTestSplit(x.Rows,
+// testFrac, seed) does, without copying them out: it reorders both in place
+// — the test rows first, in test order, then the training rows in training
+// order — and returns the two parts as views of x and y. Row k of train is
+// the row train index k named, so a fit over it visits the same rows in the
+// same order as one over SelectRows(x, train).
+func SplitInPlace(x *Matrix, y []float64, testFrac float64, seed int64) (train, test *Matrix, trainY, testY []float64) {
+	perm, cut := splitPerm(x.Rows, testFrac, seed)
+	// Follow each cycle of the permutation, carrying the one row it
+	// overwrites first: row k becomes the old row perm[k].
+	done := make([]bool, len(perm))
+	tmp := make([]float64, x.Cols)
+	for k := range perm {
+		if done[k] {
+			continue
+		}
+		copy(tmp, x.Row(k))
+		ty := y[k]
+		for j := k; ; {
+			done[j] = true
+			src := perm[j]
+			if src == k {
+				copy(x.Row(j), tmp)
+				y[j] = ty
+				break
+			}
+			copy(x.Row(j), x.Row(src))
+			y[j] = y[src]
+			j = src
+		}
+	}
+	c := cut * x.Cols
+	test = &Matrix{Rows: cut, Cols: x.Cols, Data: x.Data[:c:c]}
+	train = &Matrix{Rows: x.Rows - cut, Cols: x.Cols, Data: x.Data[c:]}
+	return train, test, y[cut:], y[:cut:cut]
 }
 
 // SelectRows returns the submatrix of x given by idx.

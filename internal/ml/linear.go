@@ -198,15 +198,21 @@ func (s *StandardScaler) Fit(x *Matrix) {
 	}
 }
 
-// Transform returns a scaled copy of x.
-func (s *StandardScaler) Transform(x *Matrix) *Matrix {
-	out := x.Clone()
-	for r := 0; r < out.Rows; r++ {
-		row := out.Row(r)
+// Apply scales x in place: the working set a feature pipeline built stays
+// its only copy.
+func (s *StandardScaler) Apply(x *Matrix) {
+	for r := 0; r < x.Rows; r++ {
+		row := x.Row(r)
 		for j := range row {
 			row[j] = (row[j] - s.Mean[j]) / s.Std[j]
 		}
 	}
+}
+
+// Transform returns a scaled copy of x, Apply's arithmetic on a Clone.
+func (s *StandardScaler) Transform(x *Matrix) *Matrix {
+	out := x.Clone()
+	s.Apply(out)
 	return out
 }
 

@@ -165,9 +165,15 @@ func (p *PCA) ResidualNorm(q []float64, k int) (float64, error) {
 	if k < 0 || k > p.Components.Rows {
 		return 0, errors.New("ml: k out of range")
 	}
-	centred := make([]float64, len(q))
+	// A detector scores every row of a window: centre a narrow one in a
+	// stack buffer, not a fresh slice per row.
+	var buf [8]float64
+	centred := buf[:0]
+	if len(q) > len(buf) {
+		centred = make([]float64, 0, len(q))
+	}
 	for j, v := range q {
-		centred[j] = v - p.Mean[j]
+		centred = append(centred, v-p.Mean[j])
 	}
 	var s float64
 	for c := k; c < p.Components.Rows; c++ {

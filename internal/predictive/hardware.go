@@ -106,6 +106,10 @@ func (ThermalRisk) Meta() oda.Meta {
 	}
 }
 
+// riskFeatures is ThermalRisk's row width: temperature, its 5-sample trend,
+// utilization and fan speed.
+const riskFeatures = 4
+
 // Run implements oda.Capability.
 func (c ThermalRisk) Run(ctx *oda.RunContext) (oda.Result, error) {
 	hot := c.HotCelsius
@@ -120,8 +124,9 @@ func (c ThermalRisk) Run(ctx *oda.RunContext) (oda.Result, error) {
 	if len(ids) == 0 {
 		return oda.Result{}, fmt.Errorf("predictive: no temperature telemetry")
 	}
-	var rows [][]float64
-	var labels []float64
+	// The feature matrix is built once, flat: four features a row, appended
+	// straight into one slice sized from the first node's aligned length.
+	var feats, labels []float64
 	step := plannedStep(ctx.From, ctx.To)
 	for _, id := range ids {
 		// The three feature series go through the planner at one shared
@@ -137,17 +142,14 @@ func (c ThermalRisk) Run(ctx *oda.RunContext) (oda.Result, error) {
 		if err1 != nil || err2 != nil {
 			continue
 		}
-		n := len(temps)
-		if len(utils) < n {
-			n = len(utils)
-		}
-		if len(fans) < n {
-			n = len(fans)
+		n := min(len(temps), len(utils), len(fans))
+		if rows := n - 5 - lead; feats == nil && rows > 0 {
+			feats = make([]float64, 0, rows*len(ids)*riskFeatures)
+			labels = make([]float64, 0, rows*len(ids))
 		}
 		for i := 5; i+lead < n; i++ {
 			// Features: current temp, short trend, utilization, fan.
-			trend := temps[i] - temps[i-5]
-			rows = append(rows, []float64{temps[i], trend, utils[i], fans[i]})
+			feats = append(feats, temps[i], temps[i]-temps[i-5], utils[i], fans[i])
 			future := temps[i+1 : i+lead+1]
 			label := 0.0
 			for _, ft := range future {
@@ -159,8 +161,8 @@ func (c ThermalRisk) Run(ctx *oda.RunContext) (oda.Result, error) {
 			labels = append(labels, label)
 		}
 	}
-	if len(rows) < 50 {
-		return oda.Result{}, fmt.Errorf("predictive: only %d risk samples", len(rows))
+	if len(labels) < 50 {
+		return oda.Result{}, fmt.Errorf("predictive: only %d risk samples", len(labels))
 	}
 	var positives int
 	for _, l := range labels {
@@ -174,34 +176,31 @@ func (c ThermalRisk) Run(ctx *oda.RunContext) (oda.Result, error) {
 			Values:  map[string]float64{"samples": float64(len(labels)), "positives": float64(positives), "auc_proxy": 0},
 		}, nil
 	}
-	x, err := ml.MatrixFromRows(rows)
-	if err != nil {
-		return oda.Result{}, err
-	}
+	x := &ml.Matrix{Rows: len(labels), Cols: riskFeatures, Data: feats}
 	var scaler ml.StandardScaler
 	scaler.Fit(x)
-	xs := scaler.Transform(x)
-	trainIdx, testIdx := ml.TrainTestSplit(len(rows), 0.3, 7)
+	scaler.Apply(x)
+	train, test, trainY, testY := ml.SplitInPlace(x, labels, 0.3, 7)
 	lg := ml.LogisticRegression{Epochs: 300, LearningRate: 0.3}
-	if err := lg.Fit(ml.SelectRows(xs, trainIdx), ml.SelectFloats(labels, trainIdx)); err != nil {
+	if err := lg.Fit(train, trainY); err != nil {
 		return oda.Result{}, err
 	}
 	// Score: mean predicted probability on positive vs negative test rows
 	// (a separation proxy robust to class imbalance).
 	var posP, negP stats.Online
 	var correct int
-	for _, r := range testIdx {
-		p := lg.PredictProba(xs.Row(r))
-		if labels[r] == 1 {
+	for r, label := range testY {
+		p := lg.PredictProba(test.Row(r))
+		if label == 1 {
 			posP.Add(p)
 		} else {
 			negP.Add(p)
 		}
-		if float64(lg.Predict(xs.Row(r))) == labels[r] {
+		if float64(lg.Predict(test.Row(r))) == label {
 			correct++
 		}
 	}
-	acc := float64(correct) / float64(len(testIdx))
+	acc := float64(correct) / float64(len(testY))
 	sep := posP.Mean() - negP.Mean()
 	return oda.Result{
 		Summary: fmt.Sprintf("thermal-risk model: accuracy %.0f%%, P(risk|hot)-P(risk|cool) = %.2f over %d samples (%d positive)",
@@ -237,23 +236,28 @@ func (InstMix) Meta() oda.Meta {
 }
 
 // intensitySeries derives the power-per-utilization signature of one node
-// from its power and utilization samples taken pairwise, in time order.
+// from its power and utilization samples taken pairwise, in time order. The
+// utilization streams past the power values, and the signature overwrites
+// them as it goes: a busy sample's signature lands at or before the power
+// value it was computed from.
 func intensitySeries(ctx *oda.RunContext, labels metric.Labels) []float64 {
 	power, err := ctx.Store.SeriesValues(metric.ID{Name: "node_power_watts", Labels: labels}, ctx.From, ctx.To, 0)
 	if err != nil {
 		return nil
 	}
-	util, err := ctx.Store.SeriesValues(metric.ID{Name: "node_utilization", Labels: labels}, ctx.From, ctx.To, 0)
+	out, i := power[:0], 0
+	err = ctx.Store.Each(metric.ID{Name: "node_utilization", Labels: labels}, ctx.From, ctx.To, func(sm metric.Sample) bool {
+		if i == len(power) {
+			return false
+		}
+		if u := sm.V; u >= 5 { // below: idle, no signature
+			out = append(out, (power[i]-95)/u)
+		}
+		i++
+		return true
+	})
 	if err != nil {
 		return nil
-	}
-	n := min(len(power), len(util))
-	out := make([]float64, 0, n)
-	for i, u := range util[:n] {
-		if u < 5 {
-			continue // idle: no signature
-		}
-		out = append(out, (power[i]-95)/u)
 	}
 	return out
 }

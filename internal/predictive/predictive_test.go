@@ -1,8 +1,10 @@
 package predictive
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/metric"
 	"repro/internal/oda"
 	"repro/internal/scheduler"
 	"repro/internal/simulation"
@@ -289,5 +291,41 @@ func TestWorkloadForecastSeasonalBranch(t *testing.T) {
 	}
 	if res.Value("mean_rate") <= 0 {
 		t.Fatal("no arrival rate computed")
+	}
+}
+
+// TestIntensitySeriesOverwritesPowerInOrder: intensitySeries writes each
+// busy sample's signature over the power values it streams past; it must
+// equal the signature computed from separate power and utilization slices.
+func TestIntensitySeriesOverwritesPowerInOrder(t *testing.T) {
+	ctx := predCtx(t)
+	ids := ctx.Store.Select("node_power_watts", nil)
+	if len(ids) == 0 {
+		t.Fatal("no power series")
+	}
+	for _, id := range ids {
+		power, err1 := ctx.Store.SeriesValues(id, ctx.From, ctx.To, 0)
+		util, err2 := ctx.Store.SeriesValues(metric.ID{Name: "node_utilization", Labels: id.Labels}, ctx.From, ctx.To, 0)
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
+		}
+		var want []float64
+		for i := 0; i < min(len(power), len(util)); i++ {
+			if util[i] >= 5 {
+				want = append(want, (power[i]-95)/util[i])
+			}
+		}
+		got := intensitySeries(ctx, id.Labels)
+		if len(want) == 0 || len(got) != len(want) {
+			t.Fatalf("%s: %d signature values, want %d (> 0)", id.Key(), len(got), len(want))
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: signature %d = %v, want %v", id.Key(), i, got[i], want[i])
+			}
+		}
+	}
+	if got := intensitySeries(ctx, metric.NewLabels("node", "absent")); got != nil {
+		t.Fatalf("absent node: %v, want nil", got)
 	}
 }

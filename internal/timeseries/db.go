@@ -428,18 +428,21 @@ func (s *Store) Retain(cutoff int64) int {
 // analytics consume, at a chosen display resolution. step <= 0
 // streams every raw value directly off the cursor into the result slice (no
 // intermediate sample slice is built); step > 0 returns per-bucket means
-// computed through the planner, so a long dashboard window costs rollup
-// windows, not raw samples. The step > 0 output is identical whether a tier
-// serves it or the raw fallback does.
+// computed through the planner, folded straight into the result slice, so a
+// long dashboard window costs rollup windows, not raw samples. Either way
+// the slice is sized once, by what the read's cursors hold. The step > 0
+// output is identical whether a tier serves it or the raw fallback does.
 func (s *Store) SeriesValues(id metric.ID, from, to, step int64) ([]float64, error) {
 	if step > 0 {
-		pts, err := s.AggregatePlanned(id, from, to, step, AggMean)
+		ss, err := s.series(id)
 		if err != nil {
 			return nil, err
 		}
-		out := make([]float64, len(pts))
-		for i, p := range pts {
-			out[i] = p.Value
+		var out []float64
+		if _, err := s.fold(ss, from, to, step, AggMean, func(n int) { out = make([]float64, 0, n) }, func(_ int64, _ Partial, v float64) {
+			out = append(out, v)
+		}); err != nil {
+			return nil, err
 		}
 		return out, nil
 	}

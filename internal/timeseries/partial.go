@@ -169,14 +169,15 @@ func checkBuckets(base, to int64) error {
 }
 
 // finish turns a bucket into its answer under fn: the Partial's value for a
-// mergeable function, and for std and p95 the distribution's over vals, the
-// bucket's values (stats.Std's Welford and stats.Quantile's type 7, as the
-// reference model computes them). An empty bucket answers 0 for every
-// function but p95, whose quantile of nothing is stats.ErrEmpty.
-func finish(fn AggFunc, agg *Partial, vals []float64) (float64, error) {
+// mergeable function, for std the Welford accumulator the bucket kept beside
+// it (stats.Std is stats.Online over the values, so the bits are the
+// reference model's), and for p95 stats.Quantile's type 7 over vals, the
+// bucket's values. An empty bucket answers 0 for every function but p95,
+// whose quantile of nothing is stats.ErrEmpty.
+func finish(fn AggFunc, agg *Partial, on *stats.Online, vals []float64) (float64, error) {
 	switch fn {
 	case AggStd:
-		return stats.Std(vals), nil
+		return on.Std(), nil
 	case AggP95:
 		return stats.Quantile(vals, 0.95)
 	}
@@ -189,9 +190,15 @@ func finish(fn AggFunc, agg *Partial, vals []float64) (float64, error) {
 // buckets, and hands each non-empty bucket to emit in time order, with its
 // answer under fn. step <= 0 is one bucket anchored at from, handed on even
 // when empty, so a whole-window reduction always answers. A raw plan is tier
-// 0 — no prefix, all tail — and it is the only plan std and p95 get: for
-// them a bucket also gathers its values in the raw cursor's pooled scratch.
-// It returns the plan it executed.
+// 0 — no prefix, all tail — and it is the only plan std and p95 get: a std
+// bucket also keeps a stats.Online, and a p95 bucket gathers its values in
+// the raw cursor's pooled scratch. It returns the plan it executed.
+//
+// Before the first bucket, a non-nil reserve learns an upper bound on how
+// many buckets emit will see: the fewer of the window's step buckets and
+// the windows and samples the plan's cursors hold. A caller that collects
+// the buckets sizes its slice once by it, so a sparse series read over a
+// wide window at a fine step reserves what it holds, not the window's span.
 //
 // Windows and samples arrive in time order and sums fold left to right, the
 // order stats.Online and stats.Mean keep, so on a raw plan a finished bucket
@@ -199,9 +206,9 @@ func finish(fn AggFunc, agg *Partial, vals []float64) (float64, error) {
 // terms grouped by window. Both cursors are pooled, and emit takes the bucket
 // by value so the accumulator stays on the stack: a fold of a mergeable
 // function allocates nothing itself.
-func (s *Store) fold(ss *storedSeries, from, to, step int64, fn AggFunc, emit func(start int64, agg Partial, v float64)) (QueryPlan, error) {
-	gather := fn == AggStd || fn == AggP95 // the distribution's functions
-	if !gather && !MergeableAgg(fn) {
+func (s *Store) fold(ss *storedSeries, from, to, step int64, fn AggFunc, reserve func(buckets int), emit func(start int64, agg Partial, v float64)) (QueryPlan, error) {
+	gather := fn == AggP95 // the one function that needs the distribution
+	if fn != AggStd && !gather && !MergeableAgg(fn) {
 		return QueryPlan{}, fmt.Errorf("timeseries: unknown aggregation %q", fn)
 	}
 	if step > 0 {
@@ -211,16 +218,17 @@ func (s *Store) fold(ss *storedSeries, from, to, step int64, fn AggFunc, emit fu
 	}
 	plan, tier := s.plan(ss, from, to, step, fn)
 	var agg Partial
+	var on stats.Online
 	var vals []float64
 	var err error
 	start := from
 	// flush hands the open bucket on, finished, and empties it.
 	flush := func() {
 		var v float64
-		if v, err = finish(fn, &agg, vals); err == nil {
+		if v, err = finish(fn, &agg, &on, vals); err == nil {
 			emit(start, agg, v)
 		}
-		agg, vals = Partial{}, vals[:0]
+		agg, on, vals = Partial{}, stats.Online{}, vals[:0]
 	}
 	// enter makes the bucket holding t the open one, handing the finished
 	// bucket on. Only bucketed folds (step > 0) get here.
@@ -231,14 +239,33 @@ func (s *Store) fold(ss *storedSeries, from, to, step int64, fn AggFunc, emit fu
 		start = from + (t-from)/step*step
 	}
 	tail := from
+	var tcur, rcur *cursor
 	if tier != nil {
 		tail = plan.TierTo
-		tcur := s.newTierCursor(ss, tier, from, tail) // from is tier-aligned
+		tcur = s.newTierCursor(ss, tier, from, tail) // from is tier-aligned
+	}
+	if reserve != nil {
+		// Both cursors snapshot their chunks before either decodes, so
+		// reserve sees the plan's whole read.
+		rcur = s.newCursor(ss, tail, to)
+		n := rcur.est
+		if tcur != nil {
+			n += tcur.est // a window is at least one record
+		}
+		if to > from && step > 0 {
+			n = int(min(int64(n), (to-from-1)/step+1))
+		}
+		reserve(n)
+	}
+	if tcur != nil {
 		var w Partial
 		for {
 			wStart, ok, err := nextRollupPoint(tcur, tier.step, &w)
 			if err != nil {
 				tcur.Close()
+				if rcur != nil {
+					rcur.Close()
+				}
 				return plan, err
 			}
 			if !ok {
@@ -251,7 +278,9 @@ func (s *Store) fold(ss *storedSeries, from, to, step int64, fn AggFunc, emit fu
 		}
 		tcur.Close()
 	}
-	rcur := s.newCursor(ss, tail, to)
+	if rcur == nil {
+		rcur = s.newCursor(ss, tail, to)
+	}
 	vals = rcur.vals
 	for rcur.Next() {
 		sm := rcur.cur
@@ -259,7 +288,9 @@ func (s *Store) fold(ss *storedSeries, from, to, step int64, fn AggFunc, emit fu
 			enter(sm.T)
 		}
 		agg.AddSample(sm.T, sm.V)
-		if gather {
+		if fn == AggStd {
+			on.Add(sm.V)
+		} else if gather {
 			vals = append(vals, sm.V)
 		}
 	}
@@ -282,7 +313,7 @@ func (s *Store) ReducePartial(id metric.ID, from, to int64) (agg Partial, plan Q
 		return Partial{}, QueryPlan{}, err
 	}
 	// A Partial answers every mergeable function; AggSum stands for them.
-	plan, err = s.fold(ss, from, to, 0, AggSum, func(_ int64, b Partial, _ float64) { agg = b })
+	plan, err = s.fold(ss, from, to, 0, AggSum, nil, func(_ int64, b Partial, _ float64) { agg = b })
 	return agg, plan, err
 }
 
@@ -304,7 +335,7 @@ func (s *Store) ReducePlanned(id metric.ID, from, to int64, fn AggFunc) (float64
 func (s *Store) reducePlanned(ss *storedSeries, from, to int64, fn AggFunc) (float64, int, error) {
 	var v float64
 	var n int64
-	if _, err := s.fold(ss, from, to, 0, fn, func(_ int64, b Partial, bv float64) { v, n = bv, b.Count }); err != nil {
+	if _, err := s.fold(ss, from, to, 0, fn, nil, func(_ int64, b Partial, bv float64) { v, n = bv, b.Count }); err != nil {
 		return 0, 0, err
 	}
 	return v, int(n), nil
@@ -324,10 +355,10 @@ func (s *Store) AggregatePartials(id metric.ID, from, to, step int64) ([]Partial
 		return nil, QueryPlan{}, err
 	}
 	var out []PartialPoint
-	plan, err := s.fold(ss, from, to, step, AggSum, func(start int64, agg Partial, _ float64) {
+	plan, err := s.fold(ss, from, to, step, AggSum, func(n int) { out = make([]PartialPoint, 0, n) }, func(start int64, agg Partial, _ float64) {
 		out = append(out, PartialPoint{Start: start, Agg: agg})
 	})
-	if err != nil {
+	if err != nil || len(out) == 0 {
 		return nil, plan, err
 	}
 	return out, plan, nil
@@ -348,9 +379,9 @@ func (s *Store) AggregatePlanned(id metric.ID, from, to, step int64, fn AggFunc)
 		return nil, err
 	}
 	var out []AggPoint
-	if _, err := s.fold(ss, from, to, step, fn, func(start int64, _ Partial, v float64) {
+	if _, err := s.fold(ss, from, to, step, fn, func(n int) { out = make([]AggPoint, 0, n) }, func(start int64, _ Partial, v float64) {
 		out = append(out, AggPoint{Start: start, Value: v})
-	}); err != nil {
+	}); err != nil || len(out) == 0 {
 		return nil, err
 	}
 	return out, nil
