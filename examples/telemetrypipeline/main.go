@@ -20,15 +20,11 @@ import (
 )
 
 func main() {
-	// The aggregation side: a wire server feeding a TSDB.
+	// The aggregation side: a wire server feeding a TSDB. The store is the
+	// server's sink: each agent connection resolves a series once, when it
+	// first carries it, and appends every batch by ref.
 	store := timeseries.NewStore(0)
-	srv, err := wire.NewServer("127.0.0.1:0", func(b *wire.Batch) {
-		for _, rec := range b.Records {
-			for _, sm := range rec.Samples {
-				_ = store.Append(rec.ID, rec.Kind, rec.Unit, sm.T, sm.V)
-			}
-		}
-	})
+	srv, err := wire.NewServer("127.0.0.1:0", store)
 	if err != nil {
 		log.Fatal(err)
 	}

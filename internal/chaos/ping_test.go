@@ -15,7 +15,7 @@ import (
 func TestPingSlowLinkIsAliveNotDead(t *testing.T) {
 	nf := NewNetFaults()
 	defer nf.Close()
-	srv := wire.NewServerListener(nf.Listener(), func(*wire.Batch) {})
+	srv := wire.NewServerListener(nf.Listener(), nil)
 	defer srv.Close()
 
 	c, err := wire.DialWith(nf.Dialer(), "chaos:mem")

@@ -94,6 +94,10 @@ type Router struct {
 	// to a ref once and then appends by ref.
 	refCache *timeseries.RefCache
 
+	// series is the table the router's wire sinks (Sink, and the cluster
+	// listener's) resolve agents' and peers' definitions in.
+	series seriesTable
+
 	// mu guards the membership-derived state below. Routing holds it for
 	// read, epoch flips for write — so no entry can buffer into a peer that
 	// the flip is concurrently retiring.
@@ -614,29 +618,10 @@ func toWireBatch(agent string, entries []timeseries.BatchEntry) *wire.Batch {
 	return b
 }
 
-// entriesFromBatch flattens a wire batch back into append entries.
-func entriesFromBatch(b *wire.Batch) []timeseries.BatchEntry {
-	n := 0
-	for i := range b.Records {
-		n += len(b.Records[i].Samples)
-	}
-	entries := make([]timeseries.BatchEntry, 0, n)
-	for i := range b.Records {
-		rec := &b.Records[i]
-		for _, sm := range rec.Samples {
-			entries = append(entries, timeseries.BatchEntry{
-				ID: rec.ID, Kind: rec.Kind, Unit: rec.Unit, T: sm.T, V: sm.V,
-			})
-		}
-	}
-	return entries
-}
-
 // applyForwarded lands a batch a peer routed to us. During a join handoff
 // the entries park behind the import barrier (see joinMu) so streamed WAL
 // history lands first; otherwise they deliver immediately.
-func (r *Router) applyForwarded(b *wire.Batch) {
-	entries := entriesFromBatch(b)
+func (r *Router) applyForwarded(entries []timeseries.BatchEntry) {
 	r.joinMu.Lock()
 	if r.joinParking {
 		r.joinParked = append(r.joinParked, entries...)

@@ -9,7 +9,7 @@ import (
 )
 
 // Server is a node's cluster listener: one port taking peer traffic of every
-// kind. It is a wire.Server whose batch handler lands forwarded ingest and
+// kind. It is a wire.Server whose sink lands forwarded ingest (peerSink) and
 // whose request handler answers query scatter, replication pulls and
 // topology exchange. Frames on one connection are handled in order, so a
 // peer's RPC responses never interleave and a ping after forwards answers
@@ -21,7 +21,7 @@ type Server struct {
 // NewServer serves cluster traffic for router on an injected listener
 // (in-memory in tests, TCP in odad) and owns it until Close.
 func NewServer(ln net.Listener, router *Router) *Server {
-	return &Server{ws: wire.NewRequestServer(ln, router.applyForwarded, router.serveRequest)}
+	return &Server{ws: wire.NewRequestServer(ln, peerSink{agentSink{router}}, router.serveRequest)}
 }
 
 // Close stops accepting, tears down open peer connections at once (peers

@@ -83,13 +83,8 @@ func TestAgentToRecordingSink(t *testing.T) {
 }
 
 func TestAgentToWire(t *testing.T) {
-	var mu sync.Mutex
-	var got []*wire.Batch
-	srv, err := wire.NewServer("127.0.0.1:0", func(b *wire.Batch) {
-		mu.Lock()
-		got = append(got, b)
-		mu.Unlock()
-	})
+	store := timeseries.NewStore(0)
+	srv, err := wire.NewServer("127.0.0.1:0", store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,20 +101,20 @@ func TestAgentToWire(t *testing.T) {
 	agent.Tick(1000)
 	agent.Tick(2000)
 
-	deadline := time.Now().Add(3 * time.Second)
-	for srv.Batches() < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	// The pong follows both batches on the connection, so they have landed.
+	if _, err := client.Ping(3 * time.Second); err != nil {
+		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 2 {
-		t.Fatalf("batches = %d", len(got))
+	if srv.Batches() != 2 {
+		t.Fatalf("batches = %d", srv.Batches())
 	}
-	if got[0].Agent != "node07" || len(got[0].Records) != 1 {
-		t.Fatalf("batch = %+v", got[0])
+	id := metric.ID{Name: "power", Labels: metric.NewLabels("node", "n0")}
+	got, err := store.SeriesValues(id, 0, 3000, 0)
+	if err != nil || len(got) != 2 || got[0] != 300 || got[1] != 300 {
+		t.Fatalf("store holds %v (%v), want the two scraped samples", got, err)
 	}
-	if got[1].Records[0].Samples[0].T != 2000 {
-		t.Fatalf("second batch = %+v", got[1].Records[0])
+	if sm, ok := store.Latest(id); !ok || sm.T != 2000 {
+		t.Fatalf("latest sample %+v, want the second tick's", sm)
 	}
 }
 

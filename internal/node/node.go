@@ -135,7 +135,6 @@ type Node struct {
 	router     *cluster.Router // nil for a single node
 	clusterSrv *cluster.Server
 	srv        *wire.Server
-	ingest     func([]timeseries.BatchEntry) (int, error)
 	archive    func() archive // what one read request (a sweep, a render) reads
 	grid       *oda.Grid
 	qf         *queryfront.Front
@@ -196,12 +195,13 @@ func Open(c Config) (_ *Node, err error) {
 	// A recovered archive already has a watermark.
 	n.local.latest.Store(newestSample(n.store))
 
-	// Ingest resolves each series to an interned ref once, then appends by
-	// ref: through a RefCache on a single node, through the router's own
-	// RefCache in a cluster, where the router also splits each batch into
-	// the series this node owns and forwards to their owning peers.
+	// Each agent connection resolves a series it defines once, then
+	// appends every batch by ref: straight into the local appender on a
+	// single node; into the router's sink in a cluster, which splits each
+	// batch into the series this node owns and forwards to their owning
+	// peers.
 	var backend queryfront.Backend = queryfront.ForStore(n.store)
-	n.ingest = timeseries.NewRefCache(n.local).AppendBatch
+	var sink wire.Sink = n.local
 	n.archive = func() archive { return shard{n.store} }
 	if p.peers != nil {
 		n.router, err = cluster.New(cluster.Config{
@@ -225,12 +225,12 @@ func Open(c Config) (_ *Node, err error) {
 		// the router sends each request to the owner (or a replica, marked
 		// partial, when the owner is down). /analyze and /dashboard read the
 		// whole fleet the same way, through one router view per request.
-		n.ingest, backend = n.router.AppendBatch, n.router
+		sink, backend = n.router.Sink(), n.router
 		n.archive = func() archive { return n.router.Archive() }
 	}
 	n.qf = queryfront.New(backend, c.QueryCacheEntries, c.QueryCacheTTL, c.QueryRate, c.QueryBurst)
 	n.mux = n.routes()
-	n.srv = wire.NewServerListener(c.Listener, n.Ingest)
+	n.srv = wire.NewServerListener(c.Listener, sink)
 	if n.router != nil {
 		n.clusterSrv = cluster.NewServer(c.ClusterListener, n.router)
 	}
@@ -278,26 +278,6 @@ func wrap(what string, err error) error {
 	return err
 }
 
-// Ingest is the wire server's one handler: it lands an agent's batch as one
-// exact-size []BatchEntry. What the store refuses (an out-of-order or
-// duplicate sample from an agent restart) is counted by the local appender,
-// on whichever node owns the series.
-func (n *Node) Ingest(b *wire.Batch) {
-	count := 0
-	for i := range b.Records {
-		count += len(b.Records[i].Samples)
-	}
-	entries := make([]timeseries.BatchEntry, 0, count)
-	for _, rec := range b.Records {
-		for _, sm := range rec.Samples {
-			entries = append(entries, timeseries.BatchEntry{
-				ID: rec.ID, Kind: rec.Kind, Unit: rec.Unit, T: sm.T, V: sm.V,
-			})
-		}
-	}
-	_, _ = n.ingest(entries)
-}
-
 // Handler is the node's HTTP mux (see routes).
 func (n *Node) Handler() http.Handler { return n.mux }
 
@@ -333,10 +313,13 @@ type shard struct{ *timeseries.Store }
 func (shard) PartialPeers() []string { return []string{} }
 
 // appender is the node's one local appender: the store or the durable store
-// it embeds, plus what every landing of local data owes the node. The
-// RefCache in front of it (the node's or, in a cluster, the router's)
-// appends by ref only, so agent batches, peer forwards and join imports all
-// come through AppendRefs.
+// it embeds, plus what every landing of local data owes the node. Everything
+// in front of it appends by ref only — a single node's agent connections
+// directly, a cluster router through its RefCache — so agent batches, peer
+// forwards and join imports all come through AppendRefs. On a single node
+// every agent connection calls it at once; what the store refuses (an
+// out-of-order or duplicate sample from an agent restart) is counted here,
+// on whichever node owns the series.
 type appender struct {
 	timeseries.RefAppender
 	n *Node

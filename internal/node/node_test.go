@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -92,6 +93,24 @@ func batch(ids []metric.ID, t int64, v float64) *wire.Batch {
 		})
 	}
 	return b
+}
+
+// ingest sends b to n as an agent would, over one connection to n's ingest
+// listener, and returns once n has handled it: a pong answers only after
+// every frame sent before it.
+func ingest(t *testing.T, n *Node, b *wire.Batch) {
+	t.Helper()
+	c, err := wire.Dial(n.Wire().Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Send(b); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Ping(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // seriesOwnedBy returns at least want series, at least one of them placed
@@ -213,7 +232,7 @@ func TestRejectedSamplesCounted(t *testing.T) {
 	n := openNode(t, Config{RF: 1})
 	ids := []metric.ID{{Name: "node_power_watts", Labels: metric.NewLabels("node", "n0")}}
 	for ts := int64(1); ts <= 10; ts++ {
-		n.Ingest(batch(ids, ts*1000, 1))
+		ingest(t, n, batch(ids, ts*1000, 1))
 	}
 	if got := n.Rejected(); got != 0 {
 		t.Fatalf("rejected %d in-order samples", got)
@@ -221,7 +240,7 @@ func TestRejectedSamplesCounted(t *testing.T) {
 	const k = 3
 	b := batch(ids, 0, 0)
 	b.Records[0].Samples = []metric.Sample{{T: 8000}, {T: 9000}, {T: 10000}, {T: 11000}, {T: 12000}}
-	n.Ingest(b)
+	ingest(t, n, b)
 	if got := n.Rejected(); got != k {
 		t.Fatalf("Rejected() = %d, want %d", got, k)
 	}
@@ -247,7 +266,7 @@ func TestForwardsMoveTheWatermark(t *testing.T) {
 	ids, owned := seriesOwnedBy(n1, "n2", 8)
 	const ticks = 180 // three hours, minutely, fed to n1 only
 	for tick := int64(1); tick <= ticks; tick++ {
-		n1.Ingest(batch(ids, tick*60_000, float64(tick)))
+		ingest(t, n1, batch(ids, tick*60_000, float64(tick)))
 	}
 	n1.Router().Flush()
 	n1.Router().CheckPeers() // n2 answers the probe after applying every forward
@@ -272,7 +291,7 @@ func TestForwardsMoveTheWatermark(t *testing.T) {
 
 	// The agent repeats its first round: every sample is refused, each on
 	// its owner.
-	n1.Ingest(batch(ids, 60_000, 1))
+	ingest(t, n1, batch(ids, 60_000, 1))
 	n1.Router().Flush()
 	n1.Router().CheckPeers()
 	var total uint64
@@ -296,7 +315,7 @@ func TestRetentionIsLogged(t *testing.T) {
 	}
 	ids := []metric.ID{{Name: "a"}, {Name: "b"}}
 	for tick := int64(1); tick <= 180; tick++ { // three hours, minutely
-		n.Ingest(batch(ids, tick*60_000, float64(tick)))
+		ingest(t, n, batch(ids, tick*60_000, float64(tick)))
 	}
 	held := func(n *Node) (samples, windows int) {
 		return n.Store().NumSamples(), n.Store().RollupStats().Tiers[0].Windows
@@ -366,7 +385,7 @@ func TestCloseDeliversBufferedForwards(t *testing.T) {
 	nodes := openCluster(t, []string{"n1", "n2"}, 1, nil)
 	n1, n2 := nodes["n1"], nodes["n2"]
 	_, owned := seriesOwnedBy(n1, "n2", 1)
-	n1.Ingest(batch(owned[:1], 1000, 1))
+	ingest(t, n1, batch(owned[:1], 1000, 1))
 	if got := n2.Store().NumSamples(); got != 0 {
 		t.Fatalf("n2 holds %d samples before any flush", got)
 	}
@@ -375,5 +394,97 @@ func TestCloseDeliversBufferedForwards(t *testing.T) {
 	}
 	if got := n2.Store().NumSamples(); got != 1 {
 		t.Fatalf("n2 holds %d samples after n1's Close, want the forwarded one", got)
+	}
+}
+
+// TestCoordinatorStoresOnlyWhatItOwns: the node an agent feeds resolves the
+// agent's series in its router's own table, never in its store, so its
+// (durable) store holds exactly the series it owns — none of those it only
+// forwards, not even empty — and their owner holds the rest.
+func TestCoordinatorStoresOnlyWhatItOwns(t *testing.T) {
+	nodes := openCluster(t, []string{"n1", "n2"}, 1, func(id string, c *Config) {
+		c.DataDir, c.Fsync = t.TempDir(), "never"
+	})
+	n1, n2 := nodes["n1"], nodes["n2"]
+	ids, owned := seriesOwnedBy(n1, "n2", 16)
+	for tick := int64(1); tick <= 3; tick++ {
+		ingest(t, n1, batch(ids, tick*1000, float64(tick)))
+	}
+	n1.Router().Flush()
+	n1.Router().CheckPeers()
+	held := func(n *Node) map[string]bool {
+		keys := map[string]bool{}
+		for _, id := range n.Store().Select("", nil) {
+			keys[id.Key()] = true
+		}
+		return keys
+	}
+	on1, on2 := held(n1), held(n2)
+	for _, id := range ids {
+		toN2 := n1.Router().Ring().Primary(id.Key()) == "n2"
+		if on1[id.Key()] == toN2 || on2[id.Key()] != toN2 {
+			t.Fatalf("%s (owner n2: %v): on n1 %v, on n2 %v", id.Key(), toN2, on1[id.Key()], on2[id.Key()])
+		}
+	}
+	if len(on1)+len(on2) != len(ids) || len(on2) != len(owned) {
+		t.Fatalf("n1 holds %d series, n2 %d; want %d and %d", len(on1), len(on2), len(ids)-len(owned), len(owned))
+	}
+	if got := n1.Store().NumSamples() + n2.Store().NumSamples(); got != 3*len(ids) {
+		t.Fatalf("the cluster holds %d samples, want %d", got, 3*len(ids))
+	}
+}
+
+// TestConcurrentAgentsOneNode: two agent connections write one node at once,
+// in memory and durable, with rollups and retention running on every
+// append. Nothing serialises them above the store, so this is the race
+// detector's case (make race); every sample lands and none is refused.
+func TestConcurrentAgentsOneNode(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			c := Config{RF: 1, ChunkSize: 8, Rollups: "1m", RetainRawHours: 1000}
+			if durable {
+				c.DataDir, c.Fsync = t.TempDir(), "interval"
+			}
+			n := openNode(t, c)
+			const agents, series, rounds = 2, 12, 150
+			var wg sync.WaitGroup
+			errs := make(chan error, agents)
+			for a := 0; a < agents; a++ {
+				ids := make([]metric.ID, series)
+				for i := range ids {
+					ids[i] = metric.ID{Name: "node_power_watts", Labels: metric.NewLabels("agent", fmt.Sprint(a), "sensor", fmt.Sprint(i))}
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					cl, err := wire.Dial(n.Wire().Addr())
+					if err != nil {
+						errs <- err
+						return
+					}
+					defer cl.Close()
+					for r := int64(1); r <= rounds; r++ {
+						if err := cl.Send(batch(ids, r*10_000, float64(r))); err != nil {
+							errs <- err
+							return
+						}
+					}
+					if _, err := cl.Ping(5 * time.Second); err != nil {
+						errs <- err
+					}
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			if got, want := n.Store().NumSamples(), agents*series*rounds; got != want || n.Rejected() != 0 {
+				t.Fatalf("store holds %d samples (%d refused), want %d", got, n.Rejected(), want)
+			}
+			if got := len(n.Store().Select("", nil)); got != agents*series {
+				t.Fatalf("store holds %d series, want %d", got, agents*series)
+			}
+		})
 	}
 }

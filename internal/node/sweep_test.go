@@ -129,7 +129,7 @@ func TestClusterSweepReadsTheFleet(t *testing.T) {
 	const path = "/analyze?window_hours=3"
 
 	single := openNode(t, Config{RF: 1, ChunkSize: 8})
-	single.Ingest(fleet)
+	ingest(t, single, fleet)
 	want := analyze(t, single, path)
 	if len(want.Results) < 10 || len(want.PartialPeers) != 0 || want.header != "" {
 		t.Fatalf("single-node sweep: %d capabilities answered, partial %v %q", len(want.Results), want.PartialPeers, want.header)
@@ -140,7 +140,7 @@ func TestClusterSweepReadsTheFleet(t *testing.T) {
 	nodes := openCluster(t, ids, 2, func(_ string, c *Config) {
 		c.DataDir, c.Fsync, c.Dial = t.TempDir(), "never", cn.dial
 	})
-	nodes["n1"].Ingest(fleet)
+	ingest(t, nodes["n1"], fleet)
 	for _, id := range ids {
 		nodes[id].Router().Flush()
 		nodes[id].Router().CheckPeers() // each peer has applied every forward

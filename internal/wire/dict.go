@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/binenc"
 	"repro/internal/metric"
+	"repro/internal/timeseries"
 )
 
 // Protocol v3: per-connection series dictionary, columnar ref batches.
@@ -81,12 +83,33 @@ var (
 )
 
 // ConnDict is the receive side of the dictionary: one per connection,
-// populated by FrameDict payloads and consumed by DecodeRefBatch. The zero
-// value is an empty dictionary, against which every ref is undefined. Not
-// safe for concurrent use; frames on one connection are handled sequentially.
+// populated by FrameDict payloads and read by the column decoder. Each
+// definition also holds the sink's SeriesRef for its series, resolved the
+// first time a batch uses it and kept until the sink's RefEpoch moves, so a
+// steady-state batch decodes straight into the []RefEntry the sink appends.
+// The zero value is an empty dictionary, against which every ref is
+// undefined. Not safe for concurrent use; frames on one connection are
+// handled sequentially.
 type ConnDict struct {
-	defs []*Record // indexed by ref, nil = undefined; Samples is always nil
+	defs  []*dictDef // indexed by ref, nil = undefined
+	epoch uint64     // the sink RefEpoch the defs' resolved refs belong to
+
+	// The column decoder's output, reused frame to frame: each record's
+	// ref and sample count, and every sample in frame order with its Ref
+	// left for resolve to fill.
+	recs    []dictRec
+	entries []timeseries.RefEntry
 }
+
+// dictDef is one definition: the series and, once a batch has used it, the
+// sink's ref for it.
+type dictDef struct {
+	rec Record               // Samples is always nil
+	ref timeseries.SeriesRef // 0 until resolved; a sink never hands out 0
+}
+
+// dictRec is one decoded record: its dictionary ref and sample count.
+type dictRec struct{ ref, n uint32 }
 
 // NewConnDict returns an empty per-connection dictionary.
 func NewConnDict() *ConnDict { return &ConnDict{} }
@@ -98,10 +121,10 @@ func (d *ConnDict) AddDefs(payload []byte) (int, error) {
 	// A definition is at least a ref plus a series identity (name, label
 	// count, kind, unit), one byte each.
 	ndefs := p.Count(5)
-	defs := make([]Record, ndefs)
+	defs := make([]dictDef, ndefs)
 	for i := range defs {
 		ref := p.Uvarint()
-		defs[i] = readSeries(&p)
+		defs[i].rec = readSeries(&p)
 		if err := p.Err(); err != nil {
 			return 0, fmt.Errorf("wire: dictionary: %w", err)
 		}
@@ -109,14 +132,14 @@ func (d *ConnDict) AddDefs(payload []byte) (int, error) {
 			return 0, fmt.Errorf("%w: ref %d", ErrDictFull, ref)
 		}
 		if ref >= uint64(len(d.defs)) {
-			d.defs = append(d.defs, make([]*Record, ref+1-uint64(len(d.defs)))...)
+			d.defs = append(d.defs, make([]*dictDef, ref+1-uint64(len(d.defs)))...)
 		}
 		if d.defs[ref] != nil {
 			return 0, fmt.Errorf("%w: ref %d", ErrDictRedefine, ref)
 		}
-		// Intern the ID once per connection: every batch decoded against
-		// this def reuses the cached key on downstream keyed lookups.
-		defs[i].ID = defs[i].ID.Interned()
+		// Intern the ID once per connection: the sink's Resolve and every
+		// keyed lookup after it reuse the cached key.
+		defs[i].rec.ID = defs[i].rec.ID.Interned()
 		d.defs[ref] = &defs[i]
 	}
 	if err := p.Done(); err != nil {
@@ -125,14 +148,14 @@ func (d *ConnDict) AddDefs(payload []byte) (int, error) {
 	return ndefs, nil
 }
 
-// DecodeRefBatch parses a FrameRefBatch payload against the dictionary,
-// returning the Batch that was sent (record IDs come from the dictionary
-// definitions; an empty record has nil Samples). It allocates per frame, not
-// per record: one []Record and one []metric.Sample that the records
-// sub-slice.
-func (d *ConnDict) DecodeRefBatch(payload []byte) (*Batch, error) {
+// decode is the one column decoder: it parses a FrameRefBatch payload
+// against the dictionary into d.recs and d.entries and returns the agent
+// name, a view of the payload. Every count is checked against the bytes
+// left and against maxColumn before the scratch grows for it. Steady state
+// allocates nothing.
+func (d *ConnDict) decode(payload []byte) (agent []byte, err error) {
 	p := binenc.NewReader(payload)
-	b := &Batch{Agent: p.Str()}
+	agent = p.View()
 	n := p.Count(1) // a ref, a count or a value byte per record
 	shape := p.Byte()
 	if shape&^(shapeCounts|shapeTimes|shapeDecimal|shapeRefRun) != 0 {
@@ -142,12 +165,12 @@ func (d *ConnDict) DecodeRefBatch(payload []byte) (*Batch, error) {
 		return nil, fmt.Errorf("wire: ref batch: %d records, over the %d a frame holds", n, maxColumn)
 	}
 	t := p.Varint()
-	b.Records = make([]Record, n)
+	d.recs = slices.Grow(d.recs[:0], n)[:n]
 	var first, ref uint64
 	if shape&shapeRefRun != 0 {
 		first = p.Uvarint()
 	}
-	for i := range b.Records {
+	for i := range d.recs {
 		if shape&shapeRefRun != 0 {
 			ref = first + uint64(i)
 		} else {
@@ -159,43 +182,101 @@ func (d *ConnDict) DecodeRefBatch(payload []byte) (*Batch, error) {
 		if ref >= uint64(len(d.defs)) || d.defs[ref] == nil {
 			return nil, fmt.Errorf("%w: ref %d", ErrUnknownRef, ref)
 		}
-		b.Records[i] = *d.defs[ref]
+		d.recs[i] = dictRec{ref: uint32(ref), n: 1}
 	}
-	// The count column is read twice: summed here, so the one sample slice is
-	// checked against the bytes left before it is made, then again to cut it up.
-	total, counts := uint64(n), p
+	// The counts are summed before the sample scratch grows, so it is
+	// checked against the bytes left first.
+	total := uint64(n)
 	if shape&shapeCounts != 0 {
 		total = 0
-		for range b.Records {
-			total += uint64(p.Count(1))
+		for i := range d.recs {
+			c := p.Count(1)
+			d.recs[i].n = uint32(c)
+			total += uint64(c)
 		}
 	}
 	if total > maxColumn {
 		return nil, fmt.Errorf("wire: ref batch: %d samples, over the %d a frame holds", total, maxColumn)
 	}
-	samples := make([]metric.Sample, p.Fit(total, 1)) // a sample is at least a value byte
-	for i := range samples {
+	ns := p.Fit(total, 1) // a sample is at least a value byte
+	d.entries = slices.Grow(d.entries[:0], ns)[:ns]
+	for i := range d.entries {
 		if shape&shapeTimes != 0 {
 			t += p.Varint()
 		}
-		samples[i].T = t
+		d.entries[i] = timeseries.RefEntry{T: t}
 	}
 	vc := p.ValueCol(shape&shapeDecimal != 0)
-	for i := range samples {
-		samples[i].V = p.Value(vc)
+	for i := range d.entries {
+		d.entries[i].V = p.Value(vc)
 	}
 	if err := p.Done(); err != nil {
 		return nil, fmt.Errorf("wire: ref batch: %w", err)
 	}
-	for i, lo := 0, 0; i < n; i++ {
-		c := 1
-		if shape&shapeCounts != 0 {
-			c = int(counts.Uvarint())
+	return agent, nil
+}
+
+// resolve addresses the decoded samples to sink: each record's definition
+// resolves the first time a batch carries a sample of it — in record order,
+// so a durable sink logs its definitions in the order the batches first
+// carry them, and an empty record resolves nothing — and every resolved ref
+// is forgotten when sink's RefEpoch moves. It returns the entries to append,
+// or the first error Resolve returned; the definitions resolved before it
+// stay resolved.
+func (d *ConnDict) resolve(sink Sink) ([]timeseries.RefEntry, error) {
+	if epoch := sink.RefEpoch(); epoch != d.epoch {
+		for _, def := range d.defs {
+			if def != nil {
+				def.ref = 0
+			}
 		}
-		if c > 0 { // an empty record keeps nil Samples
-			b.Records[i].Samples = samples[lo : lo+c : lo+c]
+		d.epoch = epoch
+	}
+	lo := uint32(0)
+	for _, r := range d.recs {
+		if r.n == 0 {
+			continue
 		}
-		lo += c
+		def := d.defs[r.ref]
+		if def.ref == 0 {
+			ref, err := sink.Resolve(def.rec.ID, def.rec.Kind, def.rec.Unit)
+			if err != nil {
+				return nil, err
+			}
+			def.ref = ref
+		}
+		for i := lo; i < lo+r.n; i++ {
+			d.entries[i].Ref = def.ref
+		}
+		lo += r.n
+	}
+	return d.entries, nil
+}
+
+// DecodeRefBatch parses a FrameRefBatch payload against the dictionary and
+// returns the Batch that was sent (record IDs come from the dictionary
+// definitions; an empty record has nil Samples). It is a view built from the
+// column decoder the server runs, which hands the sink RefEntries instead;
+// nothing in the module calls it, and it stays only for bench/trace until
+// ROADMAP item 21 retires that copy of the server's frame loop. It
+// allocates per frame, not per record.
+func (d *ConnDict) DecodeRefBatch(payload []byte) (*Batch, error) {
+	agent, err := d.decode(payload)
+	if err != nil {
+		return nil, err
+	}
+	b := &Batch{Agent: string(agent), Records: make([]Record, len(d.recs))}
+	samples := make([]metric.Sample, len(d.entries))
+	for i, e := range d.entries {
+		samples[i] = metric.Sample{T: e.T, V: e.V}
+	}
+	lo := uint32(0)
+	for i, r := range d.recs {
+		b.Records[i] = d.defs[r.ref].rec
+		if r.n > 0 { // an empty record keeps nil Samples
+			b.Records[i].Samples = samples[lo : lo+r.n : lo+r.n]
+		}
+		lo += r.n
 	}
 	return b, nil
 }

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/binenc"
 	"repro/internal/metric"
+	"repro/internal/timeseries"
 )
 
 // batchesEqual compares decoded batches by identity, kind, unit and exact
@@ -432,17 +433,12 @@ func TestRefBatchWireSize(t *testing.T) {
 }
 
 // TestDictClientServerEndToEnd runs the dictionary protocol through the real
-// server: a client's batches arrive at the handler identical to what was
-// sent, the server counts defs and ref batches, and a redial implicitly
+// server: a client's batches arrive at the sink identical to what was sent,
+// the server counts defs and ref batches, and a redial implicitly
 // renegotiates (the series re-define on the new connection).
 func TestDictClientServerEndToEnd(t *testing.T) {
-	var mu sync.Mutex
-	var got []*Batch
-	srv, err := NewServer("127.0.0.1:0", func(b *Batch) {
-		mu.Lock()
-		got = append(got, b)
-		mu.Unlock()
-	})
+	sink := &recordSink{}
+	srv, err := NewServer("127.0.0.1:0", sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,9 +462,8 @@ func TestDictClientServerEndToEnd(t *testing.T) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			mu.Lock()
+			_, got := sink.snapshot()
 			have := len(got)
-			mu.Unlock()
 			if have >= n {
 				return
 			}
@@ -503,13 +498,12 @@ func TestDictClientServerEndToEnd(t *testing.T) {
 	if defs := srv.DictDefs(); defs != 2*uint64(len(in.Records)) {
 		t.Fatalf("server counted %d defs after redial, want %d", defs, 2*len(in.Records))
 	}
-	mu.Lock()
+	_, got := sink.snapshot()
 	for i, b := range got {
-		if !batchesEqual(in, b) {
+		if !sameSamples(flatten(in), b) {
 			t.Fatalf("batch %d arrived different from what was sent", i)
 		}
 	}
-	mu.Unlock()
 
 	// A peer still speaking version 2 — the row-oriented layout — fails at its
 	// first frame: the connection drops, counted and logged.
@@ -548,7 +542,7 @@ func TestDictClientServerEndToEnd(t *testing.T) {
 // a dictionary frame references undefined series, and is dropped as such.
 func TestRefBatchBeforeDictionary(t *testing.T) {
 	var handled atomic.Uint64
-	srv, err := NewServer("127.0.0.1:0", func(*Batch) { handled.Add(1) })
+	srv, err := NewServer("127.0.0.1:0", appendFunc(func([]timeseries.RefEntry) { handled.Add(1) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,13 +588,8 @@ func (b *lockedBuffer) String() string {
 // an empty dictionary, and the batch lands exactly once. The server end
 // refuses such a definition and counts the dropped connection.
 func TestDictFullRedials(t *testing.T) {
-	var mu sync.Mutex
-	var got []*Batch
-	srv, err := NewServer("127.0.0.1:0", func(b *Batch) {
-		mu.Lock()
-		got = append(got, b)
-		mu.Unlock()
-	})
+	sink := &recordSink{}
+	srv, err := NewServer("127.0.0.1:0", sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -658,12 +647,18 @@ func TestDictFullRedials(t *testing.T) {
 		t.Fatal(err)
 	}
 	copies := map[string]int{}
+	_, got := sink.snapshot()
 	for _, b := range got {
-		want := map[string]*Batch{first.Agent: first, churned.Agent: churned}[b.Agent]
-		if want == nil || !batchesEqual(want, b) {
-			t.Fatalf("batch from %q arrived different from what was sent", b.Agent)
+		var sent *Batch
+		for _, in := range []*Batch{first, churned} {
+			if sameSamples(flatten(in), b) {
+				sent = in
+			}
 		}
-		copies[b.Agent]++
+		if sent == nil {
+			t.Fatalf("a batch arrived different from both sent: %v", b)
+		}
+		copies[sent.Agent]++
 	}
 	if len(copies) != 2 || copies[first.Agent] != 1 || copies[churned.Agent] != 1 || srv.Batches() != 2 {
 		t.Fatalf("copies landed per batch: %v (%d batches counted), want one each", copies, srv.Batches())
@@ -672,10 +667,10 @@ func TestDictFullRedials(t *testing.T) {
 
 // TestV1BatchFrameRefused: a peer still sending the retired v1 batch frame
 // fails at its first frame — the connection drops, the error is counted and
-// the log names the frame — and nothing reaches the handler.
+// the log names the frame — and nothing reaches the sink.
 func TestV1BatchFrameRefused(t *testing.T) {
 	var handled atomic.Uint64
-	srv, err := NewServer("127.0.0.1:0", func(*Batch) { handled.Add(1) })
+	srv, err := NewServer("127.0.0.1:0", appendFunc(func([]timeseries.RefEntry) { handled.Add(1) }))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,9 +96,11 @@ func TestDictFuzzSeeds(t *testing.T) {
 // FuzzDictDecode throws arbitrary (dictionary, ref batch) payload pairs at
 // the dictionary decoder. Properties: neither AddDefs nor DecodeRefBatch ever
 // panics — undefined refs, duplicate defines, truncated dictionaries and
-// implausible counts must all surface as errors — and any batch that does
-// decode re-encodes through the client's encoder onto a fresh connection and
-// decodes there to the same batch.
+// implausible counts must all surface as errors — the server's path into a
+// sink refuses the same pairs with the same errors and lands the same
+// samples (checkServerParity), and any batch that does decode re-encodes
+// through the client's encoder onto a fresh connection and decodes there to
+// the same batch.
 func FuzzDictDecode(f *testing.F) {
 	// Seeds mirror the committed corpus in testdata/fuzz/FuzzDictDecode.
 	for _, sd := range dictFuzzSeeds() {
@@ -109,6 +111,7 @@ func FuzzDictDecode(f *testing.F) {
 		cd := NewConnDict()
 		_, _ = cd.AddDefs(defPayload) // error = dropped conn; no panic is the property
 		b, err := cd.DecodeRefBatch(batchPayload)
+		checkServerParity(t, defPayload, batchPayload, b, err)
 		if err != nil {
 			return
 		}

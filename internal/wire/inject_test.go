@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/timeseries"
 )
 
 // memListener is an in-memory net.Listener: the paired dialer hands the
@@ -60,11 +62,9 @@ func (l *memListener) dialer() Dialer {
 func TestInMemoryDialerAndListener(t *testing.T) {
 	ln := newMemListener()
 	var samples atomic.Uint64
-	srv := NewServerListener(ln, func(b *Batch) {
-		for _, r := range b.Records {
-			samples.Add(uint64(len(r.Samples)))
-		}
-	})
+	srv := NewServerListener(ln, appendFunc(func(entries []timeseries.RefEntry) {
+		samples.Add(uint64(len(entries)))
+	}))
 	c, err := DialWith(ln.dialer(), "anywhere")
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/timeseries"
 )
 
 // Request and answer frame types for these tests: outside the batch
@@ -56,10 +58,10 @@ func (d *pipeDialer) dial(string) (net.Conn, error) {
 func TestRequestHandlerAnswersInOrder(t *testing.T) {
 	ln := newMemListener()
 	var applied atomic.Uint64
-	slowBatch := func(*Batch) {
+	slowBatch := appendFunc(func([]timeseries.RefEntry) {
 		time.Sleep(2 * time.Millisecond) // a request handled before it would see it missing
 		applied.Add(1)
-	}
+	})
 	srv := NewRequestServer(ln, slowBatch, func(ft uint8, payload []byte) (uint8, []byte, error) {
 		if ft != testReq {
 			return 0, nil, fmt.Errorf("refused frame type %d", ft)

@@ -12,10 +12,23 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/metric"
+	"repro/internal/timeseries"
 )
 
-// Handler consumes decoded batches on the server side.
-type Handler func(*Batch)
+// Sink is what a Server lands batches in: the timeseries.RefAppender ingest
+// contract without its keyed AppendBatch. Each connection resolves a series
+// it defines once, the first time a batch uses it, and appends every batch
+// by ref; when RefEpoch moves, the connection resolves its series again.
+// A Sink is called from every connection's goroutine at once.
+// timeseries.Store, persist.DurableStore and a cluster router's sinks
+// implement it.
+type Sink interface {
+	Resolve(id metric.ID, kind metric.Kind, unit metric.Unit) (timeseries.SeriesRef, error)
+	AppendRefs(entries []timeseries.RefEntry) (int, error)
+	RefEpoch() uint64
+}
 
 // RequestHandler answers one request frame with one response frame, written
 // back on the connection the request came in on before the next frame is
@@ -33,13 +46,13 @@ func tcpDial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 // it closes them under their readers.
 const closeDrain = time.Second
 
-// Server accepts TCP connections from collection agents and dispatches each
-// received batch to the handler. It is the aggregation endpoint of the
+// Server accepts TCP connections from collection agents and appends each
+// received batch to its sink. It is the aggregation endpoint of the
 // push-mode collection fabric, and with a request handler also a cluster
 // node's peer listener. Frames on one connection are handled in order.
 type Server struct {
 	ln       net.Listener
-	handler  Handler
+	sink     Sink           // nil: batches are decoded, counted and dropped
 	requests RequestHandler // nil: every frame type beyond the batch protocol is refused
 	wg       sync.WaitGroup
 	closed   atomic.Bool
@@ -57,26 +70,26 @@ type Server struct {
 
 // NewServer listens on addr ("127.0.0.1:0" picks a free port) and serves
 // until Close.
-func NewServer(addr string, handler Handler) (*Server, error) {
+func NewServer(addr string, sink Sink) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	return NewServerListener(ln, handler), nil
+	return NewServerListener(ln, sink), nil
 }
 
 // NewServerListener serves the wire protocol on an injected listener and
 // owns it until Close. It is how tests and chaos harnesses run a server
 // over in-memory connections — no real sockets involved.
-func NewServerListener(ln net.Listener, handler Handler) *Server {
-	return NewRequestServer(ln, handler, nil)
+func NewServerListener(ln net.Listener, sink Sink) *Server {
+	return NewRequestServer(ln, sink, nil)
 }
 
 // NewRequestServer is NewServerListener with a request handler: a frame of
 // any type the batch protocol does not define goes to requests, and its
 // answer is written back on the same connection.
-func NewRequestServer(ln net.Listener, handler Handler, requests RequestHandler) *Server {
-	s := &Server{ln: ln, handler: handler, requests: requests, conns: make(map[net.Conn]struct{})}
+func NewRequestServer(ln net.Listener, sink Sink, requests RequestHandler) *Server {
+	s := &Server{ln: ln, sink: sink, requests: requests, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
@@ -133,17 +146,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.connMu.Unlock()
 		conn.Close()
 	}()
-	r := bufio.NewReader(conn)
-	// The series dictionary is per connection and dies with it: a redialing
-	// client starts a fresh dictionary and re-defines series as it goes.
-	var dict ConnDict
+	c := &serverConn{r: bufio.NewReader(conn)}
 	for {
-		ft, payload, err := ReadFrame(r)
-		var respType uint8
-		var resp []byte
-		if err == nil {
-			respType, resp, err = s.handleFrame(&dict, ft, payload)
-		}
+		respType, resp, err := s.serveFrame(c)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !s.closed.Load() {
 				s.errors.Add(1)
@@ -160,33 +165,40 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// handleFrame applies one frame and returns the answer to write back, if
-// any (respType 0: none).
-func (s *Server) handleFrame(dict *ConnDict, ft uint8, payload []byte) (respType uint8, resp []byte, err error) {
+// serverConn is one connection's receive state. The series dictionary is
+// per connection and dies with it: a redialing client starts a fresh
+// dictionary and re-defines series as it goes.
+type serverConn struct {
+	r    *bufio.Reader
+	hdr  [headerLen]byte
+	buf  []byte // payload scratch: every frame is read into it
+	dict ConnDict
+}
+
+// serveFrame reads one frame into c's scratch, applies it and returns the
+// answer to write back, if any (respType 0: none). Nothing that handles a
+// frame keeps its payload past the answer's write — AddDefs and the request
+// decoders copy what they keep, and a pong's echo is written before the next
+// frame is read — so every frame reuses one buffer, and a ref batch on an
+// already-resolved dictionary allocates nothing.
+func (s *Server) serveFrame(c *serverConn) (respType uint8, resp []byte, err error) {
+	ft, payload, err := readFrame(c.r, &c.hdr, c.buf)
+	if err != nil {
+		return 0, nil, err
+	}
+	c.buf = payload
 	switch ft {
 	case FramePing:
 		s.pings.Add(1)
 		return FramePong, payload, nil
 	case FrameDict:
-		n, err := dict.AddDefs(payload)
+		n, err := c.dict.AddDefs(payload)
 		if err == nil {
 			s.dictDefs.Add(uint64(n))
 		}
 		return 0, nil, err
-	case FrameRefBatch: // before any dictionary frame, every ref is undefined
-		b, err := dict.DecodeRefBatch(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		s.refBatches.Add(1)
-		s.batches.Add(1)
-		for _, rec := range b.Records {
-			s.samples.Add(uint64(len(rec.Samples)))
-		}
-		if s.handler != nil {
-			s.handler(b)
-		}
-		return 0, nil, nil
+	case FrameRefBatch:
+		return 0, nil, s.refBatch(&c.dict, payload)
 	}
 	if s.requests == nil {
 		return 0, nil, fmt.Errorf("wire: unexpected frame type %d", ft)
@@ -194,10 +206,31 @@ func (s *Server) handleFrame(dict *ConnDict, ft uint8, payload []byte) (respType
 	return s.requests(ft, payload)
 }
 
+// refBatch decodes a FrameRefBatch payload against dict and appends it to
+// the sink. Before any dictionary frame every ref is undefined. An error is
+// a malformed frame, which drops the connection; a series the sink cannot
+// resolve (closed, WAL error) drops this batch alone, and what the sink's
+// append refuses, the sink counts.
+func (s *Server) refBatch(dict *ConnDict, payload []byte) error {
+	if _, err := dict.decode(payload); err != nil {
+		return err
+	}
+	s.refBatches.Add(1)
+	s.batches.Add(1)
+	s.samples.Add(uint64(len(dict.entries)))
+	if s.sink == nil {
+		return nil
+	}
+	if entries, err := dict.resolve(s.sink); err == nil {
+		_, _ = s.sink.AppendRefs(entries)
+	}
+	return nil
+}
+
 // Close stops accepting and lets open connections drain: a client that has
 // hung up is read to its end, and any connection still open after closeDrain
 // is closed under its reader. Close returns once every frame already read
-// has been handed to the handler, so on an accepted connection a batch sent
+// has been handed to the sink, so on an accepted connection a batch sent
 // before its client's Close is applied before a Close that follows it
 // returns.
 func (s *Server) Close() error { return s.close(closeDrain) }

@@ -148,9 +148,18 @@ func versionFor(frameType uint8) uint8 {
 
 // ReadFrame reads one framed payload from r, validating magic, version,
 // size bound and checksum. A v1 FrameBatch is refused at its header, so
-// every reader of the protocol refuses it the same way.
+// every reader of the protocol refuses it the same way. The payload is a
+// fresh slice per frame.
 func ReadFrame(r io.Reader) (frameType uint8, payload []byte, err error) {
 	var hdr [headerLen]byte
+	return readFrame(r, &hdr, nil)
+}
+
+// readFrame is ReadFrame into the caller's scratch: the header goes into
+// hdr, and the payload into buf when it fits (a fresh slice otherwise), so
+// a reader that keeps the returned payload as its next buf reads every
+// frame into one buffer.
+func readFrame(r io.Reader, hdr *[headerLen]byte, buf []byte) (frameType uint8, payload []byte, err error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
@@ -168,7 +177,10 @@ func ReadFrame(r io.Reader) (frameType uint8, payload []byte, err error) {
 	if length > MaxPayload {
 		return 0, nil, ErrTooLarge
 	}
-	payload = make([]byte, length)
+	if buf == nil || uint32(cap(buf)) < length {
+		buf = make([]byte, length)
+	}
+	payload = buf[:length]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, err
 	}

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/binenc"
 	"repro/internal/metric"
+	"repro/internal/timeseries"
 )
 
 func sampleBatch() *Batch {
@@ -150,13 +151,8 @@ func TestFrameValidation(t *testing.T) {
 }
 
 func TestServerClientEndToEnd(t *testing.T) {
-	var mu sync.Mutex
-	var received []*Batch
-	srv, err := NewServer("127.0.0.1:0", func(b *Batch) {
-		mu.Lock()
-		received = append(received, b)
-		mu.Unlock()
-	})
+	sink := &recordSink{}
+	srv, err := NewServer("127.0.0.1:0", sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,13 +195,19 @@ func TestServerClientEndToEnd(t *testing.T) {
 	if srv.RefBatches() != clients*perClient || srv.DictDefs() != clients*3 {
 		t.Fatalf("server got %d ref batches and %d definitions", srv.RefBatches(), srv.DictDefs())
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(received) != clients*perClient {
-		t.Fatalf("handler got %d batches", len(received))
+	// The counters move before the sink is called: wait for it too.
+	_, received := sink.snapshot()
+	for len(received) < clients*perClient && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		_, received = sink.snapshot()
 	}
-	if received[0].Agent != "node07" {
-		t.Fatalf("agent = %q", received[0].Agent)
+	if len(received) != clients*perClient {
+		t.Fatalf("sink got %d batches", len(received))
+	}
+	for i, b := range received {
+		if !sameSamples(flatten(sampleBatch()), b) {
+			t.Fatalf("batch %d arrived as %v", i, b)
+		}
 	}
 }
 
@@ -266,10 +268,10 @@ func TestServerCloseDrains(t *testing.T) {
 	})
 	t.Run("batches-before-hangup", func(t *testing.T) {
 		var handled atomic.Uint64
-		srv, err := NewServer("127.0.0.1:0", func(*Batch) {
+		srv, err := NewServer("127.0.0.1:0", appendFunc(func([]timeseries.RefEntry) {
 			time.Sleep(time.Millisecond) // a slow store: frames queue behind it
 			handled.Add(1)
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
