@@ -150,27 +150,32 @@ bench-smoke:
 # /analyze adds to odad's heap. It is gated at 16,500,000 B/op and 20,000
 # allocs/op, over the 15.90 MB and 19,474 allocs measured when every heavy
 # capability built its working set once, flat and presized (83.5 MB and
-# 279,194 allocs before). Every gated benchmark and case must appear in the
-# output: a renamed or deleted one fails the gate instead of passing it
-# vacuously.
+# 279,194 allocs before). BenchmarkSegmentReadFrom is one replication pull
+# of 1 MiB out of an 8 MiB WAL segment: it is gated at 1.25 × the pull's
+# budget in B/op (1,060,760 B measured when a pull read only the records it
+# ships; 9,397,874 when every pull read the whole segment). Every gated
+# benchmark and case must appear in the output: a renamed or deleted one
+# fails the gate instead of passing it vacuously.
 bench-allocs:
 	@out=$$($(GO) test -run xxx -bench 'BenchmarkStoreCursorSweep$$' -benchmem -benchtime 50x ./internal/timeseries; \
 	        $(GO) test -run xxx -bench 'BenchmarkDistributionRead$$' -benchmem -benchtime 200x ./internal/timeseries; \
 	        $(GO) test -run xxx -bench 'BenchmarkEncodeRefBatch|BenchmarkDecodeRefBatch|BenchmarkServeRefFrame' -benchmem -benchtime 1000x ./internal/wire; \
-	        $(GO) test -run xxx -bench 'BenchmarkAnalyzeSweep$$' -benchmem -benchtime 1x .); \
+	        $(GO) test -run xxx -bench 'BenchmarkAnalyzeSweep$$' -benchmem -benchtime 1x .; \
+	        $(GO) test -run xxx -bench 'BenchmarkSegmentReadFrom$$' -benchmem -benchtime 100x ./internal/persist); \
 	echo "$$out"; \
 	echo "$$out" | awk 'BEGIN { split("p95/5m 75 p95/whole 3 std/5m 3 std/whole 2", b, " "); for (i = 1; i < 8; i += 2) dist[b[i]] = b[i+1] } \
 		/^Benchmark/ { name = $$1; sub(/[\/-].*/, "", name); seen[name]++ } \
 		/^BenchmarkAnalyzeSweep/ { if ($$(NF-3)+0 > 16500000 || $$(NF-1)+0 > 20000) { printf "FAIL: %s allocates %s B/op and %s allocs/op (budget 16500000 and 20000)\n", $$1, $$(NF-3), $$(NF-1); bad=1 }; next } \
+		/^BenchmarkSegmentReadFrom/ { if ($$(NF-3)+0 > 1310720) { printf "FAIL: %s allocates %s B/op per pull (budget 1310720, 1.25 x the 1 MiB pull)\n", $$1, $$(NF-3); bad=1 }; next } \
 		/^BenchmarkDistributionRead\// { c = $$1; sub(/^BenchmarkDistributionRead\//, "", c); sub(/-[0-9]+$$/, "", c); got[c] = 1; \
 			if (!(c in dist) || $$(NF-1)+0 > dist[c]) { printf "FAIL: %s allocates %s allocs/op (budget %s)\n", $$1, $$(NF-1), dist[c]; bad=1 }; next } \
 		/^Benchmark/ { if ($$(NF-1)+0 > 0) { printf "FAIL: %s allocates %s allocs/op (budget 0)\n", $$1, $$(NF-1); bad=1 } } \
-		END { n = split("BenchmarkStoreCursorSweep BenchmarkEncodeRefBatch BenchmarkAnalyzeSweep", gated, " "); \
+		END { n = split("BenchmarkStoreCursorSweep BenchmarkEncodeRefBatch BenchmarkAnalyzeSweep BenchmarkSegmentReadFrom", gated, " "); \
 			for (i = 1; i <= n; i++) if (!seen[gated[i]]) { printf "FAIL: %s missing from output\n", gated[i]; bad=1 } \
 			n = split("BenchmarkDecodeRefBatch BenchmarkServeRefFrame", cased, " "); \
 			for (i = 1; i <= n; i++) if (seen[cased[i]] != 2) { printf "FAIL: %s missing a case (32 and 925 records) from output\n", cased[i]; bad=1 } \
 			for (c in dist) if (!got[c]) { printf "FAIL: BenchmarkDistributionRead/%s missing from output\n", c; bad=1 } \
-			if (bad) exit 1; print "OK: streaming paths and the wire receive path within 0 allocs/op budget, distribution reads and the grid sweep within their budgets" }'
+			if (bad) exit 1; print "OK: streaming paths and the wire receive path within 0 allocs/op budget, distribution reads, the grid sweep and a replication pull within their budgets" }'
 
 # Rollup-tier planner gate for the PR 6 long-window workload: the planned
 # 30-day/1h-step aggregation must beat the raw scan by >= 50x, and the

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -125,6 +126,10 @@ type replPullRequest struct {
 	MaxBytes     int64
 }
 
+// replPullResponse carries its Snapshot and Records as views: the leader's
+// of the buffers its pull read, the follower's of the frame payload it
+// decoded. Their consumers (an Applier, RestoreStore, RecordEntries) copy
+// what they keep.
 type replPullResponse struct {
 	Err           string
 	EpochMismatch bool
@@ -364,7 +369,14 @@ func decodeReplPullRequest(payload []byte) (*replPullRequest, error) {
 }
 
 func encodeReplPullResponse(r *replPullResponse) []byte {
-	b := make([]byte, 0, 64)
+	// Sized once: eight varints and two bools at most around the byte
+	// strings, and a record's length prefix fits a 32-bit varint
+	// (MaxRecord).
+	size := 8*binary.MaxVarintLen64 + 2 + len(r.Err) + len(r.Snapshot)
+	for _, rec := range r.Records {
+		size += binary.MaxVarintLen32 + len(rec)
+	}
+	b := make([]byte, 0, size)
 	b = binenc.AppendString(b, r.Err)
 	if r.Err != "" {
 		return b
@@ -398,13 +410,13 @@ func decodeReplPullResponse(payload []byte) (*replPullResponse, error) {
 		return r, p.Err()
 	}
 	r.SegmentGone = p.Bool()
-	r.Snapshot = p.Bytes()
+	r.Snapshot = p.View()
 	r.NextSeq = p.Uvarint()
 	r.NextOff = p.Varint()
 	r.LagBytes = p.Varint()
 	r.Records = make([][]byte, p.Count(1))
 	for i := range r.Records {
-		r.Records[i] = p.Bytes()
+		r.Records[i] = p.View()
 	}
 	return r, p.Err()
 }

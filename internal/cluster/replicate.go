@@ -252,7 +252,7 @@ func (r *Router) serveReplPull(q *replPullRequest) *replPullResponse {
 	}
 	var recs [][]byte
 	nextSeq, nextOff, _, err := sr.ReadFrom(q.FromSeq, q.FromOff, maxBytes, func(payload []byte) error {
-		recs = append(recs, append([]byte(nil), payload...))
+		recs = append(recs, payload) // a view; it outlives the call
 		return nil
 	})
 	if err == persist.ErrSegmentGone {

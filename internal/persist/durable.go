@@ -96,11 +96,13 @@ type DurableStore struct {
 	// WAL-ref dictionary for the ref ingest fast path, guarded by opMu
 	// (checkpoints touch it under the exclusive d.mu instead, which equally
 	// excludes every op). walRefs binds store ref slots — stable for the
-	// life of a store instance — to the uvarint refs used in opDefine /
-	// opAppendCols records; a checkpoint clears it, so post-snapshot
-	// segments are self-contained (every ref they use is re-defined within
-	// them). refEnc/refVals/refValid/refWAL/refIn are reused scratch.
-	walRefs    map[uint32]uint64
+	// life of a store instance, dense from 1 — to the uvarint refs used in
+	// opDefine / opAppendCols records: walRefs[slot] is the slot's WAL ref,
+	// 0 while it has none (WAL refs start at 1). A checkpoint clears it, so
+	// post-snapshot segments are self-contained (every ref they use is
+	// re-defined within them). refEnc/refVals/refValid/refWAL/refIn are
+	// reused scratch.
+	walRefs    []uint64
 	nextWALRef uint64
 	refEnc     []byte
 	refVals    []float64 // the value column of refEnc's append record
@@ -142,7 +144,7 @@ func Open(dir string, opts Options) (*DurableStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	d := &DurableStore{dir: dir, opts: opts, stop: make(chan struct{}), walRefs: make(map[uint32]uint64)}
+	d := &DurableStore{dir: dir, opts: opts, stop: make(chan struct{})}
 
 	// Newest valid snapshot wins; damaged ones fall back to older, then to
 	// an empty store with full WAL replay.
@@ -402,10 +404,8 @@ func (d *DurableStore) Resolve(id metric.ID, kind metric.Kind, unit metric.Unit)
 // series has no live WAL-ref binding. The caller is between begin and end;
 // seq is 0 when nothing was logged.
 func (d *DurableStore) resolveLocked(id metric.ID, kind metric.Kind, unit metric.Unit) (timeseries.SeriesRef, uint64, error) {
-	if sref, ok := d.store.LookupRef(id); ok {
-		if _, bound := d.walRefs[sref.Slot()]; bound {
-			return sref, 0, nil
-		}
+	if sref, ok := d.store.LookupRef(id); ok && d.walRef(sref.Slot()) != 0 {
+		return sref, 0, nil
 	}
 	seq, err := d.defineLocked(id, kind, unit)
 	if err != nil {
@@ -415,8 +415,24 @@ func (d *DurableStore) resolveLocked(id metric.ID, kind metric.Kind, unit metric
 	if err != nil {
 		return 0, 0, err
 	}
-	d.walRefs[sref.Slot()] = d.nextWALRef
+	d.bindWALRef(sref.Slot())
 	return sref, seq, nil
+}
+
+// walRef returns slot's WAL ref, 0 when it has none.
+func (d *DurableStore) walRef(slot uint32) uint64 {
+	if int(slot) < len(d.walRefs) {
+		return d.walRefs[slot]
+	}
+	return 0
+}
+
+// bindWALRef binds slot to the WAL ref defineLocked just logged.
+func (d *DurableStore) bindWALRef(slot uint32) {
+	for int(slot) >= len(d.walRefs) {
+		d.walRefs = append(d.walRefs, 0)
+	}
+	d.walRefs[slot] = d.nextWALRef
 }
 
 // defineLocked logs an opDefine binding the next WAL ref to a series; on
@@ -465,8 +481,8 @@ func (d *DurableStore) appendRefsLocked(entries []timeseries.RefEntry) (n int, s
 			staleErr = timeseries.ErrStaleRef
 			continue
 		}
-		wr, bound := d.walRefs[e.Ref.Slot()]
-		if !bound {
+		wr := d.walRef(e.Ref.Slot())
+		if wr == 0 {
 			id, kind, unit, live := d.store.RefInfo(e.Ref)
 			if !live {
 				staleErr = timeseries.ErrStaleRef
@@ -475,8 +491,8 @@ func (d *DurableStore) appendRefsLocked(entries []timeseries.RefEntry) (n int, s
 			if seq, err = d.defineLocked(id, kind, unit); err != nil {
 				return 0, seq, err
 			}
+			d.bindWALRef(e.Ref.Slot())
 			wr = d.nextWALRef
-			d.walRefs[e.Ref.Slot()] = wr
 		}
 		d.refValid = append(d.refValid, e)
 		d.refWAL = append(d.refWAL, wr)

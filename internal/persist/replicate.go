@@ -1,8 +1,10 @@
 package persist
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/timeseries"
@@ -46,6 +48,11 @@ func NewSegmentReader(dir string) *SegmentReader { return &SegmentReader{dir: di
 // collected it; the follower needs a snapshot). Reaching the writing edge
 // of the live segment is not an error: the caller polls again from the
 // returned position.
+//
+// A pull reads only the bytes it delivers: from the cursor, about maxBytes
+// plus the record that crosses it, never past a segment's size, never the
+// rest of the file. A payload handed to fn is a view of a buffer the call
+// allocated and never overwrites, so it stays valid after fn returns.
 func (r *SegmentReader) ReadFrom(seq uint64, off int64, maxBytes int64, fn func(payload []byte) error) (nextSeq uint64, nextOff int64, records int, err error) {
 	segs, err := listSeqFiles(r.dir, "wal-", ".seg")
 	if err != nil {
@@ -77,47 +84,144 @@ func (r *SegmentReader) ReadFrom(seq uint64, off int64, maxBytes int64, fn func(
 	if off < int64(len(segMagic)) {
 		off = int64(len(segMagic))
 	}
-	var sent int64
-	for idx < len(segs) && sent < maxBytes {
-		data, err := os.ReadFile(segs[idx].path)
+	p := segmentPull{off: off, maxBytes: maxBytes, fn: fn}
+	for idx < len(segs) && p.sent < maxBytes {
+		size, err := p.drain(segs[idx].path)
 		if err != nil {
-			return seq, off, records, err
+			return seq, p.off, p.records, err
 		}
-		if !knownMagic(data) {
+		if size < 0 {
 			// Header not on disk yet (freshly rotated, not yet visible in
 			// full): treat as empty and retry later.
-			return seq, off, records, nil
+			return seq, p.off, p.records, nil
 		}
-		n := int64(len(data))
-		for sent < maxBytes {
-			payload, next, ok := nextRecord(data, off)
-			if !ok {
-				break // the writing edge, or a torn tail: stop where replay would
-			}
-			if err := fn(payload); err != nil {
-				return seq, off, records, err
-			}
-			off = next
-			sent += int64(len(payload))
-			records++
+		// Only advance to the next segment when one exists AND this one is
+		// fully consumed — a live segment keeps growing, so the cursor parks
+		// at its edge, as it does at an incomplete or torn record with bytes
+		// left (if this is the live segment the record will complete).
+		if p.sent < maxBytes && idx+1 < len(segs) && p.off >= size {
+			idx++
+			seq = segs[idx].seq
+			p.off = int64(len(segMagic))
+			continue
 		}
-		if off+recordHeaderLen > n || sent >= maxBytes {
-			// Drained this file (or filled the budget). Only advance to the
-			// next segment when one exists AND this one is fully consumed —
-			// a live segment keeps growing, so the cursor parks at its edge.
-			if sent < maxBytes && idx+1 < len(segs) && off >= n {
-				idx++
-				seq = segs[idx].seq
-				off = int64(len(segMagic))
-				continue
-			}
-			break
-		}
-		// Stopped mid-file at an incomplete/torn record with bytes left:
-		// park here; if this is the live segment the record will complete.
 		break
 	}
-	return seq, off, records, nil
+	return seq, p.off, p.records, nil
+}
+
+// segmentPull is one ReadFrom call's progress: the cursor's offset in the
+// segment being read, the payload bytes and records delivered so far.
+type segmentPull struct {
+	off      int64
+	sent     int64
+	records  int
+	maxBytes int64
+	fn       func(payload []byte) error
+}
+
+// drain delivers one segment's intact records from p.off until the budget
+// is spent, stopping at the first incomplete or corrupt record, exactly
+// where replay would. It returns the segment's size, or -1 when its header
+// is not on disk yet.
+func (p *segmentPull) drain(path string) (int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	w := segmentWindow{f: f, size: fi.Size()}
+	var magic [len(segMagic)]byte
+	if w.size < int64(len(magic)) {
+		return -1, nil
+	}
+	if _, err := f.ReadAt(magic[:], 0); err != nil && err != io.EOF {
+		return 0, err
+	} else if err != nil || !knownMagic(magic[:]) {
+		return -1, nil
+	}
+	for p.sent < p.maxBytes {
+		payload, next, ok, err := w.record(p.off, p.maxBytes-p.sent)
+		if err != nil {
+			return 0, err
+		}
+		if !ok {
+			break // the writing edge, or a torn tail
+		}
+		if err := p.fn(payload); err != nil {
+			return 0, err
+		}
+		p.off = next
+		p.sent += int64(len(payload))
+		p.records++
+	}
+	return w.size, nil
+}
+
+// segmentWindow holds the bytes of one segment that a pull has read: buf
+// is the file's bytes from offset base on.
+type segmentWindow struct {
+	f    *os.File
+	size int64 // the file's size when the pull opened it
+	base int64
+	buf  []byte
+}
+
+// record returns the intact record at off and the offset one past it; ok is
+// false where nextRecord over the whole file would find none. budget
+// is the payload the pull may still deliver: a read that fetches the record
+// fetches that much beyond it too (never past the file's size), so the
+// records that follow in the budget need no read of their own.
+func (w *segmentWindow) record(off, budget int64) (payload []byte, next int64, ok bool, err error) {
+	if off > w.size-recordHeaderLen {
+		return nil, off, false, nil
+	}
+	if ok, err := w.cover(off, off+recordHeaderLen, budget); !ok || err != nil {
+		return nil, off, false, err
+	}
+	length := int64(binary.BigEndian.Uint32(w.buf[off-w.base:]))
+	if length > MaxRecord || length > w.size-off-recordHeaderLen {
+		return nil, off, false, nil
+	}
+	if ok, err := w.cover(off, off+recordHeaderLen+length, budget); !ok || err != nil {
+		return nil, off, false, err
+	}
+	payload, next, ok = nextRecord(w.buf, off-w.base)
+	return payload, w.base + next, ok, nil
+}
+
+// cover makes buf hold the file's bytes [off, end), reading from off to
+// the later of end and off plus budget and one record header, capped at the
+// file's size. A window that moves is a fresh buffer, starting at off, that
+// keeps only the bytes past off it already held: the records handed out
+// before keep their bytes. ok is false when the file turns out shorter than
+// its size said (a failed write was cut back), with size lowered to match.
+func (w *segmentWindow) cover(off, end, budget int64) (ok bool, err error) {
+	if off >= w.base && end <= w.base+int64(len(w.buf)) {
+		return true, nil
+	}
+	hi := w.size
+	if budget < w.size-off-recordHeaderLen {
+		hi = max(end, off+budget+recordHeaderLen)
+	}
+	buf := make([]byte, hi-off)
+	kept := 0
+	if held := w.base + int64(len(w.buf)); off >= w.base && off < held {
+		kept = copy(buf, w.buf[off-w.base:])
+	}
+	n, err := w.f.ReadAt(buf[kept:], off+int64(kept))
+	if err != nil && err != io.EOF {
+		return false, err
+	}
+	w.base, w.buf = off, buf[:kept+n]
+	if kept+n < len(buf) {
+		w.size = off + int64(kept+n)
+	}
+	return end <= w.base+int64(len(w.buf)), nil
 }
 
 // TailBytes reports roughly how many WAL bytes lie at or after position
